@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..analysis.lockdep import irq_enter, irq_exit
@@ -32,12 +33,42 @@ from ..params import NicParams
 from ..sim import Event, Resource, Simulator, Store, Tracer
 
 
-@dataclass(frozen=True)
-class SdmaDescriptor:
+class _Record:
+    """Value semantics for the plain ``__slots__`` records below.
+
+    The rendezvous path builds thousands of these per message, and a
+    frozen dataclass costs about 2.5x as much to construct as a slots
+    class with a plain ``__init__``.  Equality, hashing and repr follow
+    the fields, as they did for the dataclasses.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}"
+                         for name in self.__slots__)
+        return f"{type(self).__name__}({args})"
+
+
+class SdmaDescriptor(_Record):
     """One SDMA transfer request: a physically contiguous span."""
 
-    paddr: int
-    nbytes: int
+    __slots__ = ("paddr", "nbytes")
+
+    def __init__(self, paddr: int, nbytes: int):
+        self.paddr = paddr
+        self.nbytes = nbytes
 
 
 @dataclass
@@ -70,14 +101,16 @@ class SdmaRequestGroup:
         return sum(d.nbytes for d in self.descriptors)
 
 
-@dataclass(frozen=True)
-class TidEntry:
+class TidEntry(_Record):
     """One programmed RcvArray entry."""
 
-    tid: int
-    ctxt_id: int
-    paddr: int
-    nbytes: int
+    __slots__ = ("tid", "ctxt_id", "paddr", "nbytes")
+
+    def __init__(self, tid: int, ctxt_id: int, paddr: int, nbytes: int):
+        self.tid = tid
+        self.ctxt_id = ctxt_id
+        self.paddr = paddr
+        self.nbytes = nbytes
 
 
 @dataclass(frozen=True)
@@ -196,43 +229,59 @@ class SdmaEngine:
     def submit(self, group: SdmaRequestGroup):
         """Generator: enqueue every descriptor of ``group``, blocking on
         ring space.  Yields until fully submitted (completion is signalled
-        separately through the IRQ path)."""
-        if not group.descriptors:
+        separately through the IRQ path).
+
+        The group is validated in one pass, then copied into the ring one
+        run of free slots at a time."""
+        descs = group.descriptors
+        if not descs:
             raise DriverError("empty SDMA request group")
-        for desc in group.descriptors:
-            if desc.nbytes <= 0:
-                raise DriverError(f"bad descriptor size {desc.nbytes}")
-            if desc.nbytes > self.device.params.sdma_max_request:
-                raise DriverError(
-                    f"descriptor of {desc.nbytes}B exceeds hardware max "
-                    f"{self.device.params.sdma_max_request}B")
+        sizes = [d.nbytes for d in descs]
+        if min(sizes) <= 0:
+            raise DriverError(f"bad descriptor size {min(sizes)}")
+        hw_max = self.device.params.sdma_max_request
+        if max(sizes) > hw_max:
+            raise DriverError(
+                f"descriptor of {max(sizes)}B exceeds hardware max "
+                f"{hw_max}B")
         if GUARD.enabled and self.gate is not None:
             # congestion watermarks: park (FIFO) while the engine is over
             # its high mark instead of racing the ring-full wait below
-            yield from self.gate.acquire_slots(len(group.descriptors))
-        last_idx = len(group.descriptors) - 1
-        for i, desc in enumerate(group.descriptors):
+            yield from self.gate.acquire_slots(len(descs))
+        ring = self._ring
+        n = len(descs)
+        done = 0
+        while done < n:
             while self.free_slots == 0:
                 waiter = Event(self.sim)
                 self._space_waiters.append(waiter)
                 yield waiter
+            stop = min(n, done + self.free_slots)
+            chunk = descs[done:stop]
             # Span = descriptor lifetime on the ring (enqueue to drain);
             # it nests under the submitting writev span via the lane.
-            dspan = TRACE.collector.begin_span(
+            spans = [TRACE.collector.begin_span(
                 "sdma.desc", track_of(self), cat="sdma",
-                args={"nbytes": desc.nbytes, "kind": group.packet.kind},
-                detached=True) if TRACE.enabled else None
-            self._ring.append((desc, group, i == last_idx, dspan))
-            if len(self._ring) == 1 and not self.busy:
+                args={"nbytes": d.nbytes, "kind": group.packet.kind},
+                detached=True) for d in chunk] \
+                if TRACE.enabled else repeat(None)
+            kick = not ring and not self.busy
+            ring.extend(zip(chunk, repeat(group), repeat(False), spans))
+            if stop == n:
+                ring[-1] = (descs[-1], group, True, ring[-1][3])
+            if kick:
                 self._work.put(None)  # kick the engine
+            done = stop
 
     def _run(self):
         params = self.device.params
+        overhead, bandwidth = params.sdma_desc_overhead, params.link_bandwidth
+        ring = self._ring
         while True:
             if self.halted:
                 yield self._restart_evt
                 continue
-            if not self._ring:
+            if not ring:
                 yield self._work.get()
                 continue
             self.busy = True
@@ -240,27 +289,36 @@ class SdmaEngine:
             with self.device.egress.request() as port:
                 yield port
                 t0 = self.sim.now
-                burst: List[Tuple[SdmaDescriptor, SdmaRequestGroup, bool,
-                                  object, float]] = []
+                # whether fault draws happen is settled once per burst; the
+                # draws themselves stay per descriptor and in order below
+                inj = self.device.injector
+                draws = FAULTS.enabled and inj is not None
+                sizes: List[int] = []
+                #: (group, is-last, span, finish offset) of the slots with
+                #: work after the burst: group ends and traced descriptors
+                marks: List[Tuple[SdmaRequestGroup, bool, object, float]] = []
                 t = 0.0
-                while self._ring:
-                    inj = self.device.injector
-                    if (FAULTS.enabled and inj is not None
-                            and inj.fires("sdma.desc_error")):
-                        self.halt("descriptor fetch error")
-                    if (FAULTS.enabled and inj is not None
-                            and inj.fires("sdma.engine_halt")):
-                        self.halt("spontaneous engine freeze")
+                while ring:
+                    if draws and FAULTS.enabled:  # FAULTS: PD007's guard
+                        if inj.fires("sdma.desc_error"):
+                            self.halt("descriptor fetch error")
+                        if inj.fires("sdma.engine_halt"):
+                            self.halt("spontaneous engine freeze")
                     if self.halted:
                         break
-                    desc, group, is_last, dspan = self._ring.popleft()
-                    t += params.sdma_desc_overhead + desc.nbytes / params.link_bandwidth
-                    burst.append((desc, group, is_last, dspan, t))
+                    desc, group, is_last, dspan = ring.popleft()
+                    nbytes = desc.nbytes
+                    t += overhead + nbytes / bandwidth
+                    sizes.append(nbytes)
+                    if is_last or dspan is not None:
+                        marks.append((group, is_last, dspan, t))
                 yield self.sim.timeout(t)
             self.busy = False
-            for desc, group, is_last, dspan, t_done in burst:
-                self.device.tracer.count("hfi.sdma_descs")
-                self.device.tracer.record("hfi.sdma_desc_bytes", desc.nbytes)
+            if sizes:
+                tracer = self.device.tracer
+                tracer.count("hfi.sdma_descs", len(sizes))
+                tracer.record_many("hfi.sdma_desc_bytes", sizes)
+            for group, is_last, dspan, t_done in marks:
                 if TRACE.enabled and dspan is not None:
                     # each descriptor leaves the wire at its own point in
                     # the burst, not at the shared burst-end timestamp
@@ -271,8 +329,8 @@ class SdmaEngine:
                         group.packet = replace(group.packet, trace=dspan)
                     self.device._transmit(group.packet)
                     self.device.raise_irq(group)
-            if GUARD.enabled and self.gate is not None and burst:
-                self.gate.release_slots(len(burst))
+            if GUARD.enabled and self.gate is not None and sizes:
+                self.gate.release_slots(len(sizes))
             while self._space_waiters and self.free_slots > 0:
                 self._space_waiters.popleft().succeed()
 
@@ -389,32 +447,43 @@ class HFIDevice:
         """Program RcvArray entries for physically contiguous spans.
 
         Each span must fit one entry (``tid_max_span``); callers split
-        larger spans first.  Raises when the RcvArray is exhausted.
+        larger spans first.  Raises when the RcvArray is exhausted.  The
+        whole request is checked before any entry is installed, so a
+        rejected request leaves the RcvArray and the TID counter as they
+        were.
         """
         if len(self._tid_entries) + len(spans) > self.params.rcv_array_entries:
             raise DriverError(
                 f"RcvArray exhausted: {self.tids_in_use} in use, "
                 f"{len(spans)} requested, {self.params.rcv_array_entries} total")
-        entries = []
-        for paddr, nbytes in spans:
-            if nbytes <= 0:
-                raise DriverError(f"bad TID span size {nbytes}")
-            if nbytes > self.params.tid_max_span:
+        if spans:
+            sizes = [nbytes for _pa, nbytes in spans]
+            if min(sizes) <= 0:
+                raise DriverError(f"bad TID span size {min(sizes)}")
+            if max(sizes) > self.params.tid_max_span:
                 raise DriverError(
-                    f"TID span {nbytes}B exceeds entry max "
+                    f"TID span {max(sizes)}B exceeds entry max "
                     f"{self.params.tid_max_span}B")
-            entry = TidEntry(self._next_tid, ctxt.ctxt_id, paddr, nbytes)
-            self._next_tid += 1
-            self._tid_entries[entry.tid] = entry
-            entries.append(entry)
+        base, ctxt_id = self._next_tid, ctxt.ctxt_id
+        entries = [TidEntry(tid, ctxt_id, paddr, nbytes)
+                   for tid, (paddr, nbytes) in enumerate(spans, base)]
+        self._next_tid = base + len(entries)
+        self._tid_entries.update((e.tid, e) for e in entries)
         self.tracer.count("hfi.tids_programmed", len(entries))
         return entries
 
     def unprogram_tids(self, tids: List[int]) -> None:
-        """Invalidate RcvArray entries (TID_FREE)."""
+        """Invalidate RcvArray entries (TID_FREE).
+
+        Every TID must be programmed and listed once; otherwise nothing
+        is invalidated."""
+        doomed = set(tids)
+        if len(doomed) != len(tids):
+            raise DriverError(f"unprogram lists a TID twice: {list(tids)}")
+        unknown = doomed.difference(self._tid_entries)
+        if unknown:
+            raise DriverError(f"unprogram of unknown TID {min(unknown)}")
         for tid in tids:
-            if tid not in self._tid_entries:
-                raise DriverError(f"unprogram of unknown TID {tid}")
             del self._tid_entries[tid]
         self.tracer.count("hfi.tids_unprogrammed", len(tids))
 

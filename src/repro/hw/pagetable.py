@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 from ..errors import PageFault, ReproError
 from ..units import LARGE_PAGE_SIZE, PAGE_SIZE
@@ -127,16 +127,31 @@ class PageTable:
         m = self.lookup(vaddr)
         return m.paddr + (vaddr - m.vaddr)
 
+    def _walk(self, vaddr: int, end: int) -> Iterator[Tuple[Mapping, int]]:
+        """``(mapping, its end)`` for the mappings covering ``[vaddr, end)``,
+        in address order.
+
+        One bisect finds the first mapping; the rest follow in ``_maps``
+        order.  Raises :class:`PageFault` at the first uncovered address,
+        the same vaddr a per-page ``lookup`` walk would have faulted at.
+        """
+        maps = self._maps
+        idx = bisect.bisect_right(self._vaddrs, vaddr) - 1
+        va = vaddr
+        while va < end:
+            if not 0 <= idx < len(maps):
+                raise PageFault(self.owner, va, "no mapping")
+            m = maps[idx]
+            vend = m.vaddr + m.page_size
+            if not m.vaddr <= va < vend:
+                raise PageFault(self.owner, va, "no mapping")
+            yield m, vend
+            va = vend
+            idx += 1
+
     def is_pinned(self, vaddr: int, length: int) -> bool:
         """True if every page in the range is pinned."""
-        va = vaddr
-        end = vaddr + length
-        while va < end:
-            m = self.lookup(va)
-            if not m.pinned:
-                return False
-            va = m.vend
-        return True
+        return all(m.pinned for m, _ in self._walk(vaddr, vaddr + length))
 
     def phys_spans(self, vaddr: int, length: int) -> List[Tuple[int, int]]:
         """Physically contiguous ``(paddr, nbytes)`` spans backing the
@@ -150,10 +165,9 @@ class PageTable:
             raise ReproError(f"negative length {length}")
         spans: List[Tuple[int, int]] = []
         va, end = vaddr, vaddr + length
-        while va < end:
-            m = self.lookup(va)
+        for m, vend in self._walk(va, end):
             pa = m.paddr + (va - m.vaddr)
-            chunk = min(m.vend, end) - va
+            chunk = min(vend, end) - va
             if spans and spans[-1][0] + spans[-1][1] == pa:
                 spans[-1] = (spans[-1][0], spans[-1][1] + chunk)
             else:
@@ -164,13 +178,20 @@ class PageTable:
     def pages(self, vaddr: int, length: int) -> List[int]:
         """Physical addresses of the 4KB pages backing the range — the
         ``get_user_pages()`` view the Linux driver collects (one entry per
-        base page even inside a large page)."""
+        base page even inside a large page).
+
+        Each mapping contributes its base pages arithmetically; there is
+        no per-page translation.
+        """
         out: List[int] = []
-        va = vaddr
-        end = vaddr + length
         # align down to a 4KB boundary, like gup does
-        va -= va % PAGE_SIZE
-        while va < end:
-            out.append(self.translate(va))
-            va += PAGE_SIZE
+        va = vaddr - vaddr % PAGE_SIZE
+        end = vaddr + length
+        for m, vend in self._walk(va, end):
+            if m.page_size == PAGE_SIZE:
+                out.append(m.paddr)  # va is page-aligned: the whole page
+            else:
+                pa = m.paddr + (va - m.vaddr)
+                out.extend(range(pa, pa + min(vend, end) - va, PAGE_SIZE))
+            va = vend
         return out

@@ -30,7 +30,7 @@ from . import ioctls as ioc
 from .debuginfo import (CURRENT_VERSION, SDMA_PKT_Q_ACTIVE,
                         SDMA_STATE_S10_HW_START_UP_HALT_WAIT,
                         SDMA_STATE_S99_RUNNING, build_module, struct_defs)
-from .sdma import build_descs_from_pages
+from .sdma import build_descs_from_pages, page_spans
 
 # The submit lock is the innermost lock of the cross-kernel hierarchy:
 # both the Linux writev slow path and the pico fast path take it last,
@@ -198,7 +198,8 @@ class Hfi1Driver(FileOps):
             pages.extend(iov_pages)
             total += length
         # The Linux driver submits at most PAGE_SIZE per request (sec. 3.4).
-        descs = build_descs_from_pages(pages, first_offset or 0, total)
+        descs = build_descs_from_pages(pages, first_offset or 0, total,
+                                       kernel.params.nic.linux_max_request)
         cost += len(descs) * sc.desc_build
         meta_addr = self.heap.kmalloc(192)
         cost += mem.kmalloc_cost
@@ -304,20 +305,12 @@ class Hfi1Driver(FileOps):
         pages, gup_cost = kernel.mm.get_user_pages(task, vaddr, length)
         # one RcvArray entry per base page: the unmodified driver derives
         # spans from the page list, so contiguity is invisible to it
-        spans = []
-        remaining = length
-        first_off = vaddr % PAGE_SIZE
-        for i, pa in enumerate(pages):
-            start = first_off if i == 0 else 0
-            chunk = min(PAGE_SIZE - start, remaining)
-            spans.append((pa + start, chunk))
-            remaining -= chunk
+        spans = page_spans(pages, vaddr % PAGE_SIZE, length)
         entries = self.hfi.program_tids(state.ctxt, spans)
         cost = (sc.tid_ioctl_base + gup_cost
                 + len(entries) * nic.tid_program_cost)
         yield kernel.sim.timeout(cost)
-        for e, (pa, nbytes) in zip(entries, spans):
-            state.tids[e.tid] = nbytes
+        state.tids.update((e.tid, e.nbytes) for e in entries)
         state.fdata.set("tid_used", len(state.tids))
         return [e.tid for e in entries]
 

@@ -22,6 +22,28 @@ from ...hw.hfi import SdmaDescriptor
 from ...units import PAGE_SIZE
 
 
+def page_spans(pages: List[int], offset: int,
+               length: int) -> List[Tuple[int, int]]:
+    """``(paddr, nbytes)`` per base page for ``length`` bytes that start
+    ``offset`` bytes into the first of ``pages``.
+
+    The spans are a partial first page, whole middle pages and a partial
+    last page; neighbouring pages stay separate even when physically
+    contiguous.  Pages beyond the end of the range are ignored.
+    """
+    end = offset + length
+    npages = -(-end // PAGE_SIZE)
+    if len(pages) < npages:
+        covered = max(0, len(pages) * PAGE_SIZE - offset)
+        raise DriverError(f"page list covers only {covered} of {length} bytes")
+    if npages <= 1:
+        return [(pages[0] + offset, length)] if npages else []
+    spans = [(pages[0] + offset, PAGE_SIZE - offset)]
+    spans += [(pa, PAGE_SIZE) for pa in pages[1:npages - 1]]
+    spans.append((pages[npages - 1], end - (npages - 1) * PAGE_SIZE))
+    return spans
+
+
 def build_descs_from_pages(pages: List[int], offset: int, length: int,
                            max_request: int = PAGE_SIZE) -> List[SdmaDescriptor]:
     """Linux-driver style: one descriptor per base page.
@@ -33,23 +55,14 @@ def build_descs_from_pages(pages: List[int], offset: int, length: int,
         raise DriverError(f"bad SDMA length {length}")
     if offset >= PAGE_SIZE:
         raise DriverError(f"offset {offset} outside the first page")
-    if max_request > PAGE_SIZE:
-        # The Linux driver never exceeds PAGE_SIZE even though the
-        # hardware accepts more (section 3.4).
-        max_request = PAGE_SIZE
-    descs: List[SdmaDescriptor] = []
-    remaining = length
-    for i, pa in enumerate(pages):
-        if remaining <= 0:
-            break
-        start = offset if i == 0 else 0
-        chunk = min(PAGE_SIZE - start, remaining, max_request)
-        descs.append(SdmaDescriptor(pa + start, chunk))
-        remaining -= chunk
-    if remaining > 0:
+    if max_request < PAGE_SIZE:
         raise DriverError(
-            f"page list covers only {length - remaining} of {length} bytes")
-    return descs
+            f"max_request {max_request} is below PAGE_SIZE ({PAGE_SIZE}): "
+            f"the Linux driver submits one whole base page per descriptor")
+    # A larger max_request changes nothing: the Linux driver never exceeds
+    # PAGE_SIZE even though the hardware accepts more (section 3.4).
+    return [SdmaDescriptor(pa, nbytes)
+            for pa, nbytes in page_spans(pages, offset, length)]
 
 
 def build_descs_from_spans(spans: List[Tuple[int, int]],

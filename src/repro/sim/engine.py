@@ -44,6 +44,20 @@ made once, at install time.  cProfile on a full fig4 regeneration
 and the classes they allocate (:class:`Event`, :class:`Timeout`,
 :class:`~repro.sim.process.Process` — all ``__slots__``) are the
 flattening targets.
+
+The per-event hot spots post inline: ``Timeout.__init__`` and
+``Event.succeed`` set their slots directly and ``heappush`` straight
+onto ``sim._heap`` with the same ``(time, next(sim._seq))`` key that
+:meth:`Simulator._post` builds, and ``Process._deliver`` appends its
+``_resume`` callback without going through ``add_callback``.  The key
+is the whole ordering contract, so inlining it cannot reorder events.
+What must not be inlined away are the boundaries themselves:
+:meth:`Simulator.run` always goes through ``self.step()`` (never a
+private loop around ``heappop``), and every wait still constructs a
+``Timeout`` and every resumption still calls ``Process._deliver``, so
+instrumenting ``step`` (the controlled scheduler, a step counter) or
+counting calls to these three under a profiler sees exactly one call
+per event, per resumption and per timed wait.
 """
 
 from __future__ import annotations
@@ -110,7 +124,8 @@ class Event:
             raise SimError(f"{self!r} already triggered")
         self._triggered = True
         self._value = value
-        self.sim._post(self)
+        sim = self.sim
+        heappush(sim._heap, (sim.now, next(sim._seq), self))  # inline _post
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -155,11 +170,15 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
             raise SimError(f"negative timeout: {delay}")
-        super().__init__(sim)
-        self.delay = delay
-        self._triggered = True
+        # Event.__init__ and _post, inlined: one Timeout per wait
+        self.sim = sim
+        self.callbacks = []
         self._value = value
-        sim._post(self, delay)
+        self._exc = None
+        self._triggered = True
+        self._processed = False
+        self.delay = delay
+        heappush(sim._heap, (sim.now + delay, next(sim._seq), self))
 
 
 class Simulator:

@@ -62,9 +62,10 @@ class Process(Event):
 
     def _deliver(self, event: Event, interrupt: Any) -> None:
         self._waiting_on = None  # type: ignore[assignment]
-        prev_active = self.sim.active_process
-        self.sim.active_process = self
-        scheduler = self.sim._scheduler
+        sim = self.sim
+        prev_active = sim.active_process
+        sim.active_process = self
+        scheduler = sim._scheduler
         if scheduler is not None:
             # PicoCheck footprint recording: which processes a step
             # resumed is half of the explorer's independence relation
@@ -72,8 +73,8 @@ class Process(Event):
         try:
             if interrupt is not None:
                 target = self._gen.throw(interrupt)
-            elif event.exception is not None:
-                target = self._gen.throw(event.exception)
+            elif event._exc is not None:
+                target = self._gen.throw(event._exc)
             else:
                 target = self._gen.send(event._value)
         except StopIteration as stop:
@@ -86,14 +87,19 @@ class Process(Event):
             self.fail(exc)
             return
         finally:
-            self.sim.active_process = prev_active
-        if not isinstance(target, Event) or target.sim is not self.sim:
+            sim.active_process = prev_active
+        if not isinstance(target, Event) or target.sim is not sim:
             self._gen.close()
             self.fail(SimError(f"process yielded a non-event (or an event "
                                f"from another simulator): {target!r}"))
             return
         self._waiting_on = target
-        target.add_callback(self._resume)
+        # Event.add_callback, inlined
+        callbacks = target.callbacks
+        if callbacks is None:
+            self._resume(target)
+        else:
+            callbacks.append(self._resume)
 
 
 class _Condition(Event):

@@ -8,7 +8,7 @@ Recording is cheap (dict update) and can be disabled wholesale.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 class Accumulator:
@@ -41,6 +41,22 @@ class Accumulator:
             self.min = value
         if value > self.max:
             self.max = value
+
+    def add_many(self, values: Sequence[float]) -> None:
+        """Fold ``values`` in, exactly as one :meth:`add` per value would.
+
+        The total is summed left to right in a plain loop: ``sum()`` over
+        floats rounds differently on newer Pythons."""
+        total = self.total
+        for value in values:
+            total += value
+        self.total = total
+        self.count += len(values)
+        low, high = min(values), max(values)
+        if low < self.min:
+            self.min = low
+        if high > self.max:
+            self.max = high
 
     @property
     def mean(self) -> float:
@@ -78,6 +94,17 @@ class Tracer:
         acc.add(value)
         if self.keep_series and t is not None:
             self.series.setdefault(name, []).append((t, value))
+
+    def record_many(self, name: str, values: Sequence[float]) -> None:
+        """Add a batch of values to a named accumulator: the same count,
+        total, min and max as one :meth:`record` call per value (no
+        series are kept, as for ``record`` without a time)."""
+        if not self.enabled or not values:
+            return
+        acc = self.accs.get(name)
+        if acc is None:
+            acc = self.accs[name] = Accumulator()
+        acc.add_many(values)
 
     def get_count(self, name: str) -> int:
         """Current value of a counter (0 if unused)."""

@@ -238,3 +238,31 @@ def test_irq_without_dispatcher_is_an_error():
                       dst_ctxt=0, nbytes=KiB))
     with pytest.raises(ReproError):
         dev.raise_irq(group)
+
+
+def test_rejected_tid_program_installs_nothing():
+    """A bad span in the middle of a request must not leave the spans
+    before it installed (nobody would own them) or advance the TIDs."""
+    sim, params, fabric, a, b = make_pair()
+    ctxt = a.alloc_context("rx")
+    first = a.program_tids(ctxt, [(0x1000, 4 * KiB)])[0].tid
+    for bad in (0, params.nic.tid_max_span + 1):
+        with pytest.raises(DriverError):
+            a.program_tids(ctxt, [(0x2000, 4 * KiB), (0x3000, bad),
+                                  (0x4000, 4 * KiB)])
+        assert a.tids_in_use == 1
+    assert a.program_tids(ctxt, [(0x5000, 4 * KiB)])[0].tid == first + 1
+
+
+def test_rejected_tid_unprogram_removes_nothing():
+    sim, params, fabric, a, b = make_pair()
+    ctxt = a.alloc_context("rx")
+    tids = [e.tid for e in a.program_tids(ctxt, [(0x1000, 4 * KiB),
+                                                 (0x2000, 4 * KiB)])]
+    for bad in ([tids[0], 999], [tids[0], tids[0]]):
+        with pytest.raises(DriverError):
+            a.unprogram_tids(bad)
+        assert a.tids_in_use == 2
+    a.unprogram_tids(tids)
+    assert a.tids_in_use == 0
+    assert a.program_tids(ctxt, [(0x5000, 4 * KiB)])[0].tid == tids[-1] + 1

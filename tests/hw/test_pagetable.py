@@ -145,3 +145,83 @@ def test_phys_spans_cover_exactly_the_requested_bytes(n_pages, seed, offset):
     # spans are maximal: consecutive spans are never physically adjacent
     for (p1, n1), (p2, _) in zip(spans, spans[1:]):
         assert p1 + n1 != p2
+
+
+def _per_page_pages(pt, vaddr, length):
+    """The per-page walk ``pages()`` replaced: one translate per 4KB."""
+    out = []
+    va = vaddr - vaddr % PAGE_SIZE
+    while va < vaddr + length:
+        out.append(pt.translate(va))
+        va += PAGE_SIZE
+    return out
+
+
+def _per_page_spans(pt, vaddr, length):
+    """The lookup-per-mapping walk ``phys_spans()`` replaced."""
+    spans = []
+    va, end = vaddr, vaddr + length
+    while va < end:
+        m = pt.lookup(va)
+        pa = m.paddr + (va - m.vaddr)
+        chunk = min(m.vend, end) - va
+        if spans and spans[-1][0] + spans[-1][1] == pa:
+            spans[-1] = (spans[-1][0], spans[-1][1] + chunk)
+        else:
+            spans.append((pa, chunk))
+        va += chunk
+    return spans
+
+
+def _per_mapping_pinned(pt, vaddr, length):
+    """The lookup-per-mapping walk ``is_pinned()`` replaced."""
+    va, end = vaddr, vaddr + length
+    while va < end:
+        m = pt.lookup(va)
+        if not m.pinned:
+            return False
+        va = m.vend
+    return True
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PageFault as fault:
+        return ("fault", fault.addr)
+
+
+#: one layout item: a 4KB page, a 2MB page, or a hole of n 4KB pages
+_ITEM = st.one_of(st.tuples(st.just("4k"), st.integers(0, 4095)),
+                  st.tuples(st.just("2m"), st.integers(0, 63)),
+                  st.tuples(st.just("hole"), st.integers(1, 3)))
+
+
+@given(items=st.lists(_ITEM, min_size=1, max_size=12),
+       start=st.integers(0, 8 * LARGE_PAGE_SIZE),
+       length=st.integers(0, 3 * LARGE_PAGE_SIZE))
+@settings(max_examples=150)
+def test_range_walk_matches_per_page_walk(items, start, length):
+    """pages(), phys_spans() and is_pinned() equal the per-page
+    references on mixed 4KB/2MB layouts with holes, unaligned ends
+    included, and fault at the same vaddr when the range runs into a
+    hole."""
+    pt = PageTable("prop")
+    va = 0
+    for kind, frame in items:
+        if kind == "hole":
+            va += frame * PAGE_SIZE
+        elif kind == "4k":
+            pt.map_page(va, frame * PAGE_SIZE, pinned=frame % 2 == 0)
+            va += PAGE_SIZE
+        else:
+            va += -va % LARGE_PAGE_SIZE
+            pt.map_page(va, (64 + frame) * LARGE_PAGE_SIZE, LARGE_PAGE_SIZE)
+            va += LARGE_PAGE_SIZE
+    start %= va + 1
+    assert (_outcome(pt.pages, start, length)
+            == _outcome(_per_page_pages, pt, start, length))
+    assert (_outcome(pt.phys_spans, start, length)
+            == _outcome(_per_page_spans, pt, start, length))
+    assert (_outcome(pt.is_pinned, start, length)
+            == _outcome(_per_mapping_pinned, pt, start, length))

@@ -1,0 +1,177 @@
+"""The batched SDMA engine against a per-descriptor reference engine.
+
+``SdmaEngine`` fills its ring a run of free slots at a time and drains a
+burst in one pass with one tracer call pair.  ``PerDescriptorEngine``
+below is the engine as it was before: one ring append per descriptor on
+submit, one ``count``/``record`` pair per descriptor after a burst.  Both
+run the same two-submitter workload on an 8-slot ring; completion order,
+times, tracer state and descriptor spans must be identical.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from repro.config import TRACE, enable_tracing
+from repro.hw import (Fabric, HFIDevice, Packet, SdmaDescriptor,
+                      SdmaRequestGroup)
+from repro.hw.hfi import SdmaEngine
+from repro.obs import SpanCollector
+from repro.obs.spans import track_of
+from repro.params import default_params
+from repro.sim import Event, Simulator
+
+RING = 8
+#: descriptors per group, per submitter
+GROUPS = {"a": (1, 8, 9, 37), "b": (37, 9, 8, 1)}
+
+
+class PerDescriptorEngine(SdmaEngine):
+    """Reference: the per-descriptor submit and drain loops."""
+
+    def submit(self, group):
+        last_idx = len(group.descriptors) - 1
+        for i, desc in enumerate(group.descriptors):
+            while self.free_slots == 0:
+                waiter = Event(self.sim)
+                self._space_waiters.append(waiter)
+                yield waiter
+            dspan = TRACE.collector.begin_span(
+                "sdma.desc", track_of(self), cat="sdma",
+                args={"nbytes": desc.nbytes, "kind": group.packet.kind},
+                detached=True) if TRACE.enabled else None
+            self._ring.append((desc, group, i == last_idx, dspan))
+            if len(self._ring) == 1 and not self.busy:
+                self._work.put(None)
+
+    def _run(self):
+        params = self.device.params
+        while True:
+            if not self._ring:
+                yield self._work.get()
+                continue
+            self.busy = True
+            with self.device.egress.request() as port:
+                yield port
+                t0 = self.sim.now
+                burst = []
+                t = 0.0
+                while self._ring:
+                    desc, group, is_last, dspan = self._ring.popleft()
+                    t += (params.sdma_desc_overhead
+                          + desc.nbytes / params.link_bandwidth)
+                    burst.append((desc, group, is_last, dspan, t))
+                yield self.sim.timeout(t)
+            self.busy = False
+            for desc, group, is_last, dspan, t_done in burst:
+                self.device.tracer.count("hfi.sdma_descs")
+                self.device.tracer.record("hfi.sdma_desc_bytes", desc.nbytes)
+                if TRACE.enabled and dspan is not None:
+                    dspan.end = t0 + t_done
+                if is_last:
+                    if TRACE.enabled and dspan is not None:
+                        group.packet = replace(group.packet, trace=dspan)
+                    self.device._transmit(group.packet)
+                    self.device.raise_irq(group)
+            while self._space_waiters and self.free_slots > 0:
+                self._space_waiters.popleft().succeed()
+
+
+def desc_cost(params, nbytes):
+    return params.sdma_desc_overhead + nbytes / params.link_bandwidth
+
+
+def run_workload(engine_cls):
+    """Two submitters share one 8-slot engine; returns the completions
+    ``[(time, label)]``, the number of DES steps taken, the sender's
+    tracer and the parameters."""
+    sim = Simulator()
+    params = default_params()
+    nic = replace(params.nic, sdma_ring_size=RING, sdma_engines=1)
+    fabric = Fabric(sim, nic)
+    tx = HFIDevice(sim, nic, node_id=0)
+    rx = HFIDevice(sim, nic, node_id=1)
+    fabric.attach(tx)
+    fabric.attach(rx)
+    tx.irq_dispatcher = lambda grp: grp.on_complete(grp)
+    ctxt = rx.alloc_context("rx")
+    ctxt.on_packet = lambda pkt: None
+    engine = engine_cls(sim, tx, 0)
+    completions = []
+
+    def submitter(name):
+        for g, count in enumerate(GROUPS[name]):
+            descs = [SdmaDescriptor(0x100000 * g + i * 4096,
+                                    1024 * (1 + (i * 7 + g) % 10))
+                     for i in range(count)]
+            group = SdmaRequestGroup(
+                descriptors=descs,
+                packet=Packet(kind="eager", src_node=0, dst_node=1,
+                              dst_ctxt=ctxt.ctxt_id,
+                              nbytes=sum(d.nbytes for d in descs)),
+                on_complete=lambda grp, label=f"{name}{g}":
+                    completions.append((sim.now, label)))
+            yield from engine.submit(group)
+
+    sim.process(submitter("a"))
+    sim.process(submitter("b"))
+    steps = 0
+    while sim.peek() < float("inf"):
+        sim.step()
+        steps += 1
+    return completions, steps, tx.tracer, nic
+
+
+def traced(engine_cls):
+    collector = SpanCollector()
+    enable_tracing(collector)
+    try:
+        out = run_workload(engine_cls)
+    finally:
+        enable_tracing(None)
+    descs = [(s.args["nbytes"], s.end) for s in collector.spans
+             if s.name == "sdma.desc"]
+    return out, descs
+
+
+def test_batched_engine_matches_per_descriptor_reference():
+    got, steps, tracer, _ = run_workload(SdmaEngine)
+    want, ref_steps, ref_tracer, _ = run_workload(PerDescriptorEngine)
+    assert got == want
+    assert steps == ref_steps
+    assert len(got) == sum(len(g) for g in GROUPS.values())
+    assert tracer.counters == ref_tracer.counters
+    assert tracer.accs == ref_tracer.accs
+    n_descs = sum(sum(g) for g in GROUPS.values())
+    assert tracer.get_count("hfi.sdma_descs") == n_descs
+
+
+def test_groups_complete_in_submission_order_per_submitter():
+    got, _, _, _ = run_workload(SdmaEngine)
+    for name, groups in GROUPS.items():
+        mine = [label for _, label in got if label.startswith(name)]
+        assert mine == [f"{name}{g}" for g in range(len(groups))]
+
+
+def test_engine_never_idles_between_bursts():
+    """The last completion is the sum of every descriptor's cost."""
+    got, _, tracer, nic = run_workload(SdmaEngine)
+    acc = tracer.accs["hfi.sdma_desc_bytes"]
+    total = (acc.count * nic.sdma_desc_overhead
+             + acc.total / nic.link_bandwidth)
+    assert got[-1][0] == pytest.approx(total, rel=1e-12)
+
+
+def test_one_span_per_descriptor_with_its_own_end():
+    (got, _, _, nic), spans = traced(SdmaEngine)
+    (want, _, _, _), ref_spans = traced(PerDescriptorEngine)
+    assert got == want
+    assert spans == ref_spans
+    assert len(spans) == sum(sum(g) for g in GROUPS.values())
+    # consecutive descriptors leave the wire one descriptor cost apart
+    ends = sorted(spans, key=lambda s: s[1])
+    for (_, prev), (nbytes, end) in zip(ends, ends[1:]):
+        assert end - prev == pytest.approx(desc_cost(nic, nbytes), rel=1e-9)
+    # groups complete at the end of a burst, as its last descriptor
+    # leaves the wire
+    assert {t for t, _ in got} <= {end for _, end in spans}

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DriverError
+from repro.hw import SdmaDescriptor
 from repro.linux.hfi1.sdma import (build_descs_from_pages,
-                                   build_descs_from_spans,
+                                   build_descs_from_spans, page_spans,
                                    split_spans_for_tids)
 from repro.units import KiB, PAGE_SIZE
 
@@ -99,3 +100,73 @@ def test_span_descs_partition_the_bytes(lengths, max_request):
     for (pa, ln) in spans:
         inside = [d for d in descs if pa <= d.paddr < pa + ln]
         assert sum(d.nbytes for d in inside) == ln
+
+
+def _per_page_descs(pages, offset, length):
+    """The per-page loop ``build_descs_from_pages`` replaced (at its
+    default ``max_request`` of one page)."""
+    descs, remaining = [], length
+    for i, pa in enumerate(pages):
+        if remaining <= 0:
+            break
+        start = offset if i == 0 else 0
+        chunk = min(PAGE_SIZE - start, remaining)
+        descs.append(SdmaDescriptor(pa + start, chunk))
+        remaining -= chunk
+    assert remaining == 0
+    return descs
+
+
+def _per_page_tid_spans(pages, offset, length):
+    """The per-page loop ``Hfi1Driver._tid_update`` used for its spans."""
+    spans, remaining = [], length
+    for i, pa in enumerate(pages):
+        start = offset if i == 0 else 0
+        chunk = min(PAGE_SIZE - start, remaining)
+        spans.append((pa + start, chunk))
+        remaining -= chunk
+    return spans
+
+
+@pytest.mark.parametrize("offset", [0, 2048, 4095])
+@pytest.mark.parametrize("length", [1, "rest_of_page", PAGE_SIZE,
+                                    2 * PAGE_SIZE, 3 * PAGE_SIZE,
+                                    16 * PAGE_SIZE + 5])
+def test_bulk_build_matches_per_page_loop(offset, length):
+    """One-page buffers and exact page multiples, at aligned and
+    unaligned offsets; the page list is scattered and has spare pages."""
+    if length == "rest_of_page":
+        length = PAGE_SIZE - offset
+    npages = -(-(offset + length) // PAGE_SIZE)
+    pages = [(i * 37 % 101) * PAGE_SIZE for i in range(npages + 2)]
+    want = _per_page_descs(pages, offset, length)
+    assert build_descs_from_pages(pages, offset, length) == want
+    assert build_descs_from_pages(pages, offset, length, 10 * KiB) == want
+    gup = pages[:npages]  # get_user_pages() returns exactly the range
+    assert page_spans(gup, offset, length) == \
+        _per_page_tid_spans(gup, offset, length)
+
+
+@given(offset=st.integers(0, PAGE_SIZE - 1),
+       length=st.integers(1, 40 * PAGE_SIZE))
+@settings(max_examples=80)
+def test_bulk_build_matches_per_page_loop_anywhere(offset, length):
+    npages = -(-(offset + length) // PAGE_SIZE)
+    pages = [(i * 37 % 101) * PAGE_SIZE for i in range(npages)]
+    assert build_descs_from_pages(pages, offset, length) == \
+        _per_page_descs(pages, offset, length)
+    assert page_spans(pages, offset, length) == \
+        _per_page_tid_spans(pages, offset, length)
+
+
+def test_short_page_list_reports_covered_bytes():
+    with pytest.raises(DriverError, match="covers only 6144 of 12288"):
+        build_descs_from_pages([0, PAGE_SIZE], 2048, 3 * PAGE_SIZE)
+
+
+def test_sub_page_max_request_is_a_typed_error():
+    """Below PAGE_SIZE the Linux model has no meaning: it must say so up
+    front instead of emitting truncated descriptors."""
+    with pytest.raises(DriverError, match="max_request 2048"):
+        build_descs_from_pages([0, PAGE_SIZE], 0, 2 * PAGE_SIZE,
+                               max_request=2 * KiB)

@@ -1,6 +1,8 @@
 """Unit tests for named RNG streams and the tracer."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import RngFactory, Tracer
 
@@ -89,3 +91,26 @@ def test_tracer_report_shape():
     rep = t.report()
     assert rep["c"]["count"] == 1.0
     assert rep["a"]["total"] == pytest.approx(2.0)
+
+
+@given(before=st.lists(st.floats(-1e9, 1e9), max_size=5),
+       batch=st.lists(st.floats(-1e9, 1e9), max_size=40))
+@settings(max_examples=100)
+def test_record_many_equals_repeated_record(before, batch):
+    """Same count, total (bit for bit), min and max as one record() per
+    value, on an existing accumulator or a fresh one."""
+    one, many = Tracer(), Tracer()
+    for value in before:
+        one.record("x", value)
+        many.record("x", value)
+    for value in batch:
+        one.record("x", value)
+    many.record_many("x", batch)
+    assert many.accs == one.accs
+    assert many.counters == one.counters
+
+
+def test_record_many_respects_disabled_tracer():
+    tracer = Tracer(enabled=False)
+    tracer.record_many("x", [1.0, 2.0])
+    assert tracer.accs == {}
