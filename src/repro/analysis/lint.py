@@ -26,9 +26,10 @@ PD005    raw heap access: no ``heap.read_u``/``write_u``/``read``/
          ``write`` in ``repro/core`` outside ``structs.py``/``sync.py``
 PD006    pinned-memory discipline: no ``get_user_pages`` reachable from
          a fast path (LWK memory is pinned by construction, sec. 3.4)
-PD007    fault-hook gating: every fault-injection draw (``*.fires(...)``)
-         sits behind a ``config.FAULTS`` check, so zero-fault runs stay
-         branch-cheap and bit-identical
+PD007    fault-hook gating: every fault-injection draw (``*.fires(...)``
+         or the burst draw ``*.quiet_run(...)``) sits behind a
+         ``config.FAULTS`` check, so zero-fault runs stay branch-cheap
+         and bit-identical
 PD008    lock-order hierarchy: nested ``acquire`` must follow the
          rank-increasing order declared in ``repro.core.lockclasses``
          (checked by the static half of :mod:`repro.analysis.lockdep`)
@@ -504,11 +505,16 @@ def _check_config_gating(path: str, tree: ast.AST,
     scan(tree, False)
 
 
+#: the FaultInjector draw surface PD007 polices at call sites
+_FAULT_DRAW_ATTRS = frozenset({"fires", "quiet_run"})
+
+
 def _check_fault_gating(path: str, tree: ast.AST,
                         findings: List[Finding]) -> None:
-    """PD007: every ``*.fires(...)`` draw is behind a FAULTS check."""
-    _check_config_gating(path, tree, findings, ("FAULTS",), ("fires",),
-                         "PD007", "fault-injection draw")
+    """PD007: every ``*.fires(...)``/``*.quiet_run(...)`` draw is behind
+    a FAULTS check."""
+    _check_config_gating(path, tree, findings, ("FAULTS",),
+                         _FAULT_DRAW_ATTRS, "PD007", "fault-injection draw")
 
 
 #: the SpanCollector emission surface PD011 polices at call sites

@@ -490,7 +490,7 @@ class _FunctionScanner:
                                      else name, path, line))
         if name == "get_user_pages":
             effect.unpinned.add(Site(name, path, line))
-        if name == "fires" or "rng" in segments:
+        if name in ("fires", "quiet_run") or "rng" in segments:
             effect.rng.add(Site(name, path, line))
         if name == "process" and segments and segments[-1] == "sim":
             self._spawn(node, held, handled)

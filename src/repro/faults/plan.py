@@ -42,8 +42,9 @@ The fault points (and where they are injected):
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import ReproError
 from ..sim.trace import Tracer
@@ -161,6 +162,36 @@ class FaultPlan:
         return ", ".join(parts) if parts else "no faults"
 
 
+#: uniforms drawn per refill of a fault point's buffer
+UNIFORM_BLOCK = 256
+
+
+class _Uniforms:
+    """One fault point's stream, served from blocks of draws.
+
+    ``Generator.random(n)`` yields the same doubles as ``n`` scalar
+    ``random()`` calls, so the point's sequence of uniforms does not
+    depend on the block size or on where the refills fall.
+    """
+
+    __slots__ = ("stream", "vals", "pos")
+
+    def __init__(self, stream):
+        self.stream = stream
+        #: drawn uniforms; ``vals[pos:]`` are not consumed yet
+        self.vals: List[float] = []
+        self.pos = 0
+
+    def window(self, n: int) -> List[float]:
+        """The buffer, refilled so that ``vals[pos:pos + n]`` exists."""
+        vals, pos = self.vals, self.pos
+        if len(vals) - pos < n:
+            vals = self.vals = vals[pos:] + self.stream.random(
+                max(UNIFORM_BLOCK, n)).tolist()
+            self.pos = 0
+        return vals
+
+
 class FaultInjector:
     """Draws fault decisions for one machine, deterministically.
 
@@ -170,41 +201,135 @@ class FaultInjector:
     created lazily per fault point and :meth:`fires` short-circuits on
     zero rates before touching the RNG, which is what keeps zero-rate
     plans bit-identical to fault-free runs.
+
+    Each assignment to :attr:`plan` (experiments swap plans mid-run)
+    compiles it into a point -> rate table and binds :meth:`fires` and
+    :meth:`quiet_run` to the placed or the random variant, as
+    :class:`~repro.sim.engine.Simulator` binds ``step``.  A point's
+    uniforms come from its own stream in blocks (:class:`_Uniforms`),
+    in the same order as one scalar draw per opportunity.
     """
 
     def __init__(self, plan: FaultPlan, rng_factory,
                  tracer: Optional[Tracer] = None):
-        self.plan = plan
         self.rng_factory = rng_factory
         self.tracer = tracer
-        self._streams: Dict[str, object] = {}
+        self._streams: Dict[str, _Uniforms] = {}
         #: per-point opportunity counters, maintained only in
         #: deterministic placement mode (the explorer's census)
         self.occurrences: Dict[str, int] = {}
-        self._scheduled = frozenset(
-            (f.point, f.occurrence) for f in plan.scheduled)
+        self.plan = plan
+
+    @property
+    def plan(self) -> FaultPlan:
+        """The active plan; assigning one recompiles the draw tables."""
+        return self._plan
+
+    @plan.setter
+    def plan(self, plan: FaultPlan) -> None:
+        self._plan = plan
+        self._rates = {point: getattr(plan, attr)
+                       for point, attr in FAULT_POINTS.items()}
+        #: placed mode: each point's scheduled occurrences, ascending
+        self._placements: Dict[str, List[int]] = {}
+        for f in sorted(plan.scheduled, key=lambda f: f.occurrence):
+            self._placements.setdefault(f.point, []).append(f.occurrence)
+        if plan.deterministic:
+            self.fires, self.quiet_run = self._fires_placed, self._quiet_placed
+        else:
+            self.fires, self.quiet_run = self._fires_random, self._quiet_random
 
     def fires(self, point: str) -> bool:
-        """True if the named fault point fires at this opportunity."""
-        rate = self.plan.rate_of(point)
-        if self.plan.deterministic:
-            # exact placement mode: count the opportunity, fire on an
-            # exact (point, occurrence) match, never touch the RNG
-            idx = self.occurrences.get(point, 0)
-            self.occurrences[point] = idx + 1
-            if (point, idx) not in self._scheduled:
-                return False
-            if self.tracer is not None:
-                self.tracer.count(f"faults.{point}")
-            return True
+        """True if the named fault point fires at this opportunity.
+
+        Instances carry the variant bound for their plan; this
+        class-level definition documents the contract."""
+        if self._plan.deterministic:
+            return self._fires_placed(point)
+        return self._fires_random(point)
+
+    def quiet_run(self, points: Tuple[str, ...], n: int) -> int:
+        """Draw the leading opportunities, of at most ``n``, at which
+        none of ``points`` fires; return how many there were (``k``).
+
+        An opportunity is one draw per point, in ``points`` order, as
+        one ``fires`` call per point would make it.  If ``k < n`` a point
+        fires at opportunity ``k``, which is left undrawn: the caller
+        makes it with one :meth:`fires` call per point, in order, so the
+        point's counters, and whatever the caller does on a firing,
+        keep their per-opportunity order.  With ``n == 0`` nothing is
+        drawn.  Instances carry the variant bound for their plan."""
+        if self._plan.deterministic:
+            return self._quiet_placed(points, n)
+        return self._quiet_random(points, n)
+
+    def _rate(self, point: str) -> float:
+        rate = self._rates.get(point)
+        if rate is None:
+            self._plan.rate_of(point)  # raises the typed unknown-point error
+        return rate
+
+    def _uniforms(self, point: str) -> _Uniforms:
+        buf = self._streams.get(point)
+        if buf is None:
+            buf = self._streams[point] = _Uniforms(
+                self.rng_factory.stream("fault", point))
+        return buf
+
+    def _fires_random(self, point: str) -> bool:
+        rate = self._rate(point)
         if rate <= 0.0:
             return False
-        stream = self._streams.get(point)
-        if stream is None:
-            stream = self._streams[point] = self.rng_factory.stream(
-                "fault", point)
-        if stream.random() >= rate:
+        buf = self._uniforms(point)
+        vals, pos = buf.window(1), buf.pos
+        buf.pos = pos + 1
+        if vals[pos] >= rate:
             return False
         if self.tracer is not None:
             self.tracer.count(f"faults.{point}")
         return True
+
+    def _fires_placed(self, point: str) -> bool:
+        # exact placement mode: count the opportunity, fire on an exact
+        # (point, occurrence) match, never touch the RNG
+        self._rate(point)
+        idx = self.occurrences.get(point, 0)
+        self.occurrences[point] = idx + 1
+        if idx not in self._placements.get(point, ()):
+            return False
+        if self.tracer is not None:
+            self.tracer.count(f"faults.{point}")
+        return True
+
+    def _quiet_random(self, points: Tuple[str, ...], n: int) -> int:
+        k = n
+        live = []
+        for point in points:
+            rate = self._rate(point)
+            if rate <= 0.0 or k == 0:
+                continue
+            buf = self._uniforms(point)
+            vals, pos = buf.window(k), buf.pos
+            for i in range(pos, pos + k):
+                if vals[i] < rate:
+                    k = i - pos
+                    break
+            live.append(buf)
+        for buf in live:
+            buf.pos += k
+        return k
+
+    def _quiet_placed(self, points: Tuple[str, ...], n: int) -> int:
+        k = n
+        occurrences = self.occurrences
+        for point in points:
+            self._rate(point)
+            idx = occurrences.get(point, 0)
+            placed = self._placements.get(point, ())
+            at = bisect_left(placed, idx)
+            if at < len(placed):
+                k = min(k, placed[at] - idx)
+        if k:
+            for point in points:
+                occurrences[point] = occurrences.get(point, 0) + k
+        return k

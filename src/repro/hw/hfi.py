@@ -32,6 +32,10 @@ from ..obs.spans import track_of
 from ..params import NicParams
 from ..sim import Event, Resource, Simulator, Store, Tracer
 
+#: the fault points each SDMA descriptor fetch is an opportunity of, in
+#: draw order
+SDMA_FAULT_POINTS = ("sdma.desc_error", "sdma.engine_halt")
+
 
 class _Record:
     """Value semantics for the plain ``__slots__`` records below.
@@ -289,8 +293,11 @@ class SdmaEngine:
             with self.device.egress.request() as port:
                 yield port
                 t0 = self.sim.now
-                # whether fault draws happen is settled once per burst; the
-                # draws themselves stay per descriptor and in order below
+                # whether fault draws happen is settled once per burst.
+                # Each descriptor is one opportunity of both SDMA fault
+                # points: quiet_run draws those before the first firing
+                # in one call, and the firing one is drawn with fires,
+                # per point and in order, as the per-descriptor loop did
                 inj = self.device.injector
                 draws = FAULTS.enabled and inj is not None
                 sizes: List[int] = []
@@ -299,19 +306,27 @@ class SdmaEngine:
                 marks: List[Tuple[SdmaRequestGroup, bool, object, float]] = []
                 t = 0.0
                 while ring:
+                    n = 0 if self.halted else len(ring)
                     if draws and FAULTS.enabled:  # FAULTS: PD007's guard
-                        if inj.fires("sdma.desc_error"):
-                            self.halt("descriptor fetch error")
-                        if inj.fires("sdma.engine_halt"):
-                            self.halt("spontaneous engine freeze")
-                    if self.halted:
+                        n = inj.quiet_run(SDMA_FAULT_POINTS, n)
+                        if n == 0:
+                            # a point fires at the head descriptor, or the
+                            # engine halted while this burst waited for
+                            # the port
+                            if inj.fires("sdma.desc_error"):
+                                self.halt("descriptor fetch error")
+                            if inj.fires("sdma.engine_halt"):
+                                self.halt("spontaneous engine freeze")
+                            n = 0 if self.halted else 1
+                    if n == 0:
                         break
-                    desc, group, is_last, dspan = ring.popleft()
-                    nbytes = desc.nbytes
-                    t += overhead + nbytes / bandwidth
-                    sizes.append(nbytes)
-                    if is_last or dspan is not None:
-                        marks.append((group, is_last, dspan, t))
+                    for _ in range(n):
+                        desc, group, is_last, dspan = ring.popleft()
+                        nbytes = desc.nbytes
+                        t += overhead + nbytes / bandwidth
+                        sizes.append(nbytes)
+                        if is_last or dspan is not None:
+                            marks.append((group, is_last, dspan, t))
                 yield self.sim.timeout(t)
             self.busy = False
             if sizes:

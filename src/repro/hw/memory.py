@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -238,6 +238,10 @@ class SharedHeap:
     share after unification.  Reads and writes move real bytes, so
     cross-kernel structure access through DWARF-extracted offsets is
     exercised for real, not pretended.
+
+    The ``bytearray`` backs only the bytes touched so far: it grows when
+    an allocation or a write reaches past it, and an in-range read past
+    it returns zeros.  Bounds are still those of the full ``size``.
     """
 
     def __init__(self, size: int, base: int = 0xFFFF_8800_0000_0000,
@@ -245,7 +249,8 @@ class SharedHeap:
         self.size = size
         self.base = base
         self.name = name
-        self._mem = bytearray(size)
+        #: backing store for offsets [0, len(_mem)); the rest reads as zero
+        self._mem = bytearray()
         self._brk = 0
         self._live: Dict[int, int] = {}  # addr -> size
         self._free_by_size: Dict[int, List[int]] = {}
@@ -296,19 +301,39 @@ class SharedHeap:
         """Allocate ``size`` bytes, return the kernel virtual address."""
         if size <= 0:
             raise ReproError(f"kmalloc of non-positive size {size}")
-        bucket = self._free_by_size.get(self._round(size))
-        if bucket:
-            addr = bucket.pop()
-        else:
+        rounded = self._round(size)
+        off = self._reuse(self._free_by_size.get(rounded), align)
+        if off is None:
             off = -(-self._brk // align) * align
-            if off + self._round(size) > self.size:
+            if off + rounded > self.size:
                 raise OutOfMemory(f"{self.name}: heap exhausted "
                                   f"({self._brk}/{self.size} used)")
-            self._brk = off + self._round(size)
-            addr = self.base + off
+            self._brk = off + rounded
+        addr = self.base + off
         self._live[addr] = size
-        self._mem[addr - self.base: addr - self.base + size] = bytes(size)
+        end = off + size
+        mem = self._mem
+        if end > len(mem):
+            # zero only what is backed; the extension is zero already
+            del mem[off:]
+            mem.extend(bytes(end - len(mem)))
+        else:
+            mem[off:end] = bytes(size)
         return addr
+
+    def _reuse(self, bucket: Optional[List[int]],
+               align: int) -> Optional[int]:
+        """Offset of the most recently freed block in ``bucket`` that
+        meets ``align`` (removed from the bucket), or None."""
+        if not bucket:
+            return None
+        base = self.base
+        for i in range(len(bucket) - 1, -1, -1):
+            off = bucket[i] - base
+            if off % align == 0:
+                del bucket[i]
+                return off
+        return None
 
     def kfree(self, addr: int) -> None:
         """Free an allocation (size-class recycled)."""
@@ -334,18 +359,28 @@ class SharedHeap:
     def read(self, addr: int, size: int) -> bytes:
         """Read raw bytes at a kernel virtual address."""
         self._check(addr, size)
-        if self.monitor is not None:
-            self.monitor.on_access("read", addr, size, self)
+        monitor = self._monitor_view
+        if monitor is not None:
+            monitor.on_access("read", addr, size, self)
         off = addr - self.base
-        return bytes(self._mem[off: off + size])
+        data = bytes(self._mem[off: off + size])
+        if len(data) < size:  # past the backing: never written, so zero
+            data += bytes(size - len(data))
+        return data
 
     def write(self, addr: int, data: bytes) -> None:
         """Write raw bytes at a kernel virtual address."""
-        self._check(addr, len(data))
-        if self.monitor is not None:
-            self.monitor.on_access("write", addr, len(data), self)
+        size = len(data)
+        self._check(addr, size)
+        monitor = self._monitor_view
+        if monitor is not None:
+            monitor.on_access("write", addr, size, self)
         off = addr - self.base
-        self._mem[off: off + len(data)] = data
+        mem = self._mem
+        if off + size > len(mem):
+            # back the heap up to the end of this write
+            mem.extend(bytes(off + size - len(mem)))
+        mem[off: off + size] = data
 
     def read_u(self, addr: int, size: int) -> int:
         """Read a little-endian unsigned integer of ``size`` bytes."""

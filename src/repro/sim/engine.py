@@ -48,8 +48,12 @@ flattening targets.
 The per-event hot spots post inline: ``Timeout.__init__`` and
 ``Event.succeed`` set their slots directly and ``heappush`` straight
 onto ``sim._heap`` with the same ``(time, next(sim._seq))`` key that
-:meth:`Simulator._post` builds, and ``Process._deliver`` appends its
-``_resume`` callback without going through ``add_callback``.  The key
+:meth:`Simulator._post` builds.  A ``Process`` binds ``_resume`` once
+and appends that callback itself, both to the zero-delay ``Timeout``
+that starts it and in ``_deliver``, without going through
+``add_callback``.  ``_step_fast`` runs the popped event's callbacks
+itself instead of calling ``Event._run_callbacks``, and
+``Resource.request`` does its occupancy accounting inline.  The key
 is the whole ordering contract, so inlining it cannot reorder events.
 What must not be inlined away are the boundaries themselves:
 :meth:`Simulator.run` always goes through ``self.step()`` (never a
@@ -264,7 +268,6 @@ class Simulator:
 
     def process(self, generator) -> "Process":
         """Run a generator as a simulation process."""
-        from .process import Process
         return Process(self, generator)
 
     # -- running ---------------------------------------------------------
@@ -289,12 +292,17 @@ class Simulator:
 
     def _step_fast(self) -> None:
         # the uncontrolled hot path: one pop, one callback fan-out
+        # (Event._run_callbacks, inlined)
         heap = self._heap
         if not heap:
             raise SimError("step() on an empty event queue")
         when, _, event = heappop(heap)
         self.now = when
-        event._run_callbacks()
+        callbacks = event.callbacks
+        event.callbacks = None
+        event._processed = True
+        for fn in callbacks:
+            fn(event)
 
     def _step_controlled(self) -> None:
         # Controlled mode (PicoCheck): surface the same-time ready set
@@ -357,3 +365,8 @@ class Simulator:
             self.step()
         self.now = horizon
         return None
+
+
+# Process subclasses Event, so its module imports this one; importing it
+# last (when everything above exists) lets ``process()`` use it directly.
+from .process import Process  # noqa: E402

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, Iterable
 
-from .engine import Event, SimError, Simulator
+from .engine import Event, SimError, Simulator, Timeout
 
 
 class Interrupt(Exception):
@@ -25,15 +25,20 @@ class Interrupt(Exception):
 class Process(Event):
     """An event that completes when its generator returns."""
 
-    __slots__ = ("_gen", "_waiting_on")
+    __slots__ = ("_gen", "_waiting_on", "_resume_cb")
 
     def __init__(self, sim: Simulator, gen: Generator):
         if not hasattr(gen, "send"):
             raise SimError(f"process body must be a generator, got {gen!r}")
         super().__init__(sim)
         self._gen = gen
-        self._waiting_on: Event = sim.timeout(0.0)
-        self._waiting_on.add_callback(self._resume)
+        #: the bound ``_resume``, made once: every wait appends it
+        self._resume_cb = resume = self._resume
+        # the start wait: a zero-delay Timeout (which no wait monitor
+        # observes), with the callback appended as add_callback would
+        start = Timeout(sim, 0.0)
+        start.callbacks.append(resume)
+        self._waiting_on: Event = start
 
     @property
     def is_alive(self) -> bool:
@@ -99,7 +104,7 @@ class Process(Event):
         if callbacks is None:
             self._resume(target)
         else:
-            callbacks.append(self._resume)
+            callbacks.append(self._resume_cb)
 
 
 class _Condition(Event):

@@ -50,10 +50,16 @@ class Resource:
 
     def request(self) -> Request:
         """Claim a server; the returned event triggers when granted."""
-        self._account()
+        users = self.users
+        now = self.sim.now
+        dt = now - self._last_stamp
+        if dt > 0:  # _account, inlined
+            self._busy_area += dt * len(users)
+            self._queue_area += dt * len(self.queue)
+            self._last_stamp = now
         req = Request(self)
-        if len(self.users) < self.capacity:
-            self.users.append(req)
+        if len(users) < self.capacity:
+            users.append(req)
             req.succeed()
         else:
             self.queue.append(req)

@@ -281,6 +281,21 @@ def test_pd007_fires_before_the_faults_operand_is_flagged():
     assert codes(findings) == ["PD007"]
 
 
+def test_pd007_unguarded_burst_draw():
+    """The burst draw is a fault draw too, guarded or not."""
+    findings = lint("""\
+        def drain(self, inj, ring):
+            n = inj.quiet_run(("sdma.desc_error", "sdma.engine_halt"),
+                              len(ring))
+            if FAULTS.enabled and inj is not None:
+                n = inj.quiet_run(("sdma.desc_error",), n)
+            return n
+        """)
+    assert codes(findings) == ["PD007"]
+    assert findings[0].line == 2
+    assert "inj.quiet_run" in findings[0].message
+
+
 # --- PD011 trace-hook gating -------------------------------------------------
 
 def test_pd011_unguarded_span_emission():

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.config import ALL_CONFIGS
 from repro.errors import OutOfMemory, ReproError
+from repro.experiments import build_machine
 from repro.hw import Extent, FrameAllocator, SharedHeap
 
 
@@ -154,3 +156,87 @@ def test_live_object_accounting():
     heap.kfree(a)
     heap.kfree(b)
     assert heap.live_objects() == 0
+
+
+def test_kmalloc_reuses_only_a_block_meeting_the_alignment():
+    """A recycled size-class block is handed out only if it satisfies
+    ``align``; otherwise a new, aligned block is carved."""
+    heap = SharedHeap(4096, base=0)
+    heap.kmalloc(8)                      # offsets [0, 16)
+    odd = heap.kmalloc(64)               # offset 16: 8-aligned only
+    assert odd % 64 != 0
+    heap.kfree(odd)
+    aligned = heap.kmalloc(64, align=64)
+    assert aligned % 64 == 0 and aligned != odd
+    assert heap.kmalloc(64) == odd       # still recyclable at align 8
+
+
+# --- SharedHeap lazy backing ---------------------------------------------------
+
+def test_in_range_read_past_the_backing_returns_zeros():
+    heap = SharedHeap(1 << 20, base=0x1000)
+    addr = heap.kmalloc(16)
+    heap.write(addr, b"\xab" * 16)
+    assert len(heap._mem) < 4096
+    assert heap.read(0x1000 + 500_000, 32) == bytes(32)
+    # straddles the end of the backing: backed bytes, then zeros
+    end = 0x1000 + len(heap._mem)
+    assert heap.read(end - 4, 8) == heap.read(end - 4, 4) + bytes(4)
+    assert heap.read_u(heap.end - 8, 8) == 0
+
+
+def test_write_past_the_backing_grows_it_and_reads_back():
+    heap = SharedHeap(1 << 20, base=0)
+    heap.write(300_000, b"xyz")
+    assert heap.read(300_000, 3) == b"xyz"
+    assert heap.read(299_990, 10) == bytes(10)
+    assert len(heap._mem) == 300_003
+
+
+def test_out_of_range_access_still_raises():
+    heap = SharedHeap(1 << 20, base=0x1000)
+    for bad in (lambda: heap.read(heap.end - 4, 8),
+                lambda: heap.read(0x1000 - 1, 2),
+                lambda: heap.write(heap.end, b"\x00"),
+                lambda: heap.write(heap.end - 2, b"abc")):
+        with pytest.raises(ReproError):
+            bad()
+    assert len(heap._mem) == 0
+
+
+def test_heap_exhausted_at_the_same_break():
+    """Exhaustion depends on the break alone, not on how much is backed."""
+    heap = SharedHeap(4096, base=0)
+    addrs = []
+    with pytest.raises(OutOfMemory, match=r"\(4080/4096 used\)"):
+        while True:
+            addrs.append(heap.kmalloc(24, align=8))   # 32-byte classes
+            if len(addrs) == 127:
+                heap.kmalloc(1, align=8)              # 16 more: brk 4080
+    assert len(addrs) == 127 and heap._brk == 4080
+    assert len(heap._mem) == 127 * 32 + 1   # up to the 1-byte block
+
+
+def test_recycled_block_is_zeroed_again_past_the_old_backing():
+    heap = SharedHeap(4096, base=0)
+    a = heap.kmalloc(20)                 # 32-byte class, 20 bytes backed
+    heap.write(a, b"\xff" * 20)
+    heap.kfree(a)
+    b = heap.kmalloc(32)
+    assert b == a
+    assert heap.read(b, 32) == bytes(32)
+    heap.write(b, b"\xee" * 32)
+    heap.kfree(b)
+    assert heap.kmalloc(17) == a
+    assert heap.read(a, 32) == bytes(17) + b"\xee" * 15
+
+
+@pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.value)
+def test_fig4_machine_backs_only_what_it_touched(config):
+    machine = build_machine(2, config)
+    for node in machine.nodes:
+        heap = node.node.kheap
+        assert heap.size == 8 * 1024 * 1024
+        assert 0 < heap._brk < 8 * 1024
+        assert len(heap._mem) <= heap._brk + 4 * 1024
+

@@ -3,27 +3,41 @@
 ``SdmaEngine`` fills its ring a run of free slots at a time and drains a
 burst in one pass with one tracer call pair.  ``PerDescriptorEngine``
 below is the engine as it was before: one ring append per descriptor on
-submit, one ``count``/``record`` pair per descriptor after a burst.  Both
-run the same two-submitter workload on an 8-slot ring; completion order,
-times, tracer state and descriptor spans must be identical.
+submit, two ``fires`` draws per descriptor while draining, one
+``count``/``record`` pair per descriptor after a burst.  Both run the
+same two-submitter workload on an 8-slot ring; completion order, times,
+tracer state and descriptor spans must be identical.
+
+Under faults the batched engine is paired with the buffered injector
+(one ``quiet_run`` per drain) and the reference engine with the per-call
+scalar injector of ``tests/faults/reference.py``; halts, their reasons
+and times, and the draws each fault point consumed must match too,
+including when the engine is halted while a burst waits for the port.
 """
 
 from dataclasses import replace
 
 import pytest
 
-from repro.config import TRACE, enable_tracing
+from repro.config import FAULTS, TRACE, enable_fault_injection, enable_tracing
+from repro.faults import FaultInjector, FaultPlan
 from repro.hw import (Fabric, HFIDevice, Packet, SdmaDescriptor,
                       SdmaRequestGroup)
 from repro.hw.hfi import SdmaEngine
 from repro.obs import SpanCollector
 from repro.obs.spans import track_of
 from repro.params import default_params
-from repro.sim import Event, Simulator
+from repro.sim import Event, RngFactory, Simulator
+
+from ..faults.reference import ScalarInjector
 
 RING = 8
 #: descriptors per group, per submitter
 GROUPS = {"a": (1, 8, 9, 37), "b": (37, 9, 8, 1)}
+#: driver-side restart delay after a halt, and how long the port is held
+#: over the first burst in the port-wait case (both well above one burst)
+RESTART_S = 20e-6
+HOG_S = 10e-6
 
 
 class PerDescriptorEngine(SdmaEngine):
@@ -47,6 +61,9 @@ class PerDescriptorEngine(SdmaEngine):
     def _run(self):
         params = self.device.params
         while True:
+            if self.halted:
+                yield self._restart_evt
+                continue
             if not self._ring:
                 yield self._work.get()
                 continue
@@ -54,9 +71,17 @@ class PerDescriptorEngine(SdmaEngine):
             with self.device.egress.request() as port:
                 yield port
                 t0 = self.sim.now
+                inj = self.device.injector
                 burst = []
                 t = 0.0
                 while self._ring:
+                    if FAULTS.enabled and inj is not None:
+                        if inj.fires("sdma.desc_error"):
+                            self.halt("descriptor fetch error")
+                        if inj.fires("sdma.engine_halt"):
+                            self.halt("spontaneous engine freeze")
+                    if self.halted:
+                        break
                     desc, group, is_last, dspan = self._ring.popleft()
                     t += (params.sdma_desc_overhead
                           + desc.nbytes / params.link_bandwidth)
@@ -81,10 +106,15 @@ def desc_cost(params, nbytes):
     return params.sdma_desc_overhead + nbytes / params.link_bandwidth
 
 
-def run_workload(engine_cls):
+def run_workload(engine_cls, injector=None, halt_in_port_wait=False):
     """Two submitters share one 8-slot engine; returns the completions
     ``[(time, label)]``, the number of DES steps taken, the sender's
-    tracer and the parameters."""
+    tracer and the parameters.
+
+    With ``injector`` (an installed injector, the fault plane enabled)
+    halts are logged in ``injector.halts`` and restarted after a fixed
+    delay.  ``halt_in_port_wait`` holds the egress port over the first
+    burst and halts the engine while the burst waits for it."""
     sim = Simulator()
     params = default_params()
     nic = replace(params.nic, sdma_ring_size=RING, sdma_engines=1)
@@ -98,6 +128,28 @@ def run_workload(engine_cls):
     ctxt.on_packet = lambda pkt: None
     engine = engine_cls(sim, tx, 0)
     completions = []
+    if injector is not None:
+        tx.injector = injector
+        injector.halts = []
+
+        def on_error(eng, reason):
+            injector.halts.append((sim.now, reason))
+            sim.timeout(RESTART_S).add_callback(lambda _e: eng.restart())
+
+        tx.error_dispatcher = on_error
+    if halt_in_port_wait:
+        def hog():
+            with tx.egress.request() as port:
+                yield port
+                yield sim.timeout(HOG_S)
+
+        def halter():
+            yield sim.timeout(HOG_S / 2)
+            assert engine.busy and not engine.halted
+            engine.halt("halted in port wait")
+
+        sim.process(hog())
+        sim.process(halter())
 
     def submitter(name):
         for g, count in enumerate(GROUPS[name]):
@@ -175,3 +227,50 @@ def test_one_span_per_descriptor_with_its_own_end():
     # groups complete at the end of a burst, as its last descriptor
     # leaves the wire
     assert {t for t, _ in got} <= {end for _, end in spans}
+
+
+#: SDMA fault rates high enough that most drains halt at least once
+FAULT_PLAN = FaultPlan(sdma_desc_error=0.04, sdma_engine_halt=0.03)
+
+
+def faulted(engine_cls, injector_cls, seed, halt_in_port_wait=False):
+    """One faulted run; returns its outputs, halt log, and the next 64
+    decisions per SDMA point at rate 0.5 (which pins how many uniforms
+    each point's stream has consumed)."""
+    inj = injector_cls(FAULT_PLAN, RngFactory(seed).spawn("faults"))
+    enable_fault_injection(FAULT_PLAN)
+    try:
+        completions, steps, tracer, _ = run_workload(
+            engine_cls, inj, halt_in_port_wait)
+    finally:
+        enable_fault_injection(None)
+    inj.tracer = tracer
+    inj.plan = FaultPlan(sdma_desc_error=0.5, sdma_engine_halt=0.5)
+    tail = [inj.fires(p) for p in ("sdma.desc_error", "sdma.engine_halt")
+            for _ in range(64)]
+    return (completions, steps, dict(tracer.counters), tracer.accs,
+            inj.halts, list(inj._streams), tail)
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3, 4))
+def test_faulted_engine_matches_per_descriptor_reference(seed):
+    got = faulted(SdmaEngine, FaultInjector, seed)
+    want = faulted(PerDescriptorEngine, ScalarInjector, seed)
+    assert got == want
+    completions, _, counters, _, halts, _, _ = got
+    assert len(completions) == sum(len(g) for g in GROUPS.values())
+    assert halts and counters["hfi.sdma_halts"] == len(halts)
+
+
+@pytest.mark.parametrize("seed", (1, 5))
+def test_halt_while_waiting_for_the_port_matches_reference(seed):
+    """Halted before the burst gets the port: one draw per point, no
+    descriptor popped, then the engine waits for its restart."""
+    got = faulted(SdmaEngine, FaultInjector, seed, halt_in_port_wait=True)
+    want = faulted(PerDescriptorEngine, ScalarInjector, seed,
+                   halt_in_port_wait=True)
+    assert got == want
+    halts = got[4]
+    assert halts[0] == (HOG_S / 2, "halted in port wait")
+    # nothing left the ring before the restart
+    assert all(t >= HOG_S / 2 + RESTART_S for t, _ in got[0])
