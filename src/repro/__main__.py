@@ -5,11 +5,11 @@
     python -m repro table1
     python -m repro sloc
     python -m repro all
-    python -m repro lint          # PicoDriver protocol lint (PD001...)
+    python -m repro lint          # PicoDriver protocol lint (PD002...)
     python -m repro sanitize fig4 # re-run with the KSan race detector
     python -m repro lockdep fig4  # re-run with the deadlock validator
     python -m repro lockgraph     # static lock-class graph (--dot)
-    python -m repro vet           # whole-program effect analysis (PD015...)
+    python -m repro vet           # whole-program rules (PD008, PD009, PD015)
     python -m repro vet --crosscheck fig4    # dynamic ⊆ static gate
     python -m repro chaos         # fault-injection sweep (--smoke for CI)
     python -m repro chaos --flap  # PicoGuard flap campaign (failover/failback)

@@ -11,33 +11,38 @@ concurrently mutating the same Linux driver state (section 3.3):
   by both kernels whose candidate lockset goes empty is reported with
   full provenance (both access sites, sim time, lock holder history).
 
-* :mod:`repro.analysis.lint` — a static AST lint pass
+* :mod:`repro.analysis.lint` — a syntactic AST lint pass
   (``python -m repro lint``, stdlib ``ast`` only) enforcing the
-  PicoDriver protocol: fast-path purity, lock discipline, sim-process
-  hygiene, layout-version guards and raw-heap-access confinement
-  (rules PD001...PD009 + PD100, per-line ``# pd-ignore`` suppression).
+  per-module half of the PicoDriver protocol: lock discipline,
+  sim-process hygiene, layout-version guards, raw-heap-access
+  confinement and the opt-in planes' hook gating (rules PD002...PD016
+  + PD100, per-line ``# pd-ignore`` suppression).
+
+* :mod:`repro.analysis.vet` — "PicoVet", the one interprocedural
+  program model (``python -m repro vet``): fast-path purity, lock
+  order and waits under a lock (rules PD008, PD009, PD015.x).
 
 * :mod:`repro.analysis.lockdep` — "PicoLockdep", cross-kernel
   lock-order analysis.  A runtime validator
   (``repro.config.ANALYSIS.lockdep`` or ``python -m repro lockdep``)
   builds the observed lock-class dependency graph and reports order
   cycles, declared-hierarchy violations, IRQ inversions and timed
-  waits inside critical sections; a static ``ast`` twin
-  (``python -m repro lockgraph``, lint rules PD008/PD009) extracts the
-  compile-time graph the dynamic edges are checked against.
+  waits inside critical sections; :func:`~repro.analysis.lockdep.lock_graph`
+  (``python -m repro lockgraph``) reads the compile-time graph the
+  dynamic edges are checked against off the PicoVet model.
 """
 
 from .ksan import (ACTIVE_DETECTORS, HeapAccess, RaceDetector, RaceReport,
                    active_race_reports, reset_active_detectors)
 from .lint import Finding, RULES, lint_paths, lint_source
 from .lockdep import (ACTIVE_VALIDATORS, LockdepReport, LockdepValidator,
-                      LockGraph, active_lockdep_reports,
-                      build_static_lock_graph, reset_active_validators)
+                      LockGraph, active_lockdep_reports, lock_graph,
+                      reset_active_validators)
 
 __all__ = [
     "ACTIVE_DETECTORS", "ACTIVE_VALIDATORS", "Finding", "HeapAccess",
     "LockGraph", "LockdepReport", "LockdepValidator", "RULES",
     "RaceDetector", "RaceReport", "active_lockdep_reports",
-    "active_race_reports", "build_static_lock_graph", "lint_paths",
-    "lint_source", "reset_active_detectors", "reset_active_validators",
+    "active_race_reports", "lint_paths", "lint_source", "lock_graph",
+    "reset_active_detectors", "reset_active_validators",
 ]

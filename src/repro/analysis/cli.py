@@ -17,10 +17,10 @@
     on a dynamic edge the static pass missed.
 
 ``python -m repro lockgraph [--dot] [paths...]``
-    Extract the compile-time lock-class graph (default target: the
-    installed ``repro`` tree).  ``--dot`` emits Graphviz for the CI
-    artifact.  Exit status 1 on cycles, hierarchy violations, or
-    PD008/PD009 findings.
+    Read the compile-time lock-class graph off the PicoVet program
+    model (default target: the installed ``repro`` tree).  ``--dot``
+    emits Graphviz for the CI artifact.  Exit status 1 on cycles,
+    hierarchy violations, or PD008/PD009 findings.
 """
 
 from __future__ import annotations
@@ -156,7 +156,8 @@ def cmd_lockdep(argv: List[str],
     for report in reports:
         print()
         print(report.render())
-    graph, _findings = lockdep_mod.build_static_lock_graph()
+    from .vet_effects import Program
+    graph = lockdep_mod.lock_graph(Program.build())
     missing = [edge for key, edge
                in sorted(lockdep_mod.active_dynamic_edges().items())
                if not graph.has_edge(*key)]
@@ -183,8 +184,12 @@ def cmd_lockgraph(argv: List[str]) -> int:
         print(f"unknown option(s) {', '.join(unknown)}\n"
               "usage: python -m repro lockgraph [--dot] [paths...]")
         return 2
-    paths = [a for a in argv if not a.startswith("-")]
-    graph, findings = lockdep_mod.build_static_lock_graph(paths or None)
+    from .vet import vet_paths
+    program, findings = vet_paths([a for a in argv if not a.startswith("-")]
+                                  or None)
+    graph = lockdep_mod.lock_graph(program)
+    findings = [f for f in findings
+                if f.code in ("PD000", "PD008", "PD009")]
     bad = (bool(findings) or bool(graph.cycles())
            or bool(graph.hierarchy_violations()))
     if want_dot:

@@ -1,20 +1,20 @@
-"""PicoDriver protocol lint: static AST checks for the porting rules.
+"""PicoDriver protocol lint: one syntactic pass per module.
 
 The paper's porting methodology (sections 3.1-3.4) is a *protocol*:
-fast paths must stay pure (no offloading machinery reachable from them),
 shared locks must be released on every path, simulation processes must
 actually be generators, DWARF layouts must be version-checked before
-use, and raw shared-heap word access is confined to the blessed accessor
-modules.  Amani et al. ("Automatic Verification of Message-Based Device
-Drivers") show this class of driver-protocol property is statically
-checkable; this module checks it for our model with nothing but the
-stdlib ``ast``.
+use, raw shared-heap word access is confined to the blessed accessor
+modules, and every opt-in plane's hooks sit behind that plane's gate.
+Amani et al. ("Automatic Verification of Message-Based Device Drivers")
+show this class of driver-protocol property is statically checkable;
+this module checks the per-module half with nothing but the stdlib
+``ast``.  Everything interprocedural — fast-path purity, lock order,
+waits under a lock — is a query over PicoVet's one program model
+(``python -m repro vet``, rules PD008, PD009 and PD015.x).
 
 Rules (each finding carries a fix-it hint):
 
 =======  ==============================================================
-PD001    fast-path purity: no offload/IKC/syscall-dispatch call is
-         reachable from a ``fast_*`` method of a PicoDriver class
 PD002    lock discipline: every ``yield from X.acquire(...)`` has a
          matching ``X.release(...)`` inside a ``finally`` block
 PD003    sim-process hygiene: ``fast_*`` methods must be generators,
@@ -24,18 +24,10 @@ PD004    layout-version guard: a PicoDriver class constructing a
          ``StructView`` must call ``require_layout_version``
 PD005    raw heap access: no ``heap.read_u``/``write_u``/``read``/
          ``write`` in ``repro/core`` outside ``structs.py``/``sync.py``
-PD006    pinned-memory discipline: no ``get_user_pages`` reachable from
-         a fast path (LWK memory is pinned by construction, sec. 3.4)
 PD007    fault-hook gating: every fault-injection draw (``*.fires(...)``
          or the burst draw ``*.quiet_run(...)``) sits behind a
          ``config.FAULTS`` check, so zero-fault runs stay branch-cheap
          and bit-identical
-PD008    lock-order hierarchy: nested ``acquire`` must follow the
-         rank-increasing order declared in ``repro.core.lockclasses``
-         (checked by the static half of :mod:`repro.analysis.lockdep`)
-PD009    no timed wait in a critical section: no ``yield *.timeout/
-         wait(...)`` while a cross-kernel lock is held — the peer
-         kernel spins on the lock word for the whole wait
 PD011    trace-hook gating: every span emission (``begin_span`` /
          ``end_span`` / ``instant_span`` / ``complete_span`` /
          ``add_flow``) sits behind a ``config.TRACE`` check, so
@@ -66,8 +58,12 @@ PD100    unused suppression: a ``# pd-ignore`` comment that suppresses
          nothing (rots silently and hides future real findings)
 =======  ==============================================================
 
+The six gating rules (PD007 ... PD016) are one table, ``_GATES``,
+checked in one scan.  Fast-path purity (the former PD001/PD006) is
+PD015.1/PD015.3.
+
 Per-line suppression: append ``# pd-ignore`` (all rules) or
-``# pd-ignore[PD001, PD004]`` (specific rules) to the offending line.
+``# pd-ignore[PD003, PD004]`` (specific rules) to the offending line.
 """
 
 from __future__ import annotations
@@ -78,16 +74,14 @@ import os
 import re
 import tokenize
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Sequence, Set,
+                    Tuple)
 
 #: rule code -> (title, fix-it hint)
 RULES: Dict[str, Tuple[str, str]] = {
     "PD000": ("parse failure",
               "fix the Python syntax; no protocol rule can run on an "
               "unparseable module"),
-    "PD001": ("fast-path purity",
-              "run the call on the slow path, or offload the whole "
-              "syscall by returning FastPathDecision.offload()"),
     "PD002": ("lock discipline",
               "wrap the critical section in try/finally and release the "
               "lock in the finally block"),
@@ -100,22 +94,10 @@ RULES: Dict[str, Tuple[str, str]] = {
     "PD005": ("raw heap access",
               "go through StructInstance/StructView (repro.core.structs) "
               "or CrossKernelSpinLock instead of raw heap words"),
-    "PD006": ("pinned-memory discipline",
-              "fast paths walk pinned LWK page tables "
-              "(task.pagetable.phys_spans); get_user_pages belongs to "
-              "the Linux slow path"),
     "PD007": ("fault-hook gating",
               "guard the injector draw with 'if FAULTS.enabled and "
               "inj is not None and inj.fires(...)' so disabled runs "
               "never touch the fault RNG"),
-    "PD008": ("lock-order hierarchy",
-              "acquire lock classes in the rank-increasing order "
-              "declared in repro.core.lockclasses (take the lower rank "
-              "first), or fix the declaration if the order is right"),
-    "PD009": ("no timed wait in critical section",
-              "release the cross-kernel lock before yielding the timed "
-              "wait; the peer kernel spins on the lock word until the "
-              "wait elapses"),
     "PD011": ("trace-hook gating",
               "guard the span emission with 'if TRACE.enabled' (or the "
               "'... if TRACE.enabled else None' expression form) so "
@@ -132,10 +114,18 @@ RULES: Dict[str, Tuple[str, str]] = {
               "guard the probe/suspend recovery hook with 'if "
               "GUARD.enabled' or a 'guard'-is-installed test so "
               "unguarded storage runs never touch the health plane"),
-    # The PD015 family is produced by ``python -m repro vet`` (the
-    # whole-program analysis), not by lint; the entries live here so
-    # vet findings share lint's Finding/hint/suppression machinery and
-    # show up in the one rule table.
+    # PD008, PD009 and the PD015 family are produced by ``python -m
+    # repro vet`` (VET_CODES), not by lint; the entries live here so vet
+    # findings share lint's Finding/hint/suppression machinery and show
+    # up in the one rule table.
+    "PD008": ("lock-order hierarchy",
+              "acquire lock classes in the rank-increasing order "
+              "declared in repro.core.lockclasses (take the lower rank "
+              "first), or fix the declaration if the order is right"),
+    "PD009": ("no timed wait in critical section",
+              "release the cross-kernel lock before yielding the timed "
+              "wait; the peer kernel spins on the lock word until the "
+              "wait elapses"),
     "PD015.1": ("fast path transitively offloads",
                 "no callee reachable from a fast_* entry point may "
                 "reach the IKC offload machinery; claim less or move "
@@ -170,10 +160,6 @@ RULES: Dict[str, Tuple[str, str]] = {
               "rule list to the codes actually found on the line)"),
 }
 
-#: call names that mark the offloading / syscall-dispatch machinery
-_OFFLOAD_NAMES = frozenset({"_offload", "offload", "offload_syscall",
-                            "dispatch_syscall", "syscall"})
-
 #: modules in repro/core allowed to touch raw heap words
 _RAW_HEAP_ALLOWED = frozenset({"structs.py", "sync.py"})
 
@@ -185,6 +171,16 @@ def code_matches(code: str, listed: str) -> bool:
     ``listed`` — exact, or a family prefix (``PD015`` covers
     ``PD015.2``)."""
     return code == listed or code.startswith(listed + ".")
+
+
+#: rule ids ``python -m repro vet`` owns: lint never emits them, so only
+#: vet may judge a suppression listing them stale
+VET_CODES = ("PD008", "PD009", "PD015")
+
+
+def vet_owned(code: str) -> bool:
+    """True if suppression entry ``code`` names a vet rule."""
+    return any(code_matches(code, owned) for owned in VET_CODES)
 
 
 @dataclass(frozen=True)
@@ -251,18 +247,6 @@ def _is_generator(fn: ast.FunctionDef) -> bool:
                for n in _walk_shallow(fn))
 
 
-def _self_calls(fn: ast.FunctionDef) -> Set[str]:
-    """Names of same-instance methods called as ``self.<m>(...)``."""
-    out: Set[str] = set()
-    for node in _walk_shallow(fn):
-        if (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "self"):
-            out.add(node.func.attr)
-    return out
-
-
 class _ClassInfo:
     """A class definition digested for the PicoDriver rules."""
 
@@ -276,47 +260,8 @@ class _ClassInfo:
         self.pico_like = (any("PicoDriver" in b for b in base_names)
                           or bool(self.fast_methods))
 
-    def reachable_from_fast(self) -> Set[str]:
-        """Method names reachable from any ``fast_*`` via self-calls."""
-        seen: Set[str] = set()
-        frontier = list(self.fast_methods)
-        while frontier:
-            name = frontier.pop()
-            if name in seen or name not in self.methods:
-                continue
-            seen.add(name)
-            frontier.extend(self._self_call_cache(name))
-        return seen
-
-    def _self_call_cache(self, name: str) -> Set[str]:
-        return _self_calls(self.methods[name])
-
 
 # --- rule passes -------------------------------------------------------------
-
-def _check_fast_path_calls(path: str, cls: _ClassInfo,
-                           findings: List[Finding]) -> None:
-    """PD001 + PD006: scan calls in methods reachable from fast paths."""
-    for mname in sorted(cls.reachable_from_fast()):
-        fn = cls.methods[mname]
-        for node in _walk_shallow(fn):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = _dotted(node.func)
-            segments = dotted.split(".")
-            where = (f"in {cls.node.name}.{mname} (reachable from "
-                     f"{', '.join(sorted(cls.fast_methods))})")
-            if segments[-1] in _OFFLOAD_NAMES or "ikc" in segments[:-1]:
-                findings.append(Finding(
-                    path, node.lineno, node.col_offset, "PD001",
-                    f"fast path calls offload/IKC machinery "
-                    f"'{dotted}' {where}"))
-            if segments[-1] == "get_user_pages":
-                findings.append(Finding(
-                    path, node.lineno, node.col_offset, "PD006",
-                    f"fast path takes page references via '{dotted}' "
-                    f"{where}"))
-
 
 def _release_sites(fn: ast.FunctionDef,
                    receiver: str) -> Tuple[bool, bool]:
@@ -441,203 +386,110 @@ def _check_raw_heap(path: str, tree: ast.AST,
                 f"outside structs.py/sync.py"))
 
 
-def _refs_config(node: ast.AST, config_names: Iterable[str]) -> bool:
-    """True if the expression mentions any of the named guards anywhere."""
-    names = frozenset(config_names)
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and sub.id in names:
-            return True
-        if isinstance(sub, ast.Attribute) and sub.attr in names:
-            return True
-    return False
+@dataclass(frozen=True)
+class _Gate:
+    """One gating rule: a call ``*.<attr>(...)`` with ``attr`` in
+    ``attrs`` must sit behind a test that mentions one of ``guards``."""
+
+    code: str
+    guards: Tuple[str, ...]
+    attrs: FrozenSet[str]
+    describe: str
+    #: (path components, basename) -> the module is exempt from the rule
+    exempt: Callable[[List[str], str], bool]
 
 
-def _check_config_gating(path: str, tree: ast.AST,
-                         findings: List[Finding],
-                         config_names: Tuple[str, ...],
-                         attrs: Iterable[str], code: str,
-                         describe: str) -> None:
-    """Shared gating pass behind PD007, PD011 and PD012.
+_GATES: Tuple[_Gate, ...] = (
+    # every draw consumes the fault RNG, so no module is exempt
+    _Gate("PD007", ("FAULTS",), frozenset({"fires", "quiet_run"}),
+          "fault-injection draw", lambda parts, base: False),
+    # the collector and its exporters (repro/obs) emit by design
+    _Gate("PD011", ("TRACE",),
+          frozenset({"begin_span", "end_span", "instant_span",
+                     "complete_span", "add_flow"}),
+          "span emission", lambda parts, base: "obs" in parts),
+    # the explorer and its fixtures (analysis/check*.py) drive the hooks
+    _Gate("PD012", ("ANALYSIS", "check", "scheduler"),
+          frozenset({"choose_ready", "on_step_begin", "on_step_end",
+                     "on_process_resumed"}),
+          "controlled-scheduler hook",
+          lambda parts, base: "analysis" in parts
+          and base.startswith("check")),
+    # the manager, breakers and gates (repro/guard) call each other
+    _Gate("PD013", ("GUARD", "guard"),
+          frozenset({"record_success", "record_failure", "admits",
+                     "pick_healthy_engine", "park_if_suspended",
+                     "acquire_slots", "release_slots"}),
+          "guard-plane hook", lambda parts, base: "guard" in parts),
+    # pxd stack only; blockdev.py moves bytes and must redeliver IRQs
+    # with or without the guard plane
+    _Gate("PD014", ("GUARD", "guard"),
+          frozenset({"_maybe_probe", "begin_probe", "suspend", "resume"}),
+          "storage recovery hook",
+          lambda parts, base: "guard" in parts or base == "blockdev.py"
+          or ("pxd" not in parts and base != "pxd_pico.py")),
+    # the environment and its probes (repro/tune) drive the hook
+    _Gate("PD016", ("TUNE", "probe"), frozenset({"on_machine_built"}),
+          "PicoTune probe hook", lambda parts, base: "tune" in parts),
+)
 
-    A call ``*.<attr>(...)`` with ``attr`` in ``attrs`` is considered
-    guarded when it sits in the body of an ``if`` (or the then-branch of
-    a conditional expression) whose test references any name in
-    ``config_names``, or — matching the hooks' actual idiom — when it
-    appears in an ``and`` chain *after* an operand that references one,
-    as in ``if FAULTS.enabled and inj and inj.fires(...)``.
+
+def _check_gating(path: str, tree: ast.AST,
+                  findings: List[Finding]) -> None:
+    """PD007/PD011/PD012/PD013/PD014/PD016 in one scan.
+
+    A hook call is guarded for a rule when it sits in the body of an
+    ``if`` (or the then-branch of a conditional expression) whose test
+    mentions one of the rule's guards, or — matching the hooks' actual
+    idiom — when it appears in an ``and`` chain *after* such an operand,
+    as in ``if FAULTS.enabled and inj and inj.fires(...)``.  The scan
+    carries the *set* of rules guarded at each node, so one plane's
+    gate never excuses another plane's hook.
     """
-    attrs = frozenset(attrs)
-    label = "/".join(config_names)
+    parts = os.path.normpath(path).split(os.sep)
+    base = os.path.basename(path)
+    gates = [g for g in _GATES if not g.exempt(parts, base)]
+    by_attr: Dict[str, List[_Gate]] = {}
+    for gate in gates:
+        for attr in gate.attrs:
+            by_attr.setdefault(attr, []).append(gate)
 
-    def scan(node: ast.AST, guarded: bool) -> None:
-        if (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in attrs
-                and not guarded):
-            findings.append(Finding(
-                path, node.lineno, node.col_offset, code,
-                f"{describe} '{_dotted(node.func)}' is not guarded by "
-                f"a config.{label} check"))
-        if isinstance(node, ast.If):
+    def guarded_by(test: ast.AST) -> FrozenSet[str]:
+        names = {sub.id if isinstance(sub, ast.Name) else sub.attr
+                 for sub in ast.walk(test)
+                 if isinstance(sub, (ast.Name, ast.Attribute))}
+        return frozenset(g.code for g in gates
+                         if not names.isdisjoint(g.guards))
+
+    def scan(node: ast.AST, guarded: FrozenSet[str]) -> None:
+        if isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Attribute):
+            for gate in by_attr.get(node.func.attr, ()):
+                if gate.code not in guarded:
+                    findings.append(Finding(
+                        path, node.lineno, node.col_offset, gate.code,
+                        f"{gate.describe} '{_dotted(node.func)}' is not "
+                        f"guarded by a config.{'/'.join(gate.guards)} "
+                        f"check"))
+        if isinstance(node, (ast.If, ast.IfExp)):
             scan(node.test, guarded)
-            body_guarded = guarded or _refs_config(node.test, config_names)
-            for stmt in node.body:
-                scan(stmt, body_guarded)
-            for stmt in node.orelse:
-                scan(stmt, guarded)
-            return
-        if isinstance(node, ast.IfExp):
-            scan(node.test, guarded)
-            scan(node.body,
-                 guarded or _refs_config(node.test, config_names))
-            scan(node.orelse, guarded)
+            then = guarded | guarded_by(node.test)
+            # an ``if`` has statement lists, a conditional expression
+            # single expressions
+            for branch, under in ((node.body, then), (node.orelse, guarded)):
+                for child in branch if isinstance(branch, list) else [branch]:
+                    scan(child, under)
             return
         if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And):
-            chain_guarded = guarded
             for operand in node.values:
-                scan(operand, chain_guarded)
-                if _refs_config(operand, config_names):
-                    chain_guarded = True
+                scan(operand, guarded)
+                guarded = guarded | guarded_by(operand)
             return
         for child in ast.iter_child_nodes(node):
             scan(child, guarded)
 
-    scan(tree, False)
-
-
-#: the FaultInjector draw surface PD007 polices at call sites
-_FAULT_DRAW_ATTRS = frozenset({"fires", "quiet_run"})
-
-
-def _check_fault_gating(path: str, tree: ast.AST,
-                        findings: List[Finding]) -> None:
-    """PD007: every ``*.fires(...)``/``*.quiet_run(...)`` draw is behind
-    a FAULTS check."""
-    _check_config_gating(path, tree, findings, ("FAULTS",),
-                         _FAULT_DRAW_ATTRS, "PD007", "fault-injection draw")
-
-
-#: the SpanCollector emission surface PD011 polices at call sites
-_SPAN_EMISSION_ATTRS = frozenset({"begin_span", "end_span", "instant_span",
-                                  "complete_span", "add_flow"})
-
-
-def _check_trace_gating(path: str, tree: ast.AST,
-                        findings: List[Finding]) -> None:
-    """PD011: every span emission is behind a TRACE check.
-
-    The observability subsystem itself (``repro/obs``) is exempt — the
-    collector's own methods and the exporters necessarily call the
-    emission surface unconditionally.
-    """
-    parts = os.path.normpath(path).split(os.sep)
-    if "obs" in parts:
-        return
-    _check_config_gating(path, tree, findings, ("TRACE",),
-                         _SPAN_EMISSION_ATTRS, "PD011", "span emission")
-
-
-#: the controlled-scheduler hook surface PD012 polices at call sites
-_CHECK_HOOK_ATTRS = frozenset({"choose_ready", "on_step_begin",
-                               "on_step_end", "on_process_resumed"})
-
-
-def _check_scheduler_gating(path: str, tree: ast.AST,
-                            findings: List[Finding]) -> None:
-    """PD012: every controlled-scheduler hook is behind a gate.
-
-    Acceptable gates are an ``ANALYSIS.check`` test or — matching the
-    engine's actual idiom — a ``scheduler``-is-installed test
-    (``if self.scheduler is not None: ...``), since the no-op default
-    is precisely ``scheduler is None``.  The model checker itself
-    (``repro/analysis/check*.py``) is exempt: the explorer and its
-    fixtures drive the hook surface unconditionally by design.
-    """
-    parts = os.path.normpath(path).split(os.sep)
-    if "analysis" in parts and os.path.basename(path).startswith("check"):
-        return
-    _check_config_gating(path, tree, findings,
-                         ("ANALYSIS", "check", "scheduler"),
-                         _CHECK_HOOK_ATTRS, "PD012",
-                         "controlled-scheduler hook")
-
-
-#: the GuardManager/PathBreaker/CongestionGate hook surface PD013
-#: polices at call sites
-_GUARD_HOOK_ATTRS = frozenset({"record_success", "record_failure", "admits",
-                               "pick_healthy_engine", "park_if_suspended",
-                               "acquire_slots", "release_slots"})
-
-
-def _check_guard_gating(path: str, tree: ast.AST,
-                        findings: List[Finding]) -> None:
-    """PD013: every guard-plane hook is behind a gate.
-
-    Acceptable gates are a ``GUARD.enabled`` test or — matching the
-    drivers' actual idiom — a ``guard``-is-installed test
-    (``if guard is not None: ...``), since the no-op default is
-    precisely ``guard is None``.  The guard plane itself
-    (``repro/guard``) is exempt: the manager, breakers and gates call
-    each other's hook surface unconditionally by design.
-    """
-    parts = os.path.normpath(path).split(os.sep)
-    if "guard" in parts:
-        return
-    _check_config_gating(path, tree, findings, ("GUARD", "guard"),
-                         _GUARD_HOOK_ATTRS, "PD013", "guard-plane hook")
-
-
-#: the pxd replica-recovery hook surface PD014 polices at call sites
-_STORAGE_RECOVERY_ATTRS = frozenset({"_maybe_probe", "begin_probe",
-                                     "suspend", "resume"})
-
-
-def _check_storage_gating(path: str, tree: ast.AST,
-                          findings: List[Finding]) -> None:
-    """PD014: every storage recovery hook is behind a gate.
-
-    Scoped to the replicated-storage stack (``repro/linux/pxd`` and the
-    ``pxd_pico`` chassis): the probe-kick and suspend/resume surface
-    there extends PD013's generic guard hooks with the names the pxd
-    recovery FSM actually uses, so a zero-fault unguarded storage run
-    never branches into the health plane.  The fault-draw half of the
-    storage contract (``*.fires(...)`` behind ``FAULTS``) is already
-    enforced tree-wide by PD007.  ``repro/hw/blockdev.py`` is exempt:
-    the device model only moves bytes and delivers interrupts — its
-    watchdog redelivery must run unconditionally, guard plane or not —
-    and the guard plane itself (``repro/guard``) is exempt as with
-    PD013.
-    """
-    parts = os.path.normpath(path).split(os.sep)
-    if "guard" in parts or os.path.basename(path) == "blockdev.py":
-        return
-    if "pxd" not in parts and os.path.basename(path) != "pxd_pico.py":
-        return
-    _check_config_gating(path, tree, findings, ("GUARD", "guard"),
-                         _STORAGE_RECOVERY_ATTRS, "PD014",
-                         "storage recovery hook")
-
-
-#: the PicoTune probe hook surface PD016 polices at call sites
-_TUNE_HOOK_ATTRS = frozenset({"on_machine_built"})
-
-
-def _check_tune_gating(path: str, tree: ast.AST,
-                       findings: List[Finding]) -> None:
-    """PD016: every PicoTune probe hook is behind a TUNE gate.
-
-    The design-space-exploration service observes simulator-side state
-    through exactly one hook (``probe.on_machine_built``); like the
-    other opt-in planes it must cost untuned runs nothing, so every
-    call site sits behind a ``TUNE``/``probe`` check.  The tune
-    subsystem itself (``repro/tune``) is exempt: the environment and
-    its probes drive the hook surface unconditionally by design.
-    """
-    parts = os.path.normpath(path).split(os.sep)
-    if "tune" in parts:
-        return
-    _check_config_gating(path, tree, findings, ("TUNE", "probe"),
-                         _TUNE_HOOK_ATTRS, "PD016", "PicoTune probe hook")
+    if gates:
+        scan(tree, frozenset())
 
 
 # --- driver ------------------------------------------------------------------
@@ -650,13 +502,11 @@ def lint_source(source: str, path: str = "<string>") -> List[Finding]:
 
 def lint_parsed(module) -> List[Finding]:
     """Lint one already-parsed :class:`~repro.analysis.astcache.ParsedModule`
-    (the shared-cache entry point: lint, lockgraph and vet all reuse the
+    (the shared-cache entry point: lint and the PicoVet model reuse the
     same parse)."""
     path, source = module.path, module.source
     if not module.ok:
-        exc = module.error
-        return [Finding(path, exc.lineno or 1, (exc.offset or 1) - 1,
-                        "PD000", f"syntax error: {exc.msg}")]
+        return [parse_failure(module)]
     tree = module.tree
     findings: List[Finding] = []
     for node in ast.walk(tree):
@@ -664,20 +514,9 @@ def lint_parsed(module) -> List[Finding]:
             cls = _ClassInfo(node)
             _check_process_hygiene(path, cls, findings)
             _check_layout_guard(path, cls, findings)
-            if cls.pico_like:
-                _check_fast_path_calls(path, cls, findings)
     _check_lock_discipline(path, tree, findings)
     _check_raw_heap(path, tree, findings)
-    _check_fault_gating(path, tree, findings)
-    _check_trace_gating(path, tree, findings)
-    _check_scheduler_gating(path, tree, findings)
-    _check_guard_gating(path, tree, findings)
-    _check_storage_gating(path, tree, findings)
-    _check_tune_gating(path, tree, findings)
-    # PD008/PD009 live in the lockdep module (they share its static
-    # lock-graph walker); imported here to keep lint importable from it
-    from .lockdep import check_lock_order
-    check_lock_order(path, tree, findings)
+    _check_gating(path, tree, findings)
     lines = source.splitlines()
     kept = [f for f in findings if not _suppressed(lines, f)]
     # PD100 is judged against the *pre*-suppression findings and added
@@ -685,6 +524,13 @@ def lint_parsed(module) -> List[Finding]:
     # itself
     kept.extend(_unused_suppressions(path, source, findings))
     return sorted(kept, key=lambda f: (f.path, f.line, f.col, f.code))
+
+
+def parse_failure(module) -> Finding:
+    """PD000 for a module that did not parse."""
+    exc = module.error
+    return Finding(module.path, exc.lineno or 1, (exc.offset or 1) - 1,
+                   "PD000", f"syntax error: {exc.msg}")
 
 
 def _suppressed(lines: Sequence[str], finding: Finding) -> bool:
@@ -730,10 +576,8 @@ def _unused_suppressions(path: str, source: str,
                     "line"))
             continue
         listed = {c.strip() for c in codes.split(",") if c.strip()}
-        # PD015 ids belong to ``python -m repro vet`` — lint never
-        # produces them, so only vet can judge such a suppression stale
         stale = sorted(c for c in listed
-                       if not c.startswith("PD015")
+                       if not vet_owned(c)
                        and not any(code_matches(f, c) for f in found))
         if stale:
             out.append(Finding(

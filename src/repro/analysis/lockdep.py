@@ -27,34 +27,28 @@ held stacks, sim timestamps):
 * **held-across-wait** — a timed ``sim`` wait issued from inside a
   critical section, starving the peer kernel spinning on the word.
 
-**Static view** — an interprocedural ``ast`` pass sharing
-:mod:`repro.analysis.lint`'s machinery.  It follows ``yield from
-self.*`` chains, tracks the compile-time held set, extracts the
-:class:`LockGraph` (``python -m repro lockgraph``), and backs lint
-rules PD008 (declared-hierarchy order) and PD009 (no timed yield while
-a cross-kernel lock is held).
+**Static view** — :func:`lock_graph`, a query over PicoVet's program
+model (:class:`~repro.analysis.vet_effects.Program`).  The model's
+scanner records every acquire site with the lock classes held there,
+and the call graph carries each callee's transitive ``acquires``; the
+:class:`LockGraph` (``python -m repro lockgraph``) is built from those.
+Rules PD008 (declared-hierarchy order) and PD009 (no timed wait while a
+cross-kernel lock is held) are checkers over the same model
+(:mod:`repro.analysis.vet_checkers`).
 
 ``python -m repro lockdep <experiment>`` cross-checks the views: every
 dynamically observed dependency edge must appear in the static graph.
-
-Import discipline: this module is imported by the hardware layer (IRQ
-context tagging), so at module level it may only depend on the stdlib
-and :mod:`repro.analysis.lint`; everything heavier is imported lazily.
 """
 
 from __future__ import annotations
 
-import ast
 import os
 import sys
 from collections import deque
 from dataclasses import dataclass
-from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
-                    Set, Tuple)
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ReproError
-from .lint import (Finding, _ClassInfo, _dotted, _suppressed,
-                   default_lint_root, iter_python_files)
 
 #: module-level registry of live validators, mirroring KSan's
 #: ``ACTIVE_DETECTORS`` — the ``python -m repro lockdep`` driver
@@ -63,9 +57,6 @@ ACTIVE_VALIDATORS: List["LockdepValidator"] = []
 
 #: instrumentation-layer files skipped when attributing a wait site
 _SKIP_FILES = frozenset({"engine.py", "lockdep.py", "sync.py", "memory.py"})
-
-#: call names treated as a timed wait by the dynamic and static checks
-_WAIT_CALLS = frozenset({"timeout", "wait"})
 
 
 def reset_active_validators() -> None:
@@ -88,66 +79,6 @@ def active_dynamic_edges() -> Dict[Tuple[str, str], "DepEdge"]:
         for key, edge in validator.dependency_edges().items():
             edges.setdefault(key, edge)
     return edges
-
-
-# --- IRQ context tracking ----------------------------------------------------
-#
-# McKernel takes no device interrupts (section 3.3): completion and error
-# IRQs always run on Linux CPUs.  The hardware/interrupt layers bracket
-# top-half execution with irq_enter/irq_exit so lock acquisitions can be
-# attributed to the right context.  The counters are plain module state:
-# the discrete-event simulator is single-threaded, and handler generators
-# are tagged per resume step (tag_irq_generator) precisely because other
-# processes interleave between their yields.
-
-_IRQ_DEPTH: Dict[str, int] = {}
-
-
-def irq_enter(kernel: str = "linux") -> None:
-    """Enter IRQ context on ``kernel`` (top-half dispatch)."""
-    _IRQ_DEPTH[kernel] = _IRQ_DEPTH.get(kernel, 0) + 1
-
-
-def irq_exit(kernel: str = "linux") -> None:
-    """Leave IRQ context on ``kernel``."""
-    depth = _IRQ_DEPTH.get(kernel, 0)
-    if depth <= 0:
-        raise ReproError(f"irq_exit on {kernel} without irq_enter")
-    _IRQ_DEPTH[kernel] = depth - 1
-
-
-def in_irq(kernel: str = "linux") -> bool:
-    """True while ``kernel`` is executing an IRQ handler."""
-    return _IRQ_DEPTH.get(kernel, 0) > 0
-
-
-def tag_irq_generator(gen, kernel: str = "linux"):
-    """Drive ``gen`` with IRQ context marked around every resume step.
-
-    An IRQ handler that is itself a simulation process (the completion
-    bottom halves) suspends at every ``yield``; while it is suspended,
-    unrelated processes run.  A plain enter/exit bracket around the
-    whole process would mis-tag those — so the wrapper enters IRQ
-    context only for the instants the handler's own frames execute.
-    """
-    to_send = None
-    to_throw = None
-    while True:
-        irq_enter(kernel)
-        try:
-            if to_throw is not None:
-                exc, to_throw = to_throw, None
-                target = gen.throw(exc)
-            else:
-                target = gen.send(to_send)
-        except StopIteration as stop:
-            return stop.value
-        finally:
-            irq_exit(kernel)
-        try:
-            to_send = yield target
-        except BaseException as exc:  # forwarded into the handler
-            to_throw = exc
 
 
 # --- dynamic view ------------------------------------------------------------
@@ -287,6 +218,7 @@ class LockdepValidator:
         """A :class:`CrossKernelSpinLock` was granted to ``kernel``;
         ``frame`` is the holder's critical-section frame."""
         from ..core.lockclasses import REGISTRY
+        from ..hw.irq import in_irq
         declared = REGISTRY.get(lock.name)
         context = "irq" if in_irq(kernel) else "process"
         key = f"{kernel}/{context}"
@@ -456,8 +388,8 @@ class LockdepValidator:
 @dataclass(frozen=True)
 class StaticEdge:
     """Compile-time dependency: ``dst`` acquired at ``path:line`` (in
-    ``func``, by ``kernel``) while ``src`` was held (taken at
-    ``src_line``)."""
+    ``func``, by ``kernel``; ``?`` when a callee takes it) while ``src``
+    was held."""
 
     src: str
     dst: str
@@ -465,13 +397,11 @@ class StaticEdge:
     line: int
     func: str
     kernel: str
-    src_line: int
 
     def describe(self) -> str:
         """One-line rendering with the witness site and kernel."""
         return (f"{self.src} -> {self.dst}  [{self.path}:{self.line} in "
-                f"{self.func}, kernel={self.kernel}, {self.src} taken at "
-                f"line {self.src_line}]")
+                f"{self.func}, kernel={self.kernel}]")
 
 
 class LockGraph:
@@ -632,268 +562,22 @@ class LockGraph:
         return "\n".join(lines)
 
 
-class _HeldEntry:
-    """Compile-time held-lock record inside the walker."""
-
-    __slots__ = ("cls", "rank", "receiver", "line")
-
-    def __init__(self, cls: str, rank: Optional[int], receiver: str,
-                 line: int):
-        self.cls = cls
-        self.rank = rank
-        self.receiver = receiver
-        self.line = line
-
-
-def _collect_bindings(tree: ast.AST) -> Dict[str, str]:
-    """Map receiver names to lock-class names from constructor calls:
-    ``self.sdma_lock = CrossKernelSpinLock(..., name="hfi1.sdma_submit")``
-    binds both ``self.sdma_lock`` and ``sdma_lock``."""
-    bindings: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if not (isinstance(node, ast.Assign)
-                and isinstance(node.value, ast.Call)):
-            continue
-        callee = _dotted(node.value.func).rsplit(".", 1)[-1]
-        if callee != "CrossKernelSpinLock":
-            continue
-        name = None
-        for kw in node.value.keywords:
-            if kw.arg == "name" and isinstance(kw.value, ast.Constant) \
-                    and isinstance(kw.value.value, str):
-                name = kw.value.value
-        if name is None:
-            continue
-        for target in node.targets:
-            dotted = _dotted(target)
-            bindings[dotted] = name
-            bindings[dotted.rsplit(".", 1)[-1]] = name
-    return bindings
-
-
-class _LockWalker:
-    """Interprocedural held-set walker over one module's AST."""
-
-    def __init__(self, path: str, findings: List[Finding],
-                 graph: Optional[LockGraph],
-                 bindings: Dict[str, str]):
-        self.path = path
-        self.findings = findings
-        self.graph = graph
-        self.bindings = bindings
-        self._emitted: Set[Tuple[int, int, str, str]] = set()
-
-    # -- entry ------------------------------------------------------------
-
-    def walk_function(self, fn: ast.FunctionDef, qualname: str,
-                      cls_info: Optional[_ClassInfo],
-                      held: Optional[List[_HeldEntry]] = None,
-                      visiting: FrozenSet[str] = frozenset()) -> None:
-        if fn.name in visiting:
-            return
-        self._walk_block(fn.body, held if held is not None else [],
-                         qualname, cls_info, visiting | {fn.name})
-
-    # -- statement dispatch ------------------------------------------------
-
-    def _walk_block(self, stmts: Sequence[ast.stmt],
-                    held: List[_HeldEntry], qualname: str,
-                    cls_info: Optional[_ClassInfo],
-                    visiting: FrozenSet[str]) -> None:
-        for stmt in stmts:
-            self._walk_stmt(stmt, held, qualname, cls_info, visiting)
-
-    def _walk_stmt(self, stmt: ast.stmt, held: List[_HeldEntry],
-                   qualname: str, cls_info: Optional[_ClassInfo],
-                   visiting: FrozenSet[str]) -> None:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            return
-        if isinstance(stmt, ast.Try):
-            self._walk_block(stmt.body, held, qualname, cls_info, visiting)
-            # handlers/orelse see the state at the end of the body (the
-            # conservative approximation that matters for a critical
-            # section: the lock is still held until the finally runs)
-            for handler in stmt.handlers:
-                self._walk_block(handler.body, list(held), qualname,
-                                 cls_info, visiting)
-            self._walk_block(stmt.orelse, list(held), qualname, cls_info,
-                             visiting)
-            self._walk_block(stmt.finalbody, held, qualname, cls_info,
-                             visiting)
-            return
-        if isinstance(stmt, (ast.If, ast.While)):
-            self._walk_block(stmt.body, list(held), qualname, cls_info,
-                             visiting)
-            self._walk_block(stmt.orelse, list(held), qualname, cls_info,
-                             visiting)
-            return
-        if isinstance(stmt, ast.For):
-            self._walk_block(stmt.body, list(held), qualname, cls_info,
-                             visiting)
-            self._walk_block(stmt.orelse, list(held), qualname, cls_info,
-                             visiting)
-            return
-        if isinstance(stmt, ast.With):
-            self._walk_block(stmt.body, held, qualname, cls_info, visiting)
-            return
-        for value in self._stmt_values(stmt):
-            self._walk_value(value, held, qualname, cls_info, visiting)
-
-    @staticmethod
-    def _stmt_values(stmt: ast.stmt) -> Iterable[ast.expr]:
-        value = getattr(stmt, "value", None)
-        if isinstance(value, ast.expr):
-            yield value
-
-    # -- expression handling -----------------------------------------------
-
-    def _walk_value(self, value: ast.expr, held: List[_HeldEntry],
-                    qualname: str, cls_info: Optional[_ClassInfo],
-                    visiting: FrozenSet[str]) -> None:
-        if isinstance(value, ast.YieldFrom) \
-                and isinstance(value.value, ast.Call):
-            call = value.value
-            if isinstance(call.func, ast.Attribute):
-                if call.func.attr == "acquire":
-                    self._handle_acquire(call, held, qualname)
-                    return
-                if (isinstance(call.func.value, ast.Name)
-                        and call.func.value.id == "self"
-                        and cls_info is not None
-                        and call.func.attr in cls_info.methods):
-                    # interprocedural: follow the delegation with the
-                    # current held set (helpers are assumed balanced;
-                    # PD002 polices leaks)
-                    callee = cls_info.methods[call.func.attr]
-                    self.walk_function(
-                        callee,
-                        f"{qualname.rsplit('.', 1)[0]}.{call.func.attr}",
-                        cls_info, held, visiting)
-                    return
-            return
-        if isinstance(value, ast.Yield) and value.value is not None \
-                and isinstance(value.value, ast.Call):
-            call = value.value
-            if isinstance(call.func, ast.Attribute) \
-                    and call.func.attr in _WAIT_CALLS:
-                self._handle_timed_yield(call, held, qualname)
-            return
-        if isinstance(value, ast.Call) \
-                and isinstance(value.func, ast.Attribute) \
-                and value.func.attr == "release":
-            receiver = _dotted(value.func.value)
-            for idx in range(len(held) - 1, -1, -1):
-                if held[idx].receiver == receiver:
-                    del held[idx]
-                    return
-
-    def _handle_acquire(self, call: ast.Call, held: List[_HeldEntry],
-                        qualname: str) -> None:
-        receiver = _dotted(call.func.value)
-        cls, rank = self._resolve(receiver)
-        kernel = "?"
-        if call.args and isinstance(call.args[0], ast.Constant) \
-                and isinstance(call.args[0].value, str):
-            kernel = call.args[0].value
-        if self.graph is not None:
-            self.graph.note_acquire(
-                cls, rank, f"{self.path}:{call.lineno} in {qualname}")
-        for entry in held:
-            if self.graph is not None:
-                self.graph.add_edge(StaticEdge(
-                    src=entry.cls, dst=cls, path=self.path,
-                    line=call.lineno, func=qualname, kernel=kernel,
-                    src_line=entry.line))
-            if entry.cls == cls:
-                self._emit(call, "PD008",
-                           f"'{receiver}.acquire' in {qualname} takes "
-                           f"lock class {cls} while already holding it "
-                           f"(line {entry.line}); the spinning acquirer "
-                           f"never sees its own release")
-            elif entry.rank is not None and rank is not None \
-                    and rank <= entry.rank:
-                self._emit(call, "PD008",
-                           f"'{receiver}.acquire' in {qualname} takes "
-                           f"{cls} (rank {rank}) while holding "
-                           f"{entry.cls} (rank {entry.rank}, line "
-                           f"{entry.line}); the declared hierarchy is "
-                           f"rank-increasing")
-        held.append(_HeldEntry(cls, rank, receiver, call.lineno))
-
-    def _handle_timed_yield(self, call: ast.Call,
-                            held: List[_HeldEntry],
-                            qualname: str) -> None:
-        if not held:
-            return
-        held_desc = ", ".join(
-            f"{entry.cls} (line {entry.line})" for entry in held)
-        self._emit(call, "PD009",
-                   f"timed yield '{_dotted(call.func)}' in {qualname} "
-                   f"while holding cross-kernel lock(s) {held_desc}; "
-                   f"the peer kernel spins for the whole wait")
-
-    def _resolve(self, receiver: str) -> Tuple[str, Optional[int]]:
-        from ..core.lockclasses import REGISTRY
-        last = receiver.rsplit(".", 1)[-1]
-        name = self.bindings.get(receiver) or self.bindings.get(last)
-        if name is None:
-            declared = REGISTRY.by_attr(last)
-            if declared is not None:
-                return declared.name, declared.rank
-            name = last
-        return name, REGISTRY.rank_of(name)
-
-    def _emit(self, node: ast.AST, code: str, message: str) -> None:
-        key = (node.lineno, node.col_offset, code, message)
-        if key in self._emitted:
-            return
-        self._emitted.add(key)
-        self.findings.append(Finding(self.path, node.lineno,
-                                     node.col_offset, code, message))
-
-
-def check_lock_order(path: str, tree: ast.AST, findings: List[Finding],
-                     graph: Optional[LockGraph] = None) -> None:
-    """PD008 + PD009 over one parsed module; optionally accumulate the
-    compile-time lock graph into ``graph``."""
-    from ..core import lockclasses
-    lockclasses.ensure_declarations()
-    walker = _LockWalker(path, findings, graph, _collect_bindings(tree))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            info = _ClassInfo(node)
-            for mname in sorted(info.methods):
-                walker.walk_function(info.methods[mname],
-                                     f"{node.name}.{mname}", info)
-    if isinstance(tree, ast.Module):
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef):
-                walker.walk_function(node, node.name, None)
-
-
-def build_static_lock_graph(
-        paths: Optional[Iterable[str]] = None
-) -> Tuple[LockGraph, List[Finding]]:
-    """Extract the lock graph (and PD008/PD009 findings, with
-    ``# pd-ignore`` suppression honoured) from every module under
-    ``paths`` (default: the installed ``repro`` tree)."""
-    from . import astcache
-    target = [default_lint_root()] if paths is None else list(paths)
+def lock_graph(program) -> LockGraph:
+    """The compile-time lock graph of a PicoVet
+    :class:`~repro.analysis.vet_effects.Program`: every acquire site,
+    an edge from each class held there, and — for each confident call
+    made while a class is held — an edge from it to every class the
+    callee may transitively acquire."""
+    from ..core.lockclasses import REGISTRY
+    from .vet_checkers import _short
     graph = LockGraph()
-    findings: List[Finding] = []
-    for filename in iter_python_files(target):
-        module = astcache.parse_module(filename)
-        if not module.ok:
-            exc = module.error
-            findings.append(Finding(filename, exc.lineno or 1,
-                                    (exc.offset or 1) - 1, "PD000",
-                                    f"syntax error: {exc.msg}"))
-            continue
-        module_findings: List[Finding] = []
-        check_lock_order(filename, module.tree, module_findings,
-                         graph=graph)
-        lines = module.source.splitlines()
-        findings.extend(f for f in module_findings
-                        if not _suppressed(lines, f))
-    return graph, findings
+    for fn in sorted(program.functions.values(),
+                     key=lambda f: (f.path, f.qualname)):
+        for site in fn.acquire_sites:
+            graph.note_acquire(site.what, REGISTRY.rank_of(site.what),
+                               f"{fn.path}:{site.line} in "
+                               f"{_short(fn.qualname)}")
+    for fn, held, cls, site, _callee in program.lock_nestings():
+        graph.add_edge(StaticEdge(held, cls, fn.path, site.line,
+                                  _short(fn.qualname), site.kernel))
+    return graph

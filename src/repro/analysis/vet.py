@@ -2,7 +2,8 @@
 
 ``python -m repro vet [--dot] [--json] [paths...]``
     Build the whole-program model over the installed ``repro`` tree (or
-    the given paths), run the PD015.x checkers and print the findings.
+    the given paths), run the checkers (PD008, PD009, PD015.x) and print
+    the findings.
     ``--dot`` emits the Graphviz call graph instead, ``--json`` the
     per-function context + transitive-effect summaries (both for the CI
     artifacts).  Exit status 1 if findings remain.
@@ -30,8 +31,9 @@
 
 Suppressions work exactly like lint: a ``# pd-ignore[PD015.5]`` on the
 finding's anchor line silences it (``PD015`` covers the whole family),
-and a stale PD015 suppression is reported as PD100 by ``vet`` itself
-(``lint`` leaves PD015 ids to the tool of record).
+and a stale suppression of a vet-owned id (``lint.VET_CODES``) is
+reported as PD100 by ``vet`` itself (``lint`` leaves those ids to the
+tool of record).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from . import astcache
 from .lint import (Finding, _comment_tokens, _IGNORE_RE, _suppressed,
-                   code_matches)
+                   code_matches, vet_owned)
 from .vet_checkers import run_checkers
 from .vet_effects import HeapAccess, Program
 
@@ -51,7 +53,7 @@ from .vet_effects import HeapAccess, Program
 def vet_paths(paths: Optional[List[str]] = None
               ) -> Tuple[Program, List[Finding]]:
     """Build the program model and run every checker; returns the model
-    and the unsuppressed findings (plus PD100 for stale PD015 ignores)."""
+    and the unsuppressed findings (plus PD100 for stale vet ignores)."""
     program = Program.build(paths)
     raw = run_checkers(program)
     kept: List[Finding] = []
@@ -76,9 +78,9 @@ def _file_suppressed(finding: Finding) -> bool:
 def _stale_vet_suppressions(program: Program,
                             by_file: Dict[str, List[Finding]]
                             ) -> List[Finding]:
-    """PD100 for the PD015 family: vet is the tool of record for its own
-    rule ids, so it — not lint — decides whether a ``pd-ignore`` listing
-    a PD015 code still suppresses anything."""
+    """PD100 for the vet-owned ids: vet is the tool of record for its
+    own rules, so it — not lint — decides whether a ``pd-ignore``
+    listing one still suppresses anything."""
     out: List[Finding] = []
     seen: Set[str] = set()
     for fn in program.functions.values():
@@ -99,7 +101,7 @@ def _stale_vet_suppressions(program: Program,
                       if c.strip()}
             stale = sorted(
                 c for c in listed
-                if c.startswith("PD015")
+                if vet_owned(c)
                 and not any(code_matches(code, c)
                             for code in found.get(lineno, ())))
             if stale:
@@ -196,7 +198,7 @@ def crosscheck(name: str,
         errors.OBSERVER = prev_observer
 
     program = Program.build()
-    graph, _findings = lockdep_mod.build_static_lock_graph()
+    graph = lockdep_mod.lock_graph(program)
     failures: List[str] = []
     fact_count = 0
 

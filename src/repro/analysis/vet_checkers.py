@@ -1,19 +1,22 @@
-"""The PD015.x whole-program checkers over the PicoVet program model.
+"""The whole-program checkers over the PicoVet program model.
 
 Each checker consumes the :class:`~repro.analysis.vet_effects.Program`
-(call graph + contexts + effect fixpoint) and emits
+(call graph + contexts + effect fixpoint + lock sites) and emits
 :class:`~repro.analysis.lint.Finding` objects, so vet findings render,
 sort and suppress exactly like lint findings.  Rule map:
 
 ========  ============================================================
-PD015.1   fast path transitively offloads (whole-program PD001)
+PD008     lock-order hierarchy: an acquire, or a confident call whose
+          callee may acquire, of a class ranked at or below one held
+          (the declared order of :mod:`repro.core.lockclasses`)
+PD009     timed wait (``yield *.timeout/wait(...)``) while a
+          cross-kernel lock class is held
+PD015.1   fast path transitively offloads
 PD015.2   fast path transitively reaches a sleeping service
-PD015.3   fast path transitively takes page references (whole-program
-          PD006)
+PD015.3   fast path transitively takes page references
 PD015.4   sleep/wait in atomic context: a sleeping service reachable
           from an IRQ-context function, or a confident callee that may
-          wait invoked while a spinlock class is held (whole-program
-          PD009)
+          sleep or wait invoked while a spinlock class is held
 PD015.5   static race candidate: cross-kernel write/write or
           write/read on one struct field with no common lock class
           (the static twin of a KSan report)
@@ -21,18 +24,18 @@ PD015.6   typed-error totality: a fault point raises an error no
           handler anywhere catches
 ========  ============================================================
 
-Findings for PD015.1-3 anchor at the fast entry's ``def`` line, PD015.4
-at the root/call site, PD015.5 at the first non-atomic write of the
-racing pair, PD015.6 at the raise site — the anchor line is where a
-justified ``# pd-ignore[...]`` belongs.
+PD008 anchors at the acquire or call site, PD009 at the wait, PD015.1-3
+at the fast entry's ``def`` line, PD015.4 at the root/call site, PD015.5
+at the first non-atomic write of the racing pair, PD015.6 at the raise
+site — the anchor line is where a justified ``# pd-ignore[...]``
+belongs.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .lint import Finding
+from .lint import Finding, parse_failure
 from .vet_effects import HeapAccess, Program, Site, _error_covered
 
 #: function names whose writes are initialization, exempt from race
@@ -66,11 +69,60 @@ def _init_exempt(func_qualname: str) -> bool:
             or name.startswith(_INIT_EXEMPT_PREFIXES))
 
 
+# --- PD008/PD009: lock order and timed waits under a lock -------------------
+
+def _order_problem(held: str, cls: str) -> Optional[str]:
+    """Why taking ``cls`` while holding ``held`` breaks the declared
+    order, or None when it does not."""
+    from ..core.lockclasses import REGISTRY
+    if cls == held:
+        return (f"takes lock class {cls} while already holding it; the "
+                f"spinning acquirer never sees its own release")
+    rank, held_rank = REGISTRY.rank_of(cls), REGISTRY.rank_of(held)
+    if rank is None or held_rank is None or rank > held_rank:
+        return None
+    return (f"takes {cls} (rank {rank}) while holding {held} (rank "
+            f"{held_rank}); the declared hierarchy is rank-increasing")
+
+
+def check_lock_hierarchy(program: Program) -> List[Finding]:
+    """PD008: every acquire site, and every confident call whose callee
+    may acquire, must take classes ranked above every class held."""
+    out: List[Finding] = []
+    for fn, held, cls, site, callee in program.lock_nestings():
+        problem = _order_problem(held, cls)
+        if problem is None:
+            continue
+        func = _short(fn.qualname)
+        where = (f"'{site.receiver}.acquire' in {func}" if callee is None
+                 else f"'{_short(callee)}' called from {func}")
+        out.append(Finding(fn.path, site.line, site.col, "PD008",
+                           f"{where} {problem}"))
+    return out
+
+
+def check_wait_under_lock(program: Program) -> List[Finding]:
+    """PD009: no timed wait while a cross-kernel lock class is held —
+    the peer kernel spins on the lock word for the whole wait."""
+    out: List[Finding] = []
+    for qualname in sorted(program.functions):
+        fn = program.functions[qualname]
+        for site in fn.wait_sites:
+            if site.held:
+                out.append(Finding(
+                    fn.path, site.line, site.col, "PD009",
+                    f"timed yield '{site.what}' in {_short(qualname)} "
+                    f"while holding cross-kernel lock(s) "
+                    f"{', '.join(dict.fromkeys(site.held))}; the peer "
+                    f"kernel spins for the whole wait"))
+    return out
+
+
 # --- PD015.1/.2/.3: interprocedural fast-path purity -------------------------
 
 def check_fast_path_purity(program: Program) -> List[Finding]:
     """PD015.1/.2/.3: no fast entry may transitively offload, sleep
-    unbounded, or take page references (whole-program PD001/PD006)."""
+    unbounded, or take page references."""
     out: List[Finding] = []
     probes = (
         ("PD015.1", "offloads", "may offload to Linux"),
@@ -111,9 +163,10 @@ def check_sleep_in_atomic(program: Program) -> List[Finding]:
                     fn.path, fn.line, fn.node.col_offset, "PD015.4",
                     f"IRQ-context '{_short(qualname)}' may sleep: "
                     f"{site.render()} (via {chain})"))
-        # whole-program PD009: a callee that may sleep or take a timed
-        # wait, invoked while a spinlock class is held (only confident
-        # edges — guessing here would drown real hazards in noise)
+        # a callee that may sleep or take a timed wait, invoked while a
+        # spinlock class is held (a wait in the function itself is
+        # PD009; only confident edges — guessing here would drown real
+        # hazards in noise)
         for rc in program.edges.get(qualname, ()):
             if not rc.confident or not rc.site.held:
                 continue
@@ -200,8 +253,10 @@ def check_error_totality(program: Program) -> List[Finding]:
 
 
 def run_checkers(program: Program) -> List[Finding]:
-    """All four PD015 checkers, sorted like lint output."""
-    out: List[Finding] = []
+    """Every vet checker, sorted like lint output."""
+    out = [parse_failure(module) for module in program.unparsed]
+    out.extend(check_lock_hierarchy(program))
+    out.extend(check_wait_under_lock(program))
     out.extend(check_fast_path_purity(program))
     out.extend(check_sleep_in_atomic(program))
     out.extend(check_race_candidates(program))

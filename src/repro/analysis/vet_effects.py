@@ -1,11 +1,12 @@
 """PicoVet's whole-program model: call graph, contexts, effect lattice.
 
-The lint rules (PD001-PD014) are *local* — each judges one function or
-one class at a time, so a helper that transitively offloads, sleeps or
-touches unpinned memory two calls away from a ``fast_*`` entry point is
-invisible to them.  This module builds the whole-program view the
-PD015.x checkers (:mod:`repro.analysis.vet_checkers`) need, with nothing
-but the stdlib ``ast``:
+The lint rules are *syntactic* — each judges one module at a time, so a
+helper that transitively offloads, sleeps or touches unpinned memory two
+calls away from a ``fast_*`` entry point is invisible to them.  This
+module builds the one interprocedural model of the tree, with nothing
+but the stdlib ``ast``; the checkers of
+:mod:`repro.analysis.vet_checkers` and the lock graph of
+:func:`repro.analysis.lockdep.lock_graph` are queries over it:
 
 * a **call graph** with class-aware method resolution: ``self.m()``
   resolves through the enclosing class and its base chain,
@@ -33,7 +34,11 @@ but the stdlib ``ast``:
   (``get_user_pages``), acquired lock classes, shared-heap struct-field
   reads/writes with kernel attribution, raised typed errors (filtered
   through enclosing ``except`` clauses during propagation), and RNG
-  draws.
+  draws;
+
+* per-function **lock sites**: every ``yield from X.acquire(kernel,
+  ...)`` with its lock class and kernel, and every timed wait, each
+  with the lock classes held there.
 
 The model is deliberately an over-approximation: every dynamic fact a
 KSan/lockdep run observes must be contained in it (``python -m repro
@@ -48,9 +53,14 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from . import astcache
-from .lint import (_OFFLOAD_NAMES, _dotted, _refs_config, default_lint_root,
-                   iter_python_files)
-from .lockdep import _WAIT_CALLS, _collect_bindings
+from .lint import _dotted, default_lint_root, iter_python_files
+
+#: call names that mark the offloading / syscall-dispatch machinery
+_OFFLOAD_NAMES = frozenset({"_offload", "offload", "offload_syscall",
+                            "dispatch_syscall", "syscall"})
+
+#: ``yield *.<name>(...)`` calls that are a timed wait
+_WAIT_CALLS = frozenset({"timeout", "wait"})
 
 #: services a fast path / IRQ top half must never reach: they block the
 #: caller for an unbounded time (the in-tree members are
@@ -63,8 +73,8 @@ SLEEP_SERVICES = frozenset({
 })
 
 #: attribute calls that are struct/dict accessors or lock primitives —
-#: never call-graph edges (locks are lockdep's domain, accessors are the
-#: heap-access surface digested separately)
+#: never call-graph edges (locks become lock sites, accessors the
+#: heap-access surface, both digested separately)
 _NEVER_EDGE = frozenset({"get", "set", "add", "acquire", "release"})
 
 #: method names too generic for the unique-definer fallback: resolving
@@ -123,6 +133,18 @@ class HeapAccess:
                 f"{self.kernel} locks={held}"
                 f"{' [atomic]' if self.atomic else ''} — "
                 f"{os.path.basename(self.path)}:{self.line} in {self.func}")
+
+
+@dataclass(frozen=True)
+class LockSite:
+    """An acquire or a timed wait, with the lock classes held there."""
+
+    what: str                      #: lock class acquired, or the wait call
+    line: int
+    col: int
+    held: Tuple[str, ...]          #: lock classes held before the site
+    receiver: str = ""             #: dotted lock receiver (acquires)
+    kernel: str = "?"              #: acquiring kernel (acquires)
 
 
 class Effect:
@@ -235,6 +257,8 @@ class FunctionInfo:
     accesses: List[HeapAccess] = field(default_factory=list)
     #: FAULTS-gated typed-error raise sites (the PD015.6 fault points)
     fault_raises: List[Tuple[str, Site]] = field(default_factory=list)
+    acquire_sites: List[LockSite] = field(default_factory=list)
+    wait_sites: List[LockSite] = field(default_factory=list)
     local_classes: Dict[str, str] = field(default_factory=dict)
 
     @property
@@ -304,6 +328,42 @@ def _struct_binding(call: ast.Call) -> Optional[Tuple[str, str]]:
     return struct, kernel
 
 
+def _refs_config(node: ast.AST, config_names: Iterable[str]) -> bool:
+    """True if the expression mentions any of the named guards anywhere."""
+    names = frozenset(config_names)
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and sub.id in names:
+            return True
+        if isinstance(sub, ast.Attribute) and sub.attr in names:
+            return True
+    return False
+
+
+def _collect_bindings(tree: ast.AST) -> Dict[str, str]:
+    """Map receiver names to lock-class names from constructor calls:
+    ``self.sdma_lock = CrossKernelSpinLock(..., name="hfi1.sdma_submit")``
+    binds both ``self.sdma_lock`` and ``sdma_lock``."""
+    bindings: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Call)):
+            continue
+        callee = _dotted(node.value.func).rsplit(".", 1)[-1]
+        if callee != "CrossKernelSpinLock":
+            continue
+        name = None
+        for kw in node.value.keywords:
+            if kw.arg == "name":
+                name = _const_str(kw.value)
+        if name is None:
+            continue
+        for target in node.targets:
+            dotted = _dotted(target)
+            bindings[dotted] = name
+            bindings[dotted.rsplit(".", 1)[-1]] = name
+    return bindings
+
+
 def _const_str(node: Optional[ast.AST]) -> Optional[str]:
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         return node.value
@@ -312,7 +372,8 @@ def _const_str(node: Optional[ast.AST]) -> Optional[str]:
 
 class _FunctionScanner:
     """One pass over a function body, tracking held locks, enclosing
-    ``except`` clauses and FAULTS gating while collecting effects."""
+    ``except`` clauses and FAULTS gating while collecting effects and
+    lock sites."""
 
     def __init__(self, program: "Program", fn: FunctionInfo,
                  lock_bindings: Dict[str, str]):
@@ -339,11 +400,14 @@ class _FunctionScanner:
             return held
         if isinstance(stmt, ast.Try):
             caught = self.program.handler_classes(stmt)
-            self._block(stmt.body, held, handled | caught, faults)
+            # handlers, else and finally see the held set at the end of
+            # the body: the lock stays held until the finally releases it
+            body_held = self._block(stmt.body, held, handled | caught,
+                                    faults)
             for handler in stmt.handlers:
-                self._block(handler.body, held, handled, faults)
-            self._block(stmt.orelse, held, handled, faults)
-            return self._block(stmt.finalbody, held, handled, faults)
+                self._block(handler.body, body_held, handled, faults)
+            self._block(stmt.orelse, body_held, handled, faults)
+            return self._block(stmt.finalbody, body_held, handled, faults)
         if isinstance(stmt, ast.If):
             self._exprs(stmt.test, held, handled, faults)
             body_faults = faults or _refs_config(stmt.test, ("FAULTS",))
@@ -444,14 +508,24 @@ class _FunctionScanner:
                     and isinstance(node.value, ast.Call) \
                     and isinstance(node.value.func, ast.Attribute) \
                     and node.value.func.attr in _WAIT_CALLS:
-                self.fn.effect.timed_waits.add(Site(
-                    _dotted(node.value.func), self.fn.path, node.lineno))
+                call = node.value
+                what = _dotted(call.func)
+                self.fn.effect.timed_waits.add(Site(what, self.fn.path,
+                                                    node.lineno))
+                self.fn.wait_sites.append(LockSite(
+                    what, call.lineno, call.col_offset, held))
             elif isinstance(node, ast.YieldFrom) \
                     and isinstance(node.value, ast.Call) \
                     and isinstance(node.value.func, ast.Attribute) \
                     and node.value.func.attr == "acquire":
-                self.fn.effect.acquires.add(
-                    self._lock_class(_dotted(node.value.func.value)))
+                call = node.value
+                receiver = _dotted(call.func.value)
+                cls = self._lock_class(receiver)
+                self.fn.effect.acquires.add(cls)
+                kernel = _const_str(call.args[0]) if call.args else None
+                self.fn.acquire_sites.append(LockSite(
+                    cls, call.lineno, call.col_offset, held, receiver,
+                    kernel or "?"))
             elif isinstance(node, ast.Raise):
                 self._raise(node, handled, faults)
             elif isinstance(node, ast.Call):
@@ -579,6 +653,8 @@ class Program:
         #: accesses whose receiver type the scanner cannot see
         self.field_structs: Dict[str, Set[str]] = {}
         self._lock_bindings: Dict[str, Dict[str, str]] = {}
+        #: modules that did not parse (each is a PD000 finding)
+        self.unparsed: List[astcache.ParsedModule] = []
 
     # -- construction ------------------------------------------------------
 
@@ -592,6 +668,7 @@ class Program:
         target = [default_lint_root()] if paths is None else list(paths)
         parsed = [astcache.parse_module(f)
                   for f in iter_python_files(target)]
+        program.unparsed = [m for m in parsed if not m.ok]
         for module in parsed:
             if module.ok:
                 program._digest_module(module)
@@ -1020,6 +1097,27 @@ class Program:
             chain.append(parents[chain[-1]])
         chain.reverse()
         return chain
+
+    def lock_nestings(self) -> Iterator[Tuple[FunctionInfo, str, str,
+                                              LockSite, Optional[str]]]:
+        """Every (function, held class, class taken, site, callee) in
+        the tree, in (path, function) order.  An acquire nests its class
+        under each class held there (callee None); a confident call made
+        while a class is held nests, at the call, every class the callee
+        may transitively acquire."""
+        for fn in sorted(self.functions.values(),
+                         key=lambda f: (f.path, f.qualname)):
+            for site in fn.acquire_sites:
+                for held in dict.fromkeys(site.held):
+                    yield fn, held, site.what, site, None
+            for rc in self.edges.get(fn.qualname, ()):
+                if not rc.confident or not rc.site.held:
+                    continue
+                site = LockSite("", rc.site.line, 0, rc.site.held)
+                for target in rc.targets:
+                    for cls in sorted(self.effects[target].acquires):
+                        for held in dict.fromkeys(rc.site.held):
+                            yield fn, held, cls, site, target
 
     def all_accesses(self) -> List[HeapAccess]:
         """Every statically inferred shared-heap access, tree-wide."""

@@ -13,16 +13,18 @@ This module is the registry both views of the analyzer share:
 * the *dynamic* validator (:mod:`repro.analysis.lockdep`) resolves every
   :class:`~repro.core.sync.CrossKernelSpinLock` to its class by lock
   name and checks observed acquisition order against ``rank``;
-* the *static* pass (lint rule PD008) resolves ``X.acquire(...)`` sites
-  to classes through constructor ``name=`` bindings and the ``attrs``
-  map below, and checks the compile-time order.
+* the *static* pass (PicoVet's program model; vet rule PD008 and
+  ``python -m repro lockgraph``) resolves ``X.acquire(...)`` sites to
+  classes through constructor ``name=`` bindings and the ``attrs`` map
+  below, and checks the compile-time order.
 
 The rule is the Linux one: locks must be acquired in **strictly
 increasing rank order**.  Ranks are sparse so subsystems can be
 inserted between existing levels.
 
 Declarations live next to the lock owners (``linux/hfi1/driver.py``,
-``mckernel/kernel.py``, ``core/hfi_pico.py``); this module only hosts
+``linux/pxd/driver.py``, ``mckernel/kernel.py``) and their users
+(``core/hfi_pico.py``, ``core/pxd_pico.py``); this module only hosts
 the mechanism, so it stays import-light (the static pass must be able
 to load it without dragging in the whole simulator).
 """
@@ -150,12 +152,14 @@ def declare_lock_use(name: str, subsystem: str) -> None:
 
 
 def ensure_declarations() -> None:
-    """Import the modules that own lock declarations.
+    """Import every module that declares a lock class or a lock use.
 
     The static pass and the lockgraph CLI need the full hierarchy
-    without having built a machine first; importing the owners is
-    enough because declarations run at module import.
+    without having built a machine first; importing the declaring
+    modules is enough because declarations run at module import.
     """
     from ..linux.hfi1 import driver as _hfi1_driver  # noqa: F401
+    from ..linux.pxd import driver as _pxd_driver  # noqa: F401
     from ..mckernel import kernel as _mckernel  # noqa: F401
     from . import hfi_pico as _hfi_pico  # noqa: F401
+    from . import pxd_pico as _pxd_pico  # noqa: F401

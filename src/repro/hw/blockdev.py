@@ -26,12 +26,12 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, List, Optional
 
-from ..analysis.lockdep import irq_enter, irq_exit
 from ..config import FAULTS, TRACE
 from ..errors import DriverError, MediaError, ReproError
 from ..obs.spans import track_of
 from ..params import BlkParams
 from ..sim import Simulator, Store, Tracer
+from .irq import irq_enter, irq_exit
 
 
 @dataclass

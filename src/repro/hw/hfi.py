@@ -25,12 +25,12 @@ from dataclasses import dataclass, field, replace
 from itertools import repeat
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from ..analysis.lockdep import irq_enter, irq_exit
 from ..config import FAULTS, GUARD, TRACE
 from ..errors import DriverError, ReproError
 from ..obs.spans import track_of
 from ..params import NicParams
 from ..sim import Event, Resource, Simulator, Store, Tracer
+from .irq import irq_enter, irq_exit
 
 #: the fault points each SDMA descriptor fetch is an opportunity of, in
 #: draw order

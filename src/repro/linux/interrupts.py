@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..analysis.lockdep import irq_enter, irq_exit, tag_irq_generator
+from ..hw.irq import irq_enter, irq_exit, tag_irq_generator
 from ..params import Params
 from ..sim import Resource, Simulator, Tracer
 

@@ -1,10 +1,22 @@
-"""Tests for ``python -m repro lint`` and ``python -m repro sanitize``."""
+"""Tests for ``python -m repro lint``, ``sanitize``, ``lockgraph`` and
+``lockdep``."""
 
 import textwrap
 
 from repro.__main__ import main
 from repro.analysis.cli import cmd_sanitize
 from repro.config import ANALYSIS
+
+#: a fast path that offloads (vet PD015.1, formerly lint PD001) and peeks
+#: at raw heap words from repro/core (lint PD005)
+ROGUE_SRC = textwrap.dedent("""\
+    class RoguePico(PicoDriver):
+        def fast_poke(self, task, addr):
+            yield self.lwk._offload(task, "poke", (addr,))
+
+        def peek(self, addr):
+            return self.heap.read_u(addr, 4)
+    """)
 
 
 def test_help_lists_analysis_commands(capsys):
@@ -23,7 +35,8 @@ def test_lint_shipped_tree_exits_zero(capsys):
 def test_lint_rules_flag_prints_table(capsys):
     assert main(["lint", "--rules"]) == 0
     out = capsys.readouterr().out
-    assert "PD001" in out and "PD006" in out
+    # the one table lists vet's rules too: PD015.1/.3 replace PD001/PD006
+    assert "PD002" in out and "PD015.1" in out and "PD015.3" in out
 
 
 def test_lint_unknown_option_exits_two(capsys):
@@ -34,14 +47,21 @@ def test_lint_unknown_option_exits_two(capsys):
 def test_lint_violation_fixture_exits_nonzero(tmp_path, capsys):
     bad = tmp_path / "core" / "rogue.py"
     bad.parent.mkdir()
-    bad.write_text(textwrap.dedent("""\
-        class RoguePico(PicoDriver):
-            def fast_poke(self, task, addr):
-                yield self.lwk._offload(task, "poke", (addr,))
-        """))
+    bad.write_text(ROGUE_SRC)
     assert main(["lint", str(bad)]) == 1
     out = capsys.readouterr().out
-    assert "PD001" in out and "finding(s)" in out
+    assert "PD005" in out and "finding(s)" in out
+
+
+def test_vet_flags_the_rogue_fast_path(tmp_path, capsys):
+    """The offload the local PD001 pass used to flag is vet's PD015.1."""
+    bad = tmp_path / "core" / "rogue.py"
+    bad.parent.mkdir()
+    bad.write_text(ROGUE_SRC)
+    assert main(["vet", str(bad)]) == 1
+    out = capsys.readouterr().out
+    assert "PD015.1" in out and "RoguePico.fast_poke" in out
+    assert "PD005" not in out
 
 
 # --- sanitize ----------------------------------------------------------------
@@ -218,12 +238,8 @@ def test_lint_jobs_option_validation(capsys):
 def test_lint_jobs_parallel_reports_findings(tmp_path, capsys):
     bad = tmp_path / "core" / "rogue.py"
     bad.parent.mkdir()
-    bad.write_text(textwrap.dedent("""\
-        class RoguePico(PicoDriver):
-            def fast_poke(self, task, addr):
-                yield self.lwk._offload(task, "poke", (addr,))
-        """))
+    bad.write_text(ROGUE_SRC)
     ok = tmp_path / "core" / "fine.py"
     ok.write_text("x = 1\n")
     assert main(["lint", "--jobs", "2", str(bad), str(ok)]) == 1
-    assert "PD001" in capsys.readouterr().out
+    assert "PD005" in capsys.readouterr().out

@@ -1,8 +1,10 @@
-"""Tests for the PicoDriver protocol lint (PD001-PD016).
+"""Tests for the PicoDriver protocol lint (PD002-PD016, PD100).
 
 Each rule gets a violation fixture and a compliant twin; the suite also
 pins the suppression syntax and — the acceptance bar — that the shipped
-``src/repro`` tree lints clean.
+``src/repro`` tree lints clean.  The fixtures of the rules that moved to
+``python -m repro vet`` (PD001/PD006, now PD015.1/PD015.3, and
+PD008/PD009) stay here, run through vet.
 """
 
 import textwrap
@@ -10,6 +12,7 @@ import textwrap
 from repro.analysis.lint import (RULES, Finding, default_lint_root,
                                  iter_python_files, lint_paths, lint_source,
                                  rules_table)
+from repro.analysis.vet import vet_paths
 
 
 def lint(src, path="src/repro/mckernel/x.py"):
@@ -18,14 +21,21 @@ def lint(src, path="src/repro/mckernel/x.py"):
     return lint_source(textwrap.dedent(src), path)
 
 
+def vet(tmp_path, src):
+    """Vet findings for a dedented single-module fixture."""
+    fixture = tmp_path / "x.py"
+    fixture.write_text(textwrap.dedent(src))
+    return vet_paths([str(fixture)])[1]
+
+
 def codes(findings):
     return [f.code for f in findings]
 
 
-# --- PD001 fast-path purity --------------------------------------------------
+# --- fast-path purity (PD001 -> vet PD015.1) ---------------------------------
 
-def test_pd001_offload_reachable_from_fast_path():
-    findings = lint("""\
+def test_pd001_offload_reachable_from_fast_path(tmp_path):
+    findings = vet(tmp_path, """\
         class BadPico(PicoDriver):
             def fast_writev(self, task, fd):
                 yield from self._send(task)
@@ -33,22 +43,22 @@ def test_pd001_offload_reachable_from_fast_path():
             def _send(self, task):
                 yield from self.lwk._offload(task, "writev", ())
         """)
-    assert codes(findings) == ["PD001"]
+    assert codes(findings) == ["PD015.1"]
     assert "_offload" in findings[0].message
-    assert "reachable from fast_writev" in findings[0].message
+    assert "via BadPico.fast_writev -> BadPico._send" in findings[0].message
 
 
-def test_pd001_ikc_call_in_fast_path():
-    findings = lint("""\
+def test_pd001_ikc_call_in_fast_path(tmp_path):
+    findings = vet(tmp_path, """\
         class BadPico(PicoDriver):
             def fast_ioctl(self, task, fd, cmd, arg):
                 yield from self.lwk.ikc.call(task, cmd)
         """)
-    assert codes(findings) == ["PD001"]
+    assert codes(findings) == ["PD015.1"]
 
 
-def test_pd001_clean_when_offload_is_on_the_slow_path():
-    findings = lint("""\
+def test_pd001_clean_when_offload_is_on_the_slow_path(tmp_path):
+    findings = vet(tmp_path, """\
         class GoodPico(PicoDriver):
             def claims(self, syscall, args):
                 return FastPathDecision.offload("administrative")
@@ -200,21 +210,21 @@ def test_pd005_blessed_modules_and_other_packages_exempt():
     assert lint(RAW_HEAP_SRC, path="src/repro/linux/hfi1/driver.py") == []
 
 
-# --- PD006 pinned-memory discipline ------------------------------------------
+# --- pinned-memory discipline (PD006 -> vet PD015.3) ------------------------
 
-def test_pd006_get_user_pages_in_fast_path():
-    findings = lint("""\
+def test_pd006_get_user_pages_in_fast_path(tmp_path):
+    findings = vet(tmp_path, """\
         class BadPico(PicoDriver):
             def fast_reg(self, task, vaddr, length):
                 pages = self.lwk.mm.get_user_pages(vaddr, length)
                 yield pages
         """)
-    assert codes(findings) == ["PD006"]
+    assert codes(findings) == ["PD015.3"]
     assert "get_user_pages" in findings[0].message
 
 
-def test_pd006_slow_path_may_take_page_refs():
-    findings = lint("""\
+def test_pd006_slow_path_may_take_page_refs(tmp_path):
+    findings = vet(tmp_path, """\
         class Driver:
             def fast_reg(self, task, vaddr, length):
                 yield task.pagetable.phys_spans(vaddr, length)
@@ -399,14 +409,14 @@ def test_findings_are_sorted_and_render_with_hints():
     findings = lint("""\
         class BadPico(PicoDriver):
             def fast_a(self, task):
-                return self.lwk._offload(task, "a", ())
+                return self.inj.fires("a")
         """)
-    # PD003 anchors on the def line, PD001 on the call: line order wins
-    assert codes(findings) == ["PD003", "PD001"]
+    # PD003 anchors on the def line, PD007 on the call: line order wins
+    assert codes(findings) == ["PD003", "PD007"]
     assert [f.line for f in findings] == sorted(f.line for f in findings)
     rendered = findings[-1].render()
-    assert "PD001" in rendered and "(fix: " in rendered
-    assert findings[-1].hint == RULES["PD001"][1]
+    assert "PD007" in rendered and "(fix: " in rendered
+    assert findings[-1].hint == RULES["PD007"][1]
 
 
 def test_syntax_error_is_a_finding_not_a_crash():
@@ -433,8 +443,8 @@ def test_iter_python_files_expands_directories(tmp_path):
 
 
 def test_finding_is_a_value_object():
-    f = Finding("p.py", 1, 0, "PD001", "m")
-    assert f == Finding("p.py", 1, 0, "PD001", "m")
+    f = Finding("p.py", 1, 0, "PD002", "m")
+    assert f == Finding("p.py", 1, 0, "PD002", "m")
 
 
 # --- the acceptance bar ------------------------------------------------------
@@ -445,10 +455,10 @@ def test_shipped_tree_lints_clean():
     assert lint_paths([default_lint_root()]) == []
 
 
-# --- PD008 lock-order hierarchy ----------------------------------------------
+# --- PD008 lock-order hierarchy (vet) ----------------------------------------
 
-def test_pd008_rank_violating_nesting():
-    findings = lint("""\
+def test_pd008_rank_violating_nesting(tmp_path):
+    findings = vet(tmp_path, """\
         dispatch = CrossKernelSpinLock(sim, heap, name="mckernel.dispatch")
         sdma = CrossKernelSpinLock(sim, heap, name="hfi1.sdma_submit")
 
@@ -461,14 +471,29 @@ def test_pd008_rank_violating_nesting():
                 dispatch.release("mckernel")
                 sdma.release("mckernel")
         """)
-    assert "PD008" in codes(findings)
-    pd008 = next(f for f in findings if f.code == "PD008")
-    assert "mckernel.dispatch" in pd008.message
-    assert "hfi1.sdma_submit" in pd008.message
+    assert codes(findings) == ["PD008"]
+    assert findings[0].line == 6
+    assert "mckernel.dispatch" in findings[0].message
+    assert "hfi1.sdma_submit" in findings[0].message
+    assert "rank 10" in findings[0].message and "rank 20" in findings[0].message
+    # lint no longer judges lock order: vet is the rule of record
+    assert lint("""\
+        dispatch = CrossKernelSpinLock(sim, heap, name="mckernel.dispatch")
+        sdma = CrossKernelSpinLock(sim, heap, name="hfi1.sdma_submit")
+
+        def bad(self):
+            yield from sdma.acquire("mckernel", aspace)
+            yield from dispatch.acquire("mckernel", aspace)
+            try:
+                yield from self.engine.submit(group)
+            finally:
+                dispatch.release("mckernel")
+                sdma.release("mckernel")
+        """) == []
 
 
-def test_pd008_rank_respecting_nesting_is_clean():
-    findings = lint("""\
+def test_pd008_rank_respecting_nesting_is_clean(tmp_path):
+    findings = vet(tmp_path, """\
         dispatch = CrossKernelSpinLock(sim, heap, name="mckernel.dispatch")
         sdma = CrossKernelSpinLock(sim, heap, name="hfi1.sdma_submit")
 
@@ -484,10 +509,10 @@ def test_pd008_rank_respecting_nesting_is_clean():
     assert findings == []
 
 
-# --- PD009 no timed wait in critical section ---------------------------------
+# --- PD009 no timed wait in critical section (vet) ---------------------------
 
-def test_pd009_timed_wait_while_held():
-    findings = lint("""\
+def test_pd009_timed_wait_while_held(tmp_path):
+    findings = vet(tmp_path, """\
         def submit(self, group):
             yield from self.lock.acquire("mckernel", self.aspace)
             try:
@@ -496,11 +521,12 @@ def test_pd009_timed_wait_while_held():
                 self.lock.release("mckernel")
         """)
     assert codes(findings) == ["PD009"]
+    assert findings[0].line == 4
     assert "timeout" in findings[0].message
 
 
-def test_pd009_clean_after_release():
-    findings = lint("""\
+def test_pd009_clean_after_release(tmp_path):
+    findings = vet(tmp_path, """\
         def submit(self, group):
             yield from self.lock.acquire("mckernel", self.aspace)
             try:
@@ -792,8 +818,27 @@ def test_multi_rule_suppression_with_dotted_member():
 def test_lint_leaves_pd015_staleness_to_vet():
     src = RAW_HEAP_SRC.replace("read_u(addr, 4)",
                                "read_u(addr, 4)  "
-                               "# pd-ignore[PD005, PD015]")
+                               "# pd-ignore[PD005, PD008, PD009, PD015]")
     assert lint(src, path="src/repro/core/rogue.py") == []
+
+
+def test_gating_rules_track_each_plane_separately():
+    """One plane's gate never excuses another plane's hook: a scan that
+    tracked a single 'guarded' flag would pass every other test here."""
+    findings = lint("""\
+        def f(self, inj, guard):
+            if TRACE.enabled:
+                inj.fires("irq.lost")
+            if FAULTS.enabled:
+                guard.record_failure("engine0")
+            if FAULTS.enabled and TRACE.enabled:
+                inj.fires("irq.lost")
+                TRACE.collector.instant_span("a", "t")
+        """)
+    assert [(f.code, f.line) for f in findings] == [("PD007", 3),
+                                                   ("PD013", 5)]
+    assert "config.FAULTS" in findings[0].message
+    assert "config.GUARD/guard" in findings[1].message
 
 
 def test_pd015_rules_in_table():

@@ -1,19 +1,27 @@
 """Tests for PicoLockdep: the runtime deadlock validator, the static
-lock-graph pass, and the consistency between the two views."""
+lock graph read off PicoVet's program model (with vet rules PD008 and
+PD009), and the consistency between the two views."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
-from repro.analysis.lockdep import (LockdepValidator, LockGraph,
-                                    build_static_lock_graph,
-                                    check_lock_order, in_irq, irq_enter,
-                                    irq_exit, tag_irq_generator)
+import repro
+from repro.analysis.lint import iter_python_files
+from repro.analysis.lockdep import LockdepValidator, lock_graph
+from repro.analysis.vet import vet_paths
+from repro.analysis.vet_effects import Program
 from repro.core import linux_layout, mckernel_unified_layout
 from repro.core.lockclasses import REGISTRY, ensure_declarations
 from repro.core.sync import CrossKernelSpinLock
 from repro.errors import ReproError
 from repro.hw import SharedHeap
+from repro.hw.irq import in_irq, irq_enter, irq_exit, tag_irq_generator
 from repro.sim import Simulator
 
 
@@ -252,18 +260,18 @@ class AbbaDrivers:
 '''
 
 
-def _static(source, path="src/repro/mckernel/x.py", graph=None):
-    findings = []
-    check_lock_order(path, ast.parse(source), findings, graph=graph)
-    return findings
+def _static(tmp_path, source):
+    """(lock graph, vet findings) for one fixture module."""
+    fixture = tmp_path / "x.py"
+    fixture.write_text(textwrap.dedent(source))
+    program, findings = vet_paths([str(fixture)])
+    return lock_graph(program), findings
 
 
-def test_static_abba_yields_pd008_and_cycle():
-    ensure_declarations()
-    graph = LockGraph()
-    findings = _static(ABBA_SRC, graph=graph)
-    assert [f.code for f in findings] == ["PD008"]
-    assert "rank 10" in findings[0].message
+def test_static_abba_yields_pd008_and_cycle(tmp_path):
+    graph, findings = _static(tmp_path, ABBA_SRC)
+    assert [(f.code, f.line) for f in findings] == [("PD008", 16)]
+    assert "rank 10" in findings[0].message and "rank 20" in findings[0].message
     assert "mck_path" in findings[0].message
     assert graph.has_edge("mckernel.dispatch", "hfi1.sdma_submit")
     assert graph.has_edge("hfi1.sdma_submit", "mckernel.dispatch")
@@ -275,21 +283,21 @@ def test_static_abba_yields_pd008_and_cycle():
     assert kernels == {"linux", "mckernel"}
 
 
-def test_static_resolves_class_via_registry_attr():
+def test_static_resolves_class_via_registry_attr(tmp_path):
     """No constructor binding in sight: ``self.foo.sdma_lock`` resolves
     through the declared ``attrs`` map."""
-    ensure_declarations()
-    graph = LockGraph()
-    _static('''\
+    graph, _findings = _static(tmp_path, '''\
 def path(self):
     yield from self.driver.sdma_lock.acquire("mckernel", self.aspace)
     self.driver.sdma_lock.release("mckernel")
-''', graph=graph)
+''')
     assert graph.ranks.get("hfi1.sdma_submit") == 20
 
 
-def test_static_pd009_direct_and_through_helper():
-    findings = _static('''\
+def test_static_pd009_direct_and_through_helper(tmp_path):
+    """A wait in the critical section itself is PD009 at the wait; a
+    helper that waits, called inside it, is one PD015.4 at the call."""
+    _graph, findings = _static(tmp_path, '''\
 class D:
     def direct(self):
         yield from self.lock.acquire("linux", self.aspace)
@@ -304,14 +312,14 @@ class D:
     def _backoff(self):
         yield self.sim.timeout(2.0)
 ''')
-    pd009 = [f for f in findings if f.code == "PD009"]
-    assert len(pd009) == 2
-    assert any("D.direct" in f.message for f in pd009)
-    assert any("D._backoff" in f.message for f in pd009)
+    assert [(f.code, f.line) for f in findings] == [("PD009", 4),
+                                                   ("PD015.4", 9)]
+    assert "D.direct" in findings[0].message
+    assert "'D.outer' calls 'D._backoff'" in findings[1].message
 
 
-def test_static_release_before_wait_is_clean():
-    findings = _static('''\
+def test_static_release_before_wait_is_clean(tmp_path):
+    _graph, findings = _static(tmp_path, '''\
 def path(self):
     yield from self.lock.acquire("linux", self.aspace)
     try:
@@ -323,10 +331,10 @@ def path(self):
     assert findings == []
 
 
-def test_static_wait_in_except_branch_while_held_flagged():
+def test_static_wait_in_except_branch_while_held_flagged(tmp_path):
     """The pre-refactor fast_writev shape: the except branch sleeps
     before the finally releases."""
-    findings = _static('''\
+    _graph, findings = _static(tmp_path, '''\
 def path(self):
     yield from self.lock.acquire("mckernel", self.aspace)
     try:
@@ -337,25 +345,53 @@ def path(self):
     finally:
         self.lock.release("mckernel")
 ''')
-    assert [f.code for f in findings] == ["PD009"]
+    assert [(f.code, f.line) for f in findings] == [("PD009", 6)]
 
 
-def test_static_self_deadlock_is_pd008():
-    findings = _static('''\
+def test_static_self_deadlock_is_pd008(tmp_path):
+    _graph, findings = _static(tmp_path, '''\
 def path(self):
     yield from self.lock.acquire("linux", self.aspace)
     yield from self.lock.acquire("linux", self.aspace)
     self.lock.release("linux")
     self.lock.release("linux")
 ''')
-    assert [f.code for f in findings] == ["PD008"]
+    assert [(f.code, f.line) for f in findings] == [("PD008", 3)]
     assert "already holding it" in findings[0].message
 
 
-def test_static_anonymous_lock_pairs_do_not_fire_pd008():
+def test_static_lock_order_through_a_helper_fires_at_the_call(tmp_path):
+    """A confident callee that takes a lower-ranked class is PD008 at
+    the call site, and the graph carries the edge."""
+    graph, findings = _static(tmp_path, '''\
+class D:
+    def setup(self, sim, heap):
+        self.dispatch_lock = CrossKernelSpinLock(
+            sim, heap, name="mckernel.dispatch")
+        self.sdma_lock = CrossKernelSpinLock(
+            sim, heap, name="hfi1.sdma_submit")
+
+    def outer(self):
+        yield from self.sdma_lock.acquire("mckernel", self.aspace)
+        try:
+            yield from self._dispatch()
+        finally:
+            self.sdma_lock.release("mckernel")
+
+    def _dispatch(self):
+        yield from self.dispatch_lock.acquire("mckernel", self.aspace)
+        self.dispatch_lock.release("mckernel")
+''')
+    assert [(f.code, f.line) for f in findings] == [("PD008", 11)]
+    assert "'D._dispatch' called from D.outer" in findings[0].message
+    assert "rank 10" in findings[0].message
+    assert graph.has_edge("hfi1.sdma_submit", "mckernel.dispatch")
+
+
+def test_static_anonymous_lock_pairs_do_not_fire_pd008(tmp_path):
     """Two undeclared locks have no ranks; nesting them is not a
     hierarchy violation (PD002 still polices their release paths)."""
-    findings = _static('''\
+    _graph, findings = _static(tmp_path, '''\
 def path(self):
     yield from self.a.acquire("linux", self.aspace)
     yield from self.b.acquire("linux", self.aspace)
@@ -366,20 +402,27 @@ def path(self):
 
 
 def test_shipped_tree_static_graph_is_clean():
-    graph, findings = build_static_lock_graph()
+    program, findings = vet_paths()
     assert findings == []
+    graph = lock_graph(program)
     assert graph.cycles() == []
     assert graph.hierarchy_violations() == []
     assert graph.ranks["hfi1.sdma_submit"] == 20
     # both the Linux slow path and the pico fast path acquire it
     sites = " ".join(graph.sites["hfi1.sdma_submit"])
     assert "driver.py" in sites and "hfi_pico.py" in sites
+    # the pxd submit lock: declared, ranked, every acquisition filed
+    assert graph.ranks["pxd.submit"] == 22
+    assert sorted(site.rsplit(" in ", 1)[1]
+                  for site in graph.sites["pxd.submit"]) == [
+        "PxdDriver._probe", "PxdDriver._read", "PxdDriver.writev",
+        "PxdPicoDriver._read", "PxdPicoDriver.fast_writev"]
+    # no phantom class: every acquired class is a declared one
+    assert all(REGISTRY.get(cls) is not None for cls in graph.ranks)
 
 
-def test_to_dot_renders_nodes_and_edges():
-    ensure_declarations()
-    graph = LockGraph()
-    _static(ABBA_SRC, graph=graph)
+def test_to_dot_renders_nodes_and_edges(tmp_path):
+    graph, _findings = _static(tmp_path, ABBA_SRC)
     dot = graph.to_dot()
     assert "digraph" in dot
     assert '"mckernel.dispatch" -> "hfi1.sdma_submit"' in dot
@@ -401,7 +444,7 @@ def test_dynamic_abba_edges_are_subset_of_static(tmp_path):
     the static graph extracted from the same source shape."""
     fixture = tmp_path / "abba.py"
     fixture.write_text(ABBA_SRC)
-    graph, _findings = build_static_lock_graph([str(fixture)])
+    graph = lock_graph(Program.build([str(fixture)]))
 
     sim, _heap, validator, dispatch, submit = make_env()
     linux = linux_layout()
@@ -428,3 +471,50 @@ def test_dynamic_abba_edges_are_subset_of_static(tmp_path):
                        ("hfi1.sdma_submit", "mckernel.dispatch")}
     for src, dst in dynamic:
         assert graph.has_edge(src, dst)
+
+
+# --- the declarations the static pass sees ------------------------------------
+
+def _declaration_calls():
+    """Every ``declare_lock_class``/``declare_lock_use`` call in the
+    shipped tree: (function, lock class, subsystem)."""
+    root = os.path.dirname(os.path.abspath(repro.__file__))
+    calls = []
+    for filename in iter_python_files([root]):
+        with open(filename) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id in ("declare_lock_class",
+                                         "declare_lock_use"):
+                args = [a.value for a in node.args]
+                kwargs = {k.arg: k.value.value for k in node.keywords
+                          if isinstance(k.value, ast.Constant)}
+                subsystem = (args[1] if node.func.id == "declare_lock_use"
+                             else args[2] if len(args) > 2
+                             else kwargs["subsystem"])
+                calls.append((node.func.id, args[0], subsystem))
+    return calls
+
+
+def test_ensure_declarations_alone_registers_every_declaration():
+    """A fresh interpreter that only calls ``ensure_declarations()`` must
+    see every lock class and every declared user — the static pass must
+    not depend on what an earlier import happened to load."""
+    calls = _declaration_calls()
+    assert ("declare_lock_class", "pxd.submit", "linux/pxd") in calls
+    assert ("declare_lock_use", "pxd.submit", "core/pxd_pico") in calls
+    probe = ("import json\n"
+             "from repro.core.lockclasses import REGISTRY, "
+             "ensure_declarations\n"
+             "ensure_declarations()\n"
+             "print(json.dumps({c.name: [c.subsystem, *c.users] "
+             "for c in REGISTRY.classes()}))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    result = subprocess.run([sys.executable, "-c", probe],
+                            capture_output=True, text=True, timeout=120,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr[-2000:]
+    registered = json.loads(result.stdout)
+    for _func, name, subsystem in calls:
+        assert subsystem in registered.get(name, ()), (name, subsystem)

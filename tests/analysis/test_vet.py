@@ -54,7 +54,7 @@ def test_vet_help_lists_command(capsys):
     assert "vet" in capsys.readouterr().out
 
 
-# --- the seeded fixture: PD015 catches what PD001 cannot ---------------------
+# --- the seeded fixtures: vet catches what lint cannot -----------------------
 
 def test_seeded_fixture_caught_by_pd015(capsys):
     assert main(["vet", SLEEPY]) == 1
@@ -67,13 +67,33 @@ def test_seeded_fixture_caught_by_pd015(capsys):
 
 
 def test_seeded_fixture_invisible_to_local_lint():
-    """The same file is *clean* under the local rules: PD001's self-call
-    closure cannot follow the constructor-typed hop into DrainRing, so
-    the whole-program pass is the only thing standing between the sin
-    and the tree."""
-    findings = lint_paths([SLEEPY])
-    assert not any(f.code in ("PD001", "PD006") for f in findings)
-    assert findings == []
+    """The same file is *clean* under the syntactic rules: lint has no
+    interprocedural pass at all, so the whole-program model is the only
+    thing standing between the sin and the tree."""
+    assert lint_paths([SLEEPY]) == []
+
+
+def test_fixture_directory_names_every_moved_rule(capsys):
+    """What the CI seeded-fixture step greps for: each rule that lives
+    in vet fires on its fixture, not merely some rule somewhere."""
+    assert main(["vet", FIXTURES]) == 1
+    out = capsys.readouterr().out
+    for code in ("PD008", "PD009", "PD015.1", "PD015.2"):
+        assert f": {code} " in out, code
+    assert "lock_order.py:36:23: PD008" in out
+    assert "lock_order.py:45:18: PD009" in out
+
+
+def test_unparseable_module_is_pd000_under_vet_and_lockgraph(tmp_path,
+                                                            capsys):
+    """A module the model cannot parse is a finding, never a silent
+    'clean'."""
+    broken = tmp_path / "broken.py"
+    broken.write_text("def broken(:\n")
+    assert main(["vet", str(broken)]) == 1
+    assert ": PD000 syntax error" in capsys.readouterr().out
+    assert main(["lockgraph", str(broken)]) == 1
+    assert ": PD000 syntax error" in capsys.readouterr().out
 
 
 def test_fixture_effects_are_transitive_not_local():
@@ -99,6 +119,46 @@ def test_vet_suppression_and_family_prefix(tmp_path, capsys):
         """))
     assert cmd_vet([str(bad)]) == 0
     assert "pd-vet: clean" in capsys.readouterr().out
+
+
+#: a critical section; ``{inside}`` runs under the lock, ``{after}`` not
+HELD_WAIT = """\
+    class Waiter:
+        def __init__(self, sim, heap):
+            self.sim = sim
+            self.lock = CrossKernelSpinLock(sim, heap, name="hfi1.sdma_submit")
+
+        def spin(self, aspace):
+            yield from self.lock.acquire("linux", aspace)
+            try:
+                {inside}
+            finally:
+                self.lock.release("linux")
+            {after}
+    """
+
+
+def test_used_pd009_suppression_is_clean_under_lint_and_vet(tmp_path,
+                                                            capsys):
+    hushed = tmp_path / "hushed_wait.py"
+    hushed.write_text(textwrap.dedent(HELD_WAIT).format(
+        inside="yield self.sim.timeout(1.0)  # pd-ignore[PD009]",
+        after="pass"))
+    assert lint_paths([str(hushed)]) == []
+    assert cmd_vet([str(hushed)]) == 0
+    assert "pd-vet: clean" in capsys.readouterr().out
+
+
+def test_stale_pd009_suppression_is_reported_by_vet_only(tmp_path, capsys):
+    stale = tmp_path / "stale_wait.py"
+    stale.write_text(textwrap.dedent(HELD_WAIT).format(
+        inside="pass",
+        after="yield self.sim.timeout(1.0)  # pd-ignore[PD009]"))
+    assert lint_paths([str(stale)]) == []
+    assert cmd_vet([str(stale)]) == 1
+    out = capsys.readouterr().out
+    assert "PD100" in out and "pd-ignore[PD009]" in out
+    assert ": PD009 " not in out
 
 
 def test_vet_stale_suppression_reports_pd100(tmp_path, capsys):

@@ -2,11 +2,11 @@
 
 ``SleepyPicoDriver.fast_writev`` reaches ``rcu_synchronize`` through
 ``self._flush`` and then ``DrainRing.drain`` — one self-call hop plus
-one constructor-typed-attribute hop into *another class*.  The local
-lint's PD001 pass only follows self-calls within one class, so it can
-see neither the sleep nor the IKC post behind ``OffloadChannel.kick``;
-the interprocedural PD015.1/PD015.2 checkers must flag both at the
-entry points.  This file is parsed by the analyses, never imported for
+one constructor-typed-attribute hop into *another class*.  A per-class
+self-call closure (the retired lint PD001 pass) can see neither the
+sleep nor the IKC post behind ``OffloadChannel.kick``, and lint has no
+interprocedural pass at all; the PD015.1/PD015.2 checkers must flag
+both at the entry points.  This file is parsed by the analyses, never imported for
 execution, so the undefined names inside the method bodies are fine.
 """
 
