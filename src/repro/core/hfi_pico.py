@@ -29,6 +29,7 @@ Cooperation with the Linux driver is done the way the paper does it:
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, Optional
 
 from ..config import FAULTS, GUARD, TRACE
@@ -302,6 +303,9 @@ class HFIPicoDriver(PicoDriver):
         lwk = self.lwk
         sc = lwk.params.syscall
         nic = lwk.params.nic
+        vaddr, length = arg["vaddr"], arg["length"]
+        if length <= 0:
+            raise DriverError(f"pico TID_UPDATE of bad length {length}")
         inj = self.hfi.injector
         if FAULTS.enabled and inj is not None and inj.fires("tid.transient"):
             # Same retryable RcvArray race the Linux driver can hit; the
@@ -309,7 +313,6 @@ class HFIPicoDriver(PicoDriver):
             # OS-agnostic.
             yield lwk.sim.timeout(sc.tid_ioctl_base_pico)
             raise TransientDeviceError("TID_UPDATE raced RcvArray update")
-        vaddr, length = arg["vaddr"], arg["length"]
         if not task.pagetable.is_pinned(vaddr, length):
             raise DriverError(
                 f"pico TID_UPDATE over unpinned range {vaddr:#x}")
@@ -319,30 +322,29 @@ class HFIPicoDriver(PicoDriver):
         # of one per base page
         tid_spans = split_spans_for_tids(spans, nic.tid_max_span)
         ctxt = self.hfi.context(fdata.get("ctxt"))
-        entries = self.hfi.program_tids(ctxt, tid_spans)
+        tids = self.hfi.program_tids(ctxt, tid_spans)
         yield lwk.sim.timeout(sc.tid_ioctl_base_pico
                               + len(spans) * sc.ptwalk_per_span
-                              + len(entries) * nic.tid_program_cost)
+                              + len(tids) * nic.tid_program_cost)
         # keep the Linux driver's bookkeeping coherent (shared state)
         state = self.linux_driver.file_state_by_addr(file.private_data)
-        for e, (pa, nbytes) in zip(entries, tid_spans):
-            state.tids[e.tid] = nbytes
+        state.tids.update(zip(tids, map(itemgetter(1), tid_spans)))
         # benign by construction: TID ioctls for one fd are issued
         # sequentially by the owning task, so the fast- and slow-path
         # writers of tid_used never interleave for a single fd
         fdata.set("tid_used", len(state.tids))  # pd-ignore[PD015.5]
         lwk.tracer.count("pico.tid_updates")
-        lwk.tracer.record("pico.tids_per_update", len(entries))
-        return [e.tid for e in entries]
+        lwk.tracer.record("pico.tids_per_update", len(tids))
+        return list(tids)
 
     def _tid_free(self, task, fd: int, arg):
         lwk = self.lwk
         tids = list(arg["tids"])
         file, fdata, _pq = self._file_views(task, fd)
         state = self.linux_driver.file_state_by_addr(file.private_data)
-        for tid in tids:
-            if tid not in state.tids:
-                raise DriverError(f"pico TID_FREE of unowned tid {tid}")
+        if not state.tids.keys() >= set(tids):
+            bad = next(t for t in tids if t not in state.tids)
+            raise DriverError(f"pico TID_FREE of unowned tid {bad}")
         self.hfi.unprogram_tids(tids)
         for tid in tids:
             del state.tids[tid]

@@ -3,14 +3,14 @@ and the OmniPath fabric."""
 
 from .cpu import Core, CpuSet
 from .fabric import Fabric
-from .hfi import (HFIDevice, Packet, RcvContext, SdmaDescriptor,
-                  SdmaRequestGroup, TidEntry)
+from .hfi import (DescriptorChain, HFIDevice, Packet, RcvContext,
+                  SdmaDescriptor, SdmaRequestGroup, TidEntry)
 from .memory import Extent, FrameAllocator, SharedHeap
 from .node import Node
 from .pagetable import Mapping, PageTable
 
 __all__ = [
-    "Core", "CpuSet", "Extent", "Fabric", "FrameAllocator", "HFIDevice",
-    "Mapping", "Node", "Packet", "PageTable", "RcvContext", "SdmaDescriptor",
-    "SdmaRequestGroup", "SharedHeap", "TidEntry",
+    "Core", "CpuSet", "DescriptorChain", "Extent", "Fabric", "FrameAllocator",
+    "HFIDevice", "Mapping", "Node", "Packet", "PageTable", "RcvContext",
+    "SdmaDescriptor", "SdmaRequestGroup", "SharedHeap", "TidEntry",
 ]

@@ -16,14 +16,25 @@ Cost model: serializing a descriptor onto the link costs
 egress port; PIO costs ``pio_overhead + nbytes / pio_bandwidth``.  The
 per-descriptor overhead times the descriptor count is what separates a
 4KB-chopping driver from a 10KB-coalescing one.
+
+Host representation: every simulated cost, counter and fault draw stays
+per descriptor and per RcvArray entry, but the state is kept per request.
+A :class:`DescriptorChain` holds a request's descriptors as two columns,
+an engine ring holds segments of chains with a count of occupied slots,
+and the RcvArray stores ``(ctxt_id, span)`` per TID; the
+:class:`SdmaDescriptor` and :class:`TidEntry` records are built only
+when a caller iterates a chain or looks an entry up.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
-from itertools import repeat
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from functools import reduce
+from itertools import accumulate, repeat
+from operator import add, itemgetter
+from typing import (Callable, Deque, Dict, Iterable, Iterator, List,
+                    Optional, Tuple)
 
 from ..config import FAULTS, GUARD, TRACE
 from ..errors import DriverError, ReproError
@@ -31,41 +42,14 @@ from ..obs.spans import track_of
 from ..params import NicParams
 from ..sim import Event, Resource, Simulator, Store, Tracer
 from .irq import irq_enter, irq_exit
+from .record import Record
 
 #: the fault points each SDMA descriptor fetch is an opportunity of, in
 #: draw order
 SDMA_FAULT_POINTS = ("sdma.desc_error", "sdma.engine_halt")
 
 
-class _Record:
-    """Value semantics for the plain ``__slots__`` records below.
-
-    The rendezvous path builds thousands of these per message, and a
-    frozen dataclass costs about 2.5x as much to construct as a slots
-    class with a plain ``__init__``.  Equality, hashing and repr follow
-    the fields, as they did for the dataclasses.
-    """
-
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{name}={getattr(self, name)!r}"
-                         for name in self.__slots__)
-        return f"{type(self).__name__}({args})"
-
-
-class SdmaDescriptor(_Record):
+class SdmaDescriptor(Record):
     """One SDMA transfer request: a physically contiguous span."""
 
     __slots__ = ("paddr", "nbytes")
@@ -75,13 +59,47 @@ class SdmaDescriptor(_Record):
         self.nbytes = nbytes
 
 
+class DescriptorChain:
+    """One request's SDMA descriptors as two columns: descriptor ``i``
+    is ``sizes[i]`` bytes at physical address ``paddrs[i]``.
+
+    Iterating or indexing a chain yields :class:`SdmaDescriptor` records,
+    built on the fly; the engine reads ``sizes`` directly.
+    """
+
+    __slots__ = ("paddrs", "sizes")
+
+    def __init__(self, paddrs: List[int], sizes: List[int]):
+        self.paddrs = paddrs
+        self.sizes = sizes
+
+    @classmethod
+    def of(cls, descriptors: Iterable[SdmaDescriptor]) -> "DescriptorChain":
+        """The chain of a sequence of descriptor records."""
+        descs = list(descriptors)
+        return cls([d.paddr for d in descs], [d.nbytes for d in descs])
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def __iter__(self) -> Iterator[SdmaDescriptor]:
+        return map(SdmaDescriptor, self.paddrs, self.sizes)
+
+    def __getitem__(self, i: int) -> SdmaDescriptor:
+        return SdmaDescriptor(self.paddrs[i], self.sizes[i])
+
+
 @dataclass
 class SdmaRequestGroup:
     """All descriptors generated from one ``writev()`` call, plus the
     completion callback the driver associated with the transfer
-    (section 2.2.2: callbacks perform notification and metadata cleanup)."""
+    (section 2.2.2: callbacks perform notification and metadata cleanup).
 
-    descriptors: List[SdmaDescriptor]
+    ``descriptors`` may be given as any sequence of
+    :class:`SdmaDescriptor`; it is turned into a :class:`DescriptorChain`
+    once, at construction."""
+
+    descriptors: DescriptorChain
     packet: "Packet"
     on_complete: Optional[Callable[["SdmaRequestGroup"], None]] = None
     #: kernel that allocated the metadata (decides which kfree the
@@ -100,12 +118,16 @@ class SdmaRequestGroup:
     #: ``pico.writev``), the flow source for descriptor and IRQ spans
     trace_ctx: object = None
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.descriptors, DescriptorChain):
+            self.descriptors = DescriptorChain.of(self.descriptors)
+
     @property
     def total_bytes(self) -> int:
-        return sum(d.nbytes for d in self.descriptors)
+        return sum(self.descriptors.sizes)
 
 
-class TidEntry(_Record):
+class TidEntry(Record):
     """One programmed RcvArray entry."""
 
     __slots__ = ("tid", "ctxt_id", "paddr", "nbytes")
@@ -171,12 +193,40 @@ class RcvContext:
             self.eager_backlog.append(packet)
 
 
+class _SerializationCost(dict):
+    """Descriptor size -> ``overhead + nbytes / bandwidth``, the time one
+    descriptor holds the link; each size is computed once, on first use."""
+
+    __slots__ = ("overhead", "bandwidth")
+
+    def __init__(self, overhead: float, bandwidth: float):
+        super().__init__()
+        self.overhead = overhead
+        self.bandwidth = bandwidth
+
+    def __missing__(self, nbytes: int) -> float:
+        cost = self[nbytes] = self.overhead + nbytes / self.bandwidth
+        return cost
+
+
+#: one ring segment: descriptors ``[lo, hi)`` of ``group``'s chain (its
+#: ``sizes`` column), whether ``hi`` ends the group, and the segment's
+#: per-descriptor trace spans (``None`` when untraced)
+_RingSegment = Tuple["SdmaRequestGroup", List[int], int, int, bool,
+                    Optional[List[object]]]
+
+
 class SdmaEngine:
     """One SDMA engine: a bounded descriptor ring drained onto the link.
 
     The engine drains its ring in batches while holding the egress port;
     ring space is released as descriptors complete, unblocking submitters
     (the driver blocks in ``writev`` when the ring is full).
+
+    The ring holds segments of request chains, not one entry per
+    descriptor; ``_used`` counts the descriptors in it, and every slot
+    count (free slots, ring-full blocking, the congestion gate) is in
+    descriptors as before.
     """
 
     def __init__(self, sim: Simulator, device: "HFIDevice", index: int):
@@ -184,9 +234,9 @@ class SdmaEngine:
         self.device = device
         self.index = index
         self.ring_size = device.params.sdma_ring_size
-        #: ring slots: (descriptor, group, is-last-of-group, trace span)
-        self._ring: Deque[Tuple[SdmaDescriptor, SdmaRequestGroup, bool,
-                                object]] = deque()
+        self._ring: Deque[_RingSegment] = deque()
+        #: descriptors in the ring (occupied slots)
+        self._used = 0
         self._space_waiters: Deque[Event] = deque()
         self._work = Store(sim, name=f"sdma{index}.work")
         self._proc = sim.process(self._run())
@@ -201,7 +251,7 @@ class SdmaEngine:
 
     @property
     def free_slots(self) -> int:
-        return self.ring_size - len(self._ring)
+        return self.ring_size - self._used
 
     def halt(self, reason: str) -> None:
         """Freeze the engine (descriptor error / spontaneous halt) and
@@ -235,12 +285,12 @@ class SdmaEngine:
         ring space.  Yields until fully submitted (completion is signalled
         separately through the IRQ path).
 
-        The group is validated in one pass, then copied into the ring one
-        run of free slots at a time."""
-        descs = group.descriptors
-        if not descs:
+        The group is validated in one pass, then enqueued one segment per
+        run of free slots."""
+        sizes = group.descriptors.sizes
+        n = len(sizes)
+        if not n:
             raise DriverError("empty SDMA request group")
-        sizes = [d.nbytes for d in descs]
         if min(sizes) <= 0:
             raise DriverError(f"bad descriptor size {min(sizes)}")
         hw_max = self.device.params.sdma_max_request
@@ -251,9 +301,8 @@ class SdmaEngine:
         if GUARD.enabled and self.gate is not None:
             # congestion watermarks: park (FIFO) while the engine is over
             # its high mark instead of racing the ring-full wait below
-            yield from self.gate.acquire_slots(len(descs))
+            yield from self.gate.acquire_slots(n)
         ring = self._ring
-        n = len(descs)
         done = 0
         while done < n:
             while self.free_slots == 0:
@@ -261,25 +310,24 @@ class SdmaEngine:
                 self._space_waiters.append(waiter)
                 yield waiter
             stop = min(n, done + self.free_slots)
-            chunk = descs[done:stop]
             # Span = descriptor lifetime on the ring (enqueue to drain);
             # it nests under the submitting writev span via the lane.
             spans = [TRACE.collector.begin_span(
                 "sdma.desc", track_of(self), cat="sdma",
-                args={"nbytes": d.nbytes, "kind": group.packet.kind},
-                detached=True) for d in chunk] \
-                if TRACE.enabled else repeat(None)
+                args={"nbytes": nbytes, "kind": group.packet.kind},
+                detached=True) for nbytes in sizes[done:stop]] \
+                if TRACE.enabled else None
             kick = not ring and not self.busy
-            ring.extend(zip(chunk, repeat(group), repeat(False), spans))
-            if stop == n:
-                ring[-1] = (descs[-1], group, True, ring[-1][3])
+            ring.append((group, sizes, done, stop, stop == n, spans))
+            self._used += stop - done
             if kick:
                 self._work.put(None)  # kick the engine
             done = stop
 
     def _run(self):
         params = self.device.params
-        overhead, bandwidth = params.sdma_desc_overhead, params.link_bandwidth
+        cost = _SerializationCost(params.sdma_desc_overhead,
+                                  params.link_bandwidth).__getitem__
         ring = self._ring
         while True:
             if self.halted:
@@ -301,12 +349,13 @@ class SdmaEngine:
                 inj = self.device.injector
                 draws = FAULTS.enabled and inj is not None
                 sizes: List[int] = []
-                #: (group, is-last, span, finish offset) of the slots with
-                #: work after the burst: group ends and traced descriptors
+                #: (group, is-last, span, finish offset) of the
+                #: descriptors with work after the burst: group ends, and
+                #: every descriptor when traced
                 marks: List[Tuple[SdmaRequestGroup, bool, object, float]] = []
                 t = 0.0
                 while ring:
-                    n = 0 if self.halted else len(ring)
+                    n = 0 if self.halted else self._used
                     if draws and FAULTS.enabled:  # FAULTS: PD007's guard
                         n = inj.quiet_run(SDMA_FAULT_POINTS, n)
                         if n == 0:
@@ -320,13 +369,34 @@ class SdmaEngine:
                             n = 0 if self.halted else 1
                     if n == 0:
                         break
-                    for _ in range(n):
-                        desc, group, is_last, dspan = ring.popleft()
-                        nbytes = desc.nbytes
-                        t += overhead + nbytes / bandwidth
-                        sizes.append(nbytes)
-                        if is_last or dspan is not None:
-                            marks.append((group, is_last, dspan, t))
+                    self._used -= n
+                    while n:
+                        group, gsizes, lo, hi, ends, spans = ring[0]
+                        stop = min(hi, lo + n)
+                        chunk = gsizes[lo:stop]
+                        sizes += chunk
+                        last = ends and stop == hi
+                        # left to right, as one t += cost per descriptor
+                        if spans is None:
+                            t = reduce(add, map(cost, chunk), t)
+                            if last:
+                                marks.append((group, True, None, t))
+                        else:
+                            done_at = list(accumulate(map(cost, chunk), add,
+                                                      initial=t))
+                            del done_at[0]
+                            t = done_at[-1]
+                            marks += zip(repeat(group), repeat(False),
+                                         spans, done_at)
+                            if last:
+                                marks[-1] = (group, True, spans[-1], t)
+                        if stop == hi:
+                            ring.popleft()
+                        else:
+                            ring[0] = (group, gsizes, stop, hi, ends,
+                                       None if spans is None
+                                       else spans[stop - lo:])
+                        n -= stop - lo
                 yield self.sim.timeout(t)
             self.busy = False
             if sizes:
@@ -366,7 +436,8 @@ class HFIDevice:
         self._next_engine = 0
         self._contexts: Dict[int, RcvContext] = {}
         self._next_ctxt = 0
-        self._tid_entries: Dict[int, TidEntry] = {}
+        #: programmed RcvArray entries: tid -> (ctxt_id, (paddr, nbytes))
+        self._tid_entries: Dict[int, Tuple[int, Tuple[int, int]]] = {}
         self._next_tid = 0
         self.fabric = None  # set by Fabric.attach
         #: installed by the Linux interrupt subsystem at driver load
@@ -394,8 +465,9 @@ class HFIDevice:
         context (the driver must quiesce its transfers first).
         """
         inflight = sum(
-            1 for eng in self.engines for _d, group, is_last, _s in eng._ring
-            if is_last and group.packet.dst_node == self.node_id
+            1 for eng in self.engines
+            for group, _sizes, _lo, _hi, ends, _spans in eng._ring
+            if ends and group.packet.dst_node == self.node_id
             and group.packet.dst_ctxt == ctxt.ctxt_id)
         if inflight:
             self.tracer.count("hfi.free_ctxt_inflight")
@@ -403,8 +475,8 @@ class HFIDevice:
                 f"free of context {ctxt.ctxt_id} with {inflight} SDMA "
                 f"group(s) in flight targeting it")
         self._contexts.pop(ctxt.ctxt_id, None)
-        stale = [t for t, e in self._tid_entries.items()
-                 if e.ctxt_id == ctxt.ctxt_id]
+        stale = [t for t, (ctxt_id, _span) in self._tid_entries.items()
+                 if ctxt_id == ctxt.ctxt_id]
         for tid in stale:
             del self._tid_entries[tid]
 
@@ -458,8 +530,10 @@ class HFIDevice:
         return len(self._tid_entries)
 
     def program_tids(self, ctxt: RcvContext,
-                     spans: List[Tuple[int, int]]) -> List[TidEntry]:
-        """Program RcvArray entries for physically contiguous spans.
+                     spans: List[Tuple[int, int]]) -> range:
+        """Program RcvArray entries for physically contiguous
+        ``(paddr, nbytes)`` spans; returns the range of TIDs programmed,
+        one per span in order.
 
         Each span must fit one entry (``tid_max_span``); callers split
         larger spans first.  Raises when the RcvArray is exhausted.  The
@@ -472,20 +546,18 @@ class HFIDevice:
                 f"RcvArray exhausted: {self.tids_in_use} in use, "
                 f"{len(spans)} requested, {self.params.rcv_array_entries} total")
         if spans:
-            sizes = [nbytes for _pa, nbytes in spans]
+            sizes = list(map(itemgetter(1), spans))
             if min(sizes) <= 0:
                 raise DriverError(f"bad TID span size {min(sizes)}")
             if max(sizes) > self.params.tid_max_span:
                 raise DriverError(
                     f"TID span {max(sizes)}B exceeds entry max "
                     f"{self.params.tid_max_span}B")
-        base, ctxt_id = self._next_tid, ctxt.ctxt_id
-        entries = [TidEntry(tid, ctxt_id, paddr, nbytes)
-                   for tid, (paddr, nbytes) in enumerate(spans, base)]
-        self._next_tid = base + len(entries)
-        self._tid_entries.update((e.tid, e) for e in entries)
-        self.tracer.count("hfi.tids_programmed", len(entries))
-        return entries
+        tids = range(self._next_tid, self._next_tid + len(spans))
+        self._next_tid = tids.stop
+        self._tid_entries.update(zip(tids, zip(repeat(ctxt.ctxt_id), spans)))
+        self.tracer.count("hfi.tids_programmed", len(tids))
+        return tids
 
     def unprogram_tids(self, tids: List[int]) -> None:
         """Invalidate RcvArray entries (TID_FREE).
@@ -505,9 +577,10 @@ class HFIDevice:
     def tid_entry(self, tid: int) -> TidEntry:
         """Look up a programmed RcvArray entry."""
         try:
-            return self._tid_entries[tid]
+            ctxt_id, (paddr, nbytes) = self._tid_entries[tid]
         except KeyError:
             raise DriverError(f"unknown TID {tid}")
+        return TidEntry(tid, ctxt_id, paddr, nbytes)
 
     # -- fabric interface ---------------------------------------------------------
 
@@ -520,15 +593,18 @@ class HFIDevice:
     def receive(self, packet: Packet) -> None:
         """Called by the fabric when a packet arrives at this node."""
         if packet.kind == "expected":
-            for tid in packet.tids:
+            # validates hardware state: every TID must be programmed
+            entries = self._tid_entries
+            if not entries.keys() >= set(packet.tids):
                 # Under fault injection a retransmit can outlive its
                 # window's RcvArray entries (the flow failed and freed
                 # them); real hardware discards writes to invalidated
                 # entries, so drop the stale packet instead of raising.
-                if FAULTS.enabled and tid not in self._tid_entries:
+                if FAULTS.enabled:
                     self.tracer.count("hfi.rx_stale_tid")
                     return
-                self.tid_entry(tid)  # validates hardware state
+                bad = next(t for t in packet.tids if t not in entries)
+                raise DriverError(f"unknown TID {bad}")
             self.tracer.count("hfi.rx_expected")
         else:
             self.tracer.count(f"hfi.rx_{packet.kind}")

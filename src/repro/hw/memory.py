@@ -19,22 +19,24 @@ Two distinct facilities live here:
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import OutOfMemory, ReproError
 from ..units import PAGE_SIZE
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Extent:
+class Extent(Record):
     """A run of physically contiguous frames: ``count`` frames from
     ``start`` (frame numbers, not byte addresses)."""
 
-    start: int
-    count: int
+    __slots__ = ("start", "count")
+
+    def __init__(self, start: int, count: int):
+        self.start = start
+        self.count = count
 
     @property
     def end(self) -> int:
@@ -129,6 +131,13 @@ class FrameAllocator:
         sweep over the free list, O(n) in frames allocated.  Under memory
         pressure the remainder is taken contiguously from the holes —
         which is also what a real buddy allocator degrades to.
+
+        A run grows while one uniform draw per frame falls below
+        ``contig_prob``.  Each draw either adds a frame to a run or ends
+        it, so the sweep consumes at most ``n_frames`` draws: they are
+        drawn as one block, and the generator is then rewound and
+        advanced by the draws actually consumed, leaving it where one
+        scalar ``random()`` per draw would have.
         """
         if n_frames <= 0:
             raise ReproError(f"n_frames must be positive: {n_frames}")
@@ -142,22 +151,29 @@ class FrameAllocator:
         # allocations land in different regions
         rotation = int(rng.integers(0, len(self._free))) if self._free else 0
         order = self._free[rotation:] + self._free[:rotation]
+        state = rng.bit_generator.state
+        uniforms = rng.random(n_frames).tolist()
+        drawn = 0
         for start, end in order:
             pos = start
             while pos < end and need > 0:
                 run = 1
-                while (run < need and pos + run < end
-                       and rng.random() < contig_prob):
+                while run < need and pos + run < end:
+                    drawn += 1
+                    if uniforms[drawn - 1] >= contig_prob:
+                        break
                     run += 1
-                take = min(run, need, end - pos)
-                extents.append(Extent(pos, take))
-                need -= take
-                pos += take
+                extents.append(Extent(pos, run))
+                need -= run
+                pos += run
                 if pos < end and need > 0:
                     new_free.append([pos, pos + 1])  # leave a hole
                     pos += 1
             if pos < end:
                 new_free.append([pos, end])
+        rng.bit_generator.state = state
+        if drawn:
+            rng.random(drawn)
         if need > 0:
             # memory pressure: fill from the holes we just left
             for interval in new_free:

@@ -5,27 +5,37 @@ given a virtual range it yields the *physically contiguous* spans backing
 it, merged across page boundaries.  The Linux HFI1 driver never exploits
 contiguity (it chops everything to PAGE_SIZE); the HFI PicoDriver walks
 these spans directly and builds SDMA requests up to 10KB (section 3.4).
+
+The table keeps one :class:`Mapping` per page, but it handles them a
+request at a time: :meth:`PageTable.map_extents` builds a whole mmap's
+entries, checks the range against its neighbours once and splices the
+entries in with one slice assignment, and the walks bisect once and then
+step through the sorted entries.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from itertools import accumulate, repeat
 from typing import Iterable, Iterator, List, Tuple
 
 from ..errors import PageFault, ReproError
 from ..units import LARGE_PAGE_SIZE, PAGE_SIZE
 from .memory import Extent
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Mapping:
+class Mapping(Record):
     """One page-table entry at natural granularity."""
 
-    vaddr: int       # virtual start (aligned to page_size)
-    paddr: int       # physical start (aligned to page_size)
-    page_size: int   # PAGE_SIZE or LARGE_PAGE_SIZE
-    pinned: bool = False
+    __slots__ = ("vaddr", "paddr", "page_size", "pinned")
+
+    def __init__(self, vaddr: int, paddr: int, page_size: int,
+                 pinned: bool = False):
+        self.vaddr = vaddr          # virtual start (aligned to page_size)
+        self.paddr = paddr          # physical start (aligned to page_size)
+        self.page_size = page_size  # PAGE_SIZE or LARGE_PAGE_SIZE
+        self.pinned = pinned
 
     @property
     def vend(self) -> int:
@@ -75,21 +85,57 @@ class PageTable:
         an extent is installed as a single large-page entry (McKernel's
         policy); the ragged edges fall back to 4KB entries.
         Returns the end virtual address.
+
+        The entries are the ones a :meth:`map_page` call per page would
+        install, and a rejected range raises the error the first failing
+        page would have raised; but the whole range is checked before
+        any entry is installed, so a rejected call installs nothing.
         """
+        if frame_size % PAGE_SIZE:
+            raise ReproError(f"frame size {frame_size} is not a multiple "
+                             f"of {PAGE_SIZE}")
+        paddrs: List[int] = []
+        #: positions in ``paddrs`` of the 2MB pages
+        large: List[int] = []
         va = vaddr
         for ext in extents:
-            pa, nbytes = ext.start * frame_size, ext.count * frame_size
-            while nbytes:
-                if (use_large_pages and va % LARGE_PAGE_SIZE == 0
-                        and pa % LARGE_PAGE_SIZE == 0
-                        and nbytes >= LARGE_PAGE_SIZE):
-                    step = LARGE_PAGE_SIZE
-                else:
-                    step = PAGE_SIZE
-                self.map_page(va, pa, step, pinned)
-                va += step
-                pa += step
-                nbytes -= step
+            pa = ext.start * frame_size
+            nbytes = ext.count * frame_size
+            end = pa + nbytes
+            if use_large_pages and (va - pa) % LARGE_PAGE_SIZE == 0:
+                # va and pa reach a 2MB boundary together: 4KB pages up
+                # to it, then 2MB pages while 2MB remain
+                head = min(-(-pa // LARGE_PAGE_SIZE) * LARGE_PAGE_SIZE, end)
+                body = head + (end - head) // LARGE_PAGE_SIZE * LARGE_PAGE_SIZE
+                paddrs += range(pa, head, PAGE_SIZE)
+                large += range(len(paddrs),
+                               len(paddrs) + (body - head) // LARGE_PAGE_SIZE)
+                paddrs += range(head, body, LARGE_PAGE_SIZE)
+                pa = body
+            paddrs += range(pa, end, PAGE_SIZE)  # the 4KB tail
+            va += nbytes
+        sizes = [PAGE_SIZE] * len(paddrs)
+        for i in large:
+            sizes[i] = LARGE_PAGE_SIZE
+        vaddrs = list(accumulate(sizes, initial=vaddr))
+        del vaddrs[-1]
+        if not vaddrs:
+            return va
+        if vaddr % PAGE_SIZE:
+            raise ReproError(f"unaligned mapping va={vaddr:#x} "
+                             f"pa={paddrs[0]:#x} size={PAGE_SIZE}")
+        # the first page to overlap an existing entry is the one holding
+        # the entry's start (or the first page, for a left neighbour
+        # reaching into the range)
+        idx = bisect.bisect_left(self._vaddrs, vaddr)
+        if idx > 0 and self._maps[idx - 1].vend > vaddr:
+            raise ReproError(f"mapping overlap at {vaddr:#x}")
+        if idx < len(self._maps) and self._vaddrs[idx] < va:
+            first = vaddrs[bisect.bisect_right(vaddrs, self._vaddrs[idx]) - 1]
+            raise ReproError(f"mapping overlap at {first:#x}")
+        self._vaddrs[idx:idx] = vaddrs
+        self._maps[idx:idx] = map(Mapping, vaddrs, paddrs, sizes,
+                                  repeat(pinned))
         return va
 
     def unmap_range(self, vaddr: int, length: int) -> List[Extent]:
@@ -181,17 +227,36 @@ class PageTable:
         base page even inside a large page).
 
         Each mapping contributes its base pages arithmetically; there is
-        no per-page translation.
+        no per-page translation.  One bisect finds the first mapping and
+        a plain loop steps through the rest; :class:`PageFault` comes at
+        the first uncovered address, as in :meth:`_walk`.  When the
+        range's first and last pages start entries of their own, the
+        entries between are exactly its 4KB pages (entries are aligned
+        and never overlap), and one slice gives the answer.
         """
-        out: List[int] = []
         # align down to a 4KB boundary, like gup does
         va = vaddr - vaddr % PAGE_SIZE
         end = vaddr + length
-        for m, vend in self._walk(va, end):
+        maps, vaddrs = self._maps, self._vaddrs
+        idx = bisect.bisect_right(vaddrs, va) - 1
+        last = idx + (end - va - 1) // PAGE_SIZE
+        if (end > va and idx >= 0 and last < len(vaddrs)
+                and vaddrs[idx] == va
+                and vaddrs[last] == va + (last - idx) * PAGE_SIZE):
+            return [m.paddr for m in maps[idx:last + 1]]
+        out: List[int] = []
+        while va < end:
+            if not 0 <= idx < len(maps):
+                raise PageFault(self.owner, va, "no mapping")
+            m = maps[idx]
+            vend = m.vaddr + m.page_size
+            if not m.vaddr <= va < vend:
+                raise PageFault(self.owner, va, "no mapping")
             if m.page_size == PAGE_SIZE:
                 out.append(m.paddr)  # va is page-aligned: the whole page
             else:
                 pa = m.paddr + (va - m.vaddr)
                 out.extend(range(pa, pa + min(vend, end) - va, PAGE_SIZE))
             va = vend
+            idx += 1
         return out

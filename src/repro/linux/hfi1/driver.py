@@ -14,6 +14,7 @@ another kernel dereferences it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Optional
 
 from ...config import FAULTS, GUARD, TRACE
@@ -294,6 +295,8 @@ class Hfi1Driver(FileOps):
         """Register expected-receive buffers: pin pages, program RcvArray
         entries, return the TIDs (section 2.2.2)."""
         vaddr, length = arg["vaddr"], arg["length"]
+        if length <= 0:
+            raise DriverError(f"TID_UPDATE of bad length {length}")
         sc = kernel.params.syscall
         nic = kernel.params.nic
         inj = self.hfi.injector
@@ -306,19 +309,19 @@ class Hfi1Driver(FileOps):
         # one RcvArray entry per base page: the unmodified driver derives
         # spans from the page list, so contiguity is invisible to it
         spans = page_spans(pages, vaddr % PAGE_SIZE, length)
-        entries = self.hfi.program_tids(state.ctxt, spans)
+        tids = self.hfi.program_tids(state.ctxt, spans)
         cost = (sc.tid_ioctl_base + gup_cost
-                + len(entries) * nic.tid_program_cost)
+                + len(tids) * nic.tid_program_cost)
         yield kernel.sim.timeout(cost)
-        state.tids.update((e.tid, e.nbytes) for e in entries)
+        state.tids.update(zip(tids, map(itemgetter(1), spans)))
         state.fdata.set("tid_used", len(state.tids))
-        return [e.tid for e in entries]
+        return list(tids)
 
     def _tid_free(self, kernel, state: DriverFileState, arg):
         tids = list(arg["tids"])
-        for tid in tids:
-            if tid not in state.tids:
-                raise DriverError(f"TID_FREE of unowned tid {tid}")
+        if not state.tids.keys() >= set(tids):
+            bad = next(t for t in tids if t not in state.tids)
+            raise DriverError(f"TID_FREE of unowned tid {bad}")
         self.hfi.unprogram_tids(tids)
         for tid in tids:
             del state.tids[tid]

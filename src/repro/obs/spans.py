@@ -37,14 +37,16 @@ class Span(object):
     ``end`` is ``None`` while the span is open.  ``parent`` is the
     ``sid`` of the enclosing span in the same simulation process (or
     ``None`` at a lane root).  Instants are spans with ``end == start``.
+    ``clock`` is the simulator the span was opened on (``None`` before
+    any machine is attached); an open span is closed on its clock.
     """
 
     __slots__ = ("sid", "name", "track", "cat", "start", "end",
-                 "parent", "args")
+                 "parent", "args", "clock")
 
     def __init__(self, sid: int, name: str, track: str, cat: str,
                  start: float, parent: Optional[int],
-                 args: Optional[dict]):
+                 args: Optional[dict], clock: Any = None):
         self.sid = sid
         self.name = name
         self.track = track
@@ -53,6 +55,12 @@ class Span(object):
         self.end: Optional[float] = None
         self.parent = parent
         self.args = args
+        self.clock = clock
+
+    def close(self) -> None:
+        """End the span now on its own clock, if it is still open."""
+        if self.end is None:
+            self.end = 0.0 if self.clock is None else self.clock.now
 
     @property
     def duration(self) -> float:
@@ -146,7 +154,7 @@ class SpanCollector(object):
         lane = self._stacks.setdefault(self._lane(), [])
         parent = lane[-1].sid if lane else None
         span = Span(next(self._sids), name, track, cat, self.now,
-                    parent, args)
+                    parent, args, self._sim)
         self.spans.append(span)
         if not detached:
             lane.append(span)
@@ -155,14 +163,15 @@ class SpanCollector(object):
         return span
 
     def end_span(self, span: Span, args: Optional[dict] = None) -> Span:
-        """Close ``span`` at the current time (idempotent on the stack).
+        """Close ``span`` at the current time of the simulator it was
+        opened on (idempotent on the stack).
 
-        Clamped to the span's start: abandoned generators are closed by
+        Not the collector's clock: abandoned generators are closed by
         the garbage collector, whose ``finally`` blocks can fire after
-        the collector's clock moved on to a later machine's simulator.
+        the collector moved on to a later machine's simulator, so the
+        collector's time would depend on when the collection ran.
         """
-        if span.end is None:
-            span.end = max(span.start, self.now)
+        span.close()
         if args:
             span.args = dict(span.args or {}, **args)
         for lane in self._stacks.values():
@@ -223,14 +232,13 @@ class SpanCollector(object):
         return out
 
     def finalize(self) -> None:
-        """Close any dangling spans and drop the lane stacks.
+        """Close any dangling spans, each on its own clock, and drop the
+        lane stacks.
 
         Well-behaved instrumentation closes every span in a ``finally``,
         so this is a safety net for processes that never quiesced.
         """
-        now = self.now
         for lane in self._stacks.values():
             for span in lane:
-                if span.end is None:
-                    span.end = max(span.start, now)
+                span.close()
         self._stacks.clear()

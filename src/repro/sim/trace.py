@@ -8,6 +8,8 @@ Recording is cheap (dict update) and can be disabled wholesale.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 
@@ -45,12 +47,10 @@ class Accumulator:
     def add_many(self, values: Sequence[float]) -> None:
         """Fold ``values`` in, exactly as one :meth:`add` per value would.
 
-        The total is summed left to right in a plain loop: ``sum()`` over
-        floats rounds differently on newer Pythons."""
-        total = self.total
-        for value in values:
-            total += value
-        self.total = total
+        The total is summed left to right with ``reduce``: ``sum()`` over
+        floats uses compensated summation on Python 3.12 and later, which
+        rounds differently."""
+        self.total = reduce(add, values, self.total)
         self.count += len(values)
         low, high = min(values), max(values)
         if low < self.min:

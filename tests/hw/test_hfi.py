@@ -1,12 +1,21 @@
 """Unit tests for the HFI device, SDMA engines, TIDs and the fabric."""
 
-import pytest
+from dataclasses import replace
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.config import enable_fault_injection
 from repro.errors import DriverError, ReproError
-from repro.hw import Fabric, HFIDevice, Packet, SdmaDescriptor, SdmaRequestGroup
+from repro.faults import FaultPlan
+from repro.hw import (DescriptorChain, Fabric, HFIDevice, Packet,
+                      SdmaDescriptor, SdmaRequestGroup, TidEntry)
 from repro.params import default_params
 from repro.sim import Simulator
-from repro.units import KiB
+from repro.units import KiB, PAGE_SIZE
+
+from .reference import PerEntryRcvArray
 
 
 def make_pair():
@@ -125,11 +134,14 @@ def test_engine_round_robin():
 def test_tid_program_and_unprogram():
     sim, params, fabric, a, b = make_pair()
     ctxt = a.alloc_context("rx")
-    entries = a.program_tids(ctxt, [(0x1000, 8 * KiB), (0x10000, 4 * KiB)])
-    assert len(entries) == 2
+    tids = a.program_tids(ctxt, [(0x1000, 8 * KiB), (0x10000, 4 * KiB)])
+    assert list(tids) == [0, 1]
     assert a.tids_in_use == 2
-    a.unprogram_tids([e.tid for e in entries])
+    assert a.tid_entry(tids[1]) == TidEntry(1, ctxt.ctxt_id, 0x10000, 4 * KiB)
+    a.unprogram_tids(list(tids))
     assert a.tids_in_use == 0
+    with pytest.raises(DriverError, match="unknown TID 1"):
+        a.tid_entry(1)
 
 
 def test_tid_span_too_large_rejected():
@@ -157,18 +169,21 @@ def test_unprogram_unknown_tid_rejected():
 def test_expected_packet_validates_tids():
     sim, params, fabric, a, b = make_pair()
     ctxt = b.alloc_context("rx")
-    entries = b.program_tids(ctxt, [(0x1000, 8 * KiB)])
+    tids = b.program_tids(ctxt, [(0x1000, 8 * KiB)])
     got = []
     ctxt.on_packet = lambda pkt: got.append(pkt)
     pkt = Packet(kind="expected", src_node=0, dst_node=1,
                  dst_ctxt=ctxt.ctxt_id, nbytes=8 * KiB,
-                 tids=(entries[0].tid,))
+                 tids=(tids[0],))
     b.receive(pkt)
-    assert got and got[0].tids == (entries[0].tid,)
+    assert got and got[0].tids == (tids[0],)
+    # the first unknown TID in packet order is the one named
     bad = Packet(kind="expected", src_node=0, dst_node=1,
-                 dst_ctxt=ctxt.ctxt_id, nbytes=KiB, tids=(4242,))
-    with pytest.raises(DriverError):
+                 dst_ctxt=ctxt.ctxt_id, nbytes=KiB,
+                 tids=(tids[0], 4242, 17))
+    with pytest.raises(DriverError, match="unknown TID 4242"):
         b.receive(bad)
+    assert len(got) == 1
 
 
 def test_free_context_reclaims_tids():
@@ -206,16 +221,24 @@ def test_free_context_with_inflight_sdma_group_raises():
     an engine ring must fail loudly instead of stranding the packets."""
     sim, params, fabric, a, b = make_pair()
     ctxt = a.alloc_context("rx")
+    delivered = []
+    ctxt.on_packet = delivered.append
+    a.error_dispatcher = lambda engine, reason: None
+    engine = a.engines[0]
+    # a halted engine keeps the group on its ring: 3 slots, one group
+    engine.halt("test")
     group = SdmaRequestGroup(
-        descriptors=[SdmaDescriptor(0, KiB)],
-        packet=Packet(kind="eager", src_node=1, dst_node=0,
-                      dst_ctxt=ctxt.ctxt_id, nbytes=KiB))
-    a.engines[0]._ring.append((group.descriptors[0], group, True, None))
-    with pytest.raises(DriverError) as excinfo:
+        descriptors=[SdmaDescriptor(i * KiB, KiB) for i in range(3)],
+        packet=Packet(kind="eager", src_node=0, dst_node=0,
+                      dst_ctxt=ctxt.ctxt_id, nbytes=3 * KiB))
+    sim.run(until=sim.process(engine.submit(group)))
+    assert engine.free_slots == params.nic.sdma_ring_size - 3
+    with pytest.raises(DriverError, match="with 1 SDMA group"):
         a.free_context(ctxt)
-    assert "in flight" in str(excinfo.value)
     assert a.tracer.get_count("hfi.free_ctxt_inflight") == 1
-    a.engines[0]._ring.clear()
+    engine.restart()
+    sim.run()
+    assert len(delivered) == 1 and engine.free_slots == engine.ring_size
     a.free_context(ctxt)  # quiesced: now succeeds
 
 
@@ -245,24 +268,107 @@ def test_rejected_tid_program_installs_nothing():
     before it installed (nobody would own them) or advance the TIDs."""
     sim, params, fabric, a, b = make_pair()
     ctxt = a.alloc_context("rx")
-    first = a.program_tids(ctxt, [(0x1000, 4 * KiB)])[0].tid
+    first = a.program_tids(ctxt, [(0x1000, 4 * KiB)])[0]
     for bad in (0, params.nic.tid_max_span + 1):
         with pytest.raises(DriverError):
             a.program_tids(ctxt, [(0x2000, 4 * KiB), (0x3000, bad),
                                   (0x4000, 4 * KiB)])
         assert a.tids_in_use == 1
-    assert a.program_tids(ctxt, [(0x5000, 4 * KiB)])[0].tid == first + 1
+    assert a.program_tids(ctxt, [(0x5000, 4 * KiB)])[0] == first + 1
 
 
 def test_rejected_tid_unprogram_removes_nothing():
     sim, params, fabric, a, b = make_pair()
     ctxt = a.alloc_context("rx")
-    tids = [e.tid for e in a.program_tids(ctxt, [(0x1000, 4 * KiB),
-                                                 (0x2000, 4 * KiB)])]
+    tids = list(a.program_tids(ctxt, [(0x1000, 4 * KiB), (0x2000, 4 * KiB)]))
     for bad in ([tids[0], 999], [tids[0], tids[0]]):
         with pytest.raises(DriverError):
             a.unprogram_tids(bad)
         assert a.tids_in_use == 2
     a.unprogram_tids(tids)
     assert a.tids_in_use == 0
-    assert a.program_tids(ctxt, [(0x5000, 4 * KiB)])[0].tid == tids[-1] + 1
+    assert a.program_tids(ctxt, [(0x5000, 4 * KiB)])[0] == tids[-1] + 1
+
+
+def test_descriptor_chain_is_two_columns():
+    descs = [SdmaDescriptor(0x1000, 4 * KiB), SdmaDescriptor(0x9000, KiB)]
+    chain = DescriptorChain.of(descs)
+    assert chain.paddrs == [0x1000, 0x9000] and chain.sizes == [4 * KiB, KiB]
+    assert list(chain) == descs and len(chain) == 2
+    assert chain[1] == descs[1] and chain[-1] == descs[-1]
+    group = SdmaRequestGroup(descriptors=descs,
+                             packet=Packet(kind="eager", src_node=0,
+                                           dst_node=1, dst_ctxt=0,
+                                           nbytes=5 * KiB))
+    assert isinstance(group.descriptors, DescriptorChain)
+    assert list(group.descriptors) == descs and group.total_bytes == 5 * KiB
+
+
+#: span sizes around the bounds of a 5 KiB RcvArray entry
+_TID_SIZES = (-1, 0, 1, 4 * KiB, 5 * KiB, 5 * KiB + 1, 6 * KiB)
+#: one RcvArray operation: program spans into context 0 or 1, free TIDs
+#: (picked from those ever handed out, plus unknown ones), free a
+#: context, or receive an expected packet naming TIDs
+_RCV_OP = st.one_of(
+    st.tuples(st.just("program"), st.integers(0, 1),
+              st.lists(st.sampled_from(_TID_SIZES), max_size=40)),
+    st.tuples(st.just("unprogram"), st.integers(0, 1),
+              st.lists(st.integers(0, 60), max_size=12)),
+    st.tuples(st.just("free_context"), st.integers(0, 1), st.just(None)),
+    st.tuples(st.just("receive"), st.integers(0, 1),
+              st.lists(st.integers(0, 60), max_size=12)),
+)
+
+
+@given(ops=st.lists(_RCV_OP, max_size=25), faults=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_rcv_array_matches_per_entry_reference(ops, faults):
+    """program/unprogram/free_context/receive sequences against one
+    ``TidEntry`` per entry in a dict: the same TIDs, ``_next_tid``,
+    entries, counters, errors and deliveries, with and without the
+    fault plane's stale-TID drop."""
+    sim, params, fabric, a, b = make_pair()
+    nic = replace(params.nic, rcv_array_entries=48, tid_max_span=5 * KiB)
+    dev = HFIDevice(sim, nic, node_id=7)
+    ref = PerEntryRcvArray(nic)
+    ctxts = [dev.alloc_context("c0"), dev.alloc_context("c1")]
+    delivered = []
+    for ctxt in ctxts:
+        ctxt.on_packet = delivered.append
+    enable_fault_injection(FaultPlan() if faults else None)
+    try:
+        for op, which, arg in ops:
+            ctxt = ctxts[which]
+            if op == "program":
+                spans = [(i * PAGE_SIZE, n) for i, n in enumerate(arg)]
+                calls = (lambda: list(dev.program_tids(ctxt, spans)),
+                         lambda: ref.program(ctxt.ctxt_id, spans))
+            elif op == "unprogram":
+                calls = (lambda: dev.unprogram_tids(arg),
+                         lambda: ref.unprogram(arg))
+            elif op == "free_context":
+                dev.free_context(ctxt)
+                ref.free_context(ctxt.ctxt_id)
+                ctxts[which] = dev.alloc_context(f"c{which}")
+                ctxts[which].on_packet = delivered.append
+                continue
+            else:
+                pkt = Packet(kind="expected", src_node=0, dst_node=7,
+                             dst_ctxt=ctxt.ctxt_id, nbytes=KiB,
+                             tids=tuple(arg))
+                calls = (lambda: dev.receive(pkt) or pkt in delivered,
+                         lambda: ref.receive(arg, faults))
+            outs = []
+            for call in calls:
+                try:
+                    outs.append(call())
+                except DriverError as exc:
+                    outs.append(str(exc))
+            assert outs[0] == outs[1], op
+            assert dev._next_tid == ref.next_tid
+            assert {t: dev.tid_entry(t) for t in dev._tid_entries} == \
+                ref.entries
+            delivered.clear()
+    finally:
+        enable_fault_injection(None)
+    assert dev.tracer.counters == ref.tracer.counters

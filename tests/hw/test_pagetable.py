@@ -8,6 +8,8 @@ from repro.errors import PageFault, ReproError
 from repro.hw import Extent, PageTable
 from repro.units import LARGE_PAGE_SIZE, PAGE_SIZE
 
+from .reference import per_page_map_extents
+
 
 def test_translate_basic():
     pt = PageTable("test")
@@ -98,6 +100,27 @@ def test_map_extents_without_large_pages():
     pt = PageTable("test")
     pt.map_extents(0, [Extent(512, 512)], use_large_pages=False)
     assert len(pt) == 512
+
+
+def test_rejected_map_extents_installs_nothing():
+    """A range that runs into an existing entry is refused whole: the
+    pages before the overlap are not left mapped (nobody would own their
+    frames), and the error names the first overlapping page."""
+    pt = PageTable("test")
+    pt.map_page(0x3000, 0x90000)
+    with pytest.raises(ReproError, match="mapping overlap at 0x3000"):
+        pt.map_extents(0x1000, [Extent(16, 4)])
+    assert len(pt) == 1
+    with pytest.raises(PageFault):
+        pt.lookup(0x1000)
+    # a large page ahead of the range, and one reaching into it from
+    # the left
+    pt.map_page(LARGE_PAGE_SIZE, 0, LARGE_PAGE_SIZE)
+    with pytest.raises(ReproError, match="mapping overlap at 0x200000"):
+        pt.map_extents(LARGE_PAGE_SIZE - PAGE_SIZE, [Extent(40, 2)])
+    with pytest.raises(ReproError, match="mapping overlap at 0x3ff000"):
+        pt.map_extents(2 * LARGE_PAGE_SIZE - PAGE_SIZE, [Extent(40, 2)])
+    assert len(pt) == 2
 
 
 def test_unmap_returns_physical_extents():
@@ -225,3 +248,61 @@ def test_range_walk_matches_per_page_walk(items, start, length):
             == _outcome(_per_page_spans, pt, start, length))
     assert (_outcome(pt.is_pinned, start, length)
             == _outcome(_per_mapping_pinned, pt, start, length))
+
+
+#: one extent: (start in 2MB frames, frame offset, frame count)
+_EXTENT = st.tuples(st.integers(0, 40),
+                    st.one_of(st.just(0), st.integers(0, 511)),
+                    st.integers(0, 1100))
+#: one existing entry: a 4KB page or a 2MB page at a slot; the mapped
+#: range overlaps about a third of them
+_ENTRY = st.one_of(st.tuples(st.just(PAGE_SIZE), st.integers(0, 12287)),
+                   st.tuples(st.just(LARGE_PAGE_SIZE), st.integers(0, 23)))
+
+
+def _state(pt):
+    return list(pt._vaddrs), list(pt._maps)
+
+
+@given(existing=st.lists(_ENTRY, max_size=4),
+       extents=st.lists(_EXTENT, max_size=4),
+       page=st.integers(0, 3071),
+       align=st.sampled_from(["4k", "2m", "match", "odd"]),
+       large=st.booleans(), pinned=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_map_extents_matches_per_page_map_page(existing, extents, page,
+                                               align, large, pinned):
+    """``map_extents`` installs exactly the 4KB and 2MB entries one
+    ``map_page`` call per page would, with large pages on and off; a
+    rejected range raises the first failing page's error and installs
+    nothing, where the per-page loop left the pages before it mapped."""
+    tables = PageTable("new"), PageTable("ref")
+    for pt in tables:
+        for size, slot in existing:
+            try:
+                pt.map_page(slot * size, (4096 + slot) * size, size)
+            except ReproError:
+                pass
+    exts = [Extent(big * 512 + off, count) for big, off, count in extents]
+    vaddr = page * PAGE_SIZE
+    if align in ("2m", "match"):
+        vaddr -= vaddr % LARGE_PAGE_SIZE
+    if align == "match" and exts:
+        # va and pa 2MB-congruent: a 4KB head, then large pages
+        vaddr += exts[0].start * PAGE_SIZE % LARGE_PAGE_SIZE
+    elif align == "odd":
+        vaddr += 0x100
+    new, ref = tables
+    before = _state(new)
+    outcomes = []
+    for pt, fn in ((new, PageTable.map_extents), (ref, per_page_map_extents)):
+        try:
+            outcomes.append(fn(pt, vaddr, exts, pinned=pinned,
+                               use_large_pages=large))
+        except ReproError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    if isinstance(outcomes[0], str):
+        assert _state(new) == before
+    else:
+        assert _state(new) == _state(ref)

@@ -1,12 +1,14 @@
 """The batched SDMA engine against a per-descriptor reference engine.
 
-``SdmaEngine`` fills its ring a run of free slots at a time and drains a
-burst in one pass with one tracer call pair.  ``PerDescriptorEngine``
-below is the engine as it was before: one ring append per descriptor on
-submit, two ``fires`` draws per descriptor while draining, one
-``count``/``record`` pair per descriptor after a burst.  Both run the
-same two-submitter workload on an 8-slot ring; completion order, times,
-tracer state and descriptor spans must be identical.
+``SdmaEngine`` keeps segments of request chains on its ring, fills it a
+run of free slots at a time and drains a burst in one pass with one
+tracer call pair.  ``PerDescriptorEngine`` below is the engine as it was
+before: its own ring with one slot per descriptor, one ring append per
+descriptor on submit, two ``fires`` draws per descriptor while draining,
+one ``count``/``record`` pair per descriptor after a burst.  Both run
+the same two-submitter workload on an 8-slot ring, with groups that wrap
+the ring; completion order, times, tracer state and descriptor spans
+must be identical.
 
 Under faults the batched engine is paired with the buffered injector
 (one ``quiet_run`` per drain) and the reference engine with the per-call
@@ -15,6 +17,7 @@ and times, and the draws each fault point consumed must match too,
 including when the engine is halted while a burst waits for the port.
 """
 
+from collections import deque
 from dataclasses import replace
 
 import pytest
@@ -41,7 +44,17 @@ HOG_S = 10e-6
 
 
 class PerDescriptorEngine(SdmaEngine):
-    """Reference: the per-descriptor submit and drain loops."""
+    """Reference: one ring slot per descriptor, and the per-descriptor
+    submit and drain loops."""
+
+    def __init__(self, sim, device, index):
+        #: (descriptor, group, is-last-of-group, trace span) per slot
+        self._slots = deque()
+        super().__init__(sim, device, index)
+
+    @property
+    def free_slots(self):
+        return self.ring_size - len(self._slots)
 
     def submit(self, group):
         last_idx = len(group.descriptors) - 1
@@ -54,8 +67,8 @@ class PerDescriptorEngine(SdmaEngine):
                 "sdma.desc", track_of(self), cat="sdma",
                 args={"nbytes": desc.nbytes, "kind": group.packet.kind},
                 detached=True) if TRACE.enabled else None
-            self._ring.append((desc, group, i == last_idx, dspan))
-            if len(self._ring) == 1 and not self.busy:
+            self._slots.append((desc, group, i == last_idx, dspan))
+            if len(self._slots) == 1 and not self.busy:
                 self._work.put(None)
 
     def _run(self):
@@ -64,7 +77,7 @@ class PerDescriptorEngine(SdmaEngine):
             if self.halted:
                 yield self._restart_evt
                 continue
-            if not self._ring:
+            if not self._slots:
                 yield self._work.get()
                 continue
             self.busy = True
@@ -74,7 +87,7 @@ class PerDescriptorEngine(SdmaEngine):
                 inj = self.device.injector
                 burst = []
                 t = 0.0
-                while self._ring:
+                while self._slots:
                     if FAULTS.enabled and inj is not None:
                         if inj.fires("sdma.desc_error"):
                             self.halt("descriptor fetch error")
@@ -82,7 +95,7 @@ class PerDescriptorEngine(SdmaEngine):
                             self.halt("spontaneous engine freeze")
                     if self.halted:
                         break
-                    desc, group, is_last, dspan = self._ring.popleft()
+                    desc, group, is_last, dspan = self._slots.popleft()
                     t += (params.sdma_desc_overhead
                           + desc.nbytes / params.link_bandwidth)
                     burst.append((desc, group, is_last, dspan, t))
@@ -274,3 +287,27 @@ def test_halt_while_waiting_for_the_port_matches_reference(seed):
     assert halts[0] == (HOG_S / 2, "halted in port wait")
     # nothing left the ring before the restart
     assert all(t >= HOG_S / 2 + RESTART_S for t, _ in got[0])
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3, 4))
+def test_traced_partial_drains_match_reference(seed):
+    """Faulted bursts stop part-way through a ring segment; traced, every
+    descriptor of the rest of the segment still gets its own span, ended
+    when it leaves the wire, as in the per-descriptor reference."""
+    def run(engine_cls, injector_cls):
+        collector = SpanCollector()
+        enable_tracing(collector)
+        try:
+            out = faulted(engine_cls, injector_cls, seed)
+        finally:
+            enable_tracing(None)
+        return out, [(s.args["nbytes"], s.end) for s in collector.spans
+                     if s.name == "sdma.desc"]
+
+    got, spans = run(SdmaEngine, FaultInjector)
+    want, ref_spans = run(PerDescriptorEngine, ScalarInjector)
+    assert got == want
+    assert spans == ref_spans
+    assert got[4], "no halt: the run never stopped a burst part-way"
+    assert len(spans) == sum(sum(g) for g in GROUPS.values())
+    assert all(end is not None for _, end in spans)

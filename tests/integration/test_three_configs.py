@@ -7,8 +7,9 @@ import pytest
 from repro.config import ALL_CONFIGS, OSConfig
 from repro.errors import DriverError
 from repro.experiments import build_machine
+from repro.linux.hfi1 import ioctls as ioc
 from repro.psm import Endpoint, TagMatcher
-from repro.units import KiB, MiB
+from repro.units import KiB, MiB, PAGE_SIZE
 
 
 def make_pair(cfg, params=None):
@@ -202,3 +203,50 @@ def test_sdma_lock_serializes_both_kernels():
     transfer_once(machine, s, r, 2 * MiB)
     lock = machine.nodes[0].driver.sdma_lock
     assert not lock.locked
+
+
+@pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: c.value)
+@pytest.mark.parametrize("offset,length", [(0, -PAGE_SIZE), (0, 0),
+                                           (100, 0)],
+                         ids=["negative", "empty-aligned", "empty-unaligned"])
+def test_tid_update_rejects_non_positive_length(cfg, offset, length):
+    """Linux, offloaded and fast-path TID_UPDATE all refuse a length
+    <= 0 with a DriverError before pinning anything, as writev does."""
+    machine = build_machine(1, cfg)
+    task = machine.spawn_rank(0, 0, 0)
+
+    def body():
+        fd = yield from task.syscall("open", "/dev/hfi1_0")
+        buf = yield from task.syscall("mmap", 16 * KiB)
+        yield from task.syscall("ioctl", fd, ioc.HFI1_IOCTL_TID_UPDATE,
+                                {"vaddr": buf + offset, "length": length})
+
+    proc = machine.sim.process(body())
+    machine.sim.run()
+    assert isinstance(proc.exception, DriverError)
+    assert "length" in str(proc.exception)
+    assert machine.nodes[0].node.hfi.tids_in_use == 0
+
+
+@pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: c.value)
+def test_tid_free_names_first_unowned_tid_and_frees_nothing(cfg):
+    machine = build_machine(1, cfg)
+    task = machine.spawn_rank(0, 0, 0)
+
+    def body():
+        fd = yield from task.syscall("open", "/dev/hfi1_0")
+        buf = yield from task.syscall("mmap", 16 * KiB)
+        tids = yield from task.syscall("ioctl", fd,
+                                       ioc.HFI1_IOCTL_TID_UPDATE,
+                                       {"vaddr": buf, "length": 16 * KiB})
+        try:
+            yield from task.syscall("ioctl", fd, ioc.HFI1_IOCTL_TID_FREE,
+                                    {"tids": [tids[0], 778, 777]})
+        except DriverError as exc:
+            return str(exc), len(tids)
+
+    proc = machine.sim.process(body())
+    machine.sim.run(until=proc)
+    message, programmed = proc.value
+    assert message.endswith("TID_FREE of unowned tid 778")
+    assert machine.nodes[0].node.hfi.tids_in_use == programmed

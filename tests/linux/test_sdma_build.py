@@ -140,8 +140,9 @@ def test_bulk_build_matches_per_page_loop(offset, length):
     npages = -(-(offset + length) // PAGE_SIZE)
     pages = [(i * 37 % 101) * PAGE_SIZE for i in range(npages + 2)]
     want = _per_page_descs(pages, offset, length)
-    assert build_descs_from_pages(pages, offset, length) == want
-    assert build_descs_from_pages(pages, offset, length, 10 * KiB) == want
+    assert list(build_descs_from_pages(pages, offset, length)) == want
+    assert list(build_descs_from_pages(pages, offset, length,
+                                       10 * KiB)) == want
     gup = pages[:npages]  # get_user_pages() returns exactly the range
     assert page_spans(gup, offset, length) == \
         _per_page_tid_spans(gup, offset, length)
@@ -153,7 +154,7 @@ def test_bulk_build_matches_per_page_loop(offset, length):
 def test_bulk_build_matches_per_page_loop_anywhere(offset, length):
     npages = -(-(offset + length) // PAGE_SIZE)
     pages = [(i * 37 % 101) * PAGE_SIZE for i in range(npages)]
-    assert build_descs_from_pages(pages, offset, length) == \
+    assert list(build_descs_from_pages(pages, offset, length)) == \
         _per_page_descs(pages, offset, length)
     assert page_spans(pages, offset, length) == \
         _per_page_tid_spans(pages, offset, length)
@@ -170,3 +171,26 @@ def test_sub_page_max_request_is_a_typed_error():
     with pytest.raises(DriverError, match="max_request 2048"):
         build_descs_from_pages([0, PAGE_SIZE], 0, 2 * PAGE_SIZE,
                                max_request=2 * KiB)
+
+
+def _per_chunk_descs(spans, max_request):
+    """The per-chunk loop ``build_descs_from_spans`` replaced."""
+    descs = []
+    for pa, nbytes in spans:
+        off = 0
+        while off < nbytes:
+            chunk = min(max_request, nbytes - off)
+            descs.append(SdmaDescriptor(pa + off, chunk))
+            off += chunk
+    return descs
+
+
+@given(spans=st.lists(st.tuples(st.integers(0, 1 << 30),
+                                st.integers(1, 64 * KiB)),
+                      max_size=12),
+       max_request=st.integers(KiB, 12 * KiB))
+@settings(max_examples=80, deadline=None)
+def test_span_chain_matches_per_chunk_loop(spans, max_request):
+    chain = build_descs_from_spans(spans, max_request)
+    assert list(chain) == _per_chunk_descs(spans, max_request)
+    assert len(chain.paddrs) == len(chain.sizes) == len(chain)

@@ -1,7 +1,13 @@
 """Span/collector unit behavior plus the disabled-identity guarantee."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.config import TRACE, enable_tracing
 from repro.experiments import run_fig4
 from repro.obs import SpanCollector
@@ -100,3 +106,48 @@ def test_tracing_never_perturbs_the_simulation():
         for size, bw in series.items():
             assert traced.series[cfg][size] == pytest.approx(bw, rel=0,
                                                              abs=0)
+
+
+#: a traced 256 KiB ping-pong per OS config in one collector, in a fresh
+#: interpreter; argv[1] picks when the garbage collector runs.  A run
+#: stops at the last message's completion, while the receiver's ioctl
+#: that frees its TIDs is still open: that generator is abandoned, and
+#: its span is ended whenever the generator is collected.
+_GC_PROBE = """
+import gc, json, sys
+if sys.argv[1] == "disabled":
+    gc.disable()
+from repro.apps.imb import PingPong
+from repro.config import ALL_CONFIGS, enable_tracing
+from repro.experiments import build_machine
+from repro.obs import SpanCollector, chrome_trace_events
+collector = SpanCollector()
+enable_tracing(collector)
+try:
+    for config in ALL_CONFIGS:
+        machine = build_machine(2, config)
+        PingPong(machine, repetitions=1).run([256 * 1024])
+        del machine
+        if sys.argv[1] == "collect":
+            gc.collect()
+finally:
+    enable_tracing(None)
+collector.finalize()
+print(json.dumps(chrome_trace_events(collector), sort_keys=True))
+"""
+
+
+def test_span_export_does_not_depend_on_gc_timing():
+    """A span closes on the clock of the simulator it was opened on, so
+    an abandoned generator's span ends at the same time whether the
+    collector frees it between machines or never."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    exports = []
+    for mode in ("disabled", "collect"):
+        result = subprocess.run([sys.executable, "-c", _GC_PROBE, mode],
+                                capture_output=True, text=True, timeout=300,
+                                env={**os.environ, "PYTHONPATH": src})
+        assert result.returncode == 0, result.stderr[-2000:]
+        exports.append(json.loads(result.stdout))
+    assert exports[0] == exports[1]
+    assert any(e["name"] == "linux.ioctl" for e in exports[0])

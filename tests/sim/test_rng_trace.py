@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import RngFactory, Tracer
+from repro.sim.trace import Accumulator
 
 
 def test_same_key_same_stream():
@@ -114,3 +115,31 @@ def test_record_many_respects_disabled_tracer():
     tracer = Tracer(enabled=False)
     tracer.record_many("x", [1.0, 2.0])
     assert tracer.accs == {}
+
+
+@given(before=st.lists(st.floats(-1e9, 1e9), max_size=5),
+       values=st.one_of(
+           st.lists(st.integers(1, 10 * 1024), min_size=1, max_size=64),
+           st.lists(st.floats(-1e12, 1e12), min_size=1, max_size=64)))
+@settings(max_examples=100)
+def test_add_many_equals_repeated_add(before, values):
+    """On int sizes and on floats: the same count, total (bit for bit),
+    min and max as one add() per value."""
+    one, many = Accumulator(), Accumulator()
+    for value in before:
+        one.add(value)
+        many.add(value)
+    for value in values:
+        one.add(value)
+    many.add_many(values)
+    assert (many.count, many.total, many.min, many.max) == \
+        (one.count, one.total, one.min, one.max)
+    assert type(many.total) is type(one.total)
+
+
+def test_add_many_sums_left_to_right():
+    """Not sum(): on Python 3.12 and later it compensates, and would give
+    1.0 here where one add() per value gives 0.0."""
+    acc = Accumulator()
+    acc.add_many([1e16, 1.0, -1e16])
+    assert acc.total == 0.0
