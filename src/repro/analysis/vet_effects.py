@@ -17,8 +17,10 @@ but the stdlib ``ast``; the checkers of
   to *all* candidates but are marked non-confident; effects still flow
   through them (over-approximation), while the checkers that must not
   guess (held-lock x wait) only trust confident edges.
-  ``sim.process(...)`` creates *spawn* edges, which carry execution
-  context but never synchronous effects;
+  ``sim.process(...)`` and ``sim.spawn(...)`` create *spawn* edges,
+  which carry execution context but never synchronous effects, while
+  ``sim.call(f(...))`` is a synchronous call of ``f`` (the child runs
+  in the caller's frame);
 
 * per-function **execution contexts** (``linux``, ``lwk``, ``irq``,
   ``sdma-engine``, ``fabric``, ``device``) inferred from registration
@@ -566,9 +568,14 @@ class _FunctionScanner:
             effect.unpinned.add(Site(name, path, line))
         if name in ("fires", "quiet_run") or "rng" in segments:
             effect.rng.add(Site(name, path, line))
-        if name == "process" and segments and segments[-1] == "sim":
-            self._spawn(node, held, handled)
-            return
+        if segments and segments[-1] == "sim":
+            if name in ("process", "spawn"):
+                self._spawn(node, held, handled)
+                return
+            if name == "call":
+                # the child runs in the caller's frame: the argument's
+                # own call node (walked next) is the synchronous edge
+                return
         if name in _NEVER_EDGE:
             self._accessor(node, name, receiver, held)
             return

@@ -57,6 +57,14 @@ class ExtractedLayout:
     source_module: str = ""
     source_version: str = ""
 
+    def __post_init__(self) -> None:
+        # the field table StructView reads (repro.core.structs): every
+        # field unsigned, as the LWK view reads raw words
+        object.__setattr__(self, "table", {
+            f.name: (f.offset, f.elem_size, f.count, False,
+                     f"{self.struct_name}.{f.name}")
+            for f in self.fields})
+
     def field(self, name: str) -> ExtractedField:
         """Look up one extracted member by name."""
         for f in self.fields:

@@ -16,6 +16,15 @@ access for the KSan race detector (:mod:`repro.analysis.ksan`), and both
 offer :meth:`StructInstance.add`, an atomic read-modify-write modeling
 the ``LOCK XADD`` behind Linux ``atomic_t`` counters — which is how the
 driver's cross-kernel reference counts stay race-free without a lock.
+
+Every field is looked up once.  A :class:`CStructDef` and each
+extracted layout (:class:`repro.core.extract.ExtractedLayout`) build a
+*field table* when they are made: field name to ``(offset, element
+size, count, signed, KSan label)``.  ``get``/``set``/``add`` read one
+entry of it and go straight to :meth:`SharedHeap.read_u` /
+:meth:`~repro.hw.memory.SharedHeap.write_u`.  The checks, their error
+messages and the monitor calls (``annotate``, then the heap's
+``on_access``) are the same as a field-by-field lookup would make.
 """
 
 from __future__ import annotations
@@ -54,6 +63,11 @@ def ENUM(name: str) -> CType:
 def ARRAY(elem: CType, count: int) -> Tuple[CType, int]:
     """An array member; used as the ``ctype`` of a :class:`Field`."""
     return (elem, count)
+
+
+#: one field-table entry: offset, element size, element count, signed,
+#: KSan label (``struct.field``)
+FieldSlot = Tuple[int, int, int, bool, str]
 
 
 @dataclass(frozen=True)
@@ -98,6 +112,8 @@ class CStructDef:
         self.name = name
         self.fields = list(fields)
         self._offsets: Dict[str, int] = {}
+        #: the field table the accessors read (see the module docstring)
+        self.table: Dict[str, FieldSlot] = {}
         off = 0
         max_align = 1
         for f in self.fields:
@@ -105,6 +121,9 @@ class CStructDef:
             max_align = max(max_align, align)
             off = -(-off // align) * align
             self._offsets[f.name] = off
+            elem = f.elem
+            self.table[f.name] = (off, elem.size, f.count, elem.signed,
+                                  f"{name}.{f.name}")
             off += f.size
         self.align = max_align
         #: total size including trailing padding
@@ -132,15 +151,89 @@ class CStructDef:
         return f"<CStructDef {self.name} size={self.size}>"
 
 
-def _annotate(heap: SharedHeap, kernel: str, label: str,
-              atomic: bool = False) -> None:
-    """Declare the next heap access to an installed KSan monitor."""
-    monitor = heap.monitor
-    if monitor is not None:
-        monitor.annotate(kernel, label, atomic)
+def _bounds_error(field: str, index: int, count: int) -> ReproError:
+    return ReproError(f"index {index} out of bounds for {field}[{count}]")
 
 
-class StructInstance:
+class _FieldAccess:
+    """``get``/``set``/``add`` over a field table.
+
+    A subclass sets ``heap``, ``addr``, ``kernel``, ``_table`` (its
+    definition's field table) and ``_defn`` (whose ``field(name)``
+    raises the unknown-field error).
+    """
+
+    heap: SharedHeap
+    addr: int
+    kernel: str
+
+    def get(self, field: str, index: int = 0, *,
+            atomic: bool = False) -> int:
+        """Read a field (array ``index`` optional).  ``atomic=True``
+        models ``READ_ONCE``/``atomic_read`` — race-free in the KSan
+        model; use for lock-free reads of shared control words."""
+        try:
+            off, size, count, signed, label = self._table[field]
+        except KeyError:
+            self._defn.field(field)  # raises the unknown-field error
+            raise
+        if not 0 <= index < count:
+            raise _bounds_error(field, index, count)
+        heap = self.heap
+        monitor = heap._monitor_view
+        if monitor is not None:
+            monitor.annotate(self.kernel, label, atomic)
+        raw = heap.read_u(self.addr + off + index * size, size)
+        if signed and raw >= 1 << (8 * size - 1):
+            raw -= 1 << (8 * size)
+        return raw
+
+    def set(self, field: str, value: int, index: int = 0, *,
+            atomic: bool = False) -> None:
+        """Write a field (array ``index`` optional).  ``atomic=True``
+        models ``WRITE_ONCE``/``atomic_set`` — race-free in the KSan
+        model; use for lock-free writes of shared control words."""
+        try:
+            off, size, count, _, label = self._table[field]
+        except KeyError:
+            self._defn.field(field)  # raises the unknown-field error
+            raise
+        if not 0 <= index < count:
+            raise _bounds_error(field, index, count)
+        if value < 0:
+            value += 1 << (8 * size)
+        heap = self.heap
+        monitor = heap._monitor_view
+        if monitor is not None:
+            monitor.annotate(self.kernel, label, atomic)
+        heap.write_u(self.addr + off + index * size, size, value)
+
+    def add(self, field: str, delta: int, index: int = 0) -> int:
+        """Atomic read-modify-write (``LOCK XADD``): add ``delta`` to the
+        field and return the new value.  Atomic accesses are race-free
+        against any other access in the KSan model — use for the
+        driver's ``atomic_t``-style counters."""
+        try:
+            off, size, count, _, label = self._table[field]
+        except KeyError:
+            self._defn.field(field)  # raises the unknown-field error
+            raise
+        if not 0 <= index < count:
+            raise _bounds_error(field, index, count)
+        addr = self.addr + off + index * size
+        heap = self.heap
+        monitor = heap._monitor_view
+        if monitor is not None:
+            monitor.annotate(self.kernel, label, True)
+        raw = (heap.read_u(addr, size) + delta) % (1 << (8 * size))
+        monitor = heap._monitor_view
+        if monitor is not None:
+            monitor.annotate(self.kernel, label, True)
+        heap.write_u(addr, size, raw)
+        return raw
+
+
+class StructInstance(_FieldAccess):
     """A live structure in kernel heap memory, accessed through its *own*
     definition — this is the Linux driver's (always correct) view.
 
@@ -150,75 +243,27 @@ class StructInstance:
 
     def __init__(self, defn: CStructDef, heap: SharedHeap,
                  addr: Optional[int] = None, kernel: str = "linux"):
-        self.defn = defn
+        self.defn = self._defn = defn
+        self._table = defn.table
         self.heap = heap
         self.kernel = kernel
         self.addr = heap.kmalloc(defn.size) if addr is None else addr
-
-    def _loc(self, field: str, index: int):
-        f = self.defn.field(field)
-        self._check_index(f, index)
-        off = self.defn.offset_of(field) + index * f.elem.size
-        return f, self.addr + off
-
-    def get(self, field: str, index: int = 0, *,
-            atomic: bool = False) -> int:
-        """Read a field (array ``index`` optional).  ``atomic=True``
-        models ``READ_ONCE``/``atomic_read`` — race-free in the KSan
-        model; use for lock-free reads of shared control words."""
-        f, addr = self._loc(field, index)
-        _annotate(self.heap, self.kernel, f"{self.defn.name}.{field}",
-                  atomic=atomic)
-        raw = self.heap.read_u(addr, f.elem.size)
-        if f.elem.signed and raw >= 1 << (8 * f.elem.size - 1):
-            raw -= 1 << (8 * f.elem.size)
-        return raw
-
-    def set(self, field: str, value: int, index: int = 0, *,
-            atomic: bool = False) -> None:
-        """Write a field (array ``index`` optional).  ``atomic=True``
-        models ``WRITE_ONCE``/``atomic_set`` — race-free in the KSan
-        model; use for lock-free writes of shared control words."""
-        f, addr = self._loc(field, index)
-        if value < 0:
-            value += 1 << (8 * f.elem.size)
-        _annotate(self.heap, self.kernel, f"{self.defn.name}.{field}",
-                  atomic=atomic)
-        self.heap.write_u(addr, f.elem.size, value)
-
-    def add(self, field: str, delta: int, index: int = 0) -> int:
-        """Atomic read-modify-write (``LOCK XADD``): add ``delta`` to the
-        field and return the new value.  Atomic accesses are race-free
-        against any other access in the KSan model — use for the
-        driver's ``atomic_t``-style counters."""
-        f, addr = self._loc(field, index)
-        label = f"{self.defn.name}.{field}"
-        _annotate(self.heap, self.kernel, label, atomic=True)
-        raw = self.heap.read_u(addr, f.elem.size)
-        raw = (raw + delta) % (1 << (8 * f.elem.size))
-        _annotate(self.heap, self.kernel, label, atomic=True)
-        self.heap.write_u(addr, f.elem.size, raw)
-        return raw
 
     def free(self) -> None:
         """Release the backing heap allocation."""
         self.heap.kfree(self.addr)
 
-    @staticmethod
-    def _check_index(f: Field, index: int) -> None:
-        if not (0 <= index < f.count):
-            raise ReproError(
-                f"index {index} out of bounds for {f.name}[{f.count}]")
 
-
-class StructView:
+class StructView(_FieldAccess):
     """LWK-side access to a Linux structure through an extracted layout
     (see :mod:`repro.core.extract` for the extraction workflow).
 
     Reads and writes go to the same byte-backed heap the Linux driver
     uses — if the layout is stale (built from a different driver version)
     the view silently reads the wrong bytes, which is precisely the
-    failure mode the DWARF workflow exists to prevent.
+    failure mode the DWARF workflow exists to prevent.  An extracted
+    layout's table marks every field unsigned: the view reads the raw
+    word, whatever the member's C type.
 
     ``kernel`` names the kernel *performing* the accesses for the race
     detector; the McKernel fast path is the default, but a completion
@@ -227,52 +272,8 @@ class StructView:
 
     def __init__(self, layout, heap: SharedHeap, addr: int,
                  kernel: str = "mckernel"):
-        self.layout = layout
+        self.layout = self._defn = layout
+        self._table = layout.table
         self.heap = heap
         self.addr = addr
         self.kernel = kernel
-
-    def _loc(self, field: str, index: int):
-        f = self.layout.field(field)
-        self._check_index(f, index)
-        return f, self.addr + f.offset + index * f.elem_size
-
-    def get(self, field: str, index: int = 0, *,
-            atomic: bool = False) -> int:
-        """Read a field (array ``index`` optional) from heap memory.
-        ``atomic=True`` models ``READ_ONCE``/``atomic_read``; see
-        :meth:`StructInstance.get`."""
-        f, addr = self._loc(field, index)
-        _annotate(self.heap, self.kernel,
-                  f"{self.layout.struct_name}.{field}", atomic=atomic)
-        return self.heap.read_u(addr, f.elem_size)
-
-    def set(self, field: str, value: int, index: int = 0, *,
-            atomic: bool = False) -> None:
-        """Write a field (array ``index`` optional) to heap memory.
-        ``atomic=True`` models ``WRITE_ONCE``/``atomic_set``; see
-        :meth:`StructInstance.set`."""
-        f, addr = self._loc(field, index)
-        if value < 0:
-            value += 1 << (8 * f.elem_size)
-        _annotate(self.heap, self.kernel,
-                  f"{self.layout.struct_name}.{field}", atomic=atomic)
-        self.heap.write_u(addr, f.elem_size, value)
-
-    def add(self, field: str, delta: int, index: int = 0) -> int:
-        """Atomic read-modify-write (``LOCK XADD``); see
-        :meth:`StructInstance.add`."""
-        f, addr = self._loc(field, index)
-        label = f"{self.layout.struct_name}.{field}"
-        _annotate(self.heap, self.kernel, label, atomic=True)
-        raw = self.heap.read_u(addr, f.elem_size)
-        raw = (raw + delta) % (1 << (8 * f.elem_size))
-        _annotate(self.heap, self.kernel, label, atomic=True)
-        self.heap.write_u(addr, f.elem_size, raw)
-        return raw
-
-    @staticmethod
-    def _check_index(f, index: int) -> None:
-        if not (0 <= index < f.count):
-            raise ReproError(f"index {index} out of bounds for "
-                             f"{f.name}[{f.count}]")

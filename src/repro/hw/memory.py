@@ -201,34 +201,64 @@ class FrameAllocator:
     # -- freeing -------------------------------------------------------------
 
     def free(self, extents: Iterable[Extent]) -> None:
-        """Return extents to the free pool (must have been allocated)."""
-        for ext in extents:
-            self._free_one(ext)
+        """Return extents to the free pool (must have been allocated).
 
-    def _free_one(self, ext: Extent) -> None:
-        if ext.count <= 0:
-            raise ReproError(f"freeing empty extent {ext}")
-        if ext.start < self.base_frame or \
-                ext.end > self.base_frame + self.total_frames:
-            raise ReproError(f"extent {ext} outside memory")
-        starts = [s for s, _ in self._free]
-        idx = bisect.bisect_right(starts, ext.start)
-        # Overlap checks against neighbours (double-free detection).
-        if idx > 0 and self._free[idx - 1][1] > ext.start:
-            raise ReproError(f"double free: {ext} overlaps free interval "
-                             f"{tuple(self._free[idx - 1])}")
-        if idx < len(self._free) and self._free[idx][0] < ext.end:
-            raise ReproError(f"double free: {ext} overlaps free interval "
-                             f"{tuple(self._free[idx])}")
-        self._free.insert(idx, [ext.start, ext.end])
-        self.allocated_frames -= ext.count
-        # Merge with neighbours.
-        if idx + 1 < len(self._free) and self._free[idx][1] == self._free[idx + 1][0]:
-            self._free[idx][1] = self._free[idx + 1][1]
-            del self._free[idx + 1]
-        if idx > 0 and self._free[idx - 1][1] == self._free[idx][0]:
-            self._free[idx - 1][1] = self._free[idx][1]
-            del self._free[idx]
+        The whole request is checked before anything changes.  A valid
+        one is a single sorted merge into the free list.  An invalid one
+        (an empty extent, one outside memory, or a double free of a
+        free frame or of a frame named twice) raises the error freeing
+        the extents one at a time would have raised first, and leaves
+        the allocator as it was.
+        """
+        exts = list(extents)
+        lo, hi = self.base_frame, self.base_frame + self.total_frames
+        spans: List[List[int]] = []
+        for ext in exts:
+            start, end = ext.start, ext.start + ext.count
+            if not lo <= start < end <= hi:
+                raise self._first_free_error(exts)
+            spans.append([start, end])
+        merged: List[List[int]] = []
+        # the free list is one sorted run, so this sort merges the
+        # request into it
+        for start, end in sorted(self._free + spans):
+            if merged and merged[-1][1] >= start:
+                if merged[-1][1] > start:  # overlap: a double free
+                    raise self._first_free_error(exts)
+                merged[-1][1] = end
+            else:
+                merged.append([start, end])
+        self._free = merged
+        self.allocated_frames -= sum(end - start for start, end in spans)
+
+    def _first_free_error(self, exts: List[Extent]) -> ReproError:
+        """The error freeing ``exts`` one at a time would raise first,
+        found by replaying that on a copy of the free list."""
+        free = [list(iv) for iv in self._free]
+        starts = [s for s, _ in free]
+        for ext in exts:
+            if ext.count <= 0:
+                return ReproError(f"freeing empty extent {ext}")
+            if ext.start < self.base_frame or \
+                    ext.end > self.base_frame + self.total_frames:
+                return ReproError(f"extent {ext} outside memory")
+            idx = bisect.bisect_right(starts, ext.start)
+            if idx > 0 and free[idx - 1][1] > ext.start:
+                return ReproError(f"double free: {ext} overlaps free "
+                                  f"interval {tuple(free[idx - 1])}")
+            if idx < len(free) and free[idx][0] < ext.end:
+                return ReproError(f"double free: {ext} overlaps free "
+                                  f"interval {tuple(free[idx])}")
+            free.insert(idx, [ext.start, ext.end])
+            starts.insert(idx, ext.start)
+            if idx + 1 < len(free) and free[idx][1] == free[idx + 1][0]:
+                free[idx][1] = free[idx + 1][1]
+                del free[idx + 1], starts[idx + 1]
+            if idx > 0 and free[idx - 1][1] == free[idx][0]:
+                free[idx - 1][1] = free[idx][1]
+                del free[idx], starts[idx]
+        raise AssertionError("free() rejected a request the per-extent "
+                             "replay accepts")  # pragma: no cover
 
     # -- internals -------------------------------------------------------------
 
@@ -399,12 +429,42 @@ class SharedHeap:
         mem[off: off + size] = data
 
     def read_u(self, addr: int, size: int) -> int:
-        """Read a little-endian unsigned integer of ``size`` bytes."""
-        return int.from_bytes(self.read(addr, size), "little")
+        """Read a little-endian unsigned integer of ``size`` bytes.
+
+        :meth:`read` and the conversion in one frame: the struct
+        accessors call this once per field read.
+        """
+        base = self.base
+        if not (base <= addr and addr + size <= base + self.size):
+            self._check(addr, size)
+        monitor = self._monitor_view
+        if monitor is not None:
+            monitor.on_access("read", addr, size, self)
+        off = addr - base
+        # bytes past the backing read as zero: the missing high bytes
+        # of a little-endian integer
+        return int.from_bytes(self._mem[off: off + size], "little")
 
     def write_u(self, addr: int, size: int, value: int) -> None:
-        """Write a little-endian unsigned integer of ``size`` bytes."""
-        self.write(addr, int(value).to_bytes(size, "little", signed=False))
+        """Write a little-endian unsigned integer of ``size`` bytes.
+
+        The conversion and :meth:`write` in one frame; as before, a
+        value that does not fit raises ``OverflowError`` before the
+        bounds check and the monitor call.
+        """
+        data = int(value).to_bytes(size, "little", signed=False)
+        base = self.base
+        if not (base <= addr and addr + size <= base + self.size):
+            self._check(addr, size)
+        monitor = self._monitor_view
+        if monitor is not None:
+            monitor.on_access("write", addr, size, self)
+        off = addr - base
+        mem = self._mem
+        end = off + size
+        if end > len(mem):
+            mem.extend(bytes(end - len(mem)))
+        mem[off: end] = data
 
     def _check(self, addr: int, size: int) -> None:
         if not (self.base <= addr and addr + size <= self.end):

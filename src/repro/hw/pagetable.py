@@ -140,21 +140,29 @@ class PageTable:
 
     def unmap_range(self, vaddr: int, length: int) -> List[Extent]:
         """Remove all mappings intersecting ``[vaddr, vaddr+length)``;
-        returns the physical extents released (frame numbers)."""
+        returns the physical extents released (frame numbers).
+
+        A page only partly inside the range raises; the pages before it
+        are removed, as removing them one at a time would have done.
+        The removal itself is one slice deletion.
+        """
         released: List[Extent] = []
+        maps = self._maps
+        end = vaddr + length
         idx = bisect.bisect_right(self._vaddrs, vaddr) - 1
-        if idx < 0 or self._maps[idx].vend <= vaddr:
+        if idx < 0 or maps[idx].vend <= vaddr:
             idx += 1
-        while idx < len(self._maps) and self._maps[idx].vaddr < vaddr + length:
-            m = self._maps[idx]
-            if m.vaddr < vaddr or m.vend > vaddr + length:
+        stop = bisect.bisect_left(self._vaddrs, end, idx)
+        for pos in range(idx, stop):
+            m = maps[pos]
+            if m.vaddr < vaddr or m.vaddr + m.page_size > end:
+                del self._vaddrs[idx:pos], maps[idx:pos]
                 raise ReproError(
                     f"partial unmap of a {m.page_size}-byte page at "
                     f"{m.vaddr:#x} (range [{vaddr:#x}, +{length:#x}))")
             released.append(Extent(m.paddr // PAGE_SIZE,
                                    m.page_size // PAGE_SIZE))
-            del self._vaddrs[idx]
-            del self._maps[idx]
+        del self._vaddrs[idx:stop], maps[idx:stop]
         return released
 
     # -- lookup ------------------------------------------------------------

@@ -40,7 +40,7 @@ class IkcChannel:
         done = Event(self.sim)
         self.inflight += 1
         self.tracer.count("ikc.calls")
-        self.sim.process(self._serve(proxy_task, name, args, done, cause))
+        self.sim.spawn(self._serve(proxy_task, name, args, done, cause))
         try:
             result = yield done
         finally:

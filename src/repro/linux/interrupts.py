@@ -29,7 +29,7 @@ class InterruptController:
         """Raise an IRQ: after delivery latency, run ``handler`` (a
         generator function) on a Linux CPU."""
         self.tracer.count("irq.delivered")
-        self.sim.process(self._service(handler, args))
+        self.sim.spawn(self._service(handler, args))
 
     def _service(self, handler, args):
         yield self.sim.timeout(self.params.nic.irq_latency)
@@ -46,5 +46,6 @@ class InterruptController:
             finally:
                 irq_exit("linux")
             if result is not None and hasattr(result, "send"):
-                yield self.sim.process(tag_irq_generator(result, "linux"))
+                yield from self.sim.call(
+                    tag_irq_generator(result, "linux"))
             self.tracer.record("irq.service", self.sim.now - t0)

@@ -593,7 +593,7 @@ class PxdDriver(FileOps):
                 self._probing.add(r)
                 self._transition(r, "probing", "breaker admits probe")
                 self.blockdev.tracer.count("pxd.probes")
-                self.kernel.sim.process(self._probe(r))
+                self.kernel.sim.spawn(self._probe(r))
 
     def _probe(self, r: int):
         """Generator: probe-write the scratch sector of a reattached

@@ -137,7 +137,7 @@ class Endpoint:
             yield from self.hfi.pio_send(pkt)
             self.tracer.count("psm.eager_sends")
             if FAULTS.enabled:
-                self.sim.process(self._eager_watchdog(seq))
+                self.sim.spawn(self._eager_watchdog(seq))
             else:
                 req.complete(self.addr, tag, nbytes)
             return req
@@ -173,7 +173,7 @@ class Endpoint:
                 self.tracer.count("psm.send_timeouts")
             self.tracer.count("psm.eager_sdma_sends")
             if FAULTS.enabled:
-                self.sim.process(self._eager_watchdog(seq))
+                self.sim.spawn(self._eager_watchdog(seq))
             else:
                 done.add_callback(
                     lambda _e: req.complete(self.addr, tag, nbytes))
@@ -195,7 +195,7 @@ class Endpoint:
         yield from self.hfi.pio_send(pkt)
         self.tracer.count("psm.rndv_sends")
         if FAULTS.enabled:
-            self.sim.process(self._rts_watchdog(flow, pkt))
+            self.sim.spawn(self._rts_watchdog(flow, pkt))
         return req
 
     def mq_send(self, dest: EndpointAddress, tag, buffer: int, nbytes: int,
@@ -215,7 +215,7 @@ class Endpoint:
             if msg.rts is not None:
                 self._start_recv_flow(msg.rts, req, buffer)
             else:
-                self.sim.process(self._eager_deliver(
+                self.sim.spawn(self._eager_deliver(
                     req, msg.source, msg.tag, msg.nbytes, msg.payload))
         return req
 
@@ -245,14 +245,14 @@ class Endpoint:
             if FAULTS.enabled and pkt.seq is not None:
                 # ACK every copy (the first ACK may itself be lost), but
                 # deliver each sequence number once.
-                self.sim.process(self._send_ack(pkt, src))
+                self.sim.spawn(self._send_ack(pkt, src))
                 if pkt.seq in self._seen_eager:
                     self.tracer.count("psm.dup_eager")
                     return
                 self._seen_eager.add(pkt.seq)
             req = self.mq.match_arrival(src, tag)
             if req is not None:
-                self.sim.process(self._eager_deliver(
+                self.sim.spawn(self._eager_deliver(
                     req, src, tag, pkt.nbytes, pkt.payload, cause=rx))
             else:
                 self.mq.add_unexpected(UnexpectedMessage(
@@ -511,7 +511,7 @@ class Endpoint:
             if TRACE.enabled and span is not None:
                 TRACE.collector.end_span(span)
         if FAULTS.enabled:
-            self.sim.process(self._cts_watchdog(flow, w, pkt))
+            self.sim.spawn(self._cts_watchdog(flow, w, pkt))
 
     def _window_arrived(self, msg_id: Tuple, widx: int,
                         cause=None) -> None:

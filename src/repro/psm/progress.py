@@ -42,7 +42,7 @@ class ProgressWorker:
         while True:
             job = yield self._jobs.get()
             try:
-                yield self.sim.process(job)
+                yield from self.sim.call(job)
                 self.completed += 1
             except Exception as exc:
                 self.failed += 1

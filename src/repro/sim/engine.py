@@ -55,13 +55,47 @@ that starts it and in ``_deliver``, without going through
 itself instead of calling ``Event._run_callbacks``, and
 ``Resource.request`` does its occupancy accounting inline.  The key
 is the whole ordering contract, so inlining it cannot reorder events.
-What must not be inlined away are the boundaries themselves:
-:meth:`Simulator.run` always goes through ``self.step()`` (never a
-private loop around ``heappop``), and every wait still constructs a
-``Timeout`` and every resumption still calls ``Process._deliver``, so
-instrumenting ``step`` (the controlled scheduler, a step counter) or
-counting calls to these three under a profiler sees exactly one call
-per event, per resumption and per timed wait.
+
+Exact fast paths (same schedule, fewer round-trips)
+---------------------------------------------------
+Three shortcuts skip heap round-trips whose outcome is already known.
+Each applies only when it cannot change what the FIFO schedule does,
+and none applies while a controlled scheduler is installed:
+
+* *run-ahead*: inside :meth:`Simulator.run`, a process resumed as the
+  sole callback of the stepped event is the last thing that step does.
+  If the event it yields next is ``heap[0]``, has no callbacks yet and
+  lies within the run's horizon, the next step would pop exactly that
+  event and resume exactly this process, so ``_deliver`` pops it in
+  place and continues;
+* *inline joins*: ``yield from sim.call(gen)`` runs the child in the
+  caller's frame.  Its start and its end are each skipped when the
+  event ``yield sim.process(gen)`` would have posted for them would be
+  alone at its instant and handled next; otherwise exactly that one
+  zero-delay event is posted;
+* *detached spawns*: :meth:`Simulator.spawn` starts a process nobody
+  joins, so its end posts no completion event.  Its failure cannot
+  reach a waiter either: the exception propagates out of
+  :meth:`run`/:meth:`step` unchanged.
+
+What the boundaries count:
+
+* one step may consume several events of one process (run-ahead pops
+  them inside the process's ``_deliver``), so calls to
+  ``Simulator._step_fast`` count steps and calls to ``Process._deliver``
+  count resumptions, not events;
+* every wait still constructs a ``Timeout``, so ``Timeout.__init__``
+  counts timed waits plus the child starts that were posted;
+* :meth:`Simulator.run` always goes through ``self.step()`` (never a
+  private loop around ``heappop``), and a ``step()`` called outside
+  ``run()`` processes exactly one event;
+* a controlled scheduler still sees every event: with one installed,
+  ``call`` creates the child process and ``spawn`` posts its completion
+  as ``sim.process`` would, and nothing runs ahead.
+
+``bench/layers.py`` counts calls to ``Simulator._step_fast``,
+``Process._deliver`` and ``Timeout.__init__`` under cProfile, so those
+three names stay.
 """
 
 from __future__ import annotations
@@ -69,6 +103,8 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from itertools import count
 from typing import Any, Callable, List, Optional
+
+_INF = float("inf")
 
 
 class SimError(Exception):
@@ -200,6 +236,13 @@ class Simulator:
         #: opened by concurrent processes (progress workers, watchdogs,
         #: IRQ handlers) never interleave on one stack.
         self.active_process = None
+        #: the run-ahead right (see "Exact fast paths"): ``_step_fast``
+        #: stores its event here when that event has exactly one
+        #: callback, and the process that callback resumes takes it over
+        self._sole: Any = None
+        #: the current ``run()``'s horizon; ``-inf`` outside ``run()``,
+        #: so a bare ``step()`` never consumes more than one event
+        self._horizon = -_INF
         # Precomputed dispatch: the hot entry points start on their fast
         # variants; installing a monitor rebinds the instance attribute
         # (shadowing the class method) so the disabled path never tests
@@ -235,6 +278,7 @@ class Simulator:
     @scheduler.setter
     def scheduler(self, scheduler) -> None:
         self._scheduler = scheduler
+        self._sole = None
         self.step = (self._step_fast if scheduler is None
                      else self._step_controlled)
 
@@ -270,6 +314,72 @@ class Simulator:
         """Run a generator as a simulation process."""
         return Process(self, generator)
 
+    def spawn(self, generator) -> None:
+        """Run a generator as a *detached* process: one whose handle
+        nobody keeps, joins or interrupts.
+
+        It starts like :meth:`process`, but its end posts no completion
+        event (unless a controlled scheduler is installed, which sees
+        every event ``process`` would post).  An exception it raises
+        has no waiter to go to, so it propagates out of :meth:`run` /
+        :meth:`step` unchanged instead of vanishing.
+        """
+        _Detached(self, generator)
+
+    def call(self, generator):
+        """Generator: run ``generator`` as a joined child and return its
+        value (or raise its exception) — ``result = yield from
+        sim.call(gen)`` in place of ``result = yield sim.process(gen)``.
+
+        The child runs in the caller's frame, so the caller's waits are
+        the child's waits.  Its start and its end each post the
+        zero-delay event ``sim.process`` would have posted, unless that
+        event would be alone at its instant and handled right after the
+        current resumption, when it is skipped (see the module
+        docstring).  A caller inside ``call`` cannot be interrupted:
+        the interrupt would land in the child's frame, not at the join.
+        """
+        if not hasattr(generator, "send"):
+            raise SimError(f"process body must be a generator, "
+                           f"got {generator!r}")
+        caller = self.active_process
+        if caller is not None:
+            caller._calls += 1  # Process.interrupt refuses meanwhile
+        try:
+            if self._scheduler is not None:
+                # controlled mode: today's path, every event visible
+                return (yield Process(self, generator))
+            if not self._alone():
+                yield Timeout(self, 0.0)  # the child's start event
+            try:
+                value = yield from generator
+            except GeneratorExit:
+                raise
+            except BaseException as exc:
+                if not self._alone():
+                    # the child's end event, which throws ``exc`` here
+                    yield Event(self).fail(exc)
+                raise
+            if not self._alone():
+                yield Event(self).succeed(value)  # the child's end event
+            return value
+        finally:
+            if caller is not None:
+                caller._calls -= 1
+
+    def _alone(self) -> bool:
+        """Would a zero-delay event posted now be the next one handled?
+
+        True when the running process holds the run-ahead right (its
+        resumption ends the step, inside ``run()``) and no other event
+        is due at this instant.
+        """
+        proc = self.active_process
+        if proc is None or self._sole is not proc:
+            return False
+        heap = self._heap
+        return not heap or heap[0][0] > self.now
+
     # -- running ---------------------------------------------------------
 
     def peek(self) -> float:
@@ -277,7 +387,10 @@ class Simulator:
         return self._heap[0][0] if self._heap else float("inf")
 
     def step(self) -> None:
-        """Process exactly one event.
+        """Process the next event.  Called by :meth:`run`, a step may
+        go on through further events of the process it resumed
+        (run-ahead, see the module docstring); called directly, it
+        processes exactly one event.
 
         Same-time events fire in stable FIFO insertion order (see the
         module docstring's tie-break policy).  An installed controlled
@@ -301,8 +414,15 @@ class Simulator:
         callbacks = event.callbacks
         event.callbacks = None
         event._processed = True
-        for fn in callbacks:
-            fn(event)
+        if len(callbacks) == 1:
+            # the sole callback is the last act of this step: a process
+            # it resumes may run ahead (Process._deliver)
+            self._sole = event
+            callbacks[0](event)
+        else:
+            self._sole = None
+            for fn in callbacks:
+                fn(event)
 
     def _step_controlled(self) -> None:
         # Controlled mode (PicoCheck): surface the same-time ready set
@@ -343,30 +463,40 @@ class Simulator:
         ``until`` event triggers.  Returns the ``until`` event's value when
         given an event.
         """
-        if until is None:
-            while self._heap:
+        try:
+            if until is None:
+                self._horizon = _INF
+                while self._heap:
+                    self.step()
+                return None
+            if isinstance(until, Event):
+                # ``until`` always has a callback (this one), so nothing
+                # runs ahead through it: the run stops at its step
+                done = [False]
+                until.add_callback(lambda e: done.__setitem__(0, True))
+                self._horizon = _INF
+                while not done[0]:
+                    if not self._heap:
+                        raise SimError("run(until=event): queue drained "
+                                       "before the event triggered "
+                                       "(deadlock?)")
+                    self.step()
+                if until._exc is not None:
+                    raise until._exc
+                return until._value
+            horizon = float(until)
+            if horizon < self.now:
+                raise SimError(f"run until {horizon} is in the past "
+                               f"(now={self.now})")
+            self._horizon = horizon
+            while self._heap and self._heap[0][0] <= horizon:
                 self.step()
+            self.now = horizon
             return None
-        if isinstance(until, Event):
-            done = [False]
-            until.add_callback(lambda e: done.__setitem__(0, True))
-            while not done[0]:
-                if not self._heap:
-                    raise SimError("run(until=event): queue drained before "
-                                   "the event triggered (deadlock?)")
-                self.step()
-            if until._exc is not None:
-                raise until._exc
-            return until._value
-        horizon = float(until)
-        if horizon < self.now:
-            raise SimError(f"run until {horizon} is in the past (now={self.now})")
-        while self._heap and self._heap[0][0] <= horizon:
-            self.step()
-        self.now = horizon
-        return None
+        finally:
+            self._horizon = -_INF
 
 
 # Process subclasses Event, so its module imports this one; importing it
 # last (when everything above exists) lets ``process()`` use it directly.
-from .process import Process  # noqa: E402
+from .process import Process, _Detached  # noqa: E402

@@ -4,11 +4,13 @@ A process body is a Python generator that ``yield``s :class:`Event`s; the
 process suspends until the yielded event triggers, then resumes with the
 event's value (or has the event's exception thrown into it).  A process is
 itself an :class:`Event` that triggers with the generator's return value, so
-processes compose (``yield sim.process(sub())``).
+processes compose (``yield sim.process(sub())``, or ``yield from
+sim.call(sub())``, which runs the child in the caller's frame).
 """
 
 from __future__ import annotations
 
+from heapq import heappop
 from typing import Any, Generator, Iterable
 
 from .engine import Event, SimError, Simulator, Timeout
@@ -25,13 +27,19 @@ class Interrupt(Exception):
 class Process(Event):
     """An event that completes when its generator returns."""
 
-    __slots__ = ("_gen", "_waiting_on", "_resume_cb")
+    __slots__ = ("_gen", "_waiting_on", "_resume_cb", "_calls")
+
+    #: a detached process (:meth:`Simulator.spawn`) has no waiter: it
+    #: ends without posting, and its failure propagates out of the step
+    _detached = False
 
     def __init__(self, sim: Simulator, gen: Generator):
         if not hasattr(gen, "send"):
             raise SimError(f"process body must be a generator, got {gen!r}")
         super().__init__(sim)
         self._gen = gen
+        #: open ``sim.call`` joins this process is running
+        self._calls = 0
         #: the bound ``_resume``, made once: every wait appends it
         self._resume_cb = resume = self._resume
         # the start wait: a zero-delay Timeout (which no wait monitor
@@ -49,16 +57,32 @@ class Process(Event):
 
         The event the process was waiting on keeps running; the process is
         simply no longer waiting on it.
+
+        A process inside ``sim.call`` runs its child in its own frame, so
+        an interrupt cannot reach the join the way it reaches ``yield
+        sim.process(...)``: it raises :class:`SimError` here, or out of
+        the step that delivers it if the process entered the call in
+        between.
         """
         if self.triggered:
             raise SimError("cannot interrupt a finished process")
+        self._check_interruptible()
         waited = self._waiting_on
         interrupt_evt = Event(self.sim)
         interrupt_evt.add_callback(
-            lambda e: self._deliver(waited, Interrupt(cause)))
+            lambda e: self._interrupted(waited, cause))
         interrupt_evt.succeed()
 
     # -- internal --------------------------------------------------------
+
+    def _check_interruptible(self) -> None:
+        if self._calls:
+            raise SimError("cannot interrupt a process inside sim.call(): "
+                           "the child runs in its frame")
+
+    def _interrupted(self, waited: Event, cause: Any) -> None:
+        self._check_interruptible()
+        self._deliver(waited, Interrupt(cause))
 
     def _resume(self, event: Event) -> None:
         if self._waiting_on is not event:
@@ -75,36 +99,79 @@ class Process(Event):
             # PicoCheck footprint recording: which processes a step
             # resumed is half of the explorer's independence relation
             scheduler.on_process_resumed(self)
+        elif sim._sole is event and sim.now <= sim._horizon:
+            # resumed as the sole callback of the stepped event inside
+            # run(): nothing else happens in this step, so this process
+            # may run ahead (see the engine module docstring)
+            sim._sole = self
+        gen = self._gen
         try:
-            if interrupt is not None:
-                target = self._gen.throw(interrupt)
-            elif event._exc is not None:
-                target = self._gen.throw(event._exc)
-            else:
-                target = self._gen.send(event._value)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except BaseException as exc:
-            # Fail the process event; the exception propagates into any
-            # process waiting on this one (failure-injection tests rely on
-            # this instead of crashing the event loop).
-            self.fail(exc)
-            return
+            while True:
+                try:
+                    if interrupt is not None:
+                        target = gen.throw(interrupt)
+                    elif event._exc is not None:
+                        target = gen.throw(event._exc)
+                    else:
+                        target = gen.send(event._value)
+                except StopIteration as stop:
+                    if self._detached and scheduler is None:
+                        # nobody waits on a detached process: done,
+                        # without a completion event
+                        self._triggered = True
+                        self._value = stop.value
+                    else:
+                        self.succeed(stop.value)
+                    return
+                except BaseException as exc:
+                    if self._detached:
+                        raise  # no waiter to hand the failure to
+                    # Fail the process event; the exception propagates
+                    # into any process waiting on this one
+                    # (failure-injection tests rely on this instead of
+                    # crashing the event loop).
+                    self.fail(exc)
+                    return
+                if not isinstance(target, Event) or target.sim is not sim:
+                    gen.close()
+                    error = SimError(f"process yielded a non-event (or an "
+                                     f"event from another simulator): "
+                                     f"{target!r}")
+                    if self._detached:
+                        raise error
+                    self.fail(error)
+                    return
+                callbacks = target.callbacks
+                if callbacks is None:  # processed: resume at once
+                    self._waiting_on = target
+                    self._resume(target)
+                    return
+                if not callbacks and sim._sole is self:
+                    # run-ahead: the next step would pop ``target`` and
+                    # resume this process alone, so pop it here
+                    heap = sim._heap
+                    if heap and heap[0][2] is target \
+                            and heap[0][0] <= sim._horizon:
+                        sim.now = heappop(heap)[0]
+                        target.callbacks = None
+                        target._processed = True
+                        event = target
+                        interrupt = None
+                        continue
+                self._waiting_on = target
+                # Event.add_callback, inlined
+                callbacks.append(self._resume_cb)
+                return
         finally:
             sim.active_process = prev_active
-        if not isinstance(target, Event) or target.sim is not sim:
-            self._gen.close()
-            self.fail(SimError(f"process yielded a non-event (or an event "
-                               f"from another simulator): {target!r}"))
-            return
-        self._waiting_on = target
-        # Event.add_callback, inlined
-        callbacks = target.callbacks
-        if callbacks is None:
-            self._resume(target)
-        else:
-            callbacks.append(self._resume_cb)
+
+
+class _Detached(Process):
+    """A process started by :meth:`Simulator.spawn`."""
+
+    __slots__ = ()
+
+    _detached = True
 
 
 class _Condition(Event):

@@ -14,6 +14,7 @@ from .vet_fixtures.lockedge_rig import run_rig
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "vet_fixtures")
 SLEEPY = os.path.join(FIXTURES, "sleepy_fastpath.py")
+JOINED = os.path.join(FIXTURES, "joined_calls.py")
 
 
 # --- the shipped tree --------------------------------------------------------
@@ -106,6 +107,34 @@ def test_fixture_effects_are_transitive_not_local():
     transitive = program.effects[entry].sleeps
     assert any(s.what == "rcu_synchronize" for s in transitive)
     assert "lwk" in program.contexts[entry]
+
+
+def _joined(name):
+    program, findings = vet_paths([JOINED])
+    (qual,) = [q for q in program.functions
+               if q.endswith(f"JoinedPicoDriver.{name}")]
+    return program, findings, qual
+
+
+def test_inline_join_is_a_synchronous_call():
+    """``yield from sim.call(f(...))`` runs ``f`` in the caller's frame:
+    a call edge, no spawn edge, and ``f``'s sleep is the fast path's."""
+    program, findings, entry = _joined("fast_writev")
+    settle = entry.replace("fast_writev", "_settle")
+    assert any(settle in rc.targets for rc in program.edges[entry])
+    assert program.spawn_edges[entry] == []
+    (finding,) = findings
+    assert finding.code == "PD015.2"
+    assert "fast_writev -> JoinedPicoDriver._settle" in finding.message
+
+
+def test_detached_spawn_is_a_spawn_edge():
+    """``sim.spawn(f(...))`` is a spawn edge, like ``sim.process``: the
+    detached process inherits the spawner's context."""
+    program, _findings, entry = _joined("fast_poll")
+    watch = entry.replace("fast_poll", "_watch")
+    assert any(watch in rc.targets for rc in program.spawn_edges[entry])
+    assert "lwk" in program.contexts[watch]
 
 
 # --- suppressions ------------------------------------------------------------

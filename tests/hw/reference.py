@@ -2,16 +2,73 @@
 
 The simulator keeps the rendezvous path's per-page state per request:
 ``FrameAllocator.alloc_scattered`` draws its uniforms as one block,
-``PageTable.map_extents`` builds and splices a whole mmap's entries at
-once, and the RcvArray stores ``(ctxt_id, span)`` per TID.  The classes
-and functions here are those routines as they were, one frame, page or
-entry at a time; the tests run both and compare everything observable.
+``FrameAllocator.free`` merges a whole request into the free list at
+once, ``PageTable.map_extents`` builds and splices a whole mmap's
+entries at once, ``PageTable.unmap_range`` deletes them as one slice,
+and the RcvArray stores ``(ctxt_id, span)`` per TID.  The classes and
+functions here are those routines as they were, one frame, extent, page
+or entry at a time; the tests run both and compare everything
+observable.
 """
+
+import bisect
 
 from repro.errors import DriverError, OutOfMemory, ReproError
 from repro.hw import Extent, FrameAllocator, TidEntry
 from repro.sim import Tracer
 from repro.units import LARGE_PAGE_SIZE, PAGE_SIZE
+
+
+class PerExtentFrameAllocator(FrameAllocator):
+    """``free`` as one checked insert-and-merge per extent: a rejected
+    request leaves the extents before the bad one freed."""
+
+    def free(self, extents):
+        for ext in extents:
+            self._free_one(ext)
+
+    def _free_one(self, ext):
+        if ext.count <= 0:
+            raise ReproError(f"freeing empty extent {ext}")
+        if ext.start < self.base_frame or \
+                ext.end > self.base_frame + self.total_frames:
+            raise ReproError(f"extent {ext} outside memory")
+        starts = [s for s, _ in self._free]
+        idx = bisect.bisect_right(starts, ext.start)
+        if idx > 0 and self._free[idx - 1][1] > ext.start:
+            raise ReproError(f"double free: {ext} overlaps free interval "
+                             f"{tuple(self._free[idx - 1])}")
+        if idx < len(self._free) and self._free[idx][0] < ext.end:
+            raise ReproError(f"double free: {ext} overlaps free interval "
+                             f"{tuple(self._free[idx])}")
+        self._free.insert(idx, [ext.start, ext.end])
+        self.allocated_frames -= ext.count
+        if idx + 1 < len(self._free) and \
+                self._free[idx][1] == self._free[idx + 1][0]:
+            self._free[idx][1] = self._free[idx + 1][1]
+            del self._free[idx + 1]
+        if idx > 0 and self._free[idx - 1][1] == self._free[idx][0]:
+            self._free[idx - 1][1] = self._free[idx][1]
+            del self._free[idx]
+
+
+def per_entry_unmap_range(pt, vaddr, length):
+    """``unmap_range`` deleting one entry at a time."""
+    released = []
+    idx = bisect.bisect_right(pt._vaddrs, vaddr) - 1
+    if idx < 0 or pt._maps[idx].vend <= vaddr:
+        idx += 1
+    while idx < len(pt._maps) and pt._maps[idx].vaddr < vaddr + length:
+        m = pt._maps[idx]
+        if m.vaddr < vaddr or m.vend > vaddr + length:
+            raise ReproError(
+                f"partial unmap of a {m.page_size}-byte page at "
+                f"{m.vaddr:#x} (range [{vaddr:#x}, +{length:#x}))")
+        released.append(Extent(m.paddr // PAGE_SIZE,
+                               m.page_size // PAGE_SIZE))
+        del pt._vaddrs[idx]
+        del pt._maps[idx]
+    return released
 
 
 class ScalarFrameAllocator(FrameAllocator):

@@ -1,13 +1,15 @@
-"""Property-based tests of frame-allocator invariants."""
+"""Property-based tests of frame-allocator and page-table invariants."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import OutOfMemory, ReproError
-from repro.hw import FrameAllocator
+from repro.hw import Extent, FrameAllocator, PageTable
+from repro.units import LARGE_PAGE_SIZE, PAGE_SIZE
 
-from .reference import ScalarFrameAllocator
+from .reference import (PerExtentFrameAllocator, ScalarFrameAllocator,
+                        per_entry_unmap_range)
 
 
 @st.composite
@@ -151,3 +153,126 @@ def test_scattered_alloc_matches_per_frame_reference(script, total, seed):
                          rng.bit_generator.state))
         assert outs[0] == outs[1]
     assert sides[0][1].random(4).tolist() == sides[1][1].random(4).tolist()
+
+
+@st.composite
+def free_request(draw):
+    """An allocator state (a free/used mask over its frames) and a free
+    request: extents cut from the used runs, in any order, sometimes
+    with a bad extent mixed in."""
+    base = draw(st.integers(0, 8))
+    total = draw(st.integers(1, 40))
+    mask = draw(st.lists(st.booleans(), min_size=total, max_size=total))
+    pieces = []
+    frame = 0
+    while frame < total:
+        if mask[frame]:
+            frame += 1
+            continue
+        run = 1
+        while frame + run < total and not mask[frame + run]:
+            run += 1
+        # cut the used run into extents and keep some of them
+        cut = frame
+        while cut < frame + run:
+            n = draw(st.integers(1, frame + run - cut))
+            if draw(st.booleans()):
+                pieces.append((base + cut, n))
+            cut += n
+        frame += run
+    noise = draw(st.lists(st.tuples(st.integers(base - 3, base + total + 3),
+                                    st.integers(-1, 5)), max_size=2))
+    request = draw(st.permutations(pieces + noise))
+    return base, total, mask, request
+
+
+def _allocator(cls, base, total, mask):
+    fa = cls(total, base_frame=base)
+    free, frame = [], 0
+    while frame < total:
+        if not mask[frame]:
+            frame += 1
+            continue
+        end = frame
+        while end < total and mask[end]:
+            end += 1
+        free.append([base + frame, base + end])
+        frame = end
+    fa._free = free
+    fa.allocated_frames = total - sum(mask)
+    return fa
+
+
+@given(case=free_request())
+@settings(max_examples=300, deadline=None)
+def test_free_merge_matches_per_extent_path(case):
+    """Same free list and count as freeing one extent at a time; or the
+    same first error, with nothing changed."""
+    base, total, mask, request = case
+    merged = _allocator(FrameAllocator, base, total, mask)
+    reference = _allocator(PerExtentFrameAllocator, base, total, mask)
+    before = (merged.free_intervals(), merged.allocated_frames)
+    try:
+        reference.free([Extent(s, n) for s, n in request])
+        expected = None
+    except ReproError as exc:
+        expected = str(exc)
+    try:
+        merged.free([Extent(s, n) for s, n in request])
+        got = None
+    except ReproError as exc:
+        got = str(exc)
+    assert got == expected
+    if expected is None:
+        assert merged.free_intervals() == reference.free_intervals()
+        assert merged.allocated_frames == reference.allocated_frames
+    else:
+        assert (merged.free_intervals(), merged.allocated_frames) == before
+
+
+@st.composite
+def unmap_case(draw):
+    """A page table of 4KB and 2MB entries with gaps, and a range."""
+    sizes = draw(st.lists(st.sampled_from([0, PAGE_SIZE, PAGE_SIZE,
+                                           LARGE_PAGE_SIZE]),
+                          min_size=1, max_size=12))
+    vaddrs = list(_table(sizes)._vaddrs)
+    span = sum(sizes) // PAGE_SIZE + 8
+    start = draw(st.one_of(st.integers(0, span).map(PAGE_SIZE.__mul__),
+                           st.sampled_from(vaddrs or [0])))
+    length = draw(st.integers(0, span)) * PAGE_SIZE
+    return sizes, start, length
+
+
+def _table(sizes):
+    pt = PageTable()
+    va = 0
+    for i, size in enumerate(sizes):
+        if size == 0:  # a hole of one 4KB page
+            va += PAGE_SIZE
+            continue
+        va = -(-va // size) * size
+        pt.map_page(va, (i + 1) * LARGE_PAGE_SIZE, size)
+        va += size
+    return pt
+
+
+@given(case=unmap_case())
+@settings(max_examples=200, deadline=None)
+def test_unmap_range_matches_per_entry_path(case):
+    """Same released extents and table, or the same error with the same
+    entries already removed."""
+    sizes, start, length = case
+    sliced, reference = _table(sizes), _table(sizes)
+    outcomes = []
+    for unmap in (sliced.unmap_range,
+                  lambda v, n: per_entry_unmap_range(reference, v, n)):
+        try:
+            outcomes.append(("ok", [(e.start, e.count)
+                                    for e in unmap(start, length)]))
+        except ReproError as exc:
+            outcomes.append(("err", str(exc)))
+    assert outcomes[0] == outcomes[1]
+    assert sliced._vaddrs == reference._vaddrs
+    assert [(m.vaddr, m.paddr, m.page_size) for m in sliced._maps] \
+        == [(m.vaddr, m.paddr, m.page_size) for m in reference._maps]
