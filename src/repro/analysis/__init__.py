@@ -4,9 +4,11 @@ Two cooperating layers guard the paper's central hazard — two kernels
 concurrently mutating the same Linux driver state (section 3.3):
 
 * :mod:`repro.analysis.ksan` — "KSan", a dynamic Eraser-style lockset
-  race detector.  When enabled (``repro.config.ANALYSIS.race_detection``
-  or ``python -m repro sanitize``) every :class:`~repro.hw.memory.SharedHeap`
-  access is reported with its kernel, struct/field label and the set of
+  race detector.  While the ``ksan`` slot of
+  :data:`repro.config.PLANES` collects detectors (``planes(ksan=[])``
+  or ``python -m repro sanitize``), every machine installs one per node
+  heap and every :class:`~repro.hw.memory.SharedHeap` access is
+  reported with its kernel, struct/field label and the set of
   :class:`~repro.core.sync.CrossKernelSpinLock` s held; any word written
   by both kernels whose candidate lockset goes empty is reported with
   full provenance (both access sites, sim time, lock holder history).
@@ -24,7 +26,7 @@ concurrently mutating the same Linux driver state (section 3.3):
 
 * :mod:`repro.analysis.lockdep` — "PicoLockdep", cross-kernel
   lock-order analysis.  A runtime validator
-  (``repro.config.ANALYSIS.lockdep`` or ``python -m repro lockdep``)
+  (``planes(lockdep=[])`` or ``python -m repro lockdep``)
   builds the observed lock-class dependency graph and reports order
   cycles, declared-hierarchy violations, IRQ inversions and timed
   waits inside critical sections; :func:`~repro.analysis.lockdep.lock_graph`
@@ -32,17 +34,13 @@ concurrently mutating the same Linux driver state (section 3.3):
   dynamic edges are checked against off the PicoVet model.
 """
 
-from .ksan import (ACTIVE_DETECTORS, HeapAccess, RaceDetector, RaceReport,
-                   active_race_reports, reset_active_detectors)
+from .ksan import HeapAccess, RaceDetector, RaceReport
 from .lint import Finding, RULES, lint_paths, lint_source
-from .lockdep import (ACTIVE_VALIDATORS, LockdepReport, LockdepValidator,
-                      LockGraph, active_lockdep_reports, lock_graph,
-                      reset_active_validators)
+from .lockdep import (LockdepReport, LockdepValidator, LockGraph,
+                      dynamic_edges, lock_graph)
 
 __all__ = [
-    "ACTIVE_DETECTORS", "ACTIVE_VALIDATORS", "Finding", "HeapAccess",
-    "LockGraph", "LockdepReport", "LockdepValidator", "RULES",
-    "RaceDetector", "RaceReport", "active_lockdep_reports",
-    "active_race_reports", "lint_paths", "lint_source", "lock_graph",
-    "reset_active_detectors", "reset_active_validators",
+    "Finding", "HeapAccess", "LockGraph", "LockdepReport",
+    "LockdepValidator", "RULES", "RaceDetector", "RaceReport",
+    "dynamic_edges", "lint_paths", "lint_source", "lock_graph",
 ]

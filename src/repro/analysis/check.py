@@ -44,15 +44,15 @@ exploration in the style of stateless model checkers (CHESS, dBug):
 
 * **Counterexamples.**  On violation, a ddmin delta-debugging shrinker
   minimizes the dense (choice, fault) vector, then replays the minimal
-  schedule with ``TRACE`` enabled, exporting a Perfetto trace plus a
+  schedule with a span collector installed, exporting a Perfetto trace plus a
   human-readable ``.sched`` script so the repro is one command::
 
       python -m repro check --replay artifacts/<scenario>_<config>.sched
 
 The whole plane follows the repo's opt-in instrumentation pattern:
-nothing here runs unless ``repro.config.ANALYSIS.check`` is on, the
-simulator hooks are gated on the default-``None`` ``sim.scheduler``
-(lint rule PD012), and with the gate closed every experiment is
+only a scenario sets ``sim.scheduler`` (default ``None``) on the
+simulators it drives, the simulator hooks are gated on it (lint rule
+PD012), and with no scheduler installed every experiment is
 bit-identical to a build without the hooks.
 """
 
@@ -63,14 +63,9 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..config import (ALL_CONFIGS, ANALYSIS, FAULTS, TRACE,
-                      enable_check, enable_fault_injection,
-                      enable_lockdep, enable_race_detection,
-                      enable_tracing)
+from ..config import ALL_CONFIGS, PLANES, planes
 from ..errors import ReproError
 from ..faults import FaultPlan, ScheduledFault
-from .ksan import reset_active_detectors
-from .lockdep import reset_active_validators
 
 #: OSConfig by its CLI/script name ("linux", "mckernel", "mckernel_hfi")
 _OS_BY_NAME = {cfg.value: cfg for cfg in ALL_CONFIGS}
@@ -207,11 +202,11 @@ class ControlledScheduler:
             index=index, time=when,
             ready_seqs=tuple(entry[1] for entry in ready),
             pick=pick, step_index=len(self.steps)))
-        if TRACE.enabled:
+        if PLANES.trace is not None:
             # counterexample replays carry the choice points as instant
             # markers so the Perfetto view shows *where* the schedule
             # deviated from FIFO
-            TRACE.collector.complete_span(
+            PLANES.trace.complete_span(
                 f"choice[{index}] pick {pick}/{len(ready)}",
                 "check/scheduler", when, when, cat="check",
                 args={"point": index, "pick": pick,
@@ -404,29 +399,15 @@ def execute_run(scenario, config: str, schedule: Schedule, bounds: "Bounds",
                 collector=None) -> RunResult:
     """Execute one schedule of ``scenario`` under the full oracle set.
 
-    Sets up the process-wide config for a check run (KSan + lockdep +
-    check mode + a deterministic fault plan carrying the schedule's
-    placements), hands the scenario a fresh harness, and restores every
-    global on the way out so check runs compose with the rest of the
-    test suite.
+    Installs the planes of a check run (KSan, lockdep, a deterministic
+    fault plan carrying the schedule's placements, and ``collector``
+    when given), hands the scenario a fresh harness, and restores every
+    slot on the way out so check runs compose with the rest of the test
+    suite.
     """
-    prev = (ANALYSIS.race_detection, ANALYSIS.lockdep, ANALYSIS.check,
-            FAULTS.enabled, FAULTS.plan, TRACE.enabled, TRACE.collector)
-    reset_active_detectors()
-    reset_active_validators()
-    enable_race_detection(True)
-    enable_lockdep(True)
-    enable_check(True)
-    enable_fault_injection(FaultPlan.placed(*schedule.faults))
-    enable_tracing(collector)
-    try:
+    with planes(ksan=[], lockdep=[], trace=collector,
+                faults=FaultPlan.placed(*schedule.faults)):
         return scenario.run(config, schedule, bounds)
-    finally:
-        (ANALYSIS.race_detection, ANALYSIS.lockdep, ANALYSIS.check,
-         FAULTS.enabled, FAULTS.plan, TRACE.enabled,
-         TRACE.collector) = prev
-        reset_active_detectors()
-        reset_active_validators()
 
 
 def make_result(scheduler: ControlledScheduler, schedule: Schedule,

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..config import TRACE
+from ..config import PLANES
 from ..hw.memory import SharedHeap
 from ..sim import Simulator
 from .check import Bounds, ControlledScheduler, RunResult, Schedule, \
@@ -58,8 +58,8 @@ class _FlagRaceRig:
         self.bug_enabled = bug_enabled
         self.sim = Simulator()
         self.heap = SharedHeap(4096, name="rig.kheap")
-        self.detector = RaceDetector(self.sim, name="rig.kheap",
-                                     register=False)
+        #: the rig's own oracle, read directly (no machine collects it)
+        self.detector = RaceDetector(self.sim, name="rig.kheap")
         self.heap.monitor = self.detector
         self.flag = self.heap.kmalloc(4)
         self.data = self.heap.kmalloc(4)
@@ -76,8 +76,8 @@ class _FlagRaceRig:
         if monitor is not None:
             monitor.annotate(kernel, label)
         self.heap.write_u(addr, 4, value)
-        if TRACE.enabled:
-            TRACE.collector.complete_span(
+        if PLANES.trace is not None:
+            PLANES.trace.complete_span(
                 f"{kernel}: {label} <- {value}", f"rig/{kernel}",
                 self.sim.now, self.sim.now, cat="rig")
 
@@ -86,8 +86,8 @@ class _FlagRaceRig:
         if monitor is not None:
             monitor.annotate(kernel, label)
         value = self.heap.read_u(addr, 4)
-        if TRACE.enabled:
-            TRACE.collector.complete_span(
+        if PLANES.trace is not None:
+            PLANES.trace.complete_span(
                 f"{kernel}: {label} == {value}", f"rig/{kernel}",
                 self.sim.now, self.sim.now, cat="rig")
         return value

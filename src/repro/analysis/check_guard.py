@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List
 
-from ..config import GUARD, enable_guard
+from ..config import planes
 from ..units import USEC
 
 #: hair-trigger policy so a single placed fault drives a full
@@ -55,9 +55,7 @@ class GuardBreakerScenario:
             make_result
 
         os_config = _OS_BY_NAME[config]
-        prev = (GUARD.enabled, GUARD.policy)
-        enable_guard(GuardPolicy(**CHECK_POLICY_KW))
-        try:
+        with planes(guard=GuardPolicy(**CHECK_POLICY_KW)):
             from ..experiments.common import build_machine
             params = _chaos_params()
             params = params.with_overrides(
@@ -147,5 +145,3 @@ class GuardBreakerScenario:
                       if machine.injector is not None else {})
             return make_result(scheduler, schedule, violations, steps,
                                quiesced, census)
-        finally:
-            GUARD.enabled, GUARD.policy = prev

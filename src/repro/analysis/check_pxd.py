@@ -45,7 +45,7 @@ class PxdFallbackScenario:
 
     def run(self, config: str, schedule, bounds) -> "RunResult":
         """One controlled execution of the guarded pxd write train."""
-        from ..config import GUARD, enable_guard
+        from ..config import planes
         from ..errors import MediaError
         from ..experiments.storage import WRITE_NSECTORS, _audit_media, \
             _fsm_oracles, _storage_params
@@ -57,9 +57,7 @@ class PxdFallbackScenario:
         from .check_guard import CHECK_POLICY_KW
 
         os_config = _OS_BY_NAME[config]
-        prev = (GUARD.enabled, GUARD.policy)
-        enable_guard(GuardPolicy(**CHECK_POLICY_KW))
-        try:
+        with planes(guard=GuardPolicy(**CHECK_POLICY_KW)):
             from ..experiments.common import build_machine
             # two replicas: the smallest set where eviction leaves a
             # survivor to serve reads and seed the re-admission resync
@@ -158,5 +156,3 @@ class PxdFallbackScenario:
                       if machine.injector is not None else {})
             return make_result(scheduler, schedule, violations, steps,
                                quiesced, census)
-        finally:
-            GUARD.enabled, GUARD.policy = prev

@@ -27,8 +27,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List
 
-from .. import config
-from . import ksan
+from ..config import planes
 from . import lockdep as lockdep_mod
 from .lint import default_lint_root, lint_paths, rules_table
 
@@ -75,8 +74,8 @@ def cmd_sanitize(argv: List[str],
     """Entry point for ``python -m repro sanitize``.
 
     ``commands`` is the experiment table of :mod:`repro.__main__`; each
-    named experiment is re-run with ``ANALYSIS.race_detection`` enabled
-    so every machine built along the way installs a
+    named experiment is re-run with the ``ksan`` plane on, so every
+    machine built along the way installs a
     :class:`~repro.analysis.ksan.RaceDetector` on its kernel heaps.
     """
     if not argv:
@@ -88,19 +87,15 @@ def cmd_sanitize(argv: List[str],
         print(f"unknown experiment(s) {', '.join(unknown)}; choose from "
               f"{', '.join(commands)}")
         return 2
-    ksan.reset_active_detectors()
-    previous = config.ANALYSIS.race_detection
-    config.ANALYSIS.race_detection = True
-    try:
+    detectors: list = []
+    with planes(ksan=detectors):
         for name in argv:
             print(f"== sanitizing {name} ==")
             print(commands[name]())
-    finally:
-        config.ANALYSIS.race_detection = previous
     print("\n== KSan verdict ==")
-    for detector in ksan.ACTIVE_DETECTORS:
+    for detector in detectors:
         print(detector.summary())
-    reports = ksan.active_race_reports()
+    reports = [report for det in detectors for report in det.races]
     for report in reports:
         print()
         print(report.render())
@@ -123,7 +118,7 @@ def cmd_lockdep(argv: List[str],
                 commands: Dict[str, Callable[[], str]]) -> int:
     """Entry point for ``python -m repro lockdep``.
 
-    Re-runs the named experiments with ``ANALYSIS.lockdep`` enabled so
+    Re-runs the named experiments with the ``lockdep`` plane on, so
     every machine installs a
     :class:`~repro.analysis.lockdep.LockdepValidator`, then verifies
     dynamic/static consistency: a dependency edge observed at runtime
@@ -140,26 +135,22 @@ def cmd_lockdep(argv: List[str],
         print(f"unknown experiment(s) {', '.join(unknown)}; choose from "
               f"{', '.join(table)}")
         return 2
-    lockdep_mod.reset_active_validators()
-    previous = config.ANALYSIS.lockdep
-    config.ANALYSIS.lockdep = True
-    try:
+    validators: list = []
+    with planes(lockdep=validators):
         for name in argv:
             print(f"== lockdep {name} ==")
             print(table[name]())
-    finally:
-        config.ANALYSIS.lockdep = previous
     print("\n== lockdep verdict ==")
-    for validator in lockdep_mod.ACTIVE_VALIDATORS:
+    for validator in validators:
         print(validator.summary())
-    reports = lockdep_mod.active_lockdep_reports()
+    reports = [report for v in validators for report in v.reports]
     for report in reports:
         print()
         print(report.render())
     from .vet_effects import Program
     graph = lockdep_mod.lock_graph(Program.build())
     missing = [edge for key, edge
-               in sorted(lockdep_mod.active_dynamic_edges().items())
+               in sorted(lockdep_mod.dynamic_edges(validators).items())
                if not graph.has_edge(*key)]
     if missing:
         print("\ndynamic edges missing from the static lock graph "

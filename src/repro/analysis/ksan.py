@@ -47,26 +47,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, FrozenSet, List, Optional, Set, Tuple
 
-#: module-level registry of live detectors, in construction order — the
-#: ``python -m repro sanitize`` driver aggregates reports from here after
-#: running an experiment that built machines internally.
-ACTIVE_DETECTORS: List["RaceDetector"] = []
-
 #: instrumentation-layer files skipped when attributing an access site
 _SKIP_FILES = frozenset({"memory.py", "structs.py", "extract.py", "ksan.py"})
-
-
-def reset_active_detectors() -> None:
-    """Forget all registered detectors (start of a sanitizer run)."""
-    ACTIVE_DETECTORS.clear()
-
-
-def active_race_reports() -> List["RaceReport"]:
-    """All races found by every registered detector, in detection order."""
-    reports: List[RaceReport] = []
-    for det in ACTIVE_DETECTORS:
-        reports.extend(det.races)
-    return reports
 
 
 def _call_site(depth: int = 2) -> str:
@@ -160,7 +142,7 @@ class RaceDetector:
     arrive through :meth:`on_lock_acquired`/:meth:`on_lock_released`.
     """
 
-    def __init__(self, sim=None, name: str = "ksan", register: bool = True):
+    def __init__(self, sim=None, name: str = "ksan"):
         self.sim = sim
         self.name = name
         self.races: List[RaceReport] = []
@@ -172,8 +154,6 @@ class RaceDetector:
         #: raw heap accesses seen without an annotation (unattributed —
         #: allocator bookkeeping, test pokes); excluded from the analysis
         self.unattributed = 0
-        if register:
-            ACTIVE_DETECTORS.append(self)
 
     # -- instrumentation entry points ------------------------------------
 

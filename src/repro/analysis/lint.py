@@ -4,7 +4,8 @@ The paper's porting methodology (sections 3.1-3.4) is a *protocol*:
 shared locks must be released on every path, simulation processes must
 actually be generators, DWARF layouts must be version-checked before
 use, raw shared-heap word access is confined to the blessed accessor
-modules, and every opt-in plane's hooks sit behind that plane's gate.
+modules, and every opt-in plane's hooks sit behind a test of the
+handle that plane installed.
 Amani et al. ("Automatic Verification of Message-Based Device Drivers")
 show this class of driver-protocol property is statically checkable;
 this module checks the per-module half with nothing but the stdlib
@@ -25,42 +26,45 @@ PD004    layout-version guard: a PicoDriver class constructing a
 PD005    raw heap access: no ``heap.read_u``/``write_u``/``read``/
          ``write`` in ``repro/core`` outside ``structs.py``/``sync.py``
 PD007    fault-hook gating: every fault-injection draw (``*.fires(...)``
-         or the burst draw ``*.quiet_run(...)``) sits behind a
-         ``config.FAULTS`` check, so zero-fault runs stay branch-cheap
-         and bit-identical
+         or the burst draw ``*.quiet_run(...)``) sits behind an
+         ``inj``/``injector`` test, so zero-fault runs stay
+         branch-cheap and bit-identical
 PD011    trace-hook gating: every span emission (``begin_span`` /
          ``end_span`` / ``instant_span`` / ``complete_span`` /
-         ``add_flow``) sits behind a ``config.TRACE`` check, so
+         ``add_flow``) sits behind a ``PLANES.trace`` test, so
          untraced runs stay branch-cheap and bit-identical
 PD012    choice-point-hook gating: every controlled-scheduler hook
          (``choose_ready`` / ``on_step_begin`` / ``on_step_end`` /
-         ``on_process_resumed``) sits behind an ``ANALYSIS.check`` or
-         ``scheduler``-is-installed check, so unchecked runs keep the
-         single cheap pop path and stay bit-identical
+         ``on_process_resumed``) sits behind a ``scheduler`` test, so
+         unchecked runs keep the single cheap pop path and stay
+         bit-identical
 PD013    guard-hook gating: every guard-plane hook on the data path
          (``record_success`` / ``record_failure`` / ``admits`` /
          ``pick_healthy_engine`` / ``park_if_suspended`` /
          ``acquire_slots`` / ``release_slots``) sits behind a
-         ``config.GUARD`` or ``guard``-is-installed check, so
-         unguarded runs stay branch-cheap and bit-identical
+         ``guard``/``gate`` test, so unguarded runs stay branch-cheap
+         and bit-identical
 PD014    storage recovery-hook gating: in the replicated-storage stack
          (``repro/linux/pxd``, the ``pxd_pico`` chassis) every
          replica-recovery hook (``_maybe_probe`` / ``begin_probe`` /
-         ``suspend`` / ``resume``) sits behind a ``config.GUARD`` or
-         ``guard``-is-installed check; the fault-draw half of the
-         storage contract is PD007 tree-wide, and the blockdev device
-         model is exempt (it moves bytes unconditionally)
+         ``suspend`` / ``resume``) sits behind a ``guard``/``gate``
+         test; the fault-draw half of the storage contract is PD007
+         tree-wide, and the blockdev device model is exempt (it moves
+         bytes unconditionally)
 PD016    tune-hook gating: every PicoTune probe hook
-         (``on_machine_built``) sits behind a ``config.TUNE`` or
-         ``probe``-is-installed check, so untuned runs stay
-         branch-cheap and bit-identical (``repro/tune`` exempt)
+         (``on_machine_built``) sits behind a ``probe`` test, so
+         untuned runs stay branch-cheap and bit-identical
+         (``repro/tune`` exempt)
 PD100    unused suppression: a ``# pd-ignore`` comment that suppresses
          nothing (rots silently and hides future real findings)
 =======  ==============================================================
 
 The six gating rules (PD007 ... PD016) are one table, ``_GATES``,
-checked in one scan.  Fast-path purity (the former PD001/PD006) is
-PD015.1/PD015.3.
+checked in one scan.  Each row names the handles its plane installs
+(see :mod:`repro.config`); a test mentioning one of them, such as
+``inj is not None``, gates the hook.  PicoVet's PD015.6 reads the
+PD007 row through the same matcher, :func:`gates_mentioned`.
+Fast-path purity (the former PD001/PD006) is PD015.1/PD015.3.
 
 Per-line suppression: append ``# pd-ignore`` (all rules) or
 ``# pd-ignore[PD003, PD004]`` (specific rules) to the offending line.
@@ -95,25 +99,27 @@ RULES: Dict[str, Tuple[str, str]] = {
               "go through StructInstance/StructView (repro.core.structs) "
               "or CrossKernelSpinLock instead of raw heap words"),
     "PD007": ("fault-hook gating",
-              "guard the injector draw with 'if FAULTS.enabled and "
-              "inj is not None and inj.fires(...)' so disabled runs "
+              "guard the injector draw with 'if inj is not None and "
+              "inj.fires(...)' so runs without an installed injector "
               "never touch the fault RNG"),
     "PD011": ("trace-hook gating",
-              "guard the span emission with 'if TRACE.enabled' (or the "
-              "'... if TRACE.enabled else None' expression form) so "
-              "untraced runs never touch the collector"),
+              "guard the span emission with 'if PLANES.trace is not "
+              "None' (or the '... if PLANES.trace is not None else None' "
+              "expression form) so untraced runs never touch the "
+              "collector"),
     "PD012": ("choice-point-hook gating",
               "guard the scheduler hook with 'if self.scheduler is not "
-              "None' (or an ANALYSIS.check test) so uncontrolled runs "
-              "keep the single cheap pop path"),
+              "None' so uncontrolled runs keep the single cheap pop "
+              "path"),
     "PD013": ("guard-hook gating",
-              "guard the hook with 'if GUARD.enabled' or a "
-              "'guard'-is-installed test (if guard is not None: ...) so "
-              "unguarded runs never consult the health manager"),
+              "guard the hook with a 'guard'/'gate'-is-installed test "
+              "(if guard is not None: ...) so unguarded runs never "
+              "consult the health manager"),
     "PD014": ("storage recovery-hook gating",
-              "guard the probe/suspend recovery hook with 'if "
-              "GUARD.enabled' or a 'guard'-is-installed test so "
-              "unguarded storage runs never touch the health plane"),
+              "guard the probe/suspend recovery hook with a "
+              "'guard'-is-installed test (if self.guard is not None: "
+              "...) so unguarded storage runs never touch the health "
+              "plane"),
     # PD008, PD009 and the PD015 family are produced by ``python -m
     # repro vet`` (VET_CODES), not by lint; the entries live here so vet
     # findings share lint's Finding/hint/suppression machinery and show
@@ -152,9 +158,9 @@ RULES: Dict[str, Tuple[str, str]] = {
                 "handler somewhere on the path to the dispatcher "
                 "boundary; catch it or stop raising it"),
     "PD016": ("tune-hook gating",
-              "guard the probe hook with 'if TUNE.enabled' or a "
-              "'probe'-is-installed test (if probe is not None: ...) "
-              "so untuned runs never touch the exploration service"),
+              "guard the probe hook with a 'probe'-is-installed test "
+              "(if probe is not None: ...) so untuned runs never touch "
+              "the exploration service"),
     "PD100": ("unused suppression",
               "delete the stale '# pd-ignore' comment (or narrow its "
               "rule list to the codes actually found on the line)"),
@@ -389,7 +395,8 @@ def _check_raw_heap(path: str, tree: ast.AST,
 @dataclass(frozen=True)
 class _Gate:
     """One gating rule: a call ``*.<attr>(...)`` with ``attr`` in
-    ``attrs`` must sit behind a test that mentions one of ``guards``."""
+    ``attrs`` must sit behind a test that mentions one of ``guards``,
+    the names of the handle its plane installs."""
 
     code: str
     guards: Tuple[str, ...]
@@ -401,37 +408,47 @@ class _Gate:
 
 _GATES: Tuple[_Gate, ...] = (
     # every draw consumes the fault RNG, so no module is exempt
-    _Gate("PD007", ("FAULTS",), frozenset({"fires", "quiet_run"}),
+    _Gate("PD007", ("inj", "injector"), frozenset({"fires", "quiet_run"}),
           "fault-injection draw", lambda parts, base: False),
     # the collector and its exporters (repro/obs) emit by design
-    _Gate("PD011", ("TRACE",),
+    _Gate("PD011", ("trace",),
           frozenset({"begin_span", "end_span", "instant_span",
                      "complete_span", "add_flow"}),
           "span emission", lambda parts, base: "obs" in parts),
     # the explorer and its fixtures (analysis/check*.py) drive the hooks
-    _Gate("PD012", ("ANALYSIS", "check", "scheduler"),
+    _Gate("PD012", ("scheduler",),
           frozenset({"choose_ready", "on_step_begin", "on_step_end",
                      "on_process_resumed"}),
           "controlled-scheduler hook",
           lambda parts, base: "analysis" in parts
           and base.startswith("check")),
     # the manager, breakers and gates (repro/guard) call each other
-    _Gate("PD013", ("GUARD", "guard"),
+    _Gate("PD013", ("guard", "gate"),
           frozenset({"record_success", "record_failure", "admits",
                      "pick_healthy_engine", "park_if_suspended",
                      "acquire_slots", "release_slots"}),
           "guard-plane hook", lambda parts, base: "guard" in parts),
     # pxd stack only; blockdev.py moves bytes and must redeliver IRQs
     # with or without the guard plane
-    _Gate("PD014", ("GUARD", "guard"),
+    _Gate("PD014", ("guard", "gate"),
           frozenset({"_maybe_probe", "begin_probe", "suspend", "resume"}),
           "storage recovery hook",
           lambda parts, base: "guard" in parts or base == "blockdev.py"
           or ("pxd" not in parts and base != "pxd_pico.py")),
     # the environment and its probes (repro/tune) drive the hook
-    _Gate("PD016", ("TUNE", "probe"), frozenset({"on_machine_built"}),
+    _Gate("PD016", ("probe",), frozenset({"on_machine_built"}),
           "PicoTune probe hook", lambda parts, base: "tune" in parts),
 )
+
+
+def gates_mentioned(test: ast.AST,
+                    gates: Iterable[_Gate] = _GATES) -> FrozenSet[str]:
+    """Codes of the ``gates`` whose handle names ``test`` mentions (as a
+    bare name or an attribute) anywhere."""
+    names = {sub.id if isinstance(sub, ast.Name) else sub.attr
+             for sub in ast.walk(test)
+             if isinstance(sub, (ast.Name, ast.Attribute))}
+    return frozenset(g.code for g in gates if not names.isdisjoint(g.guards))
 
 
 def _check_gating(path: str, tree: ast.AST,
@@ -442,7 +459,7 @@ def _check_gating(path: str, tree: ast.AST,
     ``if`` (or the then-branch of a conditional expression) whose test
     mentions one of the rule's guards, or — matching the hooks' actual
     idiom — when it appears in an ``and`` chain *after* such an operand,
-    as in ``if FAULTS.enabled and inj and inj.fires(...)``.  The scan
+    as in ``if inj is not None and inj.fires(...)``.  The scan
     carries the *set* of rules guarded at each node, so one plane's
     gate never excuses another plane's hook.
     """
@@ -454,13 +471,6 @@ def _check_gating(path: str, tree: ast.AST,
         for attr in gate.attrs:
             by_attr.setdefault(attr, []).append(gate)
 
-    def guarded_by(test: ast.AST) -> FrozenSet[str]:
-        names = {sub.id if isinstance(sub, ast.Name) else sub.attr
-                 for sub in ast.walk(test)
-                 if isinstance(sub, (ast.Name, ast.Attribute))}
-        return frozenset(g.code for g in gates
-                         if not names.isdisjoint(g.guards))
-
     def scan(node: ast.AST, guarded: FrozenSet[str]) -> None:
         if isinstance(node, ast.Call) \
                 and isinstance(node.func, ast.Attribute):
@@ -469,11 +479,10 @@ def _check_gating(path: str, tree: ast.AST,
                     findings.append(Finding(
                         path, node.lineno, node.col_offset, gate.code,
                         f"{gate.describe} '{_dotted(node.func)}' is not "
-                        f"guarded by a config.{'/'.join(gate.guards)} "
-                        f"check"))
+                        f"guarded by a test of {'/'.join(gate.guards)}"))
         if isinstance(node, (ast.If, ast.IfExp)):
             scan(node.test, guarded)
-            then = guarded | guarded_by(node.test)
+            then = guarded | gates_mentioned(node.test, gates)
             # an ``if`` has statement lists, a conditional expression
             # single expressions
             for branch, under in ((node.body, then), (node.orelse, guarded)):
@@ -483,7 +492,7 @@ def _check_gating(path: str, tree: ast.AST,
         if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And):
             for operand in node.values:
                 scan(operand, guarded)
-                guarded = guarded | guarded_by(operand)
+                guarded = guarded | gates_mentioned(operand, gates)
             return
         for child in ast.iter_child_nodes(node):
             scan(child, guarded)

@@ -50,32 +50,15 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ReproError
 
-#: module-level registry of live validators, mirroring KSan's
-#: ``ACTIVE_DETECTORS`` — the ``python -m repro lockdep`` driver
-#: aggregates reports from here after running an experiment.
-ACTIVE_VALIDATORS: List["LockdepValidator"] = []
-
 #: instrumentation-layer files skipped when attributing a wait site
 _SKIP_FILES = frozenset({"engine.py", "lockdep.py", "sync.py", "memory.py"})
 
 
-def reset_active_validators() -> None:
-    """Forget all registered validators (start of a lockdep run)."""
-    ACTIVE_VALIDATORS.clear()
-
-
-def active_lockdep_reports() -> List["LockdepReport"]:
-    """All findings from every registered validator, in order."""
-    reports: List[LockdepReport] = []
-    for validator in ACTIVE_VALIDATORS:
-        reports.extend(validator.reports)
-    return reports
-
-
-def active_dynamic_edges() -> Dict[Tuple[str, str], "DepEdge"]:
-    """The union of every registered validator's dependency edges."""
+def dynamic_edges(validators: Sequence["LockdepValidator"]
+                  ) -> Dict[Tuple[str, str], "DepEdge"]:
+    """The union of ``validators``' dependency edges (first seen wins)."""
     edges: Dict[Tuple[str, str], DepEdge] = {}
-    for validator in ACTIVE_VALIDATORS:
+    for validator in validators:
         for key, edge in validator.dependency_edges().items():
             edges.setdefault(key, edge)
     return edges
@@ -179,8 +162,7 @@ class LockdepValidator:
     inversions span kernels and nodes.
     """
 
-    def __init__(self, sim=None, name: str = "lockdep",
-                 register: bool = True):
+    def __init__(self, sim=None, name: str = "lockdep"):
         self.sim = sim
         self.name = name
         self.reports: List[LockdepReport] = []
@@ -194,8 +176,6 @@ class LockdepValidator:
         self._reported_ranks: Set[Tuple[str, str]] = set()
         self._reported_inversions: Set[str] = set()
         self._reported_waits: Set[Tuple[str, str]] = set()
-        if register:
-            ACTIVE_VALIDATORS.append(self)
 
     # -- heap monitor protocol (no-ops: lockdep ignores data accesses) ----
 

@@ -132,7 +132,7 @@ def _default_table(commands: Optional[Dict[str, Callable[[], str]]]
 
 
 def _observe_errors(record: Set[Tuple[str, str]]):
-    """An ``errors.OBSERVER``: attribute each constructed typed error to
+    """A ``PLANES.observer``: attribute each constructed typed error to
     the nearest in-tree frame below the errors module."""
     marker = os.sep + "repro" + os.sep
 
@@ -170,8 +170,7 @@ def crosscheck(name: str,
                ) -> int:
     """Run experiment ``name`` with every dynamic checker enabled and
     assert dynamic ⊆ static.  Returns the exit status."""
-    from .. import config, errors
-    from . import ksan
+    from ..config import planes
     from . import lockdep as lockdep_mod
 
     table = _default_table(commands)
@@ -181,21 +180,12 @@ def crosscheck(name: str,
         return 2
 
     dynamic_errors: Set[Tuple[str, str]] = set()
-    ksan.reset_active_detectors()
-    lockdep_mod.reset_active_validators()
-    prev_race = config.ANALYSIS.race_detection
-    prev_lockdep = config.ANALYSIS.lockdep
-    prev_observer = errors.OBSERVER
-    config.ANALYSIS.race_detection = True
-    config.ANALYSIS.lockdep = True
-    errors.OBSERVER = _observe_errors(dynamic_errors)
-    try:
+    detectors: list = []
+    validators: list = []
+    with planes(ksan=detectors, lockdep=validators,
+                observer=_observe_errors(dynamic_errors)):
         print(f"== vet crosscheck: {name} ==")
         print(table[name]())
-    finally:
-        config.ANALYSIS.race_detection = prev_race
-        config.ANALYSIS.lockdep = prev_lockdep
-        errors.OBSERVER = prev_observer
 
     program = Program.build()
     graph = lockdep_mod.lock_graph(program)
@@ -203,7 +193,8 @@ def crosscheck(name: str,
     fact_count = 0
 
     # 1. lock facts: dependency edges and acquired classes
-    for key, edge in sorted(lockdep_mod.active_dynamic_edges().items()):
+    edges = lockdep_mod.dynamic_edges(validators)
+    for key, edge in sorted(edges.items()):
         if not graph.has_edge(*key):
             fact_count += 1
             failures.append(
@@ -211,7 +202,7 @@ def crosscheck(name: str,
                 f"but missing from the static lock graph:")
             failures.extend(f"  {line}" for line in edge.describe())
     static_classes = set(graph.sites) | set(graph.ranks)
-    for validator in lockdep_mod.ACTIVE_VALIDATORS:
+    for validator in validators:
         for lock_class in sorted(validator.acquired_classes()):
             if lock_class not in static_classes:
                 fact_count += 1
@@ -222,7 +213,7 @@ def crosscheck(name: str,
     # 2. heap facts: KSan's sampled accesses
     statics = program.all_accesses()
     dynamic_heap: Set[Tuple[str, str, str, str]] = set()
-    for detector in ksan.ACTIVE_DETECTORS:
+    for detector in detectors:
         for state in detector._words.values():
             for (kernel, kind), access in state.samples.items():
                 label = access.label
@@ -251,7 +242,7 @@ def crosscheck(name: str,
 
     print("\n== vet crosscheck verdict ==")
     print(f"dynamic facts: "
-          f"{len(lockdep_mod.active_dynamic_edges())} lock edge(s), "
+          f"{len(edges)} lock edge(s), "
           f"{len(dynamic_heap)} heap access pair(s), "
           f"{len(dynamic_errors)} typed error(s)")
     if failures:

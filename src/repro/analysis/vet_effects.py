@@ -55,7 +55,8 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from . import astcache
-from .lint import _dotted, default_lint_root, iter_python_files
+from .lint import (_dotted, default_lint_root, gates_mentioned,
+                   iter_python_files)
 
 #: call names that mark the offloading / syscall-dispatch machinery
 _OFFLOAD_NAMES = frozenset({"_offload", "offload", "offload_syscall",
@@ -257,7 +258,8 @@ class FunctionInfo:
     calls: List[CallSite] = field(default_factory=list)
     spawns: List[CallSite] = field(default_factory=list)
     accesses: List[HeapAccess] = field(default_factory=list)
-    #: FAULTS-gated typed-error raise sites (the PD015.6 fault points)
+    #: fault-gated typed-error raise sites (the PD015.6 fault points):
+    #: raises under a test lint's PD007 row accepts as an injector gate
     fault_raises: List[Tuple[str, Site]] = field(default_factory=list)
     acquire_sites: List[LockSite] = field(default_factory=list)
     wait_sites: List[LockSite] = field(default_factory=list)
@@ -330,17 +332,6 @@ def _struct_binding(call: ast.Call) -> Optional[Tuple[str, str]]:
     return struct, kernel
 
 
-def _refs_config(node: ast.AST, config_names: Iterable[str]) -> bool:
-    """True if the expression mentions any of the named guards anywhere."""
-    names = frozenset(config_names)
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and sub.id in names:
-            return True
-        if isinstance(sub, ast.Attribute) and sub.attr in names:
-            return True
-    return False
-
-
 def _collect_bindings(tree: ast.AST) -> Dict[str, str]:
     """Map receiver names to lock-class names from constructor calls:
     ``self.sdma_lock = CrossKernelSpinLock(..., name="hfi1.sdma_submit")``
@@ -374,7 +365,7 @@ def _const_str(node: Optional[ast.AST]) -> Optional[str]:
 
 class _FunctionScanner:
     """One pass over a function body, tracking held locks, enclosing
-    ``except`` clauses and FAULTS gating while collecting effects and
+    ``except`` clauses and fault gating while collecting effects and
     lock sites."""
 
     def __init__(self, program: "Program", fn: FunctionInfo,
@@ -412,7 +403,7 @@ class _FunctionScanner:
             return self._block(stmt.finalbody, body_held, handled, faults)
         if isinstance(stmt, ast.If):
             self._exprs(stmt.test, held, handled, faults)
-            body_faults = faults or _refs_config(stmt.test, ("FAULTS",))
+            body_faults = faults or "PD007" in gates_mentioned(stmt.test)
             self._block(stmt.body, held, handled, body_faults)
             self._block(stmt.orelse, held, handled, faults)
             return held

@@ -1,187 +1,88 @@
 """The three operating-system configurations the paper evaluates, plus
-process-wide toggles for the opt-in analysis layer."""
+the one registry of opt-in planes.
+
+Every opt-in plane is one slot of :data:`PLANES`, ``None`` while the
+plane is off (the default).  Slots are set by a :func:`planes` block,
+which restores the previous values on exit; ``enable_tracing`` and
+``enable_tune_probe`` remain as bare setters for the benchmark harness.
+:class:`repro.experiments.common.Machine` reads the slots once per
+build and installs each plane's object on the devices and drivers it
+builds, so the data path tests only the handle it already holds
+(``inj is not None``, ``self.guard is not None``).  Span emission
+tests ``PLANES.trace is not None``; every gate is an attribute load and
+an ``is`` test, never a call.
+
+=========  ========================  ====================================
+slot       value while on            installed / read by
+=========  ========================  ====================================
+faults     ``FaultPlan``             Machine: one ``FaultInjector`` for
+                                     the fabric, every HFI and blockdev
+trace      ``SpanCollector``         span emission sites; Machine
+                                     attaches it to each machine
+guard      ``GuardPolicy``           Machine: one ``GuardManager`` per
+                                     HFI and per pxd stack
+tune       ``EvalProbe``             Machine: ``on_machine_built``
+ksan       list of ``RaceDetector``  Machine appends one per node heap
+lockdep    list of                   Machine appends one per machine
+           ``LockdepValidator``
+observer   callable(error)           ``ReproError.__init__``
+=========  ========================  ====================================
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from contextlib import contextmanager
 from enum import Enum
+from typing import Iterator
 
 
-@dataclass
-class AnalysisConfig:
-    """Opt-in dynamic-analysis toggles (see :mod:`repro.analysis`).
+class Planes:
+    """The process-wide opt-in plane slots (see the module docstring)."""
 
-    ``race_detection`` makes every machine built by
-    :class:`repro.experiments.common.Machine` install a KSan
-    :class:`~repro.analysis.ksan.RaceDetector` on each node's shared
-    kernel heap.  Off by default: the hooks cost a branch per heap
-    access and the experiments' numbers must not depend on them.
+    __slots__ = ("faults", "trace", "guard", "tune", "ksan", "lockdep",
+                 "observer")
 
-    ``lockdep`` likewise installs a
-    :class:`~repro.analysis.lockdep.LockdepValidator` per machine
-    (as a heap monitor on every node plus the simulator's wait
-    observer), checking lock-class acquisition order, IRQ context and
-    held-across-wait hazards.  Off by default for the same reason.
+    def __init__(self) -> None:
+        for name in self.__slots__:
+            setattr(self, name, None)
 
-    ``check`` marks a PicoCheck exploration run (see
-    :mod:`repro.analysis.check`): the bounded model checker installs a
-    controlled scheduler on each simulator it drives and turns KSan,
-    lockdep and the delivery contract into in-harness oracles.  Off by
-    default; with it off no simulator ever carries a scheduler, so
-    ``Simulator.step()`` stays on the single cheap pop path and every
-    experiment is bit-identical to a build without the hooks (lint
-    rule PD012 enforces the gating).
+
+#: the one registry of opt-in planes; mutated in place, so a module that
+#: imported it always sees the current slots
+PLANES = Planes()
+
+
+@contextmanager
+def planes(**slots: object) -> Iterator[None]:
+    """Set the named :data:`PLANES` slots for the block, then restore
+    their previous values (also when the block raises).
+
+    An unknown slot name raises :class:`TypeError` before any slot
+    changes.
     """
-
-    race_detection: bool = False
-    lockdep: bool = False
-    check: bool = False
-
-
-#: the process-wide analysis configuration (mutated by
-#: ``python -m repro sanitize`` and tests)
-ANALYSIS = AnalysisConfig()
-
-
-def enable_race_detection(enabled: bool = True) -> None:
-    """Toggle KSan installation for machines built after this call."""
-    ANALYSIS.race_detection = enabled
-
-
-def enable_lockdep(enabled: bool = True) -> None:
-    """Toggle lockdep installation for machines built after this call."""
-    ANALYSIS.lockdep = enabled
-
-
-def enable_check(enabled: bool = True) -> None:
-    """Toggle PicoCheck exploration mode (controlled scheduling)."""
-    ANALYSIS.check = enabled
-
-
-@dataclass
-class FaultConfig:
-    """Opt-in fault-injection toggles (see :mod:`repro.faults`).
-
-    ``enabled`` gates every injection hook in the hardware and driver
-    models behind a single branch, so the zero-fault paths stay
-    branch-cheap and bit-identical to a build without the hooks (lint
-    rule PD007 enforces the gating).  ``plan`` holds the active
-    :class:`~repro.faults.FaultPlan` while a chaos run is in progress.
-    """
-
-    enabled: bool = False
-    plan: object = None
-
-
-#: the process-wide fault-injection configuration (mutated by
-#: ``python -m repro chaos`` and tests)
-FAULTS = FaultConfig()
-
-
-def enable_fault_injection(plan: object = None) -> None:
-    """Install a fault plan for machines built after this call.
-
-    Passing ``None`` disables injection entirely (the default state).
-    """
-    FAULTS.enabled = plan is not None
-    FAULTS.plan = plan
-
-
-@dataclass
-class TraceConfig:
-    """Opt-in causal-tracing toggles (see :mod:`repro.obs`).
-
-    ``enabled`` gates every span-emission hook on the data path behind
-    a single branch, so traced-off runs stay branch-cheap and
-    bit-identical to a build without the hooks (lint rule PD011
-    enforces the gating, mirroring PD007 for faults).  ``collector``
-    holds the active :class:`~repro.obs.spans.SpanCollector` while a
-    traced run is in progress.
-    """
-
-    enabled: bool = False
-    collector: object = None
-
-
-#: the process-wide tracing configuration (mutated by
-#: ``python -m repro trace`` and tests)
-TRACE = TraceConfig()
+    unknown = sorted(set(slots) - set(Planes.__slots__))
+    if unknown:
+        raise TypeError(f"unknown plane slot(s): {', '.join(unknown)}")
+    previous = {name: getattr(PLANES, name) for name in slots}
+    for name, value in slots.items():
+        setattr(PLANES, name, value)
+    try:
+        yield
+    finally:
+        for name, value in previous.items():
+            setattr(PLANES, name, value)
 
 
 def enable_tracing(collector: object = None) -> None:
-    """Install a span collector for machines built after this call.
-
-    Passing ``None`` disables tracing entirely (the default state).
-    """
-    TRACE.enabled = collector is not None
-    TRACE.collector = collector
-
-
-@dataclass
-class GuardConfig:
-    """Opt-in fast-path health management (see :mod:`repro.guard`).
-
-    ``enabled`` gates every guard hook on the data path — breaker
-    success/failure recording, dispatch-time path admission, congestion
-    watermark accounting and suspend parking — behind a single branch,
-    so guarded-off runs stay branch-cheap and bit-identical to a build
-    without the hooks (lint rule PD013 enforces the gating, mirroring
-    PD007 for faults and PD011 for tracing).  ``policy`` holds the
-    active :class:`~repro.guard.GuardPolicy` (thresholds, probe
-    hysteresis, watermarks) while a guarded run is in progress.
-    """
-
-    enabled: bool = False
-    policy: object = None
-
-
-#: the process-wide guard configuration (mutated by
-#: ``python -m repro chaos --flap`` and tests)
-GUARD = GuardConfig()
-
-
-def enable_guard(policy: object = None) -> None:
-    """Install a guard policy for machines built after this call.
-
-    Passing ``None`` disables the guard plane entirely (the default
-    state); any policy object (normally a
-    :class:`repro.guard.GuardPolicy`) enables it.
-    """
-    GUARD.enabled = policy is not None
-    GUARD.policy = policy
-
-
-@dataclass
-class TuneConfig:
-    """Opt-in PicoTune observation hooks (see :mod:`repro.tune`).
-
-    ``enabled`` gates the single simulator-side hook PicoTune owns —
-    :class:`repro.experiments.common.Machine` calling the probe's
-    ``on_machine_built`` at the end of construction — behind one
-    branch, so untuned runs stay branch-cheap and bit-identical to a
-    build without the hook (lint rule PD016 enforces the gating,
-    mirroring PD007/PD011/PD013).  ``probe`` holds the active
-    :class:`~repro.tune.env.EvalProbe` while an evaluation is in
-    progress.
-    """
-
-    enabled: bool = False
-    probe: object = None
-
-
-#: the process-wide PicoTune configuration (mutated by
-#: ``python -m repro tune`` and tests)
-TUNE = TuneConfig()
+    """Set the ``trace`` slot outside a :func:`planes` block (``None``
+    clears it)."""
+    PLANES.trace = collector
 
 
 def enable_tune_probe(probe: object = None) -> None:
-    """Install a PicoTune probe for machines built after this call.
-
-    Passing ``None`` disables the tune hook entirely (the default
-    state).
-    """
-    TUNE.enabled = probe is not None
-    TUNE.probe = probe
+    """Set the ``tune`` slot outside a :func:`planes` block (``None``
+    clears it)."""
+    PLANES.tune = probe
 
 
 class OSConfig(Enum):

@@ -32,7 +32,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Dict, Optional
 
-from ..config import FAULTS, GUARD, TRACE
+from ..config import PLANES
 from ..errors import DriverError, FastPathUnavailable, TransientDeviceError
 from ..hw.hfi import Packet, SdmaRequestGroup
 from ..obs.spans import track_of
@@ -161,11 +161,11 @@ class HFIPicoDriver(PicoDriver):
         # coalesce up to the hardware max (10KB), crossing page boundaries
         descs = build_descs_from_spans(spans, nic.sdma_max_request)
 
-        span = TRACE.collector.begin_span(
+        span = PLANES.trace.begin_span(
             "pico.writev", track_of(self), cat="fastpath",
             args={"nbytes": total, "descs": len(descs)}) \
-            if TRACE.enabled else None
-        guard = self.linux_driver.guard if GUARD.enabled else None
+            if PLANES.trace is not None else None
+        guard = self.linux_driver.guard
         try:
             if guard is not None:
                 # suspended device: park on the queued-IO list; resume()
@@ -217,7 +217,7 @@ class HFIPicoDriver(PicoDriver):
                 meta_addrs=[meta_addr], callback_addr=self.completion_addr,
                 user_ctx={"completion": meta.get("completion"),
                           "pq_addr": fdata.get("pq")})
-            if TRACE.enabled:
+            if PLANES.trace is not None:
                 group.trace_ctx = span
             yield from self.linux_driver.sdma_lock.acquire("mckernel",
                                                            lwk.aspace)
@@ -246,8 +246,8 @@ class HFIPicoDriver(PicoDriver):
             if guard is not None:
                 guard.record_success(guard.engine_path(engine.index))
         finally:
-            if TRACE.enabled and span is not None:
-                TRACE.collector.end_span(span)
+            if PLANES.trace is not None and span is not None:
+                PLANES.trace.end_span(span)
         lwk.tracer.count("pico.sdma_sends")
         lwk.tracer.record("pico.sdma_descs_per_send", len(descs))
         return total
@@ -276,23 +276,23 @@ class HFIPicoDriver(PicoDriver):
     def fast_ioctl(self, task, fd: int, cmd: int, arg):
         """Generator: the LWK-local expected-receive TID fast paths."""
         if cmd == ioc.HFI1_IOCTL_TID_UPDATE:
-            span = TRACE.collector.begin_span(
+            span = PLANES.trace.begin_span(
                 "pico.tid_update", track_of(self), cat="fastpath") \
-                if TRACE.enabled else None
+                if PLANES.trace is not None else None
             try:
                 return (yield from self._tid_update(task, fd, arg))
             finally:
-                if TRACE.enabled and span is not None:
-                    TRACE.collector.end_span(span)
+                if PLANES.trace is not None and span is not None:
+                    PLANES.trace.end_span(span)
         if cmd == ioc.HFI1_IOCTL_TID_FREE:
-            span = TRACE.collector.begin_span(
+            span = PLANES.trace.begin_span(
                 "pico.tid_free", track_of(self), cat="fastpath") \
-                if TRACE.enabled else None
+                if PLANES.trace is not None else None
             try:
                 return (yield from self._tid_free(task, fd, arg))
             finally:
-                if TRACE.enabled and span is not None:
-                    TRACE.collector.end_span(span)
+                if PLANES.trace is not None and span is not None:
+                    PLANES.trace.end_span(span)
         if cmd == ioc.HFI1_IOCTL_TID_INVAL_READ:
             yield self.lwk.sim.timeout(
                 self.lwk.params.syscall.tid_ioctl_base_pico)
@@ -307,7 +307,7 @@ class HFIPicoDriver(PicoDriver):
         if length <= 0:
             raise DriverError(f"pico TID_UPDATE of bad length {length}")
         inj = self.hfi.injector
-        if FAULTS.enabled and inj is not None and inj.fires("tid.transient"):
+        if inj is not None and inj.fires("tid.transient"):
             # Same retryable RcvArray race the Linux driver can hit; the
             # fast path surfaces it identically so PSM's retry loop is
             # OS-agnostic.

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..config import GUARD
 from ..errors import DriverError
 from ..linux.mlx import verbs
 from ..linux.mlx.driver import (MTT_PROGRAM_COST, MemoryRegion,
@@ -97,7 +96,7 @@ class MlxMemRegPicoDriver(PicoDriver):
         # one MTT entry per contiguous span — the whole point of the port
         entries = len(spans)
         self._dev_view()  # faults here if the address space is not unified
-        guard = self.linux_driver.guard if GUARD.enabled else None
+        guard = self.linux_driver.guard
         try:
             self.linux_driver.take_mtt(entries)
         except DriverError as exc:
@@ -142,7 +141,7 @@ class MlxMemRegPicoDriver(PicoDriver):
         region.mr.free()
         yield lwk.sim.timeout(DEREG_MR_BASE_PICO
                               + entries * MTT_PROGRAM_COST / 2)
-        guard = self.linux_driver.guard if GUARD.enabled else None
+        guard = self.linux_driver.guard
         if guard is not None:
             guard.record_success(guard.path_name(0))
         return 0

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..config import GUARD, TRACE
+from ..config import PLANES
 from ..errors import BadSyscall, FastPathUnavailable, MediaError
 from ..hw.blockdev import BlockIo
 from ..linux.pxd import ioctls as ioc
@@ -196,17 +196,17 @@ class PxdPicoDriver(PicoDriver):
         # registered before any yield: the slow path's probe machinery
         # must see fast-path writes in its drain checks too
         linux_driver._inflight.add(head)
-        span = TRACE.collector.begin_span(
+        span = PLANES.trace.begin_span(
             "pico.pxd_writev", track_of(self), cat="fastpath",
             args={"sector": sector, "nsectors": nsectors,
-                  "replicas": len(targets)}) if TRACE.enabled else None
-        if TRACE.enabled:
+                  "replicas": len(targets)}) if PLANES.trace is not None else None
+        if PLANES.trace is not None:
             head.trace_ctx = span
         try:
             yield sim.timeout(blk.submit_base_pico
                               + len(spans) * sc.ptwalk_per_span
                               + alloc_cost)
-            guard = linux_driver.guard if GUARD.enabled else None
+            guard = linux_driver.guard
             if guard is not None:
                 yield from guard.park_if_suspended()
                 # same qdepth bound as the slow path, same ascending
@@ -235,8 +235,8 @@ class PxdPicoDriver(PicoDriver):
             yield sim.timeout(kfree_cost)
             raise
         finally:
-            if TRACE.enabled and span is not None:
-                TRACE.collector.end_span(span)
+            if PLANES.trace is not None and span is not None:
+                PLANES.trace.end_span(span)
         lwk.tracer.count("pico.pxd_writes")
         return len(payload)
 
@@ -259,14 +259,14 @@ class PxdPicoDriver(PicoDriver):
     def fast_ioctl(self, task, fd: int, cmd: int, arg):
         """Generator: the LWK-local data-path ioctls."""
         if cmd == ioc.PXD_IOCTL_READ:
-            span = TRACE.collector.begin_span(
+            span = PLANES.trace.begin_span(
                 "pico.pxd_read", track_of(self), cat="fastpath") \
-                if TRACE.enabled else None
+                if PLANES.trace is not None else None
             try:
                 return (yield from self._read(task, fd, arg))
             finally:
-                if TRACE.enabled and span is not None:
-                    TRACE.collector.end_span(span)
+                if PLANES.trace is not None and span is not None:
+                    PLANES.trace.end_span(span)
         raise BadSyscall(f"pico pxd ioctl does not claim {cmd:#x}")
 
     def _read(self, task, fd: int, arg):
@@ -286,7 +286,7 @@ class PxdPicoDriver(PicoDriver):
             lwk.tracer.count("pico.pxd_no_replicas")
             raise FastPathUnavailable("pxd has no in-service replicas")
         yield sim.timeout(blk.submit_base_pico)
-        guard = self.linux_driver.guard if GUARD.enabled else None
+        guard = self.linux_driver.guard
         errors = []
         for r in targets:
             evt = Event(sim)

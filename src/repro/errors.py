@@ -2,20 +2,22 @@
 
 from __future__ import annotations
 
-#: when set (``python -m repro vet --crosscheck`` installs one), called
-#: with every constructed :class:`ReproError` so a dynamic run's typed
-#: errors can be checked for containment in PicoVet's static index of
-#: construction sites
-OBSERVER = None
+from .config import PLANES
 
 
 class ReproError(Exception):
-    """Base class for all simulator-domain errors."""
+    """Base class for all simulator-domain errors.
+
+    While ``PLANES.observer`` is set (``python -m repro vet --crosscheck``
+    installs one), every constructed error is passed to it, so a dynamic
+    run's typed errors can be checked against PicoVet's static index of
+    construction sites.
+    """
 
     def __init__(self, *args):
         super().__init__(*args)
-        if OBSERVER is not None:
-            OBSERVER(self)
+        if PLANES.observer is not None:
+            PLANES.observer(self)
 
 
 class OutOfMemory(ReproError):

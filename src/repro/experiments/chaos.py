@@ -22,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..config import (ALL_CONFIGS, OSConfig, enable_fault_injection,
-                      enable_guard)
+from ..config import ALL_CONFIGS, OSConfig, planes
 from ..errors import DeviceTimeout, TransferCorrupt
 from ..faults import FaultPlan
 from ..params import default_params
@@ -116,8 +115,7 @@ def _run_cell(os_config: OSConfig, rate: float, n_messages: int,
     # A zero-rate *plan* (rather than no plan) keeps the reliability
     # protocol active, so the rate-0 row is the protocol-overhead
     # baseline and the curve isolates the cost of the faults themselves.
-    enable_fault_injection(FaultPlan.uniform(rate))
-    try:
+    with planes(faults=FaultPlan.uniform(rate)):
         machine = build_machine(
             2, os_config,
             params=params if params is not None else _chaos_params())
@@ -203,8 +201,6 @@ def _run_cell(os_config: OSConfig, rate: float, n_messages: int,
             goodput=delivered_bytes / elapsed,
             counters=dict(machine.tracer.counters),
             violations=violations)
-    finally:
-        enable_fault_injection(None)
 
 
 def _cell_job(job: Tuple[OSConfig, float, int]) -> CellResult:
@@ -377,9 +373,7 @@ def run_flap(smoke: bool = False,
     if phases is None:
         phases = FLAP_SMOKE_PHASES if smoke else FLAP_PHASES
     zero_plan = FaultPlan.uniform(0.0)
-    enable_fault_injection(zero_plan)
-    enable_guard(GuardPolicy(**FLAP_POLICY_KW))
-    try:
+    with planes(faults=zero_plan, guard=GuardPolicy(**FLAP_POLICY_KW)):
         machine = build_machine(2, OSConfig.MCKERNEL_HFI,
                                 params=_chaos_params())
         sim = machine.sim
@@ -524,9 +518,6 @@ def run_flap(smoke: bool = False,
             violations.append("drill parked no requests — suspend never "
                               "overlapped live traffic")
         return result
-    finally:
-        enable_guard(None)
-        enable_fault_injection(None)
 
 
 def _run_storage(smoke: bool = False, **kw):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..config import ANALYSIS, FAULTS, GUARD, TRACE, TUNE, OSConfig
+from ..config import PLANES, OSConfig
 from ..core.hfi_pico import HFIPicoDriver
 from ..errors import ReproError
 from ..hw.fabric import Fabric
@@ -41,7 +41,7 @@ class MachineNode:
     pico: Optional[HFIPicoDriver] = None
     ranks: List[Task] = field(default_factory=list)
     #: per-device :class:`repro.guard.GuardManager`, when
-    #: ``repro.config.GUARD`` carries a policy (guarded runs)
+    #: ``PLANES.guard`` holds a policy (guarded runs)
     guard: Optional[object] = None
     #: the pxd replicated block-device stack, when
     #: ``params.blk.replicas > 0`` (storage runs; absent by default)
@@ -63,37 +63,37 @@ class Machine:
         self.tracer = Tracer()
         self.rng = RngFactory(params.seed)
         self.fabric = Fabric(self.sim, params.nic)
-        #: fault injector shared by the fabric and every HFI, when
-        #: ``repro.config.FAULTS`` carries a plan (chaos runs)
+        #: fault injector shared by the fabric, every HFI and every
+        #: blockdev, when ``PLANES.faults`` holds a plan (chaos runs)
         self.injector = None
-        if FAULTS.enabled and FAULTS.plan is not None:
+        if PLANES.faults is not None:
             from ..faults import FaultInjector
-            self.injector = FaultInjector(FAULTS.plan,
+            self.injector = FaultInjector(PLANES.faults,
                                           self.rng.spawn("faults"),
                                           self.tracer)
             self.fabric.injector = self.injector
-        #: KSan race detectors, one per node heap, when
-        #: ``repro.config.ANALYSIS.race_detection`` is on
+        #: KSan race detectors, one per node heap, when ``PLANES.ksan``
+        #: collects them
         self.sanitizers: List[object] = []
         #: lockdep validator, one per machine (the lock-class dependency
-        #: graph spans nodes), when ``ANALYSIS.lockdep`` is on
+        #: graph spans nodes), when ``PLANES.lockdep`` collects them
         self.lockdep = None
-        if ANALYSIS.lockdep:
+        if PLANES.lockdep is not None:
             from ..analysis.lockdep import LockdepValidator
             self.lockdep = LockdepValidator(self.sim, name="machine.lockdep")
             self.sim.wait_monitor = self.lockdep
+            PLANES.lockdep.append(self.lockdep)
         self.nodes: List[MachineNode] = []
         for i in range(n_nodes):
             self.nodes.append(self._build_node(i, driver_version))
-        #: when ``repro.config.TRACE`` carries a collector (traced runs),
-        #: stamp trace tracks onto the kernels/devices and point the
-        #: collector at this machine's clock
-        if TRACE.enabled:
-            TRACE.collector.attach_machine(self)
-        #: when ``repro.config.TUNE`` carries a probe (PicoTune
-        #: evaluations), let it observe the fully-built machine
-        if TUNE.enabled and TUNE.probe is not None:
-            TUNE.probe.on_machine_built(self)
+        #: traced runs: stamp trace tracks onto the kernels/devices and
+        #: point the collector at this machine's clock
+        if PLANES.trace is not None:
+            PLANES.trace.attach_machine(self)
+        #: PicoTune evaluations: let the probe observe the built machine
+        probe = PLANES.tune
+        if probe is not None:
+            probe.on_machine_built(self)
 
     def race_reports(self):
         """All cross-kernel races found by this machine's detectors."""
@@ -105,11 +105,12 @@ class Machine:
 
     def _build_node(self, node_id: int, driver_version: str) -> MachineNode:
         node = Node(self.sim, self.params, node_id, tracer=self.tracer)
-        if ANALYSIS.race_detection:
+        if PLANES.ksan is not None:
             from ..analysis.ksan import RaceDetector
             detector = RaceDetector(self.sim, name=f"node{node_id}.kheap")
             node.kheap.monitor = detector
             self.sanitizers.append(detector)
+            PLANES.ksan.append(detector)
         if self.lockdep is not None:
             node.kheap.add_monitor(self.lockdep)
         self.fabric.attach(node.hfi)
@@ -122,16 +123,11 @@ class Machine:
         driver = Hfi1Driver(version=driver_version)
         linux.load_driver(driver)
         mnode = MachineNode(node=node, linux=linux, driver=driver)
-        if GUARD.enabled and GUARD.policy is not None:
-            from ..guard import GuardManager
-            manager = GuardManager(self.sim, GUARD.policy,
-                                   len(node.hfi.engines),
-                                   tracer=self.tracer,
-                                   label=f"node{node_id}")
-            driver.guard = manager
-            for eng, gate in zip(node.hfi.engines, manager.gates):
+        mnode.guard = driver.guard = self._guard_manager(
+            len(node.hfi.engines), f"node{node_id}")
+        if mnode.guard is not None:
+            for eng, gate in zip(node.hfi.engines, mnode.guard.gates):
                 eng.gate = gate
-            mnode.guard = manager
         if self.params.blk.replicas > 0:
             from ..hw.blockdev import BlockDevice
             from ..linux.pxd import PxdDriver
@@ -141,16 +137,9 @@ class Machine:
             pxd = PxdDriver()
             linux.load_driver(pxd)
             mnode.pxd = pxd
-            if GUARD.enabled and GUARD.policy is not None:
-                from ..guard import GuardManager
-                pxd_guard = GuardManager(self.sim, GUARD.policy,
-                                         self.params.blk.replicas,
-                                         tracer=self.tracer,
-                                         label=f"node{node_id}.pxd",
-                                         path_prefix="replica",
-                                         data_syscalls=("writev",))
-                pxd.guard = pxd_guard
-                mnode.pxd_guard = pxd_guard
+            mnode.pxd_guard = pxd.guard = self._guard_manager(
+                self.params.blk.replicas, f"node{node_id}.pxd",
+                path_prefix="replica", data_syscalls=("writev",))
         if self.os_config.is_multikernel:
             mnode.ihk = IhkManager(self.sim, self.params, node, linux)
             mnode.mckernel = mnode.ihk.boot_mckernel(
@@ -166,6 +155,15 @@ class Machine:
                     mnode.pxd_pico = PxdPicoDriver(mnode.pxd)
                     mnode.mckernel.register_picodriver(mnode.pxd_pico)
         return mnode
+
+    def _guard_manager(self, n_paths: int, label: str, **kw):
+        """A :class:`repro.guard.GuardManager` over ``n_paths`` paths
+        under ``PLANES.guard``'s policy, or ``None`` when unguarded."""
+        if PLANES.guard is None:
+            return None
+        from ..guard import GuardManager
+        return GuardManager(self.sim, PLANES.guard, n_paths,
+                            tracer=self.tracer, label=label, **kw)
 
     # -- rank placement --------------------------------------------------------
 

@@ -22,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..config import (ALL_CONFIGS, OSConfig, enable_fault_injection,
-                      enable_guard)
+from ..config import ALL_CONFIGS, OSConfig, planes
 from ..errors import MediaError
 from ..faults import FaultPlan
 from ..linux.pxd import ioctls as ioc
@@ -296,9 +295,8 @@ def _run_cell(os_config: OSConfig, rate: float, n_writes: int,
     # machinery active, so the rate-0 row is the protocol-overhead
     # baseline and the curve isolates the cost of the faults.
     from ..guard import GuardPolicy
-    enable_fault_injection(FaultPlan.uniform(rate))
-    enable_guard(GuardPolicy(**STORAGE_POLICY_KW))
-    try:
+    with planes(faults=FaultPlan.uniform(rate),
+                guard=GuardPolicy(**STORAGE_POLICY_KW)):
         machine = build_machine(
             1, os_config,
             params=params if params is not None else _storage_params())
@@ -344,9 +342,6 @@ def _run_cell(os_config: OSConfig, rate: float, n_writes: int,
             goodput=acked_bytes / elapsed,
             counters=dict(machine.tracer.counters),
             violations=violations)
-    finally:
-        enable_guard(None)
-        enable_fault_injection(None)
 
 
 def _run_drill(os_config: OSConfig,
@@ -354,9 +349,7 @@ def _run_drill(os_config: OSConfig,
     """Baseline / storm / recovery over one live machine."""
     from ..guard import GuardPolicy
     zero_plan = FaultPlan.uniform(0.0)
-    enable_fault_injection(zero_plan)
-    enable_guard(GuardPolicy(**STORAGE_POLICY_KW))
-    try:
+    with planes(faults=zero_plan, guard=GuardPolicy(**STORAGE_POLICY_KW)):
         machine = build_machine(1, os_config, params=_storage_params())
         sim = machine.sim
         task = machine.spawn_rank(0, 0)
@@ -434,9 +427,6 @@ def _run_drill(os_config: OSConfig,
                 f"{drill.recovery_ratio:.2f}x baseline "
                 f"(bar {STORAGE_RECOVERY_BAR:.2f})")
         return drill
-    finally:
-        enable_guard(None)
-        enable_fault_injection(None)
 
 
 def run_storage(smoke: bool = False,

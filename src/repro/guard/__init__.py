@@ -21,9 +21,13 @@ its stateless recovery layer (PR 2) was missing, modeled on the px-fuse
   new requests park on a queued-IO list, and ``resume()`` replays them
   in arrival order.
 
-Everything is opt-in behind :data:`repro.config.GUARD` (lint rule
-PD013 enforces the gating); with the flag off no hook runs and every
-experiment is bit-identical to a build without the plane.
+Everything is opt-in: a policy in the ``guard`` slot of
+:data:`repro.config.PLANES` makes each machine built meanwhile install
+a :class:`~repro.guard.manager.GuardManager` on its HFI driver (and
+the gates on its SDMA engines) and on its pxd stack.  Each hook tests
+only the installed ``guard``/``gate`` handle (lint rules PD013 and
+PD014), so without one no hook runs and every experiment is
+bit-identical to a build without the plane.
 """
 
 from .breaker import BREAKER_CLOSED, BREAKER_OPEN, BREAKER_PROBING, PathBreaker

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, List, Tuple
 
-from ..config import TRACE
+from ..config import PLANES
 from ..errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
@@ -90,8 +90,8 @@ class PathBreaker:
         self.state = new_state
         self._generation += 1
         self.transitions.append((self.sim.now, old, new_state, reason))
-        if TRACE.enabled:
-            TRACE.collector.instant_span(
+        if PLANES.trace is not None:
+            PLANES.trace.instant_span(
                 f"guard.{old}->{new_state}",
                 getattr(self, "trace_track", f"{self.label}/guard"),
                 cat="guard",

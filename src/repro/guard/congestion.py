@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Iterator
 
-from ..config import TRACE
+from ..config import PLANES
 from ..sim import Event
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
@@ -77,8 +77,8 @@ class CongestionGate:
             waiter = Event(self.sim)
             self._waiters.append((waiter, n))
             self._count("guard.congestion_waits")
-            if TRACE.enabled:
-                TRACE.collector.instant_span(
+            if PLANES.trace is not None:
+                PLANES.trace.instant_span(
                     "guard.congestion_wait",
                     getattr(self, "trace_track", f"{self.label}/guard"),
                     cat="guard",

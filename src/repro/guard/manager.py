@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Dict, Iterator, List
 
-from ..config import TRACE
+from ..config import PLANES
 from ..errors import FastPathUnavailable, ReproError
 from ..sim import Event
 from .breaker import (BREAKER_PROBING, LEGAL_TRANSITIONS, PathBreaker)
@@ -201,8 +201,8 @@ class GuardManager:
             raise ReproError(f"{self.label}: suspend while suspended")
         self.suspended = True
         self._count("guard.suspends")
-        if TRACE.enabled:
-            TRACE.collector.instant_span(
+        if PLANES.trace is not None:
+            PLANES.trace.instant_span(
                 "guard.suspend", self._trace_track or f"{self.label}/guard",
                 cat="guard", args={"outstanding": self._outstanding_total()})
         while self._outstanding_total() > 0:
@@ -217,8 +217,8 @@ class GuardManager:
             raise ReproError(f"{self.label}: resume while not suspended")
         self.suspended = False
         self._count("guard.resumes")
-        if TRACE.enabled:
-            TRACE.collector.instant_span(
+        if PLANES.trace is not None:
+            PLANES.trace.instant_span(
                 "guard.resume", self._trace_track or f"{self.label}/guard",
                 cat="guard", args={"replayed": len(self._parked)})
         while self._parked:

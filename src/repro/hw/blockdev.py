@@ -26,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, List, Optional
 
-from ..config import FAULTS, TRACE
+from ..config import PLANES
 from ..errors import DriverError, MediaError, ReproError
 from ..obs.spans import track_of
 from ..params import BlkParams
@@ -161,7 +161,7 @@ class BlockDevice:
         else:
             media.span(io.sector, io.nsectors)
         inj = self.injector
-        if FAULTS.enabled and inj is not None and inj.fires("pxd.path_loss"):
+        if inj is not None and inj.fires("pxd.path_loss"):
             media.online = False
             self.tracer.count("blk.path_loss")
         self._queues[io.replica].append(io)
@@ -185,18 +185,18 @@ class BlockDevice:
                 yield self._work[index].get()
                 continue
             io = queue.popleft()
-            span = TRACE.collector.begin_span(
+            span = PLANES.trace.begin_span(
                 "blk.io", track_of(self), cat="blk",
                 args={"op": io.op, "replica": index,
                       "sector": io.sector, "nsectors": io.nsectors}) \
-                if TRACE.enabled else None
+                if PLANES.trace is not None else None
             yield self.sim.timeout(
                 self.params.media_latency
                 + io.nbytes(self.params.sector_size)
                 / self.params.media_bandwidth)
             self._service(media, io)
-            if TRACE.enabled and span is not None:
-                TRACE.collector.end_span(span)
+            if PLANES.trace is not None and span is not None:
+                PLANES.trace.end_span(span)
             self.raise_irq(io)
 
     def _service(self, media: ReplicaMedia, io: BlockIo) -> None:
@@ -208,7 +208,7 @@ class BlockDevice:
             return
         inj = self.injector
         if io.op == "write":
-            if FAULTS.enabled and inj is not None \
+            if inj is not None \
                     and inj.fires("media.torn_write"):
                 # power-loss tear: a prefix lands, then the write fails
                 lo, _hi = media.span(io.sector, io.nsectors)
@@ -219,7 +219,7 @@ class BlockDevice:
                     f"{io.sector}", replica=media.index)
                 self.tracer.count(f"blk.r{media.index}.torn")
                 return
-            if FAULTS.enabled and inj is not None \
+            if inj is not None \
                     and inj.fires("media.write_error"):
                 io.status = MediaError(
                     f"replica {media.index}: media write error at sector "
@@ -230,7 +230,7 @@ class BlockDevice:
             self.tracer.record(f"blk.r{media.index}.write_bytes",
                                len(io.payload))
         else:
-            if FAULTS.enabled and inj is not None \
+            if inj is not None \
                     and inj.fires("media.read_error"):
                 io.status = MediaError(
                     f"replica {media.index}: media read error at sector "
@@ -251,7 +251,7 @@ class BlockDevice:
                 f"blockdev {self.node_id}: IRQ raised with no dispatcher "
                 f"(pxd driver not loaded?)")
         inj = self.injector
-        if FAULTS.enabled and inj is not None and inj.fires("blk.irq_lost"):
+        if inj is not None and inj.fires("blk.irq_lost"):
             # the interrupt is dropped; the device-side completion
             # watchdog notices the stuck IO and redelivers much later
             self.sim.timeout(inj.plan.irq_recovery_timeout).add_callback(

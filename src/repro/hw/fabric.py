@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict
 
-from ..config import FAULTS, TRACE
+from ..config import PLANES
 from ..errors import ReproError
 from ..obs.spans import track_of
 from ..params import NicParams
@@ -45,17 +45,17 @@ class Fabric:
         if packet.dst_node not in self._hfis:
             raise ReproError(f"packet for unknown node {packet.dst_node}")
         inj = self.injector
-        if FAULTS.enabled and inj is not None and inj.fires("fabric.drop"):
+        if inj is not None and inj.fires("fabric.drop"):
             return
-        if FAULTS.enabled and inj is not None and inj.fires("fabric.corrupt"):
+        if inj is not None and inj.fires("fabric.corrupt"):
             packet = replace(packet, csum=(packet.csum ^ 0x5A5A5A5A
                                            if packet.csum is not None else -1))
         dst = self._hfis[packet.dst_node]
         if packet.dst_node == packet.src_node:
             dst.receive(packet)
             return
-        if TRACE.enabled:
-            wire = TRACE.collector.complete_span(
+        if PLANES.trace is not None:
+            wire = PLANES.trace.complete_span(
                 "fabric.wire", track_of(self), self.sim.now,
                 self.sim.now + self.params.wire_latency, cat="wire",
                 args={"kind": packet.kind, "nbytes": packet.nbytes,

@@ -36,7 +36,7 @@ from operator import add, itemgetter
 from typing import (Callable, Deque, Dict, Iterable, Iterator, List,
                     Optional, Tuple)
 
-from ..config import FAULTS, GUARD, TRACE
+from ..config import PLANES
 from ..errors import DriverError, ReproError
 from ..obs.spans import track_of
 from ..params import NicParams
@@ -298,7 +298,7 @@ class SdmaEngine:
             raise DriverError(
                 f"descriptor of {max(sizes)}B exceeds hardware max "
                 f"{hw_max}B")
-        if GUARD.enabled and self.gate is not None:
+        if self.gate is not None:
             # congestion watermarks: park (FIFO) while the engine is over
             # its high mark instead of racing the ring-full wait below
             yield from self.gate.acquire_slots(n)
@@ -312,11 +312,11 @@ class SdmaEngine:
             stop = min(n, done + self.free_slots)
             # Span = descriptor lifetime on the ring (enqueue to drain);
             # it nests under the submitting writev span via the lane.
-            spans = [TRACE.collector.begin_span(
+            spans = [PLANES.trace.begin_span(
                 "sdma.desc", track_of(self), cat="sdma",
                 args={"nbytes": nbytes, "kind": group.packet.kind},
                 detached=True) for nbytes in sizes[done:stop]] \
-                if TRACE.enabled else None
+                if PLANES.trace is not None else None
             kick = not ring and not self.busy
             ring.append((group, sizes, done, stop, stop == n, spans))
             self._used += stop - done
@@ -347,7 +347,6 @@ class SdmaEngine:
                 # in one call, and the firing one is drawn with fires,
                 # per point and in order, as the per-descriptor loop did
                 inj = self.device.injector
-                draws = FAULTS.enabled and inj is not None
                 sizes: List[int] = []
                 #: (group, is-last, span, finish offset) of the
                 #: descriptors with work after the burst: group ends, and
@@ -356,7 +355,7 @@ class SdmaEngine:
                 t = 0.0
                 while ring:
                     n = 0 if self.halted else self._used
-                    if draws and FAULTS.enabled:  # FAULTS: PD007's guard
+                    if inj is not None:
                         n = inj.quiet_run(SDMA_FAULT_POINTS, n)
                         if n == 0:
                             # a point fires at the head descriptor, or the
@@ -404,17 +403,17 @@ class SdmaEngine:
                 tracer.count("hfi.sdma_descs", len(sizes))
                 tracer.record_many("hfi.sdma_desc_bytes", sizes)
             for group, is_last, dspan, t_done in marks:
-                if TRACE.enabled and dspan is not None:
+                if dspan is not None:
                     # each descriptor leaves the wire at its own point in
                     # the burst, not at the shared burst-end timestamp
                     dspan.end = t0 + t_done
                 if is_last:
-                    if TRACE.enabled and dspan is not None:
+                    if dspan is not None:
                         # hand the last descriptor's span to the wire/IRQ
                         group.packet = replace(group.packet, trace=dspan)
                     self.device._transmit(group.packet)
                     self.device.raise_irq(group)
-            if GUARD.enabled and self.gate is not None and sizes:
+            if self.gate is not None and sizes:
                 self.gate.release_slots(len(sizes))
             while self._space_waiters and self.free_slots > 0:
                 self._space_waiters.popleft().succeed()
@@ -505,10 +504,10 @@ class HFIDevice:
             # PSM would never do this, but the hardware allows it; account
             # honestly instead of rejecting.
             self.tracer.count("hfi.pio_oversize")
-        span = TRACE.collector.begin_span(
+        span = PLANES.trace.begin_span(
             "hfi.pio", track_of(self), cat="pio",
             args={"kind": packet.kind, "nbytes": packet.nbytes}) \
-            if TRACE.enabled else None
+            if PLANES.trace is not None else None
         try:
             with self.egress.request() as port:
                 yield port
@@ -516,10 +515,10 @@ class HFIDevice:
                     self.params.pio_overhead
                     + packet.nbytes / self.params.pio_bandwidth)
         finally:
-            if TRACE.enabled and span is not None:
-                TRACE.collector.end_span(span)
+            if PLANES.trace is not None and span is not None:
+                PLANES.trace.end_span(span)
         self.tracer.count("hfi.pio_msgs")
-        if TRACE.enabled and span is not None:
+        if span is not None:
             packet = replace(packet, trace=span)
         self._transmit(packet)
 
@@ -600,7 +599,7 @@ class HFIDevice:
                 # window's RcvArray entries (the flow failed and freed
                 # them); real hardware discards writes to invalidated
                 # entries, so drop the stale packet instead of raising.
-                if FAULTS.enabled:
+                if self.injector is not None:
                     self.tracer.count("hfi.rx_stale_tid")
                     return
                 bad = next(t for t in packet.tids if t not in entries)
@@ -610,7 +609,7 @@ class HFIDevice:
             self.tracer.count(f"hfi.rx_{packet.kind}")
         ctxt = self._contexts.get(packet.dst_ctxt)
         if ctxt is None:
-            if FAULTS.enabled:
+            if self.injector is not None:
                 self.tracer.count("hfi.rx_dead_ctxt")
                 return
             raise DriverError(f"no receive context {packet.dst_ctxt}")
@@ -626,7 +625,7 @@ class HFIDevice:
                 f"HFI {self.node_id}: IRQ raised with no dispatcher "
                 f"(driver not loaded?)")
         inj = self.injector
-        if FAULTS.enabled and inj is not None and inj.fires("irq.lost"):
+        if inj is not None and inj.fires("irq.lost"):
             # The interrupt is dropped on the floor; the driver's
             # completion watchdog notices the stuck request much later
             # and redelivers (modeled as one deferred dispatch).

@@ -12,7 +12,7 @@ One offloaded syscall costs, on top of the Linux handler itself:
 
 from __future__ import annotations
 
-from ..config import TRACE
+from ..config import PLANES
 from ..obs.spans import track_of
 from ..params import Params
 from ..sim import Event, Simulator, Tracer
@@ -51,9 +51,9 @@ class IkcChannel:
                cause=None):
         """Linux-side service: wake, queue for an OS CPU, run, respond."""
         ikc = self.params.ikc
-        span = TRACE.collector.begin_span(
+        span = PLANES.trace.begin_span(
             f"ikc.serve.{name}", track_of(self.linux), cat="offload",
-            flow_from=cause) if TRACE.enabled else None
+            flow_from=cause) if PLANES.trace is not None else None
         try:
             yield self.sim.timeout(ikc.ipi_cost)
             queued_at = self.sim.now
@@ -76,8 +76,8 @@ class IkcChannel:
                     ret, exc = None, e
                 yield self.sim.timeout(ikc.response_cost)
         finally:
-            if TRACE.enabled and span is not None:
-                TRACE.collector.end_span(span)
+            if PLANES.trace is not None and span is not None:
+                PLANES.trace.end_span(span)
         if exc is not None:
             done.fail(exc)
         else:

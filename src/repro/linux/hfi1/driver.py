@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Dict, List, Optional
 
-from ...config import FAULTS, GUARD, TRACE
+from ...config import PLANES
 from ...core.lockclasses import declare_lock_class
 from ...core.structs import StructInstance
 from ...errors import (BadSyscall, DeviceTimeout, DriverError,
@@ -232,14 +232,14 @@ class Hfi1Driver(FileOps):
         group = SdmaRequestGroup(descriptors=descs, packet=packet,
                                  on_complete=complete, owner_kernel="linux",
                                  meta_addrs=[meta_addr])
-        span = TRACE.collector.begin_span(
+        span = PLANES.trace.begin_span(
             "hfi1.writev", track_of(self), cat="driver",
             args={"nbytes": total, "descs": len(descs)}) \
-            if TRACE.enabled else None
-        if TRACE.enabled:
+            if PLANES.trace is not None else None
+        if PLANES.trace is not None:
             group.trace_ctx = span
         try:
-            if GUARD.enabled and self.guard is not None:
+            if self.guard is not None:
                 # suspended device: park on the queued-IO list; resume()
                 # replays us in arrival order
                 yield from self.guard.park_if_suspended()
@@ -251,8 +251,8 @@ class Hfi1Driver(FileOps):
             finally:
                 self.sdma_lock.release("linux")
         finally:
-            if TRACE.enabled and span is not None:
-                TRACE.collector.end_span(span)
+            if PLANES.trace is not None and span is not None:
+                PLANES.trace.end_span(span)
         return total
 
     # -- ioctl surface -------------------------------------------------------------
@@ -300,7 +300,7 @@ class Hfi1Driver(FileOps):
         sc = kernel.params.syscall
         nic = kernel.params.nic
         inj = self.hfi.injector
-        if FAULTS.enabled and inj is not None and inj.fires("tid.transient"):
+        if inj is not None and inj.fires("tid.transient"):
             # The programming raced a receive-array update: the real
             # driver returns -EAGAIN after burning the entry-path cost.
             yield kernel.sim.timeout(sc.tid_ioctl_base)
@@ -356,7 +356,7 @@ class Hfi1Driver(FileOps):
         if engine.index in self._recovering:
             return
         self._recovering.add(engine.index)
-        if GUARD.enabled and self.guard is not None:
+        if self.guard is not None:
             # halt events feed the per-engine breaker exactly once per
             # recovery cycle (the dedup above keeps retriggered IRQs out)
             self.guard.record_failure(self.guard.engine_path(engine.index),
@@ -428,10 +428,10 @@ class Hfi1Driver(FileOps):
 
     def _sdma_complete(self, group: SdmaRequestGroup):
         """Runs on a Linux OS CPU in IRQ context."""
-        if TRACE.enabled:
+        if PLANES.trace is not None:
             # flows from the submitting writev span; completion waiters
             # (PSM send-side) flow from this instant in turn
-            group.trace_ctx = TRACE.collector.instant_span(
+            group.trace_ctx = PLANES.trace.instant_span(
                 "hfi1.irq", getattr(self, "trace_irq_track", "irq"),
                 cat="irq", args={"nbytes": group.total_bytes},
                 flow_from=group.trace_ctx)

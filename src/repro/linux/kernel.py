@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..config import TRACE
+from ..config import PLANES
 from ..errors import BadSyscall
 from ..hw.node import Node
 from ..obs.spans import track_of
@@ -86,15 +86,15 @@ class LinuxKernel(KernelBase):
     def syscall(self, task: Task, name: str, *args):
         """Generator: entry cost + dispatch + per-call accounting."""
         t0 = self.sim.now
-        span = TRACE.collector.begin_span(
+        span = PLANES.trace.begin_span(
             f"linux.{name}", track_of(self), cat="syscall",
-            args={"task": task.name}) if TRACE.enabled else None
+            args={"task": task.name}) if PLANES.trace is not None else None
         try:
             yield self.sim.timeout(self.params.syscall.linux_entry)
             ret = yield from self._dispatch(task, name, args)
         finally:
-            if TRACE.enabled and span is not None:
-                TRACE.collector.end_span(span)
+            if PLANES.trace is not None and span is not None:
+                PLANES.trace.end_span(span)
         self.account_syscall(name, self.sim.now - t0)
         return ret
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from ...config import GUARD, TRACE
+from ...config import PLANES
 from ...core.lockclasses import declare_lock_class
 from ...core.structs import StructInstance
 from ...errors import BadSyscall, DriverError, MediaError
@@ -248,10 +248,10 @@ class PxdDriver(FileOps):
             self._dirty[replica].update(range(lo, lo + n))
         self.blockdev.tracer.count("pxd.evictions")
         self._transition(replica, "evicted", reason)
-        if GUARD.enabled and self.guard is not None:
+        if self.guard is not None:
             self.guard.record_failure(self.guard.path_name(replica), reason)
-        if TRACE.enabled:
-            TRACE.collector.instant_span(
+        if PLANES.trace is not None:
+            PLANES.trace.instant_span(
                 "pxd.evict", track_of(self), cat="recovery",
                 args={"replica": replica, "reason": reason})
 
@@ -262,8 +262,8 @@ class PxdDriver(FileOps):
         self._dirty.pop(replica, None)
         self.blockdev.tracer.count("pxd.readmits")
         self._transition(replica, "inservice", "resync complete")
-        if TRACE.enabled:
-            TRACE.collector.instant_span(
+        if PLANES.trace is not None:
+            PLANES.trace.instant_span(
                 "pxd.readmit", track_of(self), cat="recovery",
                 args={"replica": replica})
 
@@ -311,10 +311,10 @@ class PxdDriver(FileOps):
         tracker = StructInstance(self._defs["pxd_io_tracker"], self.heap)
         cost += mem.kmalloc_cost
 
-        span = TRACE.collector.begin_span(
+        span = PLANES.trace.begin_span(
             "pxd.writev", track_of(self), cat="driver",
             args={"sector": sector, "nsectors": nsectors}) \
-            if TRACE.enabled else None
+            if PLANES.trace is not None else None
         head: Optional[PxdIoHead] = None
         try:
             yield kernel.sim.timeout(cost)
@@ -325,7 +325,7 @@ class PxdDriver(FileOps):
                 tracker.free()
                 # nothing in flight means no head-finish will ever kick
                 # the probe machinery — kick it from the failing submit
-                if GUARD.enabled:
+                if self.guard is not None:
                     self._maybe_probe()
                 raise MediaError("pxd write with no in-service replicas")
             tracker.set("orig_sector", sector)
@@ -349,13 +349,13 @@ class PxdDriver(FileOps):
                              tracker_add=tracker.add,
                              remaining=len(targets), completion=completion,
                              on_complete=complete, owner_kernel="linux")
-            if TRACE.enabled:
+            if PLANES.trace is not None:
                 head.trace_ctx = span
             # registered the moment the target set is fixed, before any
             # further yield: a probe's drain check must see every write
             # whose target set could exclude its replica
             self._inflight.add(head)
-            guard = self.guard if GUARD.enabled else None
+            guard = self.guard
             if guard is not None:
                 # suspended device: park on the queued-IO list; resume()
                 # replays us in arrival order
@@ -385,8 +385,8 @@ class PxdDriver(FileOps):
                 tracker.free()
             raise
         finally:
-            if TRACE.enabled and span is not None:
-                TRACE.collector.end_span(span)
+            if PLANES.trace is not None and span is not None:
+                PLANES.trace.end_span(span)
         self.blockdev.tracer.count("pxd.writes")
         return len(payload)
 
@@ -431,7 +431,7 @@ class PxdDriver(FileOps):
         sector, nsectors = arg["sector"], arg["nsectors"]
         self._check_range(sector, nsectors)
         yield kernel.sim.timeout(self.blockdev.params.submit_base)
-        guard = self.guard if GUARD.enabled else None
+        guard = self.guard
         if guard is not None:
             yield from guard.park_if_suspended()
         errors: List[Tuple[int, Exception]] = []
@@ -456,7 +456,7 @@ class PxdDriver(FileOps):
                                      f"read error: {done.status}")
         # with nothing left in service there may be no traffic to kick
         # re-probing at head finish; kick it from the failing read
-        if GUARD.enabled:
+        if self.guard is not None:
             self._maybe_probe()
         raise MediaError(
             f"pxd read at sector {sector} failed on every in-service "
@@ -508,8 +508,8 @@ class PxdDriver(FileOps):
 
     def _blk_complete(self, io: BlockIo):
         """Runs on a Linux OS CPU in IRQ context."""
-        if TRACE.enabled:
-            io.trace_ctx = TRACE.collector.instant_span(
+        if PLANES.trace is not None:
+            io.trace_ctx = PLANES.trace.instant_span(
                 "pxd.irq", track_of(self), cat="irq",
                 args={"op": io.op, "replica": io.replica},
                 flow_from=io.trace_ctx)
@@ -522,7 +522,7 @@ class PxdDriver(FileOps):
             return None
         head: PxdIoHead = ctx
         r = io.replica
-        guard = self.guard if GUARD.enabled else None
+        guard = self.guard
         if guard is not None:
             guard.gates[r].release_slots(1)
         head.remaining -= 1
@@ -559,7 +559,7 @@ class PxdDriver(FileOps):
             for w in waiters:
                 if not w.triggered:
                     w.succeed()
-        if GUARD.enabled and self.guard is not None:
+        if self.guard is not None:
             self._maybe_probe()
         if head.callback_addr is not None:
             if self.callbacks is None:
@@ -579,7 +579,7 @@ class PxdDriver(FileOps):
     def _maybe_probe(self) -> None:
         """Start a probe for every evicted replica whose breaker admits
         traffic again (called at head finish; guard-gated by callers)."""
-        guard = self.guard if GUARD.enabled else None
+        guard = self.guard
         if guard is not None:
             from ...guard.breaker import BREAKER_PROBING
             for r, state in self._replica_state.items():
@@ -613,7 +613,7 @@ class PxdDriver(FileOps):
             self.submit_lock.release("linux")
         yield evt
         done: BlockIo = evt.value
-        guard = self.guard if GUARD.enabled else None
+        guard = self.guard
         try:
             if done.status is not None:
                 if guard is not None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from ..config import GUARD, TRACE
+from ..config import PLANES
 from ..core.lockclasses import declare_lock_class
 from ..core.picodriver import PicoDriverRegistry
 from ..errors import BadSyscall, FastPathUnavailable, ReproError
@@ -135,15 +135,15 @@ class McKernel(KernelBase):
     def syscall(self, task: Task, name: str, *args):
         """Generator: LWK entry cost + routing + per-call accounting."""
         t0 = self.sim.now
-        span = TRACE.collector.begin_span(
+        span = PLANES.trace.begin_span(
             f"lwk.{name}", track_of(self), cat="syscall",
-            args={"task": task.name}) if TRACE.enabled else None
+            args={"task": task.name}) if PLANES.trace is not None else None
         try:
             yield self.sim.timeout(self.params.syscall.lwk_entry)
             ret = yield from self._dispatch(task, name, args)
         finally:
-            if TRACE.enabled and span is not None:
-                TRACE.collector.end_span(span)
+            if PLANES.trace is not None and span is not None:
+                PLANES.trace.end_span(span)
         self.account_syscall(name, self.sim.now - t0)
         return ret
 
@@ -181,9 +181,7 @@ class McKernel(KernelBase):
                     f"pico.{'fast' if decision.handled else 'offload'}.{name}")
                 if decision.handled:
                     driver = self.pico.lookup(path)
-                    guard = (getattr(getattr(driver, "linux_driver", None),
-                                     "guard", None)
-                             if GUARD.enabled else None)
+                    guard = driver.linux_driver.guard
                     if guard is not None and not guard.admits(name):
                         # Dispatch-time routing: every path the guard
                         # tracks for this call is DOWN, so go straight
@@ -208,8 +206,8 @@ class McKernel(KernelBase):
                             # name which engine degraded
                             self.tracer.count(
                                 f"pico.fallback.engine{exc.engine}")
-                        if TRACE.enabled:
-                            TRACE.collector.instant_span(
+                        if PLANES.trace is not None:
+                            PLANES.trace.instant_span(
                                 "pico.fallback", track_of(self),
                                 cat="recovery",
                                 args={"syscall": name,
@@ -255,13 +253,13 @@ class McKernel(KernelBase):
     def _offload(self, task: Task, name: str, args: tuple):
         self.tracer.count("offload.calls")
         proxy = self.proxy_for(task)
-        span = TRACE.collector.begin_span(
+        span = PLANES.trace.begin_span(
             f"ikc.offload.{name}", track_of(self), cat="offload",
-            args=proxy.trace_identity()) if TRACE.enabled else None
+            args=proxy.trace_identity()) if PLANES.trace is not None else None
         try:
             ret = yield from self.ikc.call(proxy.linux_task, name, args,
                                            cause=span)
         finally:
-            if TRACE.enabled and span is not None:
-                TRACE.collector.end_span(span)
+            if PLANES.trace is not None and span is not None:
+                PLANES.trace.end_span(span)
         return ret

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from ..config import TRACE
+from ..config import PLANES
 from ..errors import ReproError
 from ..obs.spans import track_of
 from ..psm import Endpoint, TagMatcher
@@ -77,16 +77,16 @@ class MpiRank:
     def isend(self, dest: int, tag, nbytes: int, payload=None):
         """Generator: MPI_Isend -> Request."""
         t0 = self.sim.now
-        span = TRACE.collector.begin_span(
+        span = PLANES.trace.begin_span(
             "mpi.isend", track_of(self.task.kernel), cat="mpi",
             args={"rank": self.rank, "dest": dest, "nbytes": nbytes}) \
-            if TRACE.enabled else None
+            if PLANES.trace is not None else None
         try:
             mq_req = yield from self.endpoint.mq_isend(
                 self.addr_of(dest), tag, self.scratch, nbytes, payload)
         finally:
-            if TRACE.enabled and span is not None:
-                TRACE.collector.end_span(span)
+            if PLANES.trace is not None and span is not None:
+                PLANES.trace.end_span(span)
         self.stats.record("Isend", self.sim.now - t0)
         return Request(mq_req, "send")
 
@@ -101,32 +101,32 @@ class MpiRank:
     def send(self, dest: int, tag, nbytes: int, payload=None):
         """Generator: blocking MPI_Send."""
         t0 = self.sim.now
-        span = TRACE.collector.begin_span(
+        span = PLANES.trace.begin_span(
             "mpi.send", track_of(self.task.kernel), cat="mpi",
             args={"rank": self.rank, "dest": dest, "nbytes": nbytes}) \
-            if TRACE.enabled else None
+            if PLANES.trace is not None else None
         try:
             mq_req = yield from self.endpoint.mq_send(
                 self.addr_of(dest), tag, self.scratch, nbytes, payload)
         finally:
-            if TRACE.enabled and span is not None:
-                TRACE.collector.end_span(span)
+            if PLANES.trace is not None and span is not None:
+                PLANES.trace.end_span(span)
         self.stats.record("Send", self.sim.now - t0)
         return Request(mq_req, "send")
 
     def recv(self, source, tag, max_bytes: int):
         """Generator: blocking MPI_Recv."""
         t0 = self.sim.now
-        span = TRACE.collector.begin_span(
+        span = PLANES.trace.begin_span(
             "mpi.recv", track_of(self.task.kernel), cat="mpi",
             args={"rank": self.rank, "max_bytes": max_bytes}) \
-            if TRACE.enabled else None
+            if PLANES.trace is not None else None
         try:
             req = self.irecv(source, tag, max_bytes)
             yield req.event
         finally:
-            if TRACE.enabled and span is not None:
-                TRACE.collector.end_span(span)
+            if PLANES.trace is not None and span is not None:
+                PLANES.trace.end_span(span)
         self.stats.record("Recv", self.sim.now - t0)
         return req
 

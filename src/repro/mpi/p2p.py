@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..config import TRACE
+from ..config import PLANES
 from ..errors import ReproError
 from ..obs.spans import track_of
 from ..psm.mq import MqRequest
@@ -94,15 +94,15 @@ def wait(rank, request: Request):
     """Generator: MPI_Wait — where rendezvous progress time surfaces
     (the Table 1 column the paper bolds)."""
     t0 = rank.sim.now
-    span = TRACE.collector.begin_span(
+    span = PLANES.trace.begin_span(
         "mpi.wait", track_of(rank.task.kernel), cat="mpi",
         args={"rank": rank.rank, "kind": request.kind}) \
-        if TRACE.enabled else None
+        if PLANES.trace is not None else None
     try:
         yield request.event
     finally:
-        if TRACE.enabled and span is not None:
-            TRACE.collector.end_span(span)
+        if PLANES.trace is not None and span is not None:
+            PLANES.trace.end_span(span)
     rank.stats.record("Wait", rank.sim.now - t0)
     return request
 
@@ -110,14 +110,14 @@ def wait(rank, request: Request):
 def waitall(rank, requests: List[Request]):
     """Generator: MPI_Waitall."""
     t0 = rank.sim.now
-    span = TRACE.collector.begin_span(
+    span = PLANES.trace.begin_span(
         "mpi.waitall", track_of(rank.task.kernel), cat="mpi",
         args={"rank": rank.rank, "n": len(requests)}) \
-        if TRACE.enabled else None
+        if PLANES.trace is not None else None
     try:
         yield AllOf(rank.sim, [r.event for r in requests])
     finally:
-        if TRACE.enabled and span is not None:
-            TRACE.collector.end_span(span)
+        if PLANES.trace is not None and span is not None:
+            PLANES.trace.end_span(span)
     rank.stats.record("Waitall", rank.sim.now - t0)
     return requests

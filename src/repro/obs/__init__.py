@@ -3,16 +3,18 @@
 The subsystem has three layers:
 
 * :mod:`repro.obs.spans` — the span/flow store and the per-object track
-  stamping (:func:`~repro.obs.spans.track_of`), fed by TRACE-gated
+  stamping (:func:`~repro.obs.spans.track_of`), fed by trace-gated
   hooks throughout the MPI/PSM/kernel/driver/hardware stack;
 * :mod:`repro.obs.export` — Chrome-trace / Perfetto JSON export with
   one track per node/kernel/SDMA-engine;
 * :mod:`repro.obs.critical_path` — the backward flow-edge walk from a
   message completion to a per-segment latency breakdown.
 
-Everything is opt-in via :func:`repro.config.enable_tracing`; with
-tracing disabled no hook runs and experiment outputs are bit-identical
-to an uninstrumented build (lint rule PD011 enforces the gating).
+Everything is opt-in via the ``trace`` slot of
+:data:`repro.config.PLANES` (``planes(trace=collector)``); every hook
+tests ``PLANES.trace is not None`` first, so with the slot empty no
+hook runs and experiment outputs are bit-identical to an
+uninstrumented build (lint rule PD011 enforces the gating).
 """
 
 from .critical_path import (Segment, breakdown_by_category, critical_path,

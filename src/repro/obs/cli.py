@@ -4,7 +4,7 @@
     python -m repro trace chaos [--out trace.json] [--breakdown]
 
 Builds a :class:`~repro.obs.spans.SpanCollector`, installs it with
-:func:`repro.config.enable_tracing` for the duration of the experiment,
+``planes(trace=collector)`` for the duration of the experiment,
 then optionally writes the Chrome-trace JSON (open in
 https://ui.perfetto.dev) and prints the per-segment critical-path
 breakdown for the largest completed message under every OS config.
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import List
 
-from ..config import ALL_CONFIGS, enable_tracing
+from ..config import ALL_CONFIGS, planes
 from ..units import KiB, MiB
 from .critical_path import render_breakdown
 from .export import write_chrome_trace
@@ -34,8 +34,7 @@ def run_traced(experiment: str, smoke: bool = False) -> SpanCollector:
     caller never leaks tracing into later machine builds.
     """
     collector = SpanCollector()
-    enable_tracing(collector)
-    try:
+    with planes(trace=collector):
         if experiment == "fig4":
             from ..experiments.fig4 import run_fig4
             if smoke:
@@ -49,8 +48,6 @@ def run_traced(experiment: str, smoke: bool = False) -> SpanCollector:
             print(result.render())
         else:
             raise ValueError(f"unknown trace experiment {experiment!r}")
-    finally:
-        enable_tracing(None)
     collector.finalize()
     return collector
 

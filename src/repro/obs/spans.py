@@ -10,7 +10,7 @@ processes, kernels and nodes — RTS packet to receiver match, offload
 request to IKC service, SDMA descriptor to wire delivery.
 
 Every emission call site in the instrumented tree is gated on
-:data:`repro.config.TRACE` (lint rule PD011), so traced-off runs make
+``PLANES.trace is not None`` (lint rule PD011), so traced-off runs make
 no calls here at all and stay bit-identical to a build without the
 hooks.  The collector itself never creates simulator events and never
 draws randomness: recording is pure bookkeeping on the side.
@@ -75,8 +75,8 @@ class Span(object):
 class SpanCollector(object):
     """Accumulates spans and flow edges for one traced run.
 
-    Install with :func:`repro.config.enable_tracing`; every machine
-    built while tracing is enabled calls :meth:`attach_machine`, which
+    Install with ``planes(trace=collector)``; every machine built
+    while it sits in the ``trace`` slot calls :meth:`attach_machine`, which
     stamps track names onto the kernels/devices and points the
     collector at that machine's simulator clock.  Span ids and flow ids
     are globally unique across all machines attached to one collector

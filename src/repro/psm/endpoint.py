@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, NamedTuple, Optional, Tuple
 
-from ..config import FAULTS, TRACE
+from ..config import PLANES
 from ..errors import (DeviceTimeout, ReproError, TransferCorrupt,
                       TransientDeviceError)
 from ..hw.hfi import HFIDevice, Packet
@@ -102,15 +102,15 @@ class Endpoint:
         if self.addr is None:
             raise ReproError("endpoint not open")
         req = MqRequest(self.sim, "send")
-        span = TRACE.collector.begin_span(
+        span = PLANES.trace.begin_span(
             "psm.isend", track_of(self.task.kernel), cat="psm",
-            args={"nbytes": nbytes}) if TRACE.enabled else None
+            args={"nbytes": nbytes}) if PLANES.trace is not None else None
         try:
             ret = yield from self._isend(dest, tag, buffer, nbytes,
                                          payload, req)
         finally:
-            if TRACE.enabled and span is not None:
-                TRACE.collector.end_span(span)
+            if PLANES.trace is not None and span is not None:
+                PLANES.trace.end_span(span)
         return ret
 
     def _isend(self, dest: EndpointAddress, tag, buffer: int, nbytes: int,
@@ -119,7 +119,7 @@ class Endpoint:
         yield self.sim.timeout(self.params.psm.mq_overhead)
         if nbytes <= self.params.nic.pio_threshold:
             seq = csum = None
-            if FAULTS.enabled:
+            if self.hfi.injector is not None:
                 seq = (self.addr, self._tx_seq)
                 self._tx_seq += 1
                 csum = packet_checksum("eager", ("eager", self.addr, tag),
@@ -128,7 +128,7 @@ class Endpoint:
                          dst_node=dest.node_id, dst_ctxt=dest.ctxt_id,
                          nbytes=nbytes, tag=("eager", self.addr, tag),
                          payload=payload, seq=seq, csum=csum)
-            if FAULTS.enabled:
+            if self.hfi.injector is not None:
                 # completion is deferred to the receiver's ACK; the
                 # watchdog retransmits until acked or the budget is gone
                 self._pending_eager[seq] = {
@@ -136,7 +136,7 @@ class Endpoint:
                     "tag": tag, "nbytes": nbytes}
             yield from self.hfi.pio_send(pkt)
             self.tracer.count("psm.eager_sends")
-            if FAULTS.enabled:
+            if self.hfi.injector is not None:
                 self.sim.spawn(self._eager_watchdog(seq))
             else:
                 req.complete(self.addr, tag, nbytes)
@@ -149,7 +149,7 @@ class Endpoint:
                     "payload": payload}
             done = None
             seq = None
-            if FAULTS.enabled:
+            if self.hfi.injector is not None:
                 seq = (self.addr, self._tx_seq)
                 self._tx_seq += 1
                 meta["seq"] = seq
@@ -165,14 +165,14 @@ class Endpoint:
                 yield from self.task.syscall("writev", self.fd,
                                              [meta, (buffer, nbytes)])
             except DeviceTimeout:
-                if not FAULTS.enabled:
+                if self.hfi.injector is None:
                     raise
                 # the submit timed out on a wedged device (engine never
                 # returned to running): the watchdog below owns
                 # retransmission, so swallow the typed failure here
                 self.tracer.count("psm.send_timeouts")
             self.tracer.count("psm.eager_sdma_sends")
-            if FAULTS.enabled:
+            if self.hfi.injector is not None:
                 self.sim.spawn(self._eager_watchdog(seq))
             else:
                 done.add_callback(
@@ -187,14 +187,14 @@ class Endpoint:
         self._send_flows[msg_id] = flow
         rts = Rts(msg_id, self.addr, tag, nbytes, payload)
         csum = (packet_checksum("rts", None, self.params.psm.ctrl_bytes,
-                                None, rts) if FAULTS.enabled else None)
+                                None, rts) if self.hfi.injector is not None else None)
         pkt = Packet(kind="rts", src_node=self.addr.node_id,
                      dst_node=dest.node_id, dst_ctxt=dest.ctxt_id,
                      nbytes=self.params.psm.ctrl_bytes, payload=rts,
                      csum=csum)
         yield from self.hfi.pio_send(pkt)
         self.tracer.count("psm.rndv_sends")
-        if FAULTS.enabled:
+        if self.hfi.injector is not None:
             self.sim.spawn(self._rts_watchdog(flow, pkt))
         return req
 
@@ -222,11 +222,11 @@ class Endpoint:
     # -- packet demux (called at wire arrival) ----------------------------------------
 
     def _rx_packet(self, pkt: Packet) -> None:
-        rx = TRACE.collector.instant_span(
+        rx = PLANES.trace.instant_span(
             f"psm.rx_{pkt.kind}", track_of(self.task.kernel), cat="psm",
             args={"nbytes": pkt.nbytes}, flow_from=pkt.trace) \
-            if TRACE.enabled else None
-        if FAULTS.enabled and pkt.csum is not None:
+            if PLANES.trace is not None else None
+        if self.hfi.injector is not None and pkt.csum is not None:
             if pkt.csum != packet_checksum(pkt.kind, pkt.tag, pkt.nbytes,
                                            pkt.seq, pkt.payload):
                 # Bit flip in flight: drop like a failed link CRC; the
@@ -242,7 +242,7 @@ class Endpoint:
                 return
         if pkt.kind == "eager":
             _, src, tag = pkt.tag
-            if FAULTS.enabled and pkt.seq is not None:
+            if self.hfi.injector is not None and pkt.seq is not None:
                 # ACK every copy (the first ACK may itself be lost), but
                 # deliver each sequence number once.
                 self.sim.spawn(self._send_ack(pkt, src))
@@ -268,7 +268,7 @@ class Endpoint:
                                       entry["nbytes"])
         elif pkt.kind == "rts":
             rts: Rts = pkt.payload
-            if FAULTS.enabled:
+            if self.hfi.injector is not None:
                 if rts.msg_id in self._seen_rts:
                     self.tracer.count("psm.dup_rts")
                     return
@@ -305,17 +305,17 @@ class Endpoint:
         link_bw = self.params.nic.link_bandwidth
         tail = min(nbytes, 8192) / copy_bw
         lag = max(0.0, nbytes * (1.0 / copy_bw - 1.0 / link_bw))
-        span = TRACE.collector.begin_span(
+        span = PLANES.trace.begin_span(
             "psm.eager_copy", track_of(self.task.kernel), cat="psm",
             args={"nbytes": nbytes}, flow_from=cause) \
-            if TRACE.enabled else None
+            if PLANES.trace is not None else None
         try:
             yield self.sim.timeout(self.params.psm.mq_overhead + tail + lag)
         finally:
-            if TRACE.enabled and span is not None:
-                TRACE.collector.end_span(span)
-        if TRACE.enabled:
-            TRACE.collector.instant_span(
+            if PLANES.trace is not None and span is not None:
+                PLANES.trace.end_span(span)
+        if PLANES.trace is not None:
+            PLANES.trace.instant_span(
                 "psm.msg_complete", track_of(self.task.kernel), cat="psm",
                 args={"nbytes": nbytes}, flow_from=span)
         req.complete(src, tag, nbytes, payload)
@@ -344,8 +344,8 @@ class Endpoint:
             if entry is None:
                 return
             self.tracer.count("psm.retransmits")
-            if TRACE.enabled:
-                TRACE.collector.instant_span(
+            if PLANES.trace is not None:
+                PLANES.trace.instant_span(
                     "psm.retransmit", track_of(self.task.kernel),
                     cat="recovery", args={"kind": "eager"})
             if entry["via"] == "pio":
@@ -379,8 +379,8 @@ class Endpoint:
                     or flow.msg_id not in self._send_flows):
                 return
             self.tracer.count("psm.retransmits")
-            if TRACE.enabled:
-                TRACE.collector.instant_span(
+            if PLANES.trace is not None:
+                PLANES.trace.instant_span(
                     "psm.retransmit", track_of(self.task.kernel),
                     cat="recovery", args={"kind": "rts"})
             yield from self.hfi.pio_send(pkt)
@@ -408,8 +408,8 @@ class Endpoint:
                 return
             self.tracer.count("psm.retransmits")
             self.tracer.count("psm.cts_resends")
-            if TRACE.enabled:
-                TRACE.collector.instant_span(
+            if PLANES.trace is not None:
+                PLANES.trace.instant_span(
                     "psm.retransmit", track_of(self.task.kernel),
                     cat="recovery", args={"kind": "cts_regrant"})
             yield from self.hfi.pio_send(pkt)
@@ -447,7 +447,7 @@ class Endpoint:
         flow = RecvFlow(rts=rts, buffer=vaddr, request=req,
                         windows=window_count(rts.total,
                                              self.params.psm.window_size))
-        if TRACE.enabled:
+        if PLANES.trace is not None:
             # window-registration jobs flow from the RTS arrival instant
             flow.trace_cause = cause
         self._recv_flows[rts.msg_id] = flow
@@ -469,11 +469,11 @@ class Endpoint:
         the flow's request instead of raising."""
         offset, length = window_extent(flow.rts.total,
                                        self.params.psm.window_size, w)
-        span = TRACE.collector.begin_span(
+        span = PLANES.trace.begin_span(
             "psm.tid_window", track_of(self.task.kernel), cat="psm",
             args={"window": w, "nbytes": length},
             flow_from=getattr(flow, "trace_cause", None)) \
-            if TRACE.enabled else None
+            if PLANES.trace is not None else None
         try:
             yield self.sim.timeout(self.params.psm.rndv_window_overhead)
             psm = self.params.psm
@@ -500,7 +500,7 @@ class Endpoint:
             cts = Cts(flow.rts.msg_id, w, offset, length, tuple(tids),
                       self.addr)
             csum = (packet_checksum("cts", None, self.params.psm.ctrl_bytes,
-                                    None, cts) if FAULTS.enabled else None)
+                                    None, cts) if self.hfi.injector is not None else None)
             pkt = Packet(kind="cts", src_node=self.addr.node_id,
                          dst_node=flow.rts.source.node_id,
                          dst_ctxt=flow.rts.source.ctxt_id,
@@ -508,9 +508,9 @@ class Endpoint:
                          csum=csum)
             yield from self.hfi.pio_send(pkt)
         finally:
-            if TRACE.enabled and span is not None:
-                TRACE.collector.end_span(span)
-        if FAULTS.enabled:
+            if PLANES.trace is not None and span is not None:
+                PLANES.trace.end_span(span)
+        if self.hfi.injector is not None:
             self.sim.spawn(self._cts_watchdog(flow, w, pkt))
 
     def _window_arrived(self, msg_id: Tuple, widx: int,
@@ -519,11 +519,11 @@ class Endpoint:
         if flow is None:
             # Under fault injection a retransmitted window can land after
             # its flow completed or failed; elsewhere it is a protocol bug.
-            if FAULTS.enabled:
+            if self.hfi.injector is not None:
                 self.tracer.count("psm.dup_window")
                 return
             raise ReproError(f"expected data for unknown message {msg_id}")
-        if FAULTS.enabled and widx in flow.arrived_windows:
+        if self.hfi.injector is not None and widx in flow.arrived_windows:
             self.tracer.count("psm.dup_window")
             return
         flow.arrived_windows.add(widx)
@@ -536,8 +536,8 @@ class Endpoint:
         self._register_next(flow)
         if flow.all_arrived():
             del self._recv_flows[msg_id]
-            if TRACE.enabled:
-                TRACE.collector.instant_span(
+            if PLANES.trace is not None:
+                PLANES.trace.instant_span(
                     "psm.msg_complete", track_of(self.task.kernel),
                     cat="psm", args={"nbytes": flow.rts.total},
                     flow_from=cause)
@@ -556,14 +556,14 @@ class Endpoint:
         if flow is None:
             # A re-granted CTS can outlive its sender flow (the flow
             # failed on RTS exhaustion); only a bug in fault-free runs.
-            if FAULTS.enabled:
+            if self.hfi.injector is not None:
                 self.tracer.count("psm.stale_cts")
                 return
             raise ReproError(f"CTS for unknown message {cts.msg_id}")
-        span = TRACE.collector.begin_span(
+        span = PLANES.trace.begin_span(
             "psm.send_window", track_of(self.task.kernel), cat="psm",
             args={"window": cts.window, "nbytes": cts.length},
-            flow_from=cause) if TRACE.enabled else None
+            flow_from=cause) if PLANES.trace is not None else None
         try:
             done = Event(self.sim)
             meta = {"dst_node": cts.dest.node_id,
@@ -571,7 +571,7 @@ class Endpoint:
                     "kind": "expected", "tids": cts.tids,
                     "tag": ("win", cts.msg_id, cts.window),
                     "completion": done}
-            if FAULTS.enabled:
+            if self.hfi.injector is not None:
                 meta["csum"] = packet_checksum(
                     "expected", ("win", cts.msg_id, cts.window), cts.length,
                     None, None)
@@ -591,8 +591,8 @@ class Endpoint:
                 return
             flow.submitted += 1
         finally:
-            if TRACE.enabled and span is not None:
-                TRACE.collector.end_span(span)
+            if PLANES.trace is not None and span is not None:
+                PLANES.trace.end_span(span)
         done.add_callback(
             lambda e: self._sdma_complete(flow, cts.window, e))
 
@@ -605,11 +605,11 @@ class Endpoint:
         flow.finished = True
         # Under fault injection the flow stays registered so a receiver's
         # late re-CTS can still be answered with a fresh submission.
-        if not FAULTS.enabled:
+        if self.hfi.injector is None:
             del self._send_flows[flow.msg_id]
-        if TRACE.enabled:
+        if PLANES.trace is not None:
             group = getattr(evt, "_value", None)
-            TRACE.collector.instant_span(
+            PLANES.trace.instant_span(
                 "psm.send_complete", track_of(self.task.kernel), cat="psm",
                 args={"nbytes": flow.total},
                 flow_from=getattr(group, "trace_ctx", None))

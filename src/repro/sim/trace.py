@@ -3,14 +3,14 @@
 The tracer is the one sink every layer reports into: syscall timings for the
 kernel profiler (Figures 8-9), MPI per-call times for ``I_MPI_STATS``
 (Table 1), SDMA descriptor counts for Figure 4 validation, and so on.
-Recording is cheap (dict update) and can be disabled wholesale.
+Recording is cheap (one dict update).
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from operator import add
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence
 
 
 class Accumulator:
@@ -64,42 +64,29 @@ class Accumulator:
 
 
 class Tracer:
-    """Named counters, accumulators and optional (time, value) series."""
+    """Named counters and accumulators."""
 
-    __slots__ = ("enabled", "keep_series", "counters", "accs", "series")
+    __slots__ = ("counters", "accs")
 
-    def __init__(self, enabled: bool = True, keep_series: bool = False,
-                 counters: Optional[Dict[str, int]] = None,
-                 accs: Optional[Dict[str, Accumulator]] = None,
-                 series: Optional[Dict[str, List[Tuple[float, float]]]] = None):
-        self.enabled = enabled
-        self.keep_series = keep_series
-        self.counters: Dict[str, int] = {} if counters is None else counters
-        self.accs: Dict[str, Accumulator] = {} if accs is None else accs
-        self.series: Dict[str, List[Tuple[float, float]]] = \
-            {} if series is None else series
+    def __init__(self) -> None:
+        self.counters: Dict[str, int] = {}
+        self.accs: Dict[str, Accumulator] = {}
 
     def count(self, name: str, n: int = 1) -> None:
         """Increment a named counter."""
-        if self.enabled:
-            self.counters[name] = self.counters.get(name, 0) + n
+        self.counters[name] = self.counters.get(name, 0) + n
 
-    def record(self, name: str, value: float, t: Optional[float] = None) -> None:
-        """Add a value to a named accumulator (and optional series)."""
-        if not self.enabled:
-            return
+    def record(self, name: str, value: float) -> None:
+        """Add a value to a named accumulator."""
         acc = self.accs.get(name)
         if acc is None:
             acc = self.accs[name] = Accumulator()
         acc.add(value)
-        if self.keep_series and t is not None:
-            self.series.setdefault(name, []).append((t, value))
 
     def record_many(self, name: str, values: Sequence[float]) -> None:
         """Add a batch of values to a named accumulator: the same count,
-        total, min and max as one :meth:`record` call per value (no
-        series are kept, as for ``record`` without a time)."""
-        if not self.enabled or not values:
+        total, min and max as one :meth:`record` call per value."""
+        if not values:
             return
         acc = self.accs.get(name)
         if acc is None:

@@ -10,7 +10,11 @@ whose ``evaluate(point, seed)`` returns scalar+vector
 ``multiprocessing`` runner (:mod:`repro.tune.runner`) whose merged
 results are bit-identical to a serial run, backed by a resumable
 on-disk cache (:mod:`repro.tune.cache`) keyed on
-(params, seed, workload, code-version).
+(params, seed, workload, code-version).  Each evaluation puts an
+:class:`~repro.tune.env.EvalProbe` in the ``tune`` slot of
+:data:`repro.config.PLANES`, and every machine built meanwhile hands
+itself to the probe once construction ends (lint rule PD016 gates the
+call on the ``probe`` handle).
 
 This is the ArchGym pattern over the PicoDriver reproduction: the
 "millions of scenarios" workload that justifies the sweep runner, and

@@ -17,14 +17,13 @@ from typing import List, Optional
 
 from .cache import ResultsCache
 from .env import WORKLOADS, EnvConfig
-from .report import (bench_payload, measure_fig4_baseline, render_report,
-                     write_bench)
+from .report import bench_payload, render_report, write_bench
 from .runner import run_campaign
 from .search import STRATEGIES
 
 USAGE = ("usage: python -m repro tune <workload> [--search NAME] "
          "[--budget N] [--batch N] [--workers N] [--seed N] [--smoke] "
-         "[--resume] [--cache PATH] [--out PATH] [--baseline-fig4]\n"
+         "[--resume] [--cache PATH] [--out PATH]\n"
          f"workloads: {', '.join(sorted(WORKLOADS))}; "
          f"searches: {', '.join(sorted(STRATEGIES))}")
 
@@ -58,9 +57,7 @@ def cmd_tune(argv: List[str]) -> int:
     argv = list(argv)
     smoke = "--smoke" in argv
     resume = "--resume" in argv
-    baseline_fig4 = "--baseline-fig4" in argv
-    argv = [a for a in argv
-            if a not in ("--smoke", "--resume", "--baseline-fig4")]
+    argv = [a for a in argv if a not in ("--smoke", "--resume")]
     try:
         search = _str_opt(argv, "--search") or "random"
         budget = _int_opt(argv, "--budget")
@@ -101,8 +98,7 @@ def cmd_tune(argv: List[str]) -> int:
                               log=print)
     print()
     print(render_report(result))
-    baselines = [measure_fig4_baseline()] if baseline_fig4 else []
-    write_bench(out, bench_payload(result, baselines=baselines))
+    write_bench(out, bench_payload(result))
     print(f"\nwrote {out} (cache: {cache_path}, "
           f"{result.cache_hits} hits / {result.evaluations_run} evaluated)")
     return 0

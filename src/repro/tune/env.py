@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from ..config import enable_tune_probe
+from ..config import planes
 from ..errors import ReproError
 from ..sim import RngFactory
 from ..units import KiB, MiB
@@ -99,10 +99,10 @@ class Fitness:
 
 @dataclass
 class EvalProbe:
-    """The config-gated machine observer (see lint rule PD016).
+    """The ``tune`` plane's machine observer (see lint rule PD016).
 
-    Installed via :func:`repro.config.enable_tune_probe` for the
-    duration of one evaluation; :class:`~repro.experiments.common.
+    Installed as ``planes(tune=probe)`` for the duration of one
+    evaluation; :class:`~repro.experiments.common.
     Machine` calls :meth:`on_machine_built` at the end of
     construction, letting the environment count machines and nodes
     without the experiments layer importing anything from tune.
@@ -135,17 +135,14 @@ class PicoEnv:
         """Evaluate one design point under one seed.
 
         Builds the design's machines behind a freshly-installed
-        :class:`EvalProbe` (removed again in ``finally``, so nothing
-        leaks into later unrelated runs) and returns the workload's
-        :class:`Fitness`.
+        :class:`EvalProbe` (removed again when the evaluation ends, so
+        nothing leaks into later unrelated runs) and returns the
+        workload's :class:`Fitness`.
         """
         self.space.validate(point)
         probe = EvalProbe()
-        enable_tune_probe(probe)
-        try:
+        with planes(tune=probe):
             fitness = WORKLOADS[self.workload](self, point, seed)
-        finally:
-            enable_tune_probe(None)
         if probe.machines_built:
             fitness = replace(fitness, metrics=fitness.metrics + (
                 ("machines", float(probe.machines_built)),

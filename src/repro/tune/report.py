@@ -1,16 +1,14 @@
 """Trajectory/best-fitness reporting and the ``BENCH_TUNE.json`` artifact.
 
-The JSON schema (``picotune/1``, documented in EXPERIMENTS.md) is the
-repo's tracked perf trajectory: every later PR can regenerate the
-deterministic smoke campaign and the fig4 wall-clock baseline and diff
-them against the committed ``BENCH_PICOTUNE.json``.
+The JSON schema (``picotune/1``, documented in EXPERIMENTS.md) records
+one campaign: every later change can regenerate the deterministic smoke
+campaign and diff it against the committed ``BENCH_PICOTUNE.json``.
 """
 
 from __future__ import annotations
 
 import json
-import time
-from typing import Dict, List, Optional
+from typing import Dict
 
 from .cache import code_fingerprint
 from .runner import CampaignResult
@@ -47,11 +45,9 @@ def render_report(result: CampaignResult) -> str:
     return "\n".join(lines)
 
 
-def bench_payload(result: CampaignResult,
-                  baselines: Optional[List[Dict[str, object]]] = None) \
-        -> Dict[str, object]:
-    """The ``picotune/1`` artifact: campaign summary + trajectory +
-    wall-clock baselines, JSON-stable for committing and diffing."""
+def bench_payload(result: CampaignResult) -> Dict[str, object]:
+    """The ``picotune/1`` artifact: campaign summary + trajectory,
+    JSON-stable for committing and diffing."""
     best = result.best
     return {
         "schema": SCHEMA,
@@ -73,7 +69,6 @@ def bench_payload(result: CampaignResult,
         },
         "trajectory": result.trajectory,
         "scalars": [t.fitness.scalar for t in result.trials],
-        "baselines": baselines if baselines is not None else [],
     }
 
 
@@ -83,22 +78,3 @@ def write_bench(path: str, payload: Dict[str, object]) -> None:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-
-def measure_fig4_baseline(repeats: int = 2) -> Dict[str, object]:
-    """Best-of-``repeats`` wall clock of one small fig4 regeneration —
-    the perf-trajectory entry every PR can compare against.
-
-    Wall seconds vary per machine; the entry also carries the exact
-    workload shape so trend comparisons stay apples-to-apples.
-    """
-    from ..experiments.fig4 import run_fig4
-    from ..units import KiB
-    sizes = (16 * KiB, 256 * KiB)
-    run_fig4(sizes=sizes, repetitions=1)  # warm imports/caches
-    best = float("inf")
-    for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        run_fig4(sizes=sizes, repetitions=1)
-        best = min(best, time.perf_counter() - t0)
-    return {"name": "fig4_small_wall_seconds", "value": round(best, 4),
-            "sizes": list(sizes), "repetitions": 1, "best_of": repeats}

@@ -20,7 +20,6 @@ from repro.analysis.check import (Bounds, Choice, ControlledScheduler,
                                   parse_schedule_script, replay_schedule,
                                   run_check, write_schedule_script)
 from repro.analysis.check_fixtures import FlagRaceScenario
-from repro.config import ANALYSIS, FAULTS, TRACE
 from repro.experiments import run_fig4
 from repro.faults import ScheduledFault
 from repro.units import KiB
@@ -142,12 +141,9 @@ def test_divergent_override_falls_back_to_fifo():
 
 
 def test_globals_restored_after_check_runs():
+    """Every plane slot a check run sets is clear again afterwards
+    (asserted by the suite-wide ``planes_off`` fixture)."""
     execute_run(FlagRaceScenario(), "rig", Schedule.empty(), RIG_BOUNDS)
-    assert ANALYSIS.check is False
-    assert ANALYSIS.race_detection is False
-    assert ANALYSIS.lockdep is False
-    assert FAULTS.enabled is False and FAULTS.plan is None
-    assert TRACE.enabled is False and TRACE.collector is None
 
 
 # --- schedule scripts --------------------------------------------------------
@@ -223,9 +219,9 @@ def test_scenario_registry():
 # --- the disabled-identity guarantee -----------------------------------------
 
 def test_check_runs_leave_experiments_bit_identical(tmp_path):
-    """With ``ANALYSIS.check`` off no simulator carries a scheduler, so
-    fig4 before and after a full check exploration is bit-identical —
-    the PD012 runtime contract."""
+    """Only a check scenario sets ``sim.scheduler``, on the simulators it
+    drives, so fig4 before and after a full check exploration is
+    bit-identical — the PD012 runtime contract."""
     sizes = (16 * KiB,)
     baseline = run_fig4(sizes=sizes, repetitions=1)
     run_check("seeded-flag-race", bounds=RIG_BOUNDS,

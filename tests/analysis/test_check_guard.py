@@ -3,7 +3,6 @@ oracle, with and without adversarial fault placement."""
 
 from repro.analysis.check import Schedule, execute_run, get_scenarios
 from repro.analysis.check_guard import GuardBreakerScenario
-from repro.config import GUARD
 from repro.faults import ScheduledFault
 
 
@@ -34,10 +33,10 @@ def test_placed_engine_halt_walks_the_breaker_legally():
 
 
 def test_scenario_restores_guard_config():
-    assert not GUARD.enabled
+    """The ``guard`` slot is clear again afterwards (asserted by the
+    suite-wide ``planes_off`` fixture)."""
     execute_run(GuardBreakerScenario(), "mckernel_hfi", Schedule.empty(),
                 _bounds())
-    assert not GUARD.enabled and GUARD.policy is None
 
 
 def _bounds():

@@ -5,7 +5,6 @@ import textwrap
 
 from repro.__main__ import main
 from repro.analysis.cli import cmd_sanitize
-from repro.config import ANALYSIS
 
 #: a fast path that offloads (vet PD015.1, formerly lint PD001) and peeks
 #: at raw heap words from repro/core (lint PD005)
@@ -79,7 +78,6 @@ def test_sanitize_shipped_experiment_is_clean(capsys):
     assert "== KSan verdict ==" in out
     assert "KSan: no cross-kernel races detected" in out
     assert "no races" in out
-    assert ANALYSIS.race_detection is False   # restored afterwards
 
 
 def _racy_experiment():
@@ -102,7 +100,6 @@ def test_sanitize_reports_seeded_race(capsys):
     assert "race on sdma_state.current_state" in out
     assert "lockset intersection is empty" in out
     assert "1 cross-kernel race(s) detected" in out
-    assert ANALYSIS.race_detection is False   # restored even on findings
 
 
 # --- lockgraph ---------------------------------------------------------------
@@ -154,8 +151,10 @@ def test_lockgraph_flags_abba_fixture(tmp_path, capsys):
 # --- lockdep -----------------------------------------------------------------
 
 def _lockdep_machine(abba):
-    """A miniature 'experiment' with its own registered validator."""
+    """A miniature 'experiment' with its own validator, collected in the
+    ``lockdep`` plane slot as a machine's would be."""
     from repro.analysis.lockdep import LockdepValidator
+    from repro.config import PLANES
     from repro.core import linux_layout, mckernel_unified_layout
     from repro.core.sync import CrossKernelSpinLock
     from repro.hw import SharedHeap
@@ -164,6 +163,7 @@ def _lockdep_machine(abba):
     sim = Simulator()
     heap = SharedHeap(65536)
     validator = LockdepValidator(sim, name="fixture.lockdep")
+    PLANES.lockdep.append(validator)
     heap.add_monitor(validator)
     sim.wait_monitor = validator
     dispatch = CrossKernelSpinLock(sim, heap, name="mckernel.dispatch")
@@ -207,7 +207,6 @@ def test_lockdep_clean_experiment_exits_zero(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "no lock-order hazards" in out
-    assert ANALYSIS.lockdep is False  # restored afterwards
 
 
 def test_lockdep_reports_seeded_abba(capsys):
@@ -218,7 +217,6 @@ def test_lockdep_reports_seeded_abba(capsys):
     assert "order-cycle" in out or "cycle" in out
     assert "hierarchy" in out
     assert "linux" in out and "mckernel" in out
-    assert ANALYSIS.lockdep is False  # restored even on findings
 
 
 # --- lint --jobs -------------------------------------------------------------

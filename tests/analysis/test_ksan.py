@@ -8,11 +8,8 @@ guarantee on the shipped ping-pong workload in all three OS configs.
 
 import pytest
 
-from repro.analysis.ksan import (ACTIVE_DETECTORS, RaceDetector,
-                                 active_race_reports,
-                                 reset_active_detectors)
-from repro.config import (ALL_CONFIGS, ANALYSIS, OSConfig,
-                          enable_race_detection)
+from repro.analysis.ksan import RaceDetector
+from repro.config import ALL_CONFIGS, OSConfig, planes
 from repro.core import (CrossKernelSpinLock, linux_layout,
                         mckernel_unified_layout)
 from repro.core.structs import CStructDef, Field, StructInstance, StructView, U32
@@ -26,7 +23,7 @@ from tests.integration.test_three_configs import make_pair, transfer_once
 def make_detector():
     sim = Simulator()
     heap = SharedHeap(65536)
-    det = RaceDetector(sim=sim, register=False)
+    det = RaceDetector(sim=sim)
     heap.monitor = det
     return sim, heap, det
 
@@ -176,20 +173,21 @@ def test_report_render_carries_full_provenance():
 
 
 def test_detector_registry_and_aggregation():
-    reset_active_detectors()
-    try:
-        det = RaceDetector()        # registers itself
-        assert ACTIVE_DETECTORS == [det]
-        heap = SharedHeap(4096)
-        heap.monitor = det
-        linux, mck = make_views(heap)
-        linux.set("head", 1)
-        mck.set("head", 2)
-        assert active_race_reports() == det.races
-        assert len(active_race_reports()) == 1
-    finally:
-        reset_active_detectors()
-    assert active_race_reports() == []
+    """The ``ksan`` slot collects every machine's detectors in build
+    order, and the aggregate over it holds each detector's races."""
+    detectors = []
+    with planes(ksan=detectors):
+        first = make_pair(OSConfig.MCKERNEL_HFI)[0]
+        second = make_pair(OSConfig.LINUX)[0]
+    assert detectors == first.sanitizers + second.sanitizers
+    assert len(detectors) == 4
+    node = first.nodes[0]
+    rogue = StructView(node.pico.layouts["sdma_state"], node.node.kheap,
+                       node.driver.engine_states[0].addr)
+    rogue.set("current_state", 0)
+    reports = [report for det in detectors for report in det.races]
+    assert reports == first.race_reports()
+    assert len(reports) == 1
 
 
 # --- machine-level: the seeded violation and the shipped workloads -----------
@@ -197,11 +195,8 @@ def test_detector_registry_and_aggregation():
 @pytest.fixture
 def sanitized():
     """Enable KSan installation for machines built inside the test."""
-    reset_active_detectors()
-    enable_race_detection(True)
-    yield
-    enable_race_detection(False)
-    reset_active_detectors()
+    with planes(ksan=[]):
+        yield
 
 
 def test_machine_installs_one_detector_per_node(sanitized):
@@ -272,5 +267,6 @@ def test_shipped_pingpong_is_race_free(sanitized, cfg):
 
 
 def test_race_detection_flag_restored_by_fixture():
-    """Guard against fixture leakage into the perf-sensitive default."""
-    assert ANALYSIS.race_detection is False
+    """Guard against fixture leakage into the perf-sensitive default:
+    the suite-wide ``planes_off`` fixture asserts the ``ksan`` slot is
+    clear around this test, after the ``sanitized`` tests above."""

@@ -248,12 +248,12 @@ def test_pd007_unguarded_fires():
 
 
 def test_pd007_boolop_guard_idiom_is_clean():
-    """The hooks' actual shape: FAULTS appears earlier in the same
-    ``and`` chain as the draw."""
+    """The hooks' actual shape: the installed-injector test comes
+    earlier in the same ``and`` chain as the draw."""
     findings = lint("""\
         def transmit(self, packet):
             inj = self.injector
-            if FAULTS.enabled and inj is not None and inj.fires("fabric.drop"):
+            if inj is not None and inj.fires("fabric.drop"):
                 return
         """)
     assert findings == []
@@ -262,7 +262,7 @@ def test_pd007_boolop_guard_idiom_is_clean():
 def test_pd007_enclosing_if_guard_is_clean():
     findings = lint("""\
         def submit(self):
-            if config.FAULTS.enabled:
+            if self.device.injector is not None:
                 if self.inj.fires("sdma.desc_error"):
                     self.halt("boom")
         """)
@@ -272,7 +272,7 @@ def test_pd007_enclosing_if_guard_is_clean():
 def test_pd007_else_branch_is_not_guarded():
     findings = lint("""\
         def submit(self):
-            if FAULTS.enabled:
+            if self.inj is not None:
                 pass
             else:
                 self.inj.fires("irq.lost")
@@ -281,11 +281,11 @@ def test_pd007_else_branch_is_not_guarded():
 
 
 def test_pd007_fires_before_the_faults_operand_is_flagged():
-    """Short-circuit order matters: the draw must come after the FAULTS
-    check, or disabled runs still consume RNG numbers."""
+    """Short-circuit order matters: the draw must come after the
+    injector test, or runs without one still reach the draw."""
     findings = lint("""\
         def f(self):
-            if self.inj.fires("irq.lost") and FAULTS.enabled:
+            if self.inj.fires("irq.lost") and self.inj is not None:
                 return
         """)
     assert codes(findings) == ["PD007"]
@@ -297,7 +297,7 @@ def test_pd007_unguarded_burst_draw():
         def drain(self, inj, ring):
             n = inj.quiet_run(("sdma.desc_error", "sdma.engine_halt"),
                               len(ring))
-            if FAULTS.enabled and inj is not None:
+            if inj is not None:
                 n = inj.quiet_run(("sdma.desc_error",), n)
             return n
         """)
@@ -311,27 +311,27 @@ def test_pd007_unguarded_burst_draw():
 def test_pd011_unguarded_span_emission():
     findings = lint("""\
         def syscall(self, task, name):
-            span = TRACE.collector.begin_span("x", "t")
+            span = PLANES.trace.begin_span("x", "t")
             yield from self._dispatch(task, name)
-            TRACE.collector.end_span(span)
+            PLANES.trace.end_span(span)
         """)
     assert codes(findings) == ["PD011", "PD011"]
     assert "span emission" in findings[0].message
-    assert "config.TRACE" in findings[0].message
+    assert "a test of trace" in findings[0].message
 
 
 def test_pd011_conditional_expression_idiom_is_clean():
     """The hooks' actual begin shape: the emission sits in the then-arm
-    of an ``... if TRACE.enabled else None`` expression."""
+    of an ``... if PLANES.trace is not None else None`` expression."""
     findings = lint("""\
         def syscall(self, task, name):
-            span = TRACE.collector.begin_span(
-                "x", "t") if TRACE.enabled else None
+            span = PLANES.trace.begin_span(
+                "x", "t") if PLANES.trace is not None else None
             try:
                 yield from self._dispatch(task, name)
             finally:
-                if TRACE.enabled and span is not None:
-                    TRACE.collector.end_span(span)
+                if PLANES.trace is not None and span is not None:
+                    PLANES.trace.end_span(span)
         """)
     assert findings == []
 
@@ -339,9 +339,9 @@ def test_pd011_conditional_expression_idiom_is_clean():
 def test_pd011_enclosing_if_guard_is_clean():
     findings = lint("""\
         def _rx(self, pkt):
-            if TRACE.enabled:
-                TRACE.collector.instant_span("psm.rx", "t")
-                TRACE.collector.add_flow(a, b)
+            if PLANES.trace is not None:
+                PLANES.trace.instant_span("psm.rx", "t")
+                PLANES.trace.add_flow(a, b)
         """)
     assert findings == []
 
@@ -349,9 +349,9 @@ def test_pd011_enclosing_if_guard_is_clean():
 def test_pd011_covers_the_whole_emission_surface():
     findings = lint("""\
         def f(self):
-            TRACE.collector.instant_span("a", "t")
-            TRACE.collector.complete_span("b", "t", 0.0, 1.0)
-            TRACE.collector.add_flow(x, y)
+            PLANES.trace.instant_span("a", "t")
+            PLANES.trace.complete_span("b", "t", 0.0, 1.0)
+            PLANES.trace.add_flow(x, y)
         """)
     assert codes(findings) == ["PD011"] * 3
 
@@ -372,10 +372,10 @@ def test_pd011_exempts_the_obs_subsystem():
 def test_pd011_else_branch_is_not_guarded():
     findings = lint("""\
         def f(self):
-            if TRACE.enabled:
+            if PLANES.trace is not None:
                 pass
             else:
-                TRACE.collector.instant_span("a", "t")
+                PLANES.trace.instant_span("a", "t")
         """)
     assert codes(findings) == ["PD011"]
 
@@ -574,7 +574,7 @@ def test_pd012_unguarded_hook_calls():
         """)
     assert codes(findings) == ["PD012", "PD012"]
     assert "controlled-scheduler hook" in findings[0].message
-    assert "check" in findings[0].message
+    assert "a test of scheduler" in findings[0].message
 
 
 def test_pd012_scheduler_none_guard_is_clean():
@@ -591,10 +591,13 @@ def test_pd012_scheduler_none_guard_is_clean():
 
 
 def test_pd012_analysis_check_guard_is_clean():
+    """PicoCheck's gate is the scheduler its scenario installs, tested
+    through any receiver (here the process's simulator)."""
     findings = lint("""\
         def _deliver(self, event):
-            if ANALYSIS.check:
-                self.sim.scheduler.on_process_resumed(self)
+            scheduler = self.sim.scheduler
+            if scheduler is not None:
+                scheduler.on_process_resumed(self)
         """)
     assert findings == []
 
@@ -632,24 +635,26 @@ def test_pd013_unguarded_hook_calls():
         """)
     assert codes(findings) == ["PD013", "PD013"]
     assert "guard-plane hook" in findings[0].message
-    assert "config.GUARD" in findings[0].message
+    assert "a test of guard/gate" in findings[0].message
 
 
 def test_pd013_guard_enabled_gate_is_clean():
+    """The SDMA engine's idiom: test the congestion gate the machine
+    installed on it."""
     findings = lint("""\
         def submit(self, group):
-            if GUARD.enabled and self.gate is not None:
+            if self.gate is not None:
                 yield from self.gate.acquire_slots(len(group.descriptors))
         """)
     assert findings == []
 
 
 def test_pd013_guard_is_none_test_is_clean():
-    """The dispatcher idiom: resolve the manager once under
-    ``GUARD.enabled``, then test the local for installation."""
+    """The dispatcher idiom: read the installed manager once, then test
+    the local for installation."""
     findings = lint("""\
         def fast_writev(self, task, fd):
-            guard = self.linux_driver.guard if GUARD.enabled else None
+            guard = self.linux_driver.guard
             if guard is not None:
                 yield from guard.park_if_suspended()
                 guard.record_success("engine0")
@@ -694,17 +699,17 @@ def test_pd014_unguarded_probe_kick():
         """, path="src/repro/linux/pxd/driver.py")
     assert codes(findings) == ["PD014", "PD014"]
     assert "storage recovery hook" in findings[0].message
-    assert "config.GUARD" in findings[0].message
+    assert "a test of guard/gate" in findings[0].message
 
 
 def test_pd014_guard_gates_are_clean():
     findings = lint("""\
         def _blk_complete(self, head):
-            if GUARD.enabled:
+            if self.guard is not None:
                 self._maybe_probe()
 
         def drill(self):
-            guard = self.guard if GUARD.enabled else None
+            guard = self.guard
             if guard is not None:
                 yield from guard.suspend()
                 guard.resume()
@@ -749,22 +754,25 @@ def test_pd016_unguarded_probe_hook():
         """, path="src/repro/experiments/common.py")
     assert codes(findings) == ["PD016"]
     assert "PicoTune probe hook" in findings[0].message
-    assert "config.TUNE" in findings[0].message
+    assert "a test of probe" in findings[0].message
 
 
 def test_pd016_tune_enabled_gate_is_clean():
+    """The probe may sit on any receiver the test names."""
     findings = lint("""\
         def build(self):
-            if TUNE.enabled and TUNE.probe is not None:
-                TUNE.probe.on_machine_built(self)
+            if self.probe is not None:
+                self.probe.on_machine_built(self)
         """, path="src/repro/experiments/common.py")
     assert findings == []
 
 
 def test_pd016_probe_is_none_test_is_clean():
+    """The machine builder's idiom: read the ``tune`` slot once into a
+    ``probe`` local, then test the local."""
     findings = lint("""\
         def build(self):
-            probe = TUNE.probe if TUNE.enabled else None
+            probe = PLANES.tune
             if probe is not None:
                 probe.on_machine_built(self)
         """, path="src/repro/experiments/common.py")
@@ -827,18 +835,35 @@ def test_gating_rules_track_each_plane_separately():
     tracked a single 'guarded' flag would pass every other test here."""
     findings = lint("""\
         def f(self, inj, guard):
-            if TRACE.enabled:
+            if PLANES.trace is not None:
                 inj.fires("irq.lost")
-            if FAULTS.enabled:
+            if inj is not None:
                 guard.record_failure("engine0")
-            if FAULTS.enabled and TRACE.enabled:
+            if inj is not None and PLANES.trace is not None:
                 inj.fires("irq.lost")
-                TRACE.collector.instant_span("a", "t")
+                PLANES.trace.instant_span("a", "t")
         """)
     assert [(f.code, f.line) for f in findings] == [("PD007", 3),
                                                    ("PD013", 5)]
-    assert "config.FAULTS" in findings[0].message
-    assert "config.GUARD/guard" in findings[1].message
+    assert "a test of inj/injector" in findings[0].message
+    assert "a test of guard/gate" in findings[1].message
+
+
+def test_plane_flags_are_not_gates():
+    """Only the handle a plane installs gates its hooks: a test of a
+    process-wide flag does not, whatever it is called."""
+    findings = lint("""\
+        def f(self):
+            if FAULTS.enabled:
+                self.inj.fires("irq.lost")
+            if ANALYSIS.check:
+                self.sim.scheduler.on_process_resumed(self)
+            if GUARD.enabled:
+                self.breakers.record_failure("engine0")
+            if TUNE.enabled:
+                TUNE.probe.on_machine_built(self)
+        """)
+    assert codes(findings) == ["PD007", "PD012", "PD013", "PD016"]
 
 
 def test_pd015_rules_in_table():

@@ -31,7 +31,7 @@ def make_env():
     ensure_declarations()
     sim = Simulator()
     heap = SharedHeap(65536)
-    validator = LockdepValidator(sim, name="test.lockdep", register=False)
+    validator = LockdepValidator(sim, name="test.lockdep")
     heap.add_monitor(validator)
     sim.wait_monitor = validator
     dispatch = CrossKernelSpinLock(sim, heap, name="mckernel.dispatch")

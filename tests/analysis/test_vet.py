@@ -8,7 +8,6 @@ from repro.__main__ import COMMANDS, main
 from repro.analysis import astcache
 from repro.analysis.lint import lint_paths
 from repro.analysis.vet import cmd_vet, vet_paths
-from repro.config import ANALYSIS
 
 from .vet_fixtures.lockedge_rig import run_rig
 
@@ -107,6 +106,61 @@ def test_fixture_effects_are_transitive_not_local():
     transitive = program.effects[entry].sleeps
     assert any(s.what == "rcu_synchronize" for s in transitive)
     assert "lwk" in program.contexts[entry]
+
+
+# --- PD015.6: the fault points --------------------------------------------
+
+def test_fault_points_on_the_shipped_tree():
+    """PicoVet finds exactly the two TID_UPDATE transient raises as fault
+    points; a gate-name slip that found none would leave PD015.6 with
+    nothing to check."""
+    from repro.analysis.vet_effects import Program
+    program = Program.build()
+    points = sorted((qual.rsplit("::", 1)[-1], errname)
+                    for qual, fn in program.functions.items()
+                    for errname, _site in fn.fault_raises)
+    assert points == [("HFIPicoDriver._tid_update", "TransientDeviceError"),
+                      ("Hfi1Driver._tid_update", "TransientDeviceError")]
+
+
+#: an injector-gated typed raise; ``{caller}`` may add a handler for it
+FAULT_POINT = """\
+    class FlakyError(ReproError):
+        pass
+
+
+    class Device:
+        def poke(self):
+            inj = self.injector
+            if inj is not None and inj.fires("poke.flaky"):
+                raise FlakyError("transient poke failure")
+            return 0
+    {caller}
+    """
+
+HANDLER = """
+    class Caller:
+        def run(self, dev):
+            try:
+                return dev.poke()
+            except FlakyError:
+                return None
+"""
+
+
+def test_pd015_6_fault_point_without_handler(tmp_path):
+    src = tmp_path / "unhandled.py"
+    src.write_text(textwrap.dedent(FAULT_POINT.format(caller="")))
+    _program, findings = vet_paths([str(src)])
+    assert [(f.code, f.line) for f in findings] == [("PD015.6", 9)]
+    assert "raises FlakyError" in findings[0].message
+
+
+def test_pd015_6_fault_point_with_handler_is_clean(tmp_path):
+    src = tmp_path / "handled.py"
+    src.write_text(textwrap.dedent(FAULT_POINT.format(caller=HANDLER)))
+    _program, findings = vet_paths([str(src)])
+    assert findings == []
 
 
 def _joined(name):
@@ -220,8 +274,6 @@ def test_crosscheck_contained_experiment_passes(capsys):
     assert rc == 0
     assert "every dynamic fact is contained" in out
     assert "heap access pair(s)" in out
-    assert ANALYSIS.race_detection is False    # restored afterwards
-    assert ANALYSIS.lockdep is False
 
 
 def test_crosscheck_names_missing_lock_edge(capsys):
@@ -234,8 +286,6 @@ def test_crosscheck_names_missing_lock_edge(capsys):
     assert "missing from the static lock graph" in out
     assert "rig.outer acquired dynamically but has no static" in out
     assert "3 uncontained fact(s)" in out
-    assert ANALYSIS.race_detection is False    # restored on failure too
-    assert ANALYSIS.lockdep is False
 
 
 # --- determinism: vet never perturbs the experiments -------------------------

@@ -214,46 +214,44 @@ def test_mtt_exhaustion_feeds_memreg_breaker_and_routes_offload():
     trips its breaker and later registrations route straight to the
     offloaded slow path — still failing typed, but without fast-path
     exception churn."""
-    from repro.config import GUARD, enable_guard
     from repro.guard import GuardPolicy
     from repro.guard.manager import GuardManager
     from repro.units import USEC
 
-    enable_guard(GuardPolicy(failure_window=4, failure_threshold=1,
-                             probe_successes=1, probe_backoff=50 * USEC))
-    try:
-        machine, mlx, pico = machine_with_ib(OSConfig.MCKERNEL_HFI)
-        mlx.guard = GuardManager(machine.sim, GUARD.policy, 1,
-                                 machine.tracer, label="node0.mlx",
-                                 path_prefix="memreg",
-                                 data_syscalls=("ioctl",))
-        # zero MTT capacity: even the span-collapsed fast path is refused
-        mlx.devdata.set("mtt_entries_max", 0)
-        outcomes = []
+    policy = GuardPolicy(failure_window=4, failure_threshold=1,
+                         probe_successes=1, probe_backoff=50 * USEC)
+    machine, mlx, pico = machine_with_ib(OSConfig.MCKERNEL_HFI)
+    # the memreg driver is loaded by hand, so its manager is too: the
+    # fast path tests only the handle it finds on the driver
+    mlx.guard = GuardManager(machine.sim, policy, 1,
+                             machine.tracer, label="node0.mlx",
+                             path_prefix="memreg",
+                             data_syscalls=("ioctl",))
+    # zero MTT capacity: even the span-collapsed fast path is refused
+    mlx.devdata.set("mtt_entries_max", 0)
+    outcomes = []
 
-        def body(task):
-            fd = yield from task.syscall("open", mlx.device_path)
-            buf = yield from task.syscall("mmap", 1 * MiB)
-            for _attempt in range(2):
-                try:
-                    yield from task.syscall(
-                        "ioctl", fd, MLX_CMD_REG_MR,
-                        {"vaddr": buf, "length": 1 * MiB})
-                    outcomes.append("ok")
-                except DriverError:
-                    outcomes.append("typed")
+    def body(task):
+        fd = yield from task.syscall("open", mlx.device_path)
+        buf = yield from task.syscall("mmap", 1 * MiB)
+        for _attempt in range(2):
+            try:
+                yield from task.syscall(
+                    "ioctl", fd, MLX_CMD_REG_MR,
+                    {"vaddr": buf, "length": 1 * MiB})
+                outcomes.append("ok")
+            except DriverError:
+                outcomes.append("typed")
 
-        task = machine.spawn_rank(0, 0)
-        proc = machine.sim.process(body(task))
-        machine.sim.run()
-        assert proc.exception is None
-        assert outcomes == ["typed", "typed"]
-        # the first failure tripped the hair-trigger breaker out of
-        # CLOSED (by end of run the probe backoff has moved it OPEN ->
-        # PROBING, so check the FSM left CLOSED, not a frozen state)...
-        from repro.guard.breaker import BREAKER_CLOSED
-        assert mlx.guard.breakers["memreg0"].state != BREAKER_CLOSED
-        # ...so the second attempt was routed to offload at dispatch
-        assert machine.tracer.get_count("guard.routed_offload.ioctl") >= 1
-    finally:
-        enable_guard(None)
+    task = machine.spawn_rank(0, 0)
+    proc = machine.sim.process(body(task))
+    machine.sim.run()
+    assert proc.exception is None
+    assert outcomes == ["typed", "typed"]
+    # the first failure tripped the hair-trigger breaker out of
+    # CLOSED (by end of run the probe backoff has moved it OPEN ->
+    # PROBING, so check the FSM left CLOSED, not a frozen state)...
+    from repro.guard.breaker import BREAKER_CLOSED
+    assert mlx.guard.breakers["memreg0"].state != BREAKER_CLOSED
+    # ...so the second attempt was routed to offload at dispatch
+    assert machine.tracer.get_count("guard.routed_offload.ioctl") >= 1

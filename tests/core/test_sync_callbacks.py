@@ -325,7 +325,7 @@ def test_misuse_is_rejected_with_lockdep_monitor_installed():
 
     sim, heap, lock = make_lock()
     linux = linux_layout()
-    validator = LockdepValidator(sim, register=False)
+    validator = LockdepValidator(sim)
     heap.add_monitor(validator)
 
     def body():

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.config import OSConfig, enable_fault_injection
+from repro.config import OSConfig, planes
 from repro.errors import DeviceTimeout, TransferCorrupt
 from repro.experiments import build_machine
 from repro.faults import FaultPlan
@@ -16,11 +16,11 @@ from repro.units import KiB, MiB
 
 
 def build_faulty_machine(plan, os_config=OSConfig.LINUX, params=None):
-    """A 2-node machine with ``plan`` installed (injection stays enabled
-    for the machine's lifetime; callers rely on the module-level teardown
-    in :func:`run_transfers` to restore the global config)."""
-    enable_fault_injection(plan)
-    return build_machine(2, os_config, params=params)
+    """A 2-node machine with ``plan``'s injector installed (the machine
+    keeps it for its lifetime; the ``faults`` slot is set only while
+    the machine is built)."""
+    with planes(faults=plan):
+        return build_machine(2, os_config, params=params)
 
 
 def run_transfers(plan, sizes, os_config=OSConfig.LINUX, params=None):
@@ -29,45 +29,42 @@ def run_transfers(plan, sizes, os_config=OSConfig.LINUX, params=None):
     Returns ``(machine, send outcomes, receive requests)`` where an
     outcome is ``"ok"`` or the typed exception the blocking send raised.
     """
-    try:
-        machine = build_faulty_machine(plan, os_config, params)
-        sim = machine.sim
-        t0 = machine.spawn_rank(0, 0, 0)
-        t1 = machine.spawn_rank(1, 0, 1)
-        ep0 = Endpoint(sim, machine.params, machine.nodes[0].node.hfi, t0,
-                       tracer=machine.tracer)
-        ep1 = Endpoint(sim, machine.params, machine.nodes[1].node.hfi, t1,
-                       tracer=machine.tracer)
-        bufsize = 2 * max(sizes)
-        outcomes = {}
-        reqs = {}
+    machine = build_faulty_machine(plan, os_config, params)
+    sim = machine.sim
+    t0 = machine.spawn_rank(0, 0, 0)
+    t1 = machine.spawn_rank(1, 0, 1)
+    ep0 = Endpoint(sim, machine.params, machine.nodes[0].node.hfi, t0,
+                   tracer=machine.tracer)
+    ep1 = Endpoint(sim, machine.params, machine.nodes[1].node.hfi, t1,
+                   tracer=machine.tracer)
+    bufsize = 2 * max(sizes)
+    outcomes = {}
+    reqs = {}
 
-        def sender():
-            yield from ep0.open()
-            buf = yield from t0.syscall("mmap", bufsize)
-            while ep1.addr is None:
-                yield sim.timeout(1e-6)
-            for i, size in enumerate(sizes):
-                try:
-                    yield from ep0.mq_send(ep1.addr, ("t", i), buf, size,
-                                           payload=("p", i))
-                    outcomes[i] = "ok"
-                except (DeviceTimeout, TransferCorrupt) as exc:
-                    outcomes[i] = exc
+    def sender():
+        yield from ep0.open()
+        buf = yield from t0.syscall("mmap", bufsize)
+        while ep1.addr is None:
+            yield sim.timeout(1e-6)
+        for i, size in enumerate(sizes):
+            try:
+                yield from ep0.mq_send(ep1.addr, ("t", i), buf, size,
+                                       payload=("p", i))
+                outcomes[i] = "ok"
+            except (DeviceTimeout, TransferCorrupt) as exc:
+                outcomes[i] = exc
 
-        def receiver():
-            yield from ep1.open()
-            buf = yield from t1.syscall("mmap", bufsize)
-            for i, _size in enumerate(sizes):
-                reqs[i] = ep1.mq_irecv(TagMatcher(tag=("t", i)),
-                                       (buf, bufsize))
+    def receiver():
+        yield from ep1.open()
+        buf = yield from t1.syscall("mmap", bufsize)
+        for i, _size in enumerate(sizes):
+            reqs[i] = ep1.mq_irecv(TagMatcher(tag=("t", i)),
+                                   (buf, bufsize))
 
-        sim.process(receiver())
-        sim.process(sender())
-        sim.run()
-        return machine, outcomes, reqs
-    finally:
-        enable_fault_injection(None)
+    sim.process(receiver())
+    sim.process(sender())
+    sim.run()
+    return machine, outcomes, reqs
 
 
 def delivered(req):
@@ -163,50 +160,47 @@ def test_persistent_payload_corruption_raises_transfer_corrupt(os_config):
     """If every expected-data packet arrives corrupted, the receiver's
     CTS watchdog exhausts its budget and fails the receive with
     TransferCorrupt (not a bare timeout)."""
-    try:
-        machine = build_faulty_machine(FaultPlan(), os_config)
-        sim = machine.sim
-        t0 = machine.spawn_rank(0, 0, 0)
-        t1 = machine.spawn_rank(1, 0, 1)
-        ep0 = Endpoint(sim, machine.params, machine.nodes[0].node.hfi, t0,
-                       tracer=machine.tracer)
-        ep1 = Endpoint(sim, machine.params, machine.nodes[1].node.hfi, t1,
-                       tracer=machine.tracer)
-        hfi_b = machine.nodes[1].node.hfi
-        orig_receive = hfi_b.receive
+    machine = build_faulty_machine(FaultPlan(), os_config)
+    sim = machine.sim
+    t0 = machine.spawn_rank(0, 0, 0)
+    t1 = machine.spawn_rank(1, 0, 1)
+    ep0 = Endpoint(sim, machine.params, machine.nodes[0].node.hfi, t0,
+                   tracer=machine.tracer)
+    ep1 = Endpoint(sim, machine.params, machine.nodes[1].node.hfi, t1,
+                   tracer=machine.tracer)
+    hfi_b = machine.nodes[1].node.hfi
+    orig_receive = hfi_b.receive
 
-        def corrupting_receive(pkt):
-            if pkt.kind == "expected":
-                pkt = replace(pkt, csum=(pkt.csum or 0) ^ 1)
-            orig_receive(pkt)
+    def corrupting_receive(pkt):
+        if pkt.kind == "expected":
+            pkt = replace(pkt, csum=(pkt.csum or 0) ^ 1)
+        orig_receive(pkt)
 
-        hfi_b.receive = corrupting_receive
-        reqs = {}
+    hfi_b.receive = corrupting_receive
+    reqs = {}
 
-        def sender():
-            yield from ep0.open()
-            buf = yield from t0.syscall("mmap", 2 * MiB)
-            while ep1.addr is None:
-                yield sim.timeout(1e-6)
-            # non-blocking: the send side legitimately never completes
-            # (its windows are re-requested until the receiver gives up)
-            yield from ep0.mq_isend(ep1.addr, ("t", 0), buf, 1 * MiB)
+    def sender():
+        yield from ep0.open()
+        buf = yield from t0.syscall("mmap", 2 * MiB)
+        while ep1.addr is None:
+            yield sim.timeout(1e-6)
+        # non-blocking: the send side legitimately never completes
+        # (its windows are re-requested until the receiver gives up)
+        yield from ep0.mq_isend(ep1.addr, ("t", 0), buf, 1 * MiB)
 
-        def receiver():
-            yield from ep1.open()
-            buf = yield from t1.syscall("mmap", 2 * MiB)
-            reqs[0] = ep1.mq_irecv(TagMatcher(tag=("t", 0)),
-                                   (buf, 2 * MiB))
+    def receiver():
+        yield from ep1.open()
+        buf = yield from t1.syscall("mmap", 2 * MiB)
+        reqs[0] = ep1.mq_irecv(TagMatcher(tag=("t", 0)),
+                               (buf, 2 * MiB))
 
-        sim.process(receiver())
-        sim.process(sender())
-        sim.run()
-        assert reqs[0].event.triggered
-        assert isinstance(reqs[0].event.exception, TransferCorrupt)
-        assert machine.tracer.get_count("psm.corrupt_drops") > 0
-        assert machine.tracer.get_count("psm.recv_failures") == 1
-    finally:
-        enable_fault_injection(None)
+    sim.process(receiver())
+    sim.process(sender())
+    sim.run()
+    assert reqs[0].event.triggered
+    assert isinstance(reqs[0].event.exception, TransferCorrupt)
+    assert machine.tracer.get_count("psm.corrupt_drops") > 0
+    assert machine.tracer.get_count("psm.recv_failures") == 1
 
 
 def test_pico_fast_path_falls_back_on_halted_engine():

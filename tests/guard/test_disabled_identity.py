@@ -2,7 +2,7 @@
 figures are bit-identical to a build that never loaded the guard plane
 — enabling and disabling it between runs leaves no residue."""
 
-from repro.config import OSConfig, enable_guard
+from repro.config import OSConfig, planes
 from repro.experiments import build_machine, run_fig4, run_fig5a
 from repro.guard import GuardPolicy
 from repro.units import KiB
@@ -14,16 +14,13 @@ FIG5_NODES = (2,)
 def exercise_guarded_machine():
     """Build and run a guarded machine so the guard plane demonstrably
     touched state between the baseline and comparison runs."""
-    enable_guard(GuardPolicy())
-    try:
+    with planes(guard=GuardPolicy()):
         machine = build_machine(2, OSConfig.MCKERNEL_HFI)
         guard = machine.nodes[0].guard
         assert guard is not None
         for i in range(len(guard.gates)):
             guard.record_failure(guard.engine_path(i), "identity drill")
         machine.sim.run()
-    finally:
-        enable_guard(None)
 
 
 def test_fig4_bit_identical_around_a_guarded_run():

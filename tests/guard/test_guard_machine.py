@@ -4,7 +4,7 @@ queued-IO replay."""
 
 import pytest
 
-from repro.config import OSConfig, enable_guard
+from repro.config import OSConfig, planes
 from repro.experiments import build_machine
 from repro.guard import BREAKER_CLOSED, GuardPolicy
 from repro.sim import Event
@@ -18,11 +18,8 @@ GUARDED_KW = dict(failure_window=4, failure_threshold=1, probe_successes=1,
 
 @pytest.fixture
 def guarded_machine():
-    enable_guard(GuardPolicy(**GUARDED_KW))
-    try:
+    with planes(guard=GuardPolicy(**GUARDED_KW)):
         yield build_machine(2, OSConfig.MCKERNEL_HFI)
-    finally:
-        enable_guard(None)
 
 
 def send_eager(machine, nbytes=256 * KiB, node=0):

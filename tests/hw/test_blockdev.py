@@ -6,7 +6,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.config import enable_fault_injection
 from repro.errors import DriverError, MediaError, ReproError
 from repro.faults import FaultInjector, FaultPlan, ScheduledFault
 from repro.hw.blockdev import BlockDevice, BlockIo
@@ -117,78 +116,58 @@ def test_offline_path_fails_io_typed_until_reattach():
 
 def test_path_loss_fault_knocks_the_replica_offline():
     plan = FaultPlan.placed(ScheduledFault("pxd.path_loss", 0))
-    enable_fault_injection(plan)
-    try:
-        sim, params, dev, done = make_dev(plan=plan)
-        io = write_io(params.sector_size)
-        dev.submit(io)
-        sim.run()
-        assert not dev.replicas[0].online
-        assert isinstance(io.status, MediaError)
-        assert dev.tracer.get_count("blk.path_loss") == 1
-    finally:
-        enable_fault_injection(None)
+    sim, params, dev, done = make_dev(plan=plan)
+    io = write_io(params.sector_size)
+    dev.submit(io)
+    sim.run()
+    assert not dev.replicas[0].online
+    assert isinstance(io.status, MediaError)
+    assert dev.tracer.get_count("blk.path_loss") == 1
 
 
 def test_torn_write_lands_a_prefix_and_fails_typed():
     plan = FaultPlan.placed(ScheduledFault("media.torn_write", 0))
-    enable_fault_injection(plan)
-    try:
-        sim, params, dev, done = make_dev(plan=plan)
-        io = write_io(params.sector_size, nsectors=2, fill=0x77)
-        dev.submit(io)
-        sim.run()
-        assert isinstance(io.status, MediaError)
-        got = dev.replicas[0].peek(0, 2)
-        torn = len(io.payload) // 2
-        assert got[:torn] == io.payload[:torn]          # the tear landed
-        assert got[torn:] == bytes(len(got) - torn)      # the rest did not
-    finally:
-        enable_fault_injection(None)
+    sim, params, dev, done = make_dev(plan=plan)
+    io = write_io(params.sector_size, nsectors=2, fill=0x77)
+    dev.submit(io)
+    sim.run()
+    assert isinstance(io.status, MediaError)
+    got = dev.replicas[0].peek(0, 2)
+    torn = len(io.payload) // 2
+    assert got[:torn] == io.payload[:torn]          # the tear landed
+    assert got[torn:] == bytes(len(got) - torn)      # the rest did not
 
 
 def test_write_error_leaves_media_untouched():
     plan = FaultPlan.placed(ScheduledFault("media.write_error", 0))
-    enable_fault_injection(plan)
-    try:
-        sim, params, dev, done = make_dev(plan=plan)
-        io = write_io(params.sector_size)
-        dev.submit(io)
-        sim.run()
-        assert isinstance(io.status, MediaError)
-        assert dev.replicas[0].peek(0, 1) == bytes(params.sector_size)
-    finally:
-        enable_fault_injection(None)
+    sim, params, dev, done = make_dev(plan=plan)
+    io = write_io(params.sector_size)
+    dev.submit(io)
+    sim.run()
+    assert isinstance(io.status, MediaError)
+    assert dev.replicas[0].peek(0, 1) == bytes(params.sector_size)
 
 
 def test_read_error_is_typed():
     plan = FaultPlan.placed(ScheduledFault("media.read_error", 0))
-    enable_fault_injection(plan)
-    try:
-        sim, params, dev, done = make_dev(plan=plan)
-        io = BlockIo(op="read", replica=0, sector=0, nsectors=1)
-        dev.submit(io)
-        sim.run()
-        assert isinstance(io.status, MediaError)
-        assert io.data is None
-    finally:
-        enable_fault_injection(None)
+    sim, params, dev, done = make_dev(plan=plan)
+    io = BlockIo(op="read", replica=0, sector=0, nsectors=1)
+    dev.submit(io)
+    sim.run()
+    assert isinstance(io.status, MediaError)
+    assert io.data is None
 
 
 def test_lost_irq_is_redelivered_by_the_watchdog():
     plan = FaultPlan.placed(ScheduledFault("blk.irq_lost", 0))
-    enable_fault_injection(plan)
-    try:
-        sim, params, dev, done = make_dev(plan=plan)
-        io = write_io(params.sector_size)
-        dev.submit(io)
-        sim.run()
-        # the write landed on media; only the completion was delayed
-        assert io.status is None and done == [io]
-        service = params.media_latency \
-            + len(io.payload) / params.media_bandwidth
-        assert sim.now == pytest.approx(
-            service + plan.irq_recovery_timeout)
-        assert dev.tracer.get_count("blk.irq_recovered") == 1
-    finally:
-        enable_fault_injection(None)
+    sim, params, dev, done = make_dev(plan=plan)
+    io = write_io(params.sector_size)
+    dev.submit(io)
+    sim.run()
+    # the write landed on media; only the completion was delayed
+    assert io.status is None and done == [io]
+    service = params.media_latency \
+        + len(io.payload) / params.media_bandwidth
+    assert sim.now == pytest.approx(
+        service + plan.irq_recovery_timeout)
+    assert dev.tracer.get_count("blk.irq_recovered") == 1

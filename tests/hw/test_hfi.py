@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import enable_fault_injection
 from repro.errors import DriverError, ReproError
-from repro.faults import FaultPlan
+from repro.faults import FaultInjector, FaultPlan
 from repro.hw import (DescriptorChain, Fabric, HFIDevice, Packet,
                       SdmaDescriptor, SdmaRequestGroup, TidEntry)
 from repro.params import default_params
@@ -326,7 +325,7 @@ def test_rcv_array_matches_per_entry_reference(ops, faults):
     """program/unprogram/free_context/receive sequences against one
     ``TidEntry`` per entry in a dict: the same TIDs, ``_next_tid``,
     entries, counters, errors and deliveries, with and without the
-    fault plane's stale-TID drop."""
+    fault plane's stale-TID drop (an installed injector)."""
     sim, params, fabric, a, b = make_pair()
     nic = replace(params.nic, rcv_array_entries=48, tid_max_span=5 * KiB)
     dev = HFIDevice(sim, nic, node_id=7)
@@ -335,40 +334,37 @@ def test_rcv_array_matches_per_entry_reference(ops, faults):
     delivered = []
     for ctxt in ctxts:
         ctxt.on_packet = delivered.append
-    enable_fault_injection(FaultPlan() if faults else None)
-    try:
-        for op, which, arg in ops:
-            ctxt = ctxts[which]
-            if op == "program":
-                spans = [(i * PAGE_SIZE, n) for i, n in enumerate(arg)]
-                calls = (lambda: list(dev.program_tids(ctxt, spans)),
-                         lambda: ref.program(ctxt.ctxt_id, spans))
-            elif op == "unprogram":
-                calls = (lambda: dev.unprogram_tids(arg),
-                         lambda: ref.unprogram(arg))
-            elif op == "free_context":
-                dev.free_context(ctxt)
-                ref.free_context(ctxt.ctxt_id)
-                ctxts[which] = dev.alloc_context(f"c{which}")
-                ctxts[which].on_packet = delivered.append
-                continue
-            else:
-                pkt = Packet(kind="expected", src_node=0, dst_node=7,
-                             dst_ctxt=ctxt.ctxt_id, nbytes=KiB,
-                             tids=tuple(arg))
-                calls = (lambda: dev.receive(pkt) or pkt in delivered,
-                         lambda: ref.receive(arg, faults))
-            outs = []
-            for call in calls:
-                try:
-                    outs.append(call())
-                except DriverError as exc:
-                    outs.append(str(exc))
-            assert outs[0] == outs[1], op
-            assert dev._next_tid == ref.next_tid
-            assert {t: dev.tid_entry(t) for t in dev._tid_entries} == \
-                ref.entries
-            delivered.clear()
-    finally:
-        enable_fault_injection(None)
+    dev.injector = FaultInjector(FaultPlan(), None) if faults else None
+    for op, which, arg in ops:
+        ctxt = ctxts[which]
+        if op == "program":
+            spans = [(i * PAGE_SIZE, n) for i, n in enumerate(arg)]
+            calls = (lambda: list(dev.program_tids(ctxt, spans)),
+                     lambda: ref.program(ctxt.ctxt_id, spans))
+        elif op == "unprogram":
+            calls = (lambda: dev.unprogram_tids(arg),
+                     lambda: ref.unprogram(arg))
+        elif op == "free_context":
+            dev.free_context(ctxt)
+            ref.free_context(ctxt.ctxt_id)
+            ctxts[which] = dev.alloc_context(f"c{which}")
+            ctxts[which].on_packet = delivered.append
+            continue
+        else:
+            pkt = Packet(kind="expected", src_node=0, dst_node=7,
+                         dst_ctxt=ctxt.ctxt_id, nbytes=KiB,
+                         tids=tuple(arg))
+            calls = (lambda: dev.receive(pkt) or pkt in delivered,
+                     lambda: ref.receive(arg, faults))
+        outs = []
+        for call in calls:
+            try:
+                outs.append(call())
+            except DriverError as exc:
+                outs.append(str(exc))
+        assert outs[0] == outs[1], op
+        assert dev._next_tid == ref.next_tid
+        assert {t: dev.tid_entry(t) for t in dev._tid_entries} == \
+            ref.entries
+        delivered.clear()
     assert dev.tracer.counters == ref.tracer.counters

@@ -22,7 +22,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.config import FAULTS, TRACE, enable_fault_injection, enable_tracing
+from repro.config import PLANES, planes
 from repro.faults import FaultInjector, FaultPlan
 from repro.hw import (Fabric, HFIDevice, Packet, SdmaDescriptor,
                       SdmaRequestGroup)
@@ -63,10 +63,10 @@ class PerDescriptorEngine(SdmaEngine):
                 waiter = Event(self.sim)
                 self._space_waiters.append(waiter)
                 yield waiter
-            dspan = TRACE.collector.begin_span(
+            dspan = PLANES.trace.begin_span(
                 "sdma.desc", track_of(self), cat="sdma",
                 args={"nbytes": desc.nbytes, "kind": group.packet.kind},
-                detached=True) if TRACE.enabled else None
+                detached=True) if PLANES.trace is not None else None
             self._slots.append((desc, group, i == last_idx, dspan))
             if len(self._slots) == 1 and not self.busy:
                 self._work.put(None)
@@ -88,7 +88,7 @@ class PerDescriptorEngine(SdmaEngine):
                 burst = []
                 t = 0.0
                 while self._slots:
-                    if FAULTS.enabled and inj is not None:
+                    if inj is not None:
                         if inj.fires("sdma.desc_error"):
                             self.halt("descriptor fetch error")
                         if inj.fires("sdma.engine_halt"):
@@ -104,10 +104,10 @@ class PerDescriptorEngine(SdmaEngine):
             for desc, group, is_last, dspan, t_done in burst:
                 self.device.tracer.count("hfi.sdma_descs")
                 self.device.tracer.record("hfi.sdma_desc_bytes", desc.nbytes)
-                if TRACE.enabled and dspan is not None:
+                if dspan is not None:
                     dspan.end = t0 + t_done
                 if is_last:
-                    if TRACE.enabled and dspan is not None:
+                    if dspan is not None:
                         group.packet = replace(group.packet, trace=dspan)
                     self.device._transmit(group.packet)
                     self.device.raise_irq(group)
@@ -124,9 +124,9 @@ def run_workload(engine_cls, injector=None, halt_in_port_wait=False):
     ``[(time, label)]``, the number of DES steps taken, the sender's
     tracer and the parameters.
 
-    With ``injector`` (an installed injector, the fault plane enabled)
-    halts are logged in ``injector.halts`` and restarted after a fixed
-    delay.  ``halt_in_port_wait`` holds the egress port over the first
+    With ``injector`` (installed on the sending device) halts are logged
+    in ``injector.halts`` and restarted after a fixed delay.
+    ``halt_in_port_wait`` holds the egress port over the first
     burst and halts the engine while the burst waits for it."""
     sim = Simulator()
     params = default_params()
@@ -189,11 +189,8 @@ def run_workload(engine_cls, injector=None, halt_in_port_wait=False):
 
 def traced(engine_cls):
     collector = SpanCollector()
-    enable_tracing(collector)
-    try:
+    with planes(trace=collector):
         out = run_workload(engine_cls)
-    finally:
-        enable_tracing(None)
     descs = [(s.args["nbytes"], s.end) for s in collector.spans
              if s.name == "sdma.desc"]
     return out, descs
@@ -251,12 +248,8 @@ def faulted(engine_cls, injector_cls, seed, halt_in_port_wait=False):
     decisions per SDMA point at rate 0.5 (which pins how many uniforms
     each point's stream has consumed)."""
     inj = injector_cls(FAULT_PLAN, RngFactory(seed).spawn("faults"))
-    enable_fault_injection(FAULT_PLAN)
-    try:
-        completions, steps, tracer, _ = run_workload(
-            engine_cls, inj, halt_in_port_wait)
-    finally:
-        enable_fault_injection(None)
+    completions, steps, tracer, _ = run_workload(
+        engine_cls, inj, halt_in_port_wait)
     inj.tracer = tracer
     inj.plan = FaultPlan(sdma_desc_error=0.5, sdma_engine_halt=0.5)
     tail = [inj.fires(p) for p in ("sdma.desc_error", "sdma.engine_halt")
@@ -296,11 +289,8 @@ def test_traced_partial_drains_match_reference(seed):
     when it leaves the wire, as in the per-descriptor reference."""
     def run(engine_cls, injector_cls):
         collector = SpanCollector()
-        enable_tracing(collector)
-        try:
+        with planes(trace=collector):
             out = faulted(engine_cls, injector_cls, seed)
-        finally:
-            enable_tracing(None)
         return out, [(s.args["nbytes"], s.end) for s in collector.spans
                      if s.name == "sdma.desc"]
 

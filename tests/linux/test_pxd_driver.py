@@ -3,7 +3,7 @@ the admin ioctl surface and guard-driven probe/readmit."""
 
 from dataclasses import replace
 
-from repro.config import OSConfig, enable_guard
+from repro.config import OSConfig, planes
 from repro.errors import BadSyscall, MediaError
 from repro.experiments import build_machine
 from repro.guard import GuardPolicy
@@ -216,9 +216,9 @@ def test_guard_probe_reattaches_resyncs_and_readmits():
     """With the guard plane installed, eviction is followed — without
     any administrative action — by breaker-admitted probe, resync and
     re-admission once the probe backoff elapses."""
-    enable_guard(GuardPolicy(failure_window=8, failure_threshold=1,
-                             probe_successes=1, probe_backoff=100 * USEC))
-    try:
+    with planes(guard=GuardPolicy(failure_window=8, failure_threshold=1,
+                                   probe_successes=1,
+                                   probe_backoff=100 * USEC)):
         machine, pxd, blockdev = make_machine(replicas=2)
         assert machine.nodes[0].pxd_guard is not None
         sector_size = machine.params.blk.sector_size
@@ -248,5 +248,3 @@ def test_guard_probe_reattaches_resyncs_and_readmits():
         assert blockdev.replicas[1].peek(0, data_sectors) \
             == blockdev.replicas[0].peek(0, data_sectors)
         assert pxd.fsm_violations() == [] and pxd.violations == []
-    finally:
-        enable_guard(None)

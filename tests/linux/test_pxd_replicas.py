@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.config import OSConfig, enable_fault_injection, enable_guard
+from repro.config import OSConfig, planes
 from repro.errors import MediaError
 from repro.experiments import build_machine
 from repro.faults import FaultPlan, ScheduledFault
@@ -80,8 +80,7 @@ def test_random_path_loss_interleavings_preserve_the_contract(seed):
     stream, with the guard plane probing and re-admitting behind it."""
     rng = random.Random(seed)
     cfg = TRIAL_CONFIGS[seed % len(TRIAL_CONFIGS)]
-    enable_guard(TRIAL_POLICY)
-    try:
+    with planes(guard=TRIAL_POLICY):
         machine = build_machine(1, cfg, params=storage_params(3))
         pxd = machine.nodes[0].pxd
         blockdev = machine.nodes[0].node.blockdev
@@ -123,8 +122,6 @@ def test_random_path_loss_interleavings_preserve_the_contract(seed):
                 f"seed {seed}: write {i} ended {verdict!r} — neither " \
                 f"intact nor typed"
         assert_replica_invariants(machine, pxd, blockdev, acked)
-    finally:
-        enable_guard(None)
 
 
 def test_torn_write_divergence_is_detected_and_resynced_on_readmit():
@@ -132,8 +129,7 @@ def test_torn_write_divergence_is_detected_and_resynced_on_readmit():
     UPDATE_PATH resync must find the divergence and repair it before
     re-admission."""
     plan = FaultPlan.placed(ScheduledFault("media.torn_write", 0))
-    enable_fault_injection(plan)
-    try:
+    with planes(faults=plan):
         machine = build_machine(1, OSConfig.LINUX,
                                 params=storage_params(2))
         pxd = machine.nodes[0].pxd
@@ -165,8 +161,6 @@ def test_torn_write_divergence_is_detected_and_resynced_on_readmit():
         assert blockdev.replicas[survivor].peek(0, NSECTORS) == payload
         assert pxd.inservice == {0, 1}
         assert pxd.fsm_violations() == []
-    finally:
-        enable_fault_injection(None)
 
 
 def test_readmit_without_healthy_source_is_refused_typed():

@@ -7,7 +7,7 @@ session and every structural test reads from the same collector.
 
 import pytest
 
-from repro.config import enable_tracing
+from repro.config import planes
 from repro.experiments import run_fig4
 from repro.obs import SpanCollector
 from repro.units import KiB, MiB
@@ -21,10 +21,7 @@ TRACE_SIZES = (16 * KiB, 4 * MiB)
 def traced_fig4():
     """(collector, Fig4Result) for one traced smoke regeneration."""
     collector = SpanCollector()
-    enable_tracing(collector)
-    try:
+    with planes(trace=collector):
         result = run_fig4(sizes=TRACE_SIZES, repetitions=1)
-    finally:
-        enable_tracing(None)
     collector.finalize()
     return collector, result

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import OSConfig, enable_tracing
+from repro.config import OSConfig, planes
 from repro.experiments import build_machine
 from repro.obs import SpanCollector
 from repro.profiling import profile_from_spans, profile_from_tracer
@@ -11,8 +11,7 @@ from repro.profiling import profile_from_spans, profile_from_tracer
 def _traced_micro_run(os_config):
     """One offload-heavy micro workload with tracing on."""
     collector = SpanCollector()
-    enable_tracing(collector)
-    try:
+    with planes(trace=collector):
         machine = build_machine(1, os_config)
         task = machine.spawn_rank(0, 0)
 
@@ -23,8 +22,6 @@ def _traced_micro_run(os_config):
             yield from task.syscall("close", fd)
 
         machine.sim.run(until=machine.sim.process(body()))
-    finally:
-        enable_tracing(None)
     collector.finalize()
     return collector, machine
 

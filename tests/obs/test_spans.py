@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import repro
-from repro.config import TRACE, enable_tracing
+from repro.config import planes
 from repro.experiments import run_fig4
 from repro.obs import SpanCollector
 from repro.units import KiB
@@ -75,31 +75,16 @@ def test_finalize_closes_dangling_spans():
     assert c.current() is None
 
 
-# --- the identity guarantees of the TRACE gate -------------------------------
-
-def test_installed_but_disabled_collector_stays_empty():
-    """PD011's runtime contract: gates skip every emission when off."""
-    idle = SpanCollector()
-    TRACE.collector = idle
-    TRACE.enabled = False
-    try:
-        run_fig4(sizes=SIZES, repetitions=1)
-    finally:
-        enable_tracing(None)
-    assert idle.spans == [] and idle.flows == []
-
+# --- the identity guarantee of the trace gate -------------------------------
 
 def test_tracing_never_perturbs_the_simulation():
     """Spans add no simulation events and no RNG draws, so fig4 is
-    bit-identical with tracing off, installed-but-off, and fully on."""
+    bit-identical with tracing off and on."""
     baseline = run_fig4(sizes=SIZES, repetitions=1)
 
     collector = SpanCollector()
-    enable_tracing(collector)
-    try:
+    with planes(trace=collector):
         traced = run_fig4(sizes=SIZES, repetitions=1)
-    finally:
-        enable_tracing(None)
     assert collector.spans, "traced run recorded nothing"
     assert traced.series == baseline.series
     for cfg, series in baseline.series.items():
@@ -118,20 +103,17 @@ import gc, json, sys
 if sys.argv[1] == "disabled":
     gc.disable()
 from repro.apps.imb import PingPong
-from repro.config import ALL_CONFIGS, enable_tracing
+from repro.config import ALL_CONFIGS, planes
 from repro.experiments import build_machine
 from repro.obs import SpanCollector, chrome_trace_events
 collector = SpanCollector()
-enable_tracing(collector)
-try:
+with planes(trace=collector):
     for config in ALL_CONFIGS:
         machine = build_machine(2, config)
         PingPong(machine, repetitions=1).run([256 * 1024])
         del machine
         if sys.argv[1] == "collect":
             gc.collect()
-finally:
-    enable_tracing(None)
 collector.finalize()
 print(json.dumps(chrome_trace_events(collector), sort_keys=True))
 """

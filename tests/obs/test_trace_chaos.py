@@ -1,6 +1,6 @@
 """Tracing composed with fault injection: recovery becomes visible."""
 
-from repro.config import OSConfig, enable_tracing
+from repro.config import OSConfig, planes
 from repro.experiments.chaos import run_chaos
 from repro.obs import SpanCollector
 
@@ -9,11 +9,8 @@ def test_chaos_run_shows_recovery_spans():
     """A faulted sweep leaves retransmit and fast-path-fallback marks in
     the trace, on top of the counters the chaos report is built from."""
     collector = SpanCollector()
-    enable_tracing(collector)
-    try:
+    with planes(trace=collector):
         result = run_chaos(smoke=True, configs=(OSConfig.MCKERNEL_HFI,))
-    finally:
-        enable_tracing(None)
     collector.finalize()
     assert result.violations == []
     recovery = collector.find(cat="recovery")

@@ -49,13 +49,6 @@ def test_tracer_counts_and_records():
     assert (acc.min, acc.max, acc.count) == (1.0, 3.0, 2)
 
 
-def test_tracer_disabled_is_noop():
-    t = Tracer(enabled=False)
-    t.count("x")
-    t.record("y", 1.0)
-    assert t.get_count("x") == 0 and t.get_total("y") == 0.0
-
-
 def test_tracer_totals_prefix_filter():
     t = Tracer()
     t.record("syscall.writev", 1.0)
@@ -73,16 +66,6 @@ def test_tracer_merge_folds_statistics():
     assert a.get_total("x") == 4.0
     assert a.accs["x"].max == 3.0
     assert a.get_count("n") == 2
-
-
-def test_tracer_series_kept_only_when_enabled():
-    t = Tracer(keep_series=True)
-    t.record("bw", 10.0, t=1.0)
-    t.record("bw", 20.0, t=2.0)
-    assert t.series["bw"] == [(1.0, 10.0), (2.0, 20.0)]
-    t2 = Tracer(keep_series=False)
-    t2.record("bw", 10.0, t=1.0)
-    assert "bw" not in t2.series
 
 
 def test_tracer_report_shape():
@@ -109,12 +92,6 @@ def test_record_many_equals_repeated_record(before, batch):
     many.record_many("x", batch)
     assert many.accs == one.accs
     assert many.counters == one.counters
-
-
-def test_record_many_respects_disabled_tracer():
-    tracer = Tracer(enabled=False)
-    tracer.record_many("x", [1.0, 2.0])
-    assert tracer.accs == {}
 
 
 @given(before=st.lists(st.floats(-1e9, 1e9), max_size=5),

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import units
-from repro.config import ALL_CONFIGS, OSConfig
+from repro.config import ALL_CONFIGS, PLANES, OSConfig, planes
 from repro.errors import PageFault
 from repro.params import default_params
 
@@ -78,6 +78,44 @@ def test_config_properties():
     assert OSConfig.MCKERNEL_HFI.has_picodriver
     assert OSConfig.LINUX.noisy_app_cores
     assert not OSConfig.MCKERNEL_HFI.noisy_app_cores
+
+
+# --- the opt-in plane registry ---------------------------------------------------
+
+def test_planes_nested_block_restores_the_outer_value():
+    outer, inner = object(), object()
+    with planes(trace=outer, guard=None):
+        assert PLANES.trace is outer
+        with planes(trace=inner):
+            assert PLANES.trace is inner
+        assert PLANES.trace is outer
+    assert PLANES.trace is None
+
+
+def test_planes_restore_when_the_block_raises():
+    with pytest.raises(RuntimeError):
+        with planes(faults="plan", ksan=[]):
+            assert PLANES.faults == "plan" and PLANES.ksan == []
+            raise RuntimeError("boom")
+    assert PLANES.faults is None and PLANES.ksan is None
+
+
+def test_planes_unknown_slot_raises_before_setting_anything():
+    with pytest.raises(TypeError, match="fault"):
+        with planes(guard="policy", fault="typo"):
+            pass  # pragma: no cover - never entered
+    assert PLANES.guard is None
+
+
+def test_planes_are_seen_by_modules_that_imported_them():
+    """``planes`` mutates the one registry in place, so a module that
+    imported ``PLANES`` at load time reads the current slots."""
+    from repro.hw import fabric
+    collector = object()
+    assert fabric.PLANES is PLANES
+    with planes(trace=collector):
+        assert fabric.PLANES.trace is collector
+    assert fabric.PLANES.trace is None
 
 
 # --- params ---------------------------------------------------------------------

@@ -24,14 +24,14 @@ def test_render_report_carries_trajectory_and_best_point():
 
 def test_bench_payload_schema():
     result = campaign()
-    payload = report.bench_payload(result, baselines=[{"name": "x", "value": 1}])
+    payload = report.bench_payload(result)
     assert payload["schema"] == report.SCHEMA
     assert payload["code_version"] == code_fingerprint()
     assert payload["campaign"]["workload"] == "synthetic"
     assert payload["trajectory"] == result.trajectory
     assert len(payload["scalars"]) == 6
     assert payload["best"]["scalar"] == result.best.fitness.scalar
-    assert payload["baselines"][0]["name"] == "x"
+    assert "baselines" not in payload
     json.dumps(payload)  # must be JSON-serializable as-is
 
 
