@@ -12,11 +12,14 @@ but the stdlib ``ast``; the checkers of
   resolves through the enclosing class and its base chain,
   ``self.attr.m()`` through constructor-typed attributes
   (``self.ring = DrainRing(...)``), bare names through module-level
-  functions, and — as a last resort — a globally unique method name
-  resolves to its single definer.  Ambiguous names (2-4 definers) link
-  to *all* candidates but are marked non-confident; effects still flow
-  through them (over-approximation), while the checkers that must not
-  guess (held-lock x wait) only trust confident edges.
+  functions (unless the caller's module imports the name from outside
+  ``repro``: ``reduce`` from ``functools`` is no edge to a tree
+  function named ``reduce``), and — as a last resort — a globally
+  unique method name resolves to its single definer.  Ambiguous names
+  (2-4 definers) link to *all* candidates but are marked
+  non-confident; effects still flow through them (over-approximation),
+  while the checkers that must not guess (held-lock x wait) only trust
+  confident edges.
   ``sim.process(...)`` and ``sim.spawn(...)`` create *spawn* edges,
   which carry execution context but never synchronous effects, while
   ``sim.call(f(...))`` is a synchronous call of ``f`` (the child runs
@@ -357,6 +360,17 @@ def _collect_bindings(tree: ast.AST) -> Dict[str, str]:
     return bindings
 
 
+def _foreign_imports(tree: ast.AST) -> Set[str]:
+    """Names a module binds with ``from X import name`` from a module
+    outside the ``repro`` package (an absolute import not under
+    ``repro``), anywhere in the module."""
+    return {alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 0
+            and (node.module or "").split(".")[0] != "repro"
+            for alias in node.names}
+
+
 def _const_str(node: Optional[ast.AST]) -> Optional[str]:
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         return node.value
@@ -651,6 +665,8 @@ class Program:
         #: accesses whose receiver type the scanner cannot see
         self.field_structs: Dict[str, Set[str]] = {}
         self._lock_bindings: Dict[str, Dict[str, str]] = {}
+        #: module path -> names it imports from outside ``repro``
+        self._foreign: Dict[str, Set[str]] = {}
         #: modules that did not parse (each is a PD000 finding)
         self.unparsed: List[astcache.ParsedModule] = []
 
@@ -682,6 +698,7 @@ class Program:
 
     def _digest_module(self, module: astcache.ParsedModule) -> None:
         self._lock_bindings[module.path] = _collect_bindings(module.tree)
+        self._foreign[module.path] = _foreign_imports(module.tree)
         for node in module.tree.body:
             if isinstance(node, ast.ClassDef):
                 self._digest_class(node, module.path)
@@ -875,6 +892,8 @@ class Program:
                 if target is not None:
                     return (target,), True
         if not receiver:
+            if name in self._foreign[fn.path]:
+                return (), False             # not a function of the tree
             model = self.classes_by_name.get(name)
             if model is not None:            # constructor call
                 target = self._lookup_method(model, "__init__")

@@ -13,12 +13,21 @@ Crucially, the extractor (:mod:`repro.core.extract`) consumes *only* this
 DWARF tree, never the Python-level struct definitions, so layout drift
 between driver versions is discovered the same way the real tool discovers
 it.
+
+A release's debug information is a static artifact: it changes only
+between releases.  Each driver's ``struct_defs`` and ``build_module``
+are therefore wrapped in :func:`once_per_version`, so a process builds
+each version's definitions and binary once and every driver instance
+of that version, on every node of every machine, shares them
+read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Tuple
+from functools import wraps
+from inspect import signature
+from typing import Callable, Dict, Iterator, List, Tuple, TypeVar
 
 from ..errors import DwarfError
 from .structs import CStructDef, CType
@@ -99,11 +108,14 @@ class DwarfInfo:
             stack.extend(reversed(die.children))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModuleBinary:
     """A built kernel module as shipped: name, version string and its
     embedded debug information.  The runtime struct definitions stay
-    *private* to the driver; consumers get DWARF only."""
+    *private* to the driver; consumers get DWARF only.
+
+    One binary per driver version is shared by every driver instance
+    (:func:`once_per_version`), so nothing may modify it."""
 
     name: str
     version: str
@@ -111,6 +123,32 @@ class ModuleBinary:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ModuleBinary {self.name} v{self.version}>"
+
+
+T = TypeVar("T")
+
+
+def once_per_version(build: Callable[[str], T]) -> Callable[..., T]:
+    """Build a driver release's static artifact once per process.
+
+    ``build(version=DEFAULT)`` makes the artifact of one release (its
+    struct definitions or its module binary).  The wrapper returns the
+    one object built for a version, however the version is given:
+    ``f()``, ``f(DEFAULT)`` and ``f(version=DEFAULT)`` are the same
+    call.  A build that raises (an unknown version) caches nothing.
+    """
+    default = signature(build).parameters["version"].default
+    built: Dict[str, T] = {}
+
+    @wraps(build)
+    def shared(version: str = default) -> T:
+        try:
+            return built[version]
+        except KeyError:
+            artifact = built[version] = build(version)
+            return artifact
+
+    return shared
 
 
 def emit_dwarf(structs: List[CStructDef], producer: str = "simcc 1.0",

@@ -8,7 +8,6 @@ wire.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict
 
 from ..config import PLANES
@@ -48,8 +47,8 @@ class Fabric:
         if inj is not None and inj.fires("fabric.drop"):
             return
         if inj is not None and inj.fires("fabric.corrupt"):
-            packet = replace(packet, csum=(packet.csum ^ 0x5A5A5A5A
-                                           if packet.csum is not None else -1))
+            packet = packet.replace(csum=(packet.csum ^ 0x5A5A5A5A
+                                          if packet.csum is not None else -1))
         dst = self._hfis[packet.dst_node]
         if packet.dst_node == packet.src_node:
             dst.receive(packet)
@@ -61,6 +60,6 @@ class Fabric:
                 args={"kind": packet.kind, "nbytes": packet.nbytes,
                       "src": packet.src_node, "dst": packet.dst_node},
                 flow_from=packet.trace)
-            packet = replace(packet, trace=wire)
+            packet = packet.replace(trace=wire)
         self.sim.timeout(self.params.wire_latency).add_callback(
             lambda _evt: dst.receive(packet))

@@ -29,12 +29,12 @@ when a caller iterates a chain or looks an entry up.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate, repeat
 from operator import add, itemgetter
 from typing import (Callable, Deque, Dict, Iterable, Iterator, List,
-                    Optional, Tuple)
+                    NamedTuple, Optional, Tuple)
 
 from ..config import PLANES
 from ..errors import DriverError, ReproError
@@ -139,10 +139,14 @@ class TidEntry(Record):
         self.nbytes = nbytes
 
 
-@dataclass(frozen=True)
-class Packet:
+class Packet(NamedTuple):
     """A logical message on the fabric (serialization is modeled at the
-    sender, so one packet represents the whole transfer)."""
+    sender, so one packet represents the whole transfer).
+
+    An immutable record, built once per message, so a ``NamedTuple``
+    (cheap to build): a field cannot be assigned, and :meth:`replace`
+    returns a changed copy.  Two packets are equal, and hash equal,
+    when all their fields are."""
 
     kind: str              # "eager" | "expected" | "rts" | "cts" | "ack"
     src_node: int
@@ -159,6 +163,10 @@ class Packet:
     #: traced runs only: the span that put this packet on the wire (not
     #: part of the message identity; excluded from the checksum)
     trace: object = None
+
+    def replace(self, **changes) -> "Packet":
+        """A copy of this packet with ``changes`` applied."""
+        return self._replace(**changes)
 
 
 class RcvContext:
@@ -227,6 +235,12 @@ class SdmaEngine:
     descriptor; ``_used`` counts the descriptors in it, and every slot
     count (free slots, ring-full blocking, the congestion gate) is in
     descriptors as before.
+
+    The drain loop is a detached process started by the first kick
+    (``sim.spawn``), so an engine nobody submits to costs no process
+    and no event; its start event takes the FIFO slot the first
+    wake-up would have.  A failure in the loop (an IRQ with no
+    dispatcher) propagates out of ``sim.run``.
     """
 
     def __init__(self, sim: Simulator, device: "HFIDevice", index: int):
@@ -239,7 +253,8 @@ class SdmaEngine:
         self._used = 0
         self._space_waiters: Deque[Event] = deque()
         self._work = Store(sim, name=f"sdma{index}.work")
-        self._proc = sim.process(self._run())
+        #: whether the drain loop runs (it starts on the first kick)
+        self._started = False
         self.busy = False
         #: True between a hardware halt and the driver's restart
         self.halted = False
@@ -321,8 +336,16 @@ class SdmaEngine:
             ring.append((group, sizes, done, stop, stop == n, spans))
             self._used += stop - done
             if kick:
-                self._work.put(None)  # kick the engine
+                self._kick()
             done = stop
+
+    def _kick(self) -> None:
+        """Wake the drain loop, starting it on the first kick."""
+        if self._started:
+            self._work.put(None)
+        else:
+            self._started = True
+            self.sim.spawn(self._run())
 
     def _run(self):
         params = self.device.params
@@ -410,7 +433,7 @@ class SdmaEngine:
                 if is_last:
                     if dspan is not None:
                         # hand the last descriptor's span to the wire/IRQ
-                        group.packet = replace(group.packet, trace=dspan)
+                        group.packet = group.packet.replace(trace=dspan)
                     self.device._transmit(group.packet)
                     self.device.raise_irq(group)
             if self.gate is not None and sizes:
@@ -519,7 +542,7 @@ class HFIDevice:
                 PLANES.trace.end_span(span)
         self.tracer.count("hfi.pio_msgs")
         if span is not None:
-            packet = replace(packet, trace=span)
+            packet = packet.replace(trace=span)
         self._transmit(packet)
 
     # -- RcvArray / TIDs -------------------------------------------------------

@@ -12,9 +12,10 @@ paper's Listing 1: 64 bytes total, ``current_state`` at offset 40,
 
 from __future__ import annotations
 
-from typing import Dict, List
+from types import MappingProxyType
+from typing import List, Mapping
 
-from ...core.dwarf import ModuleBinary, emit_dwarf
+from ...core.dwarf import ModuleBinary, emit_dwarf, once_per_version
 from ...core.structs import ARRAY, ENUM, PTR, U8, U16, U32, U64, CStructDef, Field
 
 #: enum sdma_states values (subset)
@@ -39,8 +40,11 @@ _KOBJ_BLOB = {"1.0.0": 64, "1.1.1": 72}
 _DEV_BLOB = {"1.0.0": 128, "1.1.1": 144}
 
 
-def struct_defs(version: str = CURRENT_VERSION) -> Dict[str, CStructDef]:
-    """The driver's internal structure definitions for ``version``."""
+@once_per_version
+def struct_defs(version: str = CURRENT_VERSION) -> Mapping[str, CStructDef]:
+    """The driver's internal structure definitions for ``version``.
+
+    Built once per version and shared: the mapping is read-only."""
     if version not in _SS_BLOB:
         raise ValueError(f"unknown hfi1 driver version {version!r}")
     ss_blob = _SS_BLOB[version]
@@ -96,10 +100,11 @@ def struct_defs(version: str = CURRENT_VERSION) -> Dict[str, CStructDef]:
         Field("dd", PTR),
     ])
 
-    return {s.name: s for s in
-            (sdma_state, hfi1_filedata, hfi1_devdata, user_sdma_pkt_q)}
+    return MappingProxyType({s.name: s for s in (
+        sdma_state, hfi1_filedata, hfi1_devdata, user_sdma_pkt_q)})
 
 
+@once_per_version
 def build_module(version: str = CURRENT_VERSION) -> ModuleBinary:
     """'Compile' the driver: emit the module binary with DWARF headers."""
     defs: List[CStructDef] = list(struct_defs(version).values())

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Dict
+from types import MappingProxyType
+from typing import Mapping
 
-from ...core.dwarf import ModuleBinary, emit_dwarf
+from ...core.dwarf import ModuleBinary, emit_dwarf, once_per_version
 from ...core.structs import ARRAY, PTR, U8, U16, U32, U64, CStructDef, Field
 
 CURRENT_VERSION = "4.3-1.0.1"
@@ -17,8 +18,11 @@ _DEV_BLOB = {"4.3-1.0.1": 96, "4.4-2.0.7": 112}
 _MR_BLOB = {"4.3-1.0.1": 48, "4.4-2.0.7": 56}
 
 
-def struct_defs(version: str = CURRENT_VERSION) -> Dict[str, CStructDef]:
-    """The mlx5 driver's structure definitions for ``version``."""
+@once_per_version
+def struct_defs(version: str = CURRENT_VERSION) -> Mapping[str, CStructDef]:
+    """The mlx5 driver's structure definitions for ``version``.
+
+    Built once per version and shared: the mapping is read-only."""
     if version not in _DEV_BLOB:
         raise ValueError(f"unknown mlx5 driver version {version!r}")
     mlx5_ib_dev = CStructDef("mlx5_ib_dev", [
@@ -40,9 +44,10 @@ def struct_defs(version: str = CURRENT_VERSION) -> Dict[str, CStructDef]:
         Field("access_flags", U32),
         Field("mtt_base", U64),
     ])
-    return {s.name: s for s in (mlx5_ib_dev, mlx5_ib_mr)}
+    return MappingProxyType({s.name: s for s in (mlx5_ib_dev, mlx5_ib_mr)})
 
 
+@once_per_version
 def build_module(version: str = CURRENT_VERSION) -> ModuleBinary:
     """'Compile' mlx5_ib.ko: module binary with DWARF headers."""
     return emit_dwarf(list(struct_defs(version).values()),

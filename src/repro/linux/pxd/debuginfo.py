@@ -14,9 +14,10 @@ the per-IO clone tracker with its atomic ``active``/``fails`` counters.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from types import MappingProxyType
+from typing import List, Mapping
 
-from ...core.dwarf import ModuleBinary, emit_dwarf
+from ...core.dwarf import ModuleBinary, emit_dwarf, once_per_version
 from ...core.structs import ARRAY, PTR, U8, U32, U64, CStructDef, Field
 
 CURRENT_VERSION = "1.0.0"
@@ -31,8 +32,11 @@ _FP_BLOB = {"1.0.0": 56, "1.1.1": 64}
 _TRK_BLOB = {"1.0.0": 48, "1.1.1": 56}
 
 
-def struct_defs(version: str = CURRENT_VERSION) -> Dict[str, CStructDef]:
-    """The driver's internal structure definitions for ``version``."""
+@once_per_version
+def struct_defs(version: str = CURRENT_VERSION) -> Mapping[str, CStructDef]:
+    """The driver's internal structure definitions for ``version``.
+
+    Built once per version and shared: the mapping is read-only."""
     if version not in _DEV_BLOB:
         raise ValueError(f"unknown pxd driver version {version!r}")
 
@@ -72,10 +76,11 @@ def struct_defs(version: str = CURRENT_VERSION) -> Dict[str, CStructDef]:
         Field("file", PTR),
     ])
 
-    return {s.name: s for s in
-            (pxd_device, pxd_fastpath_extension, pxd_io_tracker)}
+    return MappingProxyType({s.name: s for s in (
+        pxd_device, pxd_fastpath_extension, pxd_io_tracker)})
 
 
+@once_per_version
 def build_module(version: str = CURRENT_VERSION) -> ModuleBinary:
     """'Compile' the driver: emit the module binary with DWARF headers."""
     defs: List[CStructDef] = list(struct_defs(version).values())

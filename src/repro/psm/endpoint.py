@@ -84,9 +84,17 @@ class Endpoint:
         return self.addr
 
     def close(self):
-        """Generator: close the device file."""
+        """Generator: quiesce the endpoint, then close the device file.
+
+        As ``psm2_ep_close`` does, close first waits until both progress
+        workers are idle: a deferred TID_FREE still queued on the rx
+        worker needs the open fd.  With nothing queued it posts no
+        event."""
         if self.fd is None:
             raise ReproError("endpoint not open")
+        while not (self.rx.idle and self.tx.idle):
+            yield from self.rx.drain()
+            yield from self.tx.drain()
         yield from self.task.syscall("close", self.fd)
         self.fd = None
 

@@ -5,13 +5,17 @@ interactions — window registrations, SDMA submissions — execute one at a
 time.  :class:`ProgressWorker` models that: a FIFO of generator jobs
 drained by one simulation process.  On McKernel this serialization is what
 stacks offloaded ``ioctl``/``writev`` latencies per window.
+
+The drain loop is a detached process (``sim.spawn``): a job that raises
+with no error handler installed ends the loop, and the exception
+propagates out of ``sim.run`` instead of vanishing with it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
-from ..sim import Simulator, Store
+from ..sim import Event, Simulator, Store
 
 
 class ProgressWorker:
@@ -21,13 +25,16 @@ class ProgressWorker:
         self.sim = sim
         self.name = name
         self._jobs = Store(sim, name=f"{name}.jobs")
-        self._proc = sim.process(self._run())
+        sim.spawn(self._run())
+        self.submitted = 0
         self.completed = 0
         self.failed = 0
         self._on_error: Optional[Callable[[BaseException], None]] = None
+        self._idle_waiters: List[Event] = []
 
     def submit(self, job) -> None:
         """Queue a generator for sequential execution."""
+        self.submitted += 1
         self._jobs.put(job)
 
     def on_error(self, handler: Callable[[BaseException], None]) -> None:
@@ -37,6 +44,19 @@ class ProgressWorker:
     @property
     def backlog(self) -> int:
         return len(self._jobs.items)
+
+    @property
+    def idle(self) -> bool:
+        """Every submitted job has finished (none queued or running)."""
+        return self.completed + self.failed == self.submitted
+
+    def drain(self):
+        """Generator: wait until the worker is idle; returns at once,
+        with no event, when it already is."""
+        while not self.idle:
+            waiter = Event(self.sim)
+            self._idle_waiters.append(waiter)
+            yield waiter
 
     def _run(self):
         while True:
@@ -50,3 +70,7 @@ class ProgressWorker:
                     self._on_error(exc)
                 else:
                     raise
+            if self._idle_waiters and self.idle:
+                for waiter in self._idle_waiters:
+                    waiter.succeed()
+                self._idle_waiters.clear()

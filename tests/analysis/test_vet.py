@@ -14,6 +14,8 @@ from .vet_fixtures.lockedge_rig import run_rig
 FIXTURES = os.path.join(os.path.dirname(__file__), "vet_fixtures")
 SLEEPY = os.path.join(FIXTURES, "sleepy_fastpath.py")
 JOINED = os.path.join(FIXTURES, "joined_calls.py")
+FOREIGN = os.path.join(FIXTURES, "foreign_import.py")
+COLLECTIVE = os.path.join(FIXTURES, "collective_reduce.py")
 
 
 # --- the shipped tree --------------------------------------------------------
@@ -106,6 +108,48 @@ def test_fixture_effects_are_transitive_not_local():
     transitive = program.effects[entry].sleeps
     assert any(s.what == "rcu_synchronize" for s in transitive)
     assert "lwk" in program.contexts[entry]
+
+
+# --- bare names resolve through the caller's imports ------------------------
+
+def _entry(program, name):
+    (qual,) = [q for q in program.functions if q.endswith(name)]
+    return qual
+
+
+def test_imported_stdlib_name_is_no_edge_to_a_tree_function():
+    """``functools.reduce`` in a fast path is not the tree's offloading
+    ``reduce``, even though that is the one module-level ``reduce``."""
+    program, findings = vet_paths([FOREIGN, COLLECTIVE])
+    entry = _entry(program, "TallyPicoDriver.fast_writev")
+    tree_reduce = _entry(program, "collective_reduce.py::reduce")
+    assert all(tree_reduce not in rc.targets for rc in program.edges[entry])
+    assert not program.effects[entry].offloads
+    assert not [f for f in findings if "foreign_import.py" in f.path]
+
+
+def test_direct_call_to_the_tree_function_is_still_reported():
+    program, findings = vet_paths([FOREIGN, COLLECTIVE])
+    entry = _entry(program, "DirectPicoDriver.fast_ioctl")
+    tree_reduce = _entry(program, "collective_reduce.py::reduce")
+    assert any(tree_reduce in rc.targets and rc.confident
+               for rc in program.edges[entry])
+    (finding,) = findings
+    assert finding.code == "PD015.1"
+    assert "DirectPicoDriver.fast_ioctl -> reduce" in finding.message
+
+
+def test_shipped_reduce_calls_are_not_collectives():
+    """The SDMA drain loop and the tracer's ``add_many`` fold with
+    ``functools.reduce``; neither reaches ``mpi.collectives.reduce``."""
+    from repro.analysis.vet_effects import Program
+    program = Program.build()
+    collective = _entry(program, "collectives.py::reduce")
+    for caller in ("SdmaEngine._run", "Accumulator.add_many"):
+        qual = _entry(program, caller)
+        assert all(collective not in rc.targets
+                   for rc in program.edges[qual]), caller
+    assert not program.effects[_entry(program, "SdmaEngine._run")].offloads
 
 
 # --- PD015.6: the fault points --------------------------------------------

@@ -6,7 +6,9 @@ never executed.  ``sleepy_fastpath`` seeds fast-path sins hidden behind
 cross-class call hops, which the whole-program PD015.x checkers must
 catch and the local lint rules provably cannot; ``lock_order`` seeds an
 AB-BA nesting (PD008, a lock-graph cycle) and a timed wait under a lock
-(PD009).
+(PD009).  ``collective_reduce`` and ``foreign_import`` are a pair: a
+fast path reaching an offloading tree function named ``reduce`` (PD015.1)
+and a fast path calling ``functools.reduce``, which must stay clean.
 
 ``lockedge_rig`` is a *runnable* module: a miniature experiment that
 takes a dynamic lock dependency edge between lock classes no shipped

@@ -2,6 +2,7 @@
 (halt/restart, retransmit, IRQ watchdog, TID retry) or surface as the
 typed errors the tentpole contract promises."""
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -23,13 +24,17 @@ def build_faulty_machine(plan, os_config=OSConfig.LINUX, params=None):
         return build_machine(2, os_config, params=params)
 
 
-def run_transfers(plan, sizes, os_config=OSConfig.LINUX, params=None):
+def run_transfers(plan, sizes, os_config=OSConfig.LINUX, params=None,
+                  on_build=None):
     """One sender, one receiver, one message per entry of ``sizes``.
 
     Returns ``(machine, send outcomes, receive requests)`` where an
     outcome is ``"ok"`` or the typed exception the blocking send raised.
+    ``on_build(machine)``, if given, runs before the transfers start.
     """
     machine = build_faulty_machine(plan, os_config, params)
+    if on_build is not None:
+        on_build(machine)
     sim = machine.sim
     t0 = machine.spawn_rank(0, 0, 0)
     t1 = machine.spawn_rank(1, 0, 1)
@@ -147,6 +152,33 @@ def test_rendezvous_blackout_times_out_via_rts_watchdog():
     assert "RTS" in str(outcomes[0]) or "rendezvous" in str(outcomes[0])
 
 
+def test_watchdogs_resend_the_same_packet_object():
+    """A packet is immutable, so the eager, RTS and CTS watchdogs resend
+    the packet they kept, not a copy: every retransmission puts an
+    already-sent object back on the fabric."""
+    sent = []
+
+    def record(machine):
+        transmit = machine.fabric.transmit
+
+        def recording_transmit(packet):
+            sent.append(packet)
+            transmit(packet)
+
+        machine.fabric.transmit = recording_transmit
+
+    machine, outcomes, reqs = run_transfers(
+        FaultPlan(fabric_drop=0.4), [4 * KiB, 1 * MiB] * 3,
+        on_build=record)
+    assert all(v == "ok" for v in outcomes.values())
+    assert all(delivered(r) for r in reqs.values())
+    retransmits = machine.tracer.get_count("psm.retransmits")
+    times_sent = Counter(map(id, sent))
+    assert len(sent) - len(times_sent) == retransmits > 0
+    assert {p.kind for p in sent if times_sent[id(p)] > 1} \
+        == {"eager", "rts", "cts"}
+
+
 def test_transient_tid_failures_are_retried():
     machine, outcomes, reqs = run_transfers(
         FaultPlan(tid_transient=0.5), [1 * MiB])
@@ -173,7 +205,7 @@ def test_persistent_payload_corruption_raises_transfer_corrupt(os_config):
 
     def corrupting_receive(pkt):
         if pkt.kind == "expected":
-            pkt = replace(pkt, csum=(pkt.csum or 0) ^ 1)
+            pkt = pkt.replace(csum=(pkt.csum or 0) ^ 1)
         orig_receive(pkt)
 
     hfi_b.receive = corrupting_receive

@@ -262,6 +262,69 @@ def test_irq_without_dispatcher_is_an_error():
         dev.raise_irq(group)
 
 
+def test_engine_without_irq_dispatcher_fails_the_run():
+    """The engine's drain loop is detached: the typed error of an IRQ
+    with no dispatcher propagates out of ``run`` instead of killing the
+    engine silently."""
+    sim, params, fabric, a, b = make_pair()
+    a.irq_dispatcher = None
+    ctxt = b.alloc_context("test")
+    ctxt.on_packet = lambda pkt: None
+    group = SdmaRequestGroup(descriptors=[SdmaDescriptor(0, KiB)],
+                             packet=eager_packet(KiB, ctxt))
+    sim.process(a.pick_engine().submit(group))
+    with pytest.raises(ReproError, match="no dispatcher"):
+        sim.run()
+
+
+def test_engines_have_no_process_before_their_first_submit():
+    sim = Simulator()
+    params = default_params()
+    dev = HFIDevice(sim, params.nic, node_id=0)
+    assert len(dev.engines) == params.nic.sdma_engines
+    # no start event: an idle engine costs the schedule nothing
+    assert sim.peek() == float("inf")
+
+
+def _one_group_completion(halt, restart_after=None):
+    """Completion time of one 4-descriptor group submitted at t=0 to an
+    engine halted (``halt``) before its first submit, restarted at once
+    (``restart_after`` None) or that many seconds later."""
+    sim, params, fabric, a, b = make_pair()
+    ctxt = b.alloc_context("test")
+    ctxt.on_packet = lambda pkt: None
+    engine = a.engines[0]
+    a.error_dispatcher = lambda eng, reason: None
+    if halt:
+        engine.halt("halted before the first submit")
+        if restart_after is None:
+            engine.restart()
+        else:
+            sim.timeout(restart_after).add_callback(
+                lambda _evt: engine.restart())
+    completed = []
+    group = SdmaRequestGroup(
+        descriptors=[SdmaDescriptor(i * PAGE_SIZE, PAGE_SIZE)
+                     for i in range(4)],
+        packet=eager_packet(4 * PAGE_SIZE, ctxt),
+        on_complete=lambda g: completed.append(sim.now))
+    sim.process(engine.submit(group))
+    sim.run()
+    assert a.tracer.get_count("hfi.sdma_halts") == int(halt)
+    return completed, params.nic
+
+
+def test_engine_halted_and_restarted_before_first_submit_drains():
+    (never,), nic = _one_group_completion(halt=False)
+    assert never == pytest.approx(
+        4 * (nic.sdma_desc_overhead + PAGE_SIZE / nic.link_bandwidth))
+    assert _one_group_completion(halt=True)[0] == [never]
+    # still halted at the first submit: the loop starts, waits for the
+    # restart, then drains
+    late, _ = _one_group_completion(halt=True, restart_after=5e-6)
+    assert late == [pytest.approx(5e-6 + never)]
+
+
 def test_rejected_tid_program_installs_nothing():
     """A bad span in the middle of a request must not leave the spans
     before it installed (nobody would own them) or advance the TIDs."""

@@ -69,7 +69,7 @@ class PerDescriptorEngine(SdmaEngine):
                 detached=True) if PLANES.trace is not None else None
             self._slots.append((desc, group, i == last_idx, dspan))
             if len(self._slots) == 1 and not self.busy:
-                self._work.put(None)
+                self._kick()  # the first kick starts the drain loop
 
     def _run(self):
         params = self.device.params
@@ -108,7 +108,7 @@ class PerDescriptorEngine(SdmaEngine):
                     dspan.end = t0 + t_done
                 if is_last:
                     if dspan is not None:
-                        group.packet = replace(group.packet, trace=dspan)
+                        group.packet = group.packet.replace(trace=dspan)
                     self.device._transmit(group.packet)
                     self.device.raise_irq(group)
             while self._space_waiters and self.free_slots > 0:

@@ -72,6 +72,38 @@ def test_rendezvous_p2p_across_configs():
         assert results[1] == (2 * MiB, "big-data"), cfg
 
 
+@pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: c.value)
+def test_finalize_quiesces_the_progress_workers(cfg):
+    """Finalize after a rendezvous receive: the receiver's last deferred
+    TID_FREE runs before the endpoint closes its fd, so both workers of
+    every rank are idle with no failed job, and still alive."""
+    def main(rank):
+        if rank.rank == 0:
+            yield from rank.send(1, "big", 2 * MiB, payload="big-data")
+            return None
+        req = yield from rank.recv(0, "big", 2 * MiB)
+        return req.payload
+
+    machine, world, results = run_world(cfg, 2, 1, main)
+    assert results[1] == "big-data"
+    sim = machine.sim
+    sim.run()
+    for rank in world.ranks:
+        for worker in (rank.endpoint.rx, rank.endpoint.tx):
+            assert worker.failed == 0, worker.name
+            assert worker.idle, worker.name
+            done = worker.completed
+
+            def noop():
+                yield sim.timeout(0)
+
+            worker.submit(noop())
+            sim.run()
+            assert worker.completed == done + 1, worker.name
+    for node in machine.nodes:
+        assert node.node.hfi.tids_in_use == 0
+
+
 @pytest.mark.parametrize("n_ranks", [2, 3, 4, 7, 8])
 def test_allreduce_sums_correctly(n_ranks):
     def main(rank):
