@@ -116,15 +116,20 @@ class AppSpec:
         return n_nodes * self.ranks_per_node
 
     def validate(self) -> None:
-        """Reject malformed geometries and unknown collective kinds."""
+        """Reject malformed geometries, unknown collective kinds and
+        negative collective scopes."""
         if self.ranks_per_node < 1 or self.iterations < 1:
             raise ReproError(f"{self.name}: bad geometry")
         for phase in self.phases:
-            if isinstance(phase, CollectivePhase) and phase.kind not in (
-                    "barrier", "allreduce", "bcast", "alltoallv",
-                    "allgather", "scan"):
+            if not isinstance(phase, CollectivePhase):
+                continue
+            if phase.kind not in ("barrier", "allreduce", "bcast",
+                                  "alltoallv", "allgather", "scan"):
                 raise ReproError(
                     f"{self.name}: unknown collective {phase.kind!r}")
+            if phase.scope < 0:
+                raise ReproError(
+                    f"{self.name}: {phase.kind} scope {phase.scope} < 0")
 
 
 # --- micro driver ------------------------------------------------------------

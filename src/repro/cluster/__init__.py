@@ -2,8 +2,11 @@
 
 The detailed discrete-event simulator cannot step 16,384 ranks through
 per-descriptor NIC events in reasonable time, so application-scale results
-(Figures 5-9, Table 1) come from this vectorized model.  It keeps the
-paper's two nonlinearities first-class:
+(Figures 5-9, Table 1) come from this closed-form model.  Each run builds
+one plan per phase (message costs, walls, profile rows) and keeps the
+per-rank clock as one float while every rank holds the same time; only
+compute imbalance, Linux noise and halo spread make it a numpy array of
+per-rank times.  It keeps the paper's two nonlinearities first-class:
 
 * **offload contention** — every driver syscall from McKernel ranks is a
   job for the node's few OS CPUs; FIFO queueing plus per-dispatch context

@@ -1,9 +1,22 @@
 """The macro application simulator: evaluate an AppSpec at scale.
 
-Per-rank clocks are numpy arrays; phases advance them according to the
-closed-form costs of :mod:`repro.cluster.model`.  Synchronizing collectives
-take the max over ranks (straggler absorption), which is where Linux noise
-and McKernel offload inflation become everyone's problem.
+Phases advance per-rank clocks according to the closed-form costs of
+:mod:`repro.cluster.model`.  Synchronizing collectives take the max over
+ranks (straggler absorption), which is where Linux noise and McKernel
+offload inflation become everyone's problem.
+
+One plan per phase per run: everything a phase costs that does not depend
+on the clocks (its message costs, its wall, a collective's cost, the
+profile rows it adds) is computed once per :func:`simulate_app` call, so
+the iteration loop only advances clocks and adds precomputed values.
+
+One clock for synchronized ranks: the per-rank clock is a single float
+while every rank holds the same time (from ``MPI_Init`` to the first
+compute, after every synchronizing collective, and through sweep,
+memchurn, file-I/O and halo phases on a flat clock).  It becomes an
+``R``-entry numpy array only where ranks differ: compute imbalance, Linux
+noise and halo spread.  Both forms give the same bits (DESIGN.md §4,
+"Macro model: one plan per run, one clock for synchronized ranks").
 
 Outputs per run: mean runtime, an ``I_MPI_STATS``-style per-call profile
 (Table 1) and a kernel-side per-syscall profile (Figures 8-9).
@@ -13,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -28,6 +41,10 @@ from .model import CommCostModel, collective_rounds, off_node_fraction
 
 #: MPI waits issue a nanosleep back-off roughly this often
 _NANOSLEEP_PERIOD = 500 * USEC
+
+#: per-rank clocks: one float while every rank holds the same time, else
+#: one entry per rank
+_Clock = Union[float, np.ndarray]
 
 
 @dataclass
@@ -92,23 +109,40 @@ class MacroResult:
                 sorted(self.syscall_time.items(), key=lambda kv: -kv[1])}
 
 
-class _Accumulator:
-    """Mutable run state."""
+#: one add to a result's profile: (seconds dict, key, seconds, counts dict
+#: or None to leave the count alone, count)
+_Row = Tuple[Dict[str, float], str, float, Optional[Dict[str, int]], int]
+
+
+class _Profile:
+    """Builds the rows that add to one run's profile dicts."""
 
     def __init__(self, result: MacroResult):
         self.result = result
 
-    def mpi(self, call: str, total_seconds: float, calls: int = 0) -> None:
+    def mpi(self, call: str, total_seconds: float, calls: int = 0) -> _Row:
         r = self.result
-        r.mpi_time[call] = r.mpi_time.get(call, 0.0) + float(total_seconds)
-        if calls:
-            r.mpi_calls[call] = r.mpi_calls.get(call, 0) + calls
+        return (r.mpi_time, call, float(total_seconds),
+                r.mpi_calls if calls else None, calls)
 
-    def sys(self, name: str, total_seconds: float, count: int) -> None:
+    def sys(self, name: str, total_seconds: float, count: int) -> _Row:
         r = self.result
-        r.syscall_time[name] = (r.syscall_time.get(name, 0.0)
-                                + float(total_seconds))
-        r.syscall_count[name] = r.syscall_count.get(name, 0) + count
+        return (r.syscall_time, name, float(total_seconds),
+                r.syscall_count, count)
+
+
+#: a phase's plan: advances the clock by one iteration of the phase and adds
+#: its profile rows
+_Plan = Callable[[_Clock], _Clock]
+
+
+def _add(rows: Sequence[_Row]) -> None:
+    """Add ``rows`` in order: each key gets its adds one at a time, in the
+    order the run makes them, and enters its dict on its first add."""
+    for times, key, seconds, counts, n in rows:
+        times[key] = times.get(key, 0.0) + seconds
+        if counts is not None:
+            counts[key] = counts.get(key, 0) + n
 
 
 def _noise_extra(rng: np.random.Generator, params: Params,
@@ -118,12 +152,12 @@ def _noise_extra(rng: np.random.Generator, params: Params,
     p = params.noise
     extra = np.full(n, dt * p.tick_rate_hz * p.tick_cost)
     bursts = rng.poisson(dt * p.burst_rate_hz, size=n)
-    hot = bursts > 0
-    if hot.any():
+    hot = np.flatnonzero(bursts)
+    if hot.size:
         mu = math.log(p.burst_log_median)
         extra[hot] += (bursts[hot]
                        * np.exp(rng.normal(mu, p.burst_log_sigma,
-                                           size=int(hot.sum()))))
+                                           size=hot.size)))
     return extra
 
 
@@ -139,11 +173,18 @@ def simulate_app(spec: AppSpec, n_nodes: int, config: OSConfig,
     spec.validate()
     if n_nodes < spec.min_nodes:
         raise ValueError(f"{spec.name} needs >= {spec.min_nodes} nodes")
-    params = params if params is not None else default_params()
     iters = iterations if iterations is not None else spec.iterations
+    if iters < 1:
+        raise ValueError(f"{spec.name} needs >= 1 iteration, got {iters}")
+    R = spec.ranks_for(n_nodes)
+    for phase in spec.phases:
+        if isinstance(phase, CollectivePhase) and phase.scope > R:
+            raise ValueError(
+                f"{spec.name}: {phase.kind} scope {phase.scope} exceeds "
+                f"the {R} ranks on {n_nodes} nodes")
+    params = params if params is not None else default_params()
     model = CommCostModel(params, config)
     rpn = spec.ranks_per_node
-    R = spec.ranks_for(n_nodes)
     cpus = params.node.os_cores
     noisy = config.noisy_app_cores
     multik = config.is_multikernel
@@ -152,8 +193,8 @@ def simulate_app(spec: AppSpec, n_nodes: int, config: OSConfig,
 
     result = MacroResult(app=spec.name, config=config, n_nodes=n_nodes,
                          n_ranks=R, runtime=0.0)
-    acc = _Accumulator(result)
-    lag = np.zeros(R)  # absolute per-rank clock
+    prof = _Profile(result)
+    lag: _Clock = 0.0  # absolute per-rank clock
 
     # ---------------- MPI_Init ------------------------------------------------
     # PMI startup staggers rank initialization; the storm is milder
@@ -166,15 +207,15 @@ def simulate_app(spec: AppSpec, n_nodes: int, config: OSConfig,
         n_calls = 3 if name == "mmap" else 1   # PIO bufs, rcvhdrq, events
         own += n_calls * visible
         demand += n_calls * dem
-        acc.sys(name, R * n_calls * visible, R * n_calls)
+        _add((prof.sys(name, R * n_calls * visible, R * n_calls),))
     pair = model.mmap_times(24 * 1024 * 1024)   # scratch arena
     own += pair["mmap"][0]
-    acc.sys("mmap", R * pair["mmap"][0], R)
+    _add((prof.sys("mmap", R * pair["mmap"][0], R),))
     init_wall = max(own, rpn * demand / cpus)
     if config.has_picodriver:
         init_wall += params.syscall.pico_init_cost
     lag += init_wall
-    acc.mpi("Init", R * init_wall, R)
+    _add((prof.mpi("Init", R * init_wall, R),))
     result.init_seconds = init_wall
 
     # ---------------- MPI_Cart_create (HACC) -----------------------------------
@@ -188,44 +229,56 @@ def simulate_app(spec: AppSpec, n_nodes: int, config: OSConfig,
         cart = reorder + ag_rounds * (small.latency
                                       + params.psm.mq_overhead)
         lag += cart
-        acc.mpi("Cart_create", R * cart, R)
+        _add((prof.mpi("Cart_create", R * cart, R),))
         result.init_seconds += cart
 
+    # ---------------- iterations -----------------------------------------------
     f_halo = off_node_fraction(n_nodes)
     f_sweep = off_node_fraction(n_nodes, base=0.55, growth=0.05)
+    plans = []
+    for phase in spec.phases:
+        if isinstance(phase, HaloExchange):
+            plans.append(_halo_plan(prof, model, phase, f_halo, rpn, R,
+                                    cpus, multik))
+        elif isinstance(phase, SweepPhase):
+            plans.append(_sweep_plan(prof, model, phase, f_sweep, rpn, R,
+                                     cpus, multik, noisy, params))
+        elif isinstance(phase, CollectivePhase):
+            plans.append(_collective_plan(prof, model, phase, rpn, R, cpus,
+                                          noisy, params))
+        elif isinstance(phase, MemChurn):
+            plans.append(_memchurn_plan(prof, model, phase, rpn, R, cpus,
+                                        multik))
+        elif isinstance(phase, FileIO):
+            plans.append(_fileio_plan(prof, model, phase, rpn, R, cpus,
+                                      multik))
+        else:  # pragma: no cover
+            raise ValueError(f"unknown phase {phase!r}")
 
-    # ---------------- iterations -----------------------------------------------
+    compute = spec.compute_seconds * (spec.lwk_compute_factor
+                                      if multik else 1.0)
+    sigma = math.sqrt(math.log(1 + spec.imbalance_cv ** 2))
     for _it in range(iters):
-        compute = spec.compute_seconds * (spec.lwk_compute_factor
-                                          if multik else 1.0)
-        t = np.full(R, compute)
+        t: _Clock = compute
         if spec.imbalance_cv > 0:
-            sigma = math.sqrt(math.log(1 + spec.imbalance_cv ** 2))
-            t *= rng.lognormal(-sigma ** 2 / 2, sigma, size=R)
+            # draws * compute == np.full(R, compute) * draws
+            t = rng.lognormal(-sigma ** 2 / 2, sigma, size=R)
+            t *= compute
         if noisy:
-            t += _noise_extra(rng, params, compute, R)
+            noise = _noise_extra(rng, params, compute, R)
+            noise += t      # == t + noise
+            t = noise
         lag += t
-
-        for phase in spec.phases:
-            if isinstance(phase, HaloExchange):
-                _do_halo(acc, model, phase, f_halo, rpn, R, cpus, lag,
-                         multik)
-            elif isinstance(phase, SweepPhase):
-                _do_sweep(acc, model, phase, f_sweep, rpn, R, cpus, lag,
-                          multik, noisy, params)
-            elif isinstance(phase, CollectivePhase):
-                _do_collective(acc, model, phase, rpn, R, cpus, lag,
-                               noisy, rng, params)
-            elif isinstance(phase, MemChurn):
-                _do_memchurn(acc, model, phase, rpn, R, cpus, lag, multik)
-            elif isinstance(phase, FileIO):
-                _do_fileio(acc, model, phase, rpn, R, cpus, lag, multik)
-            else:  # pragma: no cover
-                raise ValueError(f"unknown phase {phase!r}")
+        for plan in plans:
+            lag = plan(lag)
 
     # trailing sync: apps end with a reduction/output step
-    final = float(lag.max())
-    acc.mpi("Barrier", float((final - lag).sum()), R)
+    if isinstance(lag, float):
+        final, waited = lag, 0.0     # every rank already at the max
+    else:
+        final = float(lag.max())
+        waited = float((final - lag).sum())
+    _add((prof.mpi("Barrier", waited, R),))
     result.runtime = final
 
     # nanosleep back-offs while waiting (visible in Figures 8-9)
@@ -236,17 +289,28 @@ def simulate_app(spec: AppSpec, n_nodes: int, config: OSConfig,
         sc = params.syscall
         per = (sc.lwk_entry + sc.nanosleep_cost / 2 if multik
                else sc.linux_entry + sc.nanosleep_cost)
-        acc.sys("nanosleep", sleeps * per, sleeps)
+        _add((prof.sys("nanosleep", sleeps * per, sleeps),))
     return result
 
 
 # ----------------------------------------------------------------------------
-# phases
+# phase plans: built once per run, run once per iteration
 # ----------------------------------------------------------------------------
 
-def _do_halo(acc, model: CommCostModel, phase: HaloExchange, f: float,
-             rpn: int, R: int, cpus: int, lag: np.ndarray,
-             multik: bool) -> None:
+def _fixed_plan(rows: Tuple[_Row, ...], wall: float) -> _Plan:
+    """A phase whose every iteration adds the same rows and advances every
+    rank by the same wall (sweep, memchurn, file I/O): a flat clock stays
+    flat."""
+    def run(lag: _Clock) -> _Clock:
+        _add(rows)
+        lag += wall
+        return lag
+    return run
+
+
+def _halo_plan(prof: _Profile, model: CommCostModel, phase: HaloExchange,
+               f: float, rpn: int, R: int, cpus: int,
+               multik: bool) -> _Plan:
     """Bulk nonblocking neighbor exchange, completed by Waitall."""
     off = phase.neighbors * f
     intra = phase.neighbors - off
@@ -259,45 +323,57 @@ def _do_halo(acc, model: CommCostModel, phase: HaloExchange, f: float,
     # issue time as MPI_Isend reports it (uncontended syscall entry);
     # contention-inflated completion shows up in MPI_Wait, as in Table 1
     base = model.message(phase.msg_bytes, depth_per_cpu=1.0)
-    for _round in range(phase.rounds):
-        own_issue = (off * base.sender_time
-                     + intra * model.shm_msg_time(phase.msg_bytes))
-        own_recv = off * msg.receiver_time
-        # completion tail: the last message's flight time
-        tail = (min(1.0, off) * msg.latency
-                + (1.0 if intra > 0 else 0.0)
-                * model.shm_msg_time(phase.msg_bytes))
-        node_wire = rpn * off * msg.wire
-        node_demand = rpn * off * msg.node_cpu_demand
-        issue_contended = (off * msg.sender_time
-                           + intra * model.shm_msg_time(phase.msg_bytes))
-        wall = max(issue_contended + own_recv + tail, node_wire,
-                   node_demand / cpus, own_issue)
-        # waitall on neighbors partially synchronizes: most of the lag
-        # spread is absorbed here as Wait time (HACC's Linux profile)
-        spread = (lag.max() - lag) * 0.7
-        acc.mpi("Isend", R * own_issue, R * phase.neighbors)
-        acc.mpi("Wait",
-                R * max(0.0, wall - own_issue) + float(spread.sum()),
-                R * phase.neighbors)
-        for name, count, visible in msg.syscalls:
-            # sender-side writev for sends, receiver-side ioctls for recvs
-            acc.sys(name, R * off * count * visible,
-                    int(R * off) * count)
-        lag += wall + spread
+    shm = model.shm_msg_time(phase.msg_bytes)
+    own_issue = off * base.sender_time + intra * shm
+    own_recv = off * msg.receiver_time
+    # completion tail: the last message's flight time
+    tail = (min(1.0, off) * msg.latency
+            + (1.0 if intra > 0 else 0.0) * shm)
+    node_wire = rpn * off * msg.wire
+    node_demand = rpn * off * msg.node_cpu_demand
+    issue_contended = off * msg.sender_time + intra * shm
+    wall = max(issue_contended + own_recv + tail, node_wire,
+               node_demand / cpus, own_issue)
+    calls = R * phase.neighbors
+    isend = prof.mpi("Isend", R * own_issue, calls)
+    wait_seconds = R * max(0.0, wall - own_issue)
+    # sender-side writev for sends, receiver-side ioctls for recvs
+    syscalls = tuple(prof.sys(name, R * off * count * visible,
+                              int(R * off) * count)
+                     for name, count, visible in msg.syscalls)
+    # on a flat clock every rank's spread is 0.0
+    flat_rows = (isend, prof.mpi("Wait", wait_seconds, calls)) + syscalls
+
+    def run(lag: _Clock) -> _Clock:
+        for _round in range(phase.rounds):
+            if isinstance(lag, float):
+                _add(flat_rows)
+                lag += wall
+                continue
+            # waitall on neighbors partially synchronizes: most of the lag
+            # spread is absorbed here as Wait time (HACC's Linux profile)
+            spread = lag.max() - lag
+            spread *= 0.7
+            wait = prof.mpi("Wait", wait_seconds + float(spread.sum()),
+                            calls)
+            _add((isend, wait) + syscalls)
+            spread += wall      # == wall + spread
+            lag += spread
+        return lag
+    return run
 
 
-def _do_sweep(acc, model: CommCostModel, phase: SweepPhase, f: float,
-              rpn: int, R: int, cpus: int, lag: np.ndarray,
-              multik: bool, noisy: bool, params: Params) -> None:
+def _sweep_plan(prof: _Profile, model: CommCostModel, phase: SweepPhase,
+                f: float, rpn: int, R: int, cpus: int, multik: bool,
+                noisy: bool, params: Params) -> _Plan:
     """Latency-chained pipeline: stage s+1 waits on stage s delivery."""
     active = phase.active_fraction
     jobs_per_stage = rpn * active * phase.msgs_per_stage * f
     # steady state: every active rank keeps ~one offload outstanding
     depth = max(1.0, jobs_per_stage / cpus) if multik else 0.0
     msg = model.message(phase.msg_bytes, depth_per_cpu=depth)
-    stage_lat = (f * msg.latency
-                 + (1 - f) * model.shm_msg_time(phase.msg_bytes))
+    shm = model.shm_msg_time(phase.msg_bytes)
+    stage_lat = f * msg.latency + (1 - f) * shm
     stage_wire = jobs_per_stage * msg.wire
     stage = max(stage_lat, stage_wire)
     # node throughput bound: the OS CPUs must also drain the total demand
@@ -313,28 +389,31 @@ def _do_sweep(acc, model: CommCostModel, phase: SweepPhase, f: float,
     base = model.message(phase.msg_bytes, depth_per_cpu=1.0)
     own_issue = (phase.stages * active
                  * (f * (base.sender_time + base.receiver_time)
-                    + (1 - f) * model.shm_msg_time(phase.msg_bytes)))
+                    + (1 - f) * shm))
+    per_rank_msgs = phase.stages * active * phase.msgs_per_stage * f
     # sweeps use persistent channels (MPI_Start + MPI_Wait, the pattern
     # visible in the paper's UMT2013 Table 1 rows)
-    acc.mpi("Start", R * own_issue, R * int(phase.stages * active))
-    acc.mpi("Wait", R * max(0.0, wall - own_issue))
-    acc.mpi("Request_free", R * phase.stages * active * 2e-7,
-            R * int(phase.stages * active))
-    per_rank_msgs = phase.stages * active * phase.msgs_per_stage * f
-    for name, count, visible in msg.syscalls:
-        acc.sys(name, R * per_rank_msgs * count * visible,
-                int(R * per_rank_msgs * count))
-    lag += wall
+    return _fixed_plan(
+        (prof.mpi("Start", R * own_issue, R * int(phase.stages * active)),
+         prof.mpi("Wait", R * max(0.0, wall - own_issue)),
+         prof.mpi("Request_free", R * phase.stages * active * 2e-7,
+                  R * int(phase.stages * active)))
+        + tuple(prof.sys(name, R * per_rank_msgs * count * visible,
+                         int(R * per_rank_msgs * count))
+                for name, count, visible in msg.syscalls),
+        wall)
 
 
-def _do_collective(acc, model: CommCostModel, phase: CollectivePhase,
-                   rpn: int, R: int, cpus: int, lag: np.ndarray,
-                   noisy: bool, rng, params: Params) -> None:
+_MPI_NAMES = {"barrier": "Barrier", "allreduce": "Allreduce",
+              "bcast": "Bcast", "alltoallv": "Alltoallv",
+              "allgather": "Allgather", "scan": "Scan"}
+
+
+def _collective_plan(prof: _Profile, model: CommCostModel,
+                     phase: CollectivePhase, rpn: int, R: int, cpus: int,
+                     noisy: bool, params: Params) -> _Plan:
     """Synchronize (straggler absorption) then run the collective."""
     scope = phase.scope if phase.scope else R
-    name = {"barrier": "Barrier", "allreduce": "Allreduce",
-            "bcast": "Bcast", "alltoallv": "Alltoallv",
-            "allgather": "Allgather", "scan": "Scan"}[phase.kind]
     multik = model.config.is_multikernel
     sdma = phase.nbytes > params.nic.pio_threshold
     if phase.kind in ("alltoallv", "allgather"):
@@ -347,59 +426,80 @@ def _do_collective(acc, model: CommCostModel, phase: CollectivePhase,
                         depth_per_cpu=depth if sdma else 0.0)
     rounds = collective_rounds(phase.kind, scope)
     f_off = (scope - rpn) / scope if scope > rpn else 0.0
-    for _c in range(phase.count):
-        entered = lag.copy()
-        sync_at = float(lag.max())
-        hop = f_off * msg.latency + (1 - f_off) * model.shm_msg_time(
-            max(phase.nbytes, 8))
-        msgs_per_rank: float
-        if phase.kind in ("alltoallv", "allgather"):
-            # pairwise/ring: bandwidth- and issue-bound, rounds overlap
-            node_bytes = rpn * (scope - 1) * phase.nbytes * f_off
-            eff_rate = phase.nbytes / msg.wire if msg.wire else 1.0
-            t_bw = node_bytes / eff_rate if eff_rate else 0.0
-            t_issue = (scope - 1) * (f_off * msg.sender_time + (1 - f_off)
-                                     * model.shm_msg_time(phase.nbytes))
-            t_lat = rounds * (params.nic.wire_latency
-                              + 2 * params.psm.mq_overhead)
-            t_queue = (rpn * (scope - 1) * f_off * msg.node_cpu_demand
-                       / cpus)
-            cost = max(t_bw, t_issue, t_lat, t_queue)
-            msgs_per_rank = (scope - 1) * f_off
-        else:
-            # tree/recursive doubling: latency chain of ``rounds`` hops
-            cost = rounds * (hop + params.psm.mq_overhead)
-            t_queue = rpn * rounds * f_off * msg.node_cpu_demand / cpus
-            cost = max(cost, t_queue)
-            msgs_per_rank = rounds * f_off
-        if noisy and rounds:
-            # straggler per round: any of R ranks bursting stalls the tree
-            p_any = min(1.0, R * params.noise.burst_rate_hz * hop)
-            cost += rounds * p_any * _burst_tail_mean(params)
-        if sdma:
-            for sname, count, visible in msg.syscalls:
-                acc.sys(sname, R * msgs_per_rank * count * visible,
-                        int(R * msgs_per_rank * count))
-        per_rank = (sync_at - entered) + cost
-        acc.mpi(name, float(per_rank.sum()), R)
-        lag[:] = sync_at + cost
+    hop = f_off * msg.latency + (1 - f_off) * model.shm_msg_time(
+        max(phase.nbytes, 8))
+    msgs_per_rank: float
+    if phase.kind in ("alltoallv", "allgather"):
+        # pairwise/ring: bandwidth- and issue-bound, rounds overlap
+        node_bytes = rpn * (scope - 1) * phase.nbytes * f_off
+        eff_rate = phase.nbytes / msg.wire if msg.wire else 1.0
+        t_bw = node_bytes / eff_rate if eff_rate else 0.0
+        t_issue = (scope - 1) * (f_off * msg.sender_time + (1 - f_off)
+                                 * model.shm_msg_time(phase.nbytes))
+        t_lat = rounds * (params.nic.wire_latency
+                          + 2 * params.psm.mq_overhead)
+        t_queue = (rpn * (scope - 1) * f_off * msg.node_cpu_demand
+                   / cpus)
+        cost = max(t_bw, t_issue, t_lat, t_queue)
+        msgs_per_rank = (scope - 1) * f_off
+    else:
+        # tree/recursive doubling: latency chain of ``rounds`` hops
+        cost = rounds * (hop + params.psm.mq_overhead)
+        t_queue = rpn * rounds * f_off * msg.node_cpu_demand / cpus
+        cost = max(cost, t_queue)
+        msgs_per_rank = rounds * f_off
+    if noisy and rounds:
+        # straggler per round: any of R ranks bursting stalls the tree
+        p_any = min(1.0, R * params.noise.burst_rate_hz * hop)
+        cost += rounds * p_any * _burst_tail_mean(params)
+    syscalls: Tuple[_Row, ...] = ()
+    if sdma:
+        syscalls = tuple(prof.sys(sname, R * msgs_per_rank * count * visible,
+                                  int(R * msgs_per_rank * count))
+                         for sname, count, visible in msg.syscalls)
+    name = _MPI_NAMES[phase.kind]
+    # on a flat clock every rank waits 0.0 and then runs for ``cost``: the
+    # call's seconds are numpy's sum of R equal entries, not R * cost
+    flat_rows = syscalls + (prof.mpi(name, float(np.full(R, cost).sum()),
+                                     R),)
+
+    def run(lag: _Clock) -> _Clock:
+        count = phase.count
+        if count > 0 and not isinstance(lag, float):
+            sync_at = float(lag.max())
+            # the clock array is the loop's own: reuse it for the waits
+            np.subtract(sync_at, lag, out=lag)
+            lag += cost
+            _add(syscalls + (prof.mpi(name, float(lag.sum()), R),))
+            lag = sync_at + cost
+            count -= 1
+        # the rest start from a flat clock
+        _add(flat_rows * count)
+        for _c in range(count):
+            lag += cost
+        return lag
+    return run
 
 
-def _do_memchurn(acc, model: CommCostModel, phase: MemChurn, rpn: int,
-                 R: int, cpus: int, lag: np.ndarray, multik: bool) -> None:
+def _memchurn_plan(prof: _Profile, model: CommCostModel, phase: MemChurn,
+                   rpn: int, R: int, cpus: int,
+                   multik: bool) -> _Plan:
     # churn is spread through the iteration, not bulk-synchronous
     depth = 2.0 if multik else 0.0
     pair = model.mmap_times(phase.nbytes, depth_per_cpu=depth)
     own = phase.mmaps * (pair["mmap"][0] + pair["munmap"][0])
     demand = phase.mmaps * (pair["mmap"][1] + pair["munmap"][1])
     wall = max(own, rpn * demand / cpus)
-    acc.sys("mmap", R * phase.mmaps * pair["mmap"][0], R * phase.mmaps)
-    acc.sys("munmap", R * phase.mmaps * pair["munmap"][0], R * phase.mmaps)
-    lag += wall
+    return _fixed_plan(
+        (prof.sys("mmap", R * phase.mmaps * pair["mmap"][0],
+                  R * phase.mmaps),
+         prof.sys("munmap", R * phase.mmaps * pair["munmap"][0],
+                  R * phase.mmaps)),
+        wall)
 
 
-def _do_fileio(acc, model: CommCostModel, phase: FileIO, rpn: int, R: int,
-               cpus: int, lag: np.ndarray, multik: bool) -> None:
+def _fileio_plan(prof: _Profile, model: CommCostModel, phase: FileIO,
+                 rpn: int, R: int, cpus: int, multik: bool) -> _Plan:
     sc = model.params.syscall
     # diagnostics I/O is spread through the iteration, not bulk
     depth = 2.0 if multik else 0.0
@@ -409,6 +509,7 @@ def _do_fileio(acc, model: CommCostModel, phase: FileIO, rpn: int, R: int,
     own = open_vis + phase.reads * read_vis + close_vis
     demand = open_dem + phase.reads * read_dem + close_dem
     wall = max(own, rpn * demand / cpus)
-    acc.sys("open", R * open_vis, R)
-    acc.sys("read", R * phase.reads * read_vis, R * phase.reads)
-    lag += wall
+    return _fixed_plan(
+        (prof.sys("open", R * open_vis, R),
+         prof.sys("read", R * phase.reads * read_vis, R * phase.reads)),
+        wall)

@@ -11,37 +11,52 @@ from repro.cluster import simulate_app
 from repro.config import ALL_CONFIGS
 from repro.units import KiB, MiB
 
-phase_strategy = st.one_of(
-    st.builds(HaloExchange,
-              neighbors=st.integers(1, 8),
-              msg_bytes=st.sampled_from([4 * KiB, 96 * KiB, 320 * KiB,
-                                         2 * MiB]),
-              rounds=st.integers(1, 2)),
-    st.builds(SweepPhase,
-              stages=st.integers(1, 12),
-              msg_bytes=st.sampled_from([16 * KiB, 256 * KiB, 1 * MiB]),
-              active_fraction=st.sampled_from([0.25, 0.5, 1.0])),
-    st.builds(CollectivePhase,
-              kind=st.sampled_from(["barrier", "allreduce", "bcast",
-                                    "alltoallv", "allgather", "scan"]),
-              nbytes=st.sampled_from([8, 1 * KiB, 128 * KiB, 512 * KiB]),
-              count=st.integers(1, 2)),
-    st.builds(MemChurn, mmaps=st.integers(1, 4),
-              nbytes=st.sampled_from([64 * KiB, 2 * MiB])),
-    st.builds(FileIO, reads=st.integers(1, 3)),
-)
+halo_strategy = st.builds(
+    HaloExchange,
+    neighbors=st.integers(1, 8),
+    msg_bytes=st.sampled_from([4 * KiB, 96 * KiB, 320 * KiB, 2 * MiB]),
+    rounds=st.integers(1, 2))
+sweep_strategy = st.builds(
+    SweepPhase,
+    stages=st.integers(1, 12),
+    msg_bytes=st.sampled_from([16 * KiB, 256 * KiB, 1 * MiB]),
+    active_fraction=st.sampled_from([0.25, 0.5, 1.0]))
+memchurn_strategy = st.builds(MemChurn, mmaps=st.integers(1, 4),
+                              nbytes=st.sampled_from([64 * KiB, 2 * MiB]))
+fileio_strategy = st.builds(FileIO, reads=st.integers(1, 3))
 
-spec_strategy = st.builds(
-    AppSpec,
-    name=st.just("fuzz"),
-    ranks_per_node=st.sampled_from([8, 32, 64]),
-    threads_per_rank=st.just(2),
-    iterations=st.integers(1, 3),
-    compute_seconds=st.floats(1e-4, 50e-3),
-    phases=st.tuples(phase_strategy, phase_strategy),
-    imbalance_cv=st.floats(0.0, 0.2),
-    lwk_compute_factor=st.floats(0.8, 1.0),
-)
+
+def collective_strategy(count=st.integers(1, 2), scope=st.just(0)):
+    """Collectives of every kind, ``count`` and ``scope`` drawn from the
+    given strategies (world scope by default)."""
+    return st.builds(
+        CollectivePhase,
+        kind=st.sampled_from(["barrier", "allreduce", "bcast", "alltoallv",
+                              "allgather", "scan"]),
+        nbytes=st.sampled_from([8, 1 * KiB, 128 * KiB, 512 * KiB]),
+        count=count, scope=scope)
+
+
+def spec_strategy_over(phases, imbalance_cv=st.floats(0.0, 0.2)):
+    """Application signatures whose phase tuple ``phases`` draws."""
+    return st.builds(
+        AppSpec,
+        name=st.just("fuzz"),
+        ranks_per_node=st.sampled_from([8, 32, 64]),
+        threads_per_rank=st.just(2),
+        iterations=st.integers(1, 3),
+        compute_seconds=st.floats(1e-4, 50e-3),
+        phases=phases,
+        imbalance_cv=imbalance_cv,
+        lwk_compute_factor=st.floats(0.8, 1.0),
+    )
+
+
+phase_strategy = st.one_of(halo_strategy, sweep_strategy,
+                           collective_strategy(), memchurn_strategy,
+                           fileio_strategy)
+
+spec_strategy = spec_strategy_over(st.tuples(phase_strategy, phase_strategy))
 
 
 @given(spec=spec_strategy, n_nodes=st.sampled_from([1, 2, 16]))

@@ -4,8 +4,11 @@ assertions (the same properties EXPERIMENTS.md reports)."""
 import pytest
 
 from repro.apps import ALL_APPS, HACC, LAMMPS, NEKBONE, QBOX, UMT2013
+from repro.apps.base import AppSpec, CollectivePhase
 from repro.cluster import simulate_app
 from repro.config import ALL_CONFIGS, OSConfig
+from repro.errors import ReproError
+from repro.units import KiB
 
 
 def rel(spec, n_nodes, config):
@@ -17,6 +20,37 @@ def rel(spec, n_nodes, config):
 def test_min_nodes_enforced():
     with pytest.raises(ValueError):
         simulate_app(QBOX, 2, OSConfig.LINUX)
+
+
+@pytest.mark.parametrize("iterations", [0, -1])
+def test_iterations_below_one_rejected(iterations):
+    """No solver loop means no figure of merit (it would divide by a
+    zero loop runtime)."""
+    with pytest.raises(ValueError, match="HACC"):
+        simulate_app(HACC, 4, OSConfig.LINUX, iterations=iterations)
+
+
+def _transpose_app(scope):
+    return AppSpec(name="transpose", ranks_per_node=32, threads_per_rank=4,
+                   iterations=2, compute_seconds=1e-3,
+                   phases=(CollectivePhase("alltoallv", nbytes=24 * KiB,
+                                           scope=scope),))
+
+
+def test_scope_wider_than_the_job_rejected():
+    """A 64-rank sub-communicator does not fit one 32-rank node; it
+    would model 63 rounds with half the traffic off-node."""
+    with pytest.raises(ValueError, match="transpose"):
+        simulate_app(_transpose_app(64), 1, OSConfig.MCKERNEL)
+    assert simulate_app(_transpose_app(64), 2, OSConfig.MCKERNEL).runtime > 0
+
+
+def test_negative_scope_rejected():
+    """A negative scope would run a collective that costs nothing."""
+    with pytest.raises(ReproError, match="transpose"):
+        _transpose_app(-5).validate()
+    with pytest.raises(ReproError, match="transpose"):
+        simulate_app(_transpose_app(-5), 1, OSConfig.LINUX)
 
 
 def test_result_bookkeeping():
