@@ -61,14 +61,27 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..config import ALL_CONFIGS, PLANES, planes
 from ..errors import ReproError
+from ..experiments.chaos import MESSAGE_SIZES, MessageTrain, _chaos_params
+from ..experiments.common import build_machine
 from ..faults import FaultPlan, ScheduledFault
+from ..guard import GuardPolicy
+from ..units import KiB, USEC
 
 #: OSConfig by its CLI/script name ("linux", "mckernel", "mckernel_hfi")
 _OS_BY_NAME = {cfg.value: cfg for cfg in ALL_CONFIGS}
+
+#: hair-trigger guard policy of the guarded scenarios: a single placed
+#: fault drives a full failover/failback cycle within the smoke step
+#: budget
+CHECK_POLICY_KW = dict(failure_window=4, failure_threshold=1,
+                       probe_successes=1, probe_backoff=50 * USEC,
+                       probe_backoff_factor=2.0,
+                       probe_backoff_max=400 * USEC,
+                       qdepth=16, nr_congestion_on=12, nr_congestion_off=4)
 
 #: same-time groups larger than this skip canonicalization (the greedy
 #: linearization is quadratic per group); dedup just misses more, which
@@ -423,117 +436,101 @@ def make_result(scheduler: ControlledScheduler, schedule: Schedule,
         census=dict(census or {}), divergences=scheduler.divergences)
 
 
+def _quiescence_violation(bounds: "Bounds") -> str:
+    return (f"no quiescence: event queue still live after "
+            f"{bounds.step_budget} steps (deadlock/livelock at bound)")
+
+
+def install_scheduler(machine, schedule: Schedule) -> ControlledScheduler:
+    """Put ``machine`` under a :class:`ControlledScheduler` for
+    ``schedule``: its simulator and every node heap."""
+    scheduler = ControlledScheduler(schedule)
+    machine.sim.scheduler = scheduler
+    for mnode in machine.nodes:
+        mnode.node.kheap.add_monitor(scheduler)
+    return scheduler
+
+
+def judge_run(machine, scheduler: ControlledScheduler, bounds: "Bounds",
+              contract: Callable[[], List[str]]) -> RunResult:
+    """Drive ``machine`` until it quiesces or hits the step bound, then
+    build the :class:`RunResult` from the scenario's ``contract`` (asked
+    only of a run that quiesced), ``machine.oracle_violations()`` and the
+    fault census."""
+    steps, quiesced = _drive(machine.sim, bounds.step_budget)
+    violations = contract() if quiesced else [_quiescence_violation(bounds)]
+    violations.extend(machine.oracle_violations())
+    census = (machine.injector.occurrences
+              if machine.injector is not None else {})
+    return make_result(scheduler, scheduler.schedule, violations, steps,
+                       quiesced, census)
+
+
 # --- scenarios --------------------------------------------------------------
 
 
 class PingpongScenario:
-    """The fig4-class workload: a two-node ping-pong exchanging one
-    message per protocol regime (eager PIO, eager SDMA, rendezvous)
-    over a 2-engine SDMA pool, checked for byte-intact-or-typed-error
-    delivery on top of the race/lockdep/quiescence oracles."""
+    """The fig4-class workload: a two-node
+    :class:`~repro.experiments.chaos.MessageTrain` carrying one message
+    per protocol regime (eager PIO, eager SDMA, rendezvous) over a
+    2-engine SDMA pool, checked for byte-intact-or-typed-error delivery
+    on top of quiescence and the machine's oracle sweep (KSan, lockdep,
+    and the guard FSMs when a policy is set).
+
+    The class attributes below are the scenario's data; a subclass that
+    changes only them is another scenario (:class:`GuardBreakerScenario`).
+    """
 
     name = "pingpong"
     description = "two-node fig4-class send/recv, one message per regime"
     configs = tuple(cfg.value for cfg in ALL_CONFIGS)
     expect_violation = False
-    n_messages = 3
+    #: the train's tag and message sizes
+    tag = "check"
+    sizes: Tuple[int, ...] = MESSAGE_SIZES
+    sdma_engines = 2
+    #: :class:`~repro.guard.GuardPolicy` keywords, or ``None`` unguarded
+    policy_kw: Optional[Dict[str, object]] = None
 
     def run(self, config: str, schedule: Schedule,
             bounds: "Bounds") -> RunResult:
-        """One controlled execution of the ping-pong protocol on the
-        named OS config, judged by all four oracles."""
-        from ..errors import DeviceTimeout, TransferCorrupt
-        from ..experiments.chaos import MESSAGE_SIZES, _chaos_params
-        from ..experiments.common import build_machine
-        from ..psm import Endpoint, TagMatcher
+        """One controlled execution of the message train on the named
+        OS config, judged by the delivery contract and every oracle."""
+        policy = (GuardPolicy(**self.policy_kw)
+                  if self.policy_kw is not None else None)
+        with planes(guard=policy):
+            machine = build_machine(2, _OS_BY_NAME[config],
+                                    params=_chaos_params(self.sdma_engines))
+            scheduler = install_scheduler(machine, schedule)
+            train = MessageTrain(machine, self.tag, self.sizes)
+            return judge_run(machine, scheduler, bounds,
+                             lambda: train.violations(
+                                 machine.os_config.label))
 
-        os_config = _OS_BY_NAME[config]
-        scheduler = ControlledScheduler(schedule)
-        machine = build_machine(2, os_config, params=_chaos_params())
-        sim = machine.sim
-        sim.scheduler = scheduler
-        for mnode in machine.nodes:
-            mnode.node.kheap.add_monitor(scheduler)
-        t0 = machine.spawn_rank(0, 0, 0)
-        t1 = machine.spawn_rank(1, 0, 1)
-        ep0 = Endpoint(sim, machine.params, machine.nodes[0].node.hfi, t0,
-                       tracer=machine.tracer)
-        ep1 = Endpoint(sim, machine.params, machine.nodes[1].node.hfi, t1,
-                       tracer=machine.tracer)
-        msgs = [(i, MESSAGE_SIZES[i % len(MESSAGE_SIZES)])
-                for i in range(self.n_messages)]
-        bufsize = 2 * max(MESSAGE_SIZES)
-        send_out: Dict[int, str] = {}
-        recv_reqs: Dict[int, object] = {}
 
-        def sender():
-            yield from ep0.open()
-            buf = yield from t0.syscall("mmap", bufsize)
-            while ep1.addr is None:
-                yield sim.timeout(1e-6)
-            for i, size in msgs:
-                try:
-                    yield from ep0.mq_send(ep1.addr, ("check", i), buf,
-                                           size, payload=("tok", i, size))
-                    send_out[i] = "ok"
-                except (DeviceTimeout, TransferCorrupt) as exc:
-                    send_out[i] = type(exc).__name__
+class GuardBreakerScenario(PingpongScenario):
+    """Breaker FSM legality under adversarial schedules and faults: the
+    ping-pong train on one guarded SDMA engine with the hair-trigger
+    :data:`CHECK_POLICY_KW`, so every placed ``sdma.desc_error`` /
+    ``sdma.engine_halt`` walks the breaker around the full CLOSED ->
+    OPEN -> PROBING -> CLOSED cycle.  Every message is eager-SDMA sized:
+    each one crosses the guarded writev fast path (PIO would bypass the
+    breaker entirely)."""
 
-        def receiver():
-            yield from ep1.open()
-            buf = yield from t1.syscall("mmap", bufsize)
-            for i, _size in msgs:
-                recv_reqs[i] = ep1.mq_irecv(
-                    TagMatcher(tag=("check", i)), (buf, bufsize))
-
-        sim.process(receiver())
-        sim.process(sender())
-        steps, quiesced = _drive(sim, bounds.step_budget)
-
-        violations: List[str] = []
-        if not quiesced:
-            violations.append(
-                f"no quiescence: event queue still live after "
-                f"{bounds.step_budget} steps (deadlock/livelock at bound)")
-        else:
-            typed = ("DeviceTimeout", "TransferCorrupt")
-            for i, size in msgs:
-                req = recv_reqs.get(i)
-                s_out = send_out.get(i, "hung")
-                label = f"{os_config.label} msg {i} ({size}B)"
-                if req is not None and req.event.triggered \
-                        and req.event.exception is None:
-                    if req.payload == ("tok", i, size) and req.nbytes == size:
-                        continue
-                    violations.append(
-                        f"{label}: delivered corrupt (payload="
-                        f"{req.payload!r}, nbytes={req.nbytes})")
-                    continue
-                r_exc = (req.event.exception
-                         if req is not None and req.event.triggered else None)
-                if (r_exc is not None and type(r_exc).__name__ in typed) \
-                        or s_out in typed:
-                    continue
-                if r_exc is not None:
-                    violations.append(
-                        f"{label}: untyped receive error {r_exc!r}")
-                else:
-                    violations.append(
-                        f"{label}: never delivered and no typed error "
-                        f"(sender: {s_out})")
-        violations.extend(r.render() for r in machine.race_reports())
-        violations.extend(r.render() for r in machine.lockdep_reports())
-        census = (machine.injector.occurrences
-                  if machine.injector is not None else {})
-        return make_result(scheduler, schedule, violations, steps,
-                           quiesced, census)
+    name = "guard-breaker"
+    description = ("guarded single-engine message train; breaker FSM "
+                   "legality under adversarial fault placement")
+    configs = ("mckernel_hfi",)
+    tag = "guard"
+    sizes = (96 * KiB,) * 5
+    sdma_engines = 1
+    policy_kw = CHECK_POLICY_KW
 
 
 def get_scenarios() -> Dict[str, object]:
     """The scenario registry (fixtures imported lazily to keep the
     explorer importable without the test rigs)."""
     from .check_fixtures import FlagRaceScenario
-    from .check_guard import GuardBreakerScenario
     from .check_pxd import PxdFallbackScenario
     scenarios = {}
     for scenario in (PingpongScenario(), FlagRaceScenario(),

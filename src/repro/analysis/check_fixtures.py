@@ -38,7 +38,7 @@ from ..config import PLANES
 from ..hw.memory import SharedHeap
 from ..sim import Simulator
 from .check import Bounds, ControlledScheduler, RunResult, Schedule, \
-    _drive, make_result
+    _drive, _quiescence_violation, make_result
 from .ksan import RaceDetector
 
 #: the producer's published value; the invariant oracle checks ``data``
@@ -159,9 +159,7 @@ class FlagRaceScenario:
         steps, quiesced = _drive(rig.sim, bounds.step_budget)
         violations: List[str] = []
         if not quiesced:
-            violations.append(
-                f"no quiescence: event queue still live after "
-                f"{bounds.step_budget} steps (deadlock/livelock at bound)")
+            violations.append(_quiescence_violation(bounds))
         violations.extend(r.render() for r in rig.detector.races)
         if quiesced and rig.final_data() != PUBLISHED_VALUE:
             violations.append(

@@ -28,6 +28,17 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from ..config import planes
+from ..errors import MediaError
+from ..experiments.common import build_machine
+from ..experiments.storage import WRITE_NSECTORS, _audit_media, \
+    _storage_params
+from ..guard import GuardPolicy
+from ..linux.pxd import ioctls as ioc
+from ..sim import Event
+from .check import CHECK_POLICY_KW, _OS_BY_NAME, RunResult, \
+    install_scheduler, judge_run
+
 
 class PxdFallbackScenario:
     """pxd fallback + replica FSM legality under adversarial faults."""
@@ -43,31 +54,15 @@ class PxdFallbackScenario:
     #: must take the slow path through the dispatcher fallback seam
     suspend_at = 2
 
-    def run(self, config: str, schedule, bounds) -> "RunResult":
+    def run(self, config: str, schedule, bounds) -> RunResult:
         """One controlled execution of the guarded pxd write train."""
-        from ..config import planes
-        from ..errors import MediaError
-        from ..experiments.storage import WRITE_NSECTORS, _audit_media, \
-            _fsm_oracles, _storage_params
-        from ..guard import GuardPolicy
-        from ..linux.pxd import ioctls as ioc
-        from ..sim import Event
-        from .check import ControlledScheduler, _OS_BY_NAME, _drive, \
-            make_result
-        from .check_guard import CHECK_POLICY_KW
-
-        os_config = _OS_BY_NAME[config]
         with planes(guard=GuardPolicy(**CHECK_POLICY_KW)):
-            from ..experiments.common import build_machine
             # two replicas: the smallest set where eviction leaves a
             # survivor to serve reads and seed the re-admission resync
-            params = _storage_params(replicas=2)
-            scheduler = ControlledScheduler(schedule)
-            machine = build_machine(1, os_config, params=params)
+            machine = build_machine(1, _OS_BY_NAME[config],
+                                    params=_storage_params(replicas=2))
+            scheduler = install_scheduler(machine, schedule)
             sim = machine.sim
-            sim.scheduler = scheduler
-            for mnode in machine.nodes:
-                mnode.node.kheap.add_monitor(scheduler)
             task = machine.spawn_rank(0, 0)
             sector_size = machine.params.blk.sector_size
             payloads = {i: bytes([(11 * i + 3) & 0xFF])
@@ -111,21 +106,14 @@ class PxdFallbackScenario:
                         reads[i] = "typed"
                 done.append(True)
 
-            sim.process(train())
-            steps, quiesced = _drive(sim, bounds.step_budget)
-
-            violations: List[str] = []
-            if not quiesced:
-                violations.append(
-                    f"no quiescence: event queue still live after "
-                    f"{bounds.step_budget} steps (deadlock/livelock at "
-                    f"bound)")
-            elif not done:
-                hung = [i for i in range(self.n_writes) if i not in outcomes]
-                violations.append(
-                    f"write train hung before completing: writes {hung} "
-                    f"never resolved (no ack, no typed error)")
-            else:
+            def contract() -> List[str]:
+                if not done:
+                    hung = [i for i in range(self.n_writes)
+                            if i not in outcomes]
+                    return [f"write train hung before completing: writes "
+                            f"{hung} never resolved (no ack, no typed "
+                            f"error)"]
+                violations = []
                 for i in range(self.n_writes):
                     if outcomes.get(i) != "acked":
                         continue
@@ -137,22 +125,16 @@ class PxdFallbackScenario:
                         f"payload not returned and no typed error "
                         f"(got {type(got).__name__})")
                 violations.extend(_audit_media(machine, acked, self.name))
-                pico_writes = machine.tracer.counters.get(
-                    "pico.pxd_writes", 0)
-                suspended = machine.tracer.counters.get(
-                    "pico.pxd_suspended", 0)
-                if pico_writes < 1:
+                counters = machine.tracer.counters
+                if counters.get("pico.pxd_writes", 0) < 1:
                     violations.append(
                         "fast path never ran: pico.pxd_writes == 0 "
                         "(dispatch seam rotted)")
-                if suspended < 1:
+                if counters.get("pico.pxd_suspended", 0) < 1:
                     violations.append(
                         "fallback seam never ran: pico.pxd_suspended == 0 "
                         "(SET_SUSPEND toggle rotted)")
-            violations.extend(_fsm_oracles(machine))
-            violations.extend(r.render() for r in machine.race_reports())
-            violations.extend(r.render() for r in machine.lockdep_reports())
-            census = (machine.injector.occurrences
-                      if machine.injector is not None else {})
-            return make_result(scheduler, schedule, violations, steps,
-                               quiesced, census)
+                return violations
+
+            sim.process(train())
+            return judge_run(machine, scheduler, bounds, contract)

@@ -20,7 +20,8 @@ every cell of the sweep is reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from ..config import ALL_CONFIGS, OSConfig, planes
 from ..errors import DeviceTimeout, TransferCorrupt
@@ -98,10 +99,132 @@ class ChaosResult:
         return "\n".join(lines)
 
 
-def _chaos_params():
+def _chaos_params(sdma_engines: int = 2):
     params = default_params()
     return params.with_overrides(
-        nic=replace(params.nic, sdma_engines=2))
+        nic=replace(params.nic, sdma_engines=sdma_engines))
+
+
+def _regime_sizes(n: int) -> List[int]:
+    """``n`` message sizes cycling through :data:`MESSAGE_SIZES`."""
+    return [MESSAGE_SIZES[i % len(MESSAGE_SIZES)] for i in range(n)]
+
+
+#: the receive/send outcomes the delivery contract accepts as failures
+_TYPED = ("DeviceTimeout", "TransferCorrupt")
+
+
+class MessageTrain:
+    """The two-node message train every delivery-contract check drives.
+
+    Rank 0 on node 0 sends message ``i`` (``sizes[i]`` bytes, tag
+    ``(tag, i)``, payload ``("tok", i, size)``) to rank 1 on node 1,
+    which posts every receive up front; each rank has one
+    :class:`~repro.psm.Endpoint` and one ``2 * max(sizes)`` buffer.  The
+    receiver starts first, then the sender: that order fixes the
+    schedule, and with it every digest and PicoCheck choice point.
+    ``before(i)``, when given, is a generator the sender runs before
+    message ``i`` (the flap campaign's phase entry actions).
+
+    The caller runs the machine; :meth:`outcome` then judges one message
+    against the contract — **every message is delivered byte-intact or
+    fails with a typed error** — and :meth:`tally` sums a run of them.
+    """
+
+    def __init__(self, machine, tag: str, sizes: Sequence[int],
+                 before: Optional[Callable[[int], Iterator]] = None):
+        self.machine = machine
+        self.tag = tag
+        self.sizes = list(sizes)
+        self.before = before
+        #: per message: sim time its send began and returned, and what
+        #: the sender saw ("ok" or the typed error's name)
+        self.sent_at: Dict[int, float] = {}
+        self.returned_at: Dict[int, float] = {}
+        self.send_out: Dict[int, str] = {}
+        #: per message: the receive request posted for it
+        self.recv_reqs: Dict[int, object] = {}
+        sim = machine.sim
+        t0 = machine.spawn_rank(0, 0, 0)
+        t1 = machine.spawn_rank(1, 0, 1)
+        ep0 = Endpoint(sim, machine.params, machine.nodes[0].node.hfi, t0,
+                       tracer=machine.tracer)
+        ep1 = Endpoint(sim, machine.params, machine.nodes[1].node.hfi, t1,
+                       tracer=machine.tracer)
+        # an empty train still maps a buffer: mmap rejects a zero length
+        bufsize = 2 * max(self.sizes, default=1)
+        sim.process(self._receiver(t1, ep1, bufsize))
+        sim.process(self._sender(t0, ep0, ep1, bufsize))
+
+    def _sender(self, task, ep, peer, bufsize):
+        sim = self.machine.sim
+        yield from ep.open()
+        buf = yield from task.syscall("mmap", bufsize)
+        while peer.addr is None:
+            yield sim.timeout(1e-6)
+        for i, size in enumerate(self.sizes):
+            if self.before is not None:
+                yield from self.before(i)
+            self.sent_at[i] = sim.now
+            try:
+                yield from ep.mq_send(peer.addr, (self.tag, i), buf, size,
+                                      payload=("tok", i, size))
+                self.send_out[i] = "ok"
+            except (DeviceTimeout, TransferCorrupt) as exc:
+                self.send_out[i] = type(exc).__name__
+            self.returned_at[i] = sim.now
+
+    def _receiver(self, task, ep, bufsize):
+        yield from ep.open()
+        buf = yield from task.syscall("mmap", bufsize)
+        for i in range(len(self.sizes)):
+            self.recv_reqs[i] = ep.mq_irecv(
+                TagMatcher(tag=(self.tag, i)), (buf, bufsize))
+
+    def outcome(self, i: int) -> str:
+        """``"intact"``, ``"typed"``, or the reason message ``i`` breaks
+        the delivery contract."""
+        size = self.sizes[i]
+        req = self.recv_reqs.get(i)
+        r_exc = None
+        if req is not None and req.event.triggered:
+            r_exc = req.event.exception
+            if r_exc is None:
+                if req.payload == ("tok", i, size) and req.nbytes == size:
+                    return "intact"
+                return (f"delivered corrupt (payload={req.payload!r}, "
+                        f"nbytes={req.nbytes})")
+        s_out = self.send_out.get(i, "hung")
+        if (r_exc is not None and type(r_exc).__name__ in _TYPED) \
+                or s_out in _TYPED:
+            return "typed"
+        if r_exc is not None:
+            return f"untyped receive error {r_exc!r}"
+        return f"never delivered and no typed error (sender: {s_out})"
+
+    def violations(self, label: str) -> List[str]:
+        """One line per message that broke the contract, naming
+        ``label``, the message index and its size."""
+        found = []
+        for i, size in enumerate(self.sizes):
+            verdict = self.outcome(i)
+            if verdict not in ("intact", "typed"):
+                found.append(f"{label} msg {i} ({size}B): {verdict}")
+        return found
+
+    def tally(self, lo: int, hi: int) -> Tuple[int, int, float, float]:
+        """``(delivered, typed failures, elapsed, goodput)`` over messages
+        ``lo`` to ``hi - 1``.  Elapsed runs from the first send's start
+        to the last send's return; goodput is intact bytes over it."""
+        verdicts = [self.outcome(i) for i in range(lo, hi)]
+        intact = [size for size, verdict in zip(self.sizes[lo:hi], verdicts)
+                  if verdict == "intact"]
+        elapsed = 1e-12
+        if hi > lo:
+            end = self.returned_at.get(hi - 1, self.machine.sim.now)
+            elapsed = max(end - self.sent_at.get(lo, 0.0), 1e-12)
+        return (len(intact), verdicts.count("typed"), elapsed,
+                sum(intact) / elapsed)
 
 
 def _run_cell(os_config: OSConfig, rate: float, n_messages: int,
@@ -119,88 +242,17 @@ def _run_cell(os_config: OSConfig, rate: float, n_messages: int,
         machine = build_machine(
             2, os_config,
             params=params if params is not None else _chaos_params())
-        sim = machine.sim
-        t0 = machine.spawn_rank(0, 0, 0)
-        t1 = machine.spawn_rank(1, 0, 1)
-        ep0 = Endpoint(sim, machine.params, machine.nodes[0].node.hfi, t0,
-                       tracer=machine.tracer)
-        ep1 = Endpoint(sim, machine.params, machine.nodes[1].node.hfi, t1,
-                       tracer=machine.tracer)
-        msgs: List[Tuple[int, int]] = [
-            (i, MESSAGE_SIZES[i % len(MESSAGE_SIZES)])
-            for i in range(n_messages)]
-        bufsize = 2 * max(MESSAGE_SIZES)
-        send_out: Dict[int, str] = {}
-        recv_reqs: Dict[int, object] = {}
-        span: Dict[str, Optional[float]] = {"start": None, "end": None}
-
-        def sender():
-            yield from ep0.open()
-            buf = yield from t0.syscall("mmap", bufsize)
-            while ep1.addr is None:
-                yield sim.timeout(1e-6)
-            span["start"] = sim.now
-            for i, size in msgs:
-                try:
-                    yield from ep0.mq_send(ep1.addr, ("chaos", i), buf,
-                                           size, payload=("tok", i, size))
-                    send_out[i] = "ok"
-                except (DeviceTimeout, TransferCorrupt) as exc:
-                    send_out[i] = type(exc).__name__
-            span["end"] = sim.now
-
-        def receiver():
-            yield from ep1.open()
-            buf = yield from t1.syscall("mmap", bufsize)
-            for i, _size in msgs:
-                recv_reqs[i] = ep1.mq_irecv(
-                    TagMatcher(tag=("chaos", i)), (buf, bufsize))
-
-        sim.process(receiver())
-        sim.process(sender())
+        train = MessageTrain(machine, "chaos", _regime_sizes(n_messages))
         # Drain completely: bounded watchdogs mean the simulation always
         # quiesces, even for messages that end in a typed failure.
-        sim.run()
-
-        delivered = failed = 0
-        delivered_bytes = 0
-        violations: List[str] = []
-        typed = ("DeviceTimeout", "TransferCorrupt")
-        for i, size in msgs:
-            req = recv_reqs.get(i)
-            s_out = send_out.get(i, "hung")
-            label = f"{os_config.label} rate={rate:g} msg {i} ({size}B)"
-            if req is not None and req.event.triggered \
-                    and req.event.exception is None:
-                if req.payload == ("tok", i, size) and req.nbytes == size:
-                    delivered += 1
-                    delivered_bytes += size
-                else:
-                    violations.append(
-                        f"{label}: delivered corrupt "
-                        f"(payload={req.payload!r}, nbytes={req.nbytes})")
-                continue
-            r_exc = (req.event.exception
-                     if req is not None and req.event.triggered else None)
-            if (r_exc is not None and type(r_exc).__name__ in typed) \
-                    or s_out in typed:
-                failed += 1
-                continue
-            if r_exc is not None:
-                violations.append(f"{label}: untyped receive error "
-                                  f"{r_exc!r}")
-            else:
-                violations.append(f"{label}: never delivered and no "
-                                  f"typed error (sender: {s_out})")
-        start = span["start"] if span["start"] is not None else 0.0
-        end = span["end"] if span["end"] is not None else sim.now
-        elapsed = max(end - start, 1e-12)
+        machine.sim.run()
+        delivered, failed, _elapsed, goodput = train.tally(0, n_messages)
         return CellResult(
-            os_config=os_config, rate=rate, messages=len(msgs),
-            delivered=delivered, failed_typed=failed,
-            goodput=delivered_bytes / elapsed,
+            os_config=os_config, rate=rate, messages=n_messages,
+            delivered=delivered, failed_typed=failed, goodput=goodput,
             counters=dict(machine.tracer.counters),
-            violations=violations)
+            violations=train.violations(
+                f"{os_config.label} rate={rate:g}"))
 
 
 def _cell_job(job: Tuple[OSConfig, float, int]) -> CellResult:
@@ -372,30 +424,33 @@ def run_flap(smoke: bool = False,
     from ..guard import GuardPolicy
     if phases is None:
         phases = FLAP_SMOKE_PHASES if smoke else FLAP_PHASES
+    names = [phase_name for phase_name, count in phases
+             for _ in range(count)]
     zero_plan = FaultPlan.uniform(0.0)
     with planes(faults=zero_plan, guard=GuardPolicy(**FLAP_POLICY_KW)):
         machine = build_machine(2, OSConfig.MCKERNEL_HFI,
                                 params=_chaos_params())
         sim = machine.sim
-        t0 = machine.spawn_rank(0, 0, 0)
-        t1 = machine.spawn_rank(1, 0, 1)
-        ep0 = Endpoint(sim, machine.params, machine.nodes[0].node.hfi, t0,
-                       tracer=machine.tracer)
-        ep1 = Endpoint(sim, machine.params, machine.nodes[1].node.hfi, t1,
-                       tracer=machine.tracer)
-        msgs: List[Tuple[str, int, int]] = []
-        for phase_name, count in phases:
-            for _ in range(count):
-                i = len(msgs)
-                msgs.append((phase_name, i,
-                             MESSAGE_SIZES[i % len(MESSAGE_SIZES)]))
-        bufsize = 2 * max(MESSAGE_SIZES)
-        send_out: Dict[int, str] = {}
-        send_done: Dict[int, float] = {}
-        recv_reqs: Dict[int, object] = {}
-        phase_spans: Dict[str, List[float]] = {}
         drill_start = Event(sim)
         guard0 = machine.nodes[0].guard
+
+        def enter_phase(i):
+            # a phase's entry actions run before its first send, so its
+            # measured span starts at that send
+            name = names[i]
+            if i and names[i - 1] == name:
+                return
+            if name == "burst":
+                machine.injector.plan = FLAP_BURST_PLAN
+            elif name != "baseline":
+                machine.injector.plan = zero_plan
+            if name == "recovery":
+                # faults are off; idle across the probe backoff cap so
+                # the measurement starts with breakers in PROBING, ready
+                # to fail back on first traffic
+                yield sim.timeout(FLAP_SETTLE)
+            if name == "drill":
+                drill_start.succeed()
 
         def drill():
             # suspend the sender's device under live traffic, hold it
@@ -405,104 +460,32 @@ def run_flap(smoke: bool = False,
             yield sim.timeout(FLAP_SUSPEND_HOLD)
             guard0.resume()
 
-        def sender():
-            yield from ep0.open()
-            buf = yield from t0.syscall("mmap", bufsize)
-            while ep1.addr is None:
-                yield sim.timeout(1e-6)
-            current = None
-            for phase_name, i, size in msgs:
-                if phase_name != current:
-                    if current is not None:
-                        phase_spans[current].append(sim.now)
-                    if phase_name == "burst":
-                        machine.injector.plan = FLAP_BURST_PLAN
-                    elif phase_name != "baseline":
-                        machine.injector.plan = zero_plan
-                    if phase_name == "recovery":
-                        # faults are off; idle across the probe backoff
-                        # cap so the measurement starts with breakers in
-                        # PROBING, ready to fail back on first traffic
-                        yield sim.timeout(FLAP_SETTLE)
-                    if phase_name == "drill":
-                        drill_start.succeed()
-                    current = phase_name
-                    phase_spans[current] = [sim.now]
-                try:
-                    yield from ep0.mq_send(ep1.addr, ("flap", i), buf,
-                                           size, payload=("tok", i, size))
-                    send_out[i] = "ok"
-                except (DeviceTimeout, TransferCorrupt) as exc:
-                    send_out[i] = type(exc).__name__
-                send_done[i] = sim.now
-            phase_spans[current].append(sim.now)
-
-        def receiver():
-            yield from ep1.open()
-            buf = yield from t1.syscall("mmap", bufsize)
-            for _phase, i, _size in msgs:
-                recv_reqs[i] = ep1.mq_irecv(
-                    TagMatcher(tag=("flap", i)), (buf, bufsize))
-
-        sim.process(receiver())
-        sim.process(sender())
+        train = MessageTrain(machine, "flap", _regime_sizes(len(names)),
+                             before=enter_phase)
         sim.process(drill())
         sim.run()
 
-        violations: List[str] = []
-        typed = ("DeviceTimeout", "TransferCorrupt")
-        by_phase: Dict[str, List[int]] = {}
-        delivered_bytes: Dict[str, int] = {}
+        violations = train.violations("flap")
         results: List[FlapPhase] = []
-        for phase_name, i, size in msgs:
-            stats = by_phase.setdefault(phase_name, [0, 0, 0])
-            label = f"flap msg {i} ({phase_name}, {size}B)"
-            req = recv_reqs.get(i)
-            s_out = send_out.get(i, "hung")
-            if req is not None and req.event.triggered \
-                    and req.event.exception is None:
-                if req.payload == ("tok", i, size) and req.nbytes == size:
-                    stats[0] += 1
-                    delivered_bytes[phase_name] = \
-                        delivered_bytes.get(phase_name, 0) + size
-                else:
-                    violations.append(
-                        f"{label}: delivered corrupt "
-                        f"(payload={req.payload!r}, nbytes={req.nbytes})")
-                continue
-            r_exc = (req.event.exception
-                     if req is not None and req.event.triggered else None)
-            if (r_exc is not None and type(r_exc).__name__ in typed) \
-                    or s_out in typed:
-                stats[1] += 1
-                continue
-            violations.append(f"{label}: never delivered and no typed "
-                              f"error (sender: {s_out}, recv: {r_exc!r})")
+        lo = 0
         for phase_name, count in phases:
-            span = phase_spans.get(phase_name, [0.0, 0.0])
-            elapsed = max(span[-1] - span[0], 1e-12)
-            stats = by_phase.get(phase_name, [0, 0, 0])
+            delivered, typed, elapsed, goodput = train.tally(lo, lo + count)
             results.append(FlapPhase(
-                name=phase_name, messages=count, delivered=stats[0],
-                failed_typed=stats[1], elapsed=elapsed,
-                goodput=delivered_bytes.get(phase_name, 0) / elapsed))
+                name=phase_name, messages=count, delivered=delivered,
+                failed_typed=typed, elapsed=elapsed, goodput=goodput))
+            lo += count
         snapshots = [mn.guard.snapshot() for mn in machine.nodes
                      if mn.guard is not None]
         result = FlapResult(phases=results,
                             counters=dict(machine.tracer.counters),
                             snapshots=snapshots, violations=violations)
         # campaign-level oracles beyond per-message integrity
-        for mn in machine.nodes:
-            if mn.guard is None:
-                continue
-            violations.extend(mn.guard.fsm_violations())
-            violations.extend(mn.guard.violations)
-        for phase_name in ("baseline", "drill"):
-            stats = by_phase.get(phase_name, [0, 0, 0])
-            if stats[1]:
+        violations.extend(machine.oracle_violations())
+        for phase in results:
+            if phase.name in ("baseline", "drill") and phase.failed_typed:
                 violations.append(
-                    f"{phase_name} phase saw {stats[1]} typed failures "
-                    f"with no faults injected")
+                    f"{phase.name} phase saw {phase.failed_typed} typed "
+                    f"failures with no faults injected")
         if result.recovery_ratio < FLAP_RECOVERY_BAR:
             violations.append(
                 f"goodput did not recover: recovery phase ran at "

@@ -103,6 +103,24 @@ class Machine:
         """All lock-order hazards found by this machine's validator."""
         return [] if self.lockdep is None else list(self.lockdep.reports)
 
+    def oracle_violations(self) -> List[str]:
+        """Every finding of the machine's own oracles, in a fixed order:
+        per node the guard, pxd and pxd-guard FSM legality and runtime
+        invariants, then KSan races, then lockdep hazards.  Empty on a
+        healthy run, and for each plane the machine did not install."""
+        found: List[str] = []
+        for mn in self.nodes:
+            if mn.guard is not None:
+                found += mn.guard.fsm_violations() + mn.guard.violations
+            if mn.pxd is not None:
+                found += mn.pxd.fsm_violations()
+            if mn.pxd_guard is not None:
+                found += (mn.pxd_guard.fsm_violations()
+                          + mn.pxd_guard.violations)
+        found.extend(r.render() for r in self.race_reports())
+        found.extend(r.render() for r in self.lockdep_reports())
+        return found
+
     def _build_node(self, node_id: int, driver_version: str) -> MachineNode:
         node = Node(self.sim, self.params, node_id, tracer=self.tracer)
         if PLANES.ksan is not None:

@@ -100,19 +100,6 @@ def _audit_media(machine, acked: Dict[int, Tuple[int, bytes]],
     return violations
 
 
-def _fsm_oracles(machine) -> List[str]:
-    """Replica-FSM legality plus guard-plane invariants."""
-    violations = []
-    for mn in machine.nodes:
-        if mn.pxd is not None:
-            violations.extend(mn.pxd.fsm_violations())
-            violations.extend(mn.pxd.violations)
-        if mn.pxd_guard is not None:
-            violations.extend(mn.pxd_guard.fsm_violations())
-            violations.extend(mn.pxd_guard.violations)
-    return violations
-
-
 @dataclass
 class StorageCellResult:
     """Outcome of one (OS config, fault rate) cell."""
@@ -312,7 +299,7 @@ def _run_cell(os_config: OSConfig, rate: float, n_writes: int,
 
         label = f"{os_config.label} rate={rate:g}"
         violations = _audit_media(machine, acked, label)
-        violations.extend(_fsm_oracles(machine))
+        violations.extend(machine.oracle_violations())
         n_acked = n_typed = n_read_typed = 0
         acked_bytes = 0
         for i in range(n_writes):
@@ -381,7 +368,7 @@ def _run_drill(os_config: OSConfig,
 
         label = f"{os_config.label} drill"
         violations = _audit_media(machine, acked, label)
-        violations.extend(_fsm_oracles(machine))
+        violations.extend(machine.oracle_violations())
         by_phase: Dict[str, List[float]] = {}
         results: List[DrillPhase] = []
         for job in jobs:

@@ -121,8 +121,6 @@ class PxdDriver(FileOps):
         #: replica lifecycle FSM: recorded transitions + current states
         self._replica_state: Dict[int, str] = {}
         self.replica_transitions: List[Tuple[float, int, str, str, str]] = []
-        #: runtime invariant breaches (PicoCheck oracle input)
-        self.violations: List[str] = []
         #: one entry per resync attempt: divergence found / refusals
         self.resync_reports: List[Dict[str, object]] = []
         #: writes in flight (head submitted, last completion pending)
@@ -212,10 +210,6 @@ class PxdDriver(FileOps):
         old = self._replica_state.get(replica, "inservice")
         self.replica_transitions.append(
             (self.kernel.sim.now, replica, old, new, reason))
-        if (old, new) not in REPLICA_LEGAL_TRANSITIONS:
-            self.violations.append(
-                f"pxd replica {replica}: illegal {old}->{new} "
-                f"at t={self.kernel.sim.now * 1e6:.1f}us ({reason})")
         self._replica_state[replica] = new
 
     def fsm_violations(self) -> List[str]:

@@ -14,9 +14,9 @@ import os
 
 import pytest
 
-from repro.analysis.check import (Bounds, Choice, ControlledScheduler,
-                                  Schedule, cmd_check, execute_run,
-                                  explore_config, get_scenarios,
+from repro.analysis.check import (SMOKE_BOUNDS, Bounds, Choice,
+                                  ControlledScheduler, Schedule, cmd_check,
+                                  execute_run, explore_config, get_scenarios,
                                   parse_schedule_script, replay_schedule,
                                   run_check, write_schedule_script)
 from repro.analysis.check_fixtures import FlagRaceScenario
@@ -214,6 +214,40 @@ def test_scenario_registry():
     assert scenarios["seeded-flag-race"].expect_violation is True
     assert scenarios["guard-breaker"].expect_violation is False
     assert scenarios["pxd-fallback"].expect_violation is False
+
+
+# --- the smoke tables are pinned ---------------------------------------------
+
+#: scenario -> config -> (runs, explored, deduped, reduced, root choice
+#: points, frontier) of ``python -m repro check <scenario> --smoke``
+SMOKE_TABLES = {
+    "pingpong": {"linux": (43, 43, 13, 259, 45, "exhausted"),
+                 "mckernel": (43, 43, 1, 168, 103, "exhausted"),
+                 "mckernel_hfi": (43, 43, 1, 168, 83, "exhausted")},
+    "guard-breaker": {"mckernel_hfi": (36, 36, 1, 140, 81, "exhausted")},
+    "pxd-fallback": {"mckernel_hfi": (30, 30, 6, 55, 79, "exhausted")},
+    "seeded-flag-race": {"rig": (8, 2, 0, 2, 5, "violation")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMOKE_TABLES))
+def test_smoke_table_is_pinned(name, tmp_path):
+    """Every scenario's smoke exploration, row by row: the schedules the
+    explorer runs, dedups and prunes are a function of the scenario's
+    event order, so a harness refactor that moves any count has moved
+    the schedule.  A change meant to move these values must say so and
+    update the pins."""
+    result = run_check(name, bounds=SMOKE_BOUNDS, out_dir=str(tmp_path))
+    table = {}
+    for o in result.outcomes:
+        frontier = ("violation" if o.violation is not None
+                    else "exhausted" if o.exhausted else "run-capped")
+        table[o.config] = (o.runs, o.explored, o.deduped, o.reduced,
+                           o.root_choice_points, frontier)
+    assert table == SMOKE_TABLES[name]
+    if result.expect_violation:
+        minimal = result.outcomes[0].minimal
+        assert (len(minimal.choices), len(minimal.faults)) == (1, 0)
 
 
 # --- the disabled-identity guarantee -----------------------------------------

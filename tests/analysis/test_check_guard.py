@@ -1,8 +1,8 @@
 """The guard-breaker PicoCheck scenario: FSM legality as a model-checker
 oracle, with and without adversarial fault placement."""
 
-from repro.analysis.check import Schedule, execute_run, get_scenarios
-from repro.analysis.check_guard import GuardBreakerScenario
+from repro.analysis.check import (GuardBreakerScenario, Schedule,
+                                  execute_run, get_scenarios)
 from repro.faults import ScheduledFault
 
 

@@ -11,7 +11,11 @@ where it was.  This test pins, against values taken before that work:
 * one storage recovery drill, whose storm and recovery phases swap the
   injector's plan mid-run: per-phase results, eviction/readmit/resync
   counts, the ``faults.*`` counters and a sha256 over the phases and
-  every counter.
+  every counter;
+* the flap smoke campaign, whose phases swap the plan, settle and run a
+  suspend/resume drill from inside the message train: per-phase
+  messages, deliveries, typed failures, elapsed time and goodput at
+  full precision, and the guard counters.
 
 A change that is meant to alter simulated output must say so and update
 the pins.
@@ -68,6 +72,18 @@ GOLDEN_DRILL = {
               "759ad7439d7a6e47d283e521a3a845b2",
 }
 
+#: (phase, messages, delivered, typed failures, elapsed, goodput) per
+#: phase of ``run_flap(smoke=True)``, and its guard counters
+GOLDEN_FLAP_PHASES = [
+    ("baseline", 6, 6, 0, 0.00024298455284552822, 9473655724.376078),
+    ("burst", 6, 6, 0, 0.0026764317073170673, 860082472.3854222),
+    ("recovery", 9, 9, 0, 0.0003644768292682971, 9473655724.375954),
+    ("drill", 3, 3, 0, 0.00041667227642276476, 2762305209.939609),
+]
+GOLDEN_FLAP_GUARD = {"guard.failovers": 2, "guard.failbacks": 2,
+                     "guard.routed_offload": 11,
+                     "guard.congestion_waits": 22, "guard.parked": 1}
+
 
 def _sha256(obj) -> str:
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -100,3 +116,12 @@ def test_storage_drill_with_plan_swaps_is_pinned():
             "resyncs": drill.resyncs, "faults": _faults(drill.counters),
             "sha256": _sha256({"phases": phases,
                                "counters": drill.counters})} == GOLDEN_DRILL
+
+
+def test_flap_smoke_is_pinned():
+    flap = chaos.run_flap(smoke=True)
+    assert flap.violations == []
+    assert [(p.name, p.messages, p.delivered, p.failed_typed, p.elapsed,
+             p.goodput) for p in flap.phases] == GOLDEN_FLAP_PHASES
+    assert {name: flap.counters.get(name, 0)
+            for name in GOLDEN_FLAP_GUARD} == GOLDEN_FLAP_GUARD

@@ -119,7 +119,18 @@ def test_failing_replica_is_evicted_and_write_acked_from_survivors():
     assert 4 in pxd._dirty[0] and 5 in pxd._dirty[0]
     assert machine.tracer.get_count("pxd.evictions") == 1
     assert machine.tracer.get_count("pxd.acked_writes") == 1
-    assert pxd.fsm_violations() == [] and pxd.violations == []
+    assert pxd.fsm_violations() == []
+
+
+def test_forced_illegal_edge_is_one_oracle_finding():
+    """The replica FSM oracle derives each illegal edge from the recorded
+    transitions alone, so one illegal edge is one finding in the
+    machine's oracle sweep (not one per bookkeeping list)."""
+    machine, pxd, _blockdev = make_machine()
+    pxd._transition(0, "probing", "forced")
+    found = machine.oracle_violations()
+    assert len(found) == 1
+    assert found[0].startswith("pxd replica 0: illegal inservice->probing")
 
 
 def test_all_replicas_failing_surfaces_a_typed_error():
@@ -247,4 +258,4 @@ def test_guard_probe_reattaches_resyncs_and_readmits():
         data_sectors = pxd.data_sectors
         assert blockdev.replicas[1].peek(0, data_sectors) \
             == blockdev.replicas[0].peek(0, data_sectors)
-        assert pxd.fsm_violations() == [] and pxd.violations == []
+        assert pxd.fsm_violations() == []

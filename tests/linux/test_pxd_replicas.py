@@ -71,7 +71,6 @@ def assert_replica_invariants(machine, pxd, blockdev, acked):
                 f"in-service replicas {ins[0]} and {r} are not bitwise " \
                 f"identical over the data region"
     assert pxd.fsm_violations() == []
-    assert pxd.violations == []
 
 
 @pytest.mark.parametrize("seed", range(6))

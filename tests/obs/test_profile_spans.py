@@ -1,11 +1,12 @@
-"""Span-backed KernelProfile equals the tracer-counter profile."""
+"""Per kernel track, the syscall spans sum to the tracer's accounting:
+the two accounting planes (spans and tracer counters) agree."""
 
 import pytest
 
 from repro.config import OSConfig, planes
 from repro.experiments import build_machine
 from repro.obs import SpanCollector
-from repro.profiling import profile_from_spans, profile_from_tracer
+from repro.profiling import profile_from_tracer
 
 
 def _traced_micro_run(os_config):
@@ -26,18 +27,32 @@ def _traced_micro_run(os_config):
     return collector, machine
 
 
+def span_times(collector, track_prefix=None):
+    """Summed ``cat="syscall"`` span duration per call name (the span is
+    named ``linux.<call>`` / ``lwk.<call>``), optionally only on tracks
+    under ``track_prefix``."""
+    times = {}
+    for span in collector.spans:
+        if span.cat != "syscall" or (track_prefix is not None and
+                                     not span.track.startswith(track_prefix)):
+            continue
+        call = span.name.split(".", 1)[-1]
+        times[call] = times.get(call, 0.0) + span.duration
+    return times
+
+
 def _assert_profiles_equal(from_spans, from_tracer):
-    assert set(from_spans.times) == set(from_tracer.times)
+    assert set(from_spans) == set(from_tracer.times)
     for name, t in from_tracer.times.items():
-        assert from_spans.times[name] == pytest.approx(t, rel=1e-12)
-    assert from_spans.dominant() == from_tracer.dominant()
+        assert from_spans[name] == pytest.approx(t, rel=1e-12)
+    assert max(from_spans, key=from_spans.get) == from_tracer.dominant()
 
 
 def test_span_profile_equals_tracer_profile_linux():
-    """On Linux there is one kernel and one tracer; the span-backed
-    profile must equal the tracer-counter one to the bit."""
+    """On Linux there is one kernel and one tracer; the span sums must
+    equal the tracer-counter profile."""
     collector, machine = _traced_micro_run(OSConfig.LINUX)
-    _assert_profiles_equal(profile_from_spans(collector),
+    _assert_profiles_equal(span_times(collector),
                            profile_from_tracer(machine.tracer))
 
 
@@ -49,16 +64,14 @@ def test_span_profile_equals_tracer_profile_mckernel():
     and shows up as linux.* spans on the linux track."""
     collector, machine = _traced_micro_run(OSConfig.MCKERNEL)
     _assert_profiles_equal(
-        profile_from_spans(collector,
-                           track_prefix="McKernel/node0/lwk"),
+        span_times(collector, track_prefix="McKernel/node0/lwk"),
         profile_from_tracer(machine.tracer))
     linux_tracer = machine.nodes[0].linux.tracer
     _assert_profiles_equal(
-        profile_from_spans(collector,
-                           track_prefix="McKernel/node0/linux"),
+        span_times(collector, track_prefix="McKernel/node0/linux"),
         profile_from_tracer(linux_tracer))
-    assert "munmap_shadow" in profile_from_spans(
-        collector, track_prefix="McKernel/node0/linux").times
+    assert "munmap_shadow" in span_times(
+        collector, track_prefix="McKernel/node0/linux")
 
 
 def test_track_prefix_narrows_to_one_kernel():
@@ -66,8 +79,7 @@ def test_track_prefix_narrows_to_one_kernel():
     lwk_names = {s.name for s in collector.spans if s.cat == "syscall"
                  and s.track.endswith("/lwk")}
     assert lwk_names, "no LWK syscall spans recorded"
-    lwk_only = profile_from_spans(collector,
-                                  track_prefix="McKernel/node0/lwk")
-    assert lwk_only.times
-    whole = profile_from_spans(collector)
-    assert lwk_only.total <= whole.total
+    lwk_only = span_times(collector, track_prefix="McKernel/node0/lwk")
+    assert lwk_only
+    whole = span_times(collector)
+    assert sum(lwk_only.values()) <= sum(whole.values())

@@ -48,6 +48,24 @@ def test_pingpong_evaluation_reports_the_curve_and_probe_counts():
     assert fitness.violations == ()
 
 
+@pytest.mark.parametrize("workload, done, planned", [
+    ("chaos", "delivered", "chaos_messages"),
+    ("storage", "acked", "storage_writes"),
+])
+def test_fault_cell_fitness_accounts_every_operation(workload, done,
+                                                     planned):
+    """The chaos and storage fitness: clean, positive, every operation
+    done or failed typed, and a pure function of (point, seed)."""
+    cfg = EnvConfig.smoke()
+    env = PicoEnv(workload, config=cfg)
+    fitness = env.evaluate(mid_point(), seed=42)
+    assert fitness.violations == ()
+    assert fitness.scalar > 0
+    assert fitness.metric(done) + fitness.metric("failed_typed") \
+        == getattr(cfg, planned)
+    assert env.evaluate(mid_point(), seed=42) == fitness
+
+
 def test_probe_never_leaks_past_an_evaluation():
     """The ``tune`` slot is clear again afterwards (asserted by the
     suite-wide ``planes_off`` fixture)."""
