@@ -29,7 +29,6 @@ Cooperation with the Linux driver is done the way the paper does it:
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Dict, Optional
 
 from ..config import PLANES
@@ -210,7 +209,7 @@ class HFIPicoDriver(PicoDriver):
                             dst_ctxt=meta["dst_ctxt"],
                             nbytes=total, tag=meta.get("tag"),
                             payload=meta.get("payload"),
-                            tids=tuple(meta.get("tids", ())),
+                            tids=meta.get("tids", ()),
                             seq=meta.get("seq"), csum=meta.get("csum"))
             group = SdmaRequestGroup(
                 descriptors=descs, packet=packet, owner_kernel="mckernel",
@@ -328,26 +327,25 @@ class HFIPicoDriver(PicoDriver):
                               + len(tids) * nic.tid_program_cost)
         # keep the Linux driver's bookkeeping coherent (shared state)
         state = self.linux_driver.file_state_by_addr(file.private_data)
-        state.tids.update(zip(tids, map(itemgetter(1), tid_spans)))
+        state.tids.add(tids)
         # benign by construction: TID ioctls for one fd are issued
         # sequentially by the owning task, so the fast- and slow-path
         # writers of tid_used never interleave for a single fd
         fdata.set("tid_used", len(state.tids))  # pd-ignore[PD015.5]
         lwk.tracer.count("pico.tid_updates")
         lwk.tracer.record("pico.tids_per_update", len(tids))
-        return list(tids)
+        return tids
 
     def _tid_free(self, task, fd: int, arg):
         lwk = self.lwk
-        tids = list(arg["tids"])
+        tids = arg["tids"]
         file, fdata, _pq = self._file_views(task, fd)
         state = self.linux_driver.file_state_by_addr(file.private_data)
-        if not state.tids.keys() >= set(tids):
-            bad = next(t for t in tids if t not in state.tids)
+        bad = state.tids.first_missing(tids)
+        if bad is not None:
             raise DriverError(f"pico TID_FREE of unowned tid {bad}")
         self.hfi.unprogram_tids(tids)
-        for tid in tids:
-            del state.tids[tid]
+        state.tids.remove(tids)
         fdata.set("tid_used", len(state.tids))
         yield lwk.sim.timeout(
             lwk.params.syscall.tid_ioctl_base_pico

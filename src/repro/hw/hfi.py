@@ -21,20 +21,25 @@ Host representation: every simulated cost, counter and fault draw stays
 per descriptor and per RcvArray entry, but the state is kept per request.
 A :class:`DescriptorChain` holds a request's descriptors as two columns,
 an engine ring holds segments of chains with a count of occupied slots,
-and the RcvArray stores ``(ctxt_id, span)`` per TID; the
-:class:`SdmaDescriptor` and :class:`TidEntry` records are built only
-when a caller iterates a chain or looks an entry up.
+and the RcvArray keeps one :class:`TidRanges` record per
+``program_tids`` call (its TID range, context and the caller's span
+list); the :class:`SdmaDescriptor` and :class:`TidEntry` records are
+built only when a caller iterates a chain or looks an entry up.  The
+``range`` a registration returns travels unchanged through the drivers,
+PSM and :attr:`Packet.tids`, so a whole window is checked on arrival and
+freed in one step.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from operator import add, itemgetter
 from typing import (Callable, Deque, Dict, Iterable, Iterator, List,
-                    NamedTuple, Optional, Tuple)
+                    NamedTuple, Optional, Sequence, Tuple)
 
 from ..config import PLANES
 from ..errors import DriverError, ReproError
@@ -139,6 +144,124 @@ class TidEntry(Record):
         self.nbytes = nbytes
 
 
+class TidRanges:
+    """A set of TIDs kept as disjoint ranges in increasing order, one
+    record per range, each with a caller's value.
+
+    TIDs are handed out in increasing order, so :meth:`add` appends, and
+    one bisect over the record starts finds the record of any TID.  Two
+    arguments are answered without touching their TIDs: a step-1
+    ``range`` inside one record (:meth:`first_missing`) and a ``range``
+    equal to one record (:meth:`remove`).  Any other sequence takes the
+    general path, one TID at a time; removing part of a record splits
+    it.  The RcvArray and the hfi1 driver's per-file TID set are both
+    this type.
+    """
+
+    __slots__ = ("_starts", "_stops", "_values", "_count")
+
+    def __init__(self) -> None:
+        self._starts: List[int] = []
+        self._stops: List[int] = []
+        self._values: List[object] = []
+        self._count = 0
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[int]:
+        """Every TID in the set, in increasing order."""
+        return chain.from_iterable(map(range, self._starts, self._stops))
+
+    def add(self, tids: range, value: object = None) -> None:
+        """Insert the step-1 range ``tids``, disjoint from the set, as one
+        record; an empty range adds nothing.  This appends unless two
+        registrations finished out of the order their TIDs were handed
+        out in."""
+        if tids:
+            i = len(self._starts)
+            if i and tids.start < self._stops[-1]:
+                i = bisect_left(self._starts, tids.start)
+            self._starts.insert(i, tids.start)
+            self._stops.insert(i, tids.stop)
+            self._values.insert(i, value)
+            self._count += len(tids)
+
+    def find(self, tid: int) -> int:
+        """The index of the record holding ``tid``, or -1."""
+        i = bisect_right(self._starts, tid) - 1
+        return i if i >= 0 and tid < self._stops[i] else -1
+
+    def value(self, i: int) -> object:
+        """The value of record ``i`` (an index from :meth:`find`)."""
+        return self._values[i]
+
+    def record(self, tids: Sequence[int]) -> int:
+        """The index of the record ``tids`` is exactly, or -1 unless
+        ``tids`` is a non-empty step-1 ``range``."""
+        if type(tids) is range and tids.step == 1 and tids:
+            i = bisect_left(self._starts, tids.start)
+            if (i < len(self._starts) and self._starts[i] == tids.start
+                    and self._stops[i] == tids.stop):
+                return i
+        return -1
+
+    def first_missing(self, tids: Sequence[int]) -> Optional[int]:
+        """The first of ``tids``, in their order, not in the set, or
+        ``None`` when all are."""
+        if type(tids) is range and tids.step == 1 and tids:
+            i = self.find(tids.start)
+            if i >= 0 and tids.stop <= self._stops[i]:
+                return None
+        for tid in tids:
+            if self.find(tid) < 0:
+                return tid
+        return None
+
+    def remove(self, tids: Sequence[int]) -> None:
+        """Drop ``tids``; each must be in the set and listed once.
+
+        A range equal to one record drops that record.  Otherwise the
+        records are rebuilt around the dropped TIDs, keeping the pieces
+        of each record on either side of them with the record's value.
+        """
+        i = self.record(tids)
+        if i >= 0:
+            self._count -= self._stops[i] - self._starts[i]
+            del self._starts[i], self._stops[i], self._values[i]
+            return
+        doomed = sorted(tids)
+        if not doomed:
+            return
+        starts: List[int] = []
+        stops: List[int] = []
+        values: List[object] = []
+        j = 0
+        for lo, hi, value in zip(self._starts, self._stops, self._values):
+            while j < len(doomed) and doomed[j] < hi:
+                if doomed[j] > lo:
+                    starts.append(lo)
+                    stops.append(doomed[j])
+                    values.append(value)
+                lo = doomed[j] + 1
+                j += 1
+            if lo < hi:
+                starts.append(lo)
+                stops.append(hi)
+                values.append(value)
+        self._starts, self._stops, self._values = starts, stops, values
+        self._count -= len(doomed)
+
+    def drop(self, doomed: Callable[[object], bool]) -> None:
+        """Drop every record whose value ``doomed`` holds for."""
+        keep = [i for i, value in enumerate(self._values)
+                if not doomed(value)]
+        self._count = sum(self._stops[i] - self._starts[i] for i in keep)
+        self._starts = [self._starts[i] for i in keep]
+        self._stops = [self._stops[i] for i in keep]
+        self._values = [self._values[i] for i in keep]
+
+
 class Packet(NamedTuple):
     """A logical message on the fabric (serialization is modeled at the
     sender, so one packet represents the whole transfer).
@@ -155,7 +278,9 @@ class Packet(NamedTuple):
     nbytes: int
     tag: object = None
     payload: object = None
-    tids: Tuple[int, ...] = ()
+    #: expected packets: the window's TIDs, normally the ``range`` the
+    #: receiver's TID_UPDATE returned (any sequence of TIDs is accepted)
+    tids: Sequence[int] = ()
     #: reliability sequence number (chaos runs only; ``None`` otherwise)
     seq: object = None
     #: payload integrity checksum (chaos runs only; ``None`` otherwise)
@@ -458,8 +583,10 @@ class HFIDevice:
         self._next_engine = 0
         self._contexts: Dict[int, RcvContext] = {}
         self._next_ctxt = 0
-        #: programmed RcvArray entries: tid -> (ctxt_id, (paddr, nbytes))
-        self._tid_entries: Dict[int, Tuple[int, Tuple[int, int]]] = {}
+        #: programmed RcvArray entries, one record per program_tids call
+        #: valued ``(ctxt_id, first tid, spans)``: TID t's span is
+        #: ``spans[t - first tid]``
+        self._tids = TidRanges()
         self._next_tid = 0
         self.fabric = None  # set by Fabric.attach
         #: installed by the Linux interrupt subsystem at driver load
@@ -497,10 +624,7 @@ class HFIDevice:
                 f"free of context {ctxt.ctxt_id} with {inflight} SDMA "
                 f"group(s) in flight targeting it")
         self._contexts.pop(ctxt.ctxt_id, None)
-        stale = [t for t, (ctxt_id, _span) in self._tid_entries.items()
-                 if ctxt_id == ctxt.ctxt_id]
-        for tid in stale:
-            del self._tid_entries[tid]
+        self._tids.drop(lambda value: value[0] == ctxt.ctxt_id)
 
     def context(self, ctxt_id: int) -> RcvContext:
         """Look up a receive context by id."""
@@ -549,7 +673,7 @@ class HFIDevice:
 
     @property
     def tids_in_use(self) -> int:
-        return len(self._tid_entries)
+        return len(self._tids)
 
     def program_tids(self, ctxt: RcvContext,
                      spans: List[Tuple[int, int]]) -> range:
@@ -561,9 +685,10 @@ class HFIDevice:
         larger spans first.  Raises when the RcvArray is exhausted.  The
         whole request is checked before any entry is installed, so a
         rejected request leaves the RcvArray and the TID counter as they
-        were.
+        were.  The entries are one record that keeps ``spans`` itself,
+        so the caller hands over a list it no longer changes.
         """
-        if len(self._tid_entries) + len(spans) > self.params.rcv_array_entries:
+        if len(self._tids) + len(spans) > self.params.rcv_array_entries:
             raise DriverError(
                 f"RcvArray exhausted: {self.tids_in_use} in use, "
                 f"{len(spans)} requested, {self.params.rcv_array_entries} total")
@@ -577,31 +702,35 @@ class HFIDevice:
                     f"{self.params.tid_max_span}B")
         tids = range(self._next_tid, self._next_tid + len(spans))
         self._next_tid = tids.stop
-        self._tid_entries.update(zip(tids, zip(repeat(ctxt.ctxt_id), spans)))
+        self._tids.add(tids, (ctxt.ctxt_id, tids.start, spans))
         self.tracer.count("hfi.tids_programmed", len(tids))
         return tids
 
-    def unprogram_tids(self, tids: List[int]) -> None:
+    def unprogram_tids(self, tids: Sequence[int]) -> None:
         """Invalidate RcvArray entries (TID_FREE).
 
         Every TID must be programmed and listed once; otherwise nothing
-        is invalidated."""
-        doomed = set(tids)
-        if len(doomed) != len(tids):
-            raise DriverError(f"unprogram lists a TID twice: {list(tids)}")
-        unknown = doomed.difference(self._tid_entries)
-        if unknown:
-            raise DriverError(f"unprogram of unknown TID {min(unknown)}")
-        for tid in tids:
-            del self._tid_entries[tid]
+        is invalidated.  The range of one ``program_tids`` call is freed
+        in one step; any other sequence is checked TID by TID."""
+        entries = self._tids
+        if entries.record(tids) < 0:
+            doomed = set(tids)
+            if len(doomed) != len(tids):
+                raise DriverError(
+                    f"unprogram lists a TID twice: {list(tids)}")
+            unknown = entries.first_missing(sorted(doomed))
+            if unknown is not None:
+                raise DriverError(f"unprogram of unknown TID {unknown}")
+        entries.remove(tids)
         self.tracer.count("hfi.tids_unprogrammed", len(tids))
 
     def tid_entry(self, tid: int) -> TidEntry:
         """Look up a programmed RcvArray entry."""
-        try:
-            ctxt_id, (paddr, nbytes) = self._tid_entries[tid]
-        except KeyError:
+        i = self._tids.find(tid)
+        if i < 0:
             raise DriverError(f"unknown TID {tid}")
+        ctxt_id, first, spans = self._tids.value(i)
+        paddr, nbytes = spans[tid - first]
         return TidEntry(tid, ctxt_id, paddr, nbytes)
 
     # -- fabric interface ---------------------------------------------------------
@@ -616,8 +745,8 @@ class HFIDevice:
         """Called by the fabric when a packet arrives at this node."""
         if packet.kind == "expected":
             # validates hardware state: every TID must be programmed
-            entries = self._tid_entries
-            if not entries.keys() >= set(packet.tids):
+            bad = self._tids.first_missing(packet.tids)
+            if bad is not None:
                 # Under fault injection a retransmit can outlive its
                 # window's RcvArray entries (the flow failed and freed
                 # them); real hardware discards writes to invalidated
@@ -625,7 +754,6 @@ class HFIDevice:
                 if self.injector is not None:
                     self.tracer.count("hfi.rx_stale_tid")
                     return
-                bad = next(t for t in packet.tids if t not in entries)
                 raise DriverError(f"unknown TID {bad}")
             self.tracer.count("hfi.rx_expected")
         else:

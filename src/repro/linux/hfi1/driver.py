@@ -14,7 +14,6 @@ another kernel dereferences it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Dict, List, Optional
 
 from ...config import PLANES
@@ -22,7 +21,8 @@ from ...core.lockclasses import declare_lock_class
 from ...core.structs import StructInstance
 from ...errors import (BadSyscall, DeviceTimeout, DriverError,
                        TransientDeviceError)
-from ...hw.hfi import Packet, RcvContext, SdmaRequestGroup
+from ...hw.hfi import (DescriptorChain, Packet, RcvContext,
+                       SdmaRequestGroup, TidRanges)
 from ...obs.spans import track_of
 from ...sim import Event
 from ...units import PAGE_SIZE, USEC
@@ -57,7 +57,8 @@ class DriverFileState:
     ctxt: RcvContext
     fdata: StructInstance
     pq: StructInstance
-    tids: Dict[int, int] = field(default_factory=dict)  # tid -> nbytes
+    #: the TIDs this open file registered, one record per TID_UPDATE
+    tids: TidRanges = field(default_factory=TidRanges)
 
 
 class Hfi1Driver(FileOps):
@@ -169,6 +170,7 @@ class Hfi1Driver(FileOps):
             return
         yield kernel.sim.timeout(_CTXT_SETUP_COST / 2)
         if state.tids:
+            # every TID the file still holds, in one RcvArray call
             self.hfi.unprogram_tids(list(state.tids))
         self.hfi.free_context(state.ctxt)
         state.fdata.free()
@@ -188,19 +190,25 @@ class Hfi1Driver(FileOps):
         mem = kernel.params.mem
 
         cost = sc.writev_base
-        pages: List[int] = []
+        paddrs: List[int] = []
+        sizes: List[int] = []
         total = 0
-        first_offset = None
         for vaddr, length in iovecs[1:]:
             iov_pages, gup_cost = kernel.mm.get_user_pages(task, vaddr, length)
             cost += gup_cost
-            if first_offset is None:
-                first_offset = vaddr % PAGE_SIZE
-            pages.extend(iov_pages)
             total += length
-        # The Linux driver submits at most PAGE_SIZE per request (sec. 3.4).
-        descs = build_descs_from_pages(pages, first_offset or 0, total,
-                                       kernel.params.nic.linux_max_request)
+            if length:
+                # each iovec is chopped from its own pages and offset; the
+                # Linux driver submits at most PAGE_SIZE per request
+                # (sec. 3.4)
+                chain = build_descs_from_pages(
+                    iov_pages, vaddr % PAGE_SIZE, length,
+                    kernel.params.nic.linux_max_request)
+                paddrs += chain.paddrs
+                sizes += chain.sizes
+        if not sizes:
+            raise DriverError(f"bad SDMA length {total}")
+        descs = DescriptorChain(paddrs, sizes)
         cost += len(descs) * sc.desc_build
         meta_addr = self.heap.kmalloc(192)
         cost += mem.kmalloc_cost
@@ -212,7 +220,7 @@ class Hfi1Driver(FileOps):
                         dst_node=meta["dst_node"], dst_ctxt=meta["dst_ctxt"],
                         nbytes=total, tag=meta.get("tag"),
                         payload=meta.get("payload"),
-                        tids=tuple(meta.get("tids", ())),
+                        tids=meta.get("tids", ()),
                         seq=meta.get("seq"), csum=meta.get("csum"))
         completion = meta.get("completion")
         pq_struct = state.pq
@@ -293,7 +301,8 @@ class Hfi1Driver(FileOps):
 
     def _tid_update(self, kernel, state: DriverFileState, task, arg):
         """Register expected-receive buffers: pin pages, program RcvArray
-        entries, return the TIDs (section 2.2.2)."""
+        entries, return the TIDs as the ``range`` the RcvArray handed out
+        (section 2.2.2)."""
         vaddr, length = arg["vaddr"], arg["length"]
         if length <= 0:
             raise DriverError(f"TID_UPDATE of bad length {length}")
@@ -313,18 +322,19 @@ class Hfi1Driver(FileOps):
         cost = (sc.tid_ioctl_base + gup_cost
                 + len(tids) * nic.tid_program_cost)
         yield kernel.sim.timeout(cost)
-        state.tids.update(zip(tids, map(itemgetter(1), spans)))
+        state.tids.add(tids)
         state.fdata.set("tid_used", len(state.tids))
-        return list(tids)
+        return tids
 
     def _tid_free(self, kernel, state: DriverFileState, arg):
-        tids = list(arg["tids"])
-        if not state.tids.keys() >= set(tids):
-            bad = next(t for t in tids if t not in state.tids)
+        """Invalidate registered TIDs; the ``range`` of one TID_UPDATE is
+        freed in one step, any other sequence TID by TID."""
+        tids = arg["tids"]
+        bad = state.tids.first_missing(tids)
+        if bad is not None:
             raise DriverError(f"TID_FREE of unowned tid {bad}")
         self.hfi.unprogram_tids(tids)
-        for tid in tids:
-            del state.tids[tid]
+        state.tids.remove(tids)
         state.fdata.set("tid_used", len(state.tids))
         yield kernel.sim.timeout(
             kernel.params.syscall.tid_ioctl_base

@@ -9,7 +9,7 @@ window pipelining — live here, exactly the layering of Figure 2.
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from ..config import PLANES
 from ..errors import (DeviceTimeout, ReproError, TransferCorrupt,
@@ -503,10 +503,11 @@ class Endpoint:
                     yield self.sim.timeout(
                         psm.retry_timeout
                         * psm.retry_backoff ** (attempts - 1))
-            flow.tids_by_window[w] = tuple(tids)
+            # the range TID_UPDATE returned travels as it is: through the
+            # CTS and the expected packet, and back into TID_FREE
+            flow.tids_by_window[w] = tids
             self.tracer.record("psm.tids_per_window", len(tids))
-            cts = Cts(flow.rts.msg_id, w, offset, length, tuple(tids),
-                      self.addr)
+            cts = Cts(flow.rts.msg_id, w, offset, length, tids, self.addr)
             csum = (packet_checksum("cts", None, self.params.psm.ctrl_bytes,
                                     None, cts) if self.hfi.injector is not None else None)
             pkt = Packet(kind="cts", src_node=self.addr.node_id,
@@ -552,9 +553,9 @@ class Endpoint:
             flow.request.complete(flow.rts.source, flow.rts.tag,
                                   flow.rts.total, flow.rts.payload)
 
-    def _free_tids(self, tids):
+    def _free_tids(self, tids: Sequence[int]):
         yield from self.task.syscall(
-            "ioctl", self.fd, ioc.HFI1_IOCTL_TID_FREE, {"tids": list(tids)})
+            "ioctl", self.fd, ioc.HFI1_IOCTL_TID_FREE, {"tids": tids})
 
     # -- rendezvous send side ------------------------------------------------------------------
 

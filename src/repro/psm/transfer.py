@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Set, Tuple
+from typing import Dict, Sequence, Set, Tuple
 
 from ..errors import ReproError
 
@@ -58,7 +58,8 @@ class Cts:
     window: int
     offset: int
     length: int
-    tids: Tuple[int, ...]
+    #: the window's TIDs as the receiver's TID_UPDATE returned them
+    tids: Sequence[int]
     dest: Tuple[int, int]            # receiver EndpointAddress
 
 
@@ -124,7 +125,8 @@ class RecvFlow:
     windows: int
     next_register: int = 0
     arrived: int = 0
-    tids_by_window: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
+    #: window -> its TIDs as TID_UPDATE returned them (a ``range``)
+    tids_by_window: Dict[int, Sequence[int]] = field(default_factory=dict)
     #: windows placed at least once (dedups re-CTS-triggered duplicates)
     arrived_windows: Set[int] = field(default_factory=set)
     #: corrupted expected-data packets seen (picks the typed error when

@@ -3,7 +3,7 @@
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DriverError, ReproError
@@ -368,27 +368,89 @@ def test_descriptor_chain_is_two_columns():
 
 #: span sizes around the bounds of a 5 KiB RcvArray entry
 _TID_SIZES = (-1, 0, 1, 4 * KiB, 5 * KiB, 5 * KiB + 1, 6 * KiB)
-#: one RcvArray operation: program spans into context 0 or 1, free TIDs
-#: (picked from those ever handed out, plus unknown ones), free a
-#: context, or receive an expected packet naming TIDs
+#: the TIDs an unprogram or receive names: a list (picked from those
+#: ever handed out, plus unknown ones), or a range of one of these
+#: shapes over a range ``program_tids`` returned, with three picks
+_TID_ARG = st.one_of(
+    st.lists(st.integers(0, 60), max_size=12),
+    st.tuples(st.sampled_from(("whole", "sub", "across", "stepped",
+                               "empty")),
+              st.integers(0, 7), st.integers(0, 7), st.integers(0, 7)))
+#: one RcvArray operation: program spans into context 0 or 1 (any sizes,
+#: or only sizes that fit, so that records of several TIDs are common),
+#: free TIDs, free a context, or receive an expected packet naming TIDs
 _RCV_OP = st.one_of(
     st.tuples(st.just("program"), st.integers(0, 1),
               st.lists(st.sampled_from(_TID_SIZES), max_size=40)),
-    st.tuples(st.just("unprogram"), st.integers(0, 1),
-              st.lists(st.integers(0, 60), max_size=12)),
+    st.tuples(st.just("program"), st.integers(0, 1),
+              st.lists(st.sampled_from((1, 4 * KiB, 5 * KiB)), min_size=1,
+                       max_size=12)),
+    st.tuples(st.just("unprogram"), st.integers(0, 1), _TID_ARG),
     st.tuples(st.just("free_context"), st.integers(0, 1), st.just(None)),
-    st.tuples(st.just("receive"), st.integers(0, 1),
-              st.lists(st.integers(0, 60), max_size=12)),
+    st.tuples(st.just("receive"), st.integers(0, 1), _TID_ARG),
 )
+
+
+def _tid_arg(arg, records):
+    """The TIDs an op names: the list as drawn, or a range shaped over
+    ``records``, the non-empty ranges programmed so far in order (an
+    empty range when there are none).  ``k`` picks the range, ``a`` the
+    first TID and ``b`` the end or step."""
+    if isinstance(arg, list):
+        return arg
+    shape, k, a, b = arg
+    if shape == "empty" or not records:
+        return range(a, a)
+    k %= len(records)
+    rec = records[k]
+    lo = rec.start + a % len(rec)
+    if shape == "whole":
+        return rec
+    if shape == "sub":
+        return range(lo, lo + 1 + b % (rec.stop - lo))
+    if shape == "across":
+        nxt = records[k + 1] if k + 1 < len(records) else range(
+            rec.stop, rec.stop + 3)
+        return range(lo, nxt.start + 1 + b % len(nxt))
+    return range(lo, rec.stop, 2 + b % 2)
+
+
+def _entries(dev):
+    """Every programmed entry, looked up TID by TID below ``_next_tid``
+    (``tid_entry`` raises on a TID with no entry)."""
+    out = {}
+    for tid in range(dev._next_tid):
+        try:
+            out[tid] = dev.tid_entry(tid)
+        except DriverError:
+            pass
+    return out
+
+
+_FOUR = [4 * KiB] * 4
 
 
 @given(ops=st.lists(_RCV_OP, max_size=25), faults=st.booleans())
 @settings(max_examples=150, deadline=None)
+# each range shape on records of several TIDs, whatever the draws
+@example(ops=[("program", 0, _FOUR), ("receive", 0, ("across", 0, 0, 0)),
+              ("unprogram", 0, ("sub", 0, 0, 0)),
+              ("unprogram", 0, ("sub", 0, 2, 0)),
+              ("receive", 0, ("whole", 0, 0, 0)),
+              ("unprogram", 0, ("stepped", 0, 1, 0))], faults=False)
+@example(ops=[("program", 0, _FOUR), ("program", 1, _FOUR),
+              ("receive", 1, ("across", 0, 1, 2)),
+              ("unprogram", 0, ("across", 0, 1, 2)),
+              ("receive", 0, ("across", 1, 0, 0)),
+              ("unprogram", 1, ("whole", 0, 0, 0)),
+              ("unprogram", 1, ("empty", 0, 3, 0))], faults=True)
 def test_rcv_array_matches_per_entry_reference(ops, faults):
     """program/unprogram/free_context/receive sequences against one
     ``TidEntry`` per entry in a dict: the same TIDs, ``_next_tid``,
     entries, counters, errors and deliveries, with and without the
-    fault plane's stale-TID drop (an installed injector)."""
+    fault plane's stale-TID drop (an installed injector).  Frees and
+    packets name TIDs as lists and as ranges: a whole record, part of
+    one, one across two records, a stepped range and an empty one."""
     sim, params, fabric, a, b = make_pair()
     nic = replace(params.nic, rcv_array_entries=48, tid_max_span=5 * KiB)
     dev = HFIDevice(sim, nic, node_id=7)
@@ -398,15 +460,24 @@ def test_rcv_array_matches_per_entry_reference(ops, faults):
     for ctxt in ctxts:
         ctxt.on_packet = delivered.append
     dev.injector = FaultInjector(FaultPlan(), None) if faults else None
+    records = []
+
+    def program(ctxt, spans):
+        tids = dev.program_tids(ctxt, spans)
+        if tids:
+            records.append(tids)
+        return list(tids)
+
     for op, which, arg in ops:
         ctxt = ctxts[which]
         if op == "program":
             spans = [(i * PAGE_SIZE, n) for i, n in enumerate(arg)]
-            calls = (lambda: list(dev.program_tids(ctxt, spans)),
+            calls = (lambda: program(ctxt, spans),
                      lambda: ref.program(ctxt.ctxt_id, spans))
         elif op == "unprogram":
-            calls = (lambda: dev.unprogram_tids(arg),
-                     lambda: ref.unprogram(arg))
+            tids = _tid_arg(arg, records)
+            calls = (lambda: dev.unprogram_tids(tids),
+                     lambda: ref.unprogram(tids))
         elif op == "free_context":
             dev.free_context(ctxt)
             ref.free_context(ctxt.ctxt_id)
@@ -414,11 +485,13 @@ def test_rcv_array_matches_per_entry_reference(ops, faults):
             ctxts[which].on_packet = delivered.append
             continue
         else:
+            tids = _tid_arg(arg, records)
             pkt = Packet(kind="expected", src_node=0, dst_node=7,
                          dst_ctxt=ctxt.ctxt_id, nbytes=KiB,
-                         tids=tuple(arg))
+                         tids=tids if isinstance(tids, range)
+                         else tuple(tids))
             calls = (lambda: dev.receive(pkt) or pkt in delivered,
-                     lambda: ref.receive(arg, faults))
+                     lambda: ref.receive(tids, faults))
         outs = []
         for call in calls:
             try:
@@ -427,7 +500,7 @@ def test_rcv_array_matches_per_entry_reference(ops, faults):
                 outs.append(str(exc))
         assert outs[0] == outs[1], op
         assert dev._next_tid == ref.next_tid
-        assert {t: dev.tid_entry(t) for t in dev._tid_entries} == \
-            ref.entries
+        assert _entries(dev) == ref.entries
+        assert dev.tids_in_use == len(ref.entries)
         delivered.clear()
     assert dev.tracer.counters == ref.tracer.counters

@@ -250,3 +250,85 @@ def test_tid_free_names_first_unowned_tid_and_frees_nothing(cfg):
     message, programmed = proc.value
     assert message.endswith("TID_FREE of unowned tid 778")
     assert machine.nodes[0].node.hfi.tids_in_use == programmed
+
+
+@pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: c.value)
+def test_tid_free_of_part_of_a_registration_then_the_rest(cfg):
+    """TID_UPDATE a 4 MiB buffer (at least two TIDs on every config),
+    TID_FREE a range from its middle, then the rest as a list.  After
+    each step the RcvArray, the driver's shared ``tid_used`` field and
+    the ``hfi.tids_unprogrammed`` counter agree."""
+    machine = build_machine(1, cfg)
+    hfi = machine.nodes[0].node.hfi
+    driver = machine.nodes[0].driver
+    task = machine.spawn_rank(0, 0, 0)
+    seen = []
+
+    def note():
+        (state,) = driver._files.values()
+        seen.append((hfi.tids_in_use, state.fdata.get("tid_used"),
+                     hfi.tracer.counters.get("hfi.tids_unprogrammed", 0)))
+
+    def body():
+        fd = yield from task.syscall("open", "/dev/hfi1_0")
+        buf = yield from task.syscall("mmap", 4 * MiB)
+        tids = yield from task.syscall("ioctl", fd,
+                                       ioc.HFI1_IOCTL_TID_UPDATE,
+                                       {"vaddr": buf, "length": 4 * MiB})
+        note()
+        lo = len(tids) // 2
+        hi = lo + max(1, len(tids) // 4)
+        freed = yield from task.syscall("ioctl", fd,
+                                        ioc.HFI1_IOCTL_TID_FREE,
+                                        {"tids": tids[lo:hi]})
+        note()
+        rest = list(tids[:lo]) + list(tids[hi:])
+        yield from task.syscall("ioctl", fd, ioc.HFI1_IOCTL_TID_FREE,
+                                {"tids": rest})
+        note()
+        return len(tids), freed
+
+    proc = machine.sim.process(body())
+    machine.sim.run(until=proc)
+    n, freed = proc.value
+    assert n >= 2 and 1 <= freed < n
+    assert seen == [(n, n, 0), (n - freed, n - freed, freed), (0, 0, n)]
+
+
+@pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: c.value)
+def test_concurrent_tid_updates_on_one_fd_free_in_any_order(cfg):
+    """Two TID_UPDATEs issued together on one fd: on Linux and McKernel
+    the smaller one is charged less and returns first, so the driver
+    records the later TIDs first.  Each range still frees, and the
+    driver's TID set and ``tid_used`` end empty."""
+    machine = build_machine(1, cfg)
+    sim = machine.sim
+    task = machine.spawn_rank(0, 0, 0)
+    done = []
+
+    def body():
+        fd = yield from task.syscall("open", "/dev/hfi1_0")
+        buf = yield from task.syscall("mmap", 128 * KiB)
+
+        def update(offset, length):
+            tids = yield from task.syscall(
+                "ioctl", fd, ioc.HFI1_IOCTL_TID_UPDATE,
+                {"vaddr": buf + offset, "length": length})
+            done.append(tids)
+
+        big = sim.process(update(0, 64 * KiB))
+        small = sim.process(update(64 * KiB, 4 * KiB))
+        yield big
+        yield small
+        for tids in done:
+            yield from task.syscall("ioctl", fd, ioc.HFI1_IOCTL_TID_FREE,
+                                    {"tids": tids})
+        (state,) = machine.nodes[0].driver._files.values()
+        return len(state.tids), state.fdata.get("tid_used")
+
+    proc = sim.process(body())
+    sim.run(until=proc)
+    assert proc.value == (0, 0)
+    assert machine.nodes[0].node.hfi.tids_in_use == 0
+    if cfg is not OSConfig.MCKERNEL_HFI:
+        assert done[0][0] > done[1][0]

@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.config import OSConfig
+from repro.config import ALL_CONFIGS, OSConfig
 from repro.errors import BadSyscall, DriverError
 from repro.experiments import build_machine
+from repro.hw.hfi import SdmaEngine
 from repro.linux.hfi1 import ioctls as ioc
 from repro.sim import Event
-from repro.units import KiB, MiB
+from repro.units import KiB, MiB, PAGE_SIZE
 
 
 @pytest.fixture()
@@ -149,6 +150,93 @@ def test_writev_delivers_and_completes(machine):
     machine.sim.run()
     assert len(got) == 1 and got[0].payload == "DATA"
     assert got[0].nbytes == 1 * MiB
+
+
+#: data iovecs as (offset into the buffer, length), then each iovec's
+#: descriptor sizes per base page (Linux, offloaded McKernel) and
+#: coalesced (PicoDriver)
+_MULTI_IOVEC = {
+    "two-small": ([(0, 100), (3 * PAGE_SIZE + 8, 100)],
+                  [[100], [100]], [[100], [100]]),
+    "page-crossing": ([(0, 6000), (16 * KiB, 5000)],
+                      [[4096, 1904], [4096, 904]], [[6000], [5000]]),
+    "zero-length": ([(0, 100), (PAGE_SIZE + 8, 0), (2 * PAGE_SIZE, 100)],
+                    [[100], [], [100]], [[100], [], [100]]),
+}
+
+
+def _send_iovecs(machine, iovs):
+    """writev ``iovs`` (offsets into a fresh buffer) from node 0 to a
+    context on node 1; returns (the call's result or error, the
+    sender's task, the buffer)."""
+    sim = machine.sim
+
+    def receiver(task):
+        fd = yield from task.syscall("open", "/dev/hfi1_0")
+        info = yield from task.syscall("ioctl", fd,
+                                       ioc.HFI1_IOCTL_ASSIGN_CTXT, None)
+        return info["ctxt"]
+
+    ctxt_id = run(machine, receiver, node=1)
+    task = machine.spawn_rank(0, 0)
+
+    def sender():
+        fd = yield from task.syscall("open", "/dev/hfi1_0")
+        buf = yield from task.syscall("mmap", 64 * KiB)
+        done = Event(sim)
+        meta = {"dst_node": 1, "dst_ctxt": ctxt_id, "kind": "eager",
+                "completion": done}
+        try:
+            n = yield from task.syscall(
+                "writev", fd, [meta] + [(buf + off, n) for off, n in iovs])
+        except DriverError as exc:
+            return exc, buf
+        yield done
+        return n, buf
+
+    proc = sim.process(sender())
+    sim.run(until=proc)
+    result, buf = proc.value
+    return result, task, buf
+
+
+@pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: c.value)
+@pytest.mark.parametrize("case", sorted(_MULTI_IOVEC))
+def test_writev_chops_each_data_iovec_from_its_own_pages(cfg, case,
+                                                        monkeypatch):
+    """Each data iovec becomes its own run of descriptors, starting at
+    its own physical address: per base page on Linux and on the
+    offloaded McKernel path, coalesced on the PicoDriver fast path.  A
+    zero-length iovec adds no descriptor."""
+    iovs, per_page, coalesced = _MULTI_IOVEC[case]
+    chains = []
+    submit = SdmaEngine.submit
+
+    def capture(engine, group):
+        chains.append((list(group.descriptors.paddrs),
+                       list(group.descriptors.sizes)))
+        return submit(engine, group)
+
+    monkeypatch.setattr(SdmaEngine, "submit", capture)
+    machine = build_machine(2, cfg)
+    n, task, buf = _send_iovecs(machine, iovs)
+    assert n == sum(length for _, length in iovs)
+    runs = coalesced if cfg is OSConfig.MCKERNEL_HFI else per_page
+    paddrs = []
+    for (off, _length), sizes in zip(iovs, runs):
+        paddrs += [task.pagetable.translate(buf + off + sum(sizes[:k]))
+                   for k in range(len(sizes))]
+    assert chains == [(paddrs, [s for sizes in runs for s in sizes])]
+
+
+@pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: c.value)
+def test_writev_of_no_bytes_is_rejected(cfg):
+    """Data iovecs that are all empty are refused with the request's
+    length, on every config (the fast path defers to the slow path)."""
+    machine = build_machine(2, cfg)
+    exc, _task, _buf = _send_iovecs(machine, [(8, 0), (PAGE_SIZE, 0)])
+    assert isinstance(exc, DriverError)
+    assert str(exc).endswith("bad SDMA length 0")
 
 
 def test_writev_pq_counter_balances(machine):
