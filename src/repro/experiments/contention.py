@@ -116,12 +116,3 @@ def run_contention(rank_counts=DEFAULT_RANK_COUNTS,
                  for n in rank_counts}
     return ContentionResult(rank_counts=tuple(rank_counts),
                             measured=measured, predicted=predicted)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    """CLI entry: print the contention study."""
-    print(run_contention().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -5,8 +5,9 @@ full PSM / driver / SDMA / IKC stack — for each OS configuration and
 reports one bandwidth series per configuration.
 
 Paper shape to reproduce: all three equal below the 64KB PIO threshold;
-McKernel ~90% of Linux above it; McKernel+HFI above Linux, peaking ~+15%
-at 4MB (driven by 10KB vs 4KB SDMA descriptors).
+McKernel ~90% of Linux above it; McKernel+HFI above Linux by up to 15% at
+4MB (10KB vs 4KB SDMA descriptors).  Here the HFI gain peaks at 256KB
+instead (1.41; claim ``fig4.hfi_peak``).
 """
 
 from __future__ import annotations
@@ -63,12 +64,3 @@ def run_fig4(sizes: Sequence[int] = DEFAULT_SIZES,
         machine = build_machine(2, config, params=params)
         series[config] = PingPong(machine, repetitions=repetitions).run(sizes)
     return Fig4Result(sizes=tuple(sizes), series=series)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    """CLI entry: print Figure 4."""
-    print(run_fig4().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

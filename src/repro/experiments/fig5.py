@@ -26,14 +26,3 @@ def run_fig5b(node_counts: Sequence[int] = DEFAULT_NODE_COUNTS,
               iterations: Optional[int] = None) -> ScalingResult:
     """Regenerate Figure 5b (Nekbone weak scaling)."""
     return run_scaling(NEKBONE, node_counts, params, iterations)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    """CLI entry: print Figure 5a and 5b."""
-    print(run_fig5a().render("Figure 5a: LAMMPS relative performance (%)"))
-    print()
-    print(run_fig5b().render("Figure 5b: Nekbone relative performance (%)"))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -31,14 +31,3 @@ def run_fig6b(node_counts: Sequence[int] = HACC_NODE_COUNTS,
               iterations: Optional[int] = None) -> ScalingResult:
     """Regenerate Figure 6b (HACC weak scaling)."""
     return run_scaling(HACC, node_counts, params, iterations)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    """CLI entry: print Figure 6a and 6b."""
-    print(run_fig6a().render("Figure 6a: UMT2013 relative performance (%)"))
-    print()
-    print(run_fig6b().render("Figure 6b: HACC relative performance (%)"))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -22,12 +22,3 @@ def run_fig7(node_counts: Sequence[int] = QBOX_NODE_COUNTS,
              iterations: Optional[int] = None) -> ScalingResult:
     """Regenerate Figure 7 (QBOX weak scaling, 4+ nodes)."""
     return run_scaling(QBOX, node_counts, params, iterations)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    """CLI entry: print Figure 7."""
-    print(run_fig7().render("Figure 7: QBOX relative performance (%)"))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

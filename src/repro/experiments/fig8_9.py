@@ -109,14 +109,3 @@ def run_fig9(n_nodes: int = 8, params: Optional[Params] = None,
              iterations: Optional[int] = None) -> Fig89Result:
     """Regenerate Figure 9 (QBOX syscall breakdown)."""
     return run_breakdown("QBOX", n_nodes, params, iterations)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    """CLI entry: print Figures 8 and 9."""
-    print(run_fig8().render("Figure 8"))
-    print()
-    print(run_fig9().render("Figure 9"))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

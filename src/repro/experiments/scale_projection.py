@@ -67,12 +67,3 @@ def run_projection(node_counts: Sequence[int] = PROJECTION_NODE_COUNTS,
                 relative[(app, c, n)] = results[c].figure_of_merit / linux
     return ProjectionResult(node_counts=tuple(node_counts),
                             relative=relative)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    """CLI entry: print the projection."""
-    print(run_projection().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

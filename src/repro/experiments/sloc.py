@@ -110,12 +110,3 @@ def run_sloc() -> SlocResult:
         claimed_ioctls=len(TID_IOCTLS),
         total_ioctls=len(ALL_IOCTLS),
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    """CLI entry: print the porting-effort inventory."""
-    print(run_sloc().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

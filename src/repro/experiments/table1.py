@@ -76,12 +76,3 @@ def run_table1(n_nodes: int = TABLE1_NODES,
                                               params=params,
                                               iterations=iterations)
     return Table1Result(n_nodes=n_nodes, raw=raw)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    """CLI entry: print Table 1."""
-    print(run_table1().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

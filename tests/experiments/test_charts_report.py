@@ -1,9 +1,6 @@
-"""Tests for ASCII charts and the markdown report generator."""
-
-import pytest
+"""Tests for ASCII charts."""
 
 from repro.experiments.charts import ascii_chart
-from repro.experiments.report import generate_report
 
 
 def test_chart_places_series_by_value():
@@ -45,12 +42,3 @@ def test_scaling_render_includes_chart():
     text = res.render()
     assert "% of Linux" in text
     assert "L=Linux" in text
-
-
-@pytest.mark.slow
-def test_report_generates_and_passes_own_checks():
-    report = generate_report(fast=True)
-    assert "# PicoDriver reproduction" in report
-    assert "Figure 4" in report and "Porting effort" in report
-    assert "❌" not in report          # every shape check passes
-    assert report.count("✅") >= 10

@@ -1,11 +1,12 @@
-"""Tests of the experiment harnesses: every table/figure generator runs
-and reproduces its paper shape (fast settings where possible)."""
+"""Tests of the experiment harnesses: structure, rendering and the
+scaling sweep.  The paper's shape claims are rows of ``report.CLAIMS``,
+asserted by ``test_claims.py``."""
 
 import pytest
 
 from repro.config import ALL_CONFIGS, OSConfig
-from repro.experiments import (run_fig4, run_fig7, run_fig8, run_fig9,
-                               run_scaling, run_sloc, run_table1)
+from repro.experiments import (run_fig4, run_fig7, run_scaling, run_sloc,
+                               run_table1)
 from repro.experiments.fig4 import Fig4Result
 from repro.units import KiB, MiB
 
@@ -22,20 +23,6 @@ def test_fig4_has_all_series(fig4):
     for config in ALL_CONFIGS:
         assert set(fig4.series[config]) == set(FIG4_SIZES)
         assert all(v > 0 for v in fig4.series[config].values())
-
-
-def test_fig4_pio_parity(fig4):
-    for size in (8 * KiB, 64 * KiB):
-        assert fig4.ratio(OSConfig.MCKERNEL, size) == pytest.approx(1.0)
-        assert fig4.ratio(OSConfig.MCKERNEL_HFI, size) == pytest.approx(1.0)
-
-
-def test_fig4_mckernel_around_90_percent(fig4):
-    assert 0.80 < fig4.ratio(OSConfig.MCKERNEL, 4 * MiB) < 0.97
-
-
-def test_fig4_hfi_beats_linux_at_4mb(fig4):
-    assert 1.05 < fig4.ratio(OSConfig.MCKERNEL_HFI, 4 * MiB) < 1.30
 
 
 def test_fig4_bandwidth_monotone_in_size(fig4):
@@ -80,35 +67,10 @@ def test_table1_covers_apps_and_configs(table1):
             assert rows[0].time >= rows[-1].time
 
 
-def test_table1_umt_mckernel_wait_dominates(table1):
-    top = table1.top("UMT2013", OSConfig.MCKERNEL, 2)
-    assert top[0].call == "Wait"
-    wait_l = table1.time_in("UMT2013", OSConfig.LINUX, "Wait")
-    assert top[0].time > 4 * wait_l
-
-
 def test_table1_render(table1):
     text = table1.render()
     assert "UMT2013" in text and "Cart_create" in text
     assert "% MPI" in text
-
-
-# --- figures 8 / 9 ------------------------------------------------------------------
-
-def test_fig8_shapes():
-    res = run_fig8(iterations=3)
-    mck = res.mckernel
-    assert mck.share("ioctl") + mck.share("writev") > 0.70
-    hfi = res.mckernel_hfi
-    assert hfi.share("ioctl") + hfi.share("writev") < 0.30
-    assert res.kernel_time_ratio < 0.15
-    assert "Figure 8" in res.render("Figure 8")
-
-
-def test_fig9_munmap_dominates():
-    res = run_fig9(iterations=3)
-    assert res.mckernel_hfi.dominant() == "munmap"
-    assert res.kernel_time_ratio < 0.8
 
 
 # --- porting effort ----------------------------------------------------------------------
@@ -116,6 +78,4 @@ def test_fig9_munmap_dominates():
 def test_sloc_inventory():
     res = run_sloc()
     assert res.pico_sloc > 0
-    assert res.sloc_fraction < 0.5        # fast path is a small fraction
-    assert res.claimed_ioctls == 3 and res.total_ioctls == 13
     assert "Porting effort" in res.render()

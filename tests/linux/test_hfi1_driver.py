@@ -1,11 +1,15 @@
 """Tests of the HFI1 Linux driver's file operations and driver state."""
 
+import ast
+import pathlib
+
 import pytest
 
 from repro.config import ALL_CONFIGS, OSConfig
 from repro.errors import BadSyscall, DriverError
 from repro.experiments import build_machine
 from repro.hw.hfi import SdmaEngine
+from repro.linux import hfi1
 from repro.linux.hfi1 import ioctls as ioc
 from repro.sim import Event
 from repro.units import KiB, MiB, PAGE_SIZE
@@ -304,3 +308,20 @@ def test_engine_states_report_running(machine):
     for state in driver.engine_states:
         assert state.get("current_state") == SDMA_STATE_S99_RUNNING
         assert state.get("go_s99_running") == 1
+
+
+#: what a driver would import to tell which kernel it serves
+FORBIDDEN = ("picodriver", "hfi_pico", "mckernel", "OSConfig")
+
+
+def test_driver_has_no_picodriver_conditionals():
+    """The paper's "no modifications to the original Linux driver": no
+    hfi1 module imports the PicoDriver, McKernel or the OS configuration,
+    or asks whether a multi-kernel runs, so no path can branch on it."""
+    for path in pathlib.Path(hfi1.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+                assert not [n for n in names for bad in FORBIDDEN
+                            if bad in n], path.name
+            assert getattr(node, "attr", None) != "is_multikernel", path.name

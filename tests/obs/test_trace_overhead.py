@@ -12,7 +12,7 @@ from repro.experiments import run_fig4
 from repro.obs import SpanCollector
 from repro.units import KiB
 
-#: sizes kept small: this benchmark times the harness, not the figure
+#: sizes kept small: this test times the harness, not the figure
 SIZES = (16 * KiB, 256 * KiB)
 
 #: documented bound: traced runs may cost at most this factor over
@@ -32,22 +32,14 @@ def _fig4_seconds() -> float:
     return best
 
 
-def bench_trace_overhead(benchmark):
+def test_trace_overhead():
     """Compare fig4 wall clock untraced vs traced; check the bound."""
     t_off = _fig4_seconds()
     collector = SpanCollector()
     with planes(trace=collector):
-        t_on = benchmark.pedantic(_fig4_seconds, rounds=1, iterations=1)
+        t_on = _fig4_seconds()
     assert collector.spans, "traced run recorded no spans"
 
     slowdown = t_on / t_off if t_off > 0 else 1.0
-    print()
-    print(f"fig4 {[s // KiB for s in SIZES]}KiB: untraced {t_off:.3f}s, "
-          f"traced {t_on:.3f}s ({slowdown:.2f}x, "
-          f"{len(collector.spans)} spans / {len(collector.flows)} flows)")
-    benchmark.extra_info["untraced_s"] = round(t_off, 4)
-    benchmark.extra_info["traced_s"] = round(t_on, 4)
-    benchmark.extra_info["slowdown"] = round(slowdown, 3)
-    benchmark.extra_info["spans"] = len(collector.spans)
     assert slowdown < MAX_SLOWDOWN, \
         f"tracing slowed fig4 by {slowdown:.2f}x (bound {MAX_SLOWDOWN}x)"
