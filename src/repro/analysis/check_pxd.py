@@ -1,8 +1,10 @@
 """PicoCheck scenario for the pxd fast path and replica-eviction FSM.
 
-Runs a guarded two-replica McKernel+HFI1 machine through a short pxd
-write train — with a mid-train fast-path suspend/resume so every run
-crosses the fastpath -> slowpath fallback seam — while the explorer
+Runs a guarded two-replica McKernel+HFI1 machine through a short run
+of the storage campaign's write train
+(:class:`~repro.experiments.storage.WriteTrain`) — with a mid-train
+fast-path suspend/resume so every run crosses the fastpath -> slowpath
+fallback seam — while the explorer
 enumerates schedules and adversarial storage-fault placements
 (``media.write_error`` / ``media.torn_write`` / ``media.read_error`` /
 ``pxd.path_loss`` / ``blk.irq_lost`` landing on any opportunity).  With
@@ -26,16 +28,13 @@ interleaving breaks the storage contract:
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List
 
 from ..config import planes
-from ..errors import MediaError
 from ..experiments.common import build_machine
-from ..experiments.storage import WRITE_NSECTORS, _audit_media, \
-    _storage_params
+from ..experiments.storage import WriteTrain, _storage_params
 from ..guard import GuardPolicy
 from ..linux.pxd import ioctls as ioc
-from ..sim import Event
 from .check import CHECK_POLICY_KW, _OS_BY_NAME, RunResult, \
     install_scheduler, judge_run
 
@@ -50,8 +49,10 @@ class PxdFallbackScenario:
     configs = ("mckernel_hfi",)
     expect_violation = False
     n_writes = 6
-    #: write index wrapped in SET_SUSPEND(1)/SET_SUSPEND(0): this write
-    #: must take the slow path through the dispatcher fallback seam
+    #: write index run with the fast path suspended (SET_SUSPEND(1)
+    #: before it, SET_SUSPEND(0) before the next write): this write and
+    #: its read-back take the slow path through the dispatcher fallback
+    #: seam
     suspend_at = 2
 
     def run(self, config: str, schedule, bounds) -> RunResult:
@@ -62,69 +63,18 @@ class PxdFallbackScenario:
             machine = build_machine(1, _OS_BY_NAME[config],
                                     params=_storage_params(replicas=2))
             scheduler = install_scheduler(machine, schedule)
-            sim = machine.sim
-            task = machine.spawn_rank(0, 0)
-            sector_size = machine.params.blk.sector_size
-            payloads = {i: bytes([(11 * i + 3) & 0xFF])
-                        * (WRITE_NSECTORS * sector_size)
-                        for i in range(self.n_writes)}
-            outcomes: Dict[int, str] = {}
-            reads: Dict[int, object] = {}
-            acked: Dict[int, Tuple[int, bytes]] = {}
-            done: List[bool] = []
 
-            def train():
-                fd = yield from task.syscall("open", "/dev/pxd/pxd0")
-                buf = yield from task.syscall("mmap", 1 << 20)
-                for i in range(self.n_writes):
-                    if i == self.suspend_at:
-                        yield from task.syscall(
-                            "ioctl", fd, ioc.PXD_IOCTL_SET_SUSPEND, 1)
-                    sector = i * WRITE_NSECTORS
-                    completion = Event(sim)
-                    try:
-                        yield from task.syscall(
-                            "writev", fd,
-                            [{"sector": sector, "payload": payloads[i],
-                              "completion": completion},
-                             (buf, len(payloads[i]))])
-                        yield completion
-                        outcomes[i] = "acked"
-                        acked[i] = (sector, payloads[i])
-                    except MediaError:
-                        outcomes[i] = "typed"
-                    if i == self.suspend_at:
-                        yield from task.syscall(
-                            "ioctl", fd, ioc.PXD_IOCTL_SET_SUSPEND, 0)
-                    if outcomes[i] != "acked":
-                        continue
-                    try:
-                        reads[i] = yield from task.syscall(
-                            "ioctl", fd, ioc.PXD_IOCTL_READ,
-                            {"sector": sector, "nsectors": WRITE_NSECTORS})
-                    except MediaError:
-                        reads[i] = "typed"
-                done.append(True)
+            def toggle_suspend(i):
+                if i in (self.suspend_at, self.suspend_at + 1):
+                    yield from train.task.syscall(
+                        "ioctl", train.fd, ioc.PXD_IOCTL_SET_SUSPEND,
+                        int(i == self.suspend_at))
+
+            train = WriteTrain(machine, self.n_writes, before=toggle_suspend)
 
             def contract() -> List[str]:
-                if not done:
-                    hung = [i for i in range(self.n_writes)
-                            if i not in outcomes]
-                    return [f"write train hung before completing: writes "
-                            f"{hung} never resolved (no ack, no typed "
-                            f"error)"]
-                violations = []
-                for i in range(self.n_writes):
-                    if outcomes.get(i) != "acked":
-                        continue
-                    got = reads.get(i)
-                    if got == "typed" or got == payloads[i]:
-                        continue
-                    violations.append(
-                        f"read-your-writes broke at write {i}: acked "
-                        f"payload not returned and no typed error "
-                        f"(got {type(got).__name__})")
-                violations.extend(_audit_media(machine, acked, self.name))
+                violations = train.violations(self.name)
+                violations.extend(train.audit(self.name))
                 counters = machine.tracer.counters
                 if counters.get("pico.pxd_writes", 0) < 1:
                     violations.append(
@@ -136,5 +86,4 @@ class PxdFallbackScenario:
                         "(SET_SUSPEND toggle rotted)")
                 return violations
 
-            sim.process(train())
             return judge_run(machine, scheduler, bounds, contract)

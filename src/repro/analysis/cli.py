@@ -111,7 +111,7 @@ def _chaos_smoke() -> str:
     the fault-injection smoke sweep, which exercises the IRQ-recovery
     and error paths the figure experiments never reach."""
     from ..experiments.chaos import run_chaos
-    return run_chaos("pingpong", smoke=True).render()
+    return run_chaos(smoke=True).render()
 
 
 def cmd_lockdep(argv: List[str],

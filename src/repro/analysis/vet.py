@@ -116,7 +116,7 @@ def _stale_vet_suppressions(program: Program,
 
 def _chaos_smoke() -> str:
     from ..experiments.chaos import run_chaos
-    return run_chaos("pingpong", smoke=True).render()
+    return run_chaos(smoke=True).render()
 
 
 def _default_table(commands: Optional[Dict[str, Callable[[], str]]]

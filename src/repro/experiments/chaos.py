@@ -66,7 +66,6 @@ class CellResult:
 class ChaosResult:
     """The full sweep: cells plus a render method."""
 
-    workload: str
     cells: List[CellResult]
 
     @property
@@ -76,7 +75,7 @@ class ChaosResult:
 
     def render(self) -> str:
         """Human-readable sweep table plus the integrity verdict."""
-        lines = [f"Chaos sweep: {self.workload} "
+        lines = [f"Chaos sweep: pingpong "
                  f"({self.cells[0].messages if self.cells else 0} messages"
                  f" per cell)",
                  "", "config          rate     delivered  typed-fail  "
@@ -110,11 +109,96 @@ def _regime_sizes(n: int) -> List[int]:
     return [MESSAGE_SIZES[i % len(MESSAGE_SIZES)] for i in range(n)]
 
 
+@dataclass
+class Phase:
+    """One phase of a recovery campaign (flap or a storage drill): its
+    operation count, then :meth:`ContractTrain.tally` over them."""
+
+    name: str
+    count: int
+    intact: int
+    typed: int
+    elapsed: float
+    goodput: float                     # bytes/second carried intact
+
+
+class ContractTrain:
+    """What every contract train shares: the sim time each operation
+    began (after ``before(i)``) and returned, the breach list and the
+    tally over a run of operations.
+
+    A subclass passes its operation sizes, runs its rank program's
+    operations through :meth:`_drive` and supplies ``outcome(i)``, the
+    contract verdict of operation ``i``: one of :attr:`carried`,
+    ``"typed"`` (a failure within contract), or the reason the operation
+    breaks the contract.
+    """
+
+    #: verdicts of an operation carried intact
+    carried: Tuple[str, ...] = ("intact",)
+    #: what a violation line calls one operation
+    noun = "msg"
+
+    def __init__(self, machine, sizes: Sequence[int],
+                 before: Optional[Callable[[int], Iterator]]):
+        self.machine = machine
+        self.sizes = list(sizes)
+        self.before = before
+        self.sent_at: Dict[int, float] = {}
+        self.returned_at: Dict[int, float] = {}
+
+    def _drive(self, op, *args):
+        """Run ``before(i)`` then ``op(i, *args)`` for every operation,
+        recording when each began and returned."""
+        sim = self.machine.sim
+        for i in range(len(self.sizes)):
+            if self.before is not None:
+                yield from self.before(i)
+            self.sent_at[i] = sim.now
+            yield from op(i, *args)
+            self.returned_at[i] = sim.now
+
+    def violations(self, label: str) -> List[str]:
+        """One line per operation that broke the contract, naming
+        ``label``, the operation's index and its size."""
+        found = []
+        for i, size in enumerate(self.sizes):
+            verdict = self.outcome(i)
+            if verdict not in self.carried and verdict != "typed":
+                found.append(f"{label} {self.noun} {i} ({size}B): {verdict}")
+        return found
+
+    def tally(self, lo: int, hi: int) -> Tuple[int, int, float, float]:
+        """``(carried, typed failures, elapsed, goodput)`` over operations
+        ``lo`` to ``hi - 1``.  Elapsed runs from the first operation's
+        start to the last one's return; goodput is carried bytes over
+        it."""
+        verdicts = [self.outcome(i) for i in range(lo, hi)]
+        carried = [size for size, verdict in zip(self.sizes[lo:hi], verdicts)
+                   if verdict in self.carried]
+        elapsed = 1e-12
+        if hi > lo:
+            end = self.returned_at.get(hi - 1, self.machine.sim.now)
+            elapsed = max(end - self.sent_at.get(lo, 0.0), 1e-12)
+        return (len(carried), verdicts.count("typed"), elapsed,
+                sum(carried) / elapsed)
+
+    def phases(self, phases: Sequence[Tuple[str, int]]) -> List[Phase]:
+        """One :class:`Phase` per ``(name, count)``, over consecutive
+        runs of operations."""
+        results = []
+        lo = 0
+        for name, count in phases:
+            results.append(Phase(name, count, *self.tally(lo, lo + count)))
+            lo += count
+        return results
+
+
 #: the receive/send outcomes the delivery contract accepts as failures
 _TYPED = ("DeviceTimeout", "TransferCorrupt")
 
 
-class MessageTrain:
+class MessageTrain(ContractTrain):
     """The two-node message train every delivery-contract check drives.
 
     Rank 0 on node 0 sends message ``i`` (``sizes[i]`` bytes, tag
@@ -133,16 +217,11 @@ class MessageTrain:
 
     def __init__(self, machine, tag: str, sizes: Sequence[int],
                  before: Optional[Callable[[int], Iterator]] = None):
-        self.machine = machine
+        super().__init__(machine, sizes, before)
         self.tag = tag
-        self.sizes = list(sizes)
-        self.before = before
-        #: per message: sim time its send began and returned, and what
-        #: the sender saw ("ok" or the typed error's name)
-        self.sent_at: Dict[int, float] = {}
-        self.returned_at: Dict[int, float] = {}
+        #: per message: what the sender saw ("ok" or the typed error's
+        #: name) and the receive request posted for it
         self.send_out: Dict[int, str] = {}
-        #: per message: the receive request posted for it
         self.recv_reqs: Dict[int, object] = {}
         sim = machine.sim
         t0 = machine.spawn_rank(0, 0, 0)
@@ -162,17 +241,16 @@ class MessageTrain:
         buf = yield from task.syscall("mmap", bufsize)
         while peer.addr is None:
             yield sim.timeout(1e-6)
-        for i, size in enumerate(self.sizes):
-            if self.before is not None:
-                yield from self.before(i)
-            self.sent_at[i] = sim.now
-            try:
-                yield from ep.mq_send(peer.addr, (self.tag, i), buf, size,
-                                      payload=("tok", i, size))
-                self.send_out[i] = "ok"
-            except (DeviceTimeout, TransferCorrupt) as exc:
-                self.send_out[i] = type(exc).__name__
-            self.returned_at[i] = sim.now
+        yield from self._drive(self._send, ep, peer, buf)
+
+    def _send(self, i, ep, peer, buf):
+        size = self.sizes[i]
+        try:
+            yield from ep.mq_send(peer.addr, (self.tag, i), buf, size,
+                                  payload=("tok", i, size))
+            self.send_out[i] = "ok"
+        except (DeviceTimeout, TransferCorrupt) as exc:
+            self.send_out[i] = type(exc).__name__
 
     def _receiver(self, task, ep, bufsize):
         yield from ep.open()
@@ -201,30 +279,6 @@ class MessageTrain:
         if r_exc is not None:
             return f"untyped receive error {r_exc!r}"
         return f"never delivered and no typed error (sender: {s_out})"
-
-    def violations(self, label: str) -> List[str]:
-        """One line per message that broke the contract, naming
-        ``label``, the message index and its size."""
-        found = []
-        for i, size in enumerate(self.sizes):
-            verdict = self.outcome(i)
-            if verdict not in ("intact", "typed"):
-                found.append(f"{label} msg {i} ({size}B): {verdict}")
-        return found
-
-    def tally(self, lo: int, hi: int) -> Tuple[int, int, float, float]:
-        """``(delivered, typed failures, elapsed, goodput)`` over messages
-        ``lo`` to ``hi - 1``.  Elapsed runs from the first send's start
-        to the last send's return; goodput is intact bytes over it."""
-        verdicts = [self.outcome(i) for i in range(lo, hi)]
-        intact = [size for size, verdict in zip(self.sizes[lo:hi], verdicts)
-                  if verdict == "intact"]
-        elapsed = 1e-12
-        if hi > lo:
-            end = self.returned_at.get(hi - 1, self.machine.sim.now)
-            elapsed = max(end - self.sent_at.get(lo, 0.0), 1e-12)
-        return (len(intact), verdicts.count("typed"), elapsed,
-                sum(intact) / elapsed)
 
 
 def _run_cell(os_config: OSConfig, rate: float, n_messages: int,
@@ -261,20 +315,18 @@ def _cell_job(job: Tuple[OSConfig, float, int]) -> CellResult:
     return _run_cell(os_config, rate, n_messages)
 
 
-def run_chaos(workload: str = "pingpong", smoke: bool = False,
+def run_chaos(smoke: bool = False,
               rates: Optional[Sequence[float]] = None,
               configs: Sequence[OSConfig] = ALL_CONFIGS,
               n_messages: Optional[int] = None,
               workers: int = 1) -> ChaosResult:
-    """Run the fault-rate sweep over every requested OS configuration.
+    """Run the ping-pong fault-rate sweep over every requested OS
+    configuration.
 
     ``workers > 1`` fans the (config, rate) cells across processes via
     the PicoTune shard runner; every cell seeds its own machine, so the
     merged result is bit-identical to the serial sweep.
     """
-    if workload not in WORKLOADS:
-        raise ValueError(f"unknown chaos workload {workload!r}; choose "
-                         f"from {', '.join(WORKLOADS)}")
     if rates is None:
         rates = SMOKE_RATES if smoke else DEFAULT_RATES
     if n_messages is None:
@@ -284,7 +336,7 @@ def run_chaos(workload: str = "pingpong", smoke: bool = False,
                        [(os_config, rate, n_messages)
                         for os_config in configs for rate in rates],
                        workers=workers)
-    return ChaosResult(workload=workload, cells=cells)
+    return ChaosResult(cells=cells)
 
 
 # -- the flap campaign: sustained faults + recovery under PicoGuard ---------
@@ -324,38 +376,24 @@ FLAP_SUSPEND_HOLD = 300 * USEC
 #: path rather than the tail of the probe backoff
 FLAP_SETTLE = 2 * FLAP_POLICY_KW["probe_backoff_max"]
 
-#: acceptance bar: recovery-phase goodput as a fraction of the no-fault
-#: baseline phase
-FLAP_RECOVERY_BAR = 0.9
+#: acceptance bar of every recovery campaign: recovery-phase goodput as
+#: a fraction of the no-fault baseline phase
+RECOVERY_BAR = 0.9
 
 
-@dataclass
-class FlapPhase:
-    """Per-phase outcome of the flap campaign."""
-
-    name: str
-    messages: int
-    delivered: int
-    failed_typed: int
-    elapsed: float
-    goodput: float                     # bytes/second of intact delivery
+def phase_starts(phases: Sequence[Tuple[str, int]]) -> Dict[int, str]:
+    """Each phase's first operation index, mapped to the phase's name
+    (an empty phase gives way to the one that starts where it would)."""
+    counts = [count for _name, count in phases]
+    return {sum(counts[:k]): name for k, (name, _n) in enumerate(phases)}
 
 
-@dataclass
-class FlapResult:
-    """The flap campaign: per-phase goodput plus guard accounting."""
+class PhasedResult:
+    """What the flap campaign's and the storage drill's results share:
+    phase lookup, the recovery ratio and the per-phase verdicts.  A
+    subclass is a dataclass with a ``phases`` list of :class:`Phase`."""
 
-    phases: List[FlapPhase]
-    counters: Dict[str, int]
-    snapshots: List[Dict[str, object]]  # final guard snapshot per node
-    violations: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """True when integrity, FSM legality and the recovery bar held."""
-        return not self.violations
-
-    def phase(self, name: str) -> FlapPhase:
+    def phase(self, name: str) -> Phase:
         """The named campaign phase."""
         for p in self.phases:
             if p.name == name:
@@ -368,6 +406,35 @@ class FlapResult:
         base = self.phase("baseline").goodput
         return self.phase("recovery").goodput / base if base > 0 else 0.0
 
+    def phase_violations(self, label: str,
+                         calm: Sequence[str]) -> List[str]:
+        """A typed failure in a ``calm`` (no-fault) phase, and recovery
+        goodput under :data:`RECOVERY_BAR` x baseline."""
+        found = [f"{label}: {p.name} phase saw {p.typed} typed failures "
+                 f"with no faults injected"
+                 for p in self.phases if p.name in calm and p.typed]
+        if self.recovery_ratio < RECOVERY_BAR:
+            found.append(
+                f"{label}: goodput did not recover: recovery phase ran at "
+                f"{self.recovery_ratio:.2f}x the no-fault baseline "
+                f"(bar {RECOVERY_BAR:.2f})")
+        return found
+
+
+@dataclass
+class FlapResult(PhasedResult):
+    """The flap campaign: per-phase goodput plus guard accounting."""
+
+    phases: List[Phase]
+    counters: Dict[str, int]
+    snapshots: List[Dict[str, object]]  # final guard snapshot per node
+    violations: List[str] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        """True when integrity, FSM legality and the recovery bar held."""
+        return not self.violations
+
     def render(self) -> str:
         """Human-readable flap report."""
         lines = ["Flap campaign: sustained SDMA fault burst under "
@@ -377,12 +444,12 @@ class FlapResult:
                  "elapsed ms  goodput MB/s"]
         for p in self.phases:
             lines.append(
-                f"{p.name:<10} {p.messages:>8}  {p.delivered:>9}  "
-                f"{p.failed_typed:>10}  {p.elapsed * 1e3:>10.2f}  "
+                f"{p.name:<10} {p.count:>8}  {p.intact:>9}  "
+                f"{p.typed:>10}  {p.elapsed * 1e3:>10.2f}  "
                 f"{p.goodput / 1e6:>12.1f}")
         lines.append("")
         lines.append(f"recovery ratio: {self.recovery_ratio:.2f} "
-                     f"(bar: {FLAP_RECOVERY_BAR:.2f})")
+                     f"(bar: {RECOVERY_BAR:.2f})")
         per_engine = {k: v for k, v in sorted(self.counters.items())
                       if k.startswith(("guard.failover.",
                                        "guard.failback.",
@@ -416,16 +483,15 @@ def run_flap(smoke: bool = False,
     **burst** during which the shared injector's plan is swapped for
     :data:`FLAP_BURST_PLAN` (per-engine breakers open and traffic
     reroutes), a **recovery** segment with faults off again (probes
-    re-admit the engines; goodput must return to
-    ``FLAP_RECOVERY_BAR x`` baseline), and a **drill** segment run
-    while the sender's device is suspended and resumed under the live
-    message stream (parked requests must replay in order).
+    re-admit the engines; goodput must return to ``RECOVERY_BAR x``
+    baseline), and a **drill** segment run while the sender's device is
+    suspended and resumed under the live message stream (parked
+    requests must replay in order).
     """
     from ..guard import GuardPolicy
     if phases is None:
         phases = FLAP_SMOKE_PHASES if smoke else FLAP_PHASES
-    names = [phase_name for phase_name, count in phases
-             for _ in range(count)]
+    starts = phase_starts(phases)
     zero_plan = FaultPlan.uniform(0.0)
     with planes(faults=zero_plan, guard=GuardPolicy(**FLAP_POLICY_KW)):
         machine = build_machine(2, OSConfig.MCKERNEL_HFI,
@@ -437,8 +503,8 @@ def run_flap(smoke: bool = False,
         def enter_phase(i):
             # a phase's entry actions run before its first send, so its
             # measured span starts at that send
-            name = names[i]
-            if i and names[i - 1] == name:
+            name = starts.get(i)
+            if name is None:
                 return
             if name == "burst":
                 machine.injector.plan = FLAP_BURST_PLAN
@@ -460,37 +526,22 @@ def run_flap(smoke: bool = False,
             yield sim.timeout(FLAP_SUSPEND_HOLD)
             guard0.resume()
 
-        train = MessageTrain(machine, "flap", _regime_sizes(len(names)),
+        train = MessageTrain(machine, "flap",
+                             _regime_sizes(sum(n for _, n in phases)),
                              before=enter_phase)
         sim.process(drill())
         sim.run()
 
         violations = train.violations("flap")
-        results: List[FlapPhase] = []
-        lo = 0
-        for phase_name, count in phases:
-            delivered, typed, elapsed, goodput = train.tally(lo, lo + count)
-            results.append(FlapPhase(
-                name=phase_name, messages=count, delivered=delivered,
-                failed_typed=typed, elapsed=elapsed, goodput=goodput))
-            lo += count
         snapshots = [mn.guard.snapshot() for mn in machine.nodes
                      if mn.guard is not None]
-        result = FlapResult(phases=results,
+        result = FlapResult(phases=train.phases(phases),
                             counters=dict(machine.tracer.counters),
                             snapshots=snapshots, violations=violations)
         # campaign-level oracles beyond per-message integrity
         violations.extend(machine.oracle_violations())
-        for phase in results:
-            if phase.name in ("baseline", "drill") and phase.failed_typed:
-                violations.append(
-                    f"{phase.name} phase saw {phase.failed_typed} typed "
-                    f"failures with no faults injected")
-        if result.recovery_ratio < FLAP_RECOVERY_BAR:
-            violations.append(
-                f"goodput did not recover: recovery phase ran at "
-                f"{result.recovery_ratio:.2f}x the no-fault baseline "
-                f"(bar {FLAP_RECOVERY_BAR:.2f})")
+        violations.extend(result.phase_violations(
+            "flap", calm=("baseline", "drill")))
         if result.counters.get("guard.failovers", 0) == 0:
             violations.append("burst produced no failovers — the "
                               "campaign did not exercise the breaker")
@@ -503,24 +554,10 @@ def run_flap(smoke: bool = False,
         return result
 
 
-def _run_storage(smoke: bool = False, **kw):
-    """Deferred import of the storage campaign (keeps the chaos module
-    light for runs that never touch the block device)."""
-    from .storage import run_storage
-    return run_storage(smoke=smoke, **kw)
-
-
-#: chaos workloads (the sweep harness is workload-shaped for growth;
-#: ping-pong style send/recv is the one the paper's figures build on,
-#: ``flap`` is the PicoGuard sustained-fault/recovery campaign, and
-#: ``storage`` is the PicoBlock replicated-write sweep + drill)
-WORKLOADS = {"pingpong": run_chaos, "flap": run_flap,
-             "storage": _run_storage}
-
-
 def cmd_chaos(argv: List[str]) -> int:
-    """Entry point for ``python -m repro chaos [workload] [--smoke]
-    [--flap] [--storage] [--workers N]``."""
+    """Entry point for ``python -m repro chaos [--smoke] [--flap |
+    --storage] [--workers N]``: the ping-pong sweep by default, the flap
+    campaign with ``--flap``, the storage campaign with ``--storage``."""
     argv = list(argv)
     smoke = "--smoke" in argv
     flap = "--flap" in argv
@@ -534,23 +571,18 @@ def cmd_chaos(argv: List[str]) -> int:
         workers = int(argv[i + 1])
         del argv[i:i + 2]
     rest = [a for a in argv if a not in ("--smoke", "--flap", "--storage")]
-    unknown = [a for a in rest if a.startswith("-")]
-    if unknown:
-        print(f"unknown option(s) {', '.join(unknown)}\n"
-              "usage: python -m repro chaos [workload] [--smoke] [--flap] "
-              "[--storage] [--workers N]")
+    if rest:
+        print(f"unknown argument(s) {', '.join(rest)}\n"
+              "usage: python -m repro chaos [--smoke] [--flap | --storage] "
+              "[--workers N]  (default: the pingpong sweep)")
         return 2
-    workload = rest[0] if rest else (
-        "flap" if flap else ("storage" if storage else "pingpong"))
-    if workload not in WORKLOADS:
-        print(f"unknown chaos workload {workload!r}; choose from "
-              f"{', '.join(WORKLOADS)}")
-        return 2
-    if workload == "flap" or flap:
+    if flap:
         result = run_flap(smoke=smoke)
-    elif workload == "storage" or storage:
-        result = _run_storage(smoke=smoke)
+    elif storage:
+        # deferred: runs that never touch the block device skip it
+        from .storage import run_storage
+        result = run_storage(smoke=smoke)
     else:
-        result = run_chaos(workload, smoke=smoke, workers=workers)
+        result = run_chaos(smoke=smoke, workers=workers)
     print(result.render())
     return 1 if result.violations else 0

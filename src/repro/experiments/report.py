@@ -197,14 +197,14 @@ CLAIMS: Tuple[Claim, ...] = (
           "Linux (lowest multi-node HFI/Linux)",
           lambda r: min(_multi(r.fig6a, HFI)), lo=1.0),
     Claim("fig6a.hfi_128", "Figure 6a", "… (HFI/Linux, 128 nodes)",
-          lambda r: r.fig6a.relative[HFI][128], lo=1.04),
+          lambda r: r.fig6a.relative[HFI][128], lo=1.05),
     Claim("fig6a.hfi_peak", "Figure 6a", "… by up to 20% (highest HFI/Linux)",
           lambda r: max(r.fig6a.series(HFI)), 1.06, 1.11,
           deviation="sustained sweeps are wire-bound, which caps the gain "
           "near the descriptor-overhead ratio (~13%)"),
     Claim("fig6b.mck_1node", "Figure 6b", "HACC is on par with Linux on one "
           "node (McKernel/Linux)",
-          lambda r: r.fig6b.relative[MCK][1], 0.93, 1.10),
+          lambda r: r.fig6b.relative[MCK][1], 0.95, 1.10),
     Claim("fig6b.mck_avg", "Figure 6b", "the original McKernel attains only "
           "71% of Linux on average (multi-node mean)",
           lambda r: sum(_multi(r.fig6b, MCK)) / len(_multi(r.fig6b, MCK)),
@@ -214,7 +214,7 @@ CLAIMS: Tuple[Claim, ...] = (
           lambda r: min(_multi(r.fig6b, HFI)), lo=1.0),
     Claim("fig7.mck_min", "Figure 7", "QBOX on the original McKernel is not "
           "significantly below Linux (lowest McKernel/Linux)",
-          lambda r: min(r.fig7.series(MCK)), lo=0.6),
+          lambda r: min(r.fig7.series(MCK)), lo=0.65),
     Claim("fig7.hfi_256", "Figure 7", "McKernel+HFI speeds QBOX up by up to "
           "30% (HFI/Linux, 256 nodes)",
           lambda r: r.fig7.relative[HFI][256], lo=1.10),

@@ -14,13 +14,15 @@ baseline / storm / recovery phases over one live machine (the shared
 injector's plan is swapped mid-run): the storm must evict at least one
 replica, the recovery phase must re-admit at least one (probe +
 resync), and recovery-phase goodput must return to
-``STORAGE_RECOVERY_BAR x`` the no-fault baseline.
+``RECOVERY_BAR x`` the no-fault baseline.  The sweep cell, the drill
+and PicoCheck's ``pxd-fallback`` scenario all drive one
+:class:`WriteTrain`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..config import ALL_CONFIGS, OSConfig, planes
 from ..errors import MediaError
@@ -29,6 +31,8 @@ from ..linux.pxd import ioctls as ioc
 from ..params import default_params
 from ..sim import Event
 from ..units import USEC
+from .chaos import (RECOVERY_BAR, ContractTrain, Phase, PhasedResult,
+                    phase_starts)
 from .common import build_machine
 
 #: uniform per-opportunity storage fault rates swept by the full run
@@ -70,34 +74,10 @@ DRILL_SMOKE_PHASES = (("baseline", 10), ("storm", 10), ("recovery", 14))
 #: the first recovery-phase completions trigger probe + resync
 STORAGE_SETTLE = 2 * STORAGE_POLICY_KW["probe_backoff_max"]
 
-#: acceptance bar: recovery-phase goodput over the no-fault baseline
-STORAGE_RECOVERY_BAR = 0.9
-
 
 def _storage_params(replicas: int = 3):
     params = default_params()
     return params.with_overrides(blk=replace(params.blk, replicas=replicas))
-
-
-def _payload(i: int, sector_size: int) -> bytes:
-    return bytes([(7 * i + 1) & 0xFF]) * (WRITE_NSECTORS * sector_size)
-
-
-def _audit_media(machine, acked: Dict[int, Tuple[int, bytes]],
-                 label: str) -> List[str]:
-    """End-of-cell oracle: every acked write byte-intact on every
-    in-service replica (direct media inspection, no timing)."""
-    pxd = machine.nodes[0].pxd
-    blockdev = machine.nodes[0].node.blockdev
-    violations = []
-    for i, (sector, payload) in sorted(acked.items()):
-        for r in sorted(pxd.inservice):
-            got = blockdev.replicas[r].peek(sector, WRITE_NSECTORS)
-            if got != payload:
-                violations.append(
-                    f"{label}: acked write {i} diverges on in-service "
-                    f"replica {r} at sector {sector}")
-    return violations
 
 
 @dataclass
@@ -121,41 +101,16 @@ class StorageCellResult:
 
 
 @dataclass
-class DrillPhase:
-    """Per-phase outcome of the storage recovery drill."""
-
-    name: str
-    writes: int
-    acked: int
-    failed_typed: int
-    elapsed: float
-    goodput: float
-
-
-@dataclass
-class DrillResult:
+class DrillResult(PhasedResult):
     """Baseline/storm/recovery drill on one OS configuration."""
 
     os_config: OSConfig
-    phases: List[DrillPhase]
+    phases: List[Phase]
     evictions: int
     readmits: int
     resyncs: int
     counters: Dict[str, int]
     violations: List[str] = field(default_factory=list)
-
-    def phase(self, name: str) -> DrillPhase:
-        """The named drill phase."""
-        for p in self.phases:
-            if p.name == name:
-                return p
-        raise KeyError(name)
-
-    @property
-    def recovery_ratio(self) -> float:
-        """Recovery-phase goodput over the no-fault baseline phase."""
-        base = self.phase("baseline").goodput
-        return self.phase("recovery").goodput / base if base > 0 else 0.0
 
 
 @dataclass
@@ -194,11 +149,11 @@ class StorageResult:
             for p in d.phases:
                 lines.append(
                     f"{d.os_config.label:<15} {p.name:<10} "
-                    f"{p.acked:>3}/{p.writes:<3} {p.failed_typed:>5}  "
+                    f"{p.intact:>3}/{p.count:<3} {p.typed:>5}  "
                     f"{p.goodput / 1e6:>12.1f}")
             lines.append(
                 f"{'':<15} ratio {d.recovery_ratio:.2f} "
-                f"(bar {STORAGE_RECOVERY_BAR:.2f}), "
+                f"(bar {RECOVERY_BAR:.2f}), "
                 f"{d.evictions} evictions, {d.readmits} readmits, "
                 f"{d.resyncs} resyncs")
         lines.append("")
@@ -213,60 +168,103 @@ class StorageResult:
         return "\n".join(lines)
 
 
-def _writer(machine, task, jobs, outcomes, acked, span, phase_spans=None):
-    """The cell/drill workload: open the device, write disjoint sector
-    runs, read each acked write straight back (read-your-writes)."""
-    sim = machine.sim
-    sector_size = machine.params.blk.sector_size
-    bufsize = WRITE_NSECTORS * sector_size
+class WriteTrain(ContractTrain):
+    """The pxd write train every storage-contract check drives.
 
-    def app():
-        fd = yield from task.syscall("open", "/dev/pxd/pxd0")
-        buf = yield from task.syscall("mmap", bufsize)
-        span["start"] = sim.now
-        current = None
-        for job in jobs:
-            phase, i = job["phase"], job["index"]
-            if job.get("on_enter") is not None:
-                yield from job["on_enter"]()
-            if phase_spans is not None and phase != current:
-                # phase entry actions (plan swap, settle) run above, so
-                # the measured span starts at the first write
-                if current is not None:
-                    phase_spans[current].append(sim.now)
-                current = phase
-                phase_spans[current] = [sim.now]
-            sector = i * WRITE_STRIDE
-            payload = _payload(i, sector_size)
-            completion = Event(sim)
-            yield sim.timeout(WRITE_GAP)
-            try:
-                yield from task.syscall(
-                    "writev", fd,
-                    [{"sector": sector, "payload": payload,
-                      "completion": completion}, (buf, len(payload))])
-                yield completion
-            except MediaError as exc:
-                outcomes[i] = ("typed", phase, type(exc).__name__)
-                continue
-            acked[i] = (sector, payload)
-            try:
-                data = yield from task.syscall(
-                    "ioctl", fd, ioc.PXD_IOCTL_READ,
-                    {"sector": sector, "nsectors": WRITE_NSECTORS})
-            except MediaError as exc:
-                outcomes[i] = ("acked-read-typed", phase,
-                               type(exc).__name__)
-                continue
-            if data == payload:
-                outcomes[i] = ("acked", phase, "")
-            else:
-                outcomes[i] = ("torn-read", phase, "")
-        span["end"] = sim.now
-        if phase_spans is not None and current is not None:
-            phase_spans[current].append(sim.now)
+    Rank 0 on node 0 opens ``/dev/pxd/pxd0`` and maps one write's
+    buffer.  Write ``i`` runs ``before(i)`` (when given; it reaches the
+    device through :attr:`task` and :attr:`fd`), waits
+    :data:`WRITE_GAP`, writes :meth:`payload` at sector
+    ``i * WRITE_STRIDE``, waits for the completion and reads an acked
+    write straight back.  The caller runs the machine; :meth:`outcome`
+    then judges one write against the contract — **every write is acked
+    and reads back intact, or fails with a typed**
+    :class:`~repro.errors.MediaError` — and :meth:`audit` inspects the
+    media.
+    """
 
-    return app
+    carried = ("acked", "acked-read-typed")
+    noun = "write"
+
+    def __init__(self, machine, n_writes: int,
+                 before: Optional[Callable[[int], Iterator]] = None):
+        bufsize = WRITE_NSECTORS * machine.params.blk.sector_size
+        super().__init__(machine, [bufsize] * n_writes, before)
+        #: per write: what the write saw ("ok" or the typed error's name)
+        #: and, once acked, what its read-back returned (the bytes or the
+        #: typed error's name)
+        self.write_out: Dict[int, str] = {}
+        self.read_out: Dict[int, object] = {}
+        self.task = machine.spawn_rank(0, 0)
+        self.fd = None
+        machine.sim.process(self._program(bufsize))
+
+    def _program(self, bufsize):
+        self.fd = yield from self.task.syscall("open", "/dev/pxd/pxd0")
+        buf = yield from self.task.syscall("mmap", bufsize)
+        yield from self._drive(self._write, buf)
+
+    def _write(self, i, buf):
+        sim = self.machine.sim
+        sector, payload = i * WRITE_STRIDE, self.payload(i)
+        completion = Event(sim)
+        yield sim.timeout(WRITE_GAP)
+        try:
+            yield from self.task.syscall(
+                "writev", self.fd,
+                [{"sector": sector, "payload": payload,
+                  "completion": completion}, (buf, len(payload))])
+            yield completion
+        except MediaError as exc:
+            self.write_out[i] = type(exc).__name__
+            return
+        self.write_out[i] = "ok"
+        try:
+            self.read_out[i] = yield from self.task.syscall(
+                "ioctl", self.fd, ioc.PXD_IOCTL_READ,
+                {"sector": sector, "nsectors": WRITE_NSECTORS})
+        except MediaError as exc:
+            self.read_out[i] = type(exc).__name__
+
+    def payload(self, i: int) -> bytes:
+        """The bytes write ``i`` carries."""
+        return bytes([(7 * i + 1) & 0xFF]) * self.sizes[i]
+
+    @property
+    def acked(self) -> Dict[int, Tuple[int, bytes]]:
+        """Write index -> ``(sector, payload)`` of every acked write."""
+        return {i: (i * WRITE_STRIDE, self.payload(i))
+                for i, out in sorted(self.write_out.items()) if out == "ok"}
+
+    def outcome(self, i: int) -> str:
+        """``"acked"``, ``"acked-read-typed"`` (acked, its read-back
+        failed typed), ``"typed"``, or the reason write ``i`` breaks the
+        storage contract."""
+        written = self.write_out.get(i)
+        if written is None:
+            return "never resolved: no ack and no typed error"
+        if written != "ok":
+            return "typed"
+        got = self.read_out.get(i)
+        if got == self.payload(i):
+            return "acked"
+        if isinstance(got, str):
+            return "acked-read-typed"
+        if got is None:
+            return "acked, but its read-back never returned"
+        return "torn read-back: acked payload not returned, no typed error"
+
+    def audit(self, label: str) -> List[str]:
+        """End-of-run oracle: every acked write byte-intact on every
+        in-service replica (direct media inspection, no timing)."""
+        pxd = self.machine.nodes[0].pxd
+        blockdev = self.machine.nodes[0].node.blockdev
+        return [f"{label}: acked write {i} diverges on in-service replica "
+                f"{r} at sector {sector}"
+                for i, (sector, payload) in self.acked.items()
+                for r in sorted(pxd.inservice)
+                if blockdev.replicas[r].peek(sector, WRITE_NSECTORS)
+                != payload]
 
 
 def _run_cell(os_config: OSConfig, rate: float, n_writes: int,
@@ -287,47 +285,22 @@ def _run_cell(os_config: OSConfig, rate: float, n_writes: int,
         machine = build_machine(
             1, os_config,
             params=params if params is not None else _storage_params())
-        task = machine.spawn_rank(0, 0)
-        jobs = [{"phase": "sweep", "index": i, "on_enter": None}
-                for i in range(n_writes)]
-        outcomes: Dict[int, Tuple[str, str, str]] = {}
-        acked: Dict[int, Tuple[int, bytes]] = {}
-        span: Dict[str, Optional[float]] = {"start": None, "end": None}
-        machine.sim.process(
-            _writer(machine, task, jobs, outcomes, acked, span)())
+        train = WriteTrain(machine, n_writes)
         machine.sim.run()
 
         label = f"{os_config.label} rate={rate:g}"
-        violations = _audit_media(machine, acked, label)
+        violations = train.audit(label)
         violations.extend(machine.oracle_violations())
-        n_acked = n_typed = n_read_typed = 0
-        acked_bytes = 0
-        for i in range(n_writes):
-            verdict, _phase, _exc = outcomes.get(i, ("hung", "sweep", ""))
-            if verdict == "acked":
-                n_acked += 1
-                acked_bytes += len(acked[i][1])
-            elif verdict == "typed":
-                n_typed += 1
-            elif verdict == "acked-read-typed":
-                # the write is acked and audited above; the read-back
-                # failing *typed* is within contract (it is counted so
-                # the report shows how often reads degrade)
-                n_acked += 1
-                n_read_typed += 1
-                acked_bytes += len(acked[i][1])
-            else:
-                violations.append(
-                    f"{label}: write {i} ended '{verdict}' — neither "
-                    f"intact nor typed")
-        start = span["start"] if span["start"] is not None else 0.0
-        end = span["end"] if span["end"] is not None else machine.sim.now
-        elapsed = max(end - start, 1e-12)
+        violations.extend(train.violations(label))
+        acked, typed, _elapsed, goodput = train.tally(0, n_writes)
+        # an acked write whose read-back failed typed is within contract;
+        # counted so the report shows how often reads degrade
+        reads_typed = [train.outcome(i) for i in range(n_writes)].count(
+            "acked-read-typed")
         return StorageCellResult(
             os_config=os_config, rate=rate, writes=n_writes,
-            acked=n_acked, failed_typed=n_typed, reads_typed=n_read_typed,
-            goodput=acked_bytes / elapsed,
-            counters=dict(machine.tracer.counters),
+            acked=acked, failed_typed=typed, reads_typed=reads_typed,
+            goodput=goodput, counters=dict(machine.tracer.counters),
             violations=violations)
 
 
@@ -335,84 +308,45 @@ def _run_drill(os_config: OSConfig,
                phases: Sequence[Tuple[str, int]]) -> DrillResult:
     """Baseline / storm / recovery over one live machine."""
     from ..guard import GuardPolicy
+    starts = phase_starts(phases)
     zero_plan = FaultPlan.uniform(0.0)
     with planes(faults=zero_plan, guard=GuardPolicy(**STORAGE_POLICY_KW)):
         machine = build_machine(1, os_config, params=_storage_params())
-        sim = machine.sim
-        task = machine.spawn_rank(0, 0)
-        phase_spans: Dict[str, List[float]] = {}
 
-        def enter(phase_name):
-            def on_enter():
-                if phase_name == "storm":
-                    machine.injector.plan = STORAGE_STORM_PLAN
-                elif phase_name == "recovery":
-                    machine.injector.plan = zero_plan
-                    # idle past the probe backoff cap so breakers sit in
-                    # PROBING and recovery traffic re-admits replicas
-                    yield sim.timeout(STORAGE_SETTLE)
-            return on_enter
+        def enter_phase(i):
+            # a phase's entry actions run before its first write, so its
+            # measured span starts at that write
+            name = starts.get(i)
+            if name == "storm":
+                machine.injector.plan = STORAGE_STORM_PLAN
+            elif name == "recovery":
+                machine.injector.plan = zero_plan
+                # idle past the probe backoff cap so breakers sit in
+                # PROBING and recovery traffic re-admits replicas
+                yield machine.sim.timeout(STORAGE_SETTLE)
 
-        jobs = []
-        for phase_name, count in phases:
-            for k in range(count):
-                jobs.append({"phase": phase_name, "index": len(jobs),
-                             "on_enter": enter(phase_name) if k == 0
-                             else None})
-        outcomes: Dict[int, Tuple[str, str, str]] = {}
-        acked: Dict[int, Tuple[int, bytes]] = {}
-        span: Dict[str, Optional[float]] = {"start": None, "end": None}
-        sim.process(_writer(machine, task, jobs, outcomes, acked, span,
-                            phase_spans=phase_spans)())
-        sim.run()
+        train = WriteTrain(machine, sum(n for _, n in phases),
+                           before=enter_phase)
+        machine.sim.run()
 
         label = f"{os_config.label} drill"
-        violations = _audit_media(machine, acked, label)
+        violations = train.audit(label)
         violations.extend(machine.oracle_violations())
-        by_phase: Dict[str, List[float]] = {}
-        results: List[DrillPhase] = []
-        for job in jobs:
-            phase_name, i = job["phase"], job["index"]
-            stats = by_phase.setdefault(phase_name, [0, 0, 0.0])
-            verdict, _p, _exc = outcomes.get(i, ("hung", phase_name, ""))
-            if verdict in ("acked", "acked-read-typed"):
-                stats[0] += 1
-                stats[2] += len(acked[i][1])
-            elif verdict == "typed":
-                stats[1] += 1
-            else:
-                violations.append(
-                    f"{label}: write {i} ({phase_name}) ended "
-                    f"'{verdict}' — neither intact nor typed")
-        for phase_name, count in phases:
-            marks = phase_spans.get(phase_name, [0.0, 0.0])
-            elapsed = max(marks[-1] - marks[0], 1e-12)
-            stats = by_phase.get(phase_name, [0, 0, 0.0])
-            results.append(DrillPhase(
-                name=phase_name, writes=count, acked=int(stats[0]),
-                failed_typed=int(stats[1]), elapsed=elapsed,
-                goodput=stats[2] / elapsed))
+        violations.extend(train.violations(label))
         counters = dict(machine.tracer.counters)
         drill = DrillResult(
-            os_config=os_config, phases=results,
+            os_config=os_config, phases=train.phases(phases),
             evictions=counters.get("pxd.evictions", 0),
             readmits=counters.get("pxd.readmits", 0),
             resyncs=counters.get("pxd.resyncs", 0),
             counters=counters, violations=violations)
-        if drill.phase("baseline").failed_typed:
-            violations.append(f"{label}: baseline phase saw typed "
-                              f"failures with no faults injected")
+        violations.extend(drill.phase_violations(label, calm=("baseline",)))
         if drill.evictions == 0:
             violations.append(f"{label}: storm evicted no replica — the "
                               f"drill did not exercise eviction")
         if drill.readmits == 0:
             violations.append(f"{label}: no replica re-admitted — probe "
                               f"+ resync never completed")
-        if drill.recovery_ratio < STORAGE_RECOVERY_BAR:
-            violations.append(
-                f"{label}: goodput did not recover — recovery ran at "
-                f"{drill.recovery_ratio:.2f}x baseline "
-                f"(bar {STORAGE_RECOVERY_BAR:.2f})")
         return drill
 
 

@@ -55,7 +55,6 @@ _ADMIN_IOCTL_COST = 0.6 * USEC
 _OPEN_COST = 2.1 * USEC
 
 #: replica lifecycle FSM legal edges (PicoCheck oracle input)
-REPLICA_STATES = ("inservice", "evicted", "probing")
 REPLICA_LEGAL_TRANSITIONS = frozenset({
     ("inservice", "evicted"),
     ("evicted", "probing"),

@@ -12,9 +12,9 @@ time-sliced core serving N runnable proxies, each request paying
 * the actual handler work.
 
 ``effective_service_time`` runs the model and reports the mean per-request
-wall cost; ``benchmarks/bench_ablation_proxy_scheduling.py`` sweeps the
-oversubscription level and shows the derived cost crossing the calibrated
-constant around 32 ranks / 4 CPUs — the paper's operating point.
+wall cost; the ``sched.*`` rows of ``repro.experiments.report.CLAIMS``
+check it across oversubscription levels, with the calibrated constant in
+the derived regime at four proxies per core.
 """
 
 from __future__ import annotations

@@ -1,13 +1,16 @@
-"""Tests of the ``chaos --storage`` campaign: the sweep's intact-or-typed
-contract, the recovery drill's eviction/readmit/goodput oracles, and the
-report rendering."""
+"""Tests of the ``chaos --storage`` campaign: the write train's verdict,
+the sweep's intact-or-typed contract, the recovery drill's
+eviction/readmit/goodput oracles and phase spans, and the report
+rendering."""
 
 import pytest
 
 from repro.config import ALL_CONFIGS, OSConfig
-from repro.experiments.chaos import cmd_chaos
+from repro.experiments import build_machine, storage
+from repro.experiments.chaos import RECOVERY_BAR, cmd_chaos
 from repro.experiments.storage import (DRILL_SMOKE_PHASES, SMOKE_RATES,
-                                       STORAGE_RECOVERY_BAR, run_storage)
+                                       STORAGE_SETTLE, WRITE_STRIDE,
+                                       WriteTrain, run_storage)
 
 
 @pytest.fixture(scope="module")
@@ -56,10 +59,10 @@ def test_drills_evict_readmit_and_recover(result):
     for drill in result.drills:
         assert drill.evictions >= 1
         assert drill.readmits >= 1
-        assert drill.recovery_ratio >= STORAGE_RECOVERY_BAR
+        assert drill.recovery_ratio >= RECOVERY_BAR
         assert [p.name for p in drill.phases] \
             == [name for name, _count in DRILL_SMOKE_PHASES]
-        assert drill.phase("baseline").failed_typed == 0
+        assert drill.phase("baseline").typed == 0
 
 
 def test_render_reports_the_verdict(result):
@@ -75,3 +78,81 @@ def test_cmd_chaos_storage_smoke_exits_zero(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "storage contract" in out
+
+
+#: one write per case of the storage contract: (what the write saw, or
+#: None for a write that never returned; what its read-back returned:
+#: "payload", "zeros" (a torn read), a typed error's name, or None for a
+#: read-back that never returned; verdict)
+WRITE_CASES = [
+    ("ok", "payload", "acked"),
+    ("ok", "MediaError", "acked-read-typed"),
+    ("MediaError", None, "typed"),
+    ("ok", "zeros", "torn read-back: acked payload not returned, "
+                    "no typed error"),
+    ("ok", None, "acked, but its read-back never returned"),
+    (None, None, "never resolved: no ack and no typed error"),
+]
+
+
+@pytest.fixture
+def judged_writes():
+    """A built, never-run train over the cases above, its per-write
+    records written by hand; write ``i`` starts at ``10 * i`` and
+    returns at ``10 * i + 4`` sim seconds."""
+    machine = build_machine(1, OSConfig.LINUX,
+                            params=storage._storage_params())
+    train = WriteTrain(machine, len(WRITE_CASES))
+    for i, (written, read, _verdict) in enumerate(WRITE_CASES):
+        train.sent_at[i], train.returned_at[i] = 10.0 * i, 10.0 * i + 4
+        if written is not None:
+            train.write_out[i] = written
+        if read == "payload":
+            train.read_out[i] = train.payload(i)
+        elif read == "zeros":
+            train.read_out[i] = bytes(train.sizes[i])
+        elif read is not None:
+            train.read_out[i] = read
+    return train
+
+
+@pytest.mark.parametrize("i", range(len(WRITE_CASES)))
+def test_write_outcome_judges_each_contract_case(judged_writes, i):
+    assert judged_writes.outcome(i) == WRITE_CASES[i][2]
+
+
+def test_write_violations_acked_and_tally(judged_writes):
+    train = judged_writes
+    size = train.sizes[0]
+    assert train.violations("Linux drill") == [
+        f"Linux drill write {i} ({size}B): {verdict}"
+        for i, (_w, _r, verdict) in enumerate(WRITE_CASES)
+        if verdict not in ("acked", "acked-read-typed", "typed")]
+    # the media audit sees every acked write, whatever its read-back did
+    assert sorted(train.acked) == [0, 1, 3, 4]
+    assert train.acked[3] == (3 * WRITE_STRIDE, train.payload(3))
+    carried, typed, elapsed, goodput = train.tally(0, len(WRITE_CASES))
+    assert (carried, typed, elapsed) == (2, 1, 54.0)
+    assert goodput == 2 * size / 54.0
+    assert train.tally(2, 3) == (0, 1, 4.0, 0.0)
+
+
+def test_drill_phase_spans_stop_at_their_last_write(monkeypatch):
+    """Each phase spans its first write's start to its last write's
+    return, so the recovery settle is in no phase's span."""
+    trains = []
+
+    class Recording(WriteTrain):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            trains.append(self)
+
+    monkeypatch.setattr(storage, "WriteTrain", Recording)
+    drill = storage._run_drill(OSConfig.MCKERNEL_HFI, DRILL_SMOKE_PHASES)
+    (train,) = trains
+    lo = 0
+    for phase in drill.phases:
+        hi = lo + phase.count
+        assert phase.elapsed == train.returned_at[hi - 1] - train.sent_at[lo]
+        lo = hi
+    assert drill.phase("storm").elapsed < STORAGE_SETTLE
