@@ -16,7 +16,6 @@
     python -m repro trace fig4    # causal tracing (--out/--breakdown/--smoke)
     python -m repro check pingpong --smoke   # bounded model checker
     python -m repro check --replay a.sched   # replay a counterexample
-    python -m repro tune pingpong --smoke    # design-space exploration
 """
 
 from __future__ import annotations
@@ -119,8 +118,7 @@ def main(argv=None) -> int:
         print(__doc__)
         print("commands:", ", ".join([*COMMANDS, "all", "dwarf", "lint",
                                       "sanitize", "lockdep", "lockgraph",
-                                      "vet", "chaos", "trace", "check",
-                                      "tune"]))
+                                      "vet", "chaos", "trace", "check"]))
         return 0
     name = argv[0]
     if name == "dwarf":
@@ -149,9 +147,6 @@ def main(argv=None) -> int:
     if name == "check":
         from .analysis.check import cmd_check
         return cmd_check(argv[1:])
-    if name == "tune":
-        from .tune.cli import cmd_tune
-        return cmd_tune(argv[1:])
     if name == "all":
         for key, fn in COMMANDS.items():
             if key == "report":

@@ -107,9 +107,10 @@ def cmd_sanitize(argv: List[str],
 
 
 def _chaos_smoke() -> str:
-    """The ``chaos`` pseudo-experiment of ``python -m repro lockdep``:
-    the fault-injection smoke sweep, which exercises the IRQ-recovery
-    and error paths the figure experiments never reach."""
+    """The ``chaos`` pseudo-experiment of ``python -m repro lockdep``
+    and ``vet --crosscheck``: the fault-injection smoke sweep, which
+    exercises the IRQ-recovery and error paths the figure experiments
+    never reach."""
     from ..experiments.chaos import run_chaos
     return run_chaos(smoke=True).render()
 

@@ -51,10 +51,9 @@ PD014    storage recovery-hook gating: in the replicated-storage stack
          test; the fault-draw half of the storage contract is PD007
          tree-wide, and the blockdev device model is exempt (it moves
          bytes unconditionally)
-PD016    tune-hook gating: every PicoTune probe hook
+PD016    machine-observer hook gating: every machine-observer hook
          (``on_machine_built``) sits behind a ``probe`` test, so
-         untuned runs stay branch-cheap and bit-identical
-         (``repro/tune`` exempt)
+         unobserved runs stay branch-cheap and bit-identical
 PD100    unused suppression: a ``# pd-ignore`` comment that suppresses
          nothing (rots silently and hides future real findings)
 =======  ==============================================================
@@ -157,10 +156,10 @@ RULES: Dict[str, Tuple[str, str]] = {
                 "every typed error a fault point can raise needs a "
                 "handler somewhere on the path to the dispatcher "
                 "boundary; catch it or stop raising it"),
-    "PD016": ("tune-hook gating",
-              "guard the probe hook with a 'probe'-is-installed test "
-              "(if probe is not None: ...) so untuned runs never touch "
-              "the exploration service"),
+    "PD016": ("machine-observer hook gating",
+              "guard the observer hook with a 'probe'-is-installed test "
+              "(if probe is not None: ...) so unobserved runs never "
+              "call it"),
     "PD100": ("unused suppression",
               "delete the stale '# pd-ignore' comment (or narrow its "
               "rule list to the codes actually found on the line)"),
@@ -435,9 +434,9 @@ _GATES: Tuple[_Gate, ...] = (
           "storage recovery hook",
           lambda parts, base: "guard" in parts or base == "blockdev.py"
           or ("pxd" not in parts and base != "pxd_pico.py")),
-    # the environment and its probes (repro/tune) drive the hook
+    # only the machine builder calls the hook, so no module is exempt
     _Gate("PD016", ("probe",), frozenset({"on_machine_built"}),
-          "PicoTune probe hook", lambda parts, base: "tune" in parts),
+          "machine-observer hook", lambda parts, base: False),
 )
 
 

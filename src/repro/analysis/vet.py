@@ -44,6 +44,7 @@ import sys
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from . import astcache
+from .cli import _chaos_smoke
 from .lint import (Finding, _comment_tokens, _IGNORE_RE, _suppressed,
                    code_matches, vet_owned)
 from .vet_checkers import run_checkers
@@ -113,11 +114,6 @@ def _stale_vet_suppressions(program: Program,
 
 
 # --- crosscheck: dynamic facts ⊆ static over-approximation -------------------
-
-def _chaos_smoke() -> str:
-    from ..experiments.chaos import run_chaos
-    return run_chaos(smoke=True).render()
-
 
 def _default_table(commands: Optional[Dict[str, Callable[[], str]]]
                    ) -> Dict[str, Callable[[], str]]:

@@ -21,7 +21,8 @@ trace      ``SpanCollector``         span emission sites; Machine
                                      attaches it to each machine
 guard      ``GuardPolicy``           Machine: one ``GuardManager`` per
                                      HFI and per pxd stack
-tune       ``EvalProbe``             Machine: ``on_machine_built``
+tune       machine observer          Machine: ``on_machine_built``;
+                                     set by ``bench/layers.py``
 ksan       list of ``RaceDetector``  Machine appends one per node heap
 lockdep    list of                   Machine appends one per machine
            ``LockdepValidator``

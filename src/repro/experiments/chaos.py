@@ -30,7 +30,7 @@ from ..params import default_params
 from ..psm import Endpoint, TagMatcher
 from ..sim import Event
 from ..units import KiB, MiB, USEC
-from .common import build_machine
+from .common import build_machine, map_shards
 
 #: one of each protocol regime: eager PIO, eager SDMA, rendezvous (4
 #: windows at the default 256KB window size)
@@ -285,9 +285,8 @@ def _run_cell(os_config: OSConfig, rate: float, n_messages: int,
               params=None) -> CellResult:
     """Run one (config, rate) cell of the ping-pong-style workload.
 
-    ``params`` overrides the 2-engine chaos calibration — the PicoTune
-    environment reuses this cell as its goodput-under-faults fitness
-    over arbitrary design points.
+    ``params`` overrides the 2-engine chaos calibration — the benchmark's
+    ``chaos`` workload passes its seeded calibrations through it.
     """
     # A zero-rate *plan* (rather than no plan) keeps the reliability
     # protocol active, so the rate-0 row is the protocol-overhead
@@ -324,14 +323,14 @@ def run_chaos(smoke: bool = False,
     configuration.
 
     ``workers > 1`` fans the (config, rate) cells across processes via
-    the PicoTune shard runner; every cell seeds its own machine, so the
-    merged result is bit-identical to the serial sweep.
+    :func:`~repro.experiments.common.map_shards`; every cell seeds its
+    own machine, so the merged result is bit-identical to the serial
+    sweep.
     """
     if rates is None:
         rates = SMOKE_RATES if smoke else DEFAULT_RATES
     if n_messages is None:
         n_messages = 9 if smoke else 24
-    from ..tune.runner import map_shards
     cells = map_shards(_cell_job,
                        [(os_config, rate, n_messages)
                         for os_config in configs for rate in rates],

@@ -8,12 +8,15 @@
 * ``MCKERNEL_HFI`` — as above, but the address spaces are unified and the
   HFI PicoDriver is registered, so SDMA sends and TID registration run
   locally on LWK cores.
+
+:func:`map_shards` fans independent cells (each builds its own machine)
+across processes with output identical to the serial loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Callable, List, Optional, Sequence
 
 from ..config import PLANES, OSConfig
 from ..core.hfi_pico import HFIPicoDriver
@@ -90,7 +93,8 @@ class Machine:
         #: point the collector at this machine's clock
         if PLANES.trace is not None:
             PLANES.trace.attach_machine(self)
-        #: PicoTune evaluations: let the probe observe the built machine
+        #: a machine observer in the ``tune`` slot (``bench/layers.py``
+        #: sets one) sees each built machine
         probe = PLANES.tune
         if probe is not None:
             probe.on_machine_built(self)
@@ -215,3 +219,35 @@ def build_machine(n_nodes: int, os_config: OSConfig,
     """Convenience constructor with default calibration."""
     return Machine(params if params is not None else default_params(),
                    n_nodes, os_config, driver_version)
+
+
+def _indexed_call(payload):
+    """Worker-side shim: run ``fn(item)`` and tag it with its index
+    (top-level so it pickles under any start method)."""
+    fn, index, item = payload
+    return index, fn(item)
+
+
+def map_shards(fn: Callable, items: Sequence, workers: int = 1) -> List:
+    """Map ``fn`` over ``items``, optionally across processes.
+
+    ``fn`` must be a top-level (picklable) pure function.  With
+    ``workers <= 1`` this is a plain serial loop; otherwise a process
+    pool (``fork`` where the platform has it, so workers inherit warm
+    imports) evaluates the items concurrently and the results are
+    reassembled in submission order, making the output bit-identical
+    to the serial loop for pure ``fn``.
+    """
+    items = list(items)
+    if workers <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    import multiprocessing
+    ctx = multiprocessing.get_context(
+        "fork" if "fork" in multiprocessing.get_all_start_methods()
+        else None)
+    out: List = [None] * len(items)
+    with ctx.Pool(processes=min(workers, len(items))) as pool:
+        payloads = [(fn, i, item) for i, item in enumerate(items)]
+        for index, result in pool.imap_unordered(_indexed_call, payloads):
+            out[index] = result
+    return out

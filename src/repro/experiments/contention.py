@@ -98,20 +98,9 @@ def predict_offload_latency(n_ranks: int,
 
 
 def run_contention(rank_counts=DEFAULT_RANK_COUNTS,
-                   params: Optional[Params] = None,
-                   workers: int = 1) -> ContentionResult:
-    """Measure (DES) and predict (macro) offload latency per rank count.
-
-    ``workers > 1`` fans the per-rank-count DES measurements across
-    processes via the PicoTune shard runner (each builds its own
-    machine, so merged results are bit-identical to the serial run).
-    """
-    from functools import partial
-
-    from ..tune.runner import map_shards
-    values = map_shards(partial(measure_offload_latency, params=params),
-                        list(rank_counts), workers=workers)
-    measured = dict(zip(rank_counts, values))
+                   params: Optional[Params] = None) -> ContentionResult:
+    """Measure (DES) and predict (macro) offload latency per rank count."""
+    measured = {n: measure_offload_latency(n, params) for n in rank_counts}
     predicted = {n: predict_offload_latency(n, params)
                  for n in rank_counts}
     return ContentionResult(rank_counts=tuple(rank_counts),

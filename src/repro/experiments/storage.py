@@ -272,9 +272,9 @@ def _run_cell(os_config: OSConfig, rate: float, n_writes: int,
     """Run one (config, rate) cell of the storage sweep.
 
     ``params`` overrides the default 3-replica calibration — the
-    PicoTune environment reuses this cell as its storage-goodput
-    fitness over arbitrary design points (it must carry
-    ``blk.replicas > 0`` or no block device is built).
+    benchmark's ``storage`` workload passes its seeded calibrations
+    through it (they must carry ``blk.replicas > 0`` or no block device
+    is built).
     """
     # A zero-rate *plan* (rather than no plan) keeps the recovery
     # machinery active, so the rate-0 row is the protocol-overhead

@@ -745,7 +745,7 @@ def test_pd014_in_rules_table():
     assert "PD014" in rules_table()
 
 
-# --- PD016 tune-hook gating ---------------------------------------------------
+# --- PD016 machine-observer hook gating ---------------------------------------
 
 def test_pd016_unguarded_probe_hook():
     findings = lint("""\
@@ -753,7 +753,7 @@ def test_pd016_unguarded_probe_hook():
             self.probe.on_machine_built(self)
         """, path="src/repro/experiments/common.py")
     assert codes(findings) == ["PD016"]
-    assert "PicoTune probe hook" in findings[0].message
+    assert "machine-observer hook" in findings[0].message
     assert "a test of probe" in findings[0].message
 
 
@@ -777,16 +777,6 @@ def test_pd016_probe_is_none_test_is_clean():
                 probe.on_machine_built(self)
         """, path="src/repro/experiments/common.py")
     assert findings == []
-
-
-def test_pd016_exempts_the_tune_package_itself():
-    src = """\
-        def evaluate(self, point, seed):
-            probe.on_machine_built(machine)
-        """
-    assert lint(src, path="src/repro/tune/env.py") == []
-    assert codes(lint(src, path="src/repro/experiments/common.py")) \
-        == ["PD016"]
 
 
 def test_pd016_in_rules_table():

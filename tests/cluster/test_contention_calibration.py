@@ -38,9 +38,3 @@ def test_macro_closed_form_tracks_des(study):
 def test_render(study):
     text = study.render()
     assert "concurrent ranks" in text and "32" in text
-
-
-def test_parallel_measurement_matches_serial(study):
-    parallel = run_contention(rank_counts=(1, 4, 8, 32), workers=2)
-    assert parallel.measured == study.measured
-    assert parallel.predicted == study.predicted

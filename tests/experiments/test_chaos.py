@@ -63,8 +63,8 @@ def test_cmd_chaos_rejects_unknown_inputs(capsys):
 
 
 def test_parallel_sweep_is_bit_identical_to_serial():
-    """The PicoTune shard runner fans the cells across processes; the
-    merged sweep must match the serial one cell for cell."""
+    """``map_shards`` fans the cells across processes; the merged
+    sweep must match the serial one cell for cell."""
     kwargs = dict(smoke=True, rates=(0.0, 0.02),
                   configs=(OSConfig.MCKERNEL_HFI,), n_messages=4)
     serial = run_chaos(**kwargs, workers=1)

@@ -1,13 +1,17 @@
-"""Machine-builder invariants for the three OS configurations."""
+"""Machine-builder invariants for the three OS configurations, the
+machine-observer slot, and the order-preserving shard map."""
 
 import pytest
 
-from repro.config import OSConfig
+from repro.apps.imb import PingPong
+from repro.config import ALL_CONFIGS, OSConfig, planes
 from repro.core.address_space import (LINUX_DIRECT_MAP_BASE,
                                       validate_unification)
 from repro.core.sync import rcu_synchronize
 from repro.errors import ReproError
 from repro.experiments import build_machine
+from repro.experiments.common import map_shards
+from repro.units import KiB
 
 
 def test_linux_config_has_no_lwk():
@@ -89,3 +93,53 @@ def test_kernel_profiler_tracer_wiring():
 def test_rcu_is_explicitly_unsupported():
     with pytest.raises(NotImplementedError, match="future work"):
         rcu_synchronize()
+
+
+class _Recorder:
+    """A machine observer: keeps every machine built while installed."""
+
+    def __init__(self):
+        self.machines = []
+
+    def on_machine_built(self, machine):
+        self.machines.append(machine)
+
+
+def _pingpong(machine):
+    """One eager and one rendezvous size: bandwidths and tracer counters."""
+    bandwidth = PingPong(machine, repetitions=1, warmup=1).run(
+        [64, 256 * KiB])
+    return bandwidth, dict(machine.tracer.counters)
+
+
+def test_observer_slot_sees_each_machine_once_and_moves_nothing():
+    """``bench/layers.py`` reads each machine's counters through the
+    ``tune`` slot: under ``planes(tune=...)`` every build hands its
+    machine to ``on_machine_built`` exactly once, and an observed
+    ping-pong equals an unobserved one."""
+    plain = [_pingpong(build_machine(2, cfg)) for cfg in ALL_CONFIGS]
+    recorder = _Recorder()
+    with planes(tune=recorder):
+        machines = [build_machine(2, cfg) for cfg in ALL_CONFIGS]
+        observed = [_pingpong(m) for m in machines]
+    assert len(recorder.machines) == len(machines)
+    assert all(seen is built
+               for seen, built in zip(recorder.machines, machines))
+    assert observed == plain
+
+
+def _square(x):
+    """Top-level so the pool can pickle it."""
+    return x * x
+
+
+def test_map_shards_parallel_equals_serial():
+    items = list(range(17))
+    serial = map_shards(_square, items, workers=1)
+    parallel = map_shards(_square, items, workers=4)
+    assert serial == parallel == [x * x for x in items]
+
+
+def test_map_shards_handles_trivial_inputs():
+    assert map_shards(_square, [], workers=4) == []
+    assert map_shards(_square, [3], workers=4) == [9]

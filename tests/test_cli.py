@@ -8,7 +8,6 @@ def test_help(capsys):
     assert main([]) == 0
     out = capsys.readouterr().out
     assert "fig4" in out and "table1" in out
-    assert "tune" in out
 
 
 def test_unknown_command(capsys):
