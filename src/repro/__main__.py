@@ -5,12 +5,9 @@
     python -m repro table1
     python -m repro sloc
     python -m repro all
-    python -m repro lint          # PicoDriver protocol lint (PD002...)
-    python -m repro sanitize fig4 # re-run with the KSan race detector
-    python -m repro lockdep fig4  # re-run with the deadlock validator
+    python -m repro vet           # every protocol rule, statically (--rules)
+    python -m repro sanitize fig4 # re-run under KSan, lockdep, static model
     python -m repro lockgraph     # static lock-class graph (--dot)
-    python -m repro vet           # whole-program rules (PD008, PD009, PD015)
-    python -m repro vet --crosscheck fig4    # dynamic ⊆ static gate
     python -m repro chaos         # fault-injection sweep (--smoke for CI)
     python -m repro chaos --flap  # PicoGuard flap campaign (failover/failback)
     python -m repro trace fig4    # causal tracing (--out/--breakdown/--smoke)
@@ -116,28 +113,22 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if not argv or argv[0] in ("-h", "--help"):
         print(__doc__)
-        print("commands:", ", ".join([*COMMANDS, "all", "dwarf", "lint",
-                                      "sanitize", "lockdep", "lockgraph",
-                                      "vet", "chaos", "trace", "check"]))
+        print("commands:", ", ".join([*COMMANDS, "all", "dwarf", "vet",
+                                      "sanitize", "lockgraph", "chaos",
+                                      "trace", "check"]))
         return 0
     name = argv[0]
     if name == "dwarf":
         return _dwarf_extract(argv[1:])
-    if name == "lint":
-        from .analysis.cli import cmd_lint
-        return cmd_lint(argv[1:])
+    if name == "vet":
+        from .analysis.vet import cmd_vet
+        return cmd_vet(argv[1:])
     if name == "sanitize":
         from .analysis.cli import cmd_sanitize
         return cmd_sanitize(argv[1:], COMMANDS)
-    if name == "lockdep":
-        from .analysis.cli import cmd_lockdep
-        return cmd_lockdep(argv[1:], COMMANDS)
     if name == "lockgraph":
         from .analysis.cli import cmd_lockgraph
         return cmd_lockgraph(argv[1:])
-    if name == "vet":
-        from .analysis.vet import cmd_vet
-        return cmd_vet(argv[1:], COMMANDS)
     if name == "chaos":
         from .experiments.chaos import cmd_chaos
         return cmd_chaos(argv[1:])

@@ -13,34 +13,40 @@ concurrently mutating the same Linux driver state (section 3.3):
   by both kernels whose candidate lockset goes empty is reported with
   full provenance (both access sites, sim time, lock holder history).
 
-* :mod:`repro.analysis.lint` — a syntactic AST lint pass
-  (``python -m repro lint``, stdlib ``ast`` only) enforcing the
-  per-module half of the PicoDriver protocol: lock discipline,
-  sim-process hygiene, layout-version guards, raw-heap-access
-  confinement and the opt-in planes' hook gating (rules PD002...PD016
-  + PD100, per-line ``# pd-ignore`` suppression).
+* :mod:`repro.analysis.lint` — the per-module rules (stdlib ``ast``
+  only) of the PicoDriver protocol: lock discipline, sim-process
+  hygiene, layout-version guards, raw-heap-access confinement and the
+  opt-in planes' hook gating (rules PD002...PD016), plus the one
+  per-line ``# pd-ignore`` suppression pass and its PD100.
 
-* :mod:`repro.analysis.vet` — "PicoVet", the one interprocedural
-  program model (``python -m repro vet``): fast-path purity, lock
-  order and waits under a lock (rules PD008, PD009, PD015.x).
+* :mod:`repro.analysis.vet` — "PicoVet", the one static command
+  (``python -m repro vet``): it parses each module once, builds the one
+  interprocedural program model (fast-path purity, lock order and
+  waits under a lock: rules PD008, PD009, PD015.x) and runs every rule,
+  per-module and whole-program, under one suppression verdict.
 
 * :mod:`repro.analysis.lockdep` — "PicoLockdep", cross-kernel
-  lock-order analysis.  A runtime validator
-  (``planes(lockdep=[])`` or ``python -m repro lockdep``)
+  lock-order analysis.  A runtime validator (``planes(lockdep=[])``)
   builds the observed lock-class dependency graph and reports order
   cycles, declared-hierarchy violations, IRQ inversions and timed
   waits inside critical sections; :func:`~repro.analysis.lockdep.lock_graph`
   (``python -m repro lockgraph``) reads the compile-time graph the
   dynamic edges are checked against off the PicoVet model.
+
+``python -m repro sanitize <experiment>`` is the one dynamic command:
+it re-runs an experiment with KSan, lockdep and a typed-error observer
+installed together, and fails on a race, a lock-order hazard, or a
+dynamic fact the static model does not contain
+(:mod:`repro.analysis.cli`).
 """
 
 from .ksan import HeapAccess, RaceDetector, RaceReport
-from .lint import Finding, RULES, lint_paths, lint_source
+from .lint import Finding, RULES
 from .lockdep import (LockdepReport, LockdepValidator, LockGraph,
                       dynamic_edges, lock_graph)
 
 __all__ = [
     "Finding", "HeapAccess", "LockGraph", "LockdepReport",
     "LockdepValidator", "RULES", "RaceDetector", "RaceReport",
-    "dynamic_edges", "lint_paths", "lint_source", "lock_graph",
+    "dynamic_edges", "lock_graph",
 ]

@@ -1,13 +1,12 @@
 """Single-parse AST cache shared by the static-analysis tools.
 
-``lint``, ``lockgraph`` and ``vet`` all walk the same source tree, and
-before this cache existed each of them opened and ``ast.parse``d every
-file on its own — a lint run that also builds the static lock graph
-parsed the tree twice, and a ``vet --crosscheck`` run three times.  The
-cache keys on ``(mtime_ns, size)`` so an editor save invalidates exactly
-the file it touched, and one process-wide instance is enough: the tools
-run in the same interpreter, and the analyses only ever *read* the
-trees.
+``vet`` runs the per-module rules and the program model over one parse
+of each file, and ``lockgraph`` and ``sanitize`` build the same model;
+a process that runs more than one of them (the test suite does) reads
+and ``ast.parse``s each file once.  The cache keys on
+``(mtime_ns, size)`` so an editor save invalidates exactly the file it
+touched, and one process-wide instance is enough: the tools run in the
+same interpreter, and the analyses only ever *read* the trees.
 
 Parse failures are cached too (as the :class:`SyntaxError`), so a broken
 file costs one parse attempt per invocation rather than one per tool.

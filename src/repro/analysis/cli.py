@@ -1,134 +1,147 @@
 """Command-line drivers for the analysis layer.
 
-``python -m repro lint [--rules] [paths...]``
-    Run the PicoDriver protocol lint (default target: the installed
-    ``repro`` package source).  Exit status 1 if findings remain.
-
 ``python -m repro sanitize <experiment> [<experiment>...]``
-    Re-run one or more of the paper's experiments with the KSan race
-    detector installed on every node's shared kernel heap, then print
-    each detector's verdict.  Exit status 1 if any race was found.
-
-``python -m repro lockdep <experiment> [<experiment>...]``
-    Re-run experiments (plus the ``chaos`` smoke sweep) with the
-    lockdep validator installed, print every lock-order hazard, and
-    cross-check the run: every dynamically observed lock dependency
-    must appear in the static lock graph.  Exit status 1 on hazards or
-    on a dynamic edge the static pass missed.
+    Re-run one or more of the paper's experiments (or the ``chaos``
+    smoke sweep) with every dynamic checker installed: the KSan race
+    detector on every node's shared kernel heap, the lockdep validator
+    on every machine, and an observer of every typed error constructed.
+    Then judge the run three ways: KSan's races, lockdep's lock-order
+    hazards, and whether every dynamic fact (lock dependency edge,
+    acquired lock class, shared-heap access, typed-error construction)
+    is contained in PicoVet's static over-approximation.  Exit status 1
+    on a race, a hazard or an uncontained fact.
 
 ``python -m repro lockgraph [--dot] [paths...]``
     Read the compile-time lock-class graph off the PicoVet program
     model (default target: the installed ``repro`` tree).  ``--dot``
-    emits Graphviz for the CI artifact.  Exit status 1 on cycles,
-    hierarchy violations, or PD008/PD009 findings.
+    emits Graphviz for the CI artifact.  Exit status 1 on cycles or on
+    PD000/PD008/PD009 findings.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+import os
+import sys
+from typing import Callable, Dict, List, Set, Tuple
 
 from ..config import planes
 from . import lockdep as lockdep_mod
-from .lint import default_lint_root, lint_paths, rules_table
 
 
-def cmd_lint(argv: List[str]) -> int:
-    """Entry point for ``python -m repro lint``."""
-    if "--rules" in argv:
-        print(rules_table())
-        return 0
-    args = list(argv)
-    jobs = 1
-    if "--jobs" in args:
-        idx = args.index("--jobs")
-        if idx + 1 >= len(args):
-            print("--jobs needs a worker count\n"
-                  "usage: python -m repro lint [--rules] [--jobs N] "
-                  "[paths...]")
-            return 2
-        try:
-            jobs = max(1, int(args[idx + 1]))
-        except ValueError:
-            print(f"--jobs: not a number: {args[idx + 1]!r}")
-            return 2
-        del args[idx:idx + 2]
-    unknown = [a for a in args if a.startswith("-") and a != "--rules"]
-    if unknown:
-        print(f"unknown option(s) {', '.join(unknown)}\n"
-              "usage: python -m repro lint [--rules] [--jobs N] "
-              "[paths...]")
-        return 2
-    paths = [a for a in args if not a.startswith("-")] or [default_lint_root()]
-    findings = lint_paths(paths, jobs=jobs)
-    for finding in findings:
-        print(finding.render())
-    if findings:
-        print(f"{len(findings)} finding(s)")
-        return 1
-    print("pd-lint: clean")
-    return 0
+def _chaos_smoke() -> str:
+    """The ``chaos`` pseudo-experiment of ``python -m repro sanitize``:
+    the fault-injection smoke sweep, which exercises the IRQ-recovery
+    and error paths the figure experiments never reach."""
+    from ..experiments.chaos import run_chaos
+    return run_chaos(smoke=True).render()
+
+
+def _observe_errors(record: Set[Tuple[str, str]]):
+    """A ``PLANES.observer``: attribute each constructed typed error to
+    the nearest in-tree frame below the errors module."""
+    marker = os.sep + "repro" + os.sep
+
+    def observer(exc: BaseException) -> None:
+        frame = sys._getframe(1)
+        while frame is not None:
+            filename = frame.f_code.co_filename
+            if filename.endswith("errors.py"):
+                frame = frame.f_back
+                continue
+            if marker in filename and frame.f_code.co_name != "<module>":
+                record.add((type(exc).__name__, frame.f_code.co_name))
+            return
+
+    return observer
+
+
+def _access_contained(fact: Tuple[str, str, str, str], statics) -> bool:
+    struct, fieldname, kernel, kind = fact
+    for access in statics:
+        if access.field != fieldname or access.kind != kind:
+            continue
+        if access.struct not in ("?", struct) and not access.inferred:
+            continue
+        if access.kernel not in ("?", kernel) and not access.inferred:
+            continue
+        return True
+    return False
+
+
+def _uncontained(detectors: list, validators: list,
+                 errors: Set[Tuple[str, str]]
+                 ) -> Tuple[str, List[List[str]]]:
+    """Check that every dynamic fact is contained in the static model:
+    a fact the model cannot see means the model lies, and every PD015.x
+    verdict built on it is suspect.  Returns a one-line census of the
+    dynamic facts and, per uncontained fact, its report lines."""
+    from .vet_effects import Program
+    program = Program.build()
+    graph = lockdep_mod.lock_graph(program)
+    missing: List[List[str]] = []
+
+    # 1. lock facts: dependency edges and acquired classes
+    edges = lockdep_mod.dynamic_edges(validators)
+    for key, edge in sorted(edges.items()):
+        if not graph.has_edge(*key):
+            missing.append(
+                [f"lock edge {key[0]} -> {key[1]} observed dynamically "
+                 f"but missing from the static lock graph:"]
+                + [f"  {line}" for line in edge.describe()])
+    acquired = set().union(*(v.acquired_classes() for v in validators))
+    for lock_class in sorted(acquired - set(graph.sites) - set(graph.ranks)):
+        missing.append([f"lock class {lock_class} acquired dynamically "
+                        f"but has no static acquisition site"])
+
+    # 2. heap facts: KSan's sampled accesses
+    statics = program.all_accesses()
+    heap: Set[Tuple[str, str, str, str]] = set()
+    for detector in detectors:
+        for state in detector._words.values():
+            for (kernel, kind), access in state.samples.items():
+                label = access.label
+                if not label or label.startswith("lock:"):
+                    continue
+                if "." in label:
+                    struct, fieldname = label.rsplit(".", 1)
+                else:
+                    struct, fieldname = "?", label
+                heap.add((struct, fieldname, kernel, kind))
+    for fact in sorted(heap):
+        if not _access_contained(fact, statics):
+            struct, fieldname, kernel, kind = fact
+            missing.append(
+                [f"heap access {kind} {struct}.{fieldname} by {kernel} "
+                 f"observed dynamically but matches no static access"])
+
+    # 3. error facts: constructed typed errors
+    for errname, funcname in sorted(errors):
+        if (errname, funcname) not in program.error_sites:
+            missing.append(
+                [f"{errname} constructed in {funcname}() dynamically "
+                 f"but vet knows no such construction site"])
+
+    census = (f"dynamic facts: {len(edges)} lock edge(s), "
+              f"{len(heap)} heap access pair(s), "
+              f"{len(errors)} typed error(s)")
+    return census, missing
 
 
 def cmd_sanitize(argv: List[str],
                  commands: Dict[str, Callable[[], str]]) -> int:
     """Entry point for ``python -m repro sanitize``.
 
-    ``commands`` is the experiment table of :mod:`repro.__main__`; each
-    named experiment is re-run with the ``ksan`` plane on, so every
-    machine built along the way installs a
-    :class:`~repro.analysis.ksan.RaceDetector` on its kernel heaps.
+    ``commands`` is the experiment table of :mod:`repro.__main__`, to
+    which the ``chaos`` smoke sweep is added.  Each named experiment is
+    re-run with the ``ksan``, ``lockdep`` and ``observer`` planes on, so
+    every machine built along the way installs a
+    :class:`~repro.analysis.ksan.RaceDetector` on its kernel heaps and a
+    :class:`~repro.analysis.lockdep.LockdepValidator`, and every typed
+    error constructed is recorded.
     """
+    table = {**commands, "chaos": _chaos_smoke}
     if not argv:
         print("usage: python -m repro sanitize <experiment> [...]\n"
-              f"experiments: {', '.join(commands)}")
-        return 2
-    unknown = [name for name in argv if name not in commands]
-    if unknown:
-        print(f"unknown experiment(s) {', '.join(unknown)}; choose from "
-              f"{', '.join(commands)}")
-        return 2
-    detectors: list = []
-    with planes(ksan=detectors):
-        for name in argv:
-            print(f"== sanitizing {name} ==")
-            print(commands[name]())
-    print("\n== KSan verdict ==")
-    for detector in detectors:
-        print(detector.summary())
-    reports = [report for det in detectors for report in det.races]
-    for report in reports:
-        print()
-        print(report.render())
-    if reports:
-        print(f"\nKSan: {len(reports)} cross-kernel race(s) detected")
-        return 1
-    print("KSan: no cross-kernel races detected")
-    return 0
-
-
-def _chaos_smoke() -> str:
-    """The ``chaos`` pseudo-experiment of ``python -m repro lockdep``
-    and ``vet --crosscheck``: the fault-injection smoke sweep, which
-    exercises the IRQ-recovery and error paths the figure experiments
-    never reach."""
-    from ..experiments.chaos import run_chaos
-    return run_chaos(smoke=True).render()
-
-
-def cmd_lockdep(argv: List[str],
-                commands: Dict[str, Callable[[], str]]) -> int:
-    """Entry point for ``python -m repro lockdep``.
-
-    Re-runs the named experiments with the ``lockdep`` plane on, so
-    every machine installs a
-    :class:`~repro.analysis.lockdep.LockdepValidator`, then verifies
-    dynamic/static consistency: a dependency edge observed at runtime
-    that the static pass cannot see means the static view lies.
-    """
-    table = dict(commands)
-    table.setdefault("chaos", _chaos_smoke)
-    if not argv:
-        print("usage: python -m repro lockdep <experiment> [...]\n"
               f"experiments: {', '.join(table)}")
         return 2
     unknown = [name for name in argv if name not in table]
@@ -136,36 +149,46 @@ def cmd_lockdep(argv: List[str],
         print(f"unknown experiment(s) {', '.join(unknown)}; choose from "
               f"{', '.join(table)}")
         return 2
+    detectors: list = []
     validators: list = []
-    with planes(lockdep=validators):
+    errors: Set[Tuple[str, str]] = set()
+    with planes(ksan=detectors, lockdep=validators,
+                observer=_observe_errors(errors)):
         for name in argv:
-            print(f"== lockdep {name} ==")
+            print(f"== sanitizing {name} ==")
             print(table[name]())
+
+    print("\n== KSan verdict ==")
+    races = [report for det in detectors for report in det.races]
+    _print_reports(detectors, races)
+    print(f"\nKSan: {len(races)} cross-kernel race(s) detected" if races
+          else "KSan: no cross-kernel races detected")
+
     print("\n== lockdep verdict ==")
-    for validator in validators:
-        print(validator.summary())
-    reports = [report for v in validators for report in v.reports]
+    hazards = [report for v in validators for report in v.reports]
+    _print_reports(validators, hazards)
+    print(f"\nlockdep: {len(hazards)} lock-order hazard(s)" if hazards
+          else "lockdep: no lock-order hazards")
+
+    print("\n== static model verdict ==")
+    census, missing = _uncontained(detectors, validators, errors)
+    print(census)
+    for fact in missing:
+        for line in fact:
+            print(f"  {line}")
+    print(f"\nstatic model: {len(missing)} uncontained fact(s)" if missing
+          else "static model: every dynamic fact is contained in the "
+          "static over-approximation")
+    return 1 if races or hazards or missing else 0
+
+
+def _print_reports(monitors: list, reports: list) -> None:
+    """Print each monitor's one-line summary, then each report."""
+    for monitor in monitors:
+        print(monitor.summary())
     for report in reports:
         print()
         print(report.render())
-    from .vet_effects import Program
-    graph = lockdep_mod.lock_graph(Program.build())
-    missing = [edge for key, edge
-               in sorted(lockdep_mod.dynamic_edges(validators).items())
-               if not graph.has_edge(*key)]
-    if missing:
-        print("\ndynamic edges missing from the static lock graph "
-              "(the static pass is blind to them):")
-        for edge in missing:
-            for line in edge.describe():
-                print(f"  {line}")
-    if reports or missing:
-        print(f"\nlockdep: {len(reports)} hazard(s), "
-              f"{len(missing)} unexplained dynamic edge(s)")
-        return 1
-    print("lockdep: no lock-order hazards; every dynamic dependency "
-          "edge is in the static graph")
-    return 0
 
 
 def cmd_lockgraph(argv: List[str]) -> int:
@@ -182,8 +205,8 @@ def cmd_lockgraph(argv: List[str]) -> int:
     graph = lockdep_mod.lock_graph(program)
     findings = [f for f in findings
                 if f.code in ("PD000", "PD008", "PD009")]
-    bad = (bool(findings) or bool(graph.cycles())
-           or bool(graph.hierarchy_violations()))
+    cycles = graph.cycles()
+    bad = bool(findings) or bool(cycles)
     if want_dot:
         print(graph.to_dot())
         return 1 if bad else 0
@@ -196,9 +219,7 @@ def cmd_lockgraph(argv: List[str]) -> int:
         print(finding.render())
     if bad:
         print(f"lockgraph: {len(findings)} finding(s), "
-              f"{len(graph.cycles())} cycle(s), "
-              f"{len(graph.hierarchy_violations())} hierarchy "
-              f"violation(s)")
+              f"{len(cycles)} cycle(s)")
         return 1
     print("lockgraph: acyclic and hierarchy-clean")
     return 0

@@ -1,4 +1,4 @@
-"""PicoDriver protocol lint: one syntactic pass per module.
+"""PicoDriver protocol rules that judge one module at a time.
 
 The paper's porting methodology (sections 3.1-3.4) is a *protocol*:
 shared locks must be released on every path, simulation processes must
@@ -11,7 +11,9 @@ show this class of driver-protocol property is statically checkable;
 this module checks the per-module half with nothing but the stdlib
 ``ast``.  Everything interprocedural — fast-path purity, lock order,
 waits under a lock — is a query over PicoVet's one program model
-(``python -m repro vet``, rules PD008, PD009 and PD015.x).
+(rules PD008, PD009 and PD015.x).  ``python -m repro vet`` runs both
+halves over each parsed file and judges the file's suppressions once,
+against every rule's findings (:func:`judge_suppressions`).
 
 Rules (each finding carries a fix-it hint):
 
@@ -55,7 +57,8 @@ PD016    machine-observer hook gating: every machine-observer hook
          (``on_machine_built``) sits behind a ``probe`` test, so
          unobserved runs stay branch-cheap and bit-identical
 PD100    unused suppression: a ``# pd-ignore`` comment that suppresses
-         nothing (rots silently and hides future real findings)
+         no finding of any rule (rots silently and hides future real
+         findings)
 =======  ==============================================================
 
 The six gating rules (PD007 ... PD016) are one table, ``_GATES``,
@@ -77,7 +80,7 @@ import os
 import re
 import tokenize
 from dataclasses import dataclass
-from typing import (Callable, Dict, FrozenSet, Iterable, List, Sequence, Set,
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional, Set,
                     Tuple)
 
 #: rule code -> (title, fix-it hint)
@@ -119,10 +122,9 @@ RULES: Dict[str, Tuple[str, str]] = {
               "'guard'-is-installed test (if self.guard is not None: "
               "...) so unguarded storage runs never touch the health "
               "plane"),
-    # PD008, PD009 and the PD015 family are produced by ``python -m
-    # repro vet`` (VET_CODES), not by lint; the entries live here so vet
-    # findings share lint's Finding/hint/suppression machinery and show
-    # up in the one rule table.
+    # PD008, PD009 and the PD015 family are the program-model rules of
+    # repro.analysis.vet_checkers; every rule shares this one table,
+    # Finding and suppression pass.
     "PD008": ("lock-order hierarchy",
               "acquire lock classes in the rank-increasing order "
               "declared in repro.core.lockclasses (take the lower rank "
@@ -170,6 +172,10 @@ _RAW_HEAP_ALLOWED = frozenset({"structs.py", "sync.py"})
 
 _IGNORE_RE = re.compile(r"#\s*pd-ignore(?:\[([A-Za-z0-9_.,\s]*)\])?")
 
+#: line -> (column, listed codes, or None for a blanket ignore) of each
+#: suppression comment in one file
+_Ignores = Dict[int, Tuple[int, Optional[Set[str]]]]
+
 
 def code_matches(code: str, listed: str) -> bool:
     """True if finding ``code`` is covered by suppression entry
@@ -178,19 +184,9 @@ def code_matches(code: str, listed: str) -> bool:
     return code == listed or code.startswith(listed + ".")
 
 
-#: rule ids ``python -m repro vet`` owns: lint never emits them, so only
-#: vet may judge a suppression listing them stale
-VET_CODES = ("PD008", "PD009", "PD015")
-
-
-def vet_owned(code: str) -> bool:
-    """True if suppression entry ``code`` names a vet rule."""
-    return any(code_matches(code, owned) for owned in VET_CODES)
-
-
 @dataclass(frozen=True)
 class Finding:
-    """One lint violation at a source location."""
+    """One rule violation at a source location."""
 
     path: str
     line: int
@@ -204,13 +200,25 @@ class Finding:
         return RULES[self.code][1]
 
     def render(self) -> str:
-        """``path:line:col: CODE message (fix: hint)``."""
-        return (f"{self.path}:{self.line}:{self.col}: {self.code} "
-                f"{self.message} (fix: {self.hint})")
+        """``path:line:col: CODE message (fix: hint)``, the path shown
+        by :func:`display_path`."""
+        return (f"{display_path(self.path)}:{self.line}:{self.col}: "
+                f"{self.code} {self.message} (fix: {self.hint})")
+
+
+def display_path(path: str) -> str:
+    """``path`` relative to the directory that holds the ``repro``
+    package when it lies under it (``repro/core/hfi_pico.py``), else as
+    given, so two checkouts of one commit print the same text."""
+    base = os.path.dirname(default_root())
+    full = os.path.abspath(path)
+    if full.startswith(base + os.sep):
+        return os.path.relpath(full, base)
+    return path
 
 
 def rules_table() -> str:
-    """The rule table shown by ``python -m repro lint --rules``."""
+    """The rule table shown by ``python -m repro vet --rules``."""
     lines = ["code     rule                                       fix",
              "-------  -----------------------------------------  "
              + "-" * 40]
@@ -329,6 +337,8 @@ def _check_process_hygiene(path: str, cls: _ClassInfo,
                 path, fn.lineno, fn.col_offset, "PD003",
                 f"fast-path method {cls.node.name}.{name} is not a "
                 f"generator; it cannot run as a simulation process"))
+    if not generators:
+        return                  # no generator method a bare call discards
     for mname, fn in sorted(cls.methods.items()):
         for node in _walk_shallow(fn):
             if not (isinstance(node, ast.Expr)
@@ -502,36 +512,35 @@ def _check_gating(path: str, tree: ast.AST,
 
 # --- driver ------------------------------------------------------------------
 
-def lint_source(source: str, path: str = "<string>") -> List[Finding]:
-    """Lint one module's source text; returns unsuppressed findings."""
-    from . import astcache
-    return lint_parsed(astcache.parse_source(source, path))
-
-
-def lint_parsed(module) -> List[Finding]:
-    """Lint one already-parsed :class:`~repro.analysis.astcache.ParsedModule`
-    (the shared-cache entry point: lint and the PicoVet model reuse the
-    same parse)."""
-    path, source = module.path, module.source
-    if not module.ok:
-        return [parse_failure(module)]
-    tree = module.tree
+def lint_module(module) -> List[Finding]:
+    """Every per-module rule's findings on one parsed
+    :class:`~repro.analysis.astcache.ParsedModule`, before suppression."""
+    path, tree = module.path, module.tree
     findings: List[Finding] = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):
             cls = _ClassInfo(node)
             _check_process_hygiene(path, cls, findings)
             _check_layout_guard(path, cls, findings)
-    _check_lock_discipline(path, tree, findings)
+    if "acquire" in module.source:      # else PD002 has nothing to pair
+        _check_lock_discipline(path, tree, findings)
     _check_raw_heap(path, tree, findings)
     _check_gating(path, tree, findings)
-    lines = source.splitlines()
-    kept = [f for f in findings if not _suppressed(lines, f)]
+    return findings
+
+
+def judge_suppressions(path: str, source: str,
+                       findings: List[Finding]) -> List[Finding]:
+    """One file's verdict: the ``findings`` (every rule's, on that
+    file) its ``# pd-ignore`` comments leave standing, plus one PD100
+    per comment that suppresses none of them."""
+    ignores = _ignore_comments(source)
+    kept = [f for f in findings if not _suppressed(ignores, f)]
     # PD100 is judged against the *pre*-suppression findings and added
     # after filtering, so an unused-suppression report cannot suppress
     # itself
-    kept.extend(_unused_suppressions(path, source, findings))
-    return sorted(kept, key=lambda f: (f.path, f.line, f.col, f.code))
+    kept.extend(_unused_suppressions(path, ignores, findings))
+    return kept
 
 
 def parse_failure(module) -> Finding:
@@ -541,69 +550,68 @@ def parse_failure(module) -> Finding:
                    "PD000", f"syntax error: {exc.msg}")
 
 
-def _suppressed(lines: Sequence[str], finding: Finding) -> bool:
+def _suppressed(ignores: _Ignores, finding: Finding) -> bool:
     """True if the finding's line carries a matching ``# pd-ignore``."""
-    if not (1 <= finding.line <= len(lines)):
+    if finding.line not in ignores:
         return False
-    match = _IGNORE_RE.search(lines[finding.line - 1])
-    if match is None:
-        return False
-    codes = match.group(1)
-    if codes is None:
-        return True
-    listed = {c.strip() for c in codes.split(",") if c.strip()}
-    return any(code_matches(finding.code, c) for c in listed)
+    listed = ignores[finding.line][1]
+    return listed is None or any(code_matches(finding.code, c)
+                                 for c in listed)
 
 
-def _unused_suppressions(path: str, source: str,
+def _unused_suppressions(path: str, ignores: _Ignores,
                          findings: List[Finding]) -> List[Finding]:
     """PD100: ``# pd-ignore`` comments that suppress nothing.
 
     A bare ignore on a line with no findings, or a targeted ignore
     listing codes none of which were found on that line, is dead weight:
     it documents a violation that no longer exists and will silently
-    swallow the next real one.  Only genuine COMMENT tokens count — a
-    ``pd-ignore`` mentioned inside a docstring is prose, not a
-    suppression.
+    swallow the next real one.
     """
     by_line: Dict[int, Set[str]] = {}
     for finding in findings:
         by_line.setdefault(finding.line, set()).add(finding.code)
     out: List[Finding] = []
-    for lineno, col, comment in _comment_tokens(source):
-        match = _IGNORE_RE.search(comment)
-        if match is None:
-            continue
+    for lineno, (col, listed) in sorted(ignores.items()):
         found = by_line.get(lineno, set())
-        codes = match.group(1)
-        if codes is None:
+        if listed is None:
             if not found:
                 out.append(Finding(
-                    path, lineno, col + match.start(), "PD100",
+                    path, lineno, col, "PD100",
                     "blanket '# pd-ignore' suppresses nothing on this "
                     "line"))
             continue
-        listed = {c.strip() for c in codes.split(",") if c.strip()}
         stale = sorted(c for c in listed
-                       if not vet_owned(c)
-                       and not any(code_matches(f, c) for f in found))
+                       if not any(code_matches(f, c) for f in found))
         if stale:
             out.append(Finding(
-                path, lineno, col + match.start(), "PD100",
+                path, lineno, col, "PD100",
                 f"'# pd-ignore[{', '.join(stale)}]' suppresses nothing: "
                 f"no such finding on this line"))
     return out
 
 
-def _comment_tokens(source: str) -> List[Tuple[int, int, str]]:
-    """(line, col, text) for every comment token in ``source``."""
-    out: List[Tuple[int, int, str]] = []
+def _ignore_comments(source: str) -> _Ignores:
+    """Every ``# pd-ignore`` comment in ``source``.  Only genuine
+    COMMENT tokens count, for suppressing and for PD100 alike: a
+    ``pd-ignore`` inside a string or docstring is prose, not a
+    suppression."""
+    out: _Ignores = {}
+    if "pd-ignore" not in source:
+        return out                      # nothing to judge: skip tokenize
     try:
         for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-            if tok.type == tokenize.COMMENT:
-                out.append((tok.start[0], tok.start[1], tok.string))
+            if tok.type != tokenize.COMMENT:
+                continue
+            match = _IGNORE_RE.search(tok.string)
+            if match is None:
+                continue
+            codes = match.group(1)
+            listed = (None if codes is None else
+                      {c.strip() for c in codes.split(",") if c.strip()})
+            out[tok.start[0]] = (tok.start[1] + match.start(), listed)
     except (tokenize.TokenError, IndentationError):
-        pass  # lint_source already reported the parse problem
+        pass  # the parse failure is already a PD000 finding
     return out
 
 
@@ -620,29 +628,6 @@ def iter_python_files(paths: Iterable[str]) -> List[str]:
     return sorted(out)
 
 
-def _lint_file(filename: str) -> List[Finding]:
-    """Worker for ``lint_paths``; module-level so it pickles."""
-    from . import astcache
-    return lint_parsed(astcache.parse_module(filename))
-
-
-def lint_paths(paths: Iterable[str], jobs: int = 1) -> List[Finding]:
-    """Lint every ``.py`` file under ``paths``; with ``jobs > 1`` the
-    files are fanned out over a process pool (each worker keeps its own
-    AST cache — the parallelism trades one parse per worker-file for
-    wall-clock)."""
-    files = iter_python_files(paths)
-    if jobs > 1 and len(files) > 1:
-        import multiprocessing
-        with multiprocessing.Pool(min(jobs, len(files))) as pool:
-            per_file = pool.map(_lint_file, files)
-        return [f for file_findings in per_file for f in file_findings]
-    findings: List[Finding] = []
-    for filename in files:
-        findings.extend(_lint_file(filename))
-    return findings
-
-
-def default_lint_root() -> str:
+def default_root() -> str:
     """The ``src/repro`` tree this installation runs from."""
     return os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -34,9 +34,10 @@ and the call graph carries each callee's transitive ``acquires``; the
 :class:`LockGraph` (``python -m repro lockgraph``) is built from those.
 Rules PD008 (declared-hierarchy order) and PD009 (no timed wait while a
 cross-kernel lock is held) are checkers over the same model
-(:mod:`repro.analysis.vet_checkers`).
+(:mod:`repro.analysis.vet_checkers`), so the graph itself judges only
+cycles.
 
-``python -m repro lockdep <experiment>`` cross-checks the views: every
+``python -m repro sanitize <experiment>`` cross-checks the views: every
 dynamically observed dependency edge must appear in the static graph.
 """
 
@@ -267,11 +268,11 @@ class LockdepValidator:
 
     def acquired_classes(self) -> Set[str]:
         """Every lock class this validator saw acquired (the dynamic
-        side of the vet crosscheck's acquired-class containment)."""
+        side of sanitize's acquired-class containment)."""
         return set(self._usage)
 
     def summary(self) -> str:
-        """One-line status for the lockdep CLI."""
+        """One-line status for the sanitize CLI."""
         status = (f"{len(self.reports)} finding(s)" if self.reports
                   else "no findings")
         return (f"[{self.name}] {status}; {self._acquisitions} "
@@ -408,19 +409,6 @@ class LockGraph:
         """True if the graph contains the ``src -> dst`` dependency."""
         return (src, dst) in self.edges
 
-    def hierarchy_violations(self) -> List[StaticEdge]:
-        """Edges contradicting the declared ranks (incl. self-edges)."""
-        out = []
-        for (src, dst), edge in sorted(self.edges.items()):
-            if src == dst:
-                out.append(edge)
-                continue
-            src_rank, dst_rank = self.ranks.get(src), self.ranks.get(dst)
-            if src_rank is not None and dst_rank is not None \
-                    and dst_rank <= src_rank:
-                out.append(edge)
-        return out
-
     def cycles(self) -> List[List[StaticEdge]]:
         """One representative cycle per strongly connected component."""
         adj: Dict[str, List[str]] = {}
@@ -528,11 +516,7 @@ class LockGraph:
             lines.append("  (none: no nested acquisition in the tree)")
         for _key, edge in sorted(self.edges.items()):
             lines.append(f"  {edge.describe()}")
-        violations = self.hierarchy_violations()
         cycles = self.cycles()
-        lines.append(f"hierarchy violations: {len(violations)}")
-        for edge in violations:
-            lines.append(f"  {edge.describe()}")
         lines.append(f"cycles: {len(cycles)}")
         for cycle in cycles:
             path = " -> ".join([cycle[0].src] + [e.dst for e in cycle])
@@ -549,15 +533,17 @@ def lock_graph(program) -> LockGraph:
     made while a class is held — an edge from it to every class the
     callee may transitively acquire."""
     from ..core.lockclasses import REGISTRY
+    from .lint import display_path
     from .vet_checkers import _short
     graph = LockGraph()
     for fn in sorted(program.functions.values(),
                      key=lambda f: (f.path, f.qualname)):
         for site in fn.acquire_sites:
             graph.note_acquire(site.what, REGISTRY.rank_of(site.what),
-                               f"{fn.path}:{site.line} in "
+                               f"{display_path(fn.path)}:{site.line} in "
                                f"{_short(fn.qualname)}")
     for fn, held, cls, site, _callee in program.lock_nestings():
-        graph.add_edge(StaticEdge(held, cls, fn.path, site.line,
-                                  _short(fn.qualname), site.kernel))
+        graph.add_edge(StaticEdge(held, cls, display_path(fn.path),
+                                  site.line, _short(fn.qualname),
+                                  site.kernel))
     return graph

@@ -2,8 +2,8 @@
 
 Each checker consumes the :class:`~repro.analysis.vet_effects.Program`
 (call graph + contexts + effect fixpoint + lock sites) and emits
-:class:`~repro.analysis.lint.Finding` objects, so vet findings render,
-sort and suppress exactly like lint findings.  Rule map:
+:class:`~repro.analysis.lint.Finding` objects, so they render, sort and
+suppress exactly like the per-module rules' findings.  Rule map:
 
 ========  ============================================================
 PD008     lock-order hierarchy: an acquire, or a confident call whose
@@ -253,8 +253,9 @@ def check_error_totality(program: Program) -> List[Finding]:
 
 
 def run_checkers(program: Program) -> List[Finding]:
-    """Every vet checker, sorted like lint output."""
-    out = [parse_failure(module) for module in program.unparsed]
+    """Every program-model checker's findings, sorted by location."""
+    out = [parse_failure(module) for module in program.modules
+           if not module.ok]
     out.extend(check_lock_hierarchy(program))
     out.extend(check_wait_under_lock(program))
     out.extend(check_fast_path_purity(program))

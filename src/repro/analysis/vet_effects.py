@@ -47,7 +47,7 @@ but the stdlib ``ast``; the checkers of
 
 The model is deliberately an over-approximation: every dynamic fact a
 KSan/lockdep run observes must be contained in it (``python -m repro
-vet --crosscheck``), which is what keeps the static half honest.
+sanitize``), which is what keeps the static half honest.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from . import astcache
-from .lint import (_dotted, default_lint_root, gates_mentioned,
+from .lint import (_dotted, default_root, display_path, gates_mentioned,
                    iter_python_files)
 
 #: call names that mark the offloading / syscall-dispatch machinery
@@ -128,8 +128,9 @@ class HeapAccess:
     func: str                      #: qualname of the accessing function
     locks: Tuple[str, ...]         #: lock classes statically held here
     #: struct/kernel filled in by the refinement pass (unique-field map,
-    #: context-derived kernel) rather than read off the receiver — the
-    #: crosscheck treats inferred attribution as a wildcard
+    #: context-derived kernel) rather than read off the receiver —
+    #: sanitize's containment check treats inferred attribution as a
+    #: wildcard
     inferred: bool = False
 
     def render(self) -> str:
@@ -658,7 +659,7 @@ class Program:
         self.contexts: Dict[str, Set[str]] = {}
         self.effects: Dict[str, Effect] = {}
         #: tree-wide (errname, bare function name) construction index —
-        #: the static side of the crosscheck's raised-error containment
+        #: the static side of sanitize's raised-error containment
         self.error_sites: Set[Tuple[str, str]] = set()
         #: field -> struct names, from EXTRACTION_MANIFEST-style dict
         #: literals (struct name -> [field, ...]); used to attribute
@@ -667,8 +668,9 @@ class Program:
         self._lock_bindings: Dict[str, Dict[str, str]] = {}
         #: module path -> names it imports from outside ``repro``
         self._foreign: Dict[str, Set[str]] = {}
-        #: modules that did not parse (each is a PD000 finding)
-        self.unparsed: List[astcache.ParsedModule] = []
+        #: every module read, parsed once; one that did not parse is a
+        #: PD000 finding
+        self.modules: List[astcache.ParsedModule] = []
 
     # -- construction ------------------------------------------------------
 
@@ -679,17 +681,15 @@ class Program:
         from ..core import lockclasses
         lockclasses.ensure_declarations()
         program = cls()
-        target = [default_lint_root()] if paths is None else list(paths)
-        parsed = [astcache.parse_module(f)
-                  for f in iter_python_files(target)]
-        program.unparsed = [m for m in parsed if not m.ok]
+        target = [default_root()] if paths is None else list(paths)
+        program.modules = [astcache.parse_module(f)
+                           for f in iter_python_files(target)]
+        parsed = [m for m in program.modules if m.ok]
         for module in parsed:
-            if module.ok:
-                program._digest_module(module)
+            program._digest_module(module)
         program._link_classes()
         for module in parsed:
-            if module.ok:
-                program._scan_module(module)
+            program._scan_module(module)
         program._resolve_edges()
         program._infer_contexts()
         program._refine_accesses()
@@ -763,7 +763,7 @@ class Program:
         prefix = f"{cls_model.name}." if cls_model is not None else ""
         qualname = f"{os.path.basename(path)}::{prefix}{node.name}"
         if qualname in self.functions:          # same-named module files
-            qualname = f"{path}::{prefix}{node.name}"
+            qualname = f"{display_path(path)}::{prefix}{node.name}"
         fn = FunctionInfo(qualname=qualname, name=node.name, path=path,
                           node=node, cls=cls_model)
         self.functions[qualname] = fn
@@ -771,7 +771,7 @@ class Program:
             self.module_functions.setdefault(node.name, []) \
                 .append(qualname)
         # nested defs become their own (unlinked) functions so their
-        # raise sites enter the crosscheck index — completion closures
+        # raise sites enter the error-site index — completion closures
         # run in IRQ context and do raise
         for item in node.body:
             self._digest_nested(item, path, cls_model, qualname)
@@ -843,7 +843,7 @@ class Program:
             for errname, site in fn.effect.raises_:
                 self.error_sites.add((errname, fn.name))
             # constructions (incl. locally handled raises and errors
-            # passed to callbacks) also enter the crosscheck index
+            # passed to callbacks) also enter the error-site index
             for sub in _iter_nodes(fn.node):
                 if isinstance(sub, ast.Call):
                     last = _dotted(sub.func).rsplit(".", 1)[-1]
@@ -1032,8 +1032,8 @@ class Program:
         a field that belongs to exactly one struct (per the extraction
         manifests and the receiver-typed accesses) names its struct, and
         a function running in exactly one kernel's contexts names its
-        kernel.  Refined attribution is marked ``inferred`` so the
-        crosscheck can treat it as soft."""
+        kernel.  Refined attribution is marked ``inferred`` so
+        sanitize's containment check can treat it as soft."""
         fields: Dict[str, Set[str]] = {f: set(s)
                                        for f, s in self.field_structs.items()}
         for fn in self.functions.values():

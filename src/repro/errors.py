@@ -8,7 +8,7 @@ from .config import PLANES
 class ReproError(Exception):
     """Base class for all simulator-domain errors.
 
-    While ``PLANES.observer`` is set (``python -m repro vet --crosscheck``
+    While ``PLANES.observer`` is set (``python -m repro sanitize``
     installs one), every constructed error is passed to it, so a dynamic
     run's typed errors can be checked against PicoVet's static index of
     construction sites.

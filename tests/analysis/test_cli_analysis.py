@@ -1,4 +1,5 @@
-"""Tests for ``python -m repro lint``, ``sanitize``, ``lockgraph`` and
+"""Tests for ``python -m repro vet``, ``sanitize`` and ``lockgraph``
+on the command line, and for the retired front doors ``lint`` and
 ``lockdep``."""
 
 import textwrap
@@ -6,8 +7,8 @@ import textwrap
 from repro.__main__ import main
 from repro.analysis.cli import cmd_sanitize
 
-#: a fast path that offloads (vet PD015.1, formerly lint PD001) and peeks
-#: at raw heap words from repro/core (lint PD005)
+#: a fast path that offloads (program rule PD015.1, formerly PD001) and
+#: peeks at raw heap words from repro/core (per-module rule PD005)
 ROGUE_SRC = textwrap.dedent("""\
     class RoguePico(PicoDriver):
         def fast_poke(self, task, addr):
@@ -21,25 +22,31 @@ ROGUE_SRC = textwrap.dedent("""\
 def test_help_lists_analysis_commands(capsys):
     assert main([]) == 0
     out = capsys.readouterr().out
-    assert "lint" in out and "sanitize" in out
+    assert "vet" in out and "sanitize" in out and "lockgraph" in out
 
 
-# --- lint --------------------------------------------------------------------
+def test_retired_front_doors_exit_two(capsys):
+    """``vet`` is the one static command and ``sanitize`` the one
+    dynamic one: the old doors and options are gone."""
+    for argv in (["lint"], ["lockdep", "chaos"]):
+        assert main(argv) == 2
+        assert "unknown command" in capsys.readouterr().out
+    for argv in (["vet", "--crosscheck", "fig4"], ["vet", "--jobs", "2"]):
+        assert main(argv) == 2
+        assert "unknown option" in capsys.readouterr().out
 
-def test_lint_shipped_tree_exits_zero(capsys):
-    assert main(["lint"]) == 0
-    assert "pd-lint: clean" in capsys.readouterr().out
 
+# --- the per-module rules under vet ----------------------------------------
 
 def test_lint_rules_flag_prints_table(capsys):
-    assert main(["lint", "--rules"]) == 0
+    assert main(["vet", "--rules"]) == 0
     out = capsys.readouterr().out
-    # the one table lists vet's rules too: PD015.1/.3 replace PD001/PD006
+    # one table for every rule: PD015.1/.3 replace PD001/PD006
     assert "PD002" in out and "PD015.1" in out and "PD015.3" in out
 
 
 def test_lint_unknown_option_exits_two(capsys):
-    assert main(["lint", "--rulez"]) == 2
+    assert main(["vet", "--rulez"]) == 2
     assert "unknown option" in capsys.readouterr().out
 
 
@@ -47,20 +54,21 @@ def test_lint_violation_fixture_exits_nonzero(tmp_path, capsys):
     bad = tmp_path / "core" / "rogue.py"
     bad.parent.mkdir()
     bad.write_text(ROGUE_SRC)
-    assert main(["lint", str(bad)]) == 1
+    assert main(["vet", str(bad)]) == 1
     out = capsys.readouterr().out
-    assert "PD005" in out and "finding(s)" in out
+    assert "PD005" in out and "2 finding(s)" in out
 
 
 def test_vet_flags_the_rogue_fast_path(tmp_path, capsys):
-    """The offload the local PD001 pass used to flag is vet's PD015.1."""
+    """The offload the local PD001 pass used to flag is PD015.1, found
+    by the same run that reports the per-module PD005."""
     bad = tmp_path / "core" / "rogue.py"
     bad.parent.mkdir()
     bad.write_text(ROGUE_SRC)
     assert main(["vet", str(bad)]) == 1
     out = capsys.readouterr().out
     assert "PD015.1" in out and "RoguePico.fast_poke" in out
-    assert "PD005" not in out
+    assert ": PD005 raw shared-heap access 'self.heap.read_u'" in out
 
 
 # --- sanitize ----------------------------------------------------------------
@@ -95,22 +103,18 @@ def _racy_experiment():
 
 
 def test_sanitize_reports_seeded_race(capsys):
+    """One run, one verdict: every heap fact of the racy write is one
+    the static model contains, yet the race alone fails the run."""
     assert cmd_sanitize(["racy"], {"racy": _racy_experiment}) == 1
     out = capsys.readouterr().out
     assert "race on sdma_state.current_state" in out
     assert "lockset intersection is empty" in out
     assert "1 cross-kernel race(s) detected" in out
+    assert "lockdep: no lock-order hazards" in out
+    assert "static model: every dynamic fact is contained" in out
 
 
 # --- lockgraph ---------------------------------------------------------------
-
-def test_lockgraph_shipped_tree_exits_zero(capsys):
-    assert main(["lockgraph"]) == 0
-    out = capsys.readouterr().out
-    assert "declared hierarchy:" in out
-    assert "hfi1.sdma_submit" in out
-    assert "lockgraph: acyclic and hierarchy-clean" in out
-
 
 def test_lockgraph_dot_output(capsys):
     assert main(["lockgraph", "--dot"]) == 0
@@ -144,15 +148,19 @@ def test_lockgraph_flags_abba_fixture(tmp_path, capsys):
         """))
     assert main(["lockgraph", str(bad)]) == 1
     out = capsys.readouterr().out
-    assert "PD008" in out
-    assert "cycle" in out
+    # the rank order is PD008's alone; the graph adds the cycle
+    assert ": PD008 " in out and "rank 10" in out and "rank 20" in out
+    assert "lockgraph: 1 finding(s), 1 cycle(s)" in out
+    assert "hierarchy violations" not in out
 
 
-# --- lockdep -----------------------------------------------------------------
+# --- lockdep under sanitize --------------------------------------------------
 
 def _lockdep_machine(abba):
     """A miniature 'experiment' with its own validator, collected in the
-    ``lockdep`` plane slot as a machine's would be."""
+    ``lockdep`` plane slot as a machine's would be.  The quiet variant
+    takes only ``hfi1.sdma_submit``, which the shipped tree acquires, so
+    its one lock class has a static acquisition site."""
     from repro.analysis.lockdep import LockdepValidator
     from repro.config import PLANES
     from repro.core import linux_layout, mckernel_unified_layout
@@ -188,56 +196,32 @@ def _lockdep_machine(abba):
         sim.process(nested(sdma, dispatch, "mckernel", mck, 1.0))
     else:
         sim.process(single(sdma, "linux", linux, 0.0))
-        sim.process(single(dispatch, "mckernel", mck, 1.0))
+        sim.process(single(sdma, "mckernel", mck, 1.0))
     sim.run()
     return "fixture ran"
 
 
 def test_lockdep_usage_and_unknown_experiment(capsys):
-    from repro.analysis.cli import cmd_lockdep
-    assert cmd_lockdep([], {}) == 2
-    assert "usage:" in capsys.readouterr().out
-    assert cmd_lockdep(["nope"], {}) == 2
+    assert cmd_sanitize([], {}) == 2
+    out = capsys.readouterr().out
+    assert "usage:" in out and "chaos" in out
+    assert cmd_sanitize(["nope"], {}) == 2
     assert "unknown experiment" in capsys.readouterr().out
 
 
 def test_lockdep_clean_experiment_exits_zero(capsys):
-    from repro.analysis.cli import cmd_lockdep
-    rc = cmd_lockdep(["quiet"], {"quiet": lambda: _lockdep_machine(False)})
+    rc = cmd_sanitize(["quiet"], {"quiet": lambda: _lockdep_machine(False)})
     out = capsys.readouterr().out
     assert rc == 0
-    assert "no lock-order hazards" in out
+    assert "lockdep: no lock-order hazards" in out
+    assert "static model: every dynamic fact is contained" in out
 
 
 def test_lockdep_reports_seeded_abba(capsys):
-    from repro.analysis.cli import cmd_lockdep
-    rc = cmd_lockdep(["abba"], {"abba": lambda: _lockdep_machine(True)})
+    rc = cmd_sanitize(["abba"], {"abba": lambda: _lockdep_machine(True)})
     out = capsys.readouterr().out
     assert rc == 1
-    assert "order-cycle" in out or "cycle" in out
-    assert "hierarchy" in out
+    assert "lockdep order-cycle: lock-class dependency cycle" in out
+    assert "hierarchy-violation" in out
     assert "linux" in out and "mckernel" in out
-
-
-# --- lint --jobs -------------------------------------------------------------
-
-def test_lint_jobs_parallel_matches_serial(capsys):
-    assert main(["lint", "--jobs", "2"]) == 0
-    assert "pd-lint: clean" in capsys.readouterr().out
-
-
-def test_lint_jobs_option_validation(capsys):
-    assert main(["lint", "--jobs"]) == 2
-    assert "--jobs needs a worker count" in capsys.readouterr().out
-    assert main(["lint", "--jobs", "many"]) == 2
-    assert "not a number" in capsys.readouterr().out
-
-
-def test_lint_jobs_parallel_reports_findings(tmp_path, capsys):
-    bad = tmp_path / "core" / "rogue.py"
-    bad.parent.mkdir()
-    bad.write_text(ROGUE_SRC)
-    ok = tmp_path / "core" / "fine.py"
-    ok.write_text("x = 1\n")
-    assert main(["lint", "--jobs", "2", str(bad), str(ok)]) == 1
-    assert "PD005" in capsys.readouterr().out
+    assert "KSan: no cross-kernel races detected" in out

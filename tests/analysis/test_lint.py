@@ -1,31 +1,33 @@
-"""Tests for the PicoDriver protocol lint (PD002-PD016, PD100).
+"""Tests for the per-module PicoDriver rules (PD002-PD016) and the one
+suppression verdict (PD100), each run the way ``python -m repro vet``
+runs it: every rule over one parse of the fixture.
 
 Each rule gets a violation fixture and a compliant twin; the suite also
-pins the suppression syntax and — the acceptance bar — that the shipped
-``src/repro`` tree lints clean.  The fixtures of the rules that moved to
-``python -m repro vet`` (PD001/PD006, now PD015.1/PD015.3, and
-PD008/PD009) stay here, run through vet.
+pins the suppression syntax.  The fixtures of the rules that moved to
+the program model (PD001/PD006, now PD015.1/PD015.3, and PD008/PD009)
+stay here too.
 """
 
+import os
+import tempfile
 import textwrap
 
-from repro.analysis.lint import (RULES, Finding, default_lint_root,
-                                 iter_python_files, lint_paths, lint_source,
-                                 rules_table)
+from repro.analysis import astcache
+from repro.analysis.lint import (RULES, Finding, iter_python_files,
+                                 lint_module, rules_table)
 from repro.analysis.vet import vet_paths
 
 
-def lint(src, path="src/repro/mckernel/x.py"):
-    """Lint a dedented fixture; default path is outside repro/core so
-    PD005 stays quiet unless a test opts in."""
-    return lint_source(textwrap.dedent(src), path)
-
-
-def vet(tmp_path, src):
-    """Vet findings for a dedented single-module fixture."""
-    fixture = tmp_path / "x.py"
-    fixture.write_text(textwrap.dedent(src))
-    return vet_paths([str(fixture)])[1]
+def vet(src, path="src/repro/mckernel/x.py"):
+    """Vet findings for a dedented single-module fixture written at
+    ``path`` under a scratch root; the default path is outside
+    repro/core so PD005 stays quiet unless a test opts in."""
+    with tempfile.TemporaryDirectory() as root:
+        fixture = os.path.join(root, path)
+        os.makedirs(os.path.dirname(fixture), exist_ok=True)
+        with open(fixture, "w", encoding="utf-8") as handle:
+            handle.write(textwrap.dedent(src))
+        return vet_paths([fixture])[1]
 
 
 def codes(findings):
@@ -34,8 +36,8 @@ def codes(findings):
 
 # --- fast-path purity (PD001 -> vet PD015.1) ---------------------------------
 
-def test_pd001_offload_reachable_from_fast_path(tmp_path):
-    findings = vet(tmp_path, """\
+def test_pd001_offload_reachable_from_fast_path():
+    findings = vet("""\
         class BadPico(PicoDriver):
             def fast_writev(self, task, fd):
                 yield from self._send(task)
@@ -48,8 +50,8 @@ def test_pd001_offload_reachable_from_fast_path(tmp_path):
     assert "via BadPico.fast_writev -> BadPico._send" in findings[0].message
 
 
-def test_pd001_ikc_call_in_fast_path(tmp_path):
-    findings = vet(tmp_path, """\
+def test_pd001_ikc_call_in_fast_path():
+    findings = vet("""\
         class BadPico(PicoDriver):
             def fast_ioctl(self, task, fd, cmd, arg):
                 yield from self.lwk.ikc.call(task, cmd)
@@ -57,8 +59,8 @@ def test_pd001_ikc_call_in_fast_path(tmp_path):
     assert codes(findings) == ["PD015.1"]
 
 
-def test_pd001_clean_when_offload_is_on_the_slow_path(tmp_path):
-    findings = vet(tmp_path, """\
+def test_pd001_clean_when_offload_is_on_the_slow_path():
+    findings = vet("""\
         class GoodPico(PicoDriver):
             def claims(self, syscall, args):
                 return FastPathDecision.offload("administrative")
@@ -75,7 +77,7 @@ def test_pd001_clean_when_offload_is_on_the_slow_path(tmp_path):
 # --- PD002 lock discipline ---------------------------------------------------
 
 def test_pd002_acquire_without_release():
-    findings = lint("""\
+    findings = vet("""\
         def submit(self, group):
             yield from self.lock.acquire("mckernel", self.aspace)
             yield from self.engine.submit(group)
@@ -85,7 +87,7 @@ def test_pd002_acquire_without_release():
 
 
 def test_pd002_release_outside_finally():
-    findings = lint("""\
+    findings = vet("""\
         def submit(self, group):
             yield from self.lock.acquire("mckernel", self.aspace)
             yield from self.engine.submit(group)
@@ -96,7 +98,7 @@ def test_pd002_release_outside_finally():
 
 
 def test_pd002_clean_try_finally():
-    findings = lint("""\
+    findings = vet("""\
         def submit(self, group):
             yield from self.lock.acquire("mckernel", self.aspace)
             try:
@@ -109,7 +111,7 @@ def test_pd002_clean_try_finally():
 
 def test_pd002_tracks_distinct_receivers():
     """Releasing lock A does not excuse leaking lock B."""
-    findings = lint("""\
+    findings = vet("""\
         def submit(self, group):
             yield from self.a.acquire("linux", self.aspace)
             yield from self.b.acquire("linux", self.aspace)
@@ -125,7 +127,7 @@ def test_pd002_tracks_distinct_receivers():
 # --- PD003 sim-process hygiene -----------------------------------------------
 
 def test_pd003_fast_method_not_a_generator():
-    findings = lint("""\
+    findings = vet("""\
         class BadPico(PicoDriver):
             def fast_ioctl(self, task, fd, cmd, arg):
                 return 0
@@ -135,7 +137,7 @@ def test_pd003_fast_method_not_a_generator():
 
 
 def test_pd003_bare_generator_call_discards_process():
-    findings = lint("""\
+    findings = vet("""\
         class Pico:
             def fast_send(self, task):
                 yield self.sim.timeout(1.0)
@@ -149,7 +151,7 @@ def test_pd003_bare_generator_call_discards_process():
 
 
 def test_pd003_yield_from_is_the_fix():
-    findings = lint("""\
+    findings = vet("""\
         class Pico:
             def fast_send(self, task):
                 yield from self._drain()
@@ -163,7 +165,7 @@ def test_pd003_yield_from_is_the_fix():
 # --- PD004 layout-version guard ----------------------------------------------
 
 def test_pd004_structview_without_version_guard():
-    findings = lint("""\
+    findings = vet("""\
         class BadPico(PicoDriver):
             def attach(self, lwk):
                 self.view = StructView(self.layouts["sdma_state"],
@@ -177,7 +179,7 @@ def test_pd004_structview_without_version_guard():
 
 
 def test_pd004_guarded_class_is_clean():
-    findings = lint("""\
+    findings = vet("""\
         class GoodPico(PicoDriver):
             def attach(self, lwk):
                 layout = dwarf_extract_struct(self.module, "s", ["f"])
@@ -199,21 +201,21 @@ RAW_HEAP_SRC = """\
 
 
 def test_pd005_raw_heap_in_core():
-    findings = lint(RAW_HEAP_SRC, path="src/repro/core/rogue.py")
+    findings = vet(RAW_HEAP_SRC, path="src/repro/core/rogue.py")
     assert codes(findings) == ["PD005"]
     assert "self.heap.read_u" in findings[0].message
 
 
 def test_pd005_blessed_modules_and_other_packages_exempt():
-    assert lint(RAW_HEAP_SRC, path="src/repro/core/structs.py") == []
-    assert lint(RAW_HEAP_SRC, path="src/repro/core/sync.py") == []
-    assert lint(RAW_HEAP_SRC, path="src/repro/linux/hfi1/driver.py") == []
+    assert vet(RAW_HEAP_SRC, path="src/repro/core/structs.py") == []
+    assert vet(RAW_HEAP_SRC, path="src/repro/core/sync.py") == []
+    assert vet(RAW_HEAP_SRC, path="src/repro/linux/hfi1/driver.py") == []
 
 
 # --- pinned-memory discipline (PD006 -> vet PD015.3) ------------------------
 
-def test_pd006_get_user_pages_in_fast_path(tmp_path):
-    findings = vet(tmp_path, """\
+def test_pd006_get_user_pages_in_fast_path():
+    findings = vet("""\
         class BadPico(PicoDriver):
             def fast_reg(self, task, vaddr, length):
                 pages = self.lwk.mm.get_user_pages(vaddr, length)
@@ -223,8 +225,8 @@ def test_pd006_get_user_pages_in_fast_path(tmp_path):
     assert "get_user_pages" in findings[0].message
 
 
-def test_pd006_slow_path_may_take_page_refs(tmp_path):
-    findings = vet(tmp_path, """\
+def test_pd006_slow_path_may_take_page_refs():
+    findings = vet("""\
         class Driver:
             def fast_reg(self, task, vaddr, length):
                 yield task.pagetable.phys_spans(vaddr, length)
@@ -238,7 +240,7 @@ def test_pd006_slow_path_may_take_page_refs(tmp_path):
 # --- PD007 fault-hook gating -------------------------------------------------
 
 def test_pd007_unguarded_fires():
-    findings = lint("""\
+    findings = vet("""\
         def transmit(self, packet):
             if self.injector.fires("fabric.drop"):
                 return
@@ -250,7 +252,7 @@ def test_pd007_unguarded_fires():
 def test_pd007_boolop_guard_idiom_is_clean():
     """The hooks' actual shape: the installed-injector test comes
     earlier in the same ``and`` chain as the draw."""
-    findings = lint("""\
+    findings = vet("""\
         def transmit(self, packet):
             inj = self.injector
             if inj is not None and inj.fires("fabric.drop"):
@@ -260,7 +262,7 @@ def test_pd007_boolop_guard_idiom_is_clean():
 
 
 def test_pd007_enclosing_if_guard_is_clean():
-    findings = lint("""\
+    findings = vet("""\
         def submit(self):
             if self.device.injector is not None:
                 if self.inj.fires("sdma.desc_error"):
@@ -270,7 +272,7 @@ def test_pd007_enclosing_if_guard_is_clean():
 
 
 def test_pd007_else_branch_is_not_guarded():
-    findings = lint("""\
+    findings = vet("""\
         def submit(self):
             if self.inj is not None:
                 pass
@@ -283,7 +285,7 @@ def test_pd007_else_branch_is_not_guarded():
 def test_pd007_fires_before_the_faults_operand_is_flagged():
     """Short-circuit order matters: the draw must come after the
     injector test, or runs without one still reach the draw."""
-    findings = lint("""\
+    findings = vet("""\
         def f(self):
             if self.inj.fires("irq.lost") and self.inj is not None:
                 return
@@ -293,7 +295,7 @@ def test_pd007_fires_before_the_faults_operand_is_flagged():
 
 def test_pd007_unguarded_burst_draw():
     """The burst draw is a fault draw too, guarded or not."""
-    findings = lint("""\
+    findings = vet("""\
         def drain(self, inj, ring):
             n = inj.quiet_run(("sdma.desc_error", "sdma.engine_halt"),
                               len(ring))
@@ -309,7 +311,7 @@ def test_pd007_unguarded_burst_draw():
 # --- PD011 trace-hook gating -------------------------------------------------
 
 def test_pd011_unguarded_span_emission():
-    findings = lint("""\
+    findings = vet("""\
         def syscall(self, task, name):
             span = PLANES.trace.begin_span("x", "t")
             yield from self._dispatch(task, name)
@@ -323,7 +325,7 @@ def test_pd011_unguarded_span_emission():
 def test_pd011_conditional_expression_idiom_is_clean():
     """The hooks' actual begin shape: the emission sits in the then-arm
     of an ``... if PLANES.trace is not None else None`` expression."""
-    findings = lint("""\
+    findings = vet("""\
         def syscall(self, task, name):
             span = PLANES.trace.begin_span(
                 "x", "t") if PLANES.trace is not None else None
@@ -337,7 +339,7 @@ def test_pd011_conditional_expression_idiom_is_clean():
 
 
 def test_pd011_enclosing_if_guard_is_clean():
-    findings = lint("""\
+    findings = vet("""\
         def _rx(self, pkt):
             if PLANES.trace is not None:
                 PLANES.trace.instant_span("psm.rx", "t")
@@ -347,7 +349,7 @@ def test_pd011_enclosing_if_guard_is_clean():
 
 
 def test_pd011_covers_the_whole_emission_surface():
-    findings = lint("""\
+    findings = vet("""\
         def f(self):
             PLANES.trace.instant_span("a", "t")
             PLANES.trace.complete_span("b", "t", 0.0, 1.0)
@@ -365,12 +367,12 @@ def test_pd011_exempts_the_obs_subsystem():
             self.end_span(span)
             return span
         """
-    assert lint(src, path="src/repro/obs/spans.py") == []
-    assert codes(lint(src, path="src/repro/psm/x.py")) == ["PD011"] * 2
+    assert vet(src, path="src/repro/obs/spans.py") == []
+    assert codes(vet(src, path="src/repro/psm/x.py")) == ["PD011"] * 2
 
 
 def test_pd011_else_branch_is_not_guarded():
-    findings = lint("""\
+    findings = vet("""\
         def f(self):
             if PLANES.trace is not None:
                 pass
@@ -385,13 +387,13 @@ def test_pd011_else_branch_is_not_guarded():
 def test_bare_pd_ignore_suppresses_everything():
     src = RAW_HEAP_SRC.replace("read_u(addr, 4)",
                                "read_u(addr, 4)  # pd-ignore")
-    assert lint(src, path="src/repro/core/rogue.py") == []
+    assert vet(src, path="src/repro/core/rogue.py") == []
 
 
 def test_targeted_suppression_matches_code():
     src = RAW_HEAP_SRC.replace("read_u(addr, 4)",
                                "read_u(addr, 4)  # pd-ignore[PD005]")
-    assert lint(src, path="src/repro/core/rogue.py") == []
+    assert vet(src, path="src/repro/core/rogue.py") == []
 
 
 def test_targeted_suppression_of_other_code_does_not_apply():
@@ -399,14 +401,14 @@ def test_targeted_suppression_of_other_code_does_not_apply():
                                "read_u(addr, 4)  # pd-ignore[PD001, PD004]")
     # the PD005 finding survives, and the mistargeted suppression is
     # itself reported as stale (PD100)
-    assert codes(lint(src, path="src/repro/core/rogue.py")) == \
+    assert codes(vet(src, path="src/repro/core/rogue.py")) == \
         ["PD005", "PD100"]
 
 
 # --- machinery ---------------------------------------------------------------
 
 def test_findings_are_sorted_and_render_with_hints():
-    findings = lint("""\
+    findings = vet("""\
         class BadPico(PicoDriver):
             def fast_a(self, task):
                 return self.inj.fires("a")
@@ -420,7 +422,7 @@ def test_findings_are_sorted_and_render_with_hints():
 
 
 def test_syntax_error_is_a_finding_not_a_crash():
-    findings = lint_source("def broken(:\n", path="bad.py")
+    findings = vet("def broken(:\n", path="bad.py")
     assert codes(findings) == ["PD000"]
     assert "syntax error" in findings[0].message
     assert "PD000" in findings[0].render()
@@ -447,53 +449,37 @@ def test_finding_is_a_value_object():
     assert f == Finding("p.py", 1, 0, "PD002", "m")
 
 
-# --- the acceptance bar ------------------------------------------------------
-
-def test_shipped_tree_lints_clean():
-    """``python -m repro lint`` must exit zero on the repository itself;
-    this is the tier-1 enforcement of that contract."""
-    assert lint_paths([default_lint_root()]) == []
-
-
 # --- PD008 lock-order hierarchy (vet) ----------------------------------------
 
-def test_pd008_rank_violating_nesting(tmp_path):
-    findings = vet(tmp_path, """\
-        dispatch = CrossKernelSpinLock(sim, heap, name="mckernel.dispatch")
-        sdma = CrossKernelSpinLock(sim, heap, name="hfi1.sdma_submit")
+BAD_ORDER_SRC = """\
+    dispatch = CrossKernelSpinLock(sim, heap, name="mckernel.dispatch")
+    sdma = CrossKernelSpinLock(sim, heap, name="hfi1.sdma_submit")
 
-        def bad(self):
-            yield from sdma.acquire("mckernel", aspace)
-            yield from dispatch.acquire("mckernel", aspace)
-            try:
-                yield from self.engine.submit(group)
-            finally:
-                dispatch.release("mckernel")
-                sdma.release("mckernel")
-        """)
+    def bad(self):
+        yield from sdma.acquire("mckernel", aspace)
+        yield from dispatch.acquire("mckernel", aspace)
+        try:
+            yield from self.engine.submit(group)
+        finally:
+            dispatch.release("mckernel")
+            sdma.release("mckernel")
+    """
+
+
+def test_pd008_rank_violating_nesting():
+    findings = vet(BAD_ORDER_SRC)
     assert codes(findings) == ["PD008"]
     assert findings[0].line == 6
     assert "mckernel.dispatch" in findings[0].message
     assert "hfi1.sdma_submit" in findings[0].message
     assert "rank 10" in findings[0].message and "rank 20" in findings[0].message
-    # lint no longer judges lock order: vet is the rule of record
-    assert lint("""\
-        dispatch = CrossKernelSpinLock(sim, heap, name="mckernel.dispatch")
-        sdma = CrossKernelSpinLock(sim, heap, name="hfi1.sdma_submit")
-
-        def bad(self):
-            yield from sdma.acquire("mckernel", aspace)
-            yield from dispatch.acquire("mckernel", aspace)
-            try:
-                yield from self.engine.submit(group)
-            finally:
-                dispatch.release("mckernel")
-                sdma.release("mckernel")
-        """) == []
+    # no per-module rule judges lock order: PD008 is the one rank check
+    module = astcache.parse_source(textwrap.dedent(BAD_ORDER_SRC), "x.py")
+    assert lint_module(module) == []
 
 
-def test_pd008_rank_respecting_nesting_is_clean(tmp_path):
-    findings = vet(tmp_path, """\
+def test_pd008_rank_respecting_nesting_is_clean():
+    findings = vet("""\
         dispatch = CrossKernelSpinLock(sim, heap, name="mckernel.dispatch")
         sdma = CrossKernelSpinLock(sim, heap, name="hfi1.sdma_submit")
 
@@ -511,8 +497,8 @@ def test_pd008_rank_respecting_nesting_is_clean(tmp_path):
 
 # --- PD009 no timed wait in critical section (vet) ---------------------------
 
-def test_pd009_timed_wait_while_held(tmp_path):
-    findings = vet(tmp_path, """\
+def test_pd009_timed_wait_while_held():
+    findings = vet("""\
         def submit(self, group):
             yield from self.lock.acquire("mckernel", self.aspace)
             try:
@@ -525,8 +511,8 @@ def test_pd009_timed_wait_while_held(tmp_path):
     assert "timeout" in findings[0].message
 
 
-def test_pd009_clean_after_release(tmp_path):
-    findings = vet(tmp_path, """\
+def test_pd009_clean_after_release():
+    findings = vet("""\
         def submit(self, group):
             yield from self.lock.acquire("mckernel", self.aspace)
             try:
@@ -541,7 +527,7 @@ def test_pd009_clean_after_release(tmp_path):
 # --- PD100 unused suppressions -----------------------------------------------
 
 def test_pd100_bare_unused_suppression():
-    findings = lint("""\
+    findings = vet("""\
         def f(self):
             return self.x  # pd-ignore
         """)
@@ -552,22 +538,27 @@ def test_pd100_bare_unused_suppression():
 def test_pd100_quiet_when_suppression_is_used():
     src = RAW_HEAP_SRC.replace("read_u(addr, 4)",
                                "read_u(addr, 4)  # pd-ignore")
-    assert lint(src, path="src/repro/core/rogue.py") == []
+    assert vet(src, path="src/repro/core/rogue.py") == []
 
 
 def test_pd100_ignores_prose_mentions_of_the_marker():
-    findings = lint('''\
+    findings = vet('''\
         def f(self):
             """Docs may discuss pd-ignore without tripping PD100."""
             return self.x
         ''')
     assert findings == []
+    # the suppression pass reads the same comment tokens: the marker in
+    # a string literal silences nothing either
+    src = RAW_HEAP_SRC.replace("read_u(addr, 4)",
+                               'read_u(addr, 4), "# pd-ignore"')
+    assert codes(vet(src, path="src/repro/core/rogue.py")) == ["PD005"]
 
 
 # --- PD012 controlled-scheduler gating ---------------------------------------
 
 def test_pd012_unguarded_hook_calls():
-    findings = lint("""\
+    findings = vet("""\
         def step(self):
             pick = self.scheduler.choose_ready(self.now, ready)
             self.scheduler.on_step_begin(self.now, 0, evt)
@@ -580,7 +571,7 @@ def test_pd012_unguarded_hook_calls():
 def test_pd012_scheduler_none_guard_is_clean():
     """The engine's actual idiom: the hook calls live in the body of
     ``if self.scheduler is not None``."""
-    findings = lint("""\
+    findings = vet("""\
         def step(self):
             if self.scheduler is not None:
                 pick = self.scheduler.choose_ready(self.now, ready)
@@ -593,7 +584,7 @@ def test_pd012_scheduler_none_guard_is_clean():
 def test_pd012_analysis_check_guard_is_clean():
     """PicoCheck's gate is the scheduler its scenario installs, tested
     through any receiver (here the process's simulator)."""
-    findings = lint("""\
+    findings = vet("""\
         def _deliver(self, event):
             scheduler = self.sim.scheduler
             if scheduler is not None:
@@ -603,7 +594,7 @@ def test_pd012_analysis_check_guard_is_clean():
 
 
 def test_pd012_else_branch_is_not_guarded():
-    findings = lint("""\
+    findings = vet("""\
         def step(self):
             if self.scheduler is not None:
                 pass
@@ -620,15 +611,15 @@ def test_pd012_exempts_the_checker_itself():
         def execute(self):
             self.scheduler.on_step_begin(0.0, 0, evt)
         """
-    assert lint(src, path="src/repro/analysis/check.py") == []
-    assert lint(src, path="src/repro/analysis/check_fixtures.py") == []
-    assert codes(lint(src, path="src/repro/sim/engine.py")) == ["PD012"]
+    assert vet(src, path="src/repro/analysis/check.py") == []
+    assert vet(src, path="src/repro/analysis/check_fixtures.py") == []
+    assert codes(vet(src, path="src/repro/sim/engine.py")) == ["PD012"]
 
 
 # --- PD013 guard-hook gating --------------------------------------------------
 
 def test_pd013_unguarded_hook_calls():
-    findings = lint("""\
+    findings = vet("""\
         def writev(self, task, fd):
             engine = self.guard.pick_healthy_engine(self.hfi)
             self.guard.record_failure("engine0", "halt")
@@ -641,7 +632,7 @@ def test_pd013_unguarded_hook_calls():
 def test_pd013_guard_enabled_gate_is_clean():
     """The SDMA engine's idiom: test the congestion gate the machine
     installed on it."""
-    findings = lint("""\
+    findings = vet("""\
         def submit(self, group):
             if self.gate is not None:
                 yield from self.gate.acquire_slots(len(group.descriptors))
@@ -652,7 +643,7 @@ def test_pd013_guard_enabled_gate_is_clean():
 def test_pd013_guard_is_none_test_is_clean():
     """The dispatcher idiom: read the installed manager once, then test
     the local for installation."""
-    findings = lint("""\
+    findings = vet("""\
         def fast_writev(self, task, fd):
             guard = self.linux_driver.guard
             if guard is not None:
@@ -663,7 +654,7 @@ def test_pd013_guard_is_none_test_is_clean():
 
 
 def test_pd013_else_branch_is_not_guarded():
-    findings = lint("""\
+    findings = vet("""\
         def submit(self):
             if guard is not None:
                 pass
@@ -680,8 +671,8 @@ def test_pd013_exempts_the_guard_package_itself():
         def record_success(self, path):
             self.breakers[path].record_success()
         """
-    assert lint(src, path="src/repro/guard/manager.py") == []
-    assert codes(lint(src, path="src/repro/hw/hfi.py")) == ["PD013"]
+    assert vet(src, path="src/repro/guard/manager.py") == []
+    assert codes(vet(src, path="src/repro/hw/hfi.py")) == ["PD013"]
 
 
 def test_pd013_in_rules_table():
@@ -692,7 +683,7 @@ def test_pd013_in_rules_table():
 # --- PD014 storage recovery-hook gating ---------------------------------------
 
 def test_pd014_unguarded_probe_kick():
-    findings = lint("""\
+    findings = vet("""\
         def _blk_complete(self, head):
             self._maybe_probe()
             self.breakers[0].begin_probe()
@@ -703,7 +694,7 @@ def test_pd014_unguarded_probe_kick():
 
 
 def test_pd014_guard_gates_are_clean():
-    findings = lint("""\
+    findings = vet("""\
         def _blk_complete(self, head):
             if self.guard is not None:
                 self._maybe_probe()
@@ -725,8 +716,8 @@ def test_pd014_scoped_to_the_storage_stack():
             yield from self.guard0.suspend()
             self.guard0.resume()
         """
-    assert lint(src) == []
-    assert codes(lint(src, path="src/repro/core/pxd_pico.py")) \
+    assert vet(src) == []
+    assert codes(vet(src, path="src/repro/core/pxd_pico.py")) \
         == ["PD014", "PD014"]
 
 
@@ -737,7 +728,7 @@ def test_pd014_blockdev_device_model_is_exempt():
         def _deliver(self, io):
             self._maybe_probe()
         """
-    assert lint(src, path="src/repro/hw/blockdev.py") == []
+    assert vet(src, path="src/repro/hw/blockdev.py") == []
 
 
 def test_pd014_in_rules_table():
@@ -748,7 +739,7 @@ def test_pd014_in_rules_table():
 # --- PD016 machine-observer hook gating ---------------------------------------
 
 def test_pd016_unguarded_probe_hook():
-    findings = lint("""\
+    findings = vet("""\
         def build(self):
             self.probe.on_machine_built(self)
         """, path="src/repro/experiments/common.py")
@@ -759,7 +750,7 @@ def test_pd016_unguarded_probe_hook():
 
 def test_pd016_tune_enabled_gate_is_clean():
     """The probe may sit on any receiver the test names."""
-    findings = lint("""\
+    findings = vet("""\
         def build(self):
             if self.probe is not None:
                 self.probe.on_machine_built(self)
@@ -770,7 +761,7 @@ def test_pd016_tune_enabled_gate_is_clean():
 def test_pd016_probe_is_none_test_is_clean():
     """The machine builder's idiom: read the ``tune`` slot once into a
     ``probe`` local, then test the local."""
-    findings = lint("""\
+    findings = vet("""\
         def build(self):
             probe = PLANES.tune
             if probe is not None:
@@ -801,29 +792,35 @@ def test_dotted_suppression_is_not_a_blanket_ignore():
     ``pd-ignore``, silently hiding unrelated findings."""
     src = RAW_HEAP_SRC.replace("read_u(addr, 4)",
                                "read_u(addr, 4)  # pd-ignore[PD015.5]")
-    assert "PD005" in codes(lint(src, path="src/repro/core/rogue.py"))
+    assert "PD005" in codes(vet(src, path="src/repro/core/rogue.py"))
 
 
 def test_multi_rule_suppression_with_dotted_member():
     src = RAW_HEAP_SRC.replace("read_u(addr, 4)",
                                "read_u(addr, 4)  # pd-ignore[PD005,PD015.2]")
-    findings = lint(src, path="src/repro/core/rogue.py")
-    # PD005 is suppressed; the PD015 member is vet's to judge, so lint
-    # must not report it as stale either
-    assert findings == []
+    findings = vet(src, path="src/repro/core/rogue.py")
+    # PD005 is suppressed; no PD015.2 is found on the line, so the same
+    # comment is stale for that member
+    assert codes(findings) == ["PD100"]
+    assert "pd-ignore[PD015.2]" in findings[0].message
 
 
-def test_lint_leaves_pd015_staleness_to_vet():
+def test_one_pass_judges_every_listed_code():
+    """Per-module and program rules share one suppression verdict: each
+    listed code that silences nothing on the line is named once, in one
+    PD100, whichever kind of rule it is."""
     src = RAW_HEAP_SRC.replace("read_u(addr, 4)",
                                "read_u(addr, 4)  "
                                "# pd-ignore[PD005, PD008, PD009, PD015]")
-    assert lint(src, path="src/repro/core/rogue.py") == []
+    findings = vet(src, path="src/repro/core/rogue.py")
+    assert codes(findings) == ["PD100"]
+    assert "pd-ignore[PD008, PD009, PD015]" in findings[0].message
 
 
 def test_gating_rules_track_each_plane_separately():
     """One plane's gate never excuses another plane's hook: a scan that
     tracked a single 'guarded' flag would pass every other test here."""
-    findings = lint("""\
+    findings = vet("""\
         def f(self, inj, guard):
             if PLANES.trace is not None:
                 inj.fires("irq.lost")
@@ -842,7 +839,7 @@ def test_gating_rules_track_each_plane_separately():
 def test_plane_flags_are_not_gates():
     """Only the handle a plane installs gates its hooks: a test of a
     process-wide flag does not, whatever it is called."""
-    findings = lint("""\
+    findings = vet("""\
         def f(self):
             if FAULTS.enabled:
                 self.inj.fires("irq.lost")

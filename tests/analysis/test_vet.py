@@ -1,12 +1,16 @@
-"""Tests for ``python -m repro vet``: PicoVet's whole-program analysis."""
+"""Tests for ``python -m repro vet``: PicoVet's whole-program analysis,
+the per-module rules it runs on the same parse, its one suppression
+verdict, and the static-model half of ``python -m repro sanitize``."""
 
 import json
 import os
+import re
 import textwrap
 
 from repro.__main__ import COMMANDS, main
 from repro.analysis import astcache
-from repro.analysis.lint import lint_paths
+from repro.analysis.cli import cmd_sanitize
+from repro.analysis.lint import Finding, default_root, lint_module
 from repro.analysis.vet import cmd_vet, vet_paths
 
 from .vet_fixtures.lockedge_rig import run_rig
@@ -21,10 +25,29 @@ COLLECTIVE = os.path.join(FIXTURES, "collective_reduce.py")
 # --- the shipped tree --------------------------------------------------------
 
 def test_vet_shipped_tree_is_clean(capsys):
+    """The tier-1 bar for every rule at once: the per-module rules and
+    the program rules over the shipped tree, one build."""
     assert main(["vet"]) == 0
     out = capsys.readouterr().out
     assert "pd-vet: clean" in out
     assert "fast-path entry point(s)" in out
+
+
+#: an absolute path to a source file, as a checkout-dependent output
+#: would print it
+_ABSOLUTE = re.compile(r"(?<![\w.])/[^\s\"':]+\.py")
+
+
+def test_findings_print_paths_relative_to_the_package():
+    """Two checkouts of one commit print the same findings: a path
+    under the ``repro`` package prints from the package down."""
+    path = os.path.join(default_root(), "core", "hfi_pico.py")
+    rendered = Finding(path, 221, 4, "PD009", "m").render()
+    assert rendered.startswith("repro/core/hfi_pico.py:221:4: PD009 m")
+    assert not _ABSOLUTE.search(rendered)
+    # a path outside the package prints as given
+    assert Finding("x/y.py", 1, 0, "PD002", "m").render().startswith(
+        "x/y.py:1:0: ")
 
 
 def test_vet_dot_output(capsys):
@@ -32,11 +55,16 @@ def test_vet_dot_output(capsys):
     out = capsys.readouterr().out
     assert out.startswith("digraph")
     assert "fast_writev" in out
+    assert not _ABSOLUTE.search(out)
 
 
 def test_vet_json_output(capsys):
     assert main(["vet", "--json"]) == 0
-    summary = json.loads(capsys.readouterr().out)
+    text = capsys.readouterr().out
+    # same-named modules qualify their functions by package path
+    assert '"repro/linux/pxd/debuginfo.py::build_module"' in text
+    assert not _ABSOLUTE.search(text)
+    summary = json.loads(text)
     writev = [q for q in summary if q.endswith("HFIPicoDriver.fast_writev")]
     assert len(writev) == 1
     entry = summary[writev[0]]
@@ -69,10 +97,10 @@ def test_seeded_fixture_caught_by_pd015(capsys):
 
 
 def test_seeded_fixture_invisible_to_local_lint():
-    """The same file is *clean* under the syntactic rules: lint has no
+    """The same file is *clean* under the per-module rules: they have no
     interprocedural pass at all, so the whole-program model is the only
     thing standing between the sin and the tree."""
-    assert lint_paths([SLEEPY]) == []
+    assert lint_module(astcache.parse_module(SLEEPY)) == []
 
 
 def test_fixture_directory_names_every_moved_rule(capsys):
@@ -93,7 +121,9 @@ def test_unparseable_module_is_pd000_under_vet_and_lockgraph(tmp_path,
     broken = tmp_path / "broken.py"
     broken.write_text("def broken(:\n")
     assert main(["vet", str(broken)]) == 1
-    assert ": PD000 syntax error" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out.count(": PD000 syntax error") == 1     # one parse, one PD000
+    assert "1 finding(s)" in out
     assert main(["lockgraph", str(broken)]) == 1
     assert ": PD000 syntax error" in capsys.readouterr().out
 
@@ -271,9 +301,21 @@ def test_used_pd009_suppression_is_clean_under_lint_and_vet(tmp_path,
     hushed.write_text(textwrap.dedent(HELD_WAIT).format(
         inside="yield self.sim.timeout(1.0)  # pd-ignore[PD009]",
         after="pass"))
-    assert lint_paths([str(hushed)]) == []
     assert cmd_vet([str(hushed)]) == 0
     assert "pd-vet: clean" in capsys.readouterr().out
+
+
+def test_blanket_suppression_of_a_program_rule_is_used(tmp_path, capsys):
+    """A blanket ``# pd-ignore`` silences every rule's finding on its
+    line, so it is judged against every rule's findings: the PD009 it
+    silences makes it used, never a PD100."""
+    hushed = tmp_path / "blanket_wait.py"
+    hushed.write_text(textwrap.dedent(HELD_WAIT).format(
+        inside="yield self.sim.timeout(1.0)  # pd-ignore",
+        after="pass"))
+    assert cmd_vet([str(hushed)]) == 0
+    out = capsys.readouterr().out
+    assert "pd-vet: clean" in out and "PD100" not in out
 
 
 def test_stale_pd009_suppression_is_reported_by_vet_only(tmp_path, capsys):
@@ -281,10 +323,9 @@ def test_stale_pd009_suppression_is_reported_by_vet_only(tmp_path, capsys):
     stale.write_text(textwrap.dedent(HELD_WAIT).format(
         inside="pass",
         after="yield self.sim.timeout(1.0)  # pd-ignore[PD009]"))
-    assert lint_paths([str(stale)]) == []
     assert cmd_vet([str(stale)]) == 1
     out = capsys.readouterr().out
-    assert "PD100" in out and "pd-ignore[PD009]" in out
+    assert out.count(": PD100 ") == 1 and "pd-ignore[PD009]" in out
     assert ": PD009 " not in out
 
 
@@ -300,20 +341,22 @@ def test_vet_stale_suppression_reports_pd100(tmp_path, capsys):
     assert "PD100" in out and "PD015.5" in out
 
 
-# --- the crosscheck gate -----------------------------------------------------
+# --- the static model under sanitize -----------------------------------------
 
 def test_crosscheck_unknown_experiment_exits_two(capsys):
-    assert cmd_vet(["--crosscheck", "nope"], {}) == 2
+    assert cmd_sanitize(["nope"], {}) == 2
     assert "unknown experiment" in capsys.readouterr().out
 
 
 def test_crosscheck_usage_without_name(capsys):
+    """The containment check is part of ``sanitize``; vet has no
+    ``--crosscheck`` option left."""
     assert cmd_vet(["--crosscheck"]) == 2
     assert "usage:" in capsys.readouterr().out
 
 
 def test_crosscheck_contained_experiment_passes(capsys):
-    rc = cmd_vet(["--crosscheck", "contention"], COMMANDS)
+    rc = cmd_sanitize(["contention"], COMMANDS)
     out = capsys.readouterr().out
     assert rc == 0
     assert "every dynamic fact is contained" in out
@@ -322,14 +365,18 @@ def test_crosscheck_contained_experiment_passes(capsys):
 
 def test_crosscheck_names_missing_lock_edge(capsys):
     """The failure path: a dynamic lock edge between classes no shipped
-    file mentions must fail containment, naming the edge."""
-    rc = cmd_vet(["--crosscheck", "rig"], {"rig": run_rig})
+    file mentions must fail containment, naming the edge, even though
+    KSan and lockdep find nothing wrong with the run.  Two machines
+    that observe the same facts name each fact once."""
+    rc = cmd_sanitize(["rig", "rig"], {"rig": run_rig})
     out = capsys.readouterr().out
     assert rc == 1
     assert "lock edge rig.outer -> rig.inner" in out
     assert "missing from the static lock graph" in out
     assert "rig.outer acquired dynamically but has no static" in out
     assert "3 uncontained fact(s)" in out
+    assert "KSan: no cross-kernel races detected" in out
+    assert "lockdep: no lock-order hazards" in out
 
 
 # --- determinism: vet never perturbs the experiments -------------------------

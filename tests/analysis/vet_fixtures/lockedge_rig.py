@@ -5,14 +5,14 @@ own lockdep validator, collected in ``PLANES.lockdep`` the way
 :class:`~repro.experiments.common.Machine` collects its own — and
 takes ``rig.outer`` then ``rig.inner`` nested.  Neither lock class
 appears anywhere in the shipped source tree, so the static lock graph
-has neither the classes nor the dependency edge; ``python -m repro vet
---crosscheck`` over this rig must therefore fail containment and name
+has neither the classes nor the dependency edge; ``python -m repro
+sanitize`` over this rig must therefore fail containment and name
 ``rig.outer -> rig.inner``.
 """
 
 
 def run_rig() -> str:
-    """The 'experiment' body handed to the crosscheck command table."""
+    """The 'experiment' body handed to the sanitize command table."""
     from repro.analysis.lockdep import LockdepValidator
     from repro.config import PLANES
     from repro.core import linux_layout
