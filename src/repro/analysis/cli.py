@@ -1,10 +1,11 @@
 """Command-line drivers for the analysis layer.
 
 ``python -m repro sanitize <experiment> [<experiment>...]``
-    Re-run one or more of the paper's experiments (or the ``chaos``
-    smoke sweep) with every dynamic checker installed: the KSan race
-    detector on every node's shared kernel heap, the lockdep validator
-    on every machine, and an observer of every typed error constructed.
+    Re-run one or more of the paper's experiments (or the ``chaos`` or
+    ``storage`` smoke campaign) with every dynamic checker installed:
+    the KSan race detector on every node's shared kernel heap, the
+    lockdep validator on every machine, and an observer of every typed
+    error constructed.
     Then judge the run three ways: KSan's races, lockdep's lock-order
     hazards, and whether every dynamic fact (lock dependency edge,
     acquired lock class, shared-heap access, typed-error construction)
@@ -34,6 +35,14 @@ def _chaos_smoke() -> str:
     and error paths the figure experiments never reach."""
     from ..experiments.chaos import run_chaos
     return run_chaos(smoke=True).render()
+
+
+def _storage_smoke() -> str:
+    """The ``storage`` pseudo-experiment of ``python -m repro sanitize``:
+    the storage smoke (``chaos --storage --smoke``), which runs the pxd
+    fast and slow paths the HFI experiments never reach."""
+    from ..experiments.storage import run_storage
+    return run_storage(smoke=True).render()
 
 
 def _observe_errors(record: Set[Tuple[str, str]]):
@@ -97,16 +106,14 @@ def _uncontained(detectors: list, validators: list,
     statics = program.all_accesses()
     heap: Set[Tuple[str, str, str, str]] = set()
     for detector in detectors:
-        for state in detector._words.values():
-            for (kernel, kind), access in state.samples.items():
-                label = access.label
-                if not label or label.startswith("lock:"):
-                    continue
-                if "." in label:
-                    struct, fieldname = label.rsplit(".", 1)
-                else:
-                    struct, fieldname = "?", label
-                heap.add((struct, fieldname, kernel, kind))
+        for label, kernel, kind in detector.sampled_facts():
+            if not label or label.startswith("lock:"):
+                continue
+            if "." in label:
+                struct, fieldname = label.rsplit(".", 1)
+            else:
+                struct, fieldname = "?", label
+            heap.add((struct, fieldname, kernel, kind))
     for fact in sorted(heap):
         if not _access_contained(fact, statics):
             struct, fieldname, kernel, kind = fact
@@ -132,14 +139,15 @@ def cmd_sanitize(argv: List[str],
     """Entry point for ``python -m repro sanitize``.
 
     ``commands`` is the experiment table of :mod:`repro.__main__`, to
-    which the ``chaos`` smoke sweep is added.  Each named experiment is
-    re-run with the ``ksan``, ``lockdep`` and ``observer`` planes on, so
-    every machine built along the way installs a
+    which the ``chaos`` smoke sweep and the ``storage`` smoke are
+    added.  Each named experiment is re-run with the ``ksan``,
+    ``lockdep`` and ``observer`` planes on, so every machine built
+    along the way installs a
     :class:`~repro.analysis.ksan.RaceDetector` on its kernel heaps and a
     :class:`~repro.analysis.lockdep.LockdepValidator`, and every typed
     error constructed is recorded.
     """
-    table = {**commands, "chaos": _chaos_smoke}
+    table = {**commands, "chaos": _chaos_smoke, "storage": _storage_smoke}
     if not argv:
         print("usage: python -m repro sanitize <experiment> [...]\n"
               f"experiments: {', '.join(table)}")

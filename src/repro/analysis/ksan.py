@@ -45,7 +45,8 @@ import os
 import sys
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import (Deque, Dict, FrozenSet, Iterator, List, Optional, Set,
+                    Tuple)
 
 #: instrumentation-layer files skipped when attributing an access site
 _SKIP_FILES = frozenset({"memory.py", "structs.py", "extract.py", "ksan.py"})
@@ -221,6 +222,13 @@ class RaceDetector:
     def words_tracked(self) -> int:
         """Number of distinct shared-heap words seen with attribution."""
         return len(self._words)
+
+    def sampled_facts(self) -> Iterator[Tuple[str, str, str]]:
+        """``(label, kernel, kind)`` of every provenance sample: the
+        first access per kernel and kind of each word still tracked."""
+        for state in self._words.values():
+            for (kernel, kind), access in state.samples.items():
+                yield access.label, kernel, kind
 
     def summary(self) -> str:
         """One-line status for the sanitizer CLI."""

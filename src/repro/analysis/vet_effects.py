@@ -30,8 +30,9 @@ but the stdlib ``ast``; the checkers of
   sites: ``fast_*`` methods of PicoDriver chassis run on the LWK, IRQ
   dispatcher wiring (``x.irq_dispatcher = self._m``,
   ``interrupts.deliver(self._m, ...)``, cross-kernel
-  ``callbacks.register(..., self._m)``) marks top halves, and device
-  drain processes spawned inside ``repro/hw`` run in engine context;
+  ``callbacks.register(..., self._m)``, where ``_m`` is also every
+  subclass override) marks top halves, and device drain processes
+  spawned inside ``repro/hw`` run in engine context;
 
 * a fixpoint over an **effect lattice** per function: may-sleep
   (curated sleeping services), timed waits (``yield *.timeout/wait``),
@@ -738,6 +739,8 @@ class Program:
                 model.methods[item.name] = fn
                 self.methods_by_name.setdefault(item.name, []) \
                     .append(fn.qualname)
+            elif isinstance(item, ast.Assign):     # a PicoDriver's manifest
+                self._digest_manifest(item)
         # constructor-typed and struct-typed attributes, from every
         # method (probe()/attach() build state outside __init__)
         for item in node.body:
@@ -869,6 +872,14 @@ class Program:
                     frontier.append(base_model)
         return None
 
+    def _overrides(self, model: ClassModel, name: str) -> List[str]:
+        """``name`` as every class deriving from ``model`` defines it: a
+        base-class method handing out ``self.<name>`` may hand out any
+        subclass's override."""
+        return [sub.methods[name].qualname for sub in self.classes
+                if sub is not model and name in sub.methods
+                and self._derives_from(sub.name, model.name)]
+
     def _resolve(self, fn: FunctionInfo,
                  site: CallSite) -> Tuple[Tuple[str, ...], bool]:
         name, receiver = site.name, site.receiver
@@ -976,6 +987,8 @@ class Program:
                                 and arg.value.id == "self"):
                             mark(self._lookup_method(fn.cls, arg.attr),
                                  "irq")
+                            for qual in self._overrides(fn.cls, arg.attr):
+                                mark(qual, "irq")
         return roots
 
     def _spawn_context(self, spawner: FunctionInfo) -> Optional[str]:

@@ -29,7 +29,7 @@ from .address_space import (KernelAddressSpace, Region,
                             mckernel_unified_layout, unify_address_spaces)
 from .sync import CrossKernelSpinLock
 from .callbacks import CallbackRegistry
-from .picodriver import FastPathDecision, PicoDriver, PicoDriverRegistry
+from .picodriver import PicoDriver, PicoDriverRegistry
 # must come last: pulls in repro.linux, which imports the modules above
 from .hfi_pico import EXTRACTION_MANIFEST, HFIPicoDriver
 from .mlx_pico import MlxMemRegPicoDriver
@@ -38,7 +38,7 @@ __all__ = [
     "ARRAY", "ENUM", "EXTRACTION_MANIFEST", "HFIPicoDriver",
     "PTR", "U8", "U16", "U32", "U64",
     "CStructDef", "CallbackRegistry", "CrossKernelSpinLock", "DwarfDie",
-    "DwarfInfo", "ExtractedLayout", "FastPathDecision", "Field",
+    "DwarfInfo", "ExtractedLayout", "Field",
     "KernelAddressSpace", "MlxMemRegPicoDriver", "ModuleBinary",
     "PicoDriver", "PicoDriverRegistry",
     "Region", "StructInstance", "StructView", "dwarf_extract_struct",

@@ -29,123 +29,65 @@ Cooperation with the Linux driver is done the way the paper does it:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from ..config import PLANES
-from ..errors import DriverError, FastPathUnavailable, TransientDeviceError
+from ..errors import (BadSyscall, DriverError, FastPathUnavailable,
+                      TransientDeviceError)
 from ..hw.hfi import Packet, SdmaRequestGroup
 from ..obs.spans import track_of
 from ..linux.hfi1 import ioctls as ioc
 from ..linux.hfi1.debuginfo import SDMA_STATE_S99_RUNNING
-from ..linux.hfi1.driver import Hfi1Driver
 from ..linux.hfi1.sdma import build_descs_from_spans, split_spans_for_tids
-from .callbacks import CallbackRegistry
-from .extract import ExtractedLayout, StructView, dwarf_extract_struct
+from .extract import StructView
 from .lockclasses import declare_lock_use
-from .picodriver import FastPathDecision, PicoDriver
+from .picodriver import PicoDriver
 
 # the fast path takes the Linux driver's submit lock (declared with its
 # rank in linux/hfi1/driver.py) without owning it — exactly the
 # cross-kernel sharing the lockdep hierarchy exists to police
 declare_lock_use("hfi1.sdma_submit", "core/hfi_pico")
 
-#: (struct, fields) the fast path needs — note how small a slice of the
-#: driver's state this is (section 3.2: "in most cases we only need a
-#: small subset of the fields")
-EXTRACTION_MANIFEST = {
-    "sdma_state": ["current_state", "go_s99_running", "previous_state"],
-    "hfi1_filedata": ["ctxt", "pq", "tid_used", "tid_limit"],
-    "user_sdma_pkt_q": ["n_reqs", "state"],
-    "hfi1_devdata": ["num_sdma"],
-}
-
 
 class HFIPicoDriver(PicoDriver):
     """Fast-path HFI driver resident in McKernel."""
 
-    def __init__(self, linux_driver: Hfi1Driver):
-        self.linux_driver = linux_driver
-        self.device_path = linux_driver.device_path
-        #: the shipped binary is all we consume for layouts
-        self.module = linux_driver.binary
-        self.layouts: Dict[str, ExtractedLayout] = {}
-        self.lwk = None
-        self.hfi = None
-        self.heap = None
-        self.callbacks: Optional[CallbackRegistry] = None
-        self.completion_addr: Optional[int] = None
-
-    # -- attach (the porting checklist of section 3) ------------------------
+    #: (struct, fields) the fast path needs — note how small a slice of
+    #: the driver's state this is (section 3.2: "in most cases we only
+    #: need a small subset of the fields")
+    EXTRACTION_MANIFEST = {
+        "sdma_state": ["current_state", "go_s99_running", "previous_state"],
+        "hfi1_filedata": ["ctxt", "pq", "tid_used", "tid_limit"],
+        "user_sdma_pkt_q": ["n_reqs", "state"],
+        "hfi1_devdata": ["num_sdma"],
+    }
+    #: writev and the three TID ioctls; everything else is offloaded
+    CLAIMS = {"writev": None, "ioctl": ioc.TID_IOCTLS}
 
     def attach(self, lwk) -> None:
-        """Run the section-3 porting checklist against the LWK."""
-        linux = lwk.linux
-        # 3.1: address space unification is a hard prerequisite
-        self.require_unified(linux.aspace, lwk.aspace)
-        self.lwk = lwk
+        """The chassis checklist, then the device handle."""
+        super().attach(lwk)
         self.hfi = lwk.node.hfi
-        self.heap = lwk.node.kheap
-        # 3.2: extract structure layouts from the module's DWARF
-        for struct, fields in EXTRACTION_MANIFEST.items():
-            layout = dwarf_extract_struct(self.module, struct, fields)
-            self.require_layout_version(layout, self.linux_driver.version)
-            self.layouts[struct] = layout
-        # 3.3: register the completion callback in McKernel TEXT and make
-        # it invokable from Linux
-        if self.linux_driver.callbacks is None:
-            self.linux_driver.callbacks = CallbackRegistry(
-                {"linux": linux.aspace, "mckernel": lwk.aspace})
-        self.callbacks = self.linux_driver.callbacks
-        self.completion_addr = self.callbacks.register(
-            "mckernel", self._completion)
-        # 3.3: SDMA completions free LWK memory from Linux CPUs
-        lwk.alloc.foreign_free_enabled = True
 
-    # -- claim policy ----------------------------------------------------------
-
-    def claims(self, syscall: str, args: tuple) -> FastPathDecision:
-        """Claim writev and the three TID ioctls; offload the rest."""
-        if syscall == "writev":
-            return FastPathDecision.claim("SDMA send fast path")
-        if syscall == "ioctl":
-            cmd = args[1]
-            if cmd in ioc.TID_IOCTLS:
-                return FastPathDecision.claim(
-                    "expected-receive registration fast path")
-            return FastPathDecision.offload(
-                f"administrative ioctl {cmd:#x} stays in Linux")
-        return FastPathDecision.offload(f"{syscall} is slow path")
-
-    # -- views over Linux driver state -------------------------------------------
-
-    def _view(self, struct: str, addr: int,
-              kernel: str = "mckernel") -> StructView:
-        """A DWARF-layout view of Linux driver state; ``kernel`` is the
-        context *performing* the accesses (the completion callback runs
-        on a Linux CPU)."""
-        self.lwk.aspace.check_access(addr, f"Linux {struct}")
-        return StructView(self.layouts[struct], self.heap, addr,
-                          kernel=kernel)
-
-    def _file_views(self, task, fd: int):
-        path, file = self.lwk.device_file(task, fd)
-        fdata = self._view("hfi1_filedata", file.private_data)
-        pq = self._view("user_sdma_pkt_q", fdata.get("pq"))
-        return file, fdata, pq
+    def _fdata(self, task, fd: int) -> StructView:
+        """The open file's ``hfi1_filedata`` (rooted at private_data)."""
+        _path, file = self.lwk.device_file(task, fd)
+        return self._view("hfi1_filedata", file.private_data)
 
     # -- fast-path writev: SDMA send ------------------------------------------------
 
     def fast_writev(self, task, fd: int, iovecs):
         """Generator: the LWK-local SDMA send fast path (section 3.4)."""
         if len(iovecs) < 2:
-            raise DriverError("hfi1 writev needs a header iovec and at "
-                              "least one data iovec")
+            raise BadSyscall("hfi1 writev needs a header iovec and at "
+                             "least one data iovec")
         lwk = self.lwk
         sim = lwk.sim
         sc = lwk.params.syscall
         nic = lwk.params.nic
         meta = iovecs[0]
-        file, fdata, pq = self._file_views(task, fd)
+        fdata = self._fdata(task, fd)
+        pq = self._view("user_sdma_pkt_q", fdata.get("pq"))
 
         spans = []
         total = 0
@@ -315,7 +257,7 @@ class HFIPicoDriver(PicoDriver):
         if not task.pagetable.is_pinned(vaddr, length):
             raise DriverError(
                 f"pico TID_UPDATE over unpinned range {vaddr:#x}")
-        file, fdata, _pq = self._file_views(task, fd)
+        fdata = self._fdata(task, fd)
         spans = task.pagetable.phys_spans(vaddr, length)
         # one entry per contiguous span (up to the 2MB entry max) instead
         # of one per base page
@@ -325,13 +267,10 @@ class HFIPicoDriver(PicoDriver):
         yield lwk.sim.timeout(sc.tid_ioctl_base_pico
                               + len(spans) * sc.ptwalk_per_span
                               + len(tids) * nic.tid_program_cost)
-        # keep the Linux driver's bookkeeping coherent (shared state)
-        state = self.linux_driver.file_state_by_addr(file.private_data)
-        state.tids.add(tids)
         # benign by construction: TID ioctls for one fd are issued
         # sequentially by the owning task, so the fast- and slow-path
         # writers of tid_used never interleave for a single fd
-        fdata.set("tid_used", len(state.tids))  # pd-ignore[PD015.5]
+        fdata.set("tid_used", len(ctxt.tids))  # pd-ignore[PD015.5]
         lwk.tracer.count("pico.tid_updates")
         lwk.tracer.record("pico.tids_per_update", len(tids))
         return tids
@@ -339,15 +278,19 @@ class HFIPicoDriver(PicoDriver):
     def _tid_free(self, task, fd: int, arg):
         lwk = self.lwk
         tids = arg["tids"]
-        file, fdata, _pq = self._file_views(task, fd)
-        state = self.linux_driver.file_state_by_addr(file.private_data)
-        bad = state.tids.first_missing(tids)
+        fdata = self._fdata(task, fd)
+        # the context's RcvArray records are the one record of what it owns
+        ctxt = self.hfi.context(fdata.get("ctxt"))
+        bad = ctxt.tids.first_missing(tids)
         if bad is not None:
             raise DriverError(f"pico TID_FREE of unowned tid {bad}")
-        self.hfi.unprogram_tids(tids)
-        state.tids.remove(tids)
-        fdata.set("tid_used", len(state.tids))
+        self.hfi.unprogram_tids(ctxt, tids)
+        fdata.set("tid_used", len(ctxt.tids))
         yield lwk.sim.timeout(
             lwk.params.syscall.tid_ioctl_base_pico
             + len(tids) * lwk.params.nic.tid_program_cost)
         return len(tids)
+
+
+#: the manifest, under the name the porting walkthrough imports
+EXTRACTION_MANIFEST = HFIPicoDriver.EXTRACTION_MANIFEST

@@ -17,61 +17,28 @@ contract as the HFI port:
 
 from __future__ import annotations
 
-from typing import Dict
-
 from ..errors import DriverError
 from ..linux.mlx import verbs
-from ..linux.mlx.driver import (MTT_PROGRAM_COST, MemoryRegion,
-                                MlxDriver)
+from ..linux.mlx.driver import MTT_PROGRAM_COST, MemoryRegion
 from ..units import USEC
-from .extract import ExtractedLayout, dwarf_extract_struct
-from .picodriver import FastPathDecision, PicoDriver
-from .structs import StructInstance, StructView
+from .picodriver import PicoDriver
+from .structs import StructInstance
 
 #: fast-path fixed costs (no gup, no key-table locking contention)
 REG_MR_BASE_PICO = 0.55 * USEC
 DEREG_MR_BASE_PICO = 0.40 * USEC
 
-EXTRACTION_MANIFEST = {
-    "mlx5_ib_dev": ["mtt_entries_used", "mtt_entries_max"],
-    "mlx5_ib_mr": ["lkey", "rkey", "iova", "length", "npages", "mtt_base"],
-}
-
 
 class MlxMemRegPicoDriver(PicoDriver):
     """LWK-resident fast path for ``reg_mr``/``dereg_mr``."""
 
-    def __init__(self, linux_driver: MlxDriver):
-        self.linux_driver = linux_driver
-        self.device_path = linux_driver.device_path
-        self.module = linux_driver.binary
-        self.layouts: Dict[str, ExtractedLayout] = {}
-        self.lwk = None
-        self.heap = None
-
-    def attach(self, lwk) -> None:
-        """Verify unification and extract mlx5 layouts from DWARF."""
-        self.require_unified(lwk.linux.aspace, lwk.aspace)
-        self.lwk = lwk
-        self.heap = lwk.node.kheap
-        for struct, fields in EXTRACTION_MANIFEST.items():
-            layout = dwarf_extract_struct(self.module, struct, fields)
-            self.require_layout_version(layout, self.linux_driver.version)
-            self.layouts[struct] = layout
-
-    def claims(self, syscall: str, args: tuple) -> FastPathDecision:
-        """Claim REG_MR/DEREG_MR; offload the other verbs commands."""
-        if syscall == "ioctl" and args[1] in verbs.MEMREG_COMMANDS:
-            return FastPathDecision.claim("memory registration fast path")
-        return FastPathDecision.offload(
-            f"{syscall} stays in the Linux verbs stack")
-
-    # -- views ---------------------------------------------------------------
-
-    def _dev_view(self) -> StructView:
-        addr = self.linux_driver.devdata.addr
-        self.lwk.aspace.check_access(addr, "mlx5_ib_dev")
-        return StructView(self.layouts["mlx5_ib_dev"], self.heap, addr)
+    EXTRACTION_MANIFEST = {
+        "mlx5_ib_dev": ["mtt_entries_used", "mtt_entries_max"],
+        "mlx5_ib_mr": ["lkey", "rkey", "iova", "length", "npages",
+                       "mtt_base"],
+    }
+    #: REG_MR/DEREG_MR; the other verbs commands stay in Linux
+    CLAIMS = {"ioctl": verbs.MEMREG_COMMANDS}
 
     # -- fast paths -------------------------------------------------------------
 
@@ -87,6 +54,9 @@ class MlxMemRegPicoDriver(PicoDriver):
         lwk = self.lwk
         sc = lwk.params.syscall
         vaddr, length = arg["vaddr"], arg["length"]
+        if length <= 0:
+            # refused before anything is allocated, as the slow path does
+            raise DriverError(f"reg_mr of non-positive length {length}")
         if not task.pagetable.is_pinned(vaddr, length):
             raise DriverError(
                 f"pico reg_mr over unpinned range {vaddr:#x}+{length:#x}")
@@ -95,7 +65,8 @@ class MlxMemRegPicoDriver(PicoDriver):
         spans = task.pagetable.phys_spans(vaddr, length)
         # one MTT entry per contiguous span — the whole point of the port
         entries = len(spans)
-        self._dev_view()  # faults here if the address space is not unified
+        # faults here if the address space is not unified
+        self._view("mlx5_ib_dev", self.linux_driver.devdata.addr)
         guard = self.linux_driver.guard
         try:
             self.linux_driver.take_mtt(entries)

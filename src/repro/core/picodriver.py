@@ -20,55 +20,101 @@ The framework enforces the porting prerequisites at attach time:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Collection, Dict, List, Optional
 
 from ..errors import DriverError
-from .address_space import KernelAddressSpace, validate_unification
-from .extract import ExtractedLayout
-
-
-@dataclass(frozen=True)
-class FastPathDecision:
-    """Outcome of asking a PicoDriver about one syscall invocation."""
-
-    handled: bool
-    reason: str = ""
-
-    @classmethod
-    def claim(cls, reason: str = "fast path") -> "FastPathDecision":
-        return cls(True, reason)
-
-    @classmethod
-    def offload(cls, reason: str = "slow path") -> "FastPathDecision":
-        return cls(False, reason)
+from .address_space import validate_unification
+from .callbacks import CallbackRegistry
+from .extract import ExtractedLayout, StructView, dwarf_extract_struct
 
 
 class PicoDriver:
-    """Base class for LWK fast-path drivers.
+    """The chassis every LWK fast-path driver is built on.
 
-    Subclasses implement :meth:`claims` and one generator method per
-    claimed syscall named ``fast_<syscall>`` (e.g. ``fast_writev``).
+    A subclass states its porting contract as declarations and the
+    chassis runs the section-3 checklist from them:
+
+    * ``EXTRACTION_MANIFEST`` — ``{struct: [field, ...]}``, the slice of
+      the Linux driver's state the fast path reads (section 3.2);
+    * ``CLAIMS`` — ``{syscall: ioctl commands}``, the calls served on
+      the LWK core; ``None`` in place of the commands claims every call
+      of that syscall;
+    * ``_completion`` (optional) — the completion callback Linux runs
+      from IRQ context (section 3.3).
+
+    Beyond those, a subclass keeps its device handle (set in ``attach``
+    after ``super().attach(lwk)``) and one generator per claimed
+    syscall named ``fast_<syscall>`` (e.g. ``fast_writev``).
     """
 
-    #: device file path the driver serves, e.g. "/dev/hfi1_0"
-    device_path: str = ""
+    #: struct -> the fields the fast path needs
+    EXTRACTION_MANIFEST: Dict[str, List[str]] = {}
+    #: syscall -> claimed ioctl commands (``None``: every call); no
+    #: table at all is a porting bug :meth:`claims` reports typed
+    CLAIMS: Optional[Dict[str, Optional[Collection[int]]]] = None
 
-    def claims(self, syscall: str, args: tuple) -> FastPathDecision:
-        """Decide whether this invocation runs on the fast path.
+    def __init__(self, linux_driver) -> None:
+        self.linux_driver = linux_driver
+        #: device file path the driver serves, e.g. "/dev/hfi1_0"
+        self.device_path: str = linux_driver.device_path
+        #: the shipped binary is all we consume for layouts
+        self.module = linux_driver.binary
+        self.layouts: Dict[str, ExtractedLayout] = {}
+        self.lwk = None
+        self.heap = None
+        self.callbacks: Optional[CallbackRegistry] = None
+        self.completion_addr: Optional[int] = None
 
-        Typed even at the base class: a driver with no ``claims`` is a
+    def attach(self, lwk) -> None:
+        """Run the section-3 porting checklist against the LWK."""
+        # 3.1: address space unification is a hard prerequisite — the
+        # fast path dereferences Linux structures
+        validate_unification(lwk.linux.aspace, lwk.aspace)
+        self.lwk = lwk
+        self.heap = lwk.node.kheap
+        # 3.2: extract structure layouts from the module's DWARF
+        for struct, fields in self.EXTRACTION_MANIFEST.items():
+            layout = dwarf_extract_struct(self.module, struct, fields)
+            self.require_layout_version(layout, self.linux_driver.version)
+            self.layouts[struct] = layout
+        if hasattr(self, "_completion"):
+            # 3.3: register the completion callback in McKernel TEXT and
+            # make it invokable from Linux; it frees LWK memory from
+            # Linux CPUs
+            if self.linux_driver.callbacks is None:
+                self.linux_driver.callbacks = CallbackRegistry(
+                    {"linux": lwk.linux.aspace, "mckernel": lwk.aspace})
+            self.callbacks = self.linux_driver.callbacks
+            self.completion_addr = self.callbacks.register(
+                "mckernel", self._completion)
+            lwk.alloc.foreign_free_enabled = True
+
+    def claims(self, syscall: str, args: tuple) -> bool:
+        """Whether this invocation runs on the fast path, per ``CLAIMS``.
+
+        Typed even at the base class: a driver with no ``CLAIMS`` is a
         porting bug, and the dispatcher must surface it as a
         :class:`DriverError` an application can handle — never a bare
         ``NotImplementedError`` that escapes the syscall layer.
         """
-        raise DriverError(
-            f"{type(self).__name__} implements no claims(); a PicoDriver "
-            f"must explicitly claim or offload every device syscall")
+        if self.CLAIMS is None:
+            raise DriverError(
+                f"{type(self).__name__} declares no CLAIMS; a PicoDriver "
+                f"must explicitly claim or offload every device syscall")
+        if syscall not in self.CLAIMS:
+            return False
+        commands = self.CLAIMS[syscall]
+        # an ioctl with no command is the slow path's to refuse, typed
+        return commands is None or (len(args) > 1 and args[1] in commands)
 
-    def attach(self, lwk) -> None:
-        """Called when registered with an LWK; perform layout extraction
-        checks and driver-state mapping here."""
+    def _view(self, struct: str, addr: int,
+              kernel: str = "mckernel") -> StructView:
+        """A DWARF-layout view of Linux driver state; ``kernel`` is the
+        context *performing* the accesses (a completion callback runs
+        on a Linux CPU)."""
+        self.lwk.aspace.check_access(addr, f"Linux {struct}")
+        return StructView(self.layouts[struct], self.heap, addr,
+                          kernel=kernel)
 
     # the framework dispatcher *returns* the handler's generator
     def fast_call(self, task, syscall: str, args: tuple):  # pd-ignore[PD003]
@@ -79,15 +125,6 @@ class PicoDriver:
                 f"{type(self).__name__} claims {syscall} but implements "
                 f"no fast_{syscall}")
         return handler(task, *args)
-
-    # -- attach-time verification helpers --------------------------------
-
-    @staticmethod
-    def require_unified(linux_aspace: KernelAddressSpace,
-                        lwk_aspace: KernelAddressSpace) -> None:
-        """Fast paths dereference Linux structures; refuse to attach on a
-        non-unified layout rather than fault at runtime."""
-        validate_unification(linux_aspace, lwk_aspace)
 
     @staticmethod
     def require_layout_version(layout: ExtractedLayout,
@@ -125,13 +162,10 @@ class PicoDriverRegistry:
         """The PicoDriver for ``device_path``, or None."""
         return self._drivers.get(device_path)
 
-    def decide(self, device_path: str, syscall: str,
-               args: tuple) -> FastPathDecision:
+    def decide(self, device_path: str, syscall: str, args: tuple) -> bool:
         """Should this invocation run on the LWK fast path?"""
         driver = self._drivers.get(device_path)
-        if driver is None:
-            return FastPathDecision.offload("no PicoDriver for device")
-        return driver.claims(syscall, args)
+        return driver is not None and driver.claims(syscall, args)
 
     def __len__(self) -> int:
         return len(self._drivers)

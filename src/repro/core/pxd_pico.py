@@ -20,97 +20,39 @@ has a single home regardless of which kernel submitted the write.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
 from ..config import PLANES
 from ..errors import BadSyscall, FastPathUnavailable, MediaError
 from ..hw.blockdev import BlockIo
 from ..linux.pxd import ioctls as ioc
-from ..linux.pxd.driver import PxdDriver, PxdIoHead
+from ..linux.pxd.driver import PxdIoHead
 from ..obs.spans import track_of
 from ..sim import Event
-from .callbacks import CallbackRegistry
-from .extract import ExtractedLayout, StructView, dwarf_extract_struct
+from .extract import StructView
 from .lockclasses import declare_lock_use
-from .picodriver import FastPathDecision, PicoDriver
+from .picodriver import PicoDriver
 
 # the fast path takes the Linux driver's submit lock (declared with its
 # rank in linux/pxd/driver.py) without owning it
 declare_lock_use("pxd.submit", "core/pxd_pico")
 
-#: (struct, fields) the fast path needs (section 3.2)
-EXTRACTION_MANIFEST = {
-    "pxd_device": ["size", "qdepth", "nfd"],
-    "pxd_fastpath_extension": ["nfd", "inservice_mask", "suspend",
-                               "wr_seq", "congested"],
-    "pxd_io_tracker": ["orig_sector", "nsectors", "active", "fails"],
-}
-
 
 class PxdPicoDriver(PicoDriver):
     """Fast-path pxd driver resident in McKernel."""
 
-    def __init__(self, linux_driver: PxdDriver):
-        self.linux_driver = linux_driver
-        self.device_path = linux_driver.device_path
-        #: the shipped binary is all we consume for layouts
-        self.module = linux_driver.binary
-        self.layouts: Dict[str, ExtractedLayout] = {}
-        self.lwk = None
-        self.blockdev = None
-        self.heap = None
-        self.callbacks: Optional[CallbackRegistry] = None
-        self.completion_addr: Optional[int] = None
-
-    # -- attach (the porting checklist of section 3) ------------------------
+    #: (struct, fields) the fast path needs (section 3.2)
+    EXTRACTION_MANIFEST = {
+        "pxd_device": ["size", "qdepth", "nfd"],
+        "pxd_fastpath_extension": ["nfd", "inservice_mask", "suspend",
+                                   "wr_seq", "congested"],
+        "pxd_io_tracker": ["orig_sector", "nsectors", "active", "fails"],
+    }
+    #: writev and the READ data ioctl; everything else is offloaded
+    CLAIMS = {"writev": None, "ioctl": ioc.DATA_IOCTLS}
 
     def attach(self, lwk) -> None:
-        """Run the section-3 porting checklist against the LWK."""
-        linux = lwk.linux
-        # 3.1: address space unification is a hard prerequisite
-        self.require_unified(linux.aspace, lwk.aspace)
-        self.lwk = lwk
+        """The chassis checklist, then the device handle."""
+        super().attach(lwk)
         self.blockdev = lwk.node.blockdev
-        self.heap = lwk.node.kheap
-        # 3.2: extract structure layouts from the module's DWARF
-        for struct, fields in EXTRACTION_MANIFEST.items():
-            layout = dwarf_extract_struct(self.module, struct, fields)
-            self.require_layout_version(layout, self.linux_driver.version)
-            self.layouts[struct] = layout
-        # 3.3: register the completion callback in McKernel TEXT and make
-        # it invokable from Linux
-        if self.linux_driver.callbacks is None:
-            self.linux_driver.callbacks = CallbackRegistry(
-                {"linux": linux.aspace, "mckernel": lwk.aspace})
-        self.callbacks = self.linux_driver.callbacks
-        self.completion_addr = self.callbacks.register(
-            "mckernel", self._completion)
-        # 3.3: block completions free LWK memory from Linux CPUs
-        lwk.alloc.foreign_free_enabled = True
-
-    # -- claim policy -------------------------------------------------------
-
-    def claims(self, syscall: str, args: tuple) -> FastPathDecision:
-        """Claim writev and the READ data ioctl; offload the rest."""
-        if syscall == "writev":
-            return FastPathDecision.claim("replicated write fast path")
-        if syscall == "ioctl":
-            cmd = args[1]
-            if cmd in ioc.DATA_IOCTLS:
-                return FastPathDecision.claim("replica-direct read fast path")
-            return FastPathDecision.offload(
-                f"administrative ioctl {cmd:#x} stays in Linux")
-        return FastPathDecision.offload(f"{syscall} is slow path")
-
-    # -- views over Linux driver state --------------------------------------
-
-    def _view(self, struct: str, addr: int,
-              kernel: str = "mckernel") -> StructView:
-        """A DWARF-layout view of Linux driver state; ``kernel`` is the
-        context *performing* the accesses."""
-        self.lwk.aspace.check_access(addr, f"Linux {struct}")
-        return StructView(self.layouts[struct], self.heap, addr,
-                          kernel=kernel)
 
     def _fpext(self, task, fd: int):
         _path, file = self.lwk.device_file(task, fd)
@@ -170,11 +112,9 @@ class PxdPicoDriver(PicoDriver):
 
         # per-IO tracker on the LWK heap; the completion IRQ updates it
         # from Linux CPUs through the same DWARF layout
-        trk_layout = self.layouts["pxd_io_tracker"]
-        trk_addr, alloc_cost = lwk.alloc.kmalloc(trk_layout.byte_size,
-                                                 task.core_id)
-        tracker = StructView(trk_layout, self.heap, trk_addr,
-                             kernel="mckernel")
+        trk_addr, alloc_cost = lwk.alloc.kmalloc(
+            self.layouts["pxd_io_tracker"].byte_size, task.core_id)
+        tracker = self._view("pxd_io_tracker", trk_addr)
         # benign by construction: io trackers are per-request
         # allocations; the fast and slow paths never share one, so
         # the cross-kernel writes below target distinct objects
@@ -184,7 +124,7 @@ class PxdPicoDriver(PicoDriver):
         tracker.set("fails", 0, atomic=True)
         # atomic cross-kernel increment of the driver's write sequence
         fpext.add("wr_seq", 1)
-        completion_tracker = StructView(trk_layout, self.heap, trk_addr,
+        completion_tracker = self._view("pxd_io_tracker", trk_addr,
                                         kernel="linux")
         head = PxdIoHead(sector=sector, nsectors=nsectors, payload=payload,
                          targets=targets, tracker_add=completion_tracker.add,
@@ -242,7 +182,8 @@ class PxdPicoDriver(PicoDriver):
 
     def _completion(self, head: PxdIoHead):
         """Completion callback — lives in McKernel TEXT, *runs on a Linux
-        CPU* in IRQ context (generator: its cost is charged there)."""
+        CPU* in IRQ context (generator: its cost is charged there); the
+        Linux driver acknowledges the write once it returns."""
         lwk = self.lwk
         linux_core = lwk.node.cpus.owned_by("linux")[0].core_id
         cost = 0.0
@@ -250,9 +191,6 @@ class PxdPicoDriver(PicoDriver):
             # McKernel kfree from a Linux CPU: the foreign-free extension
             cost += lwk.alloc.kfree(addr, linux_core)
         yield lwk.sim.timeout(cost)
-        # the acknowledgement policy (survivors ack / all-failed typed)
-        # is the Linux driver's, shared by both submit paths
-        self.linux_driver._ack(head)
 
     # -- fast-path ioctl: replica-direct read -------------------------------
 

@@ -21,10 +21,11 @@ Host representation: every simulated cost, counter and fault draw stays
 per descriptor and per RcvArray entry, but the state is kept per request.
 A :class:`DescriptorChain` holds a request's descriptors as two columns,
 an engine ring holds segments of chains with a count of occupied slots,
-and the RcvArray keeps one :class:`TidRanges` record per
-``program_tids`` call (its TID range, context and the caller's span
-list); the :class:`SdmaDescriptor` and :class:`TidEntry` records are
-built only when a caller iterates a chain or looks an entry up.  The
+and each receive context's share of the RcvArray is one
+:class:`TidRanges` with a record per ``program_tids`` call (its TID
+range and the caller's span list) — the one record of which TIDs the
+context owns; the :class:`SdmaDescriptor` and :class:`TidEntry` records
+are built only when a caller iterates a chain or looks an entry up.  The
 ``range`` a registration returns travels unchanged through the drivers,
 PSM and :attr:`Packet.tids`, so a whole window is checked on arrival and
 freed in one step.
@@ -154,8 +155,7 @@ class TidRanges:
     ``range`` inside one record (:meth:`first_missing`) and a ``range``
     equal to one record (:meth:`remove`).  Any other sequence takes the
     general path, one TID at a time; removing part of a record splits
-    it.  The RcvArray and the hfi1 driver's per-file TID set are both
-    this type.
+    it.  Each receive context's share of the RcvArray is one of these.
     """
 
     __slots__ = ("_starts", "_stops", "_values", "_count")
@@ -174,17 +174,12 @@ class TidRanges:
         return chain.from_iterable(map(range, self._starts, self._stops))
 
     def add(self, tids: range, value: object = None) -> None:
-        """Insert the step-1 range ``tids``, disjoint from the set, as one
-        record; an empty range adds nothing.  This appends unless two
-        registrations finished out of the order their TIDs were handed
-        out in."""
+        """Append the step-1 range ``tids``, above every TID in the set,
+        as one record; an empty range adds nothing."""
         if tids:
-            i = len(self._starts)
-            if i and tids.start < self._stops[-1]:
-                i = bisect_left(self._starts, tids.start)
-            self._starts.insert(i, tids.start)
-            self._stops.insert(i, tids.stop)
-            self._values.insert(i, value)
+            self._starts.append(tids.start)
+            self._stops.append(tids.stop)
+            self._values.append(value)
             self._count += len(tids)
 
     def find(self, tid: int) -> int:
@@ -252,15 +247,6 @@ class TidRanges:
         self._starts, self._stops, self._values = starts, stops, values
         self._count -= len(doomed)
 
-    def drop(self, doomed: Callable[[object], bool]) -> None:
-        """Drop every record whose value ``doomed`` holds for."""
-        keep = [i for i, value in enumerate(self._values)
-                if not doomed(value)]
-        self._count = sum(self._stops[i] - self._starts[i] for i in keep)
-        self._starts = [self._starts[i] for i in keep]
-        self._stops = [self._stops[i] for i in keep]
-        self._values = [self._values[i] for i in keep]
-
 
 class Packet(NamedTuple):
     """A logical message on the fabric (serialization is modeled at the
@@ -300,6 +286,10 @@ class RcvContext:
     def __init__(self, ctxt_id: int, owner: str):
         self.ctxt_id = ctxt_id
         self.owner = owner
+        #: the context's programmed RcvArray entries, one record per
+        #: program_tids call valued ``(first tid, spans)``: TID t's span
+        #: is ``spans[t - first tid]``
+        self.tids = TidRanges()
         self.eager_backlog: Deque[Packet] = deque()
         self._on_packet: Optional[Callable[[Packet], None]] = None
 
@@ -583,10 +573,6 @@ class HFIDevice:
         self._next_engine = 0
         self._contexts: Dict[int, RcvContext] = {}
         self._next_ctxt = 0
-        #: programmed RcvArray entries, one record per program_tids call
-        #: valued ``(ctxt_id, first tid, spans)``: TID t's span is
-        #: ``spans[t - first tid]``
-        self._tids = TidRanges()
         self._next_tid = 0
         self.fabric = None  # set by Fabric.attach
         #: installed by the Linux interrupt subsystem at driver load
@@ -606,7 +592,7 @@ class HFIDevice:
         return ctxt
 
     def free_context(self, ctxt: RcvContext) -> None:
-        """Release a context and reclaim its TID entries.
+        """Release a context; its TID entries go with it.
 
         Raises :class:`DriverError` if an SDMA request group still in
         flight would deliver to this context once its engine drains —
@@ -624,7 +610,6 @@ class HFIDevice:
                 f"free of context {ctxt.ctxt_id} with {inflight} SDMA "
                 f"group(s) in flight targeting it")
         self._contexts.pop(ctxt.ctxt_id, None)
-        self._tids.drop(lambda value: value[0] == ctxt.ctxt_id)
 
     def context(self, ctxt_id: int) -> RcvContext:
         """Look up a receive context by id."""
@@ -673,7 +658,7 @@ class HFIDevice:
 
     @property
     def tids_in_use(self) -> int:
-        return len(self._tids)
+        return sum(len(ctxt.tids) for ctxt in self._contexts.values())
 
     def program_tids(self, ctxt: RcvContext,
                      spans: List[Tuple[int, int]]) -> range:
@@ -688,7 +673,7 @@ class HFIDevice:
         were.  The entries are one record that keeps ``spans`` itself,
         so the caller hands over a list it no longer changes.
         """
-        if len(self._tids) + len(spans) > self.params.rcv_array_entries:
+        if self.tids_in_use + len(spans) > self.params.rcv_array_entries:
             raise DriverError(
                 f"RcvArray exhausted: {self.tids_in_use} in use, "
                 f"{len(spans)} requested, {self.params.rcv_array_entries} total")
@@ -702,17 +687,18 @@ class HFIDevice:
                     f"{self.params.tid_max_span}B")
         tids = range(self._next_tid, self._next_tid + len(spans))
         self._next_tid = tids.stop
-        self._tids.add(tids, (ctxt.ctxt_id, tids.start, spans))
+        ctxt.tids.add(tids, (tids.start, spans))
         self.tracer.count("hfi.tids_programmed", len(tids))
         return tids
 
-    def unprogram_tids(self, tids: Sequence[int]) -> None:
-        """Invalidate RcvArray entries (TID_FREE).
+    def unprogram_tids(self, ctxt: RcvContext, tids: Sequence[int]) -> None:
+        """Invalidate ``ctxt``'s RcvArray entries (TID_FREE).
 
-        Every TID must be programmed and listed once; otherwise nothing
-        is invalidated.  The range of one ``program_tids`` call is freed
-        in one step; any other sequence is checked TID by TID."""
-        entries = self._tids
+        Every TID must be programmed for ``ctxt`` and listed once;
+        otherwise nothing is invalidated.  The range of one
+        ``program_tids`` call is freed in one step; any other sequence
+        is checked TID by TID."""
+        entries = ctxt.tids
         if entries.record(tids) < 0:
             doomed = set(tids)
             if len(doomed) != len(tids):
@@ -726,12 +712,13 @@ class HFIDevice:
 
     def tid_entry(self, tid: int) -> TidEntry:
         """Look up a programmed RcvArray entry."""
-        i = self._tids.find(tid)
-        if i < 0:
-            raise DriverError(f"unknown TID {tid}")
-        ctxt_id, first, spans = self._tids.value(i)
-        paddr, nbytes = spans[tid - first]
-        return TidEntry(tid, ctxt_id, paddr, nbytes)
+        for ctxt in self._contexts.values():
+            i = ctxt.tids.find(tid)
+            if i >= 0:
+                first, spans = ctxt.tids.value(i)
+                paddr, nbytes = spans[tid - first]
+                return TidEntry(tid, ctxt.ctxt_id, paddr, nbytes)
+        raise DriverError(f"unknown TID {tid}")
 
     # -- fabric interface ---------------------------------------------------------
 
@@ -743,9 +730,12 @@ class HFIDevice:
 
     def receive(self, packet: Packet) -> None:
         """Called by the fabric when a packet arrives at this node."""
+        ctxt = self._contexts.get(packet.dst_ctxt)
         if packet.kind == "expected":
-            # validates hardware state: every TID must be programmed
-            bad = self._tids.first_missing(packet.tids)
+            # validates hardware state: every TID must be programmed in
+            # the destination context's share (a freed context has none)
+            bad = (ctxt.tids.first_missing(packet.tids) if ctxt is not None
+                   else next(iter(packet.tids), None))
             if bad is not None:
                 # Under fault injection a retransmit can outlive its
                 # window's RcvArray entries (the flow failed and freed
@@ -758,7 +748,6 @@ class HFIDevice:
             self.tracer.count("hfi.rx_expected")
         else:
             self.tracer.count(f"hfi.rx_{packet.kind}")
-        ctxt = self._contexts.get(packet.dst_ctxt)
         if ctxt is None:
             if self.injector is not None:
                 self.tracer.count("hfi.rx_dead_ctxt")

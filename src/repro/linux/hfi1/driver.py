@@ -13,7 +13,7 @@ another kernel dereferences it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ...config import PLANES
@@ -21,8 +21,7 @@ from ...core.lockclasses import declare_lock_class
 from ...core.structs import StructInstance
 from ...errors import (BadSyscall, DeviceTimeout, DriverError,
                        TransientDeviceError)
-from ...hw.hfi import (DescriptorChain, Packet, RcvContext,
-                       SdmaRequestGroup, TidRanges)
+from ...hw.hfi import DescriptorChain, Packet, RcvContext, SdmaRequestGroup
 from ...obs.spans import track_of
 from ...sim import Event
 from ...units import PAGE_SIZE, USEC
@@ -52,13 +51,12 @@ _DEVICE_MMAP_COST = 1.9 * USEC
 
 @dataclass
 class DriverFileState:
-    """Driver-private per-open state (rooted at ``file->private_data``)."""
+    """Driver-private per-open state (rooted at ``file->private_data``);
+    the TIDs the file registered are its context's RcvArray records."""
 
     ctxt: RcvContext
     fdata: StructInstance
     pq: StructInstance
-    #: the TIDs this open file registered, one record per TID_UPDATE
-    tids: TidRanges = field(default_factory=TidRanges)
 
 
 class Hfi1Driver(FileOps):
@@ -137,13 +135,6 @@ class Hfi1Driver(FileOps):
                               f"{file.private_data!r}")
         return state
 
-    def file_state_by_addr(self, private_data: int) -> DriverFileState:
-        """Used by the PicoDriver, which holds the raw address."""
-        state = self._files.get(private_data)
-        if state is None:
-            raise DriverError(f"no hfi1_filedata at {private_data:#x}")
-        return state
-
     # -- file operations ---------------------------------------------------------
 
     def open(self, kernel, file: File, task):
@@ -169,9 +160,9 @@ class Hfi1Driver(FileOps):
         if state is None:
             return
         yield kernel.sim.timeout(_CTXT_SETUP_COST / 2)
-        if state.tids:
+        if state.ctxt.tids:
             # every TID the file still holds, in one RcvArray call
-            self.hfi.unprogram_tids(list(state.tids))
+            self.hfi.unprogram_tids(state.ctxt, list(state.ctxt.tids))
         self.hfi.free_context(state.ctxt)
         state.fdata.free()
         state.pq.free()
@@ -322,20 +313,18 @@ class Hfi1Driver(FileOps):
         cost = (sc.tid_ioctl_base + gup_cost
                 + len(tids) * nic.tid_program_cost)
         yield kernel.sim.timeout(cost)
-        state.tids.add(tids)
-        state.fdata.set("tid_used", len(state.tids))
+        state.fdata.set("tid_used", len(state.ctxt.tids))
         return tids
 
     def _tid_free(self, kernel, state: DriverFileState, arg):
         """Invalidate registered TIDs; the ``range`` of one TID_UPDATE is
         freed in one step, any other sequence TID by TID."""
         tids = arg["tids"]
-        bad = state.tids.first_missing(tids)
+        bad = state.ctxt.tids.first_missing(tids)
         if bad is not None:
             raise DriverError(f"TID_FREE of unowned tid {bad}")
-        self.hfi.unprogram_tids(tids)
-        state.tids.remove(tids)
-        state.fdata.set("tid_used", len(state.tids))
+        self.hfi.unprogram_tids(state.ctxt, tids)
+        state.fdata.set("tid_used", len(state.ctxt.tids))
         yield kernel.sim.timeout(
             kernel.params.syscall.tid_ioctl_base
             + len(tids) * kernel.params.nic.tid_program_cost)

@@ -334,7 +334,6 @@ class PxdDriver(FileOps):
                 def cleanup():
                     tracker.free()
                     yield kernel.sim.timeout(mem.kfree_cost)
-                    self._ack(head)
                 return cleanup()
 
             head = PxdIoHead(sector=sector, nsectors=nsectors,
@@ -533,7 +532,8 @@ class PxdDriver(FileOps):
 
     def _head_finish(self, head: PxdIoHead):
         """Last replica completion: settle divergence bookkeeping, wake
-        parked probes, kick re-probing, then run the head callback."""
+        parked probes, kick re-probing, then run the head callback and
+        acknowledge the write (either submit path's head)."""
         self._inflight.discard(head)
         acked = len(head.failures) < len(head.targets)
         if acked:
@@ -564,8 +564,14 @@ class PxdDriver(FileOps):
         else:
             result = None
         if result is not None and hasattr(result, "send"):
-            return result
+            return self._ack_after(result, head)
         return None
+
+    def _ack_after(self, cleanup, head: PxdIoHead):
+        """Generator: the head callback's cleanup (its cost charged on
+        this Linux CPU), then the acknowledgement."""
+        yield from cleanup
+        self._ack(head)
 
     # -- re-probing / resync (guard-driven) --------------------------------
 

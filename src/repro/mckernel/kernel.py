@@ -176,10 +176,10 @@ class McKernel(KernelBase):
             entry = self._device_fds.get(task.name, {}).get(fd)
             if entry is not None:
                 path, _file = entry
-                decision = self.pico.decide(path, name, args)
+                handled = self.pico.decide(path, name, args)
                 self.tracer.count(
-                    f"pico.{'fast' if decision.handled else 'offload'}.{name}")
-                if decision.handled:
+                    f"pico.{'fast' if handled else 'offload'}.{name}")
+                if handled:
                     driver = self.pico.lookup(path)
                     guard = driver.linux_driver.guard
                     if guard is not None and not guard.admits(name):

@@ -88,6 +88,20 @@ def test_sanitize_shipped_experiment_is_clean(capsys):
     assert "no races" in out
 
 
+def test_sanitize_storage_runs_the_storage_smoke_clean(capsys):
+    """``sanitize storage`` prints exactly what ``chaos --storage
+    --smoke`` prints, then finds no race, no hazard and no fact the
+    static model misses on the pxd fast and slow paths."""
+    assert main(["chaos", "--storage", "--smoke"]) == 0
+    smoke = capsys.readouterr().out
+    assert main(["sanitize", "storage"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("== sanitizing storage ==\n" + smoke)
+    assert "KSan: no cross-kernel races detected" in out
+    assert "lockdep: no lock-order hazards" in out
+    assert "every dynamic fact is contained" in out
+
+
 def _racy_experiment():
     """A deliberately broken 'experiment': writes SDMA engine state from
     McKernel without taking ``hfi1.sdma_submit``."""

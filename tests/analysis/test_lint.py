@@ -63,7 +63,7 @@ def test_pd001_clean_when_offload_is_on_the_slow_path():
     findings = vet("""\
         class GoodPico(PicoDriver):
             def claims(self, syscall, args):
-                return FastPathDecision.offload("administrative")
+                return False
 
             def slow_ioctl(self, task, cmd):
                 yield from self.lwk._offload(task, "ioctl", (cmd,))

@@ -72,6 +72,11 @@ def test_vet_json_output(capsys):
     assert entry["effects"]["offloads"] == []
     assert entry["effects"]["sleeps"] == []
     assert any("sdma_submit" in a for a in entry["effects"]["acquires"])
+    # the chassis registers each subclass's completion callback: both
+    # still run in IRQ context
+    for cls in ("HFIPicoDriver", "PxdPicoDriver"):
+        (qual,) = [q for q in summary if q.endswith(f"{cls}._completion")]
+        assert summary[qual]["contexts"] == ["irq"]
 
 
 def test_vet_unknown_option_exits_two(capsys):

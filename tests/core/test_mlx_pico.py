@@ -57,6 +57,40 @@ def test_reg_mr_roundtrip(cfg):
     assert mlx.mtt_entries_used == 0  # dereg returned everything
 
 
+@pytest.mark.parametrize("cfg", list(OSConfig), ids=lambda c: c.value)
+@pytest.mark.parametrize("length", [0, -PAGE_SIZE],
+                         ids=["empty", "negative"])
+def test_reg_mr_rejects_non_positive_length(cfg, length):
+    """Linux, offloaded and fast-path reg_mr all refuse a length <= 0
+    with the driver's DriverError before allocating an MR struct, MTT
+    entries or a key: the next registration gets a fresh driver's first
+    key."""
+    machine, mlx, _ = machine_with_ib(cfg)
+    heap = machine.nodes[0].node.kheap
+    first_keys, _ = reg_dereg(*machine_with_ib(cfg)[:2])
+
+    def body(task):
+        fd = yield from task.syscall("open", mlx.device_path)
+        buf = yield from task.syscall("mmap", 1 * MiB)
+        live = heap.live_objects()
+        refused = None
+        try:
+            yield from task.syscall("ioctl", fd, MLX_CMD_REG_MR,
+                                    {"vaddr": buf, "length": length})
+        except DriverError as exc:
+            refused = exc
+        leaked = heap.live_objects() - live
+        keys = yield from task.syscall("ioctl", fd, MLX_CMD_REG_MR,
+                                       {"vaddr": buf, "length": 1 * MiB})
+        return refused, leaked, keys
+
+    refused, leaked, keys = run(machine, body)
+    assert type(refused) is DriverError
+    assert f"reg_mr of non-positive length {length}" in str(refused)
+    assert leaked == 0
+    assert keys == first_keys
+
+
 def test_linux_programs_one_mtt_entry_per_page():
     machine, mlx, _ = machine_with_ib(OSConfig.LINUX)
     _, used = reg_dereg(machine, mlx, nbytes=1 * MiB)
@@ -73,11 +107,11 @@ def test_pico_programs_one_mtt_entry_per_span():
 
 def test_pico_claims_only_memreg_commands():
     machine, mlx, pico = machine_with_ib(OSConfig.MCKERNEL_HFI)
-    assert pico.claims("ioctl", (3, MLX_CMD_REG_MR, None)).handled
-    assert pico.claims("ioctl", (3, MLX_CMD_DEREG_MR, None)).handled
-    assert not pico.claims("ioctl", (3, MLX_CMD_CREATE_PD, None)).handled
-    assert not pico.claims("ioctl", (3, MLX_CMD_QUERY_DEVICE, None)).handled
-    assert not pico.claims("writev", (3, [])).handled
+    assert pico.claims("ioctl", (3, MLX_CMD_REG_MR, None))
+    assert pico.claims("ioctl", (3, MLX_CMD_DEREG_MR, None))
+    assert not pico.claims("ioctl", (3, MLX_CMD_CREATE_PD, None))
+    assert not pico.claims("ioctl", (3, MLX_CMD_QUERY_DEVICE, None))
+    assert not pico.claims("writev", (3, []))
     assert len(MEMREG_COMMANDS) == 2
 
 
@@ -165,10 +199,10 @@ def test_mtt_exhaustion():
 
 def test_base_claims_surfaces_typed_driver_error():
     """The framework base class itself is typed: a PicoDriver with no
-    claims() must raise DriverError, never bare NotImplementedError."""
+    CLAIMS must raise DriverError, never bare NotImplementedError."""
     from repro.core.picodriver import PicoDriver
-    with pytest.raises(DriverError, match="claims"):
-        PicoDriver().claims("ioctl", (3, MLX_CMD_REG_MR, None))
+    with pytest.raises(DriverError, match="CLAIMS"):
+        PicoDriver(MlxDriver()).claims("ioctl", (3, MLX_CMD_REG_MR, None))
 
 
 def test_unsupported_fast_command_surfaces_typed_error():
@@ -176,9 +210,8 @@ def test_unsupported_fast_command_surfaces_typed_error():
     DriverError through the McKernel dispatcher — the app can catch it;
     a bare NotImplementedError would escape the syscall layer."""
     machine, mlx, pico = machine_with_ib(OSConfig.MCKERNEL_HFI)
-    from repro.core.picodriver import FastPathDecision
     # rig dispatch: claim every ioctl, including unsupported commands
-    pico.claims = lambda syscall, args: FastPathDecision.claim("rigged")
+    pico.claims = lambda syscall, args: True
 
     def body(task):
         fd = yield from task.syscall("open", mlx.device_path)
@@ -195,8 +228,7 @@ def test_claimed_but_unimplemented_syscall_surfaces_typed_error():
     """Claiming a syscall with no fast_<name> handler is a porting bug
     the dispatcher reports as a typed DriverError."""
     machine, mlx, pico = machine_with_ib(OSConfig.MCKERNEL_HFI)
-    from repro.core.picodriver import FastPathDecision
-    pico.claims = lambda syscall, args: FastPathDecision.claim("rigged")
+    pico.claims = lambda syscall, args: True
 
     def body(task):
         fd = yield from task.syscall("open", mlx.device_path)

@@ -75,12 +75,11 @@ def test_fast_write_read_roundtrip_mirrors_all_replicas():
 
 def test_claims_only_the_data_path():
     machine, pxd, pico, _ = make_machine()
-    assert pico.claims("writev", (3, [])).handled
-    assert pico.claims("ioctl", (3, ioc.PXD_IOCTL_READ, None)).handled
-    assert not pico.claims("ioctl", (3, ioc.PXD_IOCTL_GET_STATS, None)).handled
-    assert not pico.claims("ioctl",
-                           (3, ioc.PXD_IOCTL_UPDATE_PATH, None)).handled
-    assert not pico.claims("close", (3,)).handled
+    assert pico.claims("writev", (3, []))
+    assert pico.claims("ioctl", (3, ioc.PXD_IOCTL_READ, None))
+    assert not pico.claims("ioctl", (3, ioc.PXD_IOCTL_GET_STATS, None))
+    assert not pico.claims("ioctl", (3, ioc.PXD_IOCTL_UPDATE_PATH, None))
+    assert not pico.claims("close", (3,))
 
 
 def test_admin_ioctls_offload_to_the_linux_driver():

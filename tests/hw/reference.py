@@ -140,7 +140,9 @@ def per_page_map_extents(pt, vaddr, extents, frame_size=PAGE_SIZE,
 
 class PerEntryRcvArray:
     """The RcvArray as one :class:`TidEntry` per programmed entry, with
-    the per-TID validation loops of the device and the drivers."""
+    the per-TID validation loops of the device and the drivers.  A
+    context owns the entries it programmed: a free or an expected
+    packet naming another context's entry treats it as unknown."""
 
     def __init__(self, params):
         self.params = params
@@ -172,11 +174,15 @@ class PerEntryRcvArray:
         self.tracer.count("hfi.tids_programmed", len(entries))
         return [e.tid for e in entries]
 
-    def unprogram(self, tids):
+    def _owns(self, ctxt_id, tid):
+        entry = self.entries.get(tid)
+        return entry is not None and entry.ctxt_id == ctxt_id
+
+    def unprogram(self, ctxt_id, tids):
         """``HFIDevice.unprogram_tids``."""
         if len(set(tids)) != len(tids):
             raise DriverError(f"unprogram lists a TID twice: {list(tids)}")
-        unknown = [t for t in tids if t not in self.entries]
+        unknown = [t for t in tids if not self._owns(ctxt_id, t)]
         if unknown:
             raise DriverError(f"unprogram of unknown TID {min(unknown)}")
         for tid in tids:
@@ -189,14 +195,14 @@ class PerEntryRcvArray:
                     if e.ctxt_id == ctxt_id]:
             del self.entries[tid]
 
-    def receive(self, tids, faults):
-        """The TID check of ``HFIDevice.receive`` for an expected packet;
-        True when the packet is delivered."""
+    def receive(self, ctxt_id, tids, faults):
+        """The TID check of ``HFIDevice.receive`` for an expected packet
+        to context ``ctxt_id``; True when the packet is delivered."""
         for tid in tids:
-            if faults and tid not in self.entries:
+            if faults and not self._owns(ctxt_id, tid):
                 self.tracer.count("hfi.rx_stale_tid")
                 return False
-            if tid not in self.entries:
+            if not self._owns(ctxt_id, tid):
                 raise DriverError(f"unknown TID {tid}")
         self.tracer.count("hfi.rx_expected")
         return True

@@ -137,7 +137,7 @@ def test_tid_program_and_unprogram():
     assert list(tids) == [0, 1]
     assert a.tids_in_use == 2
     assert a.tid_entry(tids[1]) == TidEntry(1, ctxt.ctxt_id, 0x10000, 4 * KiB)
-    a.unprogram_tids(list(tids))
+    a.unprogram_tids(ctxt, list(tids))
     assert a.tids_in_use == 0
     with pytest.raises(DriverError, match="unknown TID 1"):
         a.tid_entry(1)
@@ -162,7 +162,7 @@ def test_rcv_array_exhaustion():
 def test_unprogram_unknown_tid_rejected():
     sim, params, fabric, a, b = make_pair()
     with pytest.raises(DriverError):
-        a.unprogram_tids([999])
+        a.unprogram_tids(a.alloc_context("rx"), [999])
 
 
 def test_expected_packet_validates_tids():
@@ -191,6 +191,23 @@ def test_free_context_reclaims_tids():
     a.program_tids(ctxt, [(0x1000, 4 * KiB)])
     a.free_context(ctxt)
     assert a.tids_in_use == 0
+
+
+def test_expected_packet_to_a_freed_context_is_a_stale_tid():
+    """A freed context's TIDs go with it: under fault injection a late
+    expected packet naming them is dropped as a stale TID, not as a
+    packet for a dead context; one naming no TID is the latter."""
+    sim, params, fabric, a, b = make_pair()
+    b.injector = FaultInjector(FaultPlan(), None)
+    ctxt = b.alloc_context("rx")
+    tids = b.program_tids(ctxt, [(0x1000, 8 * KiB)])
+    b.free_context(ctxt)
+    for window in (tids, ()):
+        b.receive(Packet(kind="expected", src_node=0, dst_node=1,
+                         dst_ctxt=ctxt.ctxt_id, nbytes=8 * KiB,
+                         tids=window))
+    assert b.tracer.counters.get("hfi.rx_stale_tid") == 1
+    assert b.tracer.counters.get("hfi.rx_dead_ctxt") == 1
 
 
 def test_packets_without_handler_queue_up():
@@ -345,9 +362,9 @@ def test_rejected_tid_unprogram_removes_nothing():
     tids = list(a.program_tids(ctxt, [(0x1000, 4 * KiB), (0x2000, 4 * KiB)]))
     for bad in ([tids[0], 999], [tids[0], tids[0]]):
         with pytest.raises(DriverError):
-            a.unprogram_tids(bad)
+            a.unprogram_tids(ctxt, bad)
         assert a.tids_in_use == 2
-    a.unprogram_tids(tids)
+    a.unprogram_tids(ctxt, tids)
     assert a.tids_in_use == 0
     assert a.program_tids(ctxt, [(0x5000, 4 * KiB)])[0] == tids[-1] + 1
 
@@ -444,13 +461,22 @@ _FOUR = [4 * KiB] * 4
               ("receive", 0, ("across", 1, 0, 0)),
               ("unprogram", 1, ("whole", 0, 0, 0)),
               ("unprogram", 1, ("empty", 0, 3, 0))], faults=True)
+# a range across two records of one context, then each context's own
+@example(ops=[("program", 0, _FOUR), ("program", 1, _FOUR),
+              ("program", 1, _FOUR),
+              ("receive", 1, ("across", 1, 1, 2)),
+              ("unprogram", 1, ("across", 1, 1, 2)),
+              ("receive", 0, ("across", 0, 0, 0)),
+              ("unprogram", 0, ("whole", 0, 0, 0)),
+              ("unprogram", 1, ("whole", 1, 0, 0))], faults=True)
 def test_rcv_array_matches_per_entry_reference(ops, faults):
     """program/unprogram/free_context/receive sequences against one
     ``TidEntry`` per entry in a dict: the same TIDs, ``_next_tid``,
     entries, counters, errors and deliveries, with and without the
     fault plane's stale-TID drop (an installed injector).  Frees and
     packets name TIDs as lists and as ranges: a whole record, part of
-    one, one across two records, a stepped range and an empty one."""
+    one, one across two records, a stepped range and an empty one.  A
+    TID another context programmed is unknown to the free or packet."""
     sim, params, fabric, a, b = make_pair()
     nic = replace(params.nic, rcv_array_entries=48, tid_max_span=5 * KiB)
     dev = HFIDevice(sim, nic, node_id=7)
@@ -476,8 +502,8 @@ def test_rcv_array_matches_per_entry_reference(ops, faults):
                      lambda: ref.program(ctxt.ctxt_id, spans))
         elif op == "unprogram":
             tids = _tid_arg(arg, records)
-            calls = (lambda: dev.unprogram_tids(tids),
-                     lambda: ref.unprogram(tids))
+            calls = (lambda: dev.unprogram_tids(ctxt, tids),
+                     lambda: ref.unprogram(ctxt.ctxt_id, tids))
         elif op == "free_context":
             dev.free_context(ctxt)
             ref.free_context(ctxt.ctxt_id)
@@ -491,7 +517,7 @@ def test_rcv_array_matches_per_entry_reference(ops, faults):
                          tids=tids if isinstance(tids, range)
                          else tuple(tids))
             calls = (lambda: dev.receive(pkt) or pkt in delivered,
-                     lambda: ref.receive(tids, faults))
+                     lambda: ref.receive(ctxt.ctxt_id, tids, faults))
         outs = []
         for call in calls:
             try:

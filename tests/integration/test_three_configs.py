@@ -5,7 +5,7 @@ invariants) and the mechanisms behind the paper's results."""
 import pytest
 
 from repro.config import ALL_CONFIGS, OSConfig
-from repro.errors import DriverError
+from repro.errors import BadSyscall, DriverError
 from repro.experiments import build_machine
 from repro.linux.hfi1 import ioctls as ioc
 from repro.psm import Endpoint, TagMatcher
@@ -109,12 +109,12 @@ def test_pico_fast_path_claims_only_three_ioctls():
     pico = machine.nodes[0].pico
     from repro.linux.hfi1 import ALL_IOCTLS, TID_IOCTLS
     claimed = [c for c in ALL_IOCTLS
-               if pico.claims("ioctl", (3, c, None)).handled]
+               if pico.claims("ioctl", (3, c, None))]
     assert set(claimed) == set(TID_IOCTLS)
     assert len(claimed) == 3 and len(ALL_IOCTLS) == 13
-    assert pico.claims("writev", (3, [])).handled
-    assert not pico.claims("open", ("/dev/hfi1_0",)).handled
-    assert not pico.claims("mmap", (3, 100)).handled
+    assert pico.claims("writev", (3, []))
+    assert not pico.claims("open", ("/dev/hfi1_0",))
+    assert not pico.claims("mmap", (3, 100))
 
 
 def test_pico_completion_uses_foreign_free():
@@ -229,6 +229,90 @@ def test_tid_update_rejects_non_positive_length(cfg, offset, length):
 
 
 @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: c.value)
+def test_writev_without_data_iovec_is_a_bad_syscall(cfg):
+    """A header and no data iovec: Linux, offloaded and fast-path writev
+    all refuse it with the same BadSyscall before building anything."""
+    machine = build_machine(1, cfg)
+    task = machine.spawn_rank(0, 0, 0)
+
+    def body():
+        fd = yield from task.syscall("open", "/dev/hfi1_0")
+        yield from task.syscall("writev", fd, [{}])
+
+    proc = machine.sim.process(body())
+    machine.sim.run()
+    assert type(proc.exception) is BadSyscall
+    assert "header iovec" in str(proc.exception)
+    assert machine.tracer.get_count("hfi.sdma_descs") == 0
+
+
+@pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: c.value)
+def test_ioctl_without_command_is_a_bad_syscall(cfg):
+    """An ioctl naming no command is refused with the slow path's
+    BadSyscall on every config: the fast path does not claim it."""
+    machine = build_machine(1, cfg)
+    task = machine.spawn_rank(0, 0, 0)
+
+    def body():
+        fd = yield from task.syscall("open", "/dev/hfi1_0")
+        yield from task.syscall("ioctl", fd)
+
+    proc = machine.sim.process(body())
+    machine.sim.run()
+    assert type(proc.exception) is BadSyscall
+    assert "ioctl expects 3 args" in str(proc.exception)
+
+
+@pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: c.value)
+def test_tids_belong_to_the_context_that_registered_them(cfg):
+    """Two opens, one receive context each: the second open's TID_FREE
+    of the first open's TIDs fails typed and frees nothing, the owner
+    then frees them, and each file's ``tid_used`` counts only the
+    entries its own context holds."""
+    machine = build_machine(1, cfg)
+    hfi = machine.nodes[0].node.hfi
+    driver = machine.nodes[0].driver
+    task = machine.spawn_rank(0, 0, 0)
+    seen = []
+
+    def note():
+        seen.append((hfi.tids_in_use, [state.fdata.get("tid_used")
+                                       for state in driver._files.values()]))
+
+    def body():
+        fd_a = yield from task.syscall("open", "/dev/hfi1_0")
+        fd_b = yield from task.syscall("open", "/dev/hfi1_0")
+        buf = yield from task.syscall("mmap", 4 * MiB)
+        tids_a = yield from task.syscall("ioctl", fd_a,
+                                         ioc.HFI1_IOCTL_TID_UPDATE,
+                                         {"vaddr": buf, "length": 2 * MiB})
+        tids_b = yield from task.syscall("ioctl", fd_b,
+                                         ioc.HFI1_IOCTL_TID_UPDATE,
+                                         {"vaddr": buf + 2 * MiB,
+                                          "length": 2 * MiB})
+        note()
+        refused = None
+        try:
+            yield from task.syscall("ioctl", fd_b, ioc.HFI1_IOCTL_TID_FREE,
+                                    {"tids": tids_a})
+        except DriverError as exc:
+            refused = str(exc)
+        note()
+        yield from task.syscall("ioctl", fd_a, ioc.HFI1_IOCTL_TID_FREE,
+                                {"tids": tids_a})
+        note()
+        return tids_a, tids_b, refused
+
+    proc = machine.sim.process(body())
+    machine.sim.run(until=proc)
+    tids_a, tids_b, refused = proc.value
+    a, b = len(tids_a), len(tids_b)
+    assert refused is not None
+    assert refused.endswith(f"TID_FREE of unowned tid {tids_a[0]}")
+    assert seen == [(a + b, [a, b]), (a + b, [a, b]), (b, [0, b])]
+
+
+@pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: c.value)
 def test_tid_free_names_first_unowned_tid_and_frees_nothing(cfg):
     machine = build_machine(1, cfg)
     task = machine.spawn_rank(0, 0, 0)
@@ -298,9 +382,9 @@ def test_tid_free_of_part_of_a_registration_then_the_rest(cfg):
 @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: c.value)
 def test_concurrent_tid_updates_on_one_fd_free_in_any_order(cfg):
     """Two TID_UPDATEs issued together on one fd: on Linux and McKernel
-    the smaller one is charged less and returns first, so the driver
-    records the later TIDs first.  Each range still frees, and the
-    driver's TID set and ``tid_used`` end empty."""
+    the smaller one is charged less and returns first, so the later
+    TIDs come back first.  Each range still frees, and the context's
+    RcvArray records and ``tid_used`` end empty."""
     machine = build_machine(1, cfg)
     sim = machine.sim
     task = machine.spawn_rank(0, 0, 0)
@@ -324,7 +408,7 @@ def test_concurrent_tid_updates_on_one_fd_free_in_any_order(cfg):
             yield from task.syscall("ioctl", fd, ioc.HFI1_IOCTL_TID_FREE,
                                     {"tids": tids})
         (state,) = machine.nodes[0].driver._files.values()
-        return len(state.tids), state.fdata.get("tid_used")
+        return len(state.ctxt.tids), state.fdata.get("tid_used")
 
     proc = sim.process(body())
     sim.run(until=proc)
