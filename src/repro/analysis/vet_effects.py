@@ -35,7 +35,8 @@ but the stdlib ``ast``; the checkers of
   spawned inside ``repro/hw`` run in engine context;
 
 * a fixpoint over an **effect lattice** per function: may-sleep
-  (curated sleeping services), timed waits (``yield *.timeout/wait``),
+  (curated sleeping services), timed waits (``yield *.timeout/wait``,
+  ``yield from *.delay``),
   may-offload (IKC / syscall dispatch), unpinned allocation
   (``get_user_pages``), acquired lock classes, shared-heap struct-field
   reads/writes with kernel attribution, raised typed errors (filtered
@@ -68,6 +69,11 @@ _OFFLOAD_NAMES = frozenset({"_offload", "offload", "offload_syscall",
 
 #: ``yield *.<name>(...)`` calls that are a timed wait
 _WAIT_CALLS = frozenset({"timeout", "wait"})
+
+#: ``yield from *.<name>(...)`` calls that are a timed wait: the
+#: engine's delay (not ``wait``: ``mpi`` requests' ``wait`` is a
+#: generator the apps join with ``yield from``)
+_DELAY_CALLS = frozenset({"delay"})
 
 #: services a fast path / IRQ top half must never reach: they block the
 #: caller for an unbounded time (the in-tree members are
@@ -513,32 +519,37 @@ class _FunctionScanner:
     def _exprs(self, root: ast.AST, held: Tuple[str, ...],
                handled: frozenset, faults: bool) -> None:
         for node in _iter_nodes(root):
-            if isinstance(node, ast.Yield) and node.value is not None \
-                    and isinstance(node.value, ast.Call) \
-                    and isinstance(node.value.func, ast.Attribute) \
-                    and node.value.func.attr in _WAIT_CALLS:
-                call = node.value
-                what = _dotted(call.func)
-                self.fn.effect.timed_waits.add(Site(what, self.fn.path,
-                                                    node.lineno))
-                self.fn.wait_sites.append(LockSite(
-                    what, call.lineno, call.col_offset, held))
-            elif isinstance(node, ast.YieldFrom) \
-                    and isinstance(node.value, ast.Call) \
-                    and isinstance(node.value.func, ast.Attribute) \
-                    and node.value.func.attr == "acquire":
-                call = node.value
-                receiver = _dotted(call.func.value)
-                cls = self._lock_class(receiver)
-                self.fn.effect.acquires.add(cls)
-                kernel = _const_str(call.args[0]) if call.args else None
-                self.fn.acquire_sites.append(LockSite(
-                    cls, call.lineno, call.col_offset, held, receiver,
-                    kernel or "?"))
+            if isinstance(node, (ast.Yield, ast.YieldFrom)):
+                self._yield(node, held)
             elif isinstance(node, ast.Raise):
                 self._raise(node, handled, faults)
             elif isinstance(node, ast.Call):
                 self._call(node, held, handled)
+
+    def _yield(self, node: ast.AST, held: Tuple[str, ...]) -> None:
+        """Digest a timed wait (``yield *.timeout/wait(...)``, ``yield
+        from *.delay(...)``) into a wait site and ``yield from
+        X.acquire(kernel, ...)`` into an acquire site."""
+        call = node.value
+        if not (isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)):
+            return
+        attr = call.func.attr
+        delegates = isinstance(node, ast.YieldFrom)
+        if attr in (_DELAY_CALLS if delegates else _WAIT_CALLS):
+            what = _dotted(call.func)
+            self.fn.effect.timed_waits.add(Site(what, self.fn.path,
+                                                node.lineno))
+            self.fn.wait_sites.append(LockSite(
+                what, call.lineno, call.col_offset, held))
+        elif delegates and attr == "acquire":
+            receiver = _dotted(call.func.value)
+            cls = self._lock_class(receiver)
+            self.fn.effect.acquires.add(cls)
+            kernel = _const_str(call.args[0]) if call.args else None
+            self.fn.acquire_sites.append(LockSite(
+                cls, call.lineno, call.col_offset, held, receiver,
+                kernel or "?"))
 
     def _raise(self, node: ast.Raise, handled: frozenset,
                faults: bool) -> None:
@@ -583,6 +594,8 @@ class _FunctionScanner:
                 # the child runs in the caller's frame: the argument's
                 # own call node (walked next) is the synchronous edge
                 return
+            if name in _DELAY_CALLS:
+                return  # a timed wait site (``_yield``), not an edge
         if name in _NEVER_EDGE:
             self._accessor(node, name, receiver, held)
             return

@@ -45,7 +45,7 @@ class PingPong:
             yield from ep0.open()
             buf = yield from t0.syscall("mmap", bufsize)
             while ep1.addr is None:
-                yield sim.timeout(1e-6)
+                yield from sim.delay(1e-6)
             for size in sizes:
                 t_start = None
                 for r in range(reps + warm):
@@ -105,7 +105,7 @@ class PingPing:
             yield from eps[me].open()
             buf = yield from tasks[me].syscall("mmap", bufsize)
             while eps[other].addr is None:
-                yield sim.timeout(1e-6)
+                yield from sim.delay(1e-6)
             for size in sizes:
                 t_start = None
                 for r in range(reps + warm):
@@ -157,7 +157,7 @@ class SendRecv:
             yield from eps[me].open()
             buf = yield from tasks[me].syscall("mmap", bufsize)
             while any(ep.addr is None for ep in eps):
-                yield sim.timeout(1e-6)
+                yield from sim.delay(1e-6)
             for size in sizes:
                 t_start = None
                 for r in range(reps + warm):

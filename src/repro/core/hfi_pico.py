@@ -99,6 +99,10 @@ class HFIPicoDriver(PicoDriver):
                     f"pico writev over unpinned range {vaddr:#x}+{length:#x}")
             spans.extend(task.pagetable.phys_spans(vaddr, length))
             total += length
+        if not spans:
+            # the caller's malformed call, refused as the slow path
+            # refuses it, before any engine is picked and charged
+            raise DriverError(f"bad SDMA length {total}")
         # coalesce up to the hardware max (10KB), crossing page boundaries
         descs = build_descs_from_spans(spans, nic.sdma_max_request)
 
@@ -136,10 +140,10 @@ class HFIPicoDriver(PicoDriver):
                     engine=engine.index)
 
             meta_addr, alloc_cost = lwk.alloc.kmalloc(192, task.core_id)
-            yield sim.timeout(sc.writev_base_pico
-                              + len(spans) * sc.ptwalk_per_span
-                              + len(descs) * sc.desc_build
-                              + alloc_cost)
+            yield from sim.delay(sc.writev_base_pico
+                                 + len(spans) * sc.ptwalk_per_span
+                                 + len(descs) * sc.desc_build
+                                 + alloc_cost)
             # atomic_t-style ring refcount: the Linux-side completion IRQ
             # decrements this concurrently, so a plain read-modify-write
             # races
@@ -177,7 +181,7 @@ class HFIPicoDriver(PicoDriver):
                 # Undo our bookkeeping and let the slow path redo the call.
                 pq.add("n_reqs", -1)
                 kfree_cost = lwk.alloc.kfree(meta_addr, task.core_id)
-                yield sim.timeout(kfree_cost)
+                yield from sim.delay(kfree_cost)
                 if guard is not None:
                     guard.record_failure(guard.engine_path(engine.index),
                                          f"submit failed: {submit_exc}")
@@ -202,7 +206,7 @@ class HFIPicoDriver(PicoDriver):
         for addr in group.meta_addrs:
             # McKernel kfree from a Linux CPU: the foreign-free extension
             cost += lwk.alloc.kfree(addr, linux_core)
-        yield lwk.sim.timeout(cost)
+        yield from lwk.sim.delay(cost)
         ctx = group.user_ctx or {}
         pq_addr = ctx.get("pq_addr")
         if pq_addr is not None:
@@ -235,7 +239,7 @@ class HFIPicoDriver(PicoDriver):
                 if PLANES.trace is not None and span is not None:
                     PLANES.trace.end_span(span)
         if cmd == ioc.HFI1_IOCTL_TID_INVAL_READ:
-            yield self.lwk.sim.timeout(
+            yield from self.lwk.sim.delay(
                 self.lwk.params.syscall.tid_ioctl_base_pico)
             return []
         raise DriverError(f"pico ioctl does not claim {cmd:#x}")
@@ -252,7 +256,7 @@ class HFIPicoDriver(PicoDriver):
             # Same retryable RcvArray race the Linux driver can hit; the
             # fast path surfaces it identically so PSM's retry loop is
             # OS-agnostic.
-            yield lwk.sim.timeout(sc.tid_ioctl_base_pico)
+            yield from lwk.sim.delay(sc.tid_ioctl_base_pico)
             raise TransientDeviceError("TID_UPDATE raced RcvArray update")
         if not task.pagetable.is_pinned(vaddr, length):
             raise DriverError(
@@ -264,9 +268,9 @@ class HFIPicoDriver(PicoDriver):
         tid_spans = split_spans_for_tids(spans, nic.tid_max_span)
         ctxt = self.hfi.context(fdata.get("ctxt"))
         tids = self.hfi.program_tids(ctxt, tid_spans)
-        yield lwk.sim.timeout(sc.tid_ioctl_base_pico
-                              + len(spans) * sc.ptwalk_per_span
-                              + len(tids) * nic.tid_program_cost)
+        yield from lwk.sim.delay(sc.tid_ioctl_base_pico
+                                 + len(spans) * sc.ptwalk_per_span
+                                 + len(tids) * nic.tid_program_cost)
         # benign by construction: TID ioctls for one fd are issued
         # sequentially by the owning task, so the fast- and slow-path
         # writers of tid_used never interleave for a single fd
@@ -286,7 +290,7 @@ class HFIPicoDriver(PicoDriver):
             raise DriverError(f"pico TID_FREE of unowned tid {bad}")
         self.hfi.unprogram_tids(ctxt, tids)
         fdata.set("tid_used", len(ctxt.tids))
-        yield lwk.sim.timeout(
+        yield from lwk.sim.delay(
             lwk.params.syscall.tid_ioctl_base_pico
             + len(tids) * lwk.params.nic.tid_program_cost)
         return len(tids)

@@ -90,9 +90,9 @@ class MlxMemRegPicoDriver(PicoDriver):
         mr.set("mtt_base", spans[0][0])
         state.regions[lkey] = MemoryRegion(mr=mr, owner=task.name,
                                            spans=tuple(spans))
-        yield lwk.sim.timeout(REG_MR_BASE_PICO
-                              + len(spans) * sc.ptwalk_per_span
-                              + entries * MTT_PROGRAM_COST)
+        yield from lwk.sim.delay(REG_MR_BASE_PICO
+                                 + len(spans) * sc.ptwalk_per_span
+                                 + entries * MTT_PROGRAM_COST)
         lwk.tracer.count("pico.mlx_reg_mr")
         lwk.tracer.record("pico.mtt_entries_per_mr", entries)
         if guard is not None:
@@ -110,8 +110,8 @@ class MlxMemRegPicoDriver(PicoDriver):
         entries = region.mr.get("npages")
         self.linux_driver.put_mtt(entries)
         region.mr.free()
-        yield lwk.sim.timeout(DEREG_MR_BASE_PICO
-                              + entries * MTT_PROGRAM_COST / 2)
+        yield from lwk.sim.delay(DEREG_MR_BASE_PICO
+                                 + entries * MTT_PROGRAM_COST / 2)
         guard = self.linux_driver.guard
         if guard is not None:
             guard.record_success(guard.path_name(0))

@@ -143,9 +143,9 @@ class PxdPicoDriver(PicoDriver):
         if PLANES.trace is not None:
             head.trace_ctx = span
         try:
-            yield sim.timeout(blk.submit_base_pico
-                              + len(spans) * sc.ptwalk_per_span
-                              + alloc_cost)
+            yield from sim.delay(blk.submit_base_pico
+                                 + len(spans) * sc.ptwalk_per_span
+                                 + alloc_cost)
             guard = linux_driver.guard
             if guard is not None:
                 yield from guard.park_if_suspended()
@@ -172,7 +172,7 @@ class PxdPicoDriver(PicoDriver):
         except BaseException:
             linux_driver._inflight.discard(head)
             kfree_cost = lwk.alloc.kfree(trk_addr, task.core_id)
-            yield sim.timeout(kfree_cost)
+            yield from sim.delay(kfree_cost)
             raise
         finally:
             if PLANES.trace is not None and span is not None:
@@ -190,7 +190,7 @@ class PxdPicoDriver(PicoDriver):
         for addr in head.meta_addrs:
             # McKernel kfree from a Linux CPU: the foreign-free extension
             cost += lwk.alloc.kfree(addr, linux_core)
-        yield lwk.sim.timeout(cost)
+        yield from lwk.sim.delay(cost)
 
     # -- fast-path ioctl: replica-direct read -------------------------------
 
@@ -223,7 +223,7 @@ class PxdPicoDriver(PicoDriver):
         if not targets:
             lwk.tracer.count("pico.pxd_no_replicas")
             raise FastPathUnavailable("pxd has no in-service replicas")
-        yield sim.timeout(blk.submit_base_pico)
+        yield from sim.delay(blk.submit_base_pico)
         guard = self.linux_driver.guard
         errors = []
         for r in targets:

@@ -240,7 +240,7 @@ class MessageTrain(ContractTrain):
         yield from ep.open()
         buf = yield from task.syscall("mmap", bufsize)
         while peer.addr is None:
-            yield sim.timeout(1e-6)
+            yield from sim.delay(1e-6)
         yield from self._drive(self._send, ep, peer, buf)
 
     def _send(self, i, ep, peer, buf):
@@ -513,7 +513,7 @@ def run_flap(smoke: bool = False,
                 # faults are off; idle across the probe backoff cap so
                 # the measurement starts with breakers in PROBING, ready
                 # to fail back on first traffic
-                yield sim.timeout(FLAP_SETTLE)
+                yield from sim.delay(FLAP_SETTLE)
             if name == "drill":
                 drill_start.succeed()
 
@@ -522,7 +522,7 @@ def run_flap(smoke: bool = False,
             # quiescent, then resume and let the parked queue replay
             yield drill_start
             yield from guard0.suspend()
-            yield sim.timeout(FLAP_SUSPEND_HOLD)
+            yield from sim.delay(FLAP_SUSPEND_HOLD)
             guard0.resume()
 
         train = MessageTrain(machine, "flap",

@@ -67,7 +67,7 @@ def measure_offload_latency(n_ranks: int,
         fd = yield from task.syscall("open", "/dev/hfi1_0")
         buf = yield from task.syscall("mmap", REGION * CALLS_PER_RANK)
         # synchronize all ranks to issue together (the halo-phase shape)
-        yield sim.timeout(1e-3 - sim.now % 1e-3)
+        yield from sim.delay(1e-3 - sim.now % 1e-3)
         for c in range(CALLS_PER_RANK):
             t0 = sim.now
             tids = yield from task.syscall(

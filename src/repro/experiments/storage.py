@@ -208,7 +208,7 @@ class WriteTrain(ContractTrain):
         sim = self.machine.sim
         sector, payload = i * WRITE_STRIDE, self.payload(i)
         completion = Event(sim)
-        yield sim.timeout(WRITE_GAP)
+        yield from sim.delay(WRITE_GAP)
         try:
             yield from self.task.syscall(
                 "writev", self.fd,
@@ -323,7 +323,7 @@ def _run_drill(os_config: OSConfig,
                 machine.injector.plan = zero_plan
                 # idle past the probe backoff cap so breakers sit in
                 # PROBING and recovery traffic re-admits replicas
-                yield machine.sim.timeout(STORAGE_SETTLE)
+                yield from machine.sim.delay(STORAGE_SETTLE)
 
         train = WriteTrain(machine, sum(n for _, n in phases),
                            before=enter_phase)

@@ -190,7 +190,7 @@ class BlockDevice:
                 args={"op": io.op, "replica": index,
                       "sector": io.sector, "nsectors": io.nsectors}) \
                 if PLANES.trace is not None else None
-            yield self.sim.timeout(
+            yield from self.sim.delay(
                 self.params.media_latency
                 + io.nbytes(self.params.sector_size)
                 / self.params.media_bandwidth)

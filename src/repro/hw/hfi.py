@@ -534,7 +534,7 @@ class SdmaEngine:
                                        None if spans is None
                                        else spans[stop - lo:])
                         n -= stop - lo
-                yield self.sim.timeout(t)
+                yield from self.sim.delay(t)
             self.busy = False
             if sizes:
                 tracer = self.device.tracer
@@ -643,7 +643,7 @@ class HFIDevice:
         try:
             with self.egress.request() as port:
                 yield port
-                yield self.sim.timeout(
+                yield from self.sim.delay(
                     self.params.pio_overhead
                     + packet.nbytes / self.params.pio_bandwidth)
         finally:

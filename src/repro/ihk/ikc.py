@@ -36,7 +36,7 @@ class IkcChannel:
         ``cause`` (traced runs only) is the LWK-side offload span; the
         Linux-side service span flows from it across the IKC hop."""
         ikc = self.params.ikc
-        yield self.sim.timeout(ikc.request_cost)
+        yield from self.sim.delay(ikc.request_cost)
         done = Event(self.sim)
         self.inflight += 1
         self.tracer.count("ikc.calls")
@@ -55,7 +55,7 @@ class IkcChannel:
             f"ikc.serve.{name}", track_of(self.linux), cat="offload",
             flow_from=cause) if PLANES.trace is not None else None
         try:
-            yield self.sim.timeout(ikc.ipi_cost)
+            yield from self.sim.delay(ikc.ipi_cost)
             queued_at = self.sim.now
             depth = self.linux.os_cpus.queued  # runnable proxies ahead of us
             with self.linux.os_cpus.request() as cpu:
@@ -67,14 +67,14 @@ class IkcChannel:
                 # when many proxies thrash the few OS CPUs (section 4.3)
                 switch = ikc.context_switch_cost * min(
                     depth / self.linux.os_cpus.capacity, ikc.contention_cap)
-                yield self.sim.timeout(ikc.dispatch_cost + switch)
+                yield from self.sim.delay(ikc.dispatch_cost + switch)
                 try:
                     ret = yield from self.linux.syscall(proxy_task, name,
                                                         *args)
                     exc = None
                 except Exception as e:  # propagate to the LWK caller
                     ret, exc = None, e
-                yield self.sim.timeout(ikc.response_cost)
+                yield from self.sim.delay(ikc.response_cost)
         finally:
             if PLANES.trace is not None and span is not None:
                 PLANES.trace.end_span(span)

@@ -77,7 +77,7 @@ class KernelBase:
         residual jitter on application cores.
         """
         if seconds > 0:
-            yield self.sim.timeout(seconds)
+            yield from self.sim.delay(seconds)
         return None
 
     # -- syscalls --------------------------------------------------------------

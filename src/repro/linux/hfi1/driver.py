@@ -139,7 +139,7 @@ class Hfi1Driver(FileOps):
 
     def open(self, kernel, file: File, task):
         """Generator: allocate a context + hfi1_filedata/pkt_q structs."""
-        yield kernel.sim.timeout(_CTXT_SETUP_COST)
+        yield from kernel.sim.delay(_CTXT_SETUP_COST)
         ctxt = self.hfi.alloc_context(owner=task.name)
         fdata = StructInstance(self._defs["hfi1_filedata"], self.heap)
         pq = StructInstance(self._defs["user_sdma_pkt_q"], self.heap)
@@ -159,7 +159,7 @@ class Hfi1Driver(FileOps):
         state = self._files.pop(file.private_data, None)
         if state is None:
             return
-        yield kernel.sim.timeout(_CTXT_SETUP_COST / 2)
+        yield from kernel.sim.delay(_CTXT_SETUP_COST / 2)
         if state.ctxt.tids:
             # every TID the file still holds, in one RcvArray call
             self.hfi.unprogram_tids(state.ctxt, list(state.ctxt.tids))
@@ -203,7 +203,7 @@ class Hfi1Driver(FileOps):
         cost += len(descs) * sc.desc_build
         meta_addr = self.heap.kmalloc(192)
         cost += mem.kmalloc_cost
-        yield kernel.sim.timeout(cost)
+        yield from kernel.sim.delay(cost)
 
         state.pq.add("n_reqs", 1)
         packet = Packet(kind=meta.get("kind", "eager"),
@@ -222,7 +222,7 @@ class Hfi1Driver(FileOps):
             def cleanup():
                 for addr in group.meta_addrs:
                     self.heap.kfree(addr)
-                yield kernel.sim.timeout(mem.kfree_cost * len(group.meta_addrs))
+                yield from kernel.sim.delay(mem.kfree_cost * len(group.meta_addrs))
                 pq_struct.add("n_reqs", -1)
                 if completion is not None:
                     completion.succeed(group)
@@ -264,29 +264,29 @@ class Hfi1Driver(FileOps):
         if cmd == ioc.HFI1_IOCTL_TID_FREE:
             return (yield from self._tid_free(kernel, state, arg))
         if cmd == ioc.HFI1_IOCTL_TID_INVAL_READ:
-            yield kernel.sim.timeout(_ADMIN_IOCTL_COST)
+            yield from kernel.sim.delay(_ADMIN_IOCTL_COST)
             idx = state.fdata.get("invalid_tid_idx")
             state.fdata.set("invalid_tid_idx", 0)
             return list(range(idx))
         if cmd == ioc.HFI1_IOCTL_ASSIGN_CTXT:
-            yield kernel.sim.timeout(_ADMIN_IOCTL_COST)
+            yield from kernel.sim.delay(_ADMIN_IOCTL_COST)
             return {"ctxt": state.ctxt.ctxt_id, "subctxt": 0}
         if cmd == ioc.HFI1_IOCTL_CTXT_INFO:
-            yield kernel.sim.timeout(_ADMIN_IOCTL_COST)
+            yield from kernel.sim.delay(_ADMIN_IOCTL_COST)
             return {"ctxt": state.ctxt.ctxt_id,
                     "rcvtids": state.fdata.get("tid_limit"),
                     "credits": 64}
         if cmd == ioc.HFI1_IOCTL_USER_INFO:
-            yield kernel.sim.timeout(_ADMIN_IOCTL_COST)
+            yield from kernel.sim.delay(_ADMIN_IOCTL_COST)
             return {"hfi1_version": self.version,
                     "num_sdma": self.devdata.get("num_sdma")}
         if cmd == ioc.HFI1_IOCTL_GET_VERS:
-            yield kernel.sim.timeout(_ADMIN_IOCTL_COST)
+            yield from kernel.sim.delay(_ADMIN_IOCTL_COST)
             return 6  # user interface version
         if cmd in (ioc.HFI1_IOCTL_CREDIT_UPD, ioc.HFI1_IOCTL_RECV_CTRL,
                    ioc.HFI1_IOCTL_POLL_TYPE, ioc.HFI1_IOCTL_ACK_EVENT,
                    ioc.HFI1_IOCTL_SET_PKEY, ioc.HFI1_IOCTL_CTXT_RESET):
-            yield kernel.sim.timeout(_ADMIN_IOCTL_COST)
+            yield from kernel.sim.delay(_ADMIN_IOCTL_COST)
             return 0
         raise BadSyscall(f"hfi1: unknown ioctl {cmd:#x}")
 
@@ -303,7 +303,7 @@ class Hfi1Driver(FileOps):
         if inj is not None and inj.fires("tid.transient"):
             # The programming raced a receive-array update: the real
             # driver returns -EAGAIN after burning the entry-path cost.
-            yield kernel.sim.timeout(sc.tid_ioctl_base)
+            yield from kernel.sim.delay(sc.tid_ioctl_base)
             raise TransientDeviceError("TID_UPDATE raced RcvArray update")
         pages, gup_cost = kernel.mm.get_user_pages(task, vaddr, length)
         # one RcvArray entry per base page: the unmodified driver derives
@@ -312,7 +312,7 @@ class Hfi1Driver(FileOps):
         tids = self.hfi.program_tids(state.ctxt, spans)
         cost = (sc.tid_ioctl_base + gup_cost
                 + len(tids) * nic.tid_program_cost)
-        yield kernel.sim.timeout(cost)
+        yield from kernel.sim.delay(cost)
         state.fdata.set("tid_used", len(state.ctxt.tids))
         return tids
 
@@ -325,7 +325,7 @@ class Hfi1Driver(FileOps):
             raise DriverError(f"TID_FREE of unowned tid {bad}")
         self.hfi.unprogram_tids(state.ctxt, tids)
         state.fdata.set("tid_used", len(state.ctxt.tids))
-        yield kernel.sim.timeout(
+        yield from kernel.sim.delay(
             kernel.params.syscall.tid_ioctl_base
             + len(tids) * kernel.params.nic.tid_program_cost)
         return len(tids)
@@ -335,7 +335,7 @@ class Hfi1Driver(FileOps):
     def mmap(self, kernel, file: File, task, length):
         """Map device resources (PIO credit/send buffers, rcvhdrq) into
         user space — how PSM gets its OS-bypass window."""
-        yield kernel.sim.timeout(_DEVICE_MMAP_COST)
+        yield from kernel.sim.delay(_DEVICE_MMAP_COST)
         state = self.file_state(file)
         return 0x7FFF_0000_0000 + state.ctxt.ctxt_id * 0x10_0000
 
@@ -379,7 +379,7 @@ class Hfi1Driver(FileOps):
         # the request down the always-correct slow path
         state.set("current_state", SDMA_STATE_S10_HW_START_UP_HALT_WAIT)  # pd-ignore[PD015.5]
         state.set("go_s99_running", 0)
-        yield self.kernel.sim.timeout(self.kernel.params.nic.sdma_restart_cost)
+        yield from self.kernel.sim.delay(self.kernel.params.nic.sdma_restart_cost)
         state.set("previous_state", SDMA_STATE_S10_HW_START_UP_HALT_WAIT)
         state.set("current_state", SDMA_STATE_S99_RUNNING)
         state.set("go_s99_running", 1)

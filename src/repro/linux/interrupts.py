@@ -32,11 +32,11 @@ class InterruptController:
         self.sim.spawn(self._service(handler, args))
 
     def _service(self, handler, args):
-        yield self.sim.timeout(self.params.nic.irq_latency)
+        yield from self.sim.delay(self.params.nic.irq_latency)
         with self.os_cpus.request() as cpu:
             yield cpu
             t0 = self.sim.now
-            yield self.sim.timeout(self.params.nic.irq_handler_cost)
+            yield from self.sim.delay(self.params.nic.irq_handler_cost)
             # top half runs in IRQ context; a bottom-half generator is
             # tagged per resume step so interleaved processes are not
             # mis-attributed while it is suspended

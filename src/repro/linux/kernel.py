@@ -78,7 +78,7 @@ class LinuxKernel(KernelBase):
         noise = task.state.get("noise_model")
         if noise is None:
             noise = task.state["noise_model"] = self.noise_for(task)
-        yield self.sim.timeout(noise.inflate(seconds))
+        yield from self.sim.delay(noise.inflate(seconds))
         return None
 
     # -- syscalls ---------------------------------------------------------------
@@ -90,7 +90,7 @@ class LinuxKernel(KernelBase):
             f"linux.{name}", track_of(self), cat="syscall",
             args={"task": task.name}) if PLANES.trace is not None else None
         try:
-            yield self.sim.timeout(self.params.syscall.linux_entry)
+            yield from self.sim.delay(self.params.syscall.linux_entry)
             ret = yield from self._dispatch(task, name, args)
         finally:
             if PLANES.trace is not None and span is not None:
@@ -103,7 +103,7 @@ class LinuxKernel(KernelBase):
         if name == "open":
             self.check_args(name, args, 1)
             path, = args
-            yield self.sim.timeout(sc.open_cost)
+            yield from self.sim.delay(sc.open_cost)
             file = File(path, self.vfs.lookup(path))
             yield from file.ops.open(self, file, task)
             return self.vfs.install_fd(task.name, file)
@@ -111,14 +111,14 @@ class LinuxKernel(KernelBase):
             self.check_args(name, args, 1)
             fd, = args
             file = self.vfs.close_fd(task.name, fd)
-            yield self.sim.timeout(sc.close_cost)
+            yield from self.sim.delay(sc.close_cost)
             yield from file.ops.release(self, file, task)
             return 0
         if name == "read":
             self.check_args(name, args, 2)
             fd, nbytes = args
             file = self.vfs.file_for(task.name, fd)
-            yield self.sim.timeout(sc.read_cost)
+            yield from self.sim.delay(sc.read_cost)
             sysfs = self.devices.lookup_attr(file.path)
             if sysfs is not None:
                 device, attr = sysfs
@@ -138,21 +138,21 @@ class LinuxKernel(KernelBase):
             self.check_args(name, args, 1)
             fd, = args
             file = self.vfs.file_for(task.name, fd)
-            yield self.sim.timeout(sc.poll_cost)
+            yield from self.sim.delay(sc.poll_cost)
             return (yield from file.ops.poll(self, file, task))
         if name == "lseek":
             self.check_args(name, args, 2)
             fd, offset = args
             file = self.vfs.file_for(task.name, fd)
-            yield self.sim.timeout(sc.read_cost)
+            yield from self.sim.delay(sc.read_cost)
             return (yield from file.ops.lseek(self, file, task, offset))
         if name == "mmap":
             return (yield from self._sys_mmap(task, args))
         if name == "munmap":
             self.check_args(name, args, 2)
             vaddr, length = args
-            yield self.sim.timeout(sc.munmap_cost
-                                   + pages_for(length) * sc.page_unmap_cost)
+            yield from self.sim.delay(sc.munmap_cost
+                                      + pages_for(length) * sc.page_unmap_cost)
             self.mm.free_anonymous(task, vaddr, length)
             return 0
         if name == "munmap_shadow":
@@ -160,13 +160,13 @@ class LinuxKernel(KernelBase):
             # tear down the shadow mappings without touching LWK frames
             self.check_args(name, args, 2)
             _vaddr, length = args
-            yield self.sim.timeout(sc.munmap_cost
-                                   + pages_for(length) * sc.page_unmap_cost)
+            yield from self.sim.delay(sc.munmap_cost
+                                      + pages_for(length) * sc.page_unmap_cost)
             return 0
         if name == "nanosleep":
             self.check_args(name, args, 1)
             duration, = args
-            yield self.sim.timeout(sc.nanosleep_cost + duration)
+            yield from self.sim.delay(sc.nanosleep_cost + duration)
             return 0
         raise BadSyscall(f"linux: unknown syscall {name!r}")
 
@@ -174,12 +174,12 @@ class LinuxKernel(KernelBase):
         sc = self.params.syscall
         if len(args) == 1:                       # anonymous: (length,)
             length, = args
-            yield self.sim.timeout(sc.mmap_cost
-                                   + pages_for(length) * sc.page_map_cost)
+            yield from self.sim.delay(sc.mmap_cost
+                                      + pages_for(length) * sc.page_map_cost)
             return self.mm.alloc_anonymous(task, length)
         if len(args) == 2:                       # device: (fd, length)
             fd, length = args
             file = self.vfs.file_for(task.name, fd)
-            yield self.sim.timeout(sc.mmap_cost)
+            yield from self.sim.delay(sc.mmap_cost)
             return (yield from file.ops.mmap(self, file, task, length))
         raise BadSyscall(f"mmap expects 1 or 2 args, got {len(args)}")

@@ -112,7 +112,7 @@ class MlxDriver(FileOps):
 
     def open(self, kernel, file: File, task):
         """Generator: allocate the per-open ucontext."""
-        yield kernel.sim.timeout(2.0 * USEC)
+        yield from kernel.sim.delay(2.0 * USEC)
         token = id(file)
         file.private_data = token
         self._files[token] = MlxFileState()
@@ -122,7 +122,7 @@ class MlxDriver(FileOps):
         state = self._files.pop(file.private_data, None)
         if state is None:
             return
-        yield kernel.sim.timeout(1.0 * USEC)
+        yield from kernel.sim.delay(1.0 * USEC)
         for lkey in list(state.regions):
             region = state.regions.pop(lkey)
             self.put_mtt(region.mr.get("npages"))
@@ -136,11 +136,11 @@ class MlxDriver(FileOps):
         if cmd == verbs.MLX_CMD_DEREG_MR:
             return (yield from self._dereg_mr(kernel, state, arg))
         if cmd == verbs.MLX_CMD_QUERY_DEVICE:
-            yield kernel.sim.timeout(_ADMIN_COST)
+            yield from kernel.sim.delay(_ADMIN_COST)
             return {"fw_ver": self.devdata.get("fw_ver"),
                     "max_mr_size": 1 << 40}
         if cmd in verbs.ALL_VERB_COMMANDS:
-            yield kernel.sim.timeout(_ADMIN_COST)
+            yield from kernel.sim.delay(_ADMIN_COST)
             return 0
         raise BadSyscall(f"mlx5: unknown verbs command {cmd:#x}")
 
@@ -164,8 +164,8 @@ class MlxDriver(FileOps):
         mr.set("npages", entries)
         mr.set("mtt_base", pages[0])
         state.regions[lkey] = MemoryRegion(mr=mr, owner=task.name)
-        yield kernel.sim.timeout(REG_MR_BASE + gup_cost
-                                 + entries * MTT_PROGRAM_COST)
+        yield from kernel.sim.delay(REG_MR_BASE + gup_cost
+                                    + entries * MTT_PROGRAM_COST)
         return {"lkey": lkey, "rkey": lkey + 1}
 
     def _dereg_mr(self, kernel, state: MlxFileState, arg):
@@ -176,6 +176,6 @@ class MlxDriver(FileOps):
         entries = region.mr.get("npages")
         self.put_mtt(entries)
         region.mr.free()
-        yield kernel.sim.timeout(DEREG_MR_BASE
-                                 + entries * MTT_PROGRAM_COST / 2)
+        yield from kernel.sim.delay(DEREG_MR_BASE
+                                    + entries * MTT_PROGRAM_COST / 2)
         return 0

@@ -265,12 +265,12 @@ class PxdDriver(FileOps):
     def open(self, kernel, file: File, task):
         """Generator: root the file at the fastpath extension struct —
         the address the PicoDriver dereferences cross-kernel."""
-        yield kernel.sim.timeout(_OPEN_COST)
+        yield from kernel.sim.delay(_OPEN_COST)
         file.private_data = self.fpext.addr
 
     def release(self, kernel, file: File, task):
         """Generator: drop the file's root pointer."""
-        yield kernel.sim.timeout(_OPEN_COST / 2)
+        yield from kernel.sim.delay(_OPEN_COST / 2)
         file.private_data = None
 
     def writev(self, kernel, file: File, task, iovecs):
@@ -310,7 +310,7 @@ class PxdDriver(FileOps):
             if PLANES.trace is not None else None
         head: Optional[PxdIoHead] = None
         try:
-            yield kernel.sim.timeout(cost)
+            yield from kernel.sim.delay(cost)
             # the target set is fixed only now, after the setup costs:
             # until this point a concurrent readmit may still widen it
             targets = tuple(sorted(self.inservice))
@@ -333,7 +333,7 @@ class PxdDriver(FileOps):
                 # generator so the cleanup cost is charged there
                 def cleanup():
                     tracker.free()
-                    yield kernel.sim.timeout(mem.kfree_cost)
+                    yield from kernel.sim.delay(mem.kfree_cost)
                 return cleanup()
 
             head = PxdIoHead(sector=sector, nsectors=nsectors,
@@ -403,12 +403,12 @@ class PxdDriver(FileOps):
         if cmd == ioc.PXD_IOCTL_READ:
             return (yield from self._read(kernel, arg))
         if cmd == ioc.PXD_IOCTL_GET_STATS:
-            yield kernel.sim.timeout(_ADMIN_IOCTL_COST)
+            yield from kernel.sim.delay(_ADMIN_IOCTL_COST)
             return self.stats()
         if cmd == ioc.PXD_IOCTL_UPDATE_PATH:
             return (yield from self._update_path(kernel, arg))
         if cmd == ioc.PXD_IOCTL_SET_SUSPEND:
-            yield kernel.sim.timeout(_ADMIN_IOCTL_COST)
+            yield from kernel.sim.delay(_ADMIN_IOCTL_COST)
             self.fpext.set("suspend",
                            1 if (arg.get("suspend")
                                  if isinstance(arg, dict)
@@ -422,7 +422,7 @@ class PxdDriver(FileOps):
         retrying the next on media errors; typed when all fail."""
         sector, nsectors = arg["sector"], arg["nsectors"]
         self._check_range(sector, nsectors)
-        yield kernel.sim.timeout(self.blockdev.params.submit_base)
+        yield from kernel.sim.delay(self.blockdev.params.submit_base)
         guard = self.guard
         if guard is not None:
             yield from guard.park_if_suspended()
@@ -459,7 +459,7 @@ class PxdDriver(FileOps):
         """Administrative re-admission of an evicted replica: reattach
         the path, resync, re-admit — or refuse typed."""
         r = int(arg["replica"])
-        yield kernel.sim.timeout(_ADMIN_IOCTL_COST)
+        yield from kernel.sim.delay(_ADMIN_IOCTL_COST)
         if r < 0 or r >= self.blockdev.params.replicas:
             raise BadSyscall(f"pxd: no replica {r}")
         if r in self.inservice:
@@ -691,7 +691,7 @@ class PxdDriver(FileOps):
                     media.poke(sector, want)
                 synced.add(sector)
                 nbytes += blk.sector_size
-            yield sim.timeout(nbytes / blk.resync_bandwidth)
+            yield from sim.delay(nbytes / blk.resync_bandwidth)
         self.resync_reports.append(
             {"replica": r, "refused": False, "diverged": diverged,
              "scanned": len(synced)})

@@ -120,7 +120,7 @@ class McKernel(KernelBase):
         if seconds <= 0:
             return None
         load = max(1, self.sched.load(task.core_id))
-        yield self.sim.timeout(seconds * load)
+        yield from self.sim.delay(seconds * load)
         return None
 
     # -- PicoDriver registration -------------------------------------------------
@@ -139,7 +139,7 @@ class McKernel(KernelBase):
             f"lwk.{name}", track_of(self), cat="syscall",
             args={"task": task.name}) if PLANES.trace is not None else None
         try:
-            yield self.sim.timeout(self.params.syscall.lwk_entry)
+            yield from self.sim.delay(self.params.syscall.lwk_entry)
             ret = yield from self._dispatch(task, name, args)
         finally:
             if PLANES.trace is not None and span is not None:
@@ -152,14 +152,14 @@ class McKernel(KernelBase):
         # --- locally implemented services ---
         if name == "mmap" and len(args) == 1:
             length, = args
-            yield self.sim.timeout(sc.mmap_cost
-                                   + pages_for(length) * sc.page_map_cost)
+            yield from self.sim.delay(sc.mmap_cost
+                                      + pages_for(length) * sc.page_map_cost)
             return self.mm.alloc_anonymous(task, length)
         if name == "munmap":
             self.check_args(name, args, 2)
             vaddr, length = args
-            yield self.sim.timeout(sc.munmap_cost
-                                   + pages_for(length) * sc.page_unmap_cost)
+            yield from self.sim.delay(sc.munmap_cost
+                                      + pages_for(length) * sc.page_unmap_cost)
             self.mm.free_anonymous(task, vaddr, length)
             # keep the proxy's address space coherent — an offloaded
             # shadow unmap (the residual cost of Figure 9)
@@ -168,7 +168,7 @@ class McKernel(KernelBase):
         if name == "nanosleep":
             self.check_args(name, args, 1)
             duration, = args
-            yield self.sim.timeout(sc.nanosleep_cost / 2 + duration)
+            yield from self.sim.delay(sc.nanosleep_cost / 2 + duration)
             return 0
         # --- device fast path ---
         if name in _FD_SYSCALLS or (name == "mmap" and len(args) == 2):

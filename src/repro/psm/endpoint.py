@@ -80,7 +80,7 @@ class Endpoint:
         kernel = self.task.kernel
         pico = getattr(kernel, "pico", None)
         if pico is not None and pico.lookup(self.device_path) is not None:
-            yield self.sim.timeout(self.params.syscall.pico_init_cost)
+            yield from self.sim.delay(self.params.syscall.pico_init_cost)
         return self.addr
 
     def close(self):
@@ -124,7 +124,7 @@ class Endpoint:
     def _isend(self, dest: EndpointAddress, tag, buffer: int, nbytes: int,
                payload, req: MqRequest):
         """Generator: protocol selection + initiation (see mq_isend)."""
-        yield self.sim.timeout(self.params.psm.mq_overhead)
+        yield from self.sim.delay(self.params.psm.mq_overhead)
         if nbytes <= self.params.nic.pio_threshold:
             seq = csum = None
             if self.hfi.injector is not None:
@@ -318,7 +318,7 @@ class Endpoint:
             args={"nbytes": nbytes}, flow_from=cause) \
             if PLANES.trace is not None else None
         try:
-            yield self.sim.timeout(self.params.psm.mq_overhead + tail + lag)
+            yield from self.sim.delay(self.params.psm.mq_overhead + tail + lag)
         finally:
             if PLANES.trace is not None and span is not None:
                 PLANES.trace.end_span(span)
@@ -347,7 +347,7 @@ class Endpoint:
         psm = self.params.psm
         timeout = psm.retry_timeout
         for _ in range(psm.max_retries):
-            yield self.sim.timeout(timeout)
+            yield from self.sim.delay(timeout)
             entry = self._pending_eager.get(seq)
             if entry is None:
                 return
@@ -382,7 +382,7 @@ class Endpoint:
         psm = self.params.psm
         timeout = psm.retry_timeout
         for _ in range(psm.max_retries):
-            yield self.sim.timeout(timeout)
+            yield from self.sim.delay(timeout)
             if (flow.cts_seen or flow.finished
                     or flow.msg_id not in self._send_flows):
                 return
@@ -410,7 +410,7 @@ class Endpoint:
         timeout = psm.retry_timeout
         msg_id = flow.rts.msg_id
         for _ in range(psm.max_retries):
-            yield self.sim.timeout(timeout)
+            yield from self.sim.delay(timeout)
             if (w in flow.arrived_windows
                     or msg_id not in self._recv_flows):
                 return
@@ -483,7 +483,7 @@ class Endpoint:
             flow_from=getattr(flow, "trace_cause", None)) \
             if PLANES.trace is not None else None
         try:
-            yield self.sim.timeout(self.params.psm.rndv_window_overhead)
+            yield from self.sim.delay(self.params.psm.rndv_window_overhead)
             psm = self.params.psm
             attempts = 0
             while True:
@@ -500,7 +500,7 @@ class Endpoint:
                             f"TID_UPDATE for {flow.rts.msg_id} window {w} "
                             f"kept failing: {exc}"))
                         return
-                    yield self.sim.timeout(
+                    yield from self.sim.delay(
                         psm.retry_timeout
                         * psm.retry_backoff ** (attempts - 1))
             # the range TID_UPDATE returned travels as it is: through the

@@ -32,18 +32,18 @@ to a build without the hook.
 
 Precomputed no-op dispatch (hot loop)
 -------------------------------------
-``step()`` and ``timeout()`` are *rebound per instance*: installing a
-controlled scheduler or a wait monitor swaps the instance's bound
-method for the instrumented variant, and uninstalling swaps the fast
-variant back.  The disabled configuration therefore pays **zero**
-per-event branches for the monitor hooks — there is no ``if scheduler
-is not None`` test on the fast path at all; the dispatch decision was
-made once, at install time.  cProfile on a full fig4 regeneration
-(~51k events) attributes ~two thirds of the wall clock to
-``step``/``_deliver``/``Timeout.__init__``, which is why these three
-and the classes they allocate (:class:`Event`, :class:`Timeout`,
-:class:`~repro.sim.process.Process` — all ``__slots__``) are the
-flattening targets.
+``step()``, ``timeout()`` and ``delay()`` are *rebound per instance*:
+installing a controlled scheduler or a wait monitor swaps the
+instance's bound method for the instrumented variant, and uninstalling
+swaps the fast variant back.  The disabled configuration therefore
+pays **zero** per-event branches for the monitor hooks — there is no
+``if scheduler is not None`` test on the fast path at all; the
+dispatch decision was made once, at install time.  cProfile on a full
+fig4 regeneration (~51k events) attributes ~two thirds of the wall
+clock to ``step``/``_deliver``/``Timeout.__init__``, which is why
+these three and the classes they allocate (:class:`Event`,
+:class:`Timeout`, :class:`~repro.sim.process.Process` — all
+``__slots__``) are the flattening targets.
 
 The per-event hot spots post inline: ``Timeout.__init__`` and
 ``Event.succeed`` set their slots directly and ``heappush`` straight
@@ -53,12 +53,13 @@ and appends that callback itself, both to the zero-delay ``Timeout``
 that starts it and in ``_deliver``, without going through
 ``add_callback``.  ``_step_fast`` runs the popped event's callbacks
 itself instead of calling ``Event._run_callbacks``, and
-``Resource.request`` does its occupancy accounting inline.  The key
-is the whole ordering contract, so inlining it cannot reorder events.
+``Resource.request`` builds its ``Request`` and posts an immediate
+grant the same way.  The key is the whole ordering contract, so
+inlining it cannot reorder events.
 
 Exact fast paths (same schedule, fewer round-trips)
 ---------------------------------------------------
-Three shortcuts skip heap round-trips whose outcome is already known.
+Four shortcuts skip heap round-trips whose outcome is already known.
 Each applies only when it cannot change what the FIFO schedule does,
 and none applies while a controlled scheduler is installed:
 
@@ -76,7 +77,20 @@ and none applies while a controlled scheduler is installed:
 * *detached spawns*: :meth:`Simulator.spawn` starts a process nobody
   joins, so its end posts no completion event.  Its failure cannot
   reach a waiter either: the exception propagates out of
-  :meth:`run`/:meth:`step` unchanged.
+  :meth:`run`/:meth:`step` unchanged;
+* *in-place delays*: ``yield from sim.delay(d)`` replaces ``yield
+  sim.timeout(d)``.  It sets ``now`` to ``now + d`` and yields nothing
+  exactly when run-ahead would pop that ``Timeout`` in place: the
+  running process holds the run-ahead right, ``d >= 0``, ``now + d``
+  lies within the run's horizon, and the heap is empty or its first
+  entry is due strictly after ``now + d`` (an entry due at exactly
+  ``now + d`` was queued first, so it fires first).  The clock gets
+  the float the ``Timeout`` would have carried.  The skipped
+  ``Timeout`` would have taken one ``seq`` number; every entry queued
+  later still gets a larger one than every entry queued before, so
+  no two heap entries change order.  With a controlled scheduler or
+  a wait monitor installed, ``delay`` is the plain timeout, so
+  PicoCheck sees every step and lockdep every positive wait.
 
 What the boundaries count:
 
@@ -84,14 +98,16 @@ What the boundaries count:
   them inside the process's ``_deliver``), so calls to
   ``Simulator._step_fast`` count steps and calls to ``Process._deliver``
   count resumptions, not events;
-* every wait still constructs a ``Timeout``, so ``Timeout.__init__``
-  counts timed waits plus the child starts that were posted;
+* a delay advanced in place constructs no ``Timeout``, so
+  ``Timeout.__init__`` counts the timed waits that were queued or run
+  ahead, plus the child starts that were posted;
 * :meth:`Simulator.run` always goes through ``self.step()`` (never a
   private loop around ``heappop``), and a ``step()`` called outside
   ``run()`` processes exactly one event;
 * a controlled scheduler still sees every event: with one installed,
   ``call`` creates the child process and ``spawn`` posts its completion
-  as ``sim.process`` would, and nothing runs ahead.
+  as ``sim.process`` would, every delay is a ``Timeout``, and nothing
+  runs ahead.
 
 ``bench/layers.py`` counts calls to ``Simulator._step_fast``,
 ``Process._deliver`` and ``Timeout.__init__`` under cProfile, so those
@@ -249,6 +265,7 @@ class Simulator:
         # for the hook at all.
         self.step = self._step_fast
         self.timeout = self._timeout_fast
+        self.delay = self._delay_fast
 
     # -- opt-in monitors (precomputed dispatch) ---------------------------
 
@@ -256,8 +273,9 @@ class Simulator:
     def wait_monitor(self):
         """Opt-in wait observer (the lockdep validator): notified of
         every positive-delay timeout so held-across-wait hazards are
-        caught.  Assigning one rebinds :meth:`timeout` to the observed
-        variant; assigning ``None`` restores the fast path."""
+        caught.  Assigning one rebinds :meth:`timeout` and
+        :meth:`delay` to their observed variants; assigning ``None``
+        restores the fast paths."""
         return self._wait_monitor
 
     @wait_monitor.setter
@@ -265,14 +283,16 @@ class Simulator:
         self._wait_monitor = monitor
         self.timeout = (self._timeout_fast if monitor is None
                         else self._timeout_observed)
+        self._bind_delay()
 
     @property
     def scheduler(self):
         """Opt-in controlled scheduler (the PicoCheck explorer): when
         installed, same-time ready sets become choice points and every
         step is bracketed for footprint recording.  Assigning one
-        rebinds :meth:`step` to the controlled variant; assigning
-        ``None`` (the default) restores the single cheap pop path."""
+        rebinds :meth:`step` to the controlled variant and
+        :meth:`delay` to the observed one; assigning ``None`` (the
+        default) restores the single cheap pop path."""
         return self._scheduler
 
     @scheduler.setter
@@ -281,6 +301,13 @@ class Simulator:
         self._sole = None
         self.step = (self._step_fast if scheduler is None
                      else self._step_controlled)
+        self._bind_delay()
+
+    def _bind_delay(self) -> None:
+        # either monitor must see every wait as the Timeout it always saw
+        observed = (self._scheduler is not None
+                    or self._wait_monitor is not None)
+        self.delay = self._delay_observed if observed else self._delay_fast
 
     # -- scheduling ------------------------------------------------------
 
@@ -309,6 +336,39 @@ class Simulator:
         if wait_monitor is not None and delay > 0:
             wait_monitor.on_timed_wait(delay)
         return Timeout(self, delay, value)
+
+    def delay(self, delay: float):
+        """Generator: wait ``delay`` seconds — ``yield from
+        sim.delay(d)`` in place of ``yield sim.timeout(d)``.
+
+        When the wait's ``Timeout`` would be popped in place by
+        run-ahead, the clock advances to the same instant without one
+        (see the module docstring); otherwise it yields that
+        ``Timeout``.  Instances carry a rebound fast/observed variant:
+        with a controlled scheduler or a wait monitor installed, every
+        delay is the plain timeout.  This class-level definition
+        documents the contract and covers any instance built without
+        ``__init__``.
+        """
+        return self._delay_fast(delay)
+
+    def _delay_fast(self, delay: float):
+        # run-ahead decided before the Timeout exists: it would be
+        # heap[0] (due strictly before every queued event) within the
+        # horizon, and the running process holds the right
+        proc = self.active_process
+        if proc is not None and self._sole is proc and delay >= 0:
+            when = self.now + delay
+            heap = self._heap
+            if when <= self._horizon and (not heap or heap[0][0] > when):
+                self.now = when
+                return
+        yield Timeout(self, delay)
+
+    def _delay_observed(self, delay: float):
+        # a controlled scheduler or a wait monitor is installed: the
+        # wait is a Timeout event, and a wait monitor is told of it
+        yield self._timeout_observed(delay)
 
     def process(self, generator) -> "Process":
         """Run a generator as a simulation process."""

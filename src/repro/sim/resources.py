@@ -9,6 +9,7 @@ channels and NIC receive paths.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import Any, Deque, List
 
 from .engine import Event, SimError, Simulator
@@ -20,7 +21,13 @@ class Request(Event):
     __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource"):
-        super().__init__(resource.sim)
+        # Event.__init__, inlined: one Request per acquisition
+        self.sim = resource.sim
+        self.callbacks = []
+        self._value = None
+        self._exc = None
+        self._triggered = False
+        self._processed = False
         self.resource = resource
 
     def __enter__(self) -> "Request":
@@ -41,33 +48,25 @@ class Resource:
         self.name = name
         self.users: List[Request] = []
         self.queue: Deque[Request] = deque()
-        # occupancy statistics (time-weighted)
-        self._busy_area = 0.0
-        self._queue_area = 0.0
-        self._last_stamp = sim.now
 
     # -- API ---------------------------------------------------------------
 
     def request(self) -> Request:
         """Claim a server; the returned event triggers when granted."""
         users = self.users
-        now = self.sim.now
-        dt = now - self._last_stamp
-        if dt > 0:  # _account, inlined
-            self._busy_area += dt * len(users)
-            self._queue_area += dt * len(self.queue)
-            self._last_stamp = now
         req = Request(self)
         if len(users) < self.capacity:
             users.append(req)
-            req.succeed()
+            # req.succeed(), inlined: a fresh request is never triggered
+            req._triggered = True
+            sim = self.sim
+            heappush(sim._heap, (sim.now, next(sim._seq), req))
         else:
             self.queue.append(req)
         return req
 
     def release(self, req: Request) -> None:
         """Release a granted (or cancel a queued) request."""
-        self._account()
         if req in self.users:
             self.users.remove(req)
             self._grant_next()
@@ -86,18 +85,6 @@ class Resource:
     def queued(self) -> int:
         return len(self.queue)
 
-    def utilization(self) -> float:
-        """Time-averaged busy-server fraction since simulator start."""
-        self._account()
-        elapsed = self.sim.now
-        return self._busy_area / (elapsed * self.capacity) if elapsed else 0.0
-
-    def mean_queue_length(self) -> float:
-        """Time-averaged queue length since simulator start."""
-        self._account()
-        elapsed = self.sim.now
-        return self._queue_area / elapsed if elapsed else 0.0
-
     # -- internals ----------------------------------------------------------
 
     def _grant_next(self) -> None:
@@ -105,13 +92,6 @@ class Resource:
             nxt = self.queue.popleft()
             self.users.append(nxt)
             nxt.succeed()
-
-    def _account(self) -> None:
-        dt = self.sim.now - self._last_stamp
-        if dt > 0:
-            self._busy_area += dt * len(self.users)
-            self._queue_area += dt * len(self.queue)
-            self._last_stamp = self.sim.now
 
 
 class Store:

@@ -117,6 +117,8 @@ def test_fixture_directory_names_every_moved_rule(capsys):
         assert f": {code} " in out, code
     assert "lock_order.py:36:23: PD008" in out
     assert "lock_order.py:45:18: PD009" in out
+    # the engine's in-place delay is a timed wait like a yielded timeout
+    assert "delay_under_lock.py:27:23: PD009 timed yield 'sim.delay'" in out
 
 
 def test_unparseable_module_is_pd000_under_vet_and_lockgraph(tmp_path,
@@ -268,6 +270,39 @@ def test_detached_spawn_is_a_spawn_edge():
     watch = entry.replace("fast_poll", "_watch")
     assert any(watch in rc.targets for rc in program.spawn_edges[entry])
     assert "lwk" in program.contexts[watch]
+
+
+#: a process that delays and then joins an MPI-style request
+DELAYS = """\
+    class Simulator:
+        def delay(self, d):
+            return iter(())
+
+
+    class Rank:
+        def __init__(self, sim):
+            self.sim = sim
+
+        def compute(self, req):
+            yield from self.sim.delay(1.0)
+            yield from req.wait()
+    """
+
+
+def test_delay_is_a_timed_wait_site_and_no_edge(tmp_path):
+    """``yield from sim.delay(...)`` is a timed wait, as ``yield
+    sim.timeout(...)`` is, and no call edge into the engine; ``yield
+    from req.wait()`` (an MPI request's join) is no timed wait."""
+    src = tmp_path / "delays.py"
+    src.write_text(textwrap.dedent(DELAYS))
+    program, _findings = vet_paths([str(src)])
+    qual = _entry(program, "Rank.compute")
+    assert [(site.what, site.line)
+            for site in program.functions[qual].wait_sites] == [
+                ("self.sim.delay", 11)]
+    assert {site.what for site in program.effects[qual].timed_waits} == {
+        "self.sim.delay"}
+    assert program.edges[qual] == []
 
 
 # --- suppressions ------------------------------------------------------------

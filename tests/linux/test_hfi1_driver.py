@@ -5,9 +5,10 @@ import pathlib
 
 import pytest
 
-from repro.config import ALL_CONFIGS, OSConfig
+from repro.config import ALL_CONFIGS, OSConfig, planes
 from repro.errors import BadSyscall, DriverError
 from repro.experiments import build_machine
+from repro.guard import GuardPolicy
 from repro.hw.hfi import SdmaEngine
 from repro.linux import hfi1
 from repro.linux.hfi1 import ioctls as ioc
@@ -236,11 +237,20 @@ def test_writev_chops_each_data_iovec_from_its_own_pages(cfg, case,
 @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: c.value)
 def test_writev_of_no_bytes_is_rejected(cfg):
     """Data iovecs that are all empty are refused with the request's
-    length, on every config (the fast path defers to the slow path)."""
-    machine = build_machine(2, cfg)
-    exc, _task, _buf = _send_iovecs(machine, [(8, 0), (PAGE_SIZE, 0)])
+    length, on every config.  The PicoDriver refuses the call itself,
+    before it picks an engine, so the malformed call is charged to no
+    engine: no fast-path fallback and no breaker failure."""
+    with planes(guard=GuardPolicy()):
+        machine = build_machine(2, cfg)
+        exc, _task, _buf = _send_iovecs(machine, [(8, 0), (PAGE_SIZE, 0)])
     assert isinstance(exc, DriverError)
     assert str(exc).endswith("bad SDMA length 0")
+    assert [name for name in machine.tracer.counters
+            if name.startswith("pico.fallback")] == []
+    for mnode in machine.nodes:
+        assert mnode.guard is not None
+        for path, breaker in mnode.guard.breakers.items():
+            assert breaker._failure_count() == 0, path
 
 
 def test_writev_pq_counter_balances(machine):

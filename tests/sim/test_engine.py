@@ -252,18 +252,21 @@ def test_scheduler_out_of_range_pick_rejected():
 
 
 def test_monitor_installation_rebinds_the_hot_dispatch():
-    """The flattened hot loop: with no monitors installed, ``step`` and
-    ``timeout`` are the fast variants (zero per-event branches);
-    installing a scheduler or wait monitor swaps in the instrumented
-    variant, and uninstalling swaps the fast one back."""
+    """The flattened hot loop: with no monitors installed, ``step``,
+    ``timeout`` and ``delay`` are the fast variants (zero per-event
+    branches); installing a scheduler or wait monitor swaps in the
+    instrumented variant, and uninstalling swaps the fast one back."""
     sim = Simulator()
     assert sim.step.__func__ is Simulator._step_fast
     assert sim.timeout.__func__ is Simulator._timeout_fast
+    assert sim.delay.__func__ is Simulator._delay_fast
 
     sim.scheduler = RecordingScheduler()
     assert sim.step.__func__ is Simulator._step_controlled
+    assert sim.delay.__func__ is Simulator._delay_observed
     sim.scheduler = None
     assert sim.step.__func__ is Simulator._step_fast
+    assert sim.delay.__func__ is Simulator._delay_fast
 
     class Monitor:
         seen = 0.0
@@ -274,10 +277,12 @@ def test_monitor_installation_rebinds_the_hot_dispatch():
     monitor = Monitor()
     sim.wait_monitor = monitor
     assert sim.timeout.__func__ is Simulator._timeout_observed
+    assert sim.delay.__func__ is Simulator._delay_observed
     sim.timeout(2.5)
     assert monitor.seen == 2.5
     sim.wait_monitor = None
     assert sim.timeout.__func__ is Simulator._timeout_fast
+    assert sim.delay.__func__ is Simulator._delay_fast
     sim.timeout(1.0)
     assert monitor.seen == 2.5          # uninstalled monitors see nothing
 

@@ -1,4 +1,5 @@
-"""The engine's exact fast paths: run-ahead, inline joins, detached spawns.
+"""The engine's exact fast paths: run-ahead, inline joins, detached
+spawns, in-place delays.
 
 Each fast path skips heap round-trips only when the FIFO schedule is
 already known, so a run with them must match the same run under a FIFO
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.check import ControlledScheduler, Schedule
 from repro.errors import DeviceTimeout
-from repro.sim import Resource, SimError, Simulator, Store
+from repro.sim import Resource, SimError, Simulator, Store, engine
 from repro.sim.process import Interrupt
 
 
@@ -45,6 +46,7 @@ DELAYS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0])
 
 LEAF_OPS = st.one_of(
     st.tuples(st.just("timeout"), DELAYS),
+    st.tuples(st.just("delay"), DELAYS),
     st.tuples(st.just("put"), st.integers(0, 1)),
     st.tuples(st.just("get"), st.integers(0, 1)),
     st.tuples(st.just("hold"), st.integers(0, 1), DELAYS),
@@ -81,6 +83,8 @@ def _body(world, name, program):
         try:
             if kind == "timeout":
                 result = yield sim.timeout(op[1], value=(name, i))
+            elif kind == "delay":
+                result = yield from sim.delay(op[1])
             elif kind == "put":
                 world.stores[op[1]].put((name, i))
             elif kind == "get":
@@ -328,6 +332,135 @@ def test_exception_thrown_into_a_process_running_ahead():
     (fast, fast_steps), (fifo, fifo_steps) = _both(scenario)
     assert fast == fifo == [(1.0, "caught", "engine wedged"), (1.0, "done")]
     assert fast_steps < fifo_steps
+
+
+# --- in-place delays ---------------------------------------------------------
+
+@pytest.fixture
+def timeouts(monkeypatch):
+    """The delays of the ``Timeout``s ``sim.timeout`` and ``sim.delay``
+    build, in order."""
+    built = []
+
+    class Counted(engine.Timeout):
+        __slots__ = ()
+
+        def __init__(self, sim, delay, value=None):
+            super().__init__(sim, delay, value)
+            built.append(delay)
+
+    monkeypatch.setattr(engine, "Timeout", Counted)
+    return built
+
+
+def test_delay_advances_in_place_when_its_timeout_would_pop_next(timeouts):
+    def scenario(sim, log):
+        def delayer():
+            yield from sim.delay(1.0)
+            log.append(sim.now)
+            yield from sim.delay(0.0)
+            log.append(sim.now)
+
+        sim.process(delayer())
+        sim.run()
+
+    (fast, fast_steps), (fifo, fifo_steps) = _both(scenario)
+    assert fast == fifo == [1.0, 1.0]
+    # FIFO: the start, both delays' Timeouts and the end; fast: the
+    # start and the end
+    assert (fast_steps, fifo_steps) == (2, 4)
+    assert timeouts == [1.0, 0.0]  # both from the FIFO run
+
+
+def test_delay_does_not_advance_onto_an_entry_due_at_its_end(timeouts):
+    """Another process's timeout due at exactly ``now + d`` was queued
+    first, so it fires first: the delay is a Timeout behind it."""
+    def scenario(sim, log):
+        def neighbour():
+            yield sim.timeout(2.0)
+            log.append((sim.now, "neighbour"))
+
+        def delayer():
+            yield from sim.delay(2.0)
+            log.append((sim.now, "delayer"))
+
+        sim.process(neighbour())
+        sim.process(delayer())
+        sim.run()
+
+    (fast, _), (fifo, _) = _both(scenario)
+    assert fast == fifo == [(2.0, "neighbour"), (2.0, "delayer")]
+    assert timeouts == [2.0, 2.0] * 2
+
+
+def test_delay_does_not_advance_past_the_run_horizon(timeouts):
+    sim = Simulator()
+    log = []
+
+    def delayer():
+        yield from sim.delay(1.0)
+        log.append(sim.now)
+        yield from sim.delay(1.5)  # ends on the horizon: in place
+        log.append(sim.now)
+        yield from sim.delay(1.0)  # ends past it: a Timeout
+        log.append(sim.now)
+
+    sim.process(delayer())
+    sim.run(until=2.5)
+    assert log == [1.0, 2.5] and sim.now == 2.5 and sim.peek() == 3.5
+    assert timeouts == [1.0]
+    sim.run()
+    assert log == [1.0, 2.5, 3.5]
+
+
+def test_delay_does_not_advance_from_a_bare_step(timeouts):
+    sim = Simulator()
+    log = []
+
+    def delayer():
+        yield from sim.delay(1.0)
+        log.append(sim.now)
+
+    sim.process(delayer())
+    sim.step()  # the start: the delay posts its Timeout
+    assert log == [] and sim.peek() == 1.0 and timeouts == [1.0]
+    sim.step()
+    assert log == [1.0] and sim.now == 1.0
+
+
+def test_delay_is_a_timeout_with_a_scheduler_installed(timeouts):
+    sim = _sim(controlled=True)
+    assert sim.delay.__func__ is Simulator._delay_observed
+    steps = _count_steps(sim)
+
+    def delayer():
+        yield from sim.delay(1.0)
+        yield from sim.delay(0.0)
+
+    sim.process(delayer())
+    sim.run()
+    assert timeouts == [1.0, 0.0] and steps[0] == 4 and sim.now == 1.0
+    sim.scheduler = None
+    assert sim.delay.__func__ is Simulator._delay_fast
+
+
+def test_every_positive_delay_reaches_the_wait_monitor(timeouts):
+    sim = Simulator()
+    seen = []
+    sim.wait_monitor = SimpleNamespace(on_timed_wait=seen.append)
+    assert sim.delay.__func__ is Simulator._delay_observed
+
+    def delayer():
+        yield from sim.delay(1.0)
+        yield from sim.delay(0.0)
+        yield from sim.delay(2.5)
+
+    sim.process(delayer())
+    sim.run()
+    assert seen == [1.0, 2.5] and timeouts == [1.0, 0.0, 2.5]
+    assert sim.now == 3.5
+    sim.wait_monitor = None
+    assert sim.delay.__func__ is Simulator._delay_fast
 
 
 # --- inline joins and detached spawns ----------------------------------------

@@ -89,21 +89,6 @@ def test_four_cpu_queueing_matches_fifo_formula():
     assert finish_times == expected
 
 
-def test_utilization_accounting():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-
-    def holder():
-        with res.request() as req:
-            yield req
-            yield sim.timeout(4.0)
-        yield sim.timeout(4.0)
-
-    sim.process(holder())
-    sim.run()
-    assert res.utilization() == pytest.approx(0.5)
-
-
 def test_store_is_fifo():
     sim = Simulator()
     store = Store(sim)
