@@ -31,7 +31,7 @@ from ..errors import DriverError, MediaError, ReproError
 from ..obs.spans import track_of
 from ..params import BlkParams
 from ..sim import Simulator, Store, Tracer
-from .irq import irq_enter, irq_exit
+from .irq import dispatch_irq
 
 
 @dataclass
@@ -257,16 +257,8 @@ class BlockDevice:
             self.sim.timeout(inj.plan.irq_recovery_timeout).add_callback(
                 lambda _evt: self._recover_irq(io))
             return
-        irq_enter("linux")
-        try:
-            self.irq_dispatcher(io)
-        finally:
-            irq_exit("linux")
+        dispatch_irq(self.irq_dispatcher, io)
 
     def _recover_irq(self, io: BlockIo) -> None:
         self.tracer.count("blk.irq_recovered")
-        irq_enter("linux")
-        try:
-            self.irq_dispatcher(io)
-        finally:
-            irq_exit("linux")
+        dispatch_irq(self.irq_dispatcher, io)

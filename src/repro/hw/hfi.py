@@ -47,7 +47,7 @@ from ..errors import DriverError, ReproError
 from ..obs.spans import track_of
 from ..params import NicParams
 from ..sim import Event, Resource, Simulator, Store, Tracer
-from .irq import irq_enter, irq_exit
+from .irq import dispatch_irq
 from .record import Record
 
 #: the fault points each SDMA descriptor fetch is an opportunity of, in
@@ -772,21 +772,11 @@ class HFIDevice:
             self.sim.timeout(inj.plan.irq_recovery_timeout).add_callback(
                 lambda _evt: self._recover_irq(group))
             return
-        # the top half runs in IRQ context on a Linux CPU (sec. 3.3);
-        # lockdep attributes any lock taken inside to irq context
-        irq_enter("linux")
-        try:
-            self.irq_dispatcher(group)
-        finally:
-            irq_exit("linux")
+        dispatch_irq(self.irq_dispatcher, group)
 
     def _recover_irq(self, group: SdmaRequestGroup) -> None:
         self.tracer.count("hfi.irq_recovered")
-        irq_enter("linux")
-        try:
-            self.irq_dispatcher(group)
-        finally:
-            irq_exit("linux")
+        dispatch_irq(self.irq_dispatcher, group)
 
     def raise_error_irq(self, engine: SdmaEngine, reason: str) -> None:
         """SDMA engine error interrupt (halt detected in hardware)."""
@@ -795,8 +785,4 @@ class HFIDevice:
             raise ReproError(
                 f"HFI {self.node_id}: SDMA error IRQ ({reason}) with no "
                 f"error dispatcher (driver not loaded?)")
-        irq_enter("linux")
-        try:
-            self.error_dispatcher(engine, reason)
-        finally:
-            irq_exit("linux")
+        dispatch_irq(self.error_dispatcher, engine, reason)

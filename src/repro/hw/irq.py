@@ -1,10 +1,11 @@
 """IRQ context tracking for the device models.
 
 McKernel takes no device interrupts (section 3.3): completion and error
-IRQs always run on Linux CPUs.  The hardware and interrupt layers
-bracket top-half execution with :func:`irq_enter`/:func:`irq_exit`, so
-lockdep (:mod:`repro.analysis.lockdep`) can attribute a lock taken
-inside to IRQ context.  The counters are plain module state: the
+IRQs always run on Linux CPUs.  The hardware and interrupt layers run
+every top half through :func:`dispatch_irq`, which brackets it with
+:func:`irq_enter`/:func:`irq_exit`, so lockdep
+(:mod:`repro.analysis.lockdep`) can attribute a lock taken inside to
+IRQ context.  The counters are plain module state: the
 discrete-event simulator is single-threaded, and handler generators are
 tagged per resume step (:func:`tag_irq_generator`) precisely because
 other processes interleave between their yields.
@@ -12,7 +13,7 @@ other processes interleave between their yields.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Any, Callable, Dict
 
 from ..errors import ReproError
 
@@ -30,6 +31,19 @@ def irq_exit(kernel: str = "linux") -> None:
     if depth <= 0:
         raise ReproError(f"irq_exit on {kernel} without irq_enter")
     _IRQ_DEPTH[kernel] = depth - 1
+
+
+def dispatch_irq(handler: Callable[..., Any], *args) -> Any:
+    """Run the top half ``handler(*args)`` and return its result.
+
+    The top half runs in IRQ context on a Linux CPU (sec. 3.3), so
+    lockdep attributes any lock taken inside to irq context.
+    """
+    irq_enter("linux")
+    try:
+        return handler(*args)
+    finally:
+        irq_exit("linux")
 
 
 def in_irq(kernel: str = "linux") -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..hw.irq import irq_enter, irq_exit, tag_irq_generator
+from ..hw.irq import dispatch_irq, tag_irq_generator
 from ..params import Params
 from ..sim import Resource, Simulator, Tracer
 
@@ -37,14 +37,10 @@ class InterruptController:
             yield cpu
             t0 = self.sim.now
             yield from self.sim.delay(self.params.nic.irq_handler_cost)
-            # top half runs in IRQ context; a bottom-half generator is
-            # tagged per resume step so interleaved processes are not
-            # mis-attributed while it is suspended
-            irq_enter("linux")
-            try:
-                result = handler(*args)
-            finally:
-                irq_exit("linux")
+            # a bottom-half generator is tagged per resume step so
+            # interleaved processes are not mis-attributed while it is
+            # suspended
+            result = dispatch_irq(handler, *args)
             if result is not None and hasattr(result, "send"):
                 yield from self.sim.call(
                     tag_irq_generator(result, "linux"))

@@ -140,16 +140,6 @@ class MpiRank:
         from .p2p import PersistentRequest
         return PersistentRequest(self, "recv", source, tag, nbytes)
 
-    def sendrecv(self, dest: int, source, tag, nbytes: int, payload=None,
-                 max_bytes: Optional[int] = None):
-        """Generator: MPI_Sendrecv; returns the received Request."""
-        rreq = self.irecv(source, tag, max_bytes or max(nbytes, 1))
-        sreq = yield from self.isend(dest, tag, nbytes, payload)
-        t0 = self.sim.now
-        yield AllOf(self.sim, [rreq.event, sreq.event])
-        self.stats.record("Sendrecv", self.sim.now - t0)
-        return rreq
-
     def compute(self, seconds: float):
         """Generator: application computation between MPI calls."""
         return self.task.compute(seconds)

@@ -598,7 +598,6 @@ class Endpoint:
                 if not flow.request.done:
                     flow.request.event.fail(exc)
                 return
-            flow.submitted += 1
         finally:
             if PLANES.trace is not None and span is not None:
                 PLANES.trace.end_span(span)

@@ -7,13 +7,13 @@ drained by one simulation process.  On McKernel this serialization is what
 stacks offloaded ``ioctl``/``writev`` latencies per window.
 
 The drain loop is a detached process (``sim.spawn``): a job that raises
-with no error handler installed ends the loop, and the exception
-propagates out of ``sim.run`` instead of vanishing with it.
+ends the loop, and the exception propagates out of ``sim.run`` instead
+of vanishing with it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List
 
 from ..sim import Event, Simulator, Store
 
@@ -29,21 +29,12 @@ class ProgressWorker:
         self.submitted = 0
         self.completed = 0
         self.failed = 0
-        self._on_error: Optional[Callable[[BaseException], None]] = None
         self._idle_waiters: List[Event] = []
 
     def submit(self, job) -> None:
         """Queue a generator for sequential execution."""
         self.submitted += 1
         self._jobs.put(job)
-
-    def on_error(self, handler: Callable[[BaseException], None]) -> None:
-        """Install a handler for job exceptions (default: re-raise)."""
-        self._on_error = handler
-
-    @property
-    def backlog(self) -> int:
-        return len(self._jobs.items)
 
     @property
     def idle(self) -> bool:
@@ -64,12 +55,9 @@ class ProgressWorker:
             try:
                 yield from self.sim.call(job)
                 self.completed += 1
-            except Exception as exc:
+            except Exception:
                 self.failed += 1
-                if self._on_error is not None:
-                    self._on_error(exc)
-                else:
-                    raise
+                raise
             if self._idle_waiters and self.idle:
                 for waiter in self._idle_waiters:
                     waiter.succeed()

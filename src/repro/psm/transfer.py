@@ -87,8 +87,6 @@ class SendFlow:
     total: int
     windows: int
     request: object                  # MqRequest to complete
-    sdma_done: int = 0
-    submitted: int = 0
     #: windows whose SDMA completed at least once (re-CTS resubmissions
     #: under fault injection complete the same window twice)
     done_windows: Set[int] = field(default_factory=set)
@@ -97,22 +95,12 @@ class SendFlow:
     #: all windows done and the send request completed
     finished: bool = False
 
-    def window_complete(self, window: int = None) -> bool:
-        """Account one SDMA completion; True when the message is done.
-
-        With a ``window`` index, completions are deduplicated so a
-        window retransmitted on a receiver's re-CTS is not counted
-        twice.  Without one (legacy callers), completions are counted
-        blindly and overcounting raises.
-        """
-        if window is not None:
-            self.done_windows.add(window)
-            self.sdma_done = len(self.done_windows)
-            return self.sdma_done == self.windows
-        self.sdma_done += 1
-        if self.sdma_done > self.windows:
-            raise ReproError(f"msg {self.msg_id}: too many completions")
-        return self.sdma_done == self.windows
+    def window_complete(self, window: int) -> bool:
+        """Account window ``window``'s SDMA completion; True when the
+        message is done.  Completions are deduplicated, so a window
+        retransmitted on a receiver's re-CTS is not counted twice."""
+        self.done_windows.add(window)
+        return len(self.done_windows) == self.windows
 
 
 @dataclass

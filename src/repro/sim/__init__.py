@@ -8,14 +8,13 @@ deterministic and unit-testable.
 """
 
 from .engine import Event, Simulator, SimError, Timeout
-from .process import AllOf, AnyOf, Process
+from .process import AllOf, Process
 from .resources import Request, Resource, Store
 from .rng import RngFactory
 from .trace import Tracer
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Event",
     "Process",
     "Request",

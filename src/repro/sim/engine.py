@@ -12,14 +12,15 @@ Design notes
 
 Tie-break policy (pinned)
 -------------------------
-Same-timestamp events fire in **stable FIFO order by insertion** — the
-``seq`` counter is assigned in :meth:`Simulator._post` call order and the
-heap never reorders equal-``(time, seq)`` keys, so two events scheduled
-for the same instant are processed in exactly the order they were
-triggered.  This is a *contract*, not an accident of ``heapq``: the
-bounded model checker (:mod:`repro.analysis.check`) enumerates the
-same-time ready set as a *choice point* and must know what choice 0 (the
-default, uncontrolled schedule) means.  A regression test pins it.
+Same-timestamp events fire in **stable FIFO order by insertion** — every
+heap entry is keyed ``(time, next(sim._seq))`` at the moment it is
+pushed, and the heap never reorders equal-``(time, seq)`` keys, so two
+events scheduled for the same instant are processed in exactly the
+order they were triggered.  This is a *contract*, not an accident of
+``heapq``: the bounded model checker (:mod:`repro.analysis.check`)
+enumerates the same-time ready set as a *choice point* and must know
+what choice 0 (the default, uncontrolled schedule) means.  A regression
+test pins it.
 
 When a controlled scheduler is installed (``sim.scheduler``, see
 :class:`repro.analysis.check.ControlledScheduler`), every same-time
@@ -45,15 +46,16 @@ these three and the classes they allocate (:class:`Event`,
 :class:`Timeout`, :class:`~repro.sim.process.Process` — all
 ``__slots__``) are the flattening targets.
 
-The per-event hot spots post inline: ``Timeout.__init__`` and
-``Event.succeed`` set their slots directly and ``heappush`` straight
-onto ``sim._heap`` with the same ``(time, next(sim._seq))`` key that
-:meth:`Simulator._post` builds.  A ``Process`` binds ``_resume`` once
-and appends that callback itself, both to the zero-delay ``Timeout``
-that starts it and in ``_deliver``, without going through
-``add_callback``.  ``_step_fast`` runs the popped event's callbacks
-itself instead of calling ``Event._run_callbacks``, and
-``Resource.request`` builds its ``Request`` and posts an immediate
+The per-event hot spots post inline: ``Timeout.__init__``,
+``Event.succeed`` and ``Event.fail`` set their slots directly and
+``heappush`` straight onto ``sim._heap`` with the ``(time,
+next(sim._seq))`` key.  A ``Process`` binds ``_deliver`` once and
+appends that callback itself, both to the zero-delay ``Timeout`` that
+starts it and in ``_deliver``, without going through ``add_callback``;
+a wait on an event already processed resumes the generator in the same
+``_deliver`` loop, without a callback.  ``_step_fast`` runs the popped
+event's callbacks itself instead of calling ``Event._run_callbacks``,
+and ``Resource.request`` builds its ``Request`` and posts an immediate
 grant the same way.  The key is the whole ordering contract, so
 inlining it cannot reorder events.
 
@@ -181,7 +183,7 @@ class Event:
         self._triggered = True
         self._value = value
         sim = self.sim
-        heappush(sim._heap, (sim.now, next(sim._seq), self))  # inline _post
+        heappush(sim._heap, (sim.now, next(sim._seq), self))
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -192,7 +194,8 @@ class Event:
             raise SimError(f"fail() needs an exception, got {exc!r}")
         self._triggered = True
         self._exc = exc
-        self.sim._post(self)
+        sim = self.sim
+        heappush(sim._heap, (sim.now, next(sim._seq), self))
         return self
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
@@ -226,7 +229,7 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
             raise SimError(f"negative timeout: {delay}")
-        # Event.__init__ and _post, inlined: one Timeout per wait
+        # Event.__init__, inlined: one Timeout per wait
         self.sim = sim
         self.callbacks = []
         self._value = value
@@ -311,9 +314,6 @@ class Simulator:
 
     # -- scheduling ------------------------------------------------------
 
-    def _post(self, event: Event, delay: float = 0.0) -> None:
-        heappush(self._heap, (self.now + delay, next(self._seq), event))
-
     def event(self) -> Event:
         """A fresh untriggered event."""
         return Event(self)
@@ -376,7 +376,7 @@ class Simulator:
 
     def spawn(self, generator) -> None:
         """Run a generator as a *detached* process: one whose handle
-        nobody keeps, joins or interrupts.
+        nobody keeps or joins.
 
         It starts like :meth:`process`, but its end posts no completion
         event (unless a controlled scheduler is installed, which sees
@@ -396,36 +396,28 @@ class Simulator:
         zero-delay event ``sim.process`` would have posted, unless that
         event would be alone at its instant and handled right after the
         current resumption, when it is skipped (see the module
-        docstring).  A caller inside ``call`` cannot be interrupted:
-        the interrupt would land in the child's frame, not at the join.
+        docstring).
         """
         if not hasattr(generator, "send"):
             raise SimError(f"process body must be a generator, "
                            f"got {generator!r}")
-        caller = self.active_process
-        if caller is not None:
-            caller._calls += 1  # Process.interrupt refuses meanwhile
+        if self._scheduler is not None:
+            # controlled mode: today's path, every event visible
+            return (yield Process(self, generator))
+        if not self._alone():
+            yield Timeout(self, 0.0)  # the child's start event
         try:
-            if self._scheduler is not None:
-                # controlled mode: today's path, every event visible
-                return (yield Process(self, generator))
+            value = yield from generator
+        except GeneratorExit:
+            raise
+        except BaseException as exc:
             if not self._alone():
-                yield Timeout(self, 0.0)  # the child's start event
-            try:
-                value = yield from generator
-            except GeneratorExit:
-                raise
-            except BaseException as exc:
-                if not self._alone():
-                    # the child's end event, which throws ``exc`` here
-                    yield Event(self).fail(exc)
-                raise
-            if not self._alone():
-                yield Event(self).succeed(value)  # the child's end event
-            return value
-        finally:
-            if caller is not None:
-                caller._calls -= 1
+                # the child's end event, which throws ``exc`` here
+                yield Event(self).fail(exc)
+            raise
+        if not self._alone():
+            yield Event(self).succeed(value)  # the child's end event
+        return value
 
     def _alone(self) -> bool:
         """Would a zero-delay event posted now be the next one handled?

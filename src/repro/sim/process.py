@@ -11,23 +11,15 @@ sim.call(sub())``, which runs the child in the caller's frame).
 from __future__ import annotations
 
 from heapq import heappop
-from typing import Any, Generator, Iterable
+from typing import Generator, Iterable
 
 from .engine import Event, SimError, Simulator, Timeout
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Process(Event):
     """An event that completes when its generator returns."""
 
-    __slots__ = ("_gen", "_waiting_on", "_resume_cb", "_calls")
+    __slots__ = ("_gen", "_deliver_cb")
 
     #: a detached process (:meth:`Simulator.spawn`) has no waiter: it
     #: ends without posting, and its failure propagates out of the step
@@ -38,59 +30,15 @@ class Process(Event):
             raise SimError(f"process body must be a generator, got {gen!r}")
         super().__init__(sim)
         self._gen = gen
-        #: open ``sim.call`` joins this process is running
-        self._calls = 0
-        #: the bound ``_resume``, made once: every wait appends it
-        self._resume_cb = resume = self._resume
+        #: the bound ``_deliver``, made once: every wait appends it
+        self._deliver_cb = deliver = self._deliver
         # the start wait: a zero-delay Timeout (which no wait monitor
         # observes), with the callback appended as add_callback would
-        start = Timeout(sim, 0.0)
-        start.callbacks.append(resume)
-        self._waiting_on: Event = start
-
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        The event the process was waiting on keeps running; the process is
-        simply no longer waiting on it.
-
-        A process inside ``sim.call`` runs its child in its own frame, so
-        an interrupt cannot reach the join the way it reaches ``yield
-        sim.process(...)``: it raises :class:`SimError` here, or out of
-        the step that delivers it if the process entered the call in
-        between.
-        """
-        if self.triggered:
-            raise SimError("cannot interrupt a finished process")
-        self._check_interruptible()
-        waited = self._waiting_on
-        interrupt_evt = Event(self.sim)
-        interrupt_evt.add_callback(
-            lambda e: self._interrupted(waited, cause))
-        interrupt_evt.succeed()
+        Timeout(sim, 0.0).callbacks.append(deliver)
 
     # -- internal --------------------------------------------------------
 
-    def _check_interruptible(self) -> None:
-        if self._calls:
-            raise SimError("cannot interrupt a process inside sim.call(): "
-                           "the child runs in its frame")
-
-    def _interrupted(self, waited: Event, cause: Any) -> None:
-        self._check_interruptible()
-        self._deliver(waited, Interrupt(cause))
-
-    def _resume(self, event: Event) -> None:
-        if self._waiting_on is not event:
-            return  # stale wake-up after an interrupt
-        self._deliver(event, None)
-
-    def _deliver(self, event: Event, interrupt: Any) -> None:
-        self._waiting_on = None  # type: ignore[assignment]
+    def _deliver(self, event: Event) -> None:
         sim = self.sim
         prev_active = sim.active_process
         sim.active_process = self
@@ -108,9 +56,7 @@ class Process(Event):
         try:
             while True:
                 try:
-                    if interrupt is not None:
-                        target = gen.throw(interrupt)
-                    elif event._exc is not None:
+                    if event._exc is not None:
                         target = gen.throw(event._exc)
                     else:
                         target = gen.send(event._value)
@@ -143,9 +89,8 @@ class Process(Event):
                     return
                 callbacks = target.callbacks
                 if callbacks is None:  # processed: resume at once
-                    self._waiting_on = target
-                    self._resume(target)
-                    return
+                    event = target
+                    continue
                 if not callbacks and sim._sole is self:
                     # run-ahead: the next step would pop ``target`` and
                     # resume this process alone, so pop it here
@@ -156,11 +101,9 @@ class Process(Event):
                         target.callbacks = None
                         target._processed = True
                         event = target
-                        interrupt = None
                         continue
-                self._waiting_on = target
                 # Event.add_callback, inlined
-                callbacks.append(self._resume_cb)
+                callbacks.append(self._deliver_cb)
                 return
         finally:
             sim.active_process = prev_active
@@ -174,8 +117,8 @@ class _Detached(Process):
     _detached = True
 
 
-class _Condition(Event):
-    """Base for AllOf/AnyOf: triggers based on a set of child events."""
+class AllOf(Event):
+    """Triggers when every child event has triggered (fails on first error)."""
 
     __slots__ = ("_events", "_pending")
 
@@ -192,21 +135,6 @@ class _Condition(Event):
         for evt in self._events:
             evt.add_callback(self._check)
 
-    def _values(self) -> dict:
-        # ``processed`` (callbacks ran), not ``triggered``: a Timeout counts
-        # as triggered from creation but only *fires* at its due time.
-        return {evt: evt._value for evt in self._events if evt.processed
-                and evt.exception is None}
-
-    def _check(self, event: Event) -> None:
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Triggers when every child event has triggered (fails on first error)."""
-
-    __slots__ = ()
-
     def _check(self, event: Event) -> None:
         if self.triggered:
             return
@@ -215,18 +143,8 @@ class AllOf(_Condition):
             return
         self._pending -= 1
         if self._pending == 0:
-            self.succeed(self._values())
-
-
-class AnyOf(_Condition):
-    """Triggers as soon as any child event triggers."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if event.exception is not None:
-            self.fail(event.exception)
-            return
-        self.succeed(self._values())
+            # ``processed`` (callbacks ran), not ``triggered``: a Timeout
+            # counts as triggered from creation but only *fires* at its
+            # due time
+            self.succeed({evt: evt._value for evt in self._events
+                          if evt.processed and evt.exception is None})

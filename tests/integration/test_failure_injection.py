@@ -114,28 +114,6 @@ def test_rcv_array_exhaustion_surfaces_to_caller():
     assert "RcvArray exhausted" in str(proc.exception)
 
 
-def test_progress_worker_error_handler():
-    from repro.psm.progress import ProgressWorker
-    from repro.sim import Simulator
-    sim = Simulator()
-    worker = ProgressWorker(sim, "w")
-    errors = []
-    worker.on_error(errors.append)
-
-    def failing_job():
-        yield sim.timeout(1.0)
-        raise DriverError("injected")
-
-    def ok_job():
-        yield sim.timeout(1.0)
-
-    worker.submit(failing_job())
-    worker.submit(ok_job())
-    sim.run()
-    assert len(errors) == 1 and "injected" in str(errors[0])
-    assert worker.failed == 1 and worker.completed == 1
-
-
 def test_non_unified_dereference_page_faults():
     """Without the PicoDriver's unified layout, touching a Linux driver
     pointer from McKernel faults — the section 3.1 motivation."""

@@ -154,6 +154,6 @@ def test_progress_workers_drain_cleanly():
 
     machine.sim.run(until=machine.sim.process(body()))
     machine.sim.run()
-    assert ep1.rx.backlog == 0 and ep0.tx.backlog == 0
+    assert ep1.rx.idle and ep0.tx.idle
     assert ep1.rx.failed == 0
     assert not ep0._send_flows and not ep1._recv_flows

@@ -13,8 +13,8 @@ def _job(sim, delay, log, label):
 
 
 def test_job_error_without_handler_fails_the_run():
-    """With no ``on_error`` handler a job's typed error ends the loop
-    and propagates out of ``run``; nothing swallows it."""
+    """A job's typed error ends the loop and propagates out of
+    ``run``; nothing swallows it."""
     sim = Simulator()
     worker = ProgressWorker(sim, "w")
 

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from repro.analysis.check import ControlledScheduler, Schedule
 from repro.errors import DeviceTimeout
 from repro.sim import Resource, SimError, Simulator, Store, engine
-from repro.sim.process import Interrupt
 
 
 def _sim(controlled):
@@ -52,7 +51,6 @@ LEAF_OPS = st.one_of(
     st.tuples(st.just("hold"), st.integers(0, 1), DELAYS),
     st.tuples(st.just("fire"), st.integers(0, 1)),
     st.tuples(st.just("wait"), st.integers(0, 3)),
-    st.tuples(st.just("interrupt"), st.integers(0, 2)),
     st.tuples(st.just("raise")),
 )
 
@@ -80,43 +78,32 @@ def _body(world, name, program):
             log.append((sim.now, name, i, "raise", None))
             raise ValueError(f"{name}.{i}")
         result = None
-        try:
-            if kind == "timeout":
-                result = yield sim.timeout(op[1], value=(name, i))
-            elif kind == "delay":
-                result = yield from sim.delay(op[1])
-            elif kind == "put":
-                world.stores[op[1]].put((name, i))
-            elif kind == "get":
-                result = yield world.stores[op[1]].get()
-            elif kind == "hold":
-                with world.resources[op[1]].request() as req:
-                    yield req
-                    yield sim.timeout(op[2])
-            elif kind == "fire":
-                event = world.events[op[1]]
-                if not event.triggered:
-                    event.succeed((name, i))
-            elif kind == "wait":
-                result = yield world.events[op[1]]
-            elif kind == "interrupt":
-                if op[1] < len(world.procs):
-                    try:
-                        world.procs[op[1]].interrupt((name, i))
-                        result = "sent"
-                    except SimError as exc:
-                        result = str(exc)
-            elif kind == "call":
-                try:
-                    result = yield from sim.call(
-                        _body(world, f"{name}.{i}", op[1]))
-                except ValueError as exc:
-                    result = ("caught", str(exc))
-            elif kind == "spawn":
-                sim.spawn(_body(world, f"{name}.{i}", op[1]))
-        except Interrupt as irq:
-            log.append((sim.now, name, i, "interrupted", irq.cause))
-            continue
+        if kind == "timeout":
+            result = yield sim.timeout(op[1], value=(name, i))
+        elif kind == "delay":
+            result = yield from sim.delay(op[1])
+        elif kind == "put":
+            world.stores[op[1]].put((name, i))
+        elif kind == "get":
+            result = yield world.stores[op[1]].get()
+        elif kind == "hold":
+            with world.resources[op[1]].request() as req:
+                yield req
+                yield sim.timeout(op[2])
+        elif kind == "fire":
+            event = world.events[op[1]]
+            if not event.triggered:
+                event.succeed((name, i))
+        elif kind == "wait":
+            result = yield world.events[op[1]]
+        elif kind == "call":
+            try:
+                result = yield from sim.call(
+                    _body(world, f"{name}.{i}", op[1]))
+            except ValueError as exc:
+                result = ("caught", str(exc))
+        elif kind == "spawn":
+            sim.spawn(_body(world, f"{name}.{i}", op[1]))
         log.append((sim.now, name, i, kind, result))
     return name
 
@@ -139,13 +126,11 @@ def _run_world(programs, controlled):
         raised = None
     except ValueError as exc:  # a detached process failed
         raised = str(exc)
-    except SimError:  # e.g. a late interrupt of a process that ended
-        raised = "SimError"
     state = (sim.now, raised,
              [list(store.items) for store in world.stores],
              [(res.count, res.queued) for res in world.resources],
              [(evt.triggered, evt.processed) for evt in world.events],
-             [proc.is_alive for proc in world.procs])
+             [proc.triggered for proc in world.procs])
     return world.log, state, steps[0]
 
 
@@ -277,40 +262,45 @@ def test_manual_step_processes_exactly_one_event():
     assert log == [0, 1, 2]
 
 
-def test_interrupt_matches_fifo_and_refuses_a_caller_inside_call():
-    def scenario(sim, log):
-        def child():
-            yield sim.timeout(5.0)
-            return "child done"
+def test_waits_on_a_processed_event_resume_in_one_loop():
+    """Thousands of waits in a row on an already-processed event each
+    resume the process at once, in the loop of the one delivery that
+    runs it, not one nested delivery per wait."""
+    waits = 5000
+    runs = []
+    for controlled in (False, True):
+        sim = _sim(controlled)
+        resumed = []  # (step, process) per resumption hook call
+        if controlled:
+            scheduler = sim.scheduler
+            hook = scheduler.on_process_resumed
 
-        def sleeper():
-            try:
-                yield sim.timeout(5.0)
-            except Interrupt as irq:
-                log.append((sim.now, "interrupted", irq.cause))
-            yield sim.timeout(0.0)
-            log.append((sim.now, "sleeper", "on"))
-            value = yield from sim.call(child())
-            log.append((sim.now, "joined", value))
+            def on_process_resumed(process):
+                resumed.append((len(scheduler.steps), process))
+                hook(process)
 
-        def poker(target):
-            yield sim.timeout(1.0)
-            target.interrupt("poke")
-            yield sim.timeout(1.0)
-            try:
-                target.interrupt("poke again")
-            except SimError as exc:
-                log.append((sim.now, "refused", str(exc)))
+            scheduler.on_process_resumed = on_process_resumed
+        done = sim.event()
+        done.succeed("value")
+        log = []
 
-        target = sim.process(sleeper())
-        sim.process(poker(target))
+        def waiter():
+            for _ in range(waits):
+                log.append((sim.now, (yield done)))
+            return "done"
+
+        proc = sim.process(waiter())
+        steps = _count_steps(sim)
         sim.run()
-
-    (fast, _), (fifo, _) = _both(scenario)
-    assert fast == fifo
-    assert fast[0] == (1.0, "interrupted", "poke")
-    assert fast[2][:2] == (2.0, "refused")
-    assert fast[3] == (6.0, "joined", "child done")
+        runs.append((log, (sim.now, proc.value, done.processed), steps[0]))
+    (fast_log, fast_state, fast_steps), fifo = runs
+    assert fast_log == [(0.0, "value")] * waits
+    assert (fast_log, fast_state, fast_steps) == fifo
+    # FIFO: ``done``, the start (every wait resumed inside it), the end
+    assert fast_steps == 3
+    assert resumed == [(2, proc)]
+    assert [rec.resumed_ids for rec in scheduler.steps] \
+        == [set(), {id(proc)}, set()]
 
 
 def test_exception_thrown_into_a_process_running_ahead():

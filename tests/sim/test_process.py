@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, SimError, Simulator
-from repro.sim.process import Interrupt
+from repro.sim import AllOf, SimError, Simulator
 
 
 def test_process_consumes_timeouts():
@@ -104,32 +103,6 @@ def test_non_generator_body_rejected():
         sim.process(lambda: None)  # type: ignore[arg-type]
 
 
-def test_interrupt_wakes_process_early():
-    sim = Simulator()
-
-    def body():
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt as intr:
-            return ("interrupted", sim.now, intr.cause)
-
-    proc = sim.process(body())
-    sim.timeout(5.0).add_callback(lambda e: proc.interrupt("preempted"))
-    assert sim.run(until=proc) == ("interrupted", 5.0, "preempted")
-
-
-def test_interrupt_finished_process_rejected():
-    sim = Simulator()
-
-    def body():
-        yield sim.timeout(1.0)
-
-    proc = sim.process(body())
-    sim.run()
-    with pytest.raises(SimError):
-        proc.interrupt()
-
-
 def test_allof_waits_for_every_event():
     sim = Simulator()
 
@@ -141,15 +114,33 @@ def test_allof_waits_for_every_event():
     assert sim.run(until=sim.process(body())) == (3.0, ["a", "b"])
 
 
-def test_anyof_returns_on_first_event():
+def test_allof_fails_on_the_first_failed_event_and_only_once():
     sim = Simulator()
+    failed = sim.event()
+    sim.timeout(1.0).add_callback(
+        lambda e: failed.fail(ValueError("engine halted")))
+    late = sim.timeout(3.0, "late")
+    both = AllOf(sim, [failed, late])
+    fired = []
+    both.add_callback(lambda e: fired.append((sim.now, e.exception)))
 
     def body():
-        t1, t2 = sim.timeout(1.0, "fast"), sim.timeout(3.0, "slow")
-        values = yield AnyOf(sim, [t1, t2])
-        return (sim.now, list(values.values()))
+        try:
+            yield both
+        except ValueError as exc:
+            return (sim.now, str(exc))
 
-    assert sim.run(until=sim.process(body())) == (1.0, ["fast"])
+    assert sim.run(until=sim.process(body())) == (1.0, "engine halted")
+    sim.run()
+    assert sim.now == 3.0 and late.processed
+    assert [when for when, _ in fired] == [1.0]
+    assert fired[0][1] is failed.exception
+
+
+def test_allof_refuses_events_of_another_simulator():
+    sim, other = Simulator(), Simulator()
+    with pytest.raises(SimError, match="different simulators"):
+        AllOf(sim, [sim.timeout(1.0), other.timeout(1.0)])
 
 
 def test_empty_allof_triggers_immediately():
