@@ -207,9 +207,9 @@ def cmd_lockgraph(argv: List[str]) -> int:
         print(f"unknown option(s) {', '.join(unknown)}\n"
               "usage: python -m repro lockgraph [--dot] [paths...]")
         return 2
-    from .vet import vet_paths
-    program, findings = vet_paths([a for a in argv if not a.startswith("-")]
-                                  or None)
+    from .vet import program_paths
+    program, findings = program_paths(
+        [a for a in argv if not a.startswith("-")] or None)
     graph = lockdep_mod.lock_graph(program)
     findings = [f for f in findings
                 if f.code in ("PD000", "PD008", "PD009")]

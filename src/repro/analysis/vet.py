@@ -20,7 +20,7 @@ PD100 whichever rule it names.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .lint import Finding, judge_suppressions, lint_module, rules_table
 from .vet_checkers import run_checkers
@@ -33,6 +33,22 @@ def vet_paths(paths: Optional[List[str]] = None
     returns the model and the findings its suppressions leave standing
     (plus PD100 for each suppression that silences nothing)."""
     program = Program.build(paths)
+    return program, _judged(program, lint_module)
+
+
+def program_paths(paths: Optional[List[str]] = None
+                  ) -> Tuple[Program, List[Finding]]:
+    """The program-rule half of :func:`vet_paths`: build the model and
+    run only the program checkers (PD000, PD008, PD009, PD015.x),
+    judging each file's suppressions against their findings alone."""
+    program = Program.build(paths)
+    return program, _judged(program, lambda module: [])
+
+
+def _judged(program: Program, lint: Callable[..., List[Finding]]
+            ) -> List[Finding]:
+    """The program checkers' findings plus ``lint(module)`` for each
+    parsed module, judged against each file's suppressions once."""
     by_path: Dict[str, List[Finding]] = {}
     for finding in run_checkers(program):
         by_path.setdefault(finding.path, []).append(finding)
@@ -42,10 +58,9 @@ def vet_paths(paths: Optional[List[str]] = None
         if not module.ok:
             kept.extend(found)          # PD000: there is nothing to judge
             continue
-        found.extend(lint_module(module))
+        found.extend(lint(module))
         kept.extend(judge_suppressions(module.path, module.source, found))
-    return program, sorted(kept, key=lambda f: (f.path, f.line, f.col,
-                                                f.code))
+    return sorted(kept, key=lambda f: (f.path, f.line, f.col, f.code))
 
 
 _USAGE = "usage: python -m repro vet [--rules] [--dot] [--json] [paths...]"

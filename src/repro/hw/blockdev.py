@@ -8,6 +8,10 @@ interrupt plumbing.  The replication *policy* — cloning writes, per-IO
 trackers, eviction, resync — lives in the pxd driver
 (:mod:`repro.linux.pxd`); the device only moves bytes and raises IRQs.
 
+A replica's store holds only the sectors ever written (an unwritten
+sector reads as zeros), so its host memory follows the writes, not the
+capacity.  A replica's drain loop starts at its first IO.
+
 Fault points (all drawn here, where the media is):
 
 * ``media.write_error`` — the media rejects the write; nothing lands.
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional
+from typing import Deque, Dict, List, Optional
 
 from ..config import PLANES
 from ..errors import DriverError, MediaError, ReproError
@@ -68,6 +72,13 @@ class BlockIo:
 class ReplicaMedia:
     """One backing replica: a sector-addressed byte store plus a path.
 
+    The store is sparse: it maps a sector number to that sector's
+    ``sector_size`` bytes and holds only sectors that were ever
+    written; a sector never written reads as zeros.  :meth:`peek`,
+    :meth:`poke` and :meth:`tear` are the only way into it, for the
+    drain's data path, the resync scrubber and the media audit alike;
+    none of them charges simulated time.
+
     ``online`` models the *path* to the media (cable/fabric), not the
     media itself: an offline replica fails every IO until the driver's
     probe machinery calls :meth:`reattach`.  Contents survive path loss
@@ -77,28 +88,49 @@ class ReplicaMedia:
     def __init__(self, index: int, params: BlkParams):
         self.index = index
         self.params = params
-        self.data = bytearray(params.sectors * params.sector_size)
+        #: sector -> its bytes, for every sector ever written
+        self._sectors: Dict[int, bytes] = {}
+        self._zeros = bytes(params.sector_size)
         self.online = True
 
-    def span(self, sector: int, nsectors: int) -> "tuple[int, int]":
-        """Byte range of a sector run, bounds-checked."""
+    def span(self, sector: int, nsectors: int) -> range:
+        """The sector numbers of a run, bounds-checked."""
         if sector < 0 or nsectors <= 0 \
                 or sector + nsectors > self.params.sectors:
             raise DriverError(
                 f"replica {self.index}: bad sector range "
                 f"[{sector}, {sector + nsectors}) of {self.params.sectors}")
-        lo = sector * self.params.sector_size
-        return lo, lo + nsectors * self.params.sector_size
+        return range(sector, sector + nsectors)
 
     def peek(self, sector: int, nsectors: int) -> bytes:
-        """Direct media inspection (oracles/resync only — no timing)."""
-        lo, hi = self.span(sector, nsectors)
-        return bytes(self.data[lo:hi])
+        """The bytes of ``nsectors`` sectors from ``sector``."""
+        get = self._sectors.get
+        zeros = self._zeros
+        return b"".join([get(s, zeros) for s in self.span(sector, nsectors)])
 
     def poke(self, sector: int, payload: bytes) -> None:
-        """Direct media write (resync scrubber only — no timing)."""
-        lo, hi = self.span(sector, len(payload) // self.params.sector_size)
-        self.data[lo:hi] = payload
+        """Write ``payload``, a whole number of sectors, from ``sector``."""
+        size = self.params.sector_size
+        nsectors, rest = divmod(len(payload), size)
+        if rest:
+            raise DriverError(
+                f"replica {self.index}: payload of {len(payload)} B is "
+                f"not a whole number of {size} B sectors")
+        sectors = self._sectors
+        for s, lo in zip(self.span(sector, nsectors),
+                         range(0, len(payload), size)):
+            sectors[s] = bytes(payload[lo:lo + size])
+
+    def tear(self, sector: int, payload: bytes, nbytes: int) -> None:
+        """Land only the first ``nbytes`` of ``payload`` from ``sector``
+        (a power-loss tear): a sector the tear ends inside keeps its old
+        bytes past the tear."""
+        if not 0 < nbytes <= len(payload):
+            raise DriverError(
+                f"replica {self.index}: tear of {nbytes} B outside a "
+                f"{len(payload)} B payload")
+        old = self.peek(sector, -(-nbytes // self.params.sector_size))
+        self.poke(sector, payload[:nbytes] + old[nbytes:])
 
     def reattach(self) -> None:
         """Bring the path back (the driver's re-probe machinery)."""
@@ -114,6 +146,12 @@ class BlockDevice:
     pxd fast path may call it while holding the cross-kernel submit
     lock (PD009: no waits under a spinlock); all media time is charged
     in the per-replica drain processes.
+
+    A replica's drain loop is a detached process started by the first
+    submit to it (``sim.spawn``), as an ``SdmaEngine``'s is: its start
+    event takes the FIFO slot the first wake-up would have, and a
+    failure in the loop (an IRQ with no dispatcher) propagates out of
+    ``sim.run``.
     """
 
     def __init__(self, sim: Simulator, params: BlkParams, node_id: int,
@@ -131,8 +169,8 @@ class BlockDevice:
         self._work: List[Store] = [
             Store(sim, name=f"blk{node_id}.r{i}.work")
             for i in range(params.replicas)]
-        self._procs = [sim.process(self._drain(i))
-                       for i in range(params.replicas)]
+        #: whether each replica's drain loop runs (it starts on first IO)
+        self._started = [False] * params.replicas
         #: installed by the pxd driver at probe
         self.irq_dispatcher = None
         #: optional :class:`repro.faults.FaultInjector` (chaos runs only)
@@ -157,9 +195,7 @@ class BlockDevice:
                 raise DriverError(
                     f"write payload must cover exactly {io.nsectors} "
                     f"sector(s)")
-            media.span(io.sector, io.nsectors)  # validate before queueing
-        else:
-            media.span(io.sector, io.nsectors)
+        media.span(io.sector, io.nsectors)  # validate before queueing
         inj = self.injector
         if inj is not None and inj.fires("pxd.path_loss"):
             media.online = False
@@ -167,13 +203,21 @@ class BlockDevice:
         self._queues[io.replica].append(io)
         self.tracer.count(f"blk.r{io.replica}.submits")
         if len(self._queues[io.replica]) == 1:
-            self._work[io.replica].put(None)  # kick the drain
+            self._kick(io.replica)
 
     def _media(self, index: int) -> ReplicaMedia:
         try:
             return self.replicas[index]
         except IndexError:
             raise DriverError(f"no replica {index}")
+
+    def _kick(self, index: int) -> None:
+        """Wake a replica's drain loop, starting it on the first kick."""
+        if self._started[index]:
+            self._work[index].put(None)
+        else:
+            self._started[index] = True
+            self.sim.spawn(self._drain(index))
 
     # -- media service ------------------------------------------------------
 
@@ -211,9 +255,7 @@ class BlockDevice:
             if inj is not None \
                     and inj.fires("media.torn_write"):
                 # power-loss tear: a prefix lands, then the write fails
-                lo, _hi = media.span(io.sector, io.nsectors)
-                torn = len(io.payload) // 2
-                media.data[lo:lo + torn] = io.payload[:torn]
+                media.tear(io.sector, io.payload, len(io.payload) // 2)
                 io.status = MediaError(
                     f"replica {media.index}: torn write at sector "
                     f"{io.sector}", replica=media.index)

@@ -274,6 +274,8 @@ class BlkParams:
     #: Sector size of the backing media.
     sector_size: int = 512
     #: Sectors per backing store (capacity = sectors * sector_size).
+    #: Capacity costs no host memory until it is written: a replica
+    #: stores only the sectors written, and the rest read as zeros.
     sectors: int = 4096
     #: Completion-queue depth per replica; doubles as the congestion
     #: gate capacity (px-fuse ``qdepth`` / ``nr_congestion_on``).

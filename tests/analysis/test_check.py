@@ -225,7 +225,7 @@ SMOKE_TABLES = {
                  "mckernel": (43, 43, 1, 168, 103, "exhausted"),
                  "mckernel_hfi": (43, 43, 1, 168, 83, "exhausted")},
     "guard-breaker": {"mckernel_hfi": (36, 36, 1, 140, 81, "exhausted")},
-    "pxd-fallback": {"mckernel_hfi": (30, 30, 6, 55, 80, "exhausted")},
+    "pxd-fallback": {"mckernel_hfi": (30, 30, 6, 43, 78, "exhausted")},
     "seeded-flag-race": {"rig": (8, 2, 0, 2, 5, "violation")},
 }
 

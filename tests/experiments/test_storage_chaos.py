@@ -3,6 +3,8 @@ the sweep's intact-or-typed contract, the recovery drill's
 eviction/readmit/goodput oracles and phase spans, and the report
 rendering."""
 
+import tracemalloc
+
 import pytest
 
 from repro.config import ALL_CONFIGS, OSConfig
@@ -11,6 +13,7 @@ from repro.experiments.chaos import RECOVERY_BAR, cmd_chaos
 from repro.experiments.storage import (DRILL_SMOKE_PHASES, SMOKE_RATES,
                                        STORAGE_SETTLE, WRITE_STRIDE,
                                        WriteTrain, run_storage)
+from repro.units import MiB
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +138,30 @@ def test_write_violations_acked_and_tally(judged_writes):
     assert (carried, typed, elapsed) == (2, 1, 54.0)
     assert goodput == 2 * size / 54.0
     assert train.tally(2, 3) == (0, 1, 4.0, 0.0)
+
+
+def test_replica_memory_follows_the_sectors_written():
+    """A replica's store holds only the sectors written, so a 3-replica
+    machine and a 40-write train (80 sectors per replica) hold well
+    under the 2 MiB that one replica's capacity would take."""
+    def build_and_run():
+        machine = build_machine(1, OSConfig.LINUX,
+                                params=storage._storage_params())
+        train = WriteTrain(machine, 40)
+        machine.sim.run()
+        return machine, train
+
+    build_and_run()  # the per-process caches: debug info per version
+    tracemalloc.start()
+    try:
+        machine, train = build_and_run()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert machine.params.blk.sectors * machine.params.blk.sector_size \
+        == 2 * MiB
+    assert [train.outcome(i) for i in range(40)] == ["acked"] * 40
+    assert held < MiB
 
 
 def test_drill_phase_spans_stop_at_their_last_write(monkeypatch):

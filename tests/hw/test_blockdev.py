@@ -92,11 +92,48 @@ def test_short_write_payload_rejected():
 
 
 def test_irq_without_dispatcher_is_a_wiring_error():
+    """A replica's drain loop is detached, so the typed error of an IRQ
+    with no dispatcher propagates out of ``run`` with writes queued."""
     sim, params, dev, done = make_dev()
     dev.irq_dispatcher = None
     dev.submit(write_io(params.sector_size))
+    dev.submit(write_io(params.sector_size, sector=2))
+    with pytest.raises(ReproError, match="no dispatcher"):
+        sim.run()
+
+
+def test_replicas_have_no_process_before_their_first_io():
+    sim, params, dev, done = make_dev(replicas=3)
+    # no start event: an idle replica costs the schedule nothing
+    assert sim.peek() == float("inf")
+    io = write_io(params.sector_size, replica=1)
+    dev.submit(io)
     sim.run()
-    assert isinstance(dev._procs[0].exception, ReproError)
+    assert done == [io] and io.status is None
+
+
+def test_unwritten_sectors_read_as_zeros_and_cost_nothing():
+    """The store holds the sectors written and nothing else; a read
+    across written and unwritten sectors sees zeros for the latter."""
+    sim, params, dev, done = make_dev()
+    media = dev.replicas[0]
+    media.poke(7, b"\x42" * params.sector_size)
+    assert media.peek(6, 3) == bytes(params.sector_size) \
+        + b"\x42" * params.sector_size + bytes(params.sector_size)
+    assert sorted(media._sectors) == [7]
+
+
+def test_poke_of_a_partial_sector_is_refused():
+    """A payload that is not a whole number of sectors raises before
+    the store changes: a sector written earlier still reads back."""
+    sim, params, dev, done = make_dev()
+    media = dev.replicas[0]
+    kept = b"\x5A" * params.sector_size
+    media.poke(5, kept)
+    with pytest.raises(DriverError):
+        media.poke(0, b"x" * (params.sector_size + params.sector_size // 3))
+    assert media.peek(5, 1) == kept
+    assert media.peek(0, 2) == bytes(2 * params.sector_size)
 
 
 def test_offline_path_fails_io_typed_until_reattach():
@@ -136,6 +173,36 @@ def test_torn_write_lands_a_prefix_and_fails_typed():
     torn = len(io.payload) // 2
     assert got[:torn] == io.payload[:torn]          # the tear landed
     assert got[torn:] == bytes(len(got) - torn)      # the rest did not
+
+
+def test_torn_write_can_end_inside_a_sector():
+    """A 3-sector write tears at half its payload, inside sector 1: the
+    sectors before the tear are new, the one it ends in is new up to the
+    tear and old after it, and the rest stay old."""
+    plan = FaultPlan.placed(ScheduledFault("media.torn_write", 0))
+    sim, params, dev, done = make_dev(plan=plan)
+    size = params.sector_size
+    media = dev.replicas[0]
+    media.poke(0, b"\x11" * (3 * size))
+    io = write_io(size, nsectors=3, fill=0x77)
+    dev.submit(io)
+    sim.run()
+    assert isinstance(io.status, MediaError)
+    into = 3 * size // 2 - size         # bytes of sector 1 the tear landed
+    assert 0 < into < size
+    assert media.peek(0, 1) == b"\x77" * size
+    assert media.peek(1, 1) == b"\x77" * into + b"\x11" * (size - into)
+    assert media.peek(2, 1) == b"\x11" * size
+
+
+def test_tear_outside_its_payload_is_refused():
+    sim, params, dev, done = make_dev()
+    media = dev.replicas[0]
+    payload = b"\x77" * params.sector_size
+    for nbytes in (0, params.sector_size + 1):
+        with pytest.raises(DriverError):
+            media.tear(0, payload, nbytes)
+    assert media.peek(0, 2) == bytes(2 * params.sector_size)
 
 
 def test_write_error_leaves_media_untouched():
