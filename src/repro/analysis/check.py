@@ -266,16 +266,10 @@ class ControlledScheduler:
         """No-op: kernel/label annotations are KSan's concern."""
 
     def on_lock_acquired(self, *args, **kwargs) -> None:
-        """No-op: lock events are the race detector's concern."""
+        """No-op: lock events are KSan's and lockdep's concern."""
 
     def on_lock_released(self, *args, **kwargs) -> None:
-        """No-op: lock events are the race detector's concern."""
-
-    def on_lockdep_acquire(self, *args, **kwargs) -> None:
-        """No-op: lock-order tracking is lockdep's concern."""
-
-    def on_lockdep_release(self, *args, **kwargs) -> None:
-        """No-op: lock-order tracking is lockdep's concern."""
+        """No-op: lock events are KSan's and lockdep's concern."""
 
 
 # --- independence, fingerprints, reduction ----------------------------------

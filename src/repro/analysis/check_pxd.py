@@ -18,9 +18,9 @@ interleaving breaks the storage contract:
   (read-your-writes) or fails typed,
 * every acknowledged write is byte-intact on *every* in-service
   replica at quiescence (the replication invariant),
-* replica-FSM legality (only the four legal edges, via
-  :meth:`~repro.linux.pxd.driver.PxdDriver.fsm_violations`) plus the
-  guard plane's breaker FSM and runtime invariants,
+* replica-FSM legality (only the four legal edges, judged as each is
+  taken into :attr:`~repro.linux.pxd.driver.PxdDriver.violations`)
+  plus the guard plane's breaker FSM and runtime invariants,
 * quiescence at the step bound, KSan races and lockdep hazards,
 * the fallback seam really ran: at least one fast-path write and at
   least one suspended-fallback offload per run (harness-rot guard).

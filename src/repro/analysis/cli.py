@@ -1,8 +1,9 @@
 """Command-line drivers for the analysis layer.
 
 ``python -m repro sanitize <experiment> [<experiment>...]``
-    Re-run one or more of the paper's experiments (or the ``chaos`` or
-    ``storage`` smoke campaign) with every dynamic checker installed:
+    Re-run one or more of the paper's experiments (or the ``chaos``,
+    ``storage`` or ``flap`` smoke campaign) with every dynamic checker
+    installed:
     the KSan race detector on every node's shared kernel heap, the
     lockdep validator on every machine, and an observer of every typed
     error constructed.
@@ -21,28 +22,33 @@
 
 from __future__ import annotations
 
+import importlib
 import os
 import sys
+from functools import partial
 from typing import Callable, Dict, List, Set, Tuple
 
 from ..config import planes
 from . import lockdep as lockdep_mod
 
 
-def _chaos_smoke() -> str:
-    """The ``chaos`` pseudo-experiment of ``python -m repro sanitize``:
-    the fault-injection smoke sweep, which exercises the IRQ-recovery
-    and error paths the figure experiments never reach."""
-    from ..experiments.chaos import run_chaos
-    return run_chaos(smoke=True).render()
+def _smoke(module: str, runner: str) -> str:
+    """Run ``repro.experiments.<module>.<runner>`` as a smoke campaign
+    and return its report."""
+    run = getattr(importlib.import_module(f"repro.experiments.{module}"),
+                  runner)
+    return run(smoke=True).render()
 
 
-def _storage_smoke() -> str:
-    """The ``storage`` pseudo-experiment of ``python -m repro sanitize``:
-    the storage smoke (``chaos --storage --smoke``), which runs the pxd
-    fast and slow paths the HFI experiments never reach."""
-    from ..experiments.storage import run_storage
-    return run_storage(smoke=True).render()
+#: the smoke campaigns ``sanitize`` runs besides the paper's experiments:
+#: the fault sweep reaches the IRQ-recovery and error paths, the storage
+#: smoke the pxd fast and slow paths, and the flap campaign the guard
+#: plane on the HFI fast path (breakers, gates, the suspend drill)
+_SMOKES: Dict[str, Callable[[], str]] = {
+    "chaos": partial(_smoke, "chaos", "run_chaos"),
+    "storage": partial(_smoke, "storage", "run_storage"),
+    "flap": partial(_smoke, "chaos", "run_flap"),
+}
 
 
 def _observe_errors(record: Set[Tuple[str, str]]):
@@ -139,15 +145,15 @@ def cmd_sanitize(argv: List[str],
     """Entry point for ``python -m repro sanitize``.
 
     ``commands`` is the experiment table of :mod:`repro.__main__`, to
-    which the ``chaos`` smoke sweep and the ``storage`` smoke are
-    added.  Each named experiment is re-run with the ``ksan``,
+    which the smoke campaigns of ``_SMOKES`` are added.  Each named
+    experiment is re-run with the ``ksan``,
     ``lockdep`` and ``observer`` planes on, so every machine built
     along the way installs a
     :class:`~repro.analysis.ksan.RaceDetector` on its kernel heaps and a
     :class:`~repro.analysis.lockdep.LockdepValidator`, and every typed
     error constructed is recorded.
     """
-    table = {**commands, "chaos": _chaos_smoke, "storage": _storage_smoke}
+    table = {**commands, **_SMOKES}
     if not argv:
         print("usage: python -m repro sanitize <experiment> [...]\n"
               f"experiments: {', '.join(table)}")

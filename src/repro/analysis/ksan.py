@@ -163,16 +163,16 @@ class RaceDetector:
         """Declare the attribution of the *next* heap access (one-shot)."""
         self._pending = (kernel, label, atomic)
 
-    def on_lock_acquired(self, lock_name: str, kernel: str) -> None:
+    def on_lock_acquired(self, lock, kernel: str, frame) -> None:
         """A :class:`CrossKernelSpinLock` was granted to ``kernel``."""
-        self._held.setdefault(kernel, set()).add(lock_name)
-        self._lock_history.append((self._now(), lock_name, kernel,
+        self._held.setdefault(kernel, set()).add(lock.name)
+        self._lock_history.append((self._now(), lock.name, kernel,
                                    "acquired"))
 
-    def on_lock_released(self, lock_name: str, kernel: str) -> None:
+    def on_lock_released(self, lock, kernel: str) -> None:
         """``kernel`` released a :class:`CrossKernelSpinLock`."""
-        self._held.get(kernel, set()).discard(lock_name)
-        self._lock_history.append((self._now(), lock_name, kernel,
+        self._held.get(kernel, set()).discard(lock.name)
+        self._lock_history.append((self._now(), lock.name, kernel,
                                    "released"))
 
     def on_free(self, addr: int, size: int, heap) -> None:

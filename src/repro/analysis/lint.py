@@ -43,16 +43,10 @@ PD012    choice-point-hook gating: every controlled-scheduler hook
 PD013    guard-hook gating: every guard-plane hook on the data path
          (``record_success`` / ``record_failure`` / ``admits`` /
          ``pick_healthy_engine`` / ``park_if_suspended`` /
-         ``acquire_slots`` / ``release_slots``) sits behind a
-         ``guard``/``gate`` test, so unguarded runs stay branch-cheap
-         and bit-identical
-PD014    storage recovery-hook gating: in the replicated-storage stack
-         (``repro/linux/pxd``, the ``pxd_pico`` chassis) every
-         replica-recovery hook (``_maybe_probe`` / ``begin_probe`` /
-         ``suspend`` / ``resume``) sits behind a ``guard``/``gate``
-         test; the fault-draw half of the storage contract is PD007
-         tree-wide, and the blockdev device model is exempt (it moves
-         bytes unconditionally)
+         ``acquire_slots`` / ``release_slots``) and every pxd
+         replica-recovery hook (``_maybe_probe`` / ``begin_probe``)
+         sits behind a ``guard``/``gate`` test, so unguarded runs stay
+         branch-cheap and bit-identical
 PD016    machine-observer hook gating: every machine-observer hook
          (``on_machine_built``) sits behind a ``probe`` test, so
          unobserved runs stay branch-cheap and bit-identical
@@ -61,7 +55,7 @@ PD100    unused suppression: a ``# pd-ignore`` comment that suppresses
          findings)
 =======  ==============================================================
 
-The six gating rules (PD007 ... PD016) are one table, ``_GATES``,
+The five gating rules (PD007 ... PD016) are one table, ``_GATES``,
 checked in one scan.  Each row names the handles its plane installs
 (see :mod:`repro.config`); a test mentioning one of them, such as
 ``inj is not None``, gates the hook.  PicoVet's PD015.6 reads the
@@ -117,11 +111,6 @@ RULES: Dict[str, Tuple[str, str]] = {
               "guard the hook with a 'guard'/'gate'-is-installed test "
               "(if guard is not None: ...) so unguarded runs never "
               "consult the health manager"),
-    "PD014": ("storage recovery-hook gating",
-              "guard the probe/suspend recovery hook with a "
-              "'guard'-is-installed test (if self.guard is not None: "
-              "...) so unguarded storage runs never touch the health "
-              "plane"),
     # PD008, PD009 and the PD015 family are the program-model rules of
     # repro.analysis.vet_checkers; every rule shares this one table,
     # Finding and suppression pass.
@@ -435,15 +424,9 @@ _GATES: Tuple[_Gate, ...] = (
     _Gate("PD013", ("guard", "gate"),
           frozenset({"record_success", "record_failure", "admits",
                      "pick_healthy_engine", "park_if_suspended",
-                     "acquire_slots", "release_slots"}),
+                     "acquire_slots", "release_slots", "_maybe_probe",
+                     "begin_probe"}),
           "guard-plane hook", lambda parts, base: "guard" in parts),
-    # pxd stack only; blockdev.py moves bytes and must redeliver IRQs
-    # with or without the guard plane
-    _Gate("PD014", ("guard", "gate"),
-          frozenset({"_maybe_probe", "begin_probe", "suspend", "resume"}),
-          "storage recovery hook",
-          lambda parts, base: "guard" in parts or base == "blockdev.py"
-          or ("pxd" not in parts and base != "pxd_pico.py")),
     # only the machine builder calls the hook, so no module is exempt
     _Gate("PD016", ("probe",), frozenset({"on_machine_built"}),
           "machine-observer hook", lambda parts, base: False),
@@ -462,7 +445,7 @@ def gates_mentioned(test: ast.AST,
 
 def _check_gating(path: str, tree: ast.AST,
                   findings: List[Finding]) -> None:
-    """PD007/PD011/PD012/PD013/PD014/PD016 in one scan.
+    """PD007/PD011/PD012/PD013/PD016 in one scan.
 
     A hook call is guarded for a rule when it sits in the body of an
     ``if`` (or the then-branch of a conditional expression) whose test

@@ -156,8 +156,8 @@ class LockdepReport:
 class LockdepValidator:
     """The runtime deadlock validator.
 
-    Install with ``heap.add_monitor(validator)`` (it implements only the
-    ``on_lockdep_*`` hooks of the heap monitor protocol) and
+    Install with ``heap.add_monitor(validator)`` (of the heap monitor
+    protocol it implements only the lock hooks) and
     ``sim.wait_monitor = validator``.  One validator per machine is
     enough — the dependency graph is global by design, since AB-BA
     inversions span kernels and nodes.
@@ -187,15 +187,9 @@ class LockdepValidator:
     def on_access(self, kind: str, addr: int, size: int, heap) -> None:
         """No-op: data accesses are KSan's concern."""
 
-    def on_lock_acquired(self, name: str, kernel: str) -> None:
-        """No-op: lockdep uses the richer ``on_lockdep_acquire``."""
-
-    def on_lock_released(self, name: str, kernel: str) -> None:
-        """No-op: lockdep uses the richer ``on_lockdep_release``."""
-
     # -- instrumentation entry points ------------------------------------
 
-    def on_lockdep_acquire(self, lock, kernel: str, frame) -> None:
+    def on_lock_acquired(self, lock, kernel: str, frame) -> None:
         """A :class:`CrossKernelSpinLock` was granted to ``kernel``;
         ``frame`` is the holder's critical-section frame."""
         from ..core.lockclasses import REGISTRY
@@ -216,7 +210,7 @@ class LockdepValidator:
             self._check_rank(live.acq, acq)
         stack.append(_LiveLock(lock, acq, frame))
 
-    def on_lockdep_release(self, lock, kernel: str) -> None:
+    def on_lock_released(self, lock, kernel: str) -> None:
         """``kernel`` released ``lock``; pop it from its held stack."""
         for context in ("process", "irq"):
             stack = self._held.get(f"{kernel}/{context}")

@@ -133,7 +133,7 @@ class HFIPicoDriver(PicoDriver):
                 # path does not).
                 lwk.tracer.count("pico.engine_not_running")
                 if guard is not None:
-                    guard.record_failure(guard.engine_path(engine.index),
+                    guard.record_failure(guard.path_name(engine.index),
                                          "engine not running at fast path")
                 raise FastPathUnavailable(
                     f"SDMA engine {engine.index} not running",
@@ -158,8 +158,8 @@ class HFIPicoDriver(PicoDriver):
                             tids=meta.get("tids", ()),
                             seq=meta.get("seq"), csum=meta.get("csum"))
             group = SdmaRequestGroup(
-                descriptors=descs, packet=packet, owner_kernel="mckernel",
-                meta_addrs=[meta_addr], callback_addr=self.completion_addr,
+                descriptors=descs, packet=packet, meta_addrs=[meta_addr],
+                callback_addr=self.completion_addr,
                 user_ctx={"completion": meta.get("completion"),
                           "pq_addr": fdata.get("pq")})
             if PLANES.trace is not None:
@@ -183,13 +183,13 @@ class HFIPicoDriver(PicoDriver):
                 kfree_cost = lwk.alloc.kfree(meta_addr, task.core_id)
                 yield from sim.delay(kfree_cost)
                 if guard is not None:
-                    guard.record_failure(guard.engine_path(engine.index),
+                    guard.record_failure(guard.path_name(engine.index),
                                          f"submit failed: {submit_exc}")
                 raise FastPathUnavailable(
                     f"pico writev submit failed: {submit_exc}",
                     engine=engine.index) from submit_exc
             if guard is not None:
-                guard.record_success(guard.engine_path(engine.index))
+                guard.record_success(guard.path_name(engine.index))
         finally:
             if PLANES.trace is not None and span is not None:
                 PLANES.trace.end_span(span)

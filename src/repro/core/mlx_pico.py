@@ -67,16 +67,7 @@ class MlxMemRegPicoDriver(PicoDriver):
         entries = len(spans)
         # faults here if the address space is not unified
         self._view("mlx5_ib_dev", self.linux_driver.devdata.addr)
-        guard = self.linux_driver.guard
-        try:
-            self.linux_driver.take_mtt(entries)
-        except DriverError as exc:
-            if guard is not None:
-                # resource exhaustion is path health, not a caller bug:
-                # feed the memreg breaker so dispatch routes around it
-                guard.record_failure(guard.path_name(0),
-                                     f"reg_mr: {exc}")
-            raise
+        self.linux_driver.take_mtt(entries)
         mr = StructInstance(self.linux_driver._defs["mlx5_ib_mr"], self.heap)
         lkey = self.linux_driver.alloc_key()
         mr.set("lkey", lkey)
@@ -95,8 +86,6 @@ class MlxMemRegPicoDriver(PicoDriver):
                                  + entries * MTT_PROGRAM_COST)
         lwk.tracer.count("pico.mlx_reg_mr")
         lwk.tracer.record("pico.mtt_entries_per_mr", entries)
-        if guard is not None:
-            guard.record_success(guard.path_name(0))
         return {"lkey": lkey, "rkey": lkey + 1}
 
     def _dereg_mr(self, task, fd: int, arg):
@@ -112,7 +101,4 @@ class MlxMemRegPicoDriver(PicoDriver):
         region.mr.free()
         yield from lwk.sim.delay(DEREG_MR_BASE_PICO
                                  + entries * MTT_PROGRAM_COST / 2)
-        guard = self.linux_driver.guard
-        if guard is not None:
-            guard.record_success(guard.path_name(0))
         return 0

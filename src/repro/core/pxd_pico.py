@@ -131,7 +131,7 @@ class PxdPicoDriver(PicoDriver):
                          remaining=len(targets),
                          completion=meta.get("completion"),
                          callback_addr=self.completion_addr,
-                         meta_addrs=[trk_addr], owner_kernel="mckernel")
+                         meta_addrs=[trk_addr])
         linux_driver = self.linux_driver
         # registered before any yield: the slow path's probe machinery
         # must see fast-path writes in its drain checks too
@@ -148,7 +148,6 @@ class PxdPicoDriver(PicoDriver):
                                  + alloc_cost)
             guard = linux_driver.guard
             if guard is not None:
-                yield from guard.park_if_suspended()
                 # same qdepth bound as the slow path, same ascending
                 # order so mixed-kernel writers cannot deadlock
                 for r in targets:

@@ -111,10 +111,7 @@ class CrossKernelSpinLock:
         # the delegating frame one level up is the critical section
         self._holder_frame = sys._getframe().f_back
         if monitor is not None:
-            monitor.on_lock_acquired(self.name, kernel)
-            hook = getattr(monitor, "on_lockdep_acquire", None)
-            if hook is not None:
-                hook(self, kernel, self._holder_frame)
+            monitor.on_lock_acquired(self, kernel, self._holder_frame)
         return req
 
     @staticmethod
@@ -152,10 +149,7 @@ class CrossKernelSpinLock:
         self._holder_frame = None
         req, self._held_req = self._held_req, None
         if monitor is not None:
-            monitor.on_lock_released(self.name, kernel)
-            hook = getattr(monitor, "on_lockdep_release", None)
-            if hook is not None:
-                hook(self, kernel)
+            monitor.on_lock_released(self, kernel)
         self._res.release(req)
 
     def held_by(self, kernel: str) -> bool:

@@ -426,7 +426,6 @@ class FlapResult(PhasedResult):
 
     phases: List[Phase]
     counters: Dict[str, int]
-    snapshots: List[Dict[str, object]]  # final guard snapshot per node
     violations: List[str] = field(default_factory=list)
 
     @property
@@ -450,8 +449,8 @@ class FlapResult(PhasedResult):
         lines.append(f"recovery ratio: {self.recovery_ratio:.2f} "
                      f"(bar: {RECOVERY_BAR:.2f})")
         per_engine = {k: v for k, v in sorted(self.counters.items())
-                      if k.startswith(("guard.failover.",
-                                       "guard.failback.",
+                      if k.startswith(("guard.failovers.",
+                                       "guard.failbacks.",
                                        "pico.fallback.engine"))}
         lines.append(
             f"guard: {self.counters.get('guard.failovers', 0)} failovers, "
@@ -532,11 +531,9 @@ def run_flap(smoke: bool = False,
         sim.run()
 
         violations = train.violations("flap")
-        snapshots = [mn.guard.snapshot() for mn in machine.nodes
-                     if mn.guard is not None]
         result = FlapResult(phases=train.phases(phases),
                             counters=dict(machine.tracer.counters),
-                            snapshots=snapshots, violations=violations)
+                            violations=violations)
         # campaign-level oracles beyond per-message integrity
         violations.extend(machine.oracle_violations())
         violations.extend(result.phase_violations(

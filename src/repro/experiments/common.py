@@ -109,18 +109,15 @@ class Machine:
 
     def oracle_violations(self) -> List[str]:
         """Every finding of the machine's own oracles, in a fixed order:
-        per node the guard, pxd and pxd-guard FSM legality and runtime
-        invariants, then KSan races, then lockdep hazards.  Empty on a
-        healthy run, and for each plane the machine did not install."""
+        per node the ``violations`` the guard, the pxd driver and the
+        pxd guard recorded as they happened, then KSan races, then
+        lockdep hazards.  Empty on a healthy run, and for each plane
+        the machine did not install."""
         found: List[str] = []
         for mn in self.nodes:
-            if mn.guard is not None:
-                found += mn.guard.fsm_violations() + mn.guard.violations
-            if mn.pxd is not None:
-                found += mn.pxd.fsm_violations()
-            if mn.pxd_guard is not None:
-                found += (mn.pxd_guard.fsm_violations()
-                          + mn.pxd_guard.violations)
+            for owner in (mn.guard, mn.pxd, mn.pxd_guard):
+                if owner is not None:
+                    found += owner.violations
         found.extend(r.render() for r in self.race_reports())
         found.extend(r.render() for r in self.lockdep_reports())
         return found
@@ -161,7 +158,7 @@ class Machine:
             mnode.pxd = pxd
             mnode.pxd_guard = pxd.guard = self._guard_manager(
                 self.params.blk.replicas, f"node{node_id}.pxd",
-                path_prefix="replica", data_syscalls=("writev",))
+                path_prefix="replica")
         if self.os_config.is_multikernel:
             mnode.ihk = IhkManager(self.sim, self.params, node, linux)
             mnode.mckernel = mnode.ihk.boot_mckernel(

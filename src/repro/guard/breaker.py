@@ -13,14 +13,15 @@ re-opens it and doubles the backoff.
 
 The FSM is explicit so PicoCheck can treat transition legality as an
 oracle: the only legal edges are CLOSED->OPEN, OPEN->PROBING,
-PROBING->CLOSED and PROBING->OPEN, and every transition is recorded
-(and emitted as a trace instant when tracing is on).
+PROBING->CLOSED and PROBING->OPEN.  Each edge is judged when it is
+taken (an illegal one lands in ``violations``) and emitted as a trace
+instant when tracing is on.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, List, Tuple
+from typing import TYPE_CHECKING, List, Optional
 
 from ..config import PLANES
 from ..errors import ReproError
@@ -36,8 +37,7 @@ BREAKER_OPEN = "open"
 #: backoff elapsed; one probe request at a time is admitted.
 BREAKER_PROBING = "probing"
 
-#: the legal FSM edges (used by :meth:`PathBreaker.transitions` consumers
-#: such as the PicoCheck breaker oracle).
+#: the legal FSM edges (judged by :meth:`PathBreaker._transition`).
 LEGAL_TRANSITIONS = frozenset({
     (BREAKER_CLOSED, BREAKER_OPEN),
     (BREAKER_OPEN, BREAKER_PROBING),
@@ -52,11 +52,13 @@ class PathBreaker:
     ``label`` names the owning device (``node0``...) and ``path`` the
     guarded route (``engine0``, ``engine1``, ``offload``); both appear
     in counters and trace instants so flap reports can attribute
-    degradation to a specific engine.
+    degradation to a specific engine.  ``violations`` is the list an
+    illegal edge is appended to (the owning manager's, when it has one).
     """
 
     def __init__(self, sim: "Simulator", policy: "GuardPolicy",
-                 label: str, path: str, tracer=None):
+                 label: str, path: str, tracer=None,
+                 violations: Optional[List[str]] = None):
         self.sim = sim
         self.policy = policy
         self.label = label
@@ -74,8 +76,8 @@ class PathBreaker:
         #: current probe backoff (grows by ``probe_backoff_factor`` per
         #: failed probe, capped at ``probe_backoff_max``).
         self.backoff = policy.probe_backoff
-        #: full transition history: ``(sim_time, old, new, reason)``.
-        self.transitions: List[Tuple[float, str, str, str]] = []
+        #: illegal FSM edges, recorded as they are taken.
+        self.violations: List[str] = [] if violations is None else violations
         # generation counter: a stale probe timer (scheduled before a
         # newer transition) must not fire a spurious OPEN->PROBING edge.
         self._generation = 0
@@ -83,13 +85,16 @@ class PathBreaker:
     # -- FSM core ---------------------------------------------------------
 
     def _transition(self, new_state: str, reason: str) -> None:
-        """Move to ``new_state``, recording and tracing the edge."""
+        """Move to ``new_state``, judging and tracing the edge."""
         old = self.state
         if old == new_state:
             return
+        if (old, new_state) not in LEGAL_TRANSITIONS:
+            self.violations.append(
+                f"{self.label}/{self.path}: illegal {old}->{new_state} at "
+                f"t={self.sim.now * 1e6:.1f}us ({reason})")
         self.state = new_state
         self._generation += 1
-        self.transitions.append((self.sim.now, old, new_state, reason))
         if PLANES.trace is not None:
             PLANES.trace.instant_span(
                 f"guard.{old}->{new_state}",

@@ -100,13 +100,18 @@ class CongestionGate:
         """Return ``n`` drained slots, clearing the flag at the low mark.
 
         Called from the engine's drain loop after a burst completes.
-        Wakes parked submitters in FIFO order while their reservations
-        fit, then notifies the manager so a pending :meth:`suspend
+        Releasing more than is outstanding is recorded in the manager's
+        ``violations`` before the count clamps at zero.  Wakes parked
+        submitters in FIFO order while their reservations fit, then
+        notifies the manager so a pending :meth:`suspend
         <repro.guard.manager.GuardManager.suspend>` can observe the
         device quiescing.
         """
         self.outstanding -= n
         if self.outstanding < 0:
+            if self.manager is not None:
+                self.manager.violations.append(
+                    f"{self.label}/{self.path}: outstanding went negative")
             self.outstanding = 0
         if (self.congested
                 and self.outstanding <= self.policy.nr_congestion_off):

@@ -1,23 +1,21 @@
 """Per-device guard manager: breakers, gates, suspend/resume, oracles.
 
-One :class:`GuardManager` per node owns the per-path breakers (one per
-SDMA engine plus the offload path), the per-engine congestion gates,
-and the suspend/resume queued-IO list.  The driver chassis consults it
-on every fast-path submit:
+One :class:`GuardManager` per device owns the per-path breakers (one
+per SDMA engine or pxd replica, plus the offload path), the per-path
+congestion gates, and the suspend/resume queued-IO list.  The driver
+chassis consults it on every fast-path submit:
 
 * the McKernel dispatcher asks :meth:`admits` *before* attempting the
   fast path, so a DOWN path routes to offload at dispatch time;
-* the PicoDriver fast path asks :meth:`pick_healthy_engine` instead of
-  the device's bare round-robin, and feeds outcomes back through
+* the HFI PicoDriver asks :meth:`pick_healthy_engine` instead of the
+  device's bare round-robin, and feeds outcomes back through
   :meth:`record_success`/:meth:`record_failure`;
-* both driver entry points park on :meth:`park_if_suspended` so a
+* both HFI driver entry points park on :meth:`park_if_suspended` so a
   :meth:`suspend` can quiesce the device under live traffic.
 
 The manager also doubles as PicoCheck's oracle surface:
-:meth:`fsm_violations` checks every recorded breaker transition
-against the legal edge set, and :attr:`violations` accumulates any
-runtime invariant breach (an admitted submit while suspended, a gate
-draining below zero).
+:attr:`violations` receives each breach when it happens, an illegal
+breaker edge from the breaker and an over-release from the gate.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, List
 from ..config import PLANES
 from ..errors import FastPathUnavailable, ReproError
 from ..sim import Event
-from .breaker import (BREAKER_PROBING, LEGAL_TRANSITIONS, PathBreaker)
+from .breaker import BREAKER_PROBING, PathBreaker
 from .congestion import CongestionGate
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
@@ -40,6 +38,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
 #: offload path is the route of last resort, so its breaker never
 #: blocks dispatch, it only attributes failures in reports).
 OFFLOAD_PATH = "offload"
+#: the one syscall whose fast path depends on per-path health (the
+#: SDMA engines' and the pxd replicas' data path alike); the
+#: dispatcher's :meth:`GuardManager.admits` pre-check gates only it.
+DATA_SYSCALL = "writev"
 
 
 class GuardManager:
@@ -47,8 +49,7 @@ class GuardManager:
 
     def __init__(self, sim: "Simulator", policy: "GuardPolicy",
                  n_engines: int, tracer=None, label: str = "node0",
-                 path_prefix: str = "engine",
-                 data_syscalls: "tuple[str, ...]" = ("writev",)):
+                 path_prefix: str = "engine"):
         self.sim = sim
         self.policy = policy
         self.tracer = tracer
@@ -57,17 +58,16 @@ class GuardManager:
         #: engines, ``replica<i>`` for the pxd block device's backing
         #: replicas — one breaker per path either way.
         self.path_prefix = path_prefix
-        #: syscalls whose fast path depends on per-path health (the
-        #: dispatcher's :meth:`admits` pre-check gates only these).
-        self.data_syscalls = tuple(data_syscalls)
+        #: runtime invariant breaches, appended as they happen by the
+        #: breakers (an illegal edge) and the gates (an over-release);
+        #: a PicoCheck oracle input.
+        self.violations: List[str] = []
         #: per-path breakers keyed ``<prefix>0``.. plus ``offload``.
         self.breakers: Dict[str, PathBreaker] = {}
-        for i in range(n_engines):
-            path = self.path_name(i)
+        for path in [*map(self.path_name, range(n_engines)), OFFLOAD_PATH]:
             self.breakers[path] = PathBreaker(sim, policy, label, path,
-                                              tracer=tracer)
-        self.breakers[OFFLOAD_PATH] = PathBreaker(
-            sim, policy, label, OFFLOAD_PATH, tracer=tracer)
+                                              tracer=tracer,
+                                              violations=self.violations)
         #: per-path congestion gates (index-aligned with the device's
         #: engine/replica list).
         self.gates: List[CongestionGate] = [
@@ -80,8 +80,6 @@ class GuardManager:
         self._parked: deque = deque()
         #: drain waiter armed by a :meth:`suspend` in progress.
         self._drain_waiter = None
-        #: runtime invariant breaches (PicoCheck oracle input).
-        self.violations: List[str] = []
         self._rr = 0
         self._trace_track = None
 
@@ -110,19 +108,10 @@ class GuardManager:
 
     # -- path naming ------------------------------------------------------
 
-    @staticmethod
-    def engine_path(index: int) -> str:
-        """Breaker path name for SDMA engine ``index``."""
-        return f"engine{index}"
-
     def path_name(self, index: int) -> str:
         """Breaker path name for fast path ``index`` under this
         manager's naming scheme (``engine3``, ``replica1``, ...)."""
         return f"{self.path_prefix}{index}"
-
-    def gate_for(self, index: int) -> CongestionGate:
-        """The congestion gate guarding SDMA engine ``index``."""
-        return self.gates[index]
 
     # -- dispatch-time admission -----------------------------------------
 
@@ -131,11 +120,10 @@ class GuardManager:
 
         The dispatcher calls this before attempting the fast path, so
         a degraded path is routed around without exception churn.
-        Only the manager's ``data_syscalls`` depend on per-path health
-        (``writev`` for SDMA engines, write/read calls for pxd
-        replicas); every other fast call stays admitted.
+        Only :data:`DATA_SYSCALL` depends on per-path health; every
+        other fast call stays admitted.
         """
-        if syscall not in self.data_syscalls:
+        if syscall != DATA_SYSCALL:
             return True
         return any(self.breakers[self.path_name(i)].admits()
                    for i in range(len(self.gates)))
@@ -152,7 +140,7 @@ class GuardManager:
         n = len(hfi.engines)
         for off in range(n):
             idx = (self._rr + off) % n
-            breaker = self.breakers[self.engine_path(idx)]
+            breaker = self.breakers[self.path_name(idx)]
             if breaker.admits():
                 self._rr = (idx + 1) % n
                 if breaker.state == BREAKER_PROBING:
@@ -236,40 +224,4 @@ class GuardManager:
 
     def _outstanding_total(self) -> int:
         """Outstanding descriptors summed across all gates."""
-        total = 0
-        for gate in self.gates:
-            if gate.outstanding < 0:
-                self.violations.append(
-                    f"{self.label}/{gate.path}: outstanding went negative")
-            total += gate.outstanding
-        return total
-
-    # -- oracles & reporting ---------------------------------------------
-
-    def fsm_violations(self) -> List[str]:
-        """Breaker transitions outside the legal CLOSED/OPEN/PROBING
-        edge set (empty on a healthy run; a PicoCheck oracle)."""
-        bad = []
-        for path, breaker in self.breakers.items():
-            for when, old, new, reason in breaker.transitions:
-                if (old, new) not in LEGAL_TRANSITIONS:
-                    bad.append(
-                        f"{self.label}/{path}: illegal {old}->{new} at "
-                        f"t={when * 1e6:.1f}us ({reason})")
-        return bad
-
-    def snapshot(self) -> Dict[str, object]:
-        """Point-in-time health summary for flap reports."""
-        return {
-            "suspended": self.suspended,
-            "parked": len(self._parked),
-            "paths": {
-                path: {"state": b.state,
-                       "failures_in_window": b._failure_count(),
-                       "backoff_us": round(b.backoff * 1e6, 1),
-                       "transitions": len(b.transitions)}
-                for path, b in self.breakers.items()},
-            "gates": [{"path": g.path, "outstanding": g.outstanding,
-                       "congested": g.congested}
-                      for g in self.gates],
-        }
+        return sum(gate.outstanding for gate in self.gates)

@@ -171,6 +171,8 @@ class BlockDevice:
             for i in range(params.replicas)]
         #: whether each replica's drain loop runs (it starts on first IO)
         self._started = [False] * params.replicas
+        #: whether each replica's drain loop is servicing an IO
+        self._busy = [False] * params.replicas
         #: installed by the pxd driver at probe
         self.irq_dispatcher = None
         #: optional :class:`repro.faults.FaultInjector` (chaos runs only)
@@ -200,9 +202,13 @@ class BlockDevice:
         if inj is not None and inj.fires("pxd.path_loss"):
             media.online = False
             self.tracer.count("blk.path_loss")
-        self._queues[io.replica].append(io)
+        queue = self._queues[io.replica]
+        # a loop servicing an IO finds this one when it looks again, so
+        # only an idle loop is woken
+        kick = not queue and not self._busy[io.replica]
+        queue.append(io)
         self.tracer.count(f"blk.r{io.replica}.submits")
-        if len(self._queues[io.replica]) == 1:
+        if kick:
             self._kick(io.replica)
 
     def _media(self, index: int) -> ReplicaMedia:
@@ -229,6 +235,7 @@ class BlockDevice:
                 yield self._work[index].get()
                 continue
             io = queue.popleft()
+            self._busy[index] = True
             span = PLANES.trace.begin_span(
                 "blk.io", track_of(self), cat="blk",
                 args={"op": io.op, "replica": index,
@@ -242,6 +249,7 @@ class BlockDevice:
             if PLANES.trace is not None and span is not None:
                 PLANES.trace.end_span(span)
             self.raise_irq(io)
+            self._busy[index] = False
 
     def _service(self, media: ReplicaMedia, io: BlockIo) -> None:
         """Apply the IO to the media, drawing the media fault points."""

@@ -108,9 +108,6 @@ class SdmaRequestGroup:
     descriptors: DescriptorChain
     packet: "Packet"
     on_complete: Optional[Callable[["SdmaRequestGroup"], None]] = None
-    #: kernel that allocated the metadata (decides which kfree the
-    #: completion callback must use, section 3.3)
-    owner_kernel: str = "linux"
     meta_addrs: List[int] = field(default_factory=list)
     #: completion function *pointer* — an address in the owner kernel's
     #: TEXT, invoked by the Linux IRQ handler through the cross-kernel

@@ -482,9 +482,9 @@ class SharedHeap:
 class _MonitorFan:
     """Forwards the monitor protocol to every installed heap monitor.
 
-    Monitors implement only the hooks they care about (KSan ignores the
-    ``on_lockdep_*`` pair, lockdep ignores ``annotate``/``on_access``);
-    the fan quietly skips hooks a monitor does not define.
+    Every monitor implements the access and lock hooks, but only KSan
+    implements ``on_free``; the fan quietly skips hooks a monitor does
+    not define.
     """
 
     __slots__ = ("_monitors",)
@@ -512,9 +512,3 @@ class _MonitorFan:
 
     def on_lock_released(self, *args, **kwargs) -> None:
         self._fan("on_lock_released", *args, **kwargs)
-
-    def on_lockdep_acquire(self, *args, **kwargs) -> None:
-        self._fan("on_lockdep_acquire", *args, **kwargs)
-
-    def on_lockdep_release(self, *args, **kwargs) -> None:
-        self._fan("on_lockdep_release", *args, **kwargs)

@@ -229,7 +229,7 @@ class Hfi1Driver(FileOps):
             return cleanup()
 
         group = SdmaRequestGroup(descriptors=descs, packet=packet,
-                                 on_complete=complete, owner_kernel="linux",
+                                 on_complete=complete,
                                  meta_addrs=[meta_addr])
         span = PLANES.trace.begin_span(
             "hfi1.writev", track_of(self), cat="driver",
@@ -358,7 +358,7 @@ class Hfi1Driver(FileOps):
         if self.guard is not None:
             # halt events feed the per-engine breaker exactly once per
             # recovery cycle (the dedup above keeps retriggered IRQs out)
-            self.guard.record_failure(self.guard.engine_path(engine.index),
+            self.guard.record_failure(self.guard.path_name(engine.index),
                                       reason)
         # racy read by design: the fast path polls go_s99_running
         # lock-free and tolerates staleness by bailing to the slow

@@ -56,9 +56,8 @@ class MlxDriver(FileOps):
         self.devdata: Optional[StructInstance] = None
         self._files: Dict[int, MlxFileState] = {}
         self._next_key = 0x1000
-        #: optional :class:`~repro.guard.manager.GuardManager` for the
-        #: memory-registration fast path (one ``memreg0`` breaker); the
-        #: McKernel dispatcher reads it for admission routing
+        #: the guard handle the McKernel dispatcher reads; no guard
+        #: plane is installed on the memory-registration path
         self.guard = None
 
     # -- module load -------------------------------------------------------

@@ -19,14 +19,18 @@ reproduced on the simulator's chassis:
   refusing (typed) when no healthy source exists.
 
 The replica lifecycle is an explicit FSM (``inservice`` -> ``evicted``
--> ``probing`` -> ``inservice``/``evicted``) whose transitions are
-recorded for the PicoCheck ``pxd-fallback`` scenario's legality oracle.
+-> ``probing`` -> ``inservice``/``evicted``) kept as one state per
+replica, the driver's only record of it: the in-service set is a view
+of it, and the ``inservice_mask`` heap word publishes that set to the
+fast path.  Each edge is judged against the legal set when it is taken;
+an illegal one lands in ``violations`` (an oracle of the PicoCheck
+``pxd-fallback`` scenario).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ...config import PLANES
 from ...core.lockclasses import declare_lock_class
@@ -54,7 +58,7 @@ _ADMIN_IOCTL_COST = 0.6 * USEC
 #: per-open setup cost
 _OPEN_COST = 2.1 * USEC
 
-#: replica lifecycle FSM legal edges (PicoCheck oracle input)
+#: replica lifecycle FSM legal edges (judged as each edge is taken)
 REPLICA_LEGAL_TRANSITIONS = frozenset({
     ("inservice", "evicted"),
     ("evicted", "probing"),
@@ -87,7 +91,6 @@ class PxdIoHead:
     #: fast path: McKernel-TEXT completion address (callback registry)
     callback_addr: Optional[int] = None
     meta_addrs: List[int] = field(default_factory=list)
-    owner_kernel: str = "linux"
     trace_ctx: object = None
 
 
@@ -106,20 +109,17 @@ class PxdDriver(FileOps):
         self.heap = None
         self.device: Optional[StructInstance] = None
         self.fpext: Optional[StructInstance] = None
-        #: replica indices currently serving IO (mirrored into the
-        #: extension struct's ``inservice_mask`` for the fast path)
-        self.inservice: Set[int] = set()
+        #: replica lifecycle FSM: ``inservice``, ``evicted`` or
+        #: ``probing`` per replica index
+        self.replica_states: List[str] = []
+        #: illegal lifecycle edges, recorded as they are taken
+        self.violations: List[str] = []
         #: per-evicted-replica divergent sector set (resync work list)
         self._dirty: Dict[int, Set[int]] = {}
-        #: replicas with a probe/readmit in progress
-        self._probing: Set[int] = set()
         #: the replica most recently taken out of service; when the
         #: whole set empties, this one is the data authority (see
         #: :meth:`_resync_and_readmit`)
         self._last_evicted: Optional[int] = None
-        #: replica lifecycle FSM: recorded transitions + current states
-        self._replica_state: Dict[int, str] = {}
-        self.replica_transitions: List[Tuple[float, int, str, str, str]] = []
         #: one entry per resync attempt: divergence found / refusals
         self.resync_reports: List[Dict[str, object]] = []
         #: writes in flight (head submitted, last completion pending)
@@ -159,8 +159,7 @@ class PxdDriver(FileOps):
         self.fpext.set("congested", 0, atomic=True)
         self.fpext.set("nr_congestion_on", blk.qdepth)
         self.fpext.set("nr_congestion_off", max(1, blk.qdepth * 3 // 4))
-        self.inservice = set(range(blk.replicas))
-        self._replica_state = {i: "inservice" for i in range(blk.replicas)}
+        self.replica_states = ["inservice"] * blk.replicas
         self.fpext.set("inservice_mask", self._mask(), atomic=True)
         # block-IO submission lock: shared-heap spin lock so the fast
         # path can serialize with us (same pattern as hfi1.sdma_submit)
@@ -190,11 +189,14 @@ class PxdDriver(FileOps):
     def probe_sector(self) -> int:
         return self.blockdev.params.sectors - 1
 
+    @property
+    def inservice(self) -> FrozenSet[int]:
+        """Replica indices currently serving IO (a view of the FSM)."""
+        return frozenset(r for r, state in enumerate(self.replica_states)
+                         if state == "inservice")
+
     def _mask(self) -> int:
-        mask = 0
-        for i in self.inservice:
-            mask |= 1 << i
-        return mask
+        return sum(1 << r for r in self.inservice)
 
     def _check_range(self, sector: int, nsectors: int) -> None:
         if sector < 0 or nsectors <= 0 \
@@ -206,33 +208,28 @@ class PxdDriver(FileOps):
     # -- replica lifecycle FSM ---------------------------------------------
 
     def _transition(self, replica: int, new: str, reason: str) -> None:
-        old = self._replica_state.get(replica, "inservice")
-        self.replica_transitions.append(
-            (self.kernel.sim.now, replica, old, new, reason))
-        self._replica_state[replica] = new
-
-    def fsm_violations(self) -> List[str]:
-        """Replica transitions outside the legal lifecycle edge set
-        (empty on a healthy run; a PicoCheck oracle)."""
-        bad = []
-        for when, replica, old, new, reason in self.replica_transitions:
-            if (old, new) not in REPLICA_LEGAL_TRANSITIONS:
-                bad.append(f"pxd replica {replica}: illegal {old}->{new} "
-                           f"at t={when * 1e6:.1f}us ({reason})")
-        return bad
+        """Move ``replica`` to ``new``, recording an illegal edge, and
+        republish the mask when the in-service set changes."""
+        old = self.replica_states[replica]
+        if (old, new) not in REPLICA_LEGAL_TRANSITIONS:
+            self.violations.append(
+                f"pxd replica {replica}: illegal {old}->{new} at "
+                f"t={self.kernel.sim.now * 1e6:.1f}us ({reason})")
+        self.replica_states[replica] = new
+        if "inservice" in (old, new):
+            self.fpext.set("inservice_mask", self._mask(), atomic=True)
 
     def _evict(self, replica: int, reason: str,
                sectors: Optional[Tuple[int, int]] = None) -> None:
         """Take a replica out of service (always-on data-integrity
         action: a write failure means its content may have diverged)."""
-        if replica not in self.inservice:
+        if self.replica_states[replica] != "inservice":
             # already evicted by a concurrent IO; just extend its dirt
             if sectors is not None and replica in self._dirty:
                 lo, n = sectors
                 self._dirty[replica].update(range(lo, lo + n))
             return
-        self.inservice.discard(replica)
-        self.fpext.set("inservice_mask", self._mask(), atomic=True)
+        self._transition(replica, "evicted", reason)
         self.fpext.add("fail_cnt", 1)
         self._last_evicted = replica
         self._dirty[replica] = set()
@@ -240,7 +237,6 @@ class PxdDriver(FileOps):
             lo, n = sectors
             self._dirty[replica].update(range(lo, lo + n))
         self.blockdev.tracer.count("pxd.evictions")
-        self._transition(replica, "evicted", reason)
         if self.guard is not None:
             self.guard.record_failure(self.guard.path_name(replica), reason)
         if PLANES.trace is not None:
@@ -250,11 +246,9 @@ class PxdDriver(FileOps):
 
     def _readmit(self, replica: int) -> None:
         """Return a resynced replica to service (FSM: probing->inservice)."""
-        self.inservice.add(replica)
-        self.fpext.set("inservice_mask", self._mask(), atomic=True)
+        self._transition(replica, "inservice", "resync complete")
         self._dirty.pop(replica, None)
         self.blockdev.tracer.count("pxd.readmits")
-        self._transition(replica, "inservice", "resync complete")
         if PLANES.trace is not None:
             PLANES.trace.instant_span(
                 "pxd.readmit", track_of(self), cat="recovery",
@@ -340,7 +334,7 @@ class PxdDriver(FileOps):
                              payload=payload, targets=targets,
                              tracker_add=tracker.add,
                              remaining=len(targets), completion=completion,
-                             on_complete=complete, owner_kernel="linux")
+                             on_complete=complete)
             if PLANES.trace is not None:
                 head.trace_ctx = span
             # registered the moment the target set is fixed, before any
@@ -349,9 +343,6 @@ class PxdDriver(FileOps):
             self._inflight.add(head)
             guard = self.guard
             if guard is not None:
-                # suspended device: park on the queued-IO list; resume()
-                # replays us in arrival order
-                yield from guard.park_if_suspended()
                 # qdepth bound: one slot per targeted replica, ascending
                 # order so concurrent writers cannot deadlock
                 for r in targets:
@@ -424,8 +415,6 @@ class PxdDriver(FileOps):
         self._check_range(sector, nsectors)
         yield from kernel.sim.delay(self.blockdev.params.submit_base)
         guard = self.guard
-        if guard is not None:
-            yield from guard.park_if_suspended()
         errors: List[Tuple[int, Exception]] = []
         for r in sorted(self.inservice):
             evt = Event(kernel.sim)
@@ -462,17 +451,14 @@ class PxdDriver(FileOps):
         yield from kernel.sim.delay(_ADMIN_IOCTL_COST)
         if r < 0 or r >= self.blockdev.params.replicas:
             raise BadSyscall(f"pxd: no replica {r}")
-        if r in self.inservice:
+        state = self.replica_states[r]
+        if state == "inservice":
             return 0
-        if r in self._probing:
+        if state == "probing":
             raise DriverError(f"pxd replica {r}: probe already in progress")
-        self._probing.add(r)
-        try:
-            self.blockdev.replicas[r].reattach()
-            self._transition(r, "probing", "admin UPDATE_PATH")
-            ok = yield from self._resync_and_readmit(r)
-        finally:
-            self._probing.discard(r)
+        self.blockdev.replicas[r].reattach()
+        self._transition(r, "probing", "admin UPDATE_PATH")
+        ok = yield from self._resync_and_readmit(r)
         if not ok:
             raise MediaError(
                 f"pxd replica {r} re-admission refused: no healthy "
@@ -483,7 +469,7 @@ class PxdDriver(FileOps):
         """Point-in-time health snapshot (GET_STATS / reports)."""
         return {
             "inservice": sorted(self.inservice),
-            "states": dict(self._replica_state),
+            "states": list(self.replica_states),
             "wr_seq": self.fpext.get("wr_seq"),
             "fail_cnt": self.fpext.get("fail_cnt"),
             "suspend": self.fpext.get("suspend", atomic=True),
@@ -524,7 +510,7 @@ class PxdDriver(FileOps):
             head.tracker_add("fails", 1)
             self._evict(r, str(io.status),
                         sectors=(head.sector, head.nsectors))
-        elif guard is not None and r in self.inservice:
+        elif guard is not None and self.replica_states[r] == "inservice":
             guard.record_success(guard.path_name(r))
         if head.remaining == 0:
             return self._head_finish(head)
@@ -540,8 +526,8 @@ class PxdDriver(FileOps):
             # the write landed on the survivors; every replica outside
             # the target set (evicted before submit) now diverges here
             for r in range(self.blockdev.params.replicas):
-                if r not in head.targets and r not in self.inservice \
-                        and r in self._dirty:
+                if r not in head.targets and r in self._dirty \
+                        and self.replica_states[r] != "inservice":
                     self._dirty[r].update(
                         range(head.sector, head.sector + head.nsectors))
             self.blockdev.tracer.count("pxd.acked_writes")
@@ -581,15 +567,14 @@ class PxdDriver(FileOps):
         guard = self.guard
         if guard is not None:
             from ...guard.breaker import BREAKER_PROBING
-            for r, state in self._replica_state.items():
-                if state != "evicted" or r in self._probing:
+            for r, state in enumerate(self.replica_states):
+                if state != "evicted":
                     continue
                 breaker = guard.breakers[guard.path_name(r)]
                 if not breaker.admits():
                     continue
                 if breaker.state == BREAKER_PROBING:
                     breaker.begin_probe()
-                self._probing.add(r)
                 self._transition(r, "probing", "breaker admits probe")
                 self.blockdev.tracer.count("pxd.probes")
                 self.kernel.sim.spawn(self._probe(r))
@@ -613,24 +598,21 @@ class PxdDriver(FileOps):
         yield evt
         done: BlockIo = evt.value
         guard = self.guard
-        try:
-            if done.status is not None:
-                if guard is not None:
-                    guard.record_failure(guard.path_name(r),
-                                         f"probe failed: {done.status}")
-                self._transition(r, "evicted", f"probe failed: {done.status}")
-                return
+        if done.status is not None:
             if guard is not None:
-                guard.record_success(guard.path_name(r))
-                from ...guard.breaker import BREAKER_CLOSED
-                if guard.breakers[guard.path_name(r)].state != BREAKER_CLOSED:
-                    # failback hysteresis: more probe successes needed
-                    self._transition(r, "evicted",
-                                     "probe ok, breaker not yet closed")
-                    return
-            yield from self._resync_and_readmit(r)
-        finally:
-            self._probing.discard(r)
+                guard.record_failure(guard.path_name(r),
+                                     f"probe failed: {done.status}")
+            self._transition(r, "evicted", f"probe failed: {done.status}")
+            return
+        if guard is not None:
+            guard.record_success(guard.path_name(r))
+            from ...guard.breaker import BREAKER_CLOSED
+            if guard.breakers[guard.path_name(r)].state != BREAKER_CLOSED:
+                # failback hysteresis: more probe successes needed
+                self._transition(r, "evicted",
+                                 "probe ok, breaker not yet closed")
+                return
+        yield from self._resync_and_readmit(r)
 
     def _resync_and_readmit(self, r: int):
         """Generator: copy divergent sectors from a healthy survivor

@@ -102,6 +102,20 @@ def test_sanitize_storage_runs_the_storage_smoke_clean(capsys):
     assert "every dynamic fact is contained" in out
 
 
+def test_sanitize_flap_runs_the_flap_smoke_clean(capsys):
+    """``sanitize flap`` prints exactly what ``chaos --flap --smoke``
+    prints, then finds no race, no hazard and no fact the static model
+    misses with the guard plane on the HFI fast path."""
+    assert main(["chaos", "--flap", "--smoke"]) == 0
+    smoke = capsys.readouterr().out
+    assert main(["sanitize", "flap"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("== sanitizing flap ==\n" + smoke)
+    assert "KSan: no cross-kernel races detected" in out
+    assert "lockdep: no lock-order hazards" in out
+    assert "every dynamic fact is contained" in out
+
+
 def _racy_experiment():
     """A deliberately broken 'experiment': writes SDMA engine state from
     McKernel without taking ``hfi1.sdma_submit``."""

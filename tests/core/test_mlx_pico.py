@@ -180,19 +180,24 @@ def test_two_picodrivers_coexist():
 
 
 def test_mtt_exhaustion():
-    machine, mlx, _ = machine_with_ib(OSConfig.LINUX)
-    mlx.devdata.set("mtt_entries_max", 8)
+    """A registration beyond the MTT capacity fails typed on the slow
+    path and on the fast path; the fast path programs one entry per
+    span, so only a zero capacity refuses its 1 MiB registration."""
+    for cfg, capacity in ((OSConfig.LINUX, 8), (OSConfig.MCKERNEL_HFI, 0)):
+        machine, mlx, _ = machine_with_ib(cfg)
+        mlx.devdata.set("mtt_entries_max", capacity)
 
-    def body(task):
-        fd = yield from task.syscall("open", mlx.device_path)
-        buf = yield from task.syscall("mmap", 1 * MiB)
-        yield from task.syscall("ioctl", fd, MLX_CMD_REG_MR,
-                                {"vaddr": buf, "length": 1 * MiB})
+        def body(task):
+            fd = yield from task.syscall("open", mlx.device_path)
+            buf = yield from task.syscall("mmap", 1 * MiB)
+            yield from task.syscall("ioctl", fd, MLX_CMD_REG_MR,
+                                    {"vaddr": buf, "length": 1 * MiB})
 
-    task = machine.spawn_rank(0, 0)
-    proc = machine.sim.process(body(task))
-    machine.sim.run()
-    assert isinstance(proc.exception, DriverError)
+        task = machine.spawn_rank(0, 0)
+        proc = machine.sim.process(body(task))
+        machine.sim.run()
+        assert isinstance(proc.exception, DriverError), cfg
+    assert machine.tracer.get_count("pico.fast.ioctl") == 1
 
 
 # --- PicoGuard dispatch and typed-error regression ---------------------------
@@ -239,51 +244,3 @@ def test_claimed_but_unimplemented_syscall_surfaces_typed_error():
     machine.sim.run()
     assert isinstance(proc.exception, DriverError)
     assert "fast_poll" in str(proc.exception)
-
-
-def test_mtt_exhaustion_feeds_memreg_breaker_and_routes_offload():
-    """With PicoGuard attached, MTT exhaustion on the memreg fast path
-    trips its breaker and later registrations route straight to the
-    offloaded slow path — still failing typed, but without fast-path
-    exception churn."""
-    from repro.guard import GuardPolicy
-    from repro.guard.manager import GuardManager
-    from repro.units import USEC
-
-    policy = GuardPolicy(failure_window=4, failure_threshold=1,
-                         probe_successes=1, probe_backoff=50 * USEC)
-    machine, mlx, pico = machine_with_ib(OSConfig.MCKERNEL_HFI)
-    # the memreg driver is loaded by hand, so its manager is too: the
-    # fast path tests only the handle it finds on the driver
-    mlx.guard = GuardManager(machine.sim, policy, 1,
-                             machine.tracer, label="node0.mlx",
-                             path_prefix="memreg",
-                             data_syscalls=("ioctl",))
-    # zero MTT capacity: even the span-collapsed fast path is refused
-    mlx.devdata.set("mtt_entries_max", 0)
-    outcomes = []
-
-    def body(task):
-        fd = yield from task.syscall("open", mlx.device_path)
-        buf = yield from task.syscall("mmap", 1 * MiB)
-        for _attempt in range(2):
-            try:
-                yield from task.syscall(
-                    "ioctl", fd, MLX_CMD_REG_MR,
-                    {"vaddr": buf, "length": 1 * MiB})
-                outcomes.append("ok")
-            except DriverError:
-                outcomes.append("typed")
-
-    task = machine.spawn_rank(0, 0)
-    proc = machine.sim.process(body(task))
-    machine.sim.run()
-    assert proc.exception is None
-    assert outcomes == ["typed", "typed"]
-    # the first failure tripped the hair-trigger breaker out of
-    # CLOSED (by end of run the probe backoff has moved it OPEN ->
-    # PROBING, so check the FSM left CLOSED, not a frozen state)...
-    from repro.guard.breaker import BREAKER_CLOSED
-    assert mlx.guard.breakers["memreg0"].state != BREAKER_CLOSED
-    # ...so the second attempt was routed to offload at dispatch
-    assert machine.tracer.get_count("guard.routed_offload.ioctl") >= 1

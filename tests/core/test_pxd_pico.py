@@ -174,7 +174,7 @@ def test_all_replicas_failing_fast_write_is_typed():
     assert proc.exception is None
     assert outcomes == ["typed", "typed-empty"]
     assert machine.tracer.get_count("pico.pxd_no_replicas") == 1
-    assert pxd.fsm_violations() == []
+    assert pxd.violations == []
 
 
 def test_fast_read_range_checked_against_the_data_region():

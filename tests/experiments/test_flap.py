@@ -44,17 +44,17 @@ def test_flap_phases_account_every_message(flap):
     assert flap.phase("drill").typed == 0
 
 
-def test_flap_snapshots_one_per_node(flap):
-    assert len(flap.snapshots) == 2
-    for snap in flap.snapshots:
-        assert not snap["suspended"] and snap["parked"] == 0
-
-
 def test_flap_render_reports_verdict(flap):
     text = flap.render()
     assert "recovery ratio" in text
     assert "failovers" in text and "failbacks" in text
     assert "flap verdict" in text
+
+
+def test_flap_render_attributes_failovers_to_engines(flap):
+    """The report lists the breaker's per-engine counters by name."""
+    assert "  guard.failovers.node0.engine0 = 1" \
+        in flap.render().splitlines()
 
 
 def test_flap_restores_global_config(flap):

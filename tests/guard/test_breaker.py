@@ -24,6 +24,20 @@ def make_breaker(**overrides):
     return sim, tracer, breaker
 
 
+def record_edges(breaker):
+    """The ``(old, new)`` edges ``breaker`` takes from now on."""
+    edges = []
+    take = breaker._transition
+
+    def recorded(new_state, reason):
+        if new_state != breaker.state:
+            edges.append((breaker.state, new_state))
+        take(new_state, reason)
+
+    breaker._transition = recorded
+    return edges
+
+
 def open_breaker(breaker):
     for _ in range(breaker.policy.failure_threshold):
         breaker.record_failure("test fault")
@@ -34,7 +48,7 @@ def test_starts_closed_and_admitting():
     _sim, _tracer, b = make_breaker()
     assert b.state == BREAKER_CLOSED
     assert b.admits()
-    assert b.transitions == []
+    assert b.violations == []
 
 
 def test_failures_below_threshold_stay_closed():
@@ -46,11 +60,12 @@ def test_failures_below_threshold_stay_closed():
 
 def test_opens_at_threshold_and_stops_admitting():
     _sim, tracer, b = make_breaker()
+    edges = record_edges(b)
     open_breaker(b)
     assert not b.admits()
     assert tracer.counters["guard.failovers"] == 1
     assert tracer.counters["guard.failovers.node0.engine0"] == 1
-    assert b.transitions[-1][1:3] == (BREAKER_CLOSED, BREAKER_OPEN)
+    assert edges == [(BREAKER_CLOSED, BREAKER_OPEN)]
 
 
 def test_window_slides_old_failures_out():
@@ -122,10 +137,10 @@ def test_success_while_open_is_legal_and_harmless():
     close the breaker or register as a transition."""
     _sim, _tracer, b = make_breaker()
     open_breaker(b)
-    n_transitions = len(b.transitions)
+    edges = record_edges(b)
     b.record_success()
     assert b.state == BREAKER_OPEN
-    assert len(b.transitions) == n_transitions
+    assert edges == []
 
 
 def test_begin_probe_outside_probing_raises():
@@ -139,15 +154,16 @@ def test_begin_probe_outside_probing_raises():
 
 def test_full_cycle_uses_only_legal_edges():
     sim, _tracer, b = make_breaker(probe_successes=1)
+    edges = record_edges(b)
     for _round in range(3):
         open_breaker(b)
         sim.run()
         b.begin_probe()
         b.record_success()
         assert b.state == BREAKER_CLOSED
-    assert len(b.transitions) == 9
-    assert all((old, new) in LEGAL_TRANSITIONS
-               for _t, old, new, _r in b.transitions)
+    assert len(edges) == 9
+    assert all(edge in LEGAL_TRANSITIONS for edge in edges)
+    assert b.violations == []
 
 
 def test_policy_validates_itself():

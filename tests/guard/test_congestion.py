@@ -12,10 +12,11 @@ POLICY_KW = dict(failure_window=4, failure_threshold=2, probe_successes=2,
 
 
 class DrainLog:
-    """Stand-in manager recording note_drain callbacks."""
+    """Stand-in manager recording note_drain callbacks and violations."""
 
     def __init__(self):
         self.calls = 0
+        self.violations = []
 
     def note_drain(self):
         self.calls += 1
@@ -135,3 +136,4 @@ def test_release_clamps_at_zero_and_notifies_manager():
     gate.release_slots(5)
     assert gate.outstanding == 0
     assert log.calls == 1
+    assert log.violations == ["node0/engine0: outstanding went negative"]

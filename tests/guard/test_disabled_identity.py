@@ -19,7 +19,7 @@ def exercise_guarded_machine():
         guard = machine.nodes[0].guard
         assert guard is not None
         for i in range(len(guard.gates)):
-            guard.record_failure(guard.engine_path(i), "identity drill")
+            guard.record_failure(guard.path_name(i), "identity drill")
         machine.sim.run()
 
 

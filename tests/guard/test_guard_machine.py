@@ -6,7 +6,7 @@ import pytest
 
 from repro.config import OSConfig, planes
 from repro.experiments import build_machine
-from repro.guard import BREAKER_CLOSED, GuardPolicy
+from repro.guard import BREAKER_CLOSED, BREAKER_PROBING, GuardPolicy
 from repro.sim import Event
 from repro.units import KiB, USEC
 
@@ -52,6 +52,16 @@ def test_build_installs_guard_on_every_node(guarded_machine):
             assert eng.gate is mnode.guard.gates[eng.index]
 
 
+def test_forced_illegal_breaker_edge_is_one_oracle_finding(guarded_machine):
+    """A breaker records an illegal edge in its manager's violations
+    when it takes it, so the machine's oracle sweep reports it once."""
+    breaker = guarded_machine.nodes[0].guard.breakers["engine0"]
+    breaker._transition(BREAKER_PROBING, "forced")
+    found = guarded_machine.oracle_violations()
+    assert len(found) == 1
+    assert found[0].startswith("node0/engine0: illegal closed->probing")
+
+
 def test_build_without_guard_leaves_plane_absent():
     machine = build_machine(2, OSConfig.MCKERNEL_HFI)
     for mnode in machine.nodes:
@@ -63,7 +73,7 @@ def test_all_breakers_open_routes_writev_to_offload(guarded_machine):
     machine = guarded_machine
     guard = machine.nodes[0].guard
     for i in range(len(guard.gates)):
-        guard.record_failure(guard.engine_path(i), "forced down")
+        guard.record_failure(guard.path_name(i), "forced down")
     proc = send_eager(machine)
     assert proc.ok and proc.value == 256 * KiB
     assert machine.tracer.get_count("guard.routed_offload") >= 1
@@ -76,12 +86,12 @@ def test_probe_success_fails_back_under_traffic(guarded_machine):
     machine = guarded_machine
     guard = machine.nodes[0].guard
     for i in range(len(guard.gates)):
-        guard.record_failure(guard.engine_path(i), "forced down")
+        guard.record_failure(guard.path_name(i), "forced down")
     machine.sim.run()  # probe backoff elapses, breakers turn PROBING
     proc = send_eager(machine)  # the probe: one writev down the fast path
     assert proc.ok
     assert machine.tracer.get_count("guard.failbacks") >= 1
-    assert any(guard.breakers[guard.engine_path(i)].state == BREAKER_CLOSED
+    assert any(guard.breakers[guard.path_name(i)].state == BREAKER_CLOSED
                for i in range(len(guard.gates)))
 
 

@@ -6,8 +6,8 @@ from types import SimpleNamespace
 import pytest
 
 from repro.errors import FastPathUnavailable, ReproError
-from repro.guard import (BREAKER_CLOSED, BREAKER_OPEN, BREAKER_PROBING,
-                         GuardManager, GuardPolicy)
+from repro.guard import (BREAKER_CLOSED, BREAKER_PROBING, GuardManager,
+                         GuardPolicy)
 from repro.sim import Simulator, Tracer
 from repro.units import USEC
 
@@ -32,7 +32,6 @@ def test_paths_cover_engines_plus_offload():
     assert set(manager.breakers) == {"engine0", "engine1", "engine2",
                                      "offload"}
     assert len(manager.gates) == 3
-    assert manager.gate_for(1) is manager.gates[1]
 
 
 def test_admits_only_gates_writev():
@@ -154,29 +153,25 @@ def test_double_suspend_and_stray_resume_raise():
 
 
 def test_fsm_violations_flags_illegal_edges():
+    """Each breaker judges its edge when it takes it and records an
+    illegal one in its manager's ``violations``."""
     sim, _tracer, manager, hfi = make_manager(1)
     manager.record_failure("engine0", "down")
     sim.run()
     manager.record_success("engine0")  # legal full cycle
-    assert manager.fsm_violations() == []
-    manager.breakers["engine0"].transitions.append(
-        (sim.now, BREAKER_CLOSED, BREAKER_PROBING, "forged"))
-    bad = manager.fsm_violations()
-    assert len(bad) == 1 and "illegal closed->probing" in bad[0]
+    breaker = manager.breakers["engine0"]
+    assert breaker.state == BREAKER_CLOSED and manager.violations == []
+    breaker._transition(BREAKER_PROBING, "forged")
+    assert len(manager.violations) == 1
+    assert manager.violations[0].startswith(
+        "node0/engine0: illegal closed->probing")
+    assert breaker.violations is manager.violations
 
 
 def test_negative_gate_accounting_is_a_violation():
+    """Releasing a slot on an idle gate is recorded before the count
+    clamps at zero."""
     _sim, _tracer, manager, _hfi = make_manager()
-    manager.gates[0].outstanding = -1
-    manager._outstanding_total()
-    assert any("negative" in v for v in manager.violations)
-
-
-def test_snapshot_summarises_paths_and_gates():
-    _sim, _tracer, manager, _hfi = make_manager()
-    manager.record_failure("engine1", "down")
-    snap = manager.snapshot()
-    assert snap["suspended"] is False and snap["parked"] == 0
-    assert snap["paths"]["engine0"]["state"] == BREAKER_CLOSED
-    assert snap["paths"]["engine1"]["state"] == BREAKER_OPEN
-    assert [g["path"] for g in snap["gates"]] == ["engine0", "engine1"]
+    manager.gates[0].release_slots(1)
+    assert manager.gates[0].outstanding == 0
+    assert manager.violations == ["node0/engine0: outstanding went negative"]

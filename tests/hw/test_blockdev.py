@@ -112,6 +112,29 @@ def test_replicas_have_no_process_before_their_first_io():
     assert done == [io] and io.status is None
 
 
+def test_submit_to_a_busy_replica_wakes_no_loop():
+    """An IO submitted while the replica's loop services another waits
+    for the loop's next look at its queue: no wake-up token is left
+    behind for the loop to pop in an extra step once the queue drains."""
+    sim, params, dev, done = make_dev()
+    finished = []
+    dev.irq_dispatcher = lambda io: finished.append(sim.now)
+
+    def submitter():
+        dev.submit(write_io(params.sector_size))
+        yield sim.timeout(1e-6)
+        dev.submit(write_io(params.sector_size, sector=1))
+
+    sim.process(submitter())
+    steps = 0
+    while sim.peek() < float("inf"):
+        sim.step()
+        steps += 1
+    per_io = params.media_latency + params.sector_size / params.media_bandwidth
+    assert finished == pytest.approx([per_io, 2 * per_io])
+    assert steps == 6
+
+
 def test_unwritten_sectors_read_as_zeros_and_cost_nothing():
     """The store holds the sectors written and nothing else; a read
     across written and unwritten sectors sees zeros for the latter."""

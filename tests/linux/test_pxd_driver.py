@@ -119,13 +119,13 @@ def test_failing_replica_is_evicted_and_write_acked_from_survivors():
     assert 4 in pxd._dirty[0] and 5 in pxd._dirty[0]
     assert machine.tracer.get_count("pxd.evictions") == 1
     assert machine.tracer.get_count("pxd.acked_writes") == 1
-    assert pxd.fsm_violations() == []
+    assert pxd.violations == []
 
 
 def test_forced_illegal_edge_is_one_oracle_finding():
-    """The replica FSM oracle derives each illegal edge from the recorded
-    transitions alone, so one illegal edge is one finding in the
-    machine's oracle sweep (not one per bookkeeping list)."""
+    """The replica FSM judges each edge as it is taken and records it
+    once, so one illegal edge is one finding in the machine's oracle
+    sweep."""
     machine, pxd, _blockdev = make_machine()
     pxd._transition(0, "probing", "forced")
     found = machine.oracle_violations()
@@ -160,7 +160,7 @@ def test_all_replicas_failing_surfaces_a_typed_error():
     assert outcomes == ["typed", "typed-empty"]
     assert pxd.inservice == set()
     assert machine.tracer.get_count("pxd.failed_writes") == 1
-    assert pxd.fsm_violations() == []
+    assert pxd.violations == []
 
 
 def test_update_path_resyncs_divergence_and_readmits():
@@ -190,7 +190,7 @@ def test_update_path_resyncs_divergence_and_readmits():
     assert machine.tracer.get_count("pxd.readmits") == 1
     report = pxd.resync_reports[-1]
     assert report["refused"] is False and report["diverged"] >= 2
-    assert pxd.fsm_violations() == []
+    assert pxd.violations == []
 
 
 def test_update_path_validates_the_replica_index():
@@ -258,4 +258,4 @@ def test_guard_probe_reattaches_resyncs_and_readmits():
         data_sectors = pxd.data_sectors
         assert blockdev.replicas[1].peek(0, data_sectors) \
             == blockdev.replicas[0].peek(0, data_sectors)
-        assert pxd.fsm_violations() == []
+        assert pxd.violations == []

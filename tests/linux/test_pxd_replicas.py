@@ -70,7 +70,10 @@ def assert_replica_invariants(machine, pxd, blockdev, acked):
             assert blockdev.replicas[r].peek(0, pxd.data_sectors) == ref, \
                 f"in-service replicas {ins[0]} and {r} are not bitwise " \
                 f"identical over the data region"
-    assert pxd.fsm_violations() == []
+    # the fast path's published copy of the in-service set
+    assert pxd.fpext.get("inservice_mask", atomic=True) \
+        == sum(1 << r for r in pxd.inservice)
+    assert pxd.violations == []
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -159,7 +162,7 @@ def test_torn_write_divergence_is_detected_and_resynced_on_readmit():
         assert blockdev.replicas[evicted].peek(0, NSECTORS) == payload
         assert blockdev.replicas[survivor].peek(0, NSECTORS) == payload
         assert pxd.inservice == {0, 1}
-        assert pxd.fsm_violations() == []
+        assert pxd.violations == []
 
 
 def test_readmit_without_healthy_source_is_refused_typed():
@@ -208,4 +211,4 @@ def test_readmit_without_healthy_source_is_refused_typed():
     assert refused and refused[0]["reason"] == "no healthy source"
     assert blockdev.replicas[0].peek(0, pxd.data_sectors) \
         == blockdev.replicas[1].peek(0, pxd.data_sectors)
-    assert pxd.fsm_violations() == []
+    assert pxd.violations == []
