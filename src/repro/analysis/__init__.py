@@ -13,17 +13,17 @@ concurrently mutating the same Linux driver state (section 3.3):
   by both kernels whose candidate lockset goes empty is reported with
   full provenance (both access sites, sim time, lock holder history).
 
-* :mod:`repro.analysis.lint` — the per-module rules (stdlib ``ast``
-  only) of the PicoDriver protocol: lock discipline, sim-process
-  hygiene, layout-version guards, raw-heap-access confinement and the
-  opt-in planes' hook gating (rules PD002...PD016), plus the one
-  per-line ``# pd-ignore`` suppression pass and its PD100.
+* :mod:`repro.analysis.lint` — the PicoDriver rule table, the one
+  per-line ``# pd-ignore`` suppression pass and its PD100, and the one
+  syntactic scan (stdlib ``ast`` only): raw-heap-access confinement and
+  the opt-in planes' hook gating (PD005, PD007, PD011-PD013, PD016).
 
 * :mod:`repro.analysis.vet` — "PicoVet", the one static command
   (``python -m repro vet``): it parses each module once, builds the one
-  interprocedural program model (fast-path purity, lock order and
-  waits under a lock: rules PD008, PD009, PD015.x) and runs every rule,
-  per-module and whole-program, under one suppression verdict.
+  program model and runs every rule under one suppression verdict: the
+  scan, and the model's checkers for lock discipline, process hygiene,
+  layout guards (PD002-PD004), fast-path purity, lock order and waits
+  under a lock (PD008, PD009, PD015.x).
 
 * :mod:`repro.analysis.lockdep` — "PicoLockdep", cross-kernel
   lock-order analysis.  A runtime validator (``planes(lockdep=[])``)

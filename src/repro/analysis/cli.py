@@ -17,7 +17,8 @@
     Read the compile-time lock-class graph off the PicoVet program
     model (default target: the installed ``repro`` tree).  ``--dot``
     emits Graphviz for the CI artifact.  Exit status 1 on cycles or on
-    PD000/PD008/PD009 findings.
+    PD000/PD008/PD009 findings, 2 on an unknown option or a path that
+    does not exist.
 """
 
 from __future__ import annotations
@@ -213,9 +214,13 @@ def cmd_lockgraph(argv: List[str]) -> int:
         print(f"unknown option(s) {', '.join(unknown)}\n"
               "usage: python -m repro lockgraph [--dot] [paths...]")
         return 2
-    from .vet import program_paths
-    program, findings = program_paths(
-        [a for a in argv if not a.startswith("-")] or None)
+    from .vet import path_error, program_paths
+    paths = [a for a in argv if not a.startswith("-")]
+    error = path_error(paths)
+    if error is not None:
+        print(error)
+        return 2
+    program, findings = program_paths(paths or None)
     graph = lockdep_mod.lock_graph(program)
     findings = [f for f in findings
                 if f.code in ("PD000", "PD008", "PD009")]

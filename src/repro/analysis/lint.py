@@ -1,4 +1,5 @@
-"""PicoDriver protocol rules that judge one module at a time.
+"""The PicoDriver rule table, findings, suppressions and the one
+syntactic scan.
 
 The paper's porting methodology (sections 3.1-3.4) is a *protocol*:
 shared locks must be released on every path, simulation processes must
@@ -7,24 +8,20 @@ use, raw shared-heap word access is confined to the blessed accessor
 modules, and every opt-in plane's hooks sit behind a test of the
 handle that plane installed.
 Amani et al. ("Automatic Verification of Message-Based Device Drivers")
-show this class of driver-protocol property is statically checkable;
-this module checks the per-module half with nothing but the stdlib
-``ast``.  Everything interprocedural — fast-path purity, lock order,
-waits under a lock — is a query over PicoVet's one program model
-(rules PD008, PD009 and PD015.x).  ``python -m repro vet`` runs both
-halves over each parsed file and judges the file's suppressions once,
-against every rule's findings (:func:`judge_suppressions`).
+show this class of driver-protocol property is statically checkable.
+Every rule shares this module's table (:data:`RULES`), :class:`Finding`
+and suppression verdict (:func:`judge_suppressions`).  Most rules are
+queries over PicoVet's one program model
+(:mod:`repro.analysis.vet_checkers`: PD002-PD004 over each function's
+and class's digest, PD008, PD009 and PD015.x over the call graph);
+:func:`lint_module` is the one syntactic scan, for the rules that must
+also see module-level code, class bodies and lambdas.
+``python -m repro vet`` runs both over each parsed file and judges the
+file's suppressions once, against every rule's findings.
 
-Rules (each finding carries a fix-it hint):
+The scan's rules (each finding carries a fix-it hint):
 
 =======  ==============================================================
-PD002    lock discipline: every ``yield from X.acquire(...)`` has a
-         matching ``X.release(...)`` inside a ``finally`` block
-PD003    sim-process hygiene: ``fast_*`` methods must be generators,
-         and generator methods must not be bare-called (their process
-         would be silently discarded)
-PD004    layout-version guard: a PicoDriver class constructing a
-         ``StructView`` must call ``require_layout_version``
 PD005    raw heap access: no ``heap.read_u``/``write_u``/``read``/
          ``write`` in ``repro/core`` outside ``structs.py``/``sync.py``
 PD007    fault-hook gating: every fault-injection draw (``*.fires(...)``
@@ -55,9 +52,9 @@ PD100    unused suppression: a ``# pd-ignore`` comment that suppresses
          findings)
 =======  ==============================================================
 
-The five gating rules (PD007 ... PD016) are one table, ``_GATES``,
-checked in one scan.  Each row names the handles its plane installs
-(see :mod:`repro.config`); a test mentioning one of them, such as
+The five gating rules (PD007 ... PD016) are one table, ``_GATES``.
+Each row names the handles its plane installs (see
+:mod:`repro.config`); a test mentioning one of them, such as
 ``inj is not None``, gates the hook.  PicoVet's PD015.6 reads the
 PD007 row through the same matcher, :func:`gates_mentioned`.
 Fast-path purity (the former PD001/PD006) is PD015.1/PD015.3.
@@ -77,7 +74,9 @@ from dataclasses import dataclass
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional, Set,
                     Tuple)
 
-#: rule code -> (title, fix-it hint)
+#: rule code -> (title, fix-it hint) of every rule: PD002-PD004, PD008,
+#: PD009 and the PD015 family are the program-model rules of
+#: repro.analysis.vet_checkers, the rest this module's scan and verdict
 RULES: Dict[str, Tuple[str, str]] = {
     "PD000": ("parse failure",
               "fix the Python syntax; no protocol rule can run on an "
@@ -111,9 +110,6 @@ RULES: Dict[str, Tuple[str, str]] = {
               "guard the hook with a 'guard'/'gate'-is-installed test "
               "(if guard is not None: ...) so unguarded runs never "
               "consult the health manager"),
-    # PD008, PD009 and the PD015 family are the program-model rules of
-    # repro.analysis.vet_checkers; every rule shares this one table,
-    # Finding and suppression pass.
     "PD008": ("lock-order hierarchy",
               "acquire lock classes in the rank-increasing order "
               "declared in repro.core.lockclasses (take the lower rank "
@@ -216,8 +212,6 @@ def rules_table() -> str:
     return "\n".join(lines)
 
 
-# --- AST helpers -------------------------------------------------------------
-
 def _dotted(node: ast.AST) -> str:
     """Dotted path of a call target, e.g. ``self.lwk.ikc.call``."""
     parts: List[str] = []
@@ -229,165 +223,6 @@ def _dotted(node: ast.AST) -> str:
     else:
         parts.append("<expr>")
     return ".".join(reversed(parts))
-
-
-def _walk_shallow(root: ast.AST) -> Iterable[ast.AST]:
-    """Walk ``root`` without descending into nested function/class defs."""
-    stack = list(ast.iter_child_nodes(root))
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda, ast.ClassDef)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def _is_generator(fn: ast.FunctionDef) -> bool:
-    """True if the function body itself contains ``yield``/``yield from``."""
-    return any(isinstance(n, (ast.Yield, ast.YieldFrom))
-               for n in _walk_shallow(fn))
-
-
-class _ClassInfo:
-    """A class definition digested for the PicoDriver rules."""
-
-    def __init__(self, node: ast.ClassDef):
-        self.node = node
-        self.methods: Dict[str, ast.FunctionDef] = {
-            item.name: item for item in node.body
-            if isinstance(item, ast.FunctionDef)}
-        self.fast_methods = [m for m in self.methods if m.startswith("fast_")]
-        base_names = [_dotted(b).rsplit(".", 1)[-1] for b in node.bases]
-        self.pico_like = (any("PicoDriver" in b for b in base_names)
-                          or bool(self.fast_methods))
-
-
-# --- rule passes -------------------------------------------------------------
-
-def _release_sites(fn: ast.FunctionDef,
-                   receiver: str) -> Tuple[bool, bool]:
-    """(any release of receiver, any release inside a finally block)."""
-    any_release = in_finally = False
-
-    def matches(node: ast.AST) -> bool:
-        return (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "release"
-                and _dotted(node.func.value) == receiver)
-
-    for node in _walk_shallow(fn):
-        if matches(node):
-            any_release = True
-        if isinstance(node, ast.Try):
-            for stmt in node.finalbody:
-                for sub in ast.walk(stmt):
-                    if matches(sub):
-                        in_finally = True
-    return any_release, in_finally
-
-
-def _check_lock_discipline(path: str, tree: ast.AST,
-                           findings: List[Finding]) -> None:
-    """PD002: every ``yield from X.acquire(...)`` pairs with a
-    ``X.release(...)`` in a ``finally``."""
-    for fn in ast.walk(tree):
-        if not isinstance(fn, ast.FunctionDef):
-            continue
-        for node in _walk_shallow(fn):
-            if not (isinstance(node, ast.YieldFrom)
-                    and isinstance(node.value, ast.Call)
-                    and isinstance(node.value.func, ast.Attribute)
-                    and node.value.func.attr == "acquire"):
-                continue
-            receiver = _dotted(node.value.func.value)
-            any_release, in_finally = _release_sites(fn, receiver)
-            if not any_release:
-                findings.append(Finding(
-                    path, node.lineno, node.col_offset, "PD002",
-                    f"'{receiver}.acquire' in {fn.name} has no matching "
-                    f"'{receiver}.release'"))
-            elif not in_finally:
-                findings.append(Finding(
-                    path, node.lineno, node.col_offset, "PD002",
-                    f"'{receiver}.release' in {fn.name} is not in a "
-                    f"finally block; an exception leaks the lock"))
-
-
-def _check_process_hygiene(path: str, cls: _ClassInfo,
-                           findings: List[Finding]) -> None:
-    """PD003: fast_* methods are generators; no bare generator calls."""
-    generators = {name for name, fn in cls.methods.items()
-                  if _is_generator(fn)}
-    for name in sorted(cls.fast_methods):
-        fn = cls.methods[name]
-        if name not in generators:
-            findings.append(Finding(
-                path, fn.lineno, fn.col_offset, "PD003",
-                f"fast-path method {cls.node.name}.{name} is not a "
-                f"generator; it cannot run as a simulation process"))
-    if not generators:
-        return                  # no generator method a bare call discards
-    for mname, fn in sorted(cls.methods.items()):
-        for node in _walk_shallow(fn):
-            if not (isinstance(node, ast.Expr)
-                    and isinstance(node.value, ast.Call)
-                    and isinstance(node.value.func, ast.Attribute)
-                    and isinstance(node.value.func.value, ast.Name)
-                    and node.value.func.value.id == "self"):
-                continue
-            callee = node.value.func.attr
-            if callee in generators:
-                findings.append(Finding(
-                    path, node.lineno, node.col_offset, "PD003",
-                    f"bare call to generator method 'self.{callee}' in "
-                    f"{cls.node.name}.{mname}; the process is created "
-                    f"and silently discarded"))
-
-
-def _check_layout_guard(path: str, cls: _ClassInfo,
-                        findings: List[Finding]) -> None:
-    """PD004: StructView construction requires require_layout_version."""
-    if not cls.pico_like:
-        return
-    builds: List[ast.Call] = []
-    guarded = False
-    for fn in cls.methods.values():
-        for node in _walk_shallow(fn):
-            if not isinstance(node, ast.Call):
-                continue
-            last = _dotted(node.func).rsplit(".", 1)[-1]
-            if last == "StructView":
-                builds.append(node)
-            if last == "require_layout_version":
-                guarded = True
-    if guarded:
-        return
-    for node in builds:
-        findings.append(Finding(
-            path, node.lineno, node.col_offset, "PD004",
-            f"{cls.node.name} builds a StructView but never calls "
-            f"require_layout_version; a stale DWARF layout would "
-            f"silently read wrong bytes"))
-
-
-def _check_raw_heap(path: str, tree: ast.AST,
-                    findings: List[Finding]) -> None:
-    """PD005: raw heap word access confined to structs.py/sync.py."""
-    parts = os.path.normpath(path).split(os.sep)
-    if "core" not in parts or os.path.basename(path) in _RAW_HEAP_ALLOWED:
-        return
-    for node in ast.walk(tree):
-        if not (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("read", "write", "read_u", "write_u")):
-            continue
-        receiver = _dotted(node.func.value)
-        if "heap" in receiver.rsplit(".", 1)[-1].lower():
-            findings.append(Finding(
-                path, node.lineno, node.col_offset, "PD005",
-                f"raw shared-heap access '{receiver}.{node.func.attr}' "
-                f"outside structs.py/sync.py"))
 
 
 @dataclass(frozen=True)
@@ -443,9 +278,12 @@ def gates_mentioned(test: ast.AST,
     return frozenset(g.code for g in gates if not names.isdisjoint(g.guards))
 
 
-def _check_gating(path: str, tree: ast.AST,
-                  findings: List[Finding]) -> None:
-    """PD007/PD011/PD012/PD013/PD016 in one scan.
+# --- the one scan ------------------------------------------------------------
+
+def lint_module(module) -> List[Finding]:
+    """PD005 and the five gating rules (PD007 ... PD016) in one scan of
+    one parsed :class:`~repro.analysis.astcache.ParsedModule`, before
+    suppression.
 
     A hook call is guarded for a rule when it sits in the body of an
     ``if`` (or the then-branch of a conditional expression) whose test
@@ -455,23 +293,34 @@ def _check_gating(path: str, tree: ast.AST,
     carries the *set* of rules guarded at each node, so one plane's
     gate never excuses another plane's hook.
     """
+    path = module.path
     parts = os.path.normpath(path).split(os.sep)
     base = os.path.basename(path)
+    raw_heap = "core" in parts and base not in _RAW_HEAP_ALLOWED
     gates = [g for g in _GATES if not g.exempt(parts, base)]
     by_attr: Dict[str, List[_Gate]] = {}
     for gate in gates:
         for attr in gate.attrs:
             by_attr.setdefault(attr, []).append(gate)
+    findings: List[Finding] = []
 
     def scan(node: ast.AST, guarded: FrozenSet[str]) -> None:
         if isinstance(node, ast.Call) \
                 and isinstance(node.func, ast.Attribute):
-            for gate in by_attr.get(node.func.attr, ()):
+            attr = node.func.attr
+            for gate in by_attr.get(attr, ()):
                 if gate.code not in guarded:
                     findings.append(Finding(
                         path, node.lineno, node.col_offset, gate.code,
                         f"{gate.describe} '{_dotted(node.func)}' is not "
                         f"guarded by a test of {'/'.join(gate.guards)}"))
+            if raw_heap and attr in ("read", "write", "read_u", "write_u"):
+                receiver = _dotted(node.func.value)
+                if "heap" in receiver.rsplit(".", 1)[-1].lower():
+                    findings.append(Finding(
+                        path, node.lineno, node.col_offset, "PD005",
+                        f"raw shared-heap access '{receiver}.{attr}' "
+                        f"outside structs.py/sync.py"))
         if isinstance(node, (ast.If, ast.IfExp)):
             scan(node.test, guarded)
             then = guarded | gates_mentioned(node.test, gates)
@@ -489,26 +338,7 @@ def _check_gating(path: str, tree: ast.AST,
         for child in ast.iter_child_nodes(node):
             scan(child, guarded)
 
-    if gates:
-        scan(tree, frozenset())
-
-
-# --- driver ------------------------------------------------------------------
-
-def lint_module(module) -> List[Finding]:
-    """Every per-module rule's findings on one parsed
-    :class:`~repro.analysis.astcache.ParsedModule`, before suppression."""
-    path, tree = module.path, module.tree
-    findings: List[Finding] = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            cls = _ClassInfo(node)
-            _check_process_hygiene(path, cls, findings)
-            _check_layout_guard(path, cls, findings)
-    if "acquire" in module.source:      # else PD002 has nothing to pair
-        _check_lock_discipline(path, tree, findings)
-    _check_raw_heap(path, tree, findings)
-    _check_gating(path, tree, findings)
+    scan(module.tree, frozenset())
     return findings
 
 

@@ -3,12 +3,14 @@
 ``python -m repro vet [--rules] [--dot] [--json] [paths...]``
     Parse every module under the installed ``repro`` tree (or the given
     paths) once, build the whole-program model over them, run the
-    per-module rules of :mod:`repro.analysis.lint` and the program
-    rules of :mod:`repro.analysis.vet_checkers` (PD008, PD009, PD015.x)
-    and print the findings.  ``--rules`` prints the rule table instead,
-    ``--dot`` the Graphviz call graph, ``--json`` the per-function
-    context + transitive-effect summaries (both for the CI artifacts).
-    Exit status 1 if findings remain.
+    program rules of :mod:`repro.analysis.vet_checkers` (PD002-PD004,
+    PD008, PD009, PD015.x) and the syntactic scan of
+    :mod:`repro.analysis.lint` (PD005 and the gating rules) and print
+    the findings.  ``--rules`` prints the rule table instead, ``--dot``
+    the Graphviz call graph, ``--json`` the per-function context +
+    transitive-effect summaries (both for the CI artifacts).  Exit
+    status 1 if findings remain, 2 on an unknown option or a path that
+    does not exist.
 
 Suppressions: a ``# pd-ignore`` (every rule) or ``# pd-ignore[PD015.5]``
 (``PD015`` covers the whole family) on a finding's anchor line silences
@@ -20,6 +22,7 @@ PD100 whichever rule it names.
 from __future__ import annotations
 
 import json
+import os
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .lint import Finding, judge_suppressions, lint_module, rules_table
@@ -39,8 +42,9 @@ def vet_paths(paths: Optional[List[str]] = None
 def program_paths(paths: Optional[List[str]] = None
                   ) -> Tuple[Program, List[Finding]]:
     """The program-rule half of :func:`vet_paths`: build the model and
-    run only the program checkers (PD000, PD008, PD009, PD015.x),
-    judging each file's suppressions against their findings alone."""
+    run only the program checkers (PD000, PD002-PD004, PD008, PD009,
+    PD015.x), judging each file's suppressions against their findings
+    alone."""
     program = Program.build(paths)
     return program, _judged(program, lambda module: [])
 
@@ -63,6 +67,14 @@ def _judged(program: Program, lint: Callable[..., List[Finding]]
     return sorted(kept, key=lambda f: (f.path, f.line, f.col, f.code))
 
 
+def path_error(paths: List[str]) -> Optional[str]:
+    """The one-line usage error naming the ``paths`` that do not exist,
+    or None when they all do."""
+    missing = [p for p in paths if not os.path.exists(p)]
+    return (f"no such file or directory: {', '.join(missing)}" if missing
+            else None)
+
+
 _USAGE = "usage: python -m repro vet [--rules] [--dot] [--json] [paths...]"
 
 
@@ -77,6 +89,10 @@ def cmd_vet(argv: List[str]) -> int:
         print(rules_table())
         return 0
     paths = [a for a in argv if not a.startswith("-")]
+    error = path_error(paths)
+    if error is not None:
+        print(error)
+        return 2
     program, findings = vet_paths(paths or None)
     if "--dot" in argv:
         print(program.to_dot())

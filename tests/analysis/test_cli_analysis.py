@@ -156,6 +156,12 @@ def test_lockgraph_unknown_option_exits_two(capsys):
     assert "unknown option" in capsys.readouterr().out
 
 
+def test_lockgraph_missing_path_exits_two(tmp_path, capsys):
+    assert main(["lockgraph", str(tmp_path / "gone.py")]) == 2
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and "gone.py" in out
+
+
 def test_lockgraph_flags_abba_fixture(tmp_path, capsys):
     bad = tmp_path / "abba.py"
     bad.write_text(textwrap.dedent("""\

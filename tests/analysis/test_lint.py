@@ -2,10 +2,11 @@
 suppression verdict (PD100), each run the way ``python -m repro vet``
 runs it: every rule over one parse of the fixture.
 
-Each rule gets a violation fixture and a compliant twin; the suite also
-pins the suppression syntax.  The fixtures of the rules that moved to
-the program model (PD001/PD006, now PD015.1/PD015.3, and PD008/PD009)
-stay here too.
+PD002-PD004 are checkers over PicoVet's program model, PD005 and the
+gating rules are ``lint_module``'s one syntactic scan; each rule gets a
+violation fixture and a compliant twin, and the suite also pins the
+suppression syntax.  The fixtures of the interprocedural rules
+(PD001/PD006, now PD015.1/PD015.3, and PD008/PD009) stay here too.
 """
 
 import os
