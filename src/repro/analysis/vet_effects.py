@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import ast
 import os
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
@@ -369,17 +370,41 @@ def _struct_binding(call: ast.Call) -> Optional[Tuple[str, str]]:
     return struct, kernel
 
 
-def _collect_bindings(tree: ast.AST) -> Dict[str, str]:
-    """Map receiver names to lock-class names from constructor calls:
-    ``self.sdma_lock = CrossKernelSpinLock(..., name="hfi1.sdma_submit")``
-    binds both ``self.sdma_lock`` and ``sdma_lock``."""
+def _module_facts(tree: ast.AST) -> Tuple[Dict[str, str], Set[str],
+                                          Dict[ast.AST, List[ast.Assign]]]:
+    """One walk of a module, in ``ast.walk`` order: its lock bindings
+    (``self.sdma_lock = CrossKernelSpinLock(..., name="hfi1.sdma_submit")``
+    binds ``self.sdma_lock`` and ``sdma_lock``), the names it imports
+    anywhere with an absolute ``from X import name`` not under ``repro``,
+    and per method of a class body its ``self.X = f(...)`` assignments,
+    nested code included."""
     bindings: Dict[str, str] = {}
-    for node in ast.walk(tree):
+    foreign: Set[str] = set()
+    self_calls: Dict[ast.AST, List[ast.Assign]] = {}
+    todo = deque([(tree, ())])      # each node with the methods it is in
+    while todo:
+        node, methods = todo.popleft()
+        in_class = isinstance(node, ast.ClassDef)
+        # ast.iter_child_nodes, inlined: the walk is most of the cost
+        for attr in node._fields:
+            value = getattr(node, attr, None)
+            for child in value if isinstance(value, list) else (value,):
+                if isinstance(child, ast.AST):
+                    todo.append((child, methods + (child,) if in_class
+                                 and isinstance(child, ast.FunctionDef)
+                                 else methods))
+        if isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and (node.module or "").split(".")[0] != "repro":
+            foreign.update(alias.asname or alias.name for alias in node.names)
         if not (isinstance(node, ast.Assign)
                 and isinstance(node.value, ast.Call)):
             continue
-        callee = _dotted(node.value.func).rsplit(".", 1)[-1]
-        if callee != "CrossKernelSpinLock":
+        if methods and len(node.targets) == 1 \
+                and _self_attr(node.targets[0]) is not None:
+            for method in methods:
+                self_calls.setdefault(method, []).append(node)
+        if _dotted(node.value.func).rsplit(".", 1)[-1] \
+                != "CrossKernelSpinLock":
             continue
         name = None
         for kw in node.value.keywords:
@@ -391,18 +416,7 @@ def _collect_bindings(tree: ast.AST) -> Dict[str, str]:
             dotted = _dotted(target)
             bindings[dotted] = name
             bindings[dotted.rsplit(".", 1)[-1]] = name
-    return bindings
-
-
-def _foreign_imports(tree: ast.AST) -> Set[str]:
-    """Names a module binds with ``from X import name`` from a module
-    outside the ``repro`` package (an absolute import not under
-    ``repro``), anywhere in the module."""
-    return {alias.asname or alias.name
-            for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom) and node.level == 0
-            and (node.module or "").split(".")[0] != "repro"
-            for alias in node.names}
+    return bindings, foreign, self_calls
 
 
 def _const_str(node: Optional[ast.AST]) -> Optional[str]:
@@ -733,6 +747,9 @@ class Program:
         self._lock_bindings: Dict[str, Dict[str, str]] = {}
         #: module path -> names it imports from outside ``repro``
         self._foreign: Dict[str, Set[str]] = {}
+        #: the module being digested: per method, its ``self.X =
+        #: f(...)`` assignments (:func:`_module_facts`)
+        self._self_calls: Dict[ast.AST, List[ast.Assign]] = {}
         #: every module read, parsed once; one that did not parse is a
         #: PD000 finding
         self.modules: List[astcache.ParsedModule] = []
@@ -763,8 +780,8 @@ class Program:
         return program
 
     def _digest_module(self, module: astcache.ParsedModule) -> None:
-        self._lock_bindings[module.path] = _collect_bindings(module.tree)
-        self._foreign[module.path] = _foreign_imports(module.tree)
+        (self._lock_bindings[module.path], self._foreign[module.path],
+         self._self_calls) = _module_facts(module.tree)
         for node in module.tree.body:
             if isinstance(node, ast.Assign):
                 self._digest_manifest(node)
@@ -815,16 +832,7 @@ class Program:
         # constructor-typed and struct-typed attributes, from every
         # method (probe()/attach() build state outside __init__)
         for item in node.body:
-            if not isinstance(item, ast.FunctionDef):
-                continue
-            for sub in ast.walk(item):
-                if not (isinstance(sub, ast.Assign)
-                        and len(sub.targets) == 1
-                        and isinstance(sub.targets[0], ast.Attribute)
-                        and isinstance(sub.targets[0].value, ast.Name)
-                        and sub.targets[0].value.id == "self"
-                        and isinstance(sub.value, ast.Call)):
-                    continue
+            for sub in self._self_calls.get(item, ()):
                 attr = sub.targets[0].attr
                 binding = _struct_binding(sub.value)
                 if binding is not None:

@@ -214,7 +214,8 @@ class HFIPicoDriver(PicoDriver):
             pq.add("n_reqs", -1)
         completion = ctx.get("completion")
         if completion is not None:
-            completion.succeed(group)
+            # as on the slow path; the group holds this event
+            completion.succeed(group.trace_ctx)
 
     # -- fast-path ioctl: expected-receive TIDs ----------------------------------------
 

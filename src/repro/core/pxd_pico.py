@@ -236,15 +236,14 @@ class PxdPicoDriver(PicoDriver):
             finally:
                 self.linux_driver.submit_lock.release("mckernel")
             yield evt
-            done: BlockIo = evt.value
-            if done.status is None:
+            if io.status is None:
                 lwk.tracer.count("pico.pxd_reads")
-                return done.data
-            errors.append((r, done.status))
+                return io.data
+            errors.append((r, io.status))
             lwk.tracer.count("pico.pxd_read_retries")
             if guard is not None:
                 guard.record_failure(guard.path_name(r),
-                                     f"read error: {done.status}")
+                                     f"read error: {io.status}")
         raise MediaError(
             f"pico pxd read at sector {sector} failed on every in-service "
             "replica: " + "; ".join(str(e) for _r, e in errors))

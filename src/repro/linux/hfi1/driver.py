@@ -225,7 +225,8 @@ class Hfi1Driver(FileOps):
                 yield from kernel.sim.delay(mem.kfree_cost * len(group.meta_addrs))
                 pq_struct.add("n_reqs", -1)
                 if completion is not None:
-                    completion.succeed(group)
+                    # what PSM reads; the group holds this closure
+                    completion.succeed(group.trace_ctx)
             return cleanup()
 
         group = SdmaRequestGroup(descriptors=descs, packet=packet,

@@ -385,7 +385,7 @@ class PxdDriver(FileOps):
                 f"{len(head.targets)} targeted replica(s): "
                 + "; ".join(str(e) for _r, e in head.failures)))
         else:
-            completion.succeed(head)
+            completion.succeed()  # no value: the head holds this event
 
     # -- ioctl surface -----------------------------------------------------
 
@@ -426,15 +426,14 @@ class PxdDriver(FileOps):
             finally:
                 self.submit_lock.release("linux")
             yield evt
-            done: BlockIo = evt.value
-            if done.status is None:
+            if io.status is None:
                 self.blockdev.tracer.count("pxd.reads")
-                return done.data
-            errors.append((r, done.status))
+                return io.data
+            errors.append((r, io.status))
             self.blockdev.tracer.count("pxd.read_retries")
             if guard is not None:
                 guard.record_failure(guard.path_name(r),
-                                     f"read error: {done.status}")
+                                     f"read error: {io.status}")
         # with nothing left in service there may be no traffic to kick
         # re-probing at head finish; kick it from the failing read
         if self.guard is not None:
@@ -493,10 +492,11 @@ class PxdDriver(FileOps):
                 flow_from=io.trace_ctx)
         ctx = io.user_ctx
         if isinstance(ctx, dict):
-            # reads and probe writes: complete the waiter, no tracker
+            # reads and probe writes: wake the waiter, which reads its
+            # io (the io holds this event), no tracker
             evt = ctx.get("io_evt")
             if evt is not None and not evt.triggered:
-                evt.succeed(io)
+                evt.succeed()
             return None
         head: PxdIoHead = ctx
         r = io.replica
@@ -596,13 +596,12 @@ class PxdDriver(FileOps):
         finally:
             self.submit_lock.release("linux")
         yield evt
-        done: BlockIo = evt.value
         guard = self.guard
-        if done.status is not None:
+        if io.status is not None:
             if guard is not None:
                 guard.record_failure(guard.path_name(r),
-                                     f"probe failed: {done.status}")
-            self._transition(r, "evicted", f"probe failed: {done.status}")
+                                     f"probe failed: {io.status}")
+            self._transition(r, "evicted", f"probe failed: {io.status}")
             return
         if guard is not None:
             guard.record_success(guard.path_name(r))

@@ -210,7 +210,7 @@ class Endpoint:
                 payload=None):
         """Generator: blocking send."""
         req = yield from self.mq_isend(dest, tag, buffer, nbytes, payload)
-        yield req.event
+        yield req  # the request is its completion event
         return req
 
     # -- receive API -----------------------------------------------------------------
@@ -605,7 +605,7 @@ class Endpoint:
             lambda e: self._sdma_complete(flow, cts.window, e))
 
     def _sdma_complete(self, flow: SendFlow, window: int,
-                       evt=None) -> None:
+                       evt: Event) -> None:
         if not flow.window_complete(window):
             return
         if flow.finished:
@@ -616,9 +616,8 @@ class Endpoint:
         if self.hfi.injector is None:
             del self._send_flows[flow.msg_id]
         if PLANES.trace is not None:
-            group = getattr(evt, "_value", None)
+            # ``done``'s value is the transfer's trace context
             PLANES.trace.instant_span(
                 "psm.send_complete", track_of(self.task.kernel), cat="psm",
-                args={"nbytes": flow.total},
-                flow_from=getattr(group, "trace_ctx", None))
+                args={"nbytes": flow.total}, flow_from=evt.value)
         flow.request.complete(self.addr, None, flow.total)

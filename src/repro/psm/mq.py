@@ -34,15 +34,29 @@ class TagMatcher:
         return True
 
 
-class MqRequest:
-    """One receive (or send) request; ``event`` triggers at completion."""
+class MqRequest(Event):
+    """One receive (or send) request, and its own completion event: the
+    value, the request (``got = yield req.event``), is read back, not
+    stored, so a finished request does not refer to itself."""
+
+    __slots__ = ("kind", "matcher", "buffer", "source", "tag", "nbytes",
+                 "payload")
+
+    _value = property(lambda self: self, lambda self, _value: None)
+    #: the completion event: the request itself
+    event = property(lambda self: self)
 
     def __init__(self, sim: Simulator, kind: str, matcher: Optional[TagMatcher]
                  = None, buffer: Optional[Tuple[int, int]] = None):
+        # Event.__init__, inlined (two requests per message), but for the
+        # value
+        self.sim = sim
+        self.callbacks = []
+        self._exc = None
+        self._triggered = self._processed = False
         self.kind = kind                  # "recv" | "send"
         self.matcher = matcher
         self.buffer = buffer              # (vaddr, length) or None
-        self.event = Event(sim)
         self.source: Optional[Tuple[int, int]] = None
         self.tag: object = None
         self.nbytes: int = 0
@@ -50,17 +64,17 @@ class MqRequest:
 
     @property
     def done(self) -> bool:
-        return self.event.triggered
+        return self._triggered
 
     def complete(self, source, tag, nbytes, payload=None) -> None:
         """Finish the request and trigger its completion event."""
-        if self.done:
+        if self._triggered:
             raise ReproError("request completed twice")
         self.source = source
         self.tag = tag
         self.nbytes = nbytes
         self.payload = payload
-        self.event.succeed(self)
+        self.succeed()
 
 
 @dataclass

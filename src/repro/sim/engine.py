@@ -51,8 +51,9 @@ The per-event hot spots post inline: ``Timeout.__init__``,
 ``heappush`` straight onto ``sim._heap`` with the ``(time,
 next(sim._seq))`` key.  A ``Process`` binds ``_deliver`` once and
 appends that callback itself, both to the zero-delay ``Timeout`` that
-starts it and in ``_deliver``, without going through ``add_callback``;
-a wait on an event already processed resumes the generator in the same
+starts it and in ``_deliver``, without going through ``add_callback``,
+and drops it (it refers back to the process) when the generator ends.
+A wait on an event already processed resumes the generator in the same
 ``_deliver`` loop, without a callback.  ``_step_fast`` runs the popped
 event's callbacks itself instead of calling ``Event._run_callbacks``,
 and ``Resource.request`` builds its ``Request`` and posts an immediate
@@ -81,7 +82,8 @@ and none applies while a controlled scheduler is installed:
   reach a waiter either: the exception propagates out of
   :meth:`run`/:meth:`step` unchanged;
 * *in-place delays*: ``yield from sim.delay(d)`` replaces ``yield
-  sim.timeout(d)``.  It sets ``now`` to ``now + d`` and yields nothing
+  sim.timeout(d)``.  It sets ``now`` to ``now + d`` and returns ``()``,
+  so the ``yield from`` yields nothing and no generator is made,
   exactly when run-ahead would pop that ``Timeout`` in place: the
   running process holds the run-ahead right, ``d >= 0``, ``now + d``
   lies within the run's horizon, and the heap is empty or its first
@@ -100,9 +102,10 @@ What the boundaries count:
   them inside the process's ``_deliver``), so calls to
   ``Simulator._step_fast`` count steps and calls to ``Process._deliver``
   count resumptions, not events;
-* a delay advanced in place constructs no ``Timeout``, so
-  ``Timeout.__init__`` counts the timed waits that were queued or run
-  ahead, plus the child starts that were posted;
+* a delay advanced in place constructs no ``Timeout`` (and ``delay``
+  is a plain call, not a generator, so it adds no resumption of its
+  own), so ``Timeout.__init__`` counts the timed waits that were
+  queued or run ahead, plus the child starts that were posted;
 * :meth:`Simulator.run` always goes through ``self.step()`` (never a
   private loop around ``heappop``), and a ``step()`` called outside
   ``run()`` processes exactly one event;
@@ -227,8 +230,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimError(f"negative timeout: {delay}")
+        if not delay >= 0:  # also refuses NaN, which compares false
+            raise SimError(f"negative or NaN timeout: {delay}")
         # Event.__init__, inlined: one Timeout per wait
         self.sim = sim
         self.callbacks = []
@@ -337,22 +340,23 @@ class Simulator:
             wait_monitor.on_timed_wait(delay)
         return Timeout(self, delay, value)
 
-    def delay(self, delay: float):
-        """Generator: wait ``delay`` seconds — ``yield from
-        sim.delay(d)`` in place of ``yield sim.timeout(d)``.
+    def delay(self, delay: float) -> tuple:
+        """Wait ``delay`` seconds: ``yield from sim.delay(d)`` in place
+        of ``yield sim.timeout(d)``.
 
         When the wait's ``Timeout`` would be popped in place by
         run-ahead, the clock advances to the same instant without one
-        (see the module docstring); otherwise it yields that
-        ``Timeout``.  Instances carry a rebound fast/observed variant:
-        with a controlled scheduler or a wait monitor installed, every
-        delay is the plain timeout.  This class-level definition
-        documents the contract and covers any instance built without
-        ``__init__``.
+        (see the module docstring) and ``delay`` returns ``()``, so the
+        ``yield from`` allocates nothing; otherwise it returns the
+        one-tuple ``(timeout,)`` for the caller to yield.  Instances
+        carry a rebound fast/observed variant: with a controlled
+        scheduler or a wait monitor installed, every delay is the plain
+        timeout.  This class-level definition documents the contract
+        and covers any instance built without ``__init__``.
         """
         return self._delay_fast(delay)
 
-    def _delay_fast(self, delay: float):
+    def _delay_fast(self, delay: float) -> tuple:
         # run-ahead decided before the Timeout exists: it would be
         # heap[0] (due strictly before every queued event) within the
         # horizon, and the running process holds the right
@@ -362,13 +366,13 @@ class Simulator:
             heap = self._heap
             if when <= self._horizon and (not heap or heap[0][0] > when):
                 self.now = when
-                return
-        yield Timeout(self, delay)
+                return ()
+        return (Timeout(self, delay),)
 
-    def _delay_observed(self, delay: float):
+    def _delay_observed(self, delay: float) -> tuple:
         # a controlled scheduler or a wait monitor is installed: the
         # wait is a Timeout event, and a wait monitor is told of it
-        yield self._timeout_observed(delay)
+        return (self._timeout_observed(delay),)
 
     def process(self, generator) -> "Process":
         """Run a generator as a simulation process."""
@@ -537,9 +541,9 @@ class Simulator:
                     raise until._exc
                 return until._value
             horizon = float(until)
-            if horizon < self.now:
-                raise SimError(f"run until {horizon} is in the past "
-                               f"(now={self.now})")
+            if not horizon >= self.now:  # in the past, or NaN
+                raise SimError(f"run until {horizon} is not a time at or "
+                               f"after now ({self.now})")
             self._horizon = horizon
             while self._heap and self._heap[0][0] <= horizon:
                 self.step()

@@ -6,6 +6,10 @@ event's value (or has the event's exception thrown into it).  A process is
 itself an :class:`Event` that triggers with the generator's return value, so
 processes compose (``yield sim.process(sub())``, or ``yield from
 sim.call(sub())``, which runs the child in the caller's frame).
+
+Finished work frees itself: a process refers to itself only while its
+generator can resume, so it is freed by reference counting at its last
+step.  A waiting process lives as long as the event it waits on.
 """
 
 from __future__ import annotations
@@ -28,9 +32,17 @@ class Process(Event):
     def __init__(self, sim: Simulator, gen: Generator):
         if not hasattr(gen, "send"):
             raise SimError(f"process body must be a generator, got {gen!r}")
-        super().__init__(sim)
+        # Event.__init__, inlined: one process per spawned delivery
+        self.sim = sim
+        self.callbacks = []
+        self._value = None
+        self._exc = None
+        self._triggered = False
+        self._processed = False
         self._gen = gen
-        #: the bound ``_deliver``, made once: every wait appends it
+        #: the bound ``_deliver``, made once: every wait appends it.  It
+        #: refers back to this process, so every end of the generator
+        #: drops it
         self._deliver_cb = deliver = self._deliver
         # the start wait: a zero-delay Timeout (which no wait monitor
         # observes), with the callback appended as add_callback would
@@ -61,6 +73,7 @@ class Process(Event):
                     else:
                         target = gen.send(event._value)
                 except StopIteration as stop:
+                    self._deliver_cb = None  # see __init__
                     if self._detached and scheduler is None:
                         # nobody waits on a detached process: done,
                         # without a completion event
@@ -70,6 +83,7 @@ class Process(Event):
                         self.succeed(stop.value)
                     return
                 except BaseException as exc:
+                    self._deliver_cb = None
                     if self._detached:
                         raise  # no waiter to hand the failure to
                     # Fail the process event; the exception propagates
@@ -79,6 +93,7 @@ class Process(Event):
                     self.fail(exc)
                     return
                 if not isinstance(target, Event) or target.sim is not sim:
+                    self._deliver_cb = None
                     gen.close()
                     error = SimError(f"process yielded a non-event (or an "
                                      f"event from another simulator): "

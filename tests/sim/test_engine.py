@@ -22,6 +22,68 @@ def test_negative_timeout_rejected():
         sim.timeout(-1.0)
 
 
+NAN = float("nan")
+
+
+def test_nan_timeout_rejected():
+    """NaN compares false with everything, so ``delay < 0`` let it
+    through and it reached the heap as a time."""
+    sim = Simulator()
+    with pytest.raises(SimError):
+        sim.timeout(NAN)
+    assert sim.peek() == float("inf")
+
+
+def test_nan_delay_rejected_in_place():
+    """A process holding the run-ahead right with nothing queued, where
+    a finite delay advances the clock in place."""
+    sim = Simulator()
+    clocks = []
+
+    def waiter():
+        yield from sim.delay(1.0)       # in place
+        clocks.append(sim.now)
+        yield from sim.delay(NAN)
+
+    sim.spawn(waiter())
+    with pytest.raises(SimError):
+        sim.run()
+    assert clocks == [1.0] and sim.now == 1.0
+
+
+def test_nan_delay_rejected_when_queued():
+    """Waits of 2.0, NaN, 1.0 and 3.0 from one instant: the NaN one is
+    refused, and the others still resume in time order with a finite
+    clock."""
+    sim = Simulator()
+    resumed = []
+
+    def waiter(d):
+        try:
+            yield from sim.delay(d)
+        except SimError:
+            resumed.append(("refused", d != d))
+            return
+        resumed.append((d, sim.now))
+
+    for d in (2.0, NAN, 1.0, 3.0):
+        sim.process(waiter(d))
+    sim.run()
+    assert resumed == [("refused", True), (1.0, 1.0), (2.0, 2.0),
+                       (3.0, 3.0)]
+
+
+def test_run_until_nan_rejected():
+    sim = Simulator()
+    fired = []
+    sim.timeout(1.0).add_callback(lambda e: fired.append(sim.now))
+    with pytest.raises(SimError):
+        sim.run(until=NAN)
+    assert sim.now == 0.0 and fired == []
+    sim.run()
+    assert fired == [1.0]
+
+
 def test_events_fire_in_time_order():
     sim = Simulator()
     order = []

@@ -1,8 +1,10 @@
 """Unit tests for generator processes and condition events."""
 
+import gc
+
 import pytest
 
-from repro.sim import AllOf, SimError, Simulator
+from repro.sim import AllOf, Resource, SimError, Simulator, Store
 
 
 def test_process_consumes_timeouts():
@@ -168,3 +170,51 @@ def test_many_processes_interleave_deterministically():
     # at t=3.0 b's timeout was scheduled first (at t=1.5, vs a's at t=2.0)
     assert log == [(1.0, "a"), (1.5, "b"), (2.0, "a"), (3.0, "b"),
                    (3.0, "a"), (4.5, "b")]
+
+
+def test_finished_processes_leave_no_cyclic_garbage():
+    """Spawned, joined and called processes that wait on in-place and
+    queued delays, on a Store and on a Resource, are freed by reference
+    counting at their last step: the cycle collector finds nothing."""
+    sim = Simulator()
+    store = Store(sim)
+    cpu = Resource(sim, capacity=1)
+    done = []
+
+    def worker(name):
+        yield from sim.delay(1.0)
+        with cpu.request() as req:      # the second and third queue
+            yield req
+            yield from sim.delay(0.5)
+        item = yield store.get()        # the first waits for the producer
+        done.append((sim.now, name, item))
+        return name
+
+    def producer():
+        for item in range(3):
+            yield from sim.delay(2.0)
+            store.put(item)
+
+    def main():
+        sim.spawn(worker("spawned"))
+        joined = sim.process(worker("joined"))
+        called = yield from sim.call(worker("called"))
+        return called, (yield joined)
+
+    sim.spawn(producer())
+    gc.collect()
+    gc.freeze()     # what exists now cannot be this run's garbage
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        result = sim.run(until=sim.process(main()))
+        sim.run()
+        gc.collect()
+        garbage = [type(o).__name__ for o in gc.garbage]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.unfreeze()
+    assert result == ("called", "joined")
+    assert done == [(2.0, "spawned", 0), (4.0, "joined", 1),
+                    (6.0, "called", 2)]
+    assert garbage == []
