@@ -87,13 +87,16 @@ def _dwarf_extract(argv) -> int:
     """``python -m repro dwarf <module>[:version] <struct> <field>...``
 
     The dwarf-extract-struct tool over the simulated module binaries
-    (modules: hfi1, mlx5_ib).  Prints the generated padded header.
+    (modules: hfi1, mlx5_ib).  Prints the generated padded header; an
+    unknown module, driver version, struct or member prints one line
+    and exits 2.
     """
     if len(argv) < 2:
         print("usage: python -m repro dwarf <module>[:version] "
               "<struct> <field>...")
         return 2
     from .core.extract import dwarf_extract_struct, generate_header
+    from .errors import DwarfError
     module, _, version = argv[0].partition(":")
     if module == "hfi1":
         from .linux.hfi1.debuginfo import CURRENT_VERSION, build_module
@@ -102,8 +105,12 @@ def _dwarf_extract(argv) -> int:
     else:
         print(f"unknown module {module!r} (try hfi1 or mlx5_ib)")
         return 2
-    binary = build_module(version or CURRENT_VERSION)
-    layout = dwarf_extract_struct(binary, argv[1], list(argv[2:]))
+    try:
+        binary = build_module(version or CURRENT_VERSION)
+        layout = dwarf_extract_struct(binary, argv[1], list(argv[2:]))
+    except (DwarfError, ValueError) as exc:  # unknown version: ValueError
+        print(exc)
+        return 2
     print(f"/* extracted from {binary.name} v{binary.version} */")
     print(generate_header(layout))
     return 0

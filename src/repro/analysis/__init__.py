@@ -27,9 +27,11 @@ concurrently mutating the same Linux driver state (section 3.3):
 
 * :mod:`repro.analysis.lockdep` — "PicoLockdep", cross-kernel
   lock-order analysis.  A runtime validator (``planes(lockdep=[])``)
-  builds the observed lock-class dependency graph and reports order
-  cycles, declared-hierarchy violations, IRQ inversions and timed
-  waits inside critical sections; :func:`~repro.analysis.lockdep.lock_graph`
+  builds the observed lock-class dependency graph and reports
+  declared-hierarchy violations (with the reverse nesting of an AB-BA),
+  IRQ inversions and timed waits inside critical sections; the
+  hierarchy's one order rule (:mod:`repro.core.lockclasses`) also
+  drives PD008.  :func:`~repro.analysis.lockdep.lock_graph`
   (``python -m repro lockgraph``) reads the compile-time graph the
   dynamic edges are checked against off the PicoVet model.
 

@@ -37,7 +37,8 @@ exploration in the style of stateless model checkers (CHESS, dBug):
   deviation subtree.
 
 * **Oracles.**  The existing machinery, run in-harness per schedule:
-  KSan race reports, lockdep cycles/inversions, the chaos sweep's
+  KSan race reports, lockdep's hierarchy violations, IRQ inversions
+  and waits under a lock, the chaos sweep's
   typed-failure-or-byte-intact delivery contract, and quiescence (the
   event queue must drain within the step budget — a live queue at the
   bound is a deadlock/livelock report).

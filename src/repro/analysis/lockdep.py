@@ -5,7 +5,8 @@ section 3.3): both kernels spin on the same shared-heap lock words, a
 spinner cannot sleep, and no watchdog survives a deadlock that wedges
 *both* kernels.  KSan (:mod:`repro.analysis.ksan`) catches data races;
 this module catches the ordering bugs KSan cannot see, with two
-cooperating views:
+cooperating views that judge lock order by one rule, the declared
+hierarchy's :meth:`~repro.core.lockclasses.LockClassRegistry.order_problem`.
 
 **Dynamic view** — :class:`LockdepValidator`, a Linux-lockdep-style
 runtime monitor.  Install it as a :class:`~repro.hw.memory.SharedHeap`
@@ -18,10 +19,10 @@ held locks adds edges to a global lock-class dependency graph.  It
 reports, with KSan-style provenance (both acquisition sites, kernels,
 held stacks, sim timestamps):
 
-* **order cycles** — a cycle in the dependency graph is a potential
-  AB-BA deadlock even when this run never hangs;
-* **hierarchy violations** — acquisition order contradicting the
-  declared ranks of :mod:`repro.core.lockclasses`;
+* **hierarchy violations** — a nesting the order rule rejects: a class
+  ranked at or below one held, or a held class taken again.  When the
+  reverse nesting was seen earlier, the report lists it too, so an
+  AB-BA names both paths even when this run never hangs;
 * **IRQ inversions** — a class taken in the completion-IRQ top half
   that is also taken in process context ("with IRQs enabled");
 * **held-across-wait** — a timed ``sim`` wait issued from inside a
@@ -34,8 +35,7 @@ and the call graph carries each callee's transitive ``acquires``; the
 :class:`LockGraph` (``python -m repro lockgraph``) is built from those.
 Rules PD008 (declared-hierarchy order) and PD009 (no timed wait while a
 cross-kernel lock is held) are checkers over the same model
-(:mod:`repro.analysis.vet_checkers`), so the graph itself judges only
-cycles.
+(:mod:`repro.analysis.vet_checkers`); the graph itself judges nothing.
 
 ``python -m repro sanitize <experiment>`` cross-checks the views: every
 dynamically observed dependency edge must appear in the static graph.
@@ -45,11 +45,8 @@ from __future__ import annotations
 
 import os
 import sys
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
-
-from ..errors import ReproError
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 #: instrumentation-layer files skipped when attributing a wait site
 _SKIP_FILES = frozenset({"engine.py", "lockdep.py", "sync.py", "memory.py"})
@@ -141,7 +138,7 @@ class DepEdge:
 class LockdepReport:
     """One lock-ordering hazard with full provenance."""
 
-    kind: str                      #: order-cycle | hierarchy-violation |
+    kind: str                      #: hierarchy-violation |
     #: irq-inversion | held-across-wait
     title: str
     details: Tuple[str, ...]
@@ -164,6 +161,8 @@ class LockdepValidator:
     """
 
     def __init__(self, sim=None, name: str = "lockdep"):
+        from ..core.lockclasses import ensure_declarations
+        ensure_declarations()  # judge by the whole hierarchy, as PD008 does
         self.sim = sim
         self.name = name
         self.reports: List[LockdepReport] = []
@@ -173,8 +172,7 @@ class LockdepValidator:
         #: lock class -> context -> first acquisition seen there
         self._usage: Dict[str, Dict[str, LockAcquisition]] = {}
         self._acquisitions = 0
-        self._reported_cycles: Set[FrozenSet[str]] = set()
-        self._reported_ranks: Set[Tuple[str, str]] = set()
+        self._reported_orders: Set[Tuple[str, str]] = set()
         self._reported_inversions: Set[str] = set()
         self._reported_waits: Set[Tuple[str, str]] = set()
 
@@ -206,8 +204,10 @@ class LockdepValidator:
         self._acquisitions += 1
         self._track_usage(acq)
         for live in stack:
-            self._add_edge(live.acq, acq)
-            self._check_rank(live.acq, acq)
+            pair = (live.acq.lock_class, acq.lock_class)
+            self._check_order(pair, live.acq, acq)
+            if pair not in self._edges:
+                self._edges[pair] = DepEdge(*pair, live.acq, acq)
         stack.append(_LiveLock(lock, acq, frame))
 
     def on_lock_released(self, lock, kernel: str) -> None:
@@ -292,69 +292,25 @@ class LockdepValidator:
                 details=(f"irq:     {usage['irq'].describe()}",
                          f"process: {usage['process'].describe()}")))
 
-    def _check_rank(self, outer: LockAcquisition,
-                    inner: LockAcquisition) -> None:
-        if outer.rank is None or inner.rank is None:
+    def _check_order(self, pair: Tuple[str, str], outer: LockAcquisition,
+                     inner: LockAcquisition) -> None:
+        """Report the nesting ``pair`` (held, taken) once if the order
+        rule rejects it, with the reverse nesting if seen earlier."""
+        from ..core.lockclasses import REGISTRY
+        if pair in self._reported_orders:
             return
-        if inner.rank > outer.rank:
+        problem = REGISTRY.order_problem(*pair)
+        if problem is None:
             return
-        key = (outer.lock_class, inner.lock_class)
-        if key in self._reported_ranks:
-            return
-        self._reported_ranks.add(key)
+        self._reported_orders.add(pair)
+        details = [f"inner: {inner.describe()}",
+                   f"outer: {outer.describe()}"]
+        reverse = self._edges.get(pair[::-1])
+        if reverse is not None:
+            details.append("reverse order seen earlier (AB-BA):")
+            details.extend(f"  {line}" for line in reverse.describe())
         self.reports.append(LockdepReport(
-            kind="hierarchy-violation",
-            title=(f"{inner.lock_class} (rank {inner.rank}) acquired "
-                   f"while holding {outer.lock_class} (rank "
-                   f"{outer.rank}); the declared order is "
-                   f"rank-increasing"),
-            details=(f"inner: {inner.describe()}",
-                     f"outer: {outer.describe()}")))
-
-    def _add_edge(self, src_acq: LockAcquisition,
-                  dst_acq: LockAcquisition) -> None:
-        key = (src_acq.lock_class, dst_acq.lock_class)
-        if key in self._edges:
-            return
-        self._edges[key] = DepEdge(src=key[0], dst=key[1],
-                                   src_acq=src_acq, dst_acq=dst_acq)
-        self._check_cycle(key)
-
-    def _check_cycle(self, new_key: Tuple[str, str]) -> None:
-        """A new edge (a, b) closes a cycle iff b already reaches a."""
-        a, b = new_key
-        if a == b:
-            path = [new_key]
-        else:
-            parents: Dict[str, Optional[str]] = {b: None}
-            queue = deque([b])
-            while queue and a not in parents:
-                node = queue.popleft()
-                for src, dst in self._edges:
-                    if src == node and dst not in parents:
-                        parents[dst] = node
-                        queue.append(dst)
-            if a not in parents:
-                return
-            nodes = [a]
-            while nodes[-1] != b:
-                nodes.append(parents[nodes[-1]])
-            nodes.reverse()                      # b ... a
-            path = [new_key] + [(nodes[i], nodes[i + 1])
-                                for i in range(len(nodes) - 1)]
-        members = frozenset(n for edge in path for n in edge)
-        if members in self._reported_cycles:
-            return
-        self._reported_cycles.add(members)
-        details: List[str] = []
-        for edge_key in path:
-            details.extend(self._edges[edge_key].describe())
-        cycle = " -> ".join([path[0][0]] + [dst for _src, dst in path])
-        self.reports.append(LockdepReport(
-            kind="order-cycle",
-            title=(f"lock-class dependency cycle {cycle}: potential "
-                   f"AB-BA deadlock between kernels, even though this "
-                   f"run completed"),
+            kind="hierarchy-violation", title=f"{inner.kernel} {problem}",
             details=tuple(details)))
 
 
@@ -403,82 +359,6 @@ class LockGraph:
         """True if the graph contains the ``src -> dst`` dependency."""
         return (src, dst) in self.edges
 
-    def cycles(self) -> List[List[StaticEdge]]:
-        """One representative cycle per strongly connected component."""
-        adj: Dict[str, List[str]] = {}
-        for src, dst in self.edges:
-            adj.setdefault(src, []).append(dst)
-        out: List[List[StaticEdge]] = []
-        for (src, dst) in sorted(self.edges):
-            if src == dst:
-                out.append([self.edges[(src, dst)]])
-        for component in self._sccs(adj):
-            if len(component) < 2:
-                continue
-            out.append(self._cycle_in(component))
-        return out
-
-    def _cycle_in(self, component: Sequence[str]) -> List[StaticEdge]:
-        members = set(component)
-        start = sorted(component)[0]
-        parents: Dict[str, Optional[str]] = {start: None}
-        queue = deque([start])
-        while queue:
-            node = queue.popleft()
-            for src, dst in self.edges:
-                if src != node or dst not in members:
-                    continue
-                if dst == start:
-                    nodes = [node]
-                    while parents[nodes[-1]] is not None:
-                        nodes.append(parents[nodes[-1]])
-                    nodes.reverse()              # start ... node
-                    nodes.append(start)
-                    return [self.edges[(nodes[i], nodes[i + 1])]
-                            for i in range(len(nodes) - 1)]
-                if dst not in parents:
-                    parents[dst] = node
-                    queue.append(dst)
-        raise ReproError(  # pragma: no cover - SCC guarantees a cycle
-            f"no cycle found inside SCC {sorted(component)}")
-
-    @staticmethod
-    def _sccs(adj: Dict[str, List[str]]) -> List[List[str]]:
-        """Tarjan's strongly-connected components (graphs are tiny)."""
-        index: Dict[str, int] = {}
-        low: Dict[str, int] = {}
-        on_stack: Set[str] = set()
-        stack: List[str] = []
-        counter = [0]
-        out: List[List[str]] = []
-        nodes = sorted(set(adj) | {d for ds in adj.values() for d in ds})
-
-        def strongconnect(v: str) -> None:
-            index[v] = low[v] = counter[0]
-            counter[0] += 1
-            stack.append(v)
-            on_stack.add(v)
-            for w in adj.get(v, ()):
-                if w not in index:
-                    strongconnect(w)
-                    low[v] = min(low[v], low[w])
-                elif w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if low[v] == index[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    component.append(w)
-                    if w == v:
-                        break
-                out.append(component)
-
-        for v in nodes:
-            if v not in index:
-                strongconnect(v)
-        return out
-
     def to_dot(self) -> str:
         """Graphviz rendering (CI uploads this as an artifact)."""
         lines = ["digraph picodriver_locks {", "  rankdir=LR;",
@@ -495,7 +375,7 @@ class LockGraph:
         return "\n".join(lines)
 
     def render(self) -> str:
-        """Human-readable graph + cycle diagnostics."""
+        """Human-readable classes, acquisition sites and edges."""
         lines = ["lock classes:"]
         for cls in sorted(self.ranks,
                           key=lambda c: (self.ranks[c] is None,
@@ -510,13 +390,6 @@ class LockGraph:
             lines.append("  (none: no nested acquisition in the tree)")
         for _key, edge in sorted(self.edges.items()):
             lines.append(f"  {edge.describe()}")
-        cycles = self.cycles()
-        lines.append(f"cycles: {len(cycles)}")
-        for cycle in cycles:
-            path = " -> ".join([cycle[0].src] + [e.dst for e in cycle])
-            lines.append(f"  {path}")
-            for edge in cycle:
-                lines.append(f"    {edge.describe()}")
         return "\n".join(lines)
 
 

@@ -41,7 +41,7 @@ justified ``# pd-ignore[...]`` belongs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .lint import Finding, parse_failure
 from .vet_effects import HeapAccess, Program, Site, _error_covered
@@ -141,26 +141,14 @@ def check_layout_guard(program: Program) -> List[Finding]:
 
 # --- PD008/PD009: lock order and timed waits under a lock -------------------
 
-def _order_problem(held: str, cls: str) -> Optional[str]:
-    """Why taking ``cls`` while holding ``held`` breaks the declared
-    order, or None when it does not."""
-    from ..core.lockclasses import REGISTRY
-    if cls == held:
-        return (f"takes lock class {cls} while already holding it; the "
-                f"spinning acquirer never sees its own release")
-    rank, held_rank = REGISTRY.rank_of(cls), REGISTRY.rank_of(held)
-    if rank is None or held_rank is None or rank > held_rank:
-        return None
-    return (f"takes {cls} (rank {rank}) while holding {held} (rank "
-            f"{held_rank}); the declared hierarchy is rank-increasing")
-
-
 def check_lock_hierarchy(program: Program) -> List[Finding]:
     """PD008: every acquire site, and every confident call whose callee
-    may acquire, must take classes ranked above every class held."""
+    may acquire, must take classes ranked above every class held (the
+    registry's one order rule)."""
+    from ..core.lockclasses import REGISTRY
     out: List[Finding] = []
     for fn, held, cls, site, callee in program.lock_nestings():
-        problem = _order_problem(held, cls)
+        problem = REGISTRY.order_problem(held, cls)
         if problem is None:
             continue
         func = _short(fn.qualname)

@@ -8,19 +8,23 @@ lock words (paper section 3.3), so an AB-BA inversion does not merely
 deadlock one machine, it wedges both kernels with no one left to run a
 watchdog.
 
-This module is the registry both views of the analyzer share:
+This module is the registry both views of the analyzer share, and it
+holds their one order rule, :meth:`LockClassRegistry.order_problem`:
 
 * the *dynamic* validator (:mod:`repro.analysis.lockdep`) resolves every
   :class:`~repro.core.sync.CrossKernelSpinLock` to its class by lock
-  name and checks observed acquisition order against ``rank``;
+  name and judges each observed nesting with it;
 * the *static* pass (PicoVet's program model; vet rule PD008 and
   ``python -m repro lockgraph``) resolves ``X.acquire(...)`` sites to
   classes through constructor ``name=`` bindings and the ``attrs`` map
-  below, and checks the compile-time order.
+  below, and judges each compile-time nesting with it.
 
 The rule is the Linux one: locks must be acquired in **strictly
-increasing rank order**.  Ranks are sparse so subsystems can be
-inserted between existing levels.
+increasing rank order**, and a held class is never taken again.  Ranks
+strictly increase along every legal nesting, so a cycle among ranked
+classes (an AB-BA deadlock) always contains a nesting the rule rejects,
+and no separate cycle search is needed.  Ranks are sparse so subsystems
+can be inserted between existing levels.
 
 Declarations live next to the lock owners (``linux/hfi1/driver.py``,
 ``linux/pxd/driver.py``, ``mckernel/kernel.py``) and their users
@@ -116,6 +120,23 @@ class LockClassRegistry:
         """The declared rank of ``name``, or None if undeclared."""
         cls = self._classes.get(name)
         return None if cls is None else cls.rank
+
+    def order_problem(self, held: str, name: str) -> Optional[str]:
+        """Why taking class ``name`` while holding ``held`` breaks the
+        declared order, or None when it does not.
+
+        The one lock-order rule: re-taking a held class, ranked or not,
+        or taking a class ranked at or below a held one.  A nesting
+        with an undeclared class on either side is not judged.
+        """
+        if name == held:
+            return (f"takes lock class {name} while already holding it; "
+                    f"the spinning acquirer never sees its own release")
+        rank, held_rank = self.rank_of(name), self.rank_of(held)
+        if rank is None or held_rank is None or rank > held_rank:
+            return None
+        return (f"takes {name} (rank {rank}) while holding {held} (rank "
+                f"{held_rank}); the declared hierarchy is rank-increasing")
 
     def classes(self) -> List[LockClass]:
         """All declared classes, outermost (lowest rank) first."""

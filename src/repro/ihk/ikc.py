@@ -45,6 +45,7 @@ class IkcChannel:
             result = yield done
         finally:
             self.inflight -= 1
+            done = None  # a failed done holds an error whose traceback holds this frame
         return result
 
     def _serve(self, proxy_task, name: str, args: tuple, done: Event,
@@ -82,3 +83,4 @@ class IkcChannel:
             done.fail(exc)
         else:
             done.succeed(ret)
+        exc = done = None  # both reach the error, whose traceback holds this frame

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .units import KiB, MiB, GiB, PAGE_SIZE, USEC, NSEC
+from .units import KiB, MiB, PAGE_SIZE, USEC, NSEC
 
 
 @dataclass(frozen=True)
@@ -230,12 +230,6 @@ class NodeParams:
     app_cores: int = 64
     #: Cores reserved for OS activity / Linux in multi-kernel mode.
     os_cores: int = 4
-    #: Hardware threads per core.
-    hw_threads: int = 4
-    #: MCDRAM capacity.
-    mcdram_bytes: int = 16 * GiB
-    #: DDR4 capacity.
-    ddr_bytes: int = 96 * GiB
     #: NUMA domains in SNC-4 flat mode (4 MCDRAM + 4 DDR).
     numa_domains: int = 8
 
@@ -248,9 +242,6 @@ class MemParams:
     #: after boot); probability two virtually-adjacent pages are also
     #: physically adjacent.
     linux_contig_prob: float = 0.02
-    #: McKernel backs anonymous mappings with large pages / contiguous
-    #: runs whenever possible (paper section 3.4).
-    lwk_large_page_prob: float = 0.97
     #: kmalloc per-object allocator cost (both kernels, same order).
     kmalloc_cost: float = 90 * NSEC
     #: kfree cost on the owning core.

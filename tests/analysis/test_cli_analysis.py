@@ -182,10 +182,10 @@ def test_lockgraph_flags_abba_fixture(tmp_path, capsys):
         """))
     assert main(["lockgraph", str(bad)]) == 1
     out = capsys.readouterr().out
-    # the rank order is PD008's alone; the graph adds the cycle
+    # the declared rank order is the one verdict: PD008 at the inversion
     assert ": PD008 " in out and "rank 10" in out and "rank 20" in out
-    assert "lockgraph: 1 finding(s), 1 cycle(s)" in out
-    assert "hierarchy violations" not in out
+    assert out.endswith("lockgraph: 1 finding(s)\n")
+    assert "hierarchy violations" not in out and "cycles:" not in out
 
 
 # --- lockdep under sanitize --------------------------------------------------
@@ -255,7 +255,10 @@ def test_lockdep_reports_seeded_abba(capsys):
     rc = cmd_sanitize(["abba"], {"abba": lambda: _lockdep_machine(True)})
     out = capsys.readouterr().out
     assert rc == 1
-    assert "lockdep order-cycle: lock-class dependency cycle" in out
-    assert "hierarchy-violation" in out
+    assert "lockdep: 1 lock-order hazard(s)" in out
+    assert ("lockdep hierarchy-violation: mckernel takes mckernel.dispatch "
+            "(rank 10) while holding hfi1.sdma_submit (rank 20)") in out
+    # the AB-BA report names the earlier, reverse nesting too
+    assert "reverse order seen earlier (AB-BA)" in out
     assert "linux" in out and "mckernel" in out
     assert "KSan: no cross-kernel races detected" in out

@@ -69,8 +69,9 @@ def test_rank_respecting_nesting_is_clean():
 def test_abba_reported_with_both_sites_and_kernels():
     """The seeded AB-BA: Linux takes dispatch->submit (legal), McKernel
     takes submit->dispatch.  No hang occurs (the paths run at different
-    times) yet the validator must report the cycle with both witness
-    sites, both kernels and the sim timestamps."""
+    times) yet the validator must report the inversion, and with it the
+    earlier reverse nesting: both witness sites, both kernels and the
+    sim timestamps."""
     sim, _heap, validator, dispatch, submit = make_env()
     linux = linux_layout()
     mck = mckernel_unified_layout()
@@ -91,18 +92,14 @@ def test_abba_reported_with_both_sites_and_kernels():
     sim.process(linux_path())
     sim.process(mck_path())
     sim.run()
-    kinds = [r.kind for r in validator.reports]
-    assert "order-cycle" in kinds
-    assert "hierarchy-violation" in kinds
-    cycle = next(r for r in validator.reports if r.kind == "order-cycle")
-    text = cycle.render()
+    assert [r.kind for r in validator.reports] == ["hierarchy-violation"]
+    text = validator.reports[0].render()
     # both acquisition sites (function names) and both kernels named
     assert "linux_path" in text and "mck_path" in text
     assert "linux" in text and "mckernel" in text
     assert "t=1" in text and "t=0" in text
-    rank = next(r for r in validator.reports
-                if r.kind == "hierarchy-violation")
-    assert "rank 10" in rank.render() and "rank 20" in rank.render()
+    assert "rank 10" in text and "rank 20" in text
+    assert "reverse order seen earlier (AB-BA)" in text
 
 
 def test_cycle_reported_once_per_class_set():
@@ -122,8 +119,43 @@ def test_cycle_reported_once_per_class_set():
     sim.process(one(dispatch, submit, "linux", linux, 2.0))
     sim.process(one(submit, dispatch, "mckernel", mck, 3.0))
     sim.run()
-    assert len([r for r in validator.reports
-                if r.kind == "order-cycle"]) == 1
+    # two AB-BA rounds, one report: the one illegal class pair
+    assert [(r.kind, r.title.split(" (")[0]) for r in validator.reports] \
+        == [("hierarchy-violation", "mckernel takes mckernel.dispatch")]
+
+
+@pytest.mark.parametrize("name", ["hfi1.sdma_submit", "rig.unranked"])
+def test_retaking_a_held_class_is_reported(name):
+    """Two locks of one class, nested: the acquirer may spin on a word
+    its own class already holds.  The order rule rejects it whether the
+    class is ranked or not."""
+    sim, heap, validator, _dispatch, _submit = make_env()
+    first = CrossKernelSpinLock(sim, heap, name=name)
+    second = CrossKernelSpinLock(sim, heap, name=name)
+    linux = linux_layout()
+
+    def body():
+        yield from first.acquire("linux", linux)
+        yield from second.acquire("linux", linux)
+        second.release("linux")
+        first.release("linux")
+
+    sim.run(until=sim.process(body()))
+    assert [r.kind for r in validator.reports] == ["hierarchy-violation"]
+    assert f"takes lock class {name} while already holding it" \
+        in validator.reports[0].title
+
+
+def test_order_rule_judges_ranked_pairs_only():
+    """The registry's one rule: rank-increasing nestings pass, the
+    reverse fails, and a pair with an undeclared side is not judged."""
+    ensure_declarations()
+    assert REGISTRY.order_problem("mckernel.dispatch",
+                                  "hfi1.sdma_submit") is None
+    assert "rank-increasing" in REGISTRY.order_problem(
+        "hfi1.sdma_submit", "mckernel.dispatch")
+    assert REGISTRY.order_problem("rig.outer", "hfi1.sdma_submit") is None
+    assert REGISTRY.order_problem("pxd.submit", "rig.inner") is None
 
 
 def test_held_across_wait_attributed_to_holder():
@@ -274,18 +306,18 @@ def _static(tmp_path, source):
 
 
 def test_static_abba_yields_pd008_and_cycle(tmp_path):
+    """The graph carries both directions of the AB-BA, each with its
+    witness; PD008 alone judges it, at the inverted nesting."""
     graph, findings = _static(tmp_path, ABBA_SRC)
     assert [(f.code, f.line) for f in findings] == [("PD008", 16)]
     assert "rank 10" in findings[0].message and "rank 20" in findings[0].message
     assert "mck_path" in findings[0].message
     assert graph.has_edge("mckernel.dispatch", "hfi1.sdma_submit")
     assert graph.has_edge("hfi1.sdma_submit", "mckernel.dispatch")
-    cycles = graph.cycles()
-    assert len(cycles) == 1
-    funcs = {edge.func for edge in cycles[0]}
-    assert funcs == {"AbbaDrivers.linux_path", "AbbaDrivers.mck_path"}
-    kernels = {edge.kernel for edge in cycles[0]}
-    assert kernels == {"linux", "mckernel"}
+    assert sorted((edge.func, edge.kernel)
+                  for edge in graph.edges.values()) == [
+        ("AbbaDrivers.linux_path", "linux"),
+        ("AbbaDrivers.mck_path", "mckernel")]
 
 
 def test_static_resolves_class_via_registry_attr(tmp_path):
@@ -408,11 +440,14 @@ def path(self):
 
 def test_shipped_tree_static_graph_is_clean():
     """The lockgraph verdict on the shipped tree: no PD000/PD008/PD009
-    finding (none at all) and no cycle."""
+    finding (none at all).  Every class the tree acquires is ranked and
+    none is taken under another, so the rank rule leaves no nesting
+    unjudged and the graph has no cycle to find."""
     program, findings = vet_paths()
     assert findings == []
     graph = lock_graph(program)
-    assert graph.cycles() == []
+    assert None not in graph.ranks.values()
+    assert graph.edges == {}
     assert graph.ranks["hfi1.sdma_submit"] == 20
     # both the Linux slow path and the pico fast path acquire it, named
     # from the package down, so two checkouts print the same graph

@@ -2,8 +2,8 @@
 
 ``linux_submit`` takes ``mckernel.dispatch`` then ``hfi1.sdma_submit``
 (the declared rank order); ``mckernel_submit`` takes them the other way
-round, so ``vet`` must report PD008 on its inner acquire and
-``lockgraph`` must find the cycle.  ``backoff`` yields a timed wait
+round, so ``vet`` and ``lockgraph`` must both report PD008 on its inner
+acquire.  ``backoff`` yields a timed wait
 while it holds ``hfi1.sdma_submit`` (PD009).  This file is parsed by
 the analyses, never imported for execution, so the undefined names
 inside it are fine.

@@ -16,6 +16,7 @@ import pytest
 
 from repro.apps.imb import PingPong
 from repro.config import ALL_CONFIGS, planes
+from repro.errors import BadSyscall
 from repro.experiments import build_machine, chaos, storage
 from repro.faults import FaultPlan
 from repro.guard import GuardPolicy
@@ -68,6 +69,46 @@ def test_message_train_leaves_no_cyclic_garbage(config):
 
         assert cyclic_garbage(run) == []
     assert trains[0].tally(0, len(sizes))[:2] == (len(sizes), 0)
+
+
+@pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.value)
+def test_refused_offload_leaves_no_cyclic_garbage(config):
+    """A syscall Linux refuses fails typed.  On McKernel it crosses IKC,
+    and the error's traceback holds the channel's frames: neither may
+    keep the completion or the error in a local."""
+    machine = build_machine(1, config)
+    task = machine.spawn_rank(0, 0)
+    refused = []
+
+    def body():
+        try:
+            yield from task.syscall("no_such_call", 1)
+        except BadSyscall:
+            refused.append(True)
+
+    def run():
+        machine.sim.run(until=machine.sim.process(body()))
+
+    assert cyclic_garbage(run) == []
+    assert refused == [True]
+
+
+@pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.value)
+def test_faulty_message_train_leaves_no_cyclic_garbage(config):
+    """A chaos train at fault rate 0.01: the operations that fail along
+    the way (on McKernel, a raced ``TID_UPDATE`` offload) free
+    themselves too."""
+    sizes = chaos._regime_sizes(60)
+    with planes(faults=FaultPlan.uniform(0.01)):
+        machine = build_machine(2, config, params=chaos._chaos_params())
+        trains = []
+
+        def run():
+            trains.append(chaos.MessageTrain(machine, "gc", sizes))
+            machine.sim.run()
+
+        assert cyclic_garbage(run) == []
+    assert sum(trains[0].tally(0, len(sizes))[:2]) == len(sizes)
 
 
 @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.value)

@@ -1,5 +1,6 @@
 """Tests for the ``python -m repro`` command line."""
 
+import pytest
 
 from repro.__main__ import COMMANDS, main
 
@@ -51,3 +52,15 @@ def test_dwarf_command_errors(capsys):
     assert main(["dwarf", "nvme0", "foo", "bar"]) == 2
     out = capsys.readouterr().out
     assert "unknown module" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["hfi1", "nosuch", "foo"], "struct 'nosuch' not found"),
+    (["hfi1", "sdma_state", "nosuch"], "has no member 'nosuch'"),
+    (["hfi1:9.9", "sdma_state"], "unknown hfi1 driver version '9.9'"),
+    (["mlx5_ib:0.1", "mlx5_ib_mr"], "unknown mlx5 driver version '0.1'"),
+], ids=["struct", "member", "hfi1-version", "mlx5-version"])
+def test_dwarf_command_bad_input_prints_one_line(capsys, argv, message):
+    assert main(["dwarf", *argv]) == 2
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and message in out
