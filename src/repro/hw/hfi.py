@@ -37,10 +37,10 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import accumulate, chain, repeat
-from operator import add, itemgetter
+from itertools import accumulate, chain, groupby, repeat
+from operator import add
 from typing import (Callable, Deque, Dict, Iterable, Iterator, List,
-                    NamedTuple, Optional, Sequence, Tuple)
+                    NamedTuple, Optional, Sequence, Tuple, Union)
 
 from ..config import PLANES
 from ..errors import DriverError, ReproError
@@ -65,34 +65,108 @@ class SdmaDescriptor(Record):
         self.nbytes = nbytes
 
 
-class DescriptorChain:
-    """One request's SDMA descriptors as two columns: descriptor ``i``
-    is ``sizes[i]`` bytes at physical address ``paddrs[i]``.
+def append_run(runs: List[Tuple[int, int]], size: int, count: int) -> None:
+    """Append ``count`` spans of ``size`` bytes to the run-length list
+    ``runs``: nothing when ``count`` is 0, one longer last run when its
+    size is ``size``."""
+    if count:
+        if runs and runs[-1][0] == size:
+            runs[-1] = (size, runs[-1][1] + count)
+        else:
+            runs.append((size, count))
 
-    Iterating or indexing a chain yields :class:`SdmaDescriptor` records,
-    built on the fly; the engine reads ``sizes`` directly.
+
+class DescriptorChain:
+    """One request's physically contiguous spans, in order: the SDMA
+    descriptors of a ``writev``, or the RcvArray entries of one TID
+    registration.
+
+    The sizes are run-length ``runs``: ``(size, count)`` pairs with
+    positive counts, span ``i`` in the run whose cumulative count first
+    exceeds ``i``.  The physical addresses are a column given as a list,
+    or as a zero-argument callable that builds it on first use, so a
+    builder that has the addresses in another form (a page list, a span
+    list) hands them over without copying them out.  The engine, the
+    RcvArray checks and the tracer read the runs; iterating or indexing a
+    chain (or reading ``paddrs`` or ``sizes``) builds the columns and
+    :class:`SdmaDescriptor` records on the fly.
     """
 
-    __slots__ = ("paddrs", "sizes")
+    __slots__ = ("runs", "_stops", "_paddrs")
 
-    def __init__(self, paddrs: List[int], sizes: List[int]):
-        self.paddrs = paddrs
-        self.sizes = sizes
+    def __init__(self, runs: List[Tuple[int, int]],
+                 paddrs: Union[List[int], Callable[[], List[int]]]):
+        self.runs = runs
+        #: cumulative count at the end of each run
+        self._stops = list(accumulate(count for _size, count in runs))
+        self._paddrs = paddrs
+
+    @classmethod
+    def columns(cls, paddrs: List[int], sizes: Sequence[int]) -> "DescriptorChain":
+        """The chain of two plain columns; its runs are computed once."""
+        return cls([(size, len(list(group))) for size, group in groupby(sizes)],
+                   paddrs)
 
     @classmethod
     def of(cls, descriptors: Iterable[SdmaDescriptor]) -> "DescriptorChain":
         """The chain of a sequence of descriptor records."""
         descs = list(descriptors)
-        return cls([d.paddr for d in descs], [d.nbytes for d in descs])
+        return cls.columns([d.paddr for d in descs], [d.nbytes for d in descs])
+
+    @classmethod
+    def concat(cls, chains: Sequence["DescriptorChain"]) -> "DescriptorChain":
+        """One chain of ``chains`` in order: their runs joined, their
+        addresses built on first use."""
+        if len(chains) == 1:
+            return chains[0]
+        runs: List[Tuple[int, int]] = []
+        for part in chains:
+            for size, count in part.runs:
+                append_run(runs, size, count)
+        return cls(runs, lambda: [pa for part in chains for pa in part.paddrs])
 
     def __len__(self) -> int:
-        return len(self.sizes)
+        return self._stops[-1] if self._stops else 0
+
+    @property
+    def nbytes(self) -> int:
+        """The bytes the chain covers."""
+        return sum(size * count for size, count in self.runs)
+
+    @property
+    def paddrs(self) -> List[int]:
+        """The physical-address column (built on first use)."""
+        paddrs = self._paddrs
+        if callable(paddrs):
+            paddrs = self._paddrs = paddrs()
+        return paddrs
+
+    @property
+    def sizes(self) -> List[int]:
+        """The per-span size column, expanded from the runs."""
+        return list(chain.from_iterable(repeat(size, count)
+                                        for size, count in self.runs))
+
+    def runs_between(self, lo: int, hi: int) -> List[Tuple[int, int]]:
+        """The runs of spans ``lo`` to ``hi``, clipped at both ends."""
+        runs, stops = self.runs, self._stops
+        i = bisect_right(stops, lo)
+        out: List[Tuple[int, int]] = []
+        while lo < hi:
+            stop = min(stops[i], hi)
+            out.append((runs[i][0], stop - lo))
+            lo = stop
+            i += 1
+        return out
 
     def __iter__(self) -> Iterator[SdmaDescriptor]:
         return map(SdmaDescriptor, self.paddrs, self.sizes)
 
     def __getitem__(self, i: int) -> SdmaDescriptor:
-        return SdmaDescriptor(self.paddrs[i], self.sizes[i])
+        if i < 0:
+            i += len(self)
+        paddr = self.paddrs[i]
+        return SdmaDescriptor(paddr, self.runs[bisect_right(self._stops, i)][0])
 
 
 @dataclass
@@ -127,7 +201,7 @@ class SdmaRequestGroup:
 
     @property
     def total_bytes(self) -> int:
-        return sum(self.descriptors.sizes)
+        return self.descriptors.nbytes
 
 
 class TidEntry(Record):
@@ -284,8 +358,9 @@ class RcvContext:
         self.ctxt_id = ctxt_id
         self.owner = owner
         #: the context's programmed RcvArray entries, one record per
-        #: program_tids call valued ``(first tid, spans)``: TID t's span
-        #: is ``spans[t - first tid]``
+        #: program_tids call valued ``(first tid, spans)``, ``spans`` the
+        #: call's :class:`DescriptorChain`: TID t's span is
+        #: ``spans[t - first tid]``
         self.tids = TidRanges()
         self.eager_backlog: Deque[Packet] = deque()
         self._on_packet: Optional[Callable[[Packet], None]] = None
@@ -329,10 +404,10 @@ class _SerializationCost(dict):
         return cost
 
 
-#: one ring segment: descriptors ``[lo, hi)`` of ``group``'s chain (its
-#: ``sizes`` column), whether ``hi`` ends the group, and the segment's
-#: per-descriptor trace spans (``None`` when untraced)
-_RingSegment = Tuple["SdmaRequestGroup", List[int], int, int, bool,
+#: one ring segment: descriptors ``[lo, hi)`` of ``group``'s chain,
+#: whether ``hi`` ends the group, and the segment's per-descriptor trace
+#: spans (``None`` when untraced)
+_RingSegment = Tuple["SdmaRequestGroup", int, int, bool,
                     Optional[List[object]]]
 
 
@@ -412,18 +487,19 @@ class SdmaEngine:
         ring space.  Yields until fully submitted (completion is signalled
         separately through the IRQ path).
 
-        The group is validated in one pass, then enqueued one segment per
-        run of free slots."""
-        sizes = group.descriptors.sizes
-        n = len(sizes)
+        The group is validated from its chain's runs, then enqueued one
+        segment per run of free slots."""
+        descs = group.descriptors
+        n = len(descs)
         if not n:
             raise DriverError("empty SDMA request group")
-        if min(sizes) <= 0:
-            raise DriverError(f"bad descriptor size {min(sizes)}")
+        smallest, largest = min(descs.runs)[0], max(descs.runs)[0]
+        if smallest <= 0:
+            raise DriverError(f"bad descriptor size {smallest}")
         hw_max = self.device.params.sdma_max_request
-        if max(sizes) > hw_max:
+        if largest > hw_max:
             raise DriverError(
-                f"descriptor of {max(sizes)}B exceeds hardware max "
+                f"descriptor of {largest}B exceeds hardware max "
                 f"{hw_max}B")
         if self.gate is not None:
             # congestion watermarks: park (FIFO) while the engine is over
@@ -442,10 +518,12 @@ class SdmaEngine:
             spans = [PLANES.trace.begin_span(
                 "sdma.desc", track_of(self), cat="sdma",
                 args={"nbytes": nbytes, "kind": group.packet.kind},
-                detached=True) for nbytes in sizes[done:stop]] \
+                detached=True)
+                for nbytes, count in descs.runs_between(done, stop)
+                for _ in range(count)] \
                 if PLANES.trace is not None else None
             kick = not ring and not self.busy
-            ring.append((group, sizes, done, stop, stop == n, spans))
+            ring.append((group, done, stop, stop == n, spans))
             self._used += stop - done
             if kick:
                 self._kick()
@@ -482,7 +560,9 @@ class SdmaEngine:
                 # in one call, and the firing one is drawn with fires,
                 # per point and in order, as the per-descriptor loop did
                 inj = self.device.injector
-                sizes: List[int] = []
+                #: descriptors drained, and their sizes as runs
+                taken = 0
+                drained: List[Tuple[int, int]] = []
                 #: (group, is-last, span, finish offset) of the
                 #: descriptors with work after the burst: group ends, and
                 #: every descriptor when traced
@@ -504,20 +584,26 @@ class SdmaEngine:
                     if n == 0:
                         break
                     self._used -= n
+                    taken += n
                     while n:
-                        group, gsizes, lo, hi, ends, spans = ring[0]
+                        group, lo, hi, ends, spans = ring[0]
                         stop = min(hi, lo + n)
-                        chunk = gsizes[lo:stop]
-                        sizes += chunk
+                        # the segment's runs, clipped where a ring-full
+                        # wait or the quiet run split the chain
+                        part = group.descriptors.runs_between(lo, stop)
+                        drained += part
                         last = ends and stop == hi
-                        # left to right, as one t += cost per descriptor
+                        # the same addends in the same left-to-right
+                        # order as one t += cost per descriptor
                         if spans is None:
-                            t = reduce(add, map(cost, chunk), t)
+                            for nbytes, count in part:
+                                t = reduce(add, repeat(cost(nbytes), count), t)
                             if last:
                                 marks.append((group, True, None, t))
                         else:
-                            done_at = list(accumulate(map(cost, chunk), add,
-                                                      initial=t))
+                            done_at = list(accumulate(chain.from_iterable(
+                                repeat(cost(nbytes), count)
+                                for nbytes, count in part), add, initial=t))
                             del done_at[0]
                             t = done_at[-1]
                             marks += zip(repeat(group), repeat(False),
@@ -527,16 +613,16 @@ class SdmaEngine:
                         if stop == hi:
                             ring.popleft()
                         else:
-                            ring[0] = (group, gsizes, stop, hi, ends,
+                            ring[0] = (group, stop, hi, ends,
                                        None if spans is None
                                        else spans[stop - lo:])
                         n -= stop - lo
                 yield from self.sim.delay(t)
             self.busy = False
-            if sizes:
+            if taken:
                 tracer = self.device.tracer
-                tracer.count("hfi.sdma_descs", len(sizes))
-                tracer.record_many("hfi.sdma_desc_bytes", sizes)
+                tracer.count("hfi.sdma_descs", taken)
+                tracer.record_runs("hfi.sdma_desc_bytes", drained)
             for group, is_last, dspan, t_done in marks:
                 if dspan is not None:
                     # each descriptor leaves the wire at its own point in
@@ -548,8 +634,8 @@ class SdmaEngine:
                         group.packet = group.packet.replace(trace=dspan)
                     self.device._transmit(group.packet)
                     self.device.raise_irq(group)
-            if self.gate is not None and sizes:
-                self.gate.release_slots(len(sizes))
+            if self.gate is not None and taken:
+                self.gate.release_slots(taken)
             while self._space_waiters and self.free_slots > 0:
                 self._space_waiters.popleft().succeed()
 
@@ -598,7 +684,7 @@ class HFIDevice:
         """
         inflight = sum(
             1 for eng in self.engines
-            for group, _sizes, _lo, _hi, ends, _spans in eng._ring
+            for group, _lo, _hi, ends, _spans in eng._ring
             if ends and group.packet.dst_node == self.node_id
             and group.packet.dst_ctxt == ctxt.ctxt_id)
         if inflight:
@@ -658,34 +744,40 @@ class HFIDevice:
         return sum(len(ctxt.tids) for ctxt in self._contexts.values())
 
     def program_tids(self, ctxt: RcvContext,
-                     spans: List[Tuple[int, int]]) -> range:
-        """Program RcvArray entries for physically contiguous
-        ``(paddr, nbytes)`` spans; returns the range of TIDs programmed,
-        one per span in order.
+                     spans: Union[DescriptorChain, Sequence[Tuple[int, int]]]
+                     ) -> range:
+        """Program RcvArray entries for physically contiguous spans;
+        returns the range of TIDs programmed, one per span in order.
 
-        Each span must fit one entry (``tid_max_span``); callers split
-        larger spans first.  Raises when the RcvArray is exhausted.  The
-        whole request is checked before any entry is installed, so a
-        rejected request leaves the RcvArray and the TID counter as they
-        were.  The entries are one record that keeps ``spans`` itself,
-        so the caller hands over a list it no longer changes.
+        ``spans`` is a :class:`DescriptorChain` (the drivers hand over
+        their registration's chain) or a sequence of ``(paddr, nbytes)``
+        pairs, turned into a chain once.  Each span must fit one entry
+        (``tid_max_span``); callers split larger spans first.  Raises when
+        the RcvArray is exhausted.  The whole request is checked, from the
+        chain's runs, before any entry is installed, so a rejected request
+        leaves the RcvArray and the TID counter as they were.  The entries
+        are one record that keeps the chain itself.
         """
-        if self.tids_in_use + len(spans) > self.params.rcv_array_entries:
+        if not isinstance(spans, DescriptorChain):
+            spans = DescriptorChain.columns([pa for pa, _ in spans],
+                                            [nbytes for _, nbytes in spans])
+        n = len(spans)
+        if self.tids_in_use + n > self.params.rcv_array_entries:
             raise DriverError(
                 f"RcvArray exhausted: {self.tids_in_use} in use, "
-                f"{len(spans)} requested, {self.params.rcv_array_entries} total")
-        if spans:
-            sizes = list(map(itemgetter(1), spans))
-            if min(sizes) <= 0:
-                raise DriverError(f"bad TID span size {min(sizes)}")
-            if max(sizes) > self.params.tid_max_span:
+                f"{n} requested, {self.params.rcv_array_entries} total")
+        if n:
+            smallest, largest = min(spans.runs)[0], max(spans.runs)[0]
+            if smallest <= 0:
+                raise DriverError(f"bad TID span size {smallest}")
+            if largest > self.params.tid_max_span:
                 raise DriverError(
-                    f"TID span {max(sizes)}B exceeds entry max "
+                    f"TID span {largest}B exceeds entry max "
                     f"{self.params.tid_max_span}B")
-        tids = range(self._next_tid, self._next_tid + len(spans))
+        tids = range(self._next_tid, self._next_tid + n)
         self._next_tid = tids.stop
         ctxt.tids.add(tids, (tids.start, spans))
-        self.tracer.count("hfi.tids_programmed", len(tids))
+        self.tracer.count("hfi.tids_programmed", n)
         return tids
 
     def unprogram_tids(self, ctxt: RcvContext, tids: Sequence[int]) -> None:
@@ -713,8 +805,8 @@ class HFIDevice:
             i = ctxt.tids.find(tid)
             if i >= 0:
                 first, spans = ctxt.tids.value(i)
-                paddr, nbytes = spans[tid - first]
-                return TidEntry(tid, ctxt.ctxt_id, paddr, nbytes)
+                span = spans[tid - first]
+                return TidEntry(tid, ctxt.ctxt_id, span.paddr, span.nbytes)
         raise DriverError(f"unknown TID {tid}")
 
     # -- fabric interface ---------------------------------------------------------

@@ -18,8 +18,10 @@ Two distinct facilities live here:
 
 from __future__ import annotations
 
-import bisect
-from typing import Dict, Iterable, List, Optional, Tuple
+from bisect import bisect_right
+from itertools import chain
+from operator import add, sub
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -47,12 +49,53 @@ class Extent(Record):
         return self.start * frame_size, self.count * frame_size
 
 
+class Extents:
+    """One request's runs of physically contiguous frames as two
+    columns: run ``i`` is ``counts[i]`` frames from ``starts[i]``.
+
+    Iterating yields :class:`Extent` records, built on the fly; the
+    allocator and the page table read the columns.  A list or
+    tuple of the same records, in order, compares equal.
+    """
+
+    __slots__ = ("starts", "counts")
+
+    def __init__(self, starts: List[int], counts: List[int]):
+        self.starts = starts
+        self.counts = counts
+
+    @classmethod
+    def of(cls, extents: Iterable[Extent]) -> "Extents":
+        """The columns of ``extents`` (columns are returned as they are)."""
+        if isinstance(extents, Extents):
+            return extents
+        exts = list(extents)
+        return cls([e.start for e in exts], [e.count for e in exts])
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __iter__(self) -> Iterator[Extent]:
+        return map(Extent, self.starts, self.counts)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Extents):
+            return (self.starts, self.counts) == (other.starts, other.counts)
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Extents({list(self)!r})"
+
+
 class FrameAllocator:
     """First-fit extent allocator over ``total_frames`` physical frames.
 
-    Free space is a sorted list of disjoint ``[start, end)`` intervals.
-    All operations maintain the invariant that intervals are sorted,
-    non-empty and non-adjacent (adjacent intervals are merged on free).
+    Free space is a sorted list of disjoint ``[start, end)`` intervals,
+    kept as two columns (``_starts``, ``_ends``).  All operations
+    maintain the invariant that intervals are sorted, non-empty and
+    non-adjacent (adjacent intervals are merged on free).
     """
 
     def __init__(self, total_frames: int, frame_size: int = PAGE_SIZE,
@@ -65,7 +108,8 @@ class FrameAllocator:
         #: first frame number managed (IHK partitions hand an LWK a window
         #: of the node's frames, keeping frame numbers globally meaningful)
         self.base_frame = base_frame
-        self._free: List[List[int]] = [[base_frame, base_frame + total_frames]]
+        self._starts: List[int] = [base_frame]
+        self._ends: List[int] = [base_frame + total_frames]
         self.allocated_frames = 0
 
     # -- queries -----------------------------------------------------------
@@ -76,11 +120,11 @@ class FrameAllocator:
 
     def free_intervals(self) -> List[Tuple[int, int]]:
         """Snapshot of the free list (for tests/inspection)."""
-        return [(s, e) for s, e in self._free]
+        return list(zip(self._starts, self._ends))
 
     def largest_free_run(self) -> int:
         """Length of the longest contiguous free run, in frames."""
-        return max((e - s for s, e in self._free), default=0)
+        return max(map(sub, self._ends, self._starts), default=0)
 
     # -- allocation ----------------------------------------------------------
 
@@ -90,7 +134,7 @@ class FrameAllocator:
         start aligned to ``align`` frames (e.g. 512 for a 2MB page)."""
         if n_frames <= 0:
             raise ReproError(f"n_frames must be positive: {n_frames}")
-        for idx, (start, end) in enumerate(self._free):
+        for idx, (start, end) in enumerate(zip(self._starts, self._ends)):
             aligned = -(-start // align) * align
             if aligned + n_frames <= end:
                 self._carve(idx, aligned, aligned + n_frames)
@@ -99,7 +143,7 @@ class FrameAllocator:
             f"{self.name}: no contiguous run of {n_frames} frames "
             f"(align={align}, largest free run={self.largest_free_run()})")
 
-    def alloc(self, n_frames: int) -> List[Extent]:
+    def alloc(self, n_frames: int) -> Extents:
         """Allocate ``n_frames`` frames in as few extents as possible
         (best-effort contiguity; splits across free intervals if needed)."""
         if n_frames <= 0:
@@ -107,156 +151,212 @@ class FrameAllocator:
         if n_frames > self.free_frames:
             raise OutOfMemory(f"{self.name}: want {n_frames} frames, "
                               f"only {self.free_frames} free")
-        got: List[Extent] = []
+        got = Extents([], [])
         need = n_frames
         # Greedy: repeatedly take the largest free interval.
         while need > 0:
-            idx = max(range(len(self._free)),
-                      key=lambda i: self._free[i][1] - self._free[i][0])
-            start, end = self._free[idx]
-            take = min(need, end - start)
+            lengths = list(map(sub, self._ends, self._starts))
+            idx = lengths.index(max(lengths))
+            start = self._starts[idx]
+            take = min(need, lengths[idx])
             self._carve(idx, start, start + take)
-            got.append(Extent(start, take))
+            got.starts.append(start)
+            got.counts.append(take)
             need -= take
         return got
 
     def alloc_scattered(self, n_frames: int,
                         rng: np.random.Generator,
-                        contig_prob: float = 0.0) -> List[Extent]:
+                        contig_prob: float = 0.0) -> Extents:
         """Allocate ``n_frames`` as mostly *non*-contiguous frames — the
         post-fragmentation Linux anonymous-memory personality.
 
         Runs have geometric length with parameter ``contig_prob`` (expected
         run ``1/(1-contig_prob)``), separated by single-frame holes.  One
-        sweep over the free list, O(n) in frames allocated.  Under memory
-        pressure the remainder is taken contiguously from the holes —
-        which is also what a real buddy allocator degrades to.
+        sweep over the free list, from a random interval on.  Under memory
+        pressure the remainder is taken from the holes, one frame each, in
+        sweep order — which is also what a real buddy allocator degrades
+        to.
 
         A run grows while one uniform draw per frame falls below
-        ``contig_prob``.  Each draw either adds a frame to a run or ends
-        it, so the sweep consumes at most ``n_frames`` draws: they are
-        drawn as one block, and the generator is then rewound and
-        advanced by the draws actually consumed, leaving it where one
-        scalar ``random()`` per draw would have.
+        ``contig_prob``: in an interval, the first frame starts a run
+        without a draw, and each draw either adds the next frame to the
+        run or ends the run, leaving that frame a hole and starting the
+        next run after it.  No draw is made once the run holds every frame
+        still needed or reaches the interval's end.  So every draw either
+        grows a run or ends it, the sweep consumes at most ``n_frames``
+        draws, and they are drawn as one block; the generator is then
+        rewound and advanced by the draws actually consumed, leaving it
+        where one scalar ``random()`` per draw would have.
+
+        The sweep runs on the block with numpy.  Let ``G[i]`` be ``i`` plus
+        the run ends among the draws before ``i`` (a run end takes two
+        frames, the hole and the next run's first).  In an interval of
+        ``L`` frames whose first draw is ``D``, draw ``D + j`` decides the
+        frame ``G[D + j] - G[D] + 1`` from its start, so the interval
+        takes the draws with ``G[D + j] - G[D] + 1 < L``, fewer when the
+        frames still needed run out first.  One binary search of ``G`` per
+        interval finds them; the run ends among them are its holes; and
+        the extents and the holes are built from those positions as
+        columns.  No two free pieces touch (a hole lies between taken
+        frames or ends its interval, and the intervals lay apart), so the
+        free list is the pieces in sweep order, rotated to start at the
+        lowest.
         """
         if n_frames <= 0:
             raise ReproError(f"n_frames must be positive: {n_frames}")
         if n_frames > self.free_frames:
             raise OutOfMemory(f"{self.name}: want {n_frames} frames, "
                               f"only {self.free_frames} free")
-        extents: List[Extent] = []
-        new_free: List[List[int]] = []
-        need = n_frames
+        starts, ends = self._starts, self._ends
         # start the sweep at a random free interval so successive
         # allocations land in different regions
-        rotation = int(rng.integers(0, len(self._free))) if self._free else 0
-        order = self._free[rotation:] + self._free[:rotation]
+        rotation = int(rng.integers(0, len(starts))) if starts else 0
         state = rng.bit_generator.state
-        uniforms = rng.random(n_frames).tolist()
+        run_end = rng.random(n_frames) >= contig_prob
+        frame = np.arange(n_frames + 1)
+        np.cumsum(run_end, out=frame[1:], dtype=frame.dtype)
+        frame[1:] += np.arange(1, n_frames + 1)
+        need = n_frames
         drawn = 0
-        for start, end in order:
-            pos = start
-            while pos < end and need > 0:
-                run = 1
-                while run < need and pos + run < end:
-                    drawn += 1
-                    if uniforms[drawn - 1] >= contig_prob:
-                        break
-                    run += 1
-                extents.append(Extent(pos, run))
-                need -= run
-                pos += run
-                if pos < end and need > 0:
-                    new_free.append([pos, pos + 1])  # leave a hole
-                    pos += 1
-            if pos < end:
-                new_free.append([pos, end])
+        #: per interval swept: (start, G of its first draw, its first
+        #: draw, draws taken, end of its last run, last frame a hole)
+        swept = []
+        #: free pieces other than the holes: untouched intervals and the
+        #: part of an interval past the last frame taken
+        rest_starts: List[int] = []
+        rest_ends: List[int] = []
+        for i in chain(range(rotation, len(starts)), range(rotation)):
+            start, end = starts[i], ends[i]
+            if need == 0:
+                rest_starts.append(start)
+                rest_ends.append(end)
+                continue
+            g0 = int(frame[drawn])
+            last = g0 + end - start - 1
+            k = int(frame[drawn:].searchsorted(last))
+            if k < need:
+                # the interval runs out first: a draw ending a run at its
+                # last frame leaves that frame a hole and no run after it
+                hole_last = int(frame[drawn + k]) > last
+                stop = end
+                need -= 1 + k - hole_last
+            else:
+                k = need - 1
+                hole_last = False
+                stop = start + 1 + int(frame[drawn + k]) - g0
+                need = 0
+                rest_starts.append(stop)
+                rest_ends.append(end)
+            swept.append((start, g0, drawn, k, stop, hole_last))
+            drawn += k
         rng.bit_generator.state = state
         if drawn:
             rng.random(drawn)
+        v_start, v_g0, v_first, v_taken, v_stop, v_hole_last = \
+            np.array(swept, dtype=np.int64).T
+        v_next = v_first + v_taken
+        holes_per = (frame[v_next] - v_next) - (v_g0 - v_first)
+        ended = np.flatnonzero(run_end[:drawn])
+        holes = frame[ended] + np.repeat(v_start + 1 - v_g0, holes_per)
+        # each interval's runs: from its start and after each hole, to
+        # each hole and to its stop; the run after a hole at the
+        # interval's last frame is empty and dropped
+        lasts = np.cumsum(holes_per + 1) - 1
+        firsts = lasts - holes_per
+        run_starts = np.empty(lasts[-1] + 1, dtype=np.int64)
+        run_ends = np.empty_like(run_starts)
+        inner = np.ones(len(run_starts), dtype=bool)
+        inner[lasts] = False
+        run_ends[inner] = holes
+        run_ends[lasts] = v_stop
+        inner[lasts] = True
+        inner[firsts] = False
+        run_starts[inner] = holes + 1
+        run_starts[firsts] = v_start
+        keep = np.ones(len(run_starts), dtype=bool)
+        keep[lasts[v_hole_last.astype(bool)]] = False
+        ext_starts = run_starts[keep].tolist()
+        ext_counts = (run_ends[keep] - run_starts[keep]).tolist()
         if need > 0:
-            # memory pressure: fill from the holes we just left
-            for interval in new_free:
-                if need == 0:
-                    break
-                take = min(need, interval[1] - interval[0])
-                extents.append(Extent(interval[0], take))
-                interval[0] += take
-                need -= take
-        if need > 0:
-            raise OutOfMemory(f"{self.name}: accounting bug, "
-                              f"{need} frames short")
-        # rebuild the free list: sorted, merged, non-empty
-        new_free = sorted(iv for iv in new_free if iv[0] < iv[1])
-        merged: List[List[int]] = []
-        for iv in new_free:
-            if merged and merged[-1][1] == iv[0]:
-                merged[-1][1] = iv[1]
-            else:
-                merged.append(iv)
-        self._free = merged
+            # memory pressure: every interval ran out, so the free frames
+            # left are the holes; take them in sweep order
+            if need > len(holes):
+                raise OutOfMemory(f"{self.name}: accounting bug, "
+                                  f"{need - len(holes)} frames short")
+            ext_starts += holes[:need].tolist()
+            ext_counts += [1] * need
+            holes = holes[need:]
+        # in sweep order the free pieces are the holes, then the rest
+        free_starts = holes.tolist() + rest_starts
+        free_ends = (holes + 1).tolist() + rest_ends
+        low = free_starts.index(min(free_starts)) if free_starts else 0
+        self._starts = free_starts[low:] + free_starts[:low]
+        self._ends = free_ends[low:] + free_ends[:low]
         self.allocated_frames += n_frames
-        return extents
+        return Extents(ext_starts, ext_counts)
 
     # -- freeing -------------------------------------------------------------
 
     def free(self, extents: Iterable[Extent]) -> None:
         """Return extents to the free pool (must have been allocated).
 
-        The whole request is checked before anything changes.  A valid
-        one is a single sorted merge into the free list.  An invalid one
-        (an empty extent, one outside memory, or a double free of a
-        free frame or of a frame named twice) raises the error freeing
-        the extents one at a time would have raised first, and leaves
-        the allocator as it was.
+        ``extents`` are :class:`Extents` columns or any iterable of
+        :class:`Extent`, turned into columns once.  The whole request is
+        checked before anything changes.  A valid one is a single sorted
+        merge into the free list.  An invalid one (an empty extent, one
+        outside memory, or a double free of a free frame or of a frame
+        named twice) raises the error freeing the extents one at a time
+        would have raised first, and leaves the allocator as it was.
         """
-        exts = list(extents)
-        lo, hi = self.base_frame, self.base_frame + self.total_frames
-        spans: List[List[int]] = []
-        for ext in exts:
-            start, end = ext.start, ext.start + ext.count
-            if not lo <= start < end <= hi:
-                raise self._first_free_error(exts)
-            spans.append([start, end])
-        merged: List[List[int]] = []
+        exts = Extents.of(extents)
+        if not exts.starts:
+            return
+        ends = list(map(add, exts.starts, exts.counts))
+        if (min(exts.counts) <= 0 or min(exts.starts) < self.base_frame
+                or max(ends) > self.base_frame + self.total_frames):
+            raise self._first_free_error(exts)
+        merged_starts: List[int] = []
+        merged_ends: List[int] = []
         # the free list is one sorted run, so this sort merges the
         # request into it
-        for start, end in sorted(self._free + spans):
-            if merged and merged[-1][1] >= start:
-                if merged[-1][1] > start:  # overlap: a double free
+        for start, end in sorted(zip(self._starts + exts.starts,
+                                     self._ends + ends)):
+            if merged_ends and merged_ends[-1] >= start:
+                if merged_ends[-1] > start:  # overlap: a double free
                     raise self._first_free_error(exts)
-                merged[-1][1] = end
+                merged_ends[-1] = end
             else:
-                merged.append([start, end])
-        self._free = merged
-        self.allocated_frames -= sum(end - start for start, end in spans)
+                merged_starts.append(start)
+                merged_ends.append(end)
+        self._starts, self._ends = merged_starts, merged_ends
+        self.allocated_frames -= sum(exts.counts)
 
-    def _first_free_error(self, exts: List[Extent]) -> ReproError:
+    def _first_free_error(self, exts: Extents) -> ReproError:
         """The error freeing ``exts`` one at a time would raise first,
         found by replaying that on a copy of the free list."""
-        free = [list(iv) for iv in self._free]
-        starts = [s for s, _ in free]
+        starts, ends = list(self._starts), list(self._ends)
         for ext in exts:
             if ext.count <= 0:
                 return ReproError(f"freeing empty extent {ext}")
             if ext.start < self.base_frame or \
                     ext.end > self.base_frame + self.total_frames:
                 return ReproError(f"extent {ext} outside memory")
-            idx = bisect.bisect_right(starts, ext.start)
-            if idx > 0 and free[idx - 1][1] > ext.start:
+            idx = bisect_right(starts, ext.start)
+            if idx > 0 and ends[idx - 1] > ext.start:
                 return ReproError(f"double free: {ext} overlaps free "
-                                  f"interval {tuple(free[idx - 1])}")
-            if idx < len(free) and free[idx][0] < ext.end:
+                                  f"interval {(starts[idx - 1], ends[idx - 1])}")
+            if idx < len(starts) and starts[idx] < ext.end:
                 return ReproError(f"double free: {ext} overlaps free "
-                                  f"interval {tuple(free[idx])}")
-            free.insert(idx, [ext.start, ext.end])
+                                  f"interval {(starts[idx], ends[idx])}")
             starts.insert(idx, ext.start)
-            if idx + 1 < len(free) and free[idx][1] == free[idx + 1][0]:
-                free[idx][1] = free[idx + 1][1]
-                del free[idx + 1], starts[idx + 1]
-            if idx > 0 and free[idx - 1][1] == free[idx][0]:
-                free[idx - 1][1] = free[idx][1]
-                del free[idx], starts[idx]
+            ends.insert(idx, ext.end)
+            if idx + 1 < len(starts) and ends[idx] == starts[idx + 1]:
+                ends[idx] = ends[idx + 1]
+                del starts[idx + 1], ends[idx + 1]
+            if idx > 0 and ends[idx - 1] == starts[idx]:
+                ends[idx - 1] = ends[idx]
+                del starts[idx], ends[idx]
         raise AssertionError("free() rejected a request the per-extent "
                              "replay accepts")  # pragma: no cover
 
@@ -264,16 +364,18 @@ class FrameAllocator:
 
     def _carve(self, idx: int, start: int, end: int) -> None:
         """Remove ``[start, end)`` from free interval ``idx``."""
-        istart, iend = self._free[idx]
+        istart, iend = self._starts[idx], self._ends[idx]
         assert istart <= start and end <= iend
         self.allocated_frames += end - start
-        pieces = []
+        starts, ends = [], []
         if istart < start:
-            pieces.append([istart, start])
+            starts.append(istart)
+            ends.append(start)
         if end < iend:
-            pieces.append([end, iend])
-        self._free[idx:idx + 1] = pieces
-
+            starts.append(end)
+            ends.append(iend)
+        self._starts[idx:idx + 1] = starts
+        self._ends[idx:idx + 1] = ends
 
 
 class SharedHeap:

@@ -181,8 +181,7 @@ class Hfi1Driver(FileOps):
         mem = kernel.params.mem
 
         cost = sc.writev_base
-        paddrs: List[int] = []
-        sizes: List[int] = []
+        chains: List[DescriptorChain] = []
         total = 0
         for vaddr, length in iovecs[1:]:
             iov_pages, gup_cost = kernel.mm.get_user_pages(task, vaddr, length)
@@ -192,14 +191,12 @@ class Hfi1Driver(FileOps):
                 # each iovec is chopped from its own pages and offset; the
                 # Linux driver submits at most PAGE_SIZE per request
                 # (sec. 3.4)
-                chain = build_descs_from_pages(
+                chains.append(build_descs_from_pages(
                     iov_pages, vaddr % PAGE_SIZE, length,
-                    kernel.params.nic.linux_max_request)
-                paddrs += chain.paddrs
-                sizes += chain.sizes
-        if not sizes:
+                    kernel.params.nic.linux_max_request))
+        if not chains:
             raise DriverError(f"bad SDMA length {total}")
-        descs = DescriptorChain(paddrs, sizes)
+        descs = DescriptorChain.concat(chains)
         cost += len(descs) * sc.desc_build
         meta_addr = self.heap.kmalloc(192)
         cost += mem.kmalloc_cost
@@ -308,9 +305,10 @@ class Hfi1Driver(FileOps):
             raise TransientDeviceError("TID_UPDATE raced RcvArray update")
         pages, gup_cost = kernel.mm.get_user_pages(task, vaddr, length)
         # one RcvArray entry per base page: the unmodified driver derives
-        # spans from the page list, so contiguity is invisible to it
-        spans = page_spans(pages, vaddr % PAGE_SIZE, length)
-        tids = self.hfi.program_tids(state.ctxt, spans)
+        # spans from the page list, so contiguity is invisible to it (the
+        # chain's runs are the first, middle and last page)
+        tids = self.hfi.program_tids(
+            state.ctxt, page_spans(pages, vaddr % PAGE_SIZE, length))
         cost = (sc.tid_ioctl_base + gup_cost
                 + len(tids) * nic.tid_program_cost)
         yield from kernel.sim.delay(cost)

@@ -12,52 +12,55 @@ The central asymmetry of the paper lives here:
   physically contiguous spans of pinned LWK page tables and emit requests
   up to the hardware maximum (10KB).
 
-Both return a :class:`~repro.hw.hfi.DescriptorChain`: the descriptors as
-a column of physical addresses and a column of sizes, built from the page
-list by list slicing rather than one record per descriptor.  The chain
-has exactly the descriptors a per-page loop would emit.
+Both return a :class:`~repro.hw.hfi.DescriptorChain` with exactly the
+descriptors a per-page or per-chunk loop would emit, held per request:
+the sizes as run-length runs (a partial first page, whole middle pages
+and a partial last page; or full chunks plus a remainder per span) and
+the physical addresses built from the page or span list only when a
+caller reads them.  The TID registrations use the same chains:
+:func:`page_spans` for the Linux driver's one entry per base page,
+:func:`split_spans_for_tids` for the PicoDriver's entry-sized spans.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from functools import partial
 from typing import List, Tuple
 
 from ...errors import DriverError
-from ...hw.hfi import DescriptorChain
+from ...hw.hfi import DescriptorChain, append_run
 from ...units import PAGE_SIZE
 
 
-def _page_columns(pages: List[int], offset: int,
-                  length: int) -> Tuple[List[int], List[int]]:
-    """``(paddrs, sizes)`` per base page for ``length`` bytes that start
-    ``offset`` bytes into the first of ``pages``: a partial first page,
-    whole middle pages and a partial last page."""
+def _page_paddrs(pages: List[int], offset: int, npages: int) -> List[int]:
+    """The first of ``npages`` pages from ``offset``, then the rest."""
+    paddrs = [pages[0] + offset]
+    paddrs += pages[1:npages]
+    return paddrs
+
+
+def page_spans(pages: List[int], offset: int, length: int) -> DescriptorChain:
+    """The spans, one per base page, of ``length`` bytes that start
+    ``offset`` bytes into the first of ``pages``.
+
+    The spans are a partial first page, whole middle pages and a partial
+    last page; neighbouring pages stay separate even when physically
+    contiguous.  Pages beyond the end of the range are ignored.  The runs
+    come from the first, middle and last page alone, and the page list
+    becomes the address column only when read.
+    """
     end = offset + length
     npages = -(-end // PAGE_SIZE)
     if len(pages) < npages:
         covered = max(0, len(pages) * PAGE_SIZE - offset)
         raise DriverError(f"page list covers only {covered} of {length} bytes")
     if npages <= 1:
-        return ([pages[0] + offset], [length]) if npages else ([], [])
-    paddrs = [pages[0] + offset]
-    paddrs += pages[1:npages]
-    sizes = [PAGE_SIZE - offset]
-    sizes += repeat(PAGE_SIZE, npages - 2)
-    sizes.append(end - (npages - 1) * PAGE_SIZE)
-    return paddrs, sizes
-
-
-def page_spans(pages: List[int], offset: int,
-               length: int) -> List[Tuple[int, int]]:
-    """``(paddr, nbytes)`` per base page for ``length`` bytes that start
-    ``offset`` bytes into the first of ``pages``.
-
-    The spans are a partial first page, whole middle pages and a partial
-    last page; neighbouring pages stay separate even when physically
-    contiguous.  Pages beyond the end of the range are ignored.
-    """
-    return list(zip(*_page_columns(pages, offset, length)))
+        return DescriptorChain([(length, 1)] if npages else [],
+                               [pages[0] + offset] if npages else [])
+    runs = [(PAGE_SIZE - offset, 1)]
+    append_run(runs, PAGE_SIZE, npages - 2)
+    append_run(runs, end - (npages - 1) * PAGE_SIZE, 1)
+    return DescriptorChain(runs, partial(_page_paddrs, pages, offset, npages))
 
 
 def build_descs_from_pages(pages: List[int], offset: int, length: int,
@@ -77,38 +80,45 @@ def build_descs_from_pages(pages: List[int], offset: int, length: int,
             f"the Linux driver submits one whole base page per descriptor")
     # A larger max_request changes nothing: the Linux driver never exceeds
     # PAGE_SIZE even though the hardware accepts more (section 3.4).
-    return DescriptorChain(*_page_columns(pages, offset, length))
+    return page_spans(pages, offset, length)
+
+
+def _chop_paddrs(spans: List[Tuple[int, int]], limit: int) -> List[int]:
+    """The start of every chunk :func:`_chop` cuts ``spans`` into."""
+    paddrs: List[int] = []
+    for pa, nbytes in spans:
+        paddrs += range(pa, pa + nbytes, limit)
+    return paddrs
+
+
+def _chop(spans: List[Tuple[int, int]], limit: int,
+          what: str) -> DescriptorChain:
+    """``spans`` cut into chunks of at most ``limit`` bytes: per span,
+    its full chunks, then the remainder.  A ``limit`` or a span length
+    that is not positive is refused before anything is cut."""
+    if limit <= 0:
+        raise DriverError(f"bad {what} {limit}")
+    runs: List[Tuple[int, int]] = []
+    for _pa, nbytes in spans:
+        if nbytes <= 0:
+            raise DriverError(f"bad span length {nbytes}")
+        full, rest = divmod(nbytes, limit)
+        append_run(runs, limit, full)
+        if rest:
+            append_run(runs, rest, 1)
+    return DescriptorChain(runs, partial(_chop_paddrs, spans, limit))
 
 
 def build_descs_from_spans(spans: List[Tuple[int, int]],
                            max_request: int) -> DescriptorChain:
     """PicoDriver style: chop physically contiguous spans at the hardware
     maximum only."""
-    if max_request <= 0:
-        raise DriverError(f"bad max request size {max_request}")
-    paddrs: List[int] = []
-    sizes: List[int] = []
-    for pa, nbytes in spans:
-        if nbytes <= 0:
-            raise DriverError(f"bad span length {nbytes}")
-        full, rest = divmod(nbytes, max_request)
-        tail = pa + full * max_request
-        paddrs += range(pa, tail, max_request)
-        sizes += repeat(max_request, full)
-        if rest:
-            paddrs.append(tail)
-            sizes.append(rest)
-    return DescriptorChain(paddrs, sizes)
+    return _chop(spans, max_request, "max request size")
 
 
 def split_spans_for_tids(spans: List[Tuple[int, int]],
-                         max_span: int) -> List[Tuple[int, int]]:
-    """Split physical spans so each fits one RcvArray entry."""
-    out: List[Tuple[int, int]] = []
-    for pa, nbytes in spans:
-        off = 0
-        while off < nbytes:
-            chunk = min(max_span, nbytes - off)
-            out.append((pa + off, chunk))
-            off += chunk
-    return out
+                         max_span: int) -> DescriptorChain:
+    """Split physical spans so each fits one RcvArray entry: the chop of
+    :func:`build_descs_from_spans` at the entry maximum, refused the same
+    way when ``max_span`` or a span length is not positive."""
+    return _chop(spans, max_span, "max TID span")

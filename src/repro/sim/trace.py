@@ -8,9 +8,7 @@ Recording is cheap (one dict update).
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import add
-from typing import Dict, Sequence
+from typing import Dict, Iterable, Sequence, Tuple
 
 
 class Accumulator:
@@ -44,19 +42,21 @@ class Accumulator:
         if value > self.max:
             self.max = value
 
-    def add_many(self, values: Sequence[float]) -> None:
-        """Fold ``values`` in, exactly as one :meth:`add` per value would.
+    def add_runs(self, runs: Iterable[Tuple[int, int]]) -> None:
+        """Fold in ``count`` copies of each integer ``value`` of the
+        ``(value, count)`` runs (counts positive), exactly as one
+        :meth:`add` per copy would.
 
-        The total is summed left to right with ``reduce``: ``sum()`` over
-        floats uses compensated summation on Python 3.12 and later, which
-        rounds differently."""
-        self.total = reduce(add, values, self.total)
-        self.count += len(values)
-        low, high = min(values), max(values)
-        if low < self.min:
-            self.min = low
-        if high > self.max:
-            self.max = high
+        Each run adds ``value * count`` to the total at once: the partial
+        sums of integers are integers, exact in a float below 2**53, so
+        adding them a copy at a time would round nothing either."""
+        for value, count in runs:
+            self.count += count
+            self.total += value * count
+            if value < self.min:
+                self.min = value
+            if value > self.max:
+                self.max = value
 
     @property
     def mean(self) -> float:
@@ -83,15 +83,16 @@ class Tracer:
             acc = self.accs[name] = Accumulator()
         acc.add(value)
 
-    def record_many(self, name: str, values: Sequence[float]) -> None:
-        """Add a batch of values to a named accumulator: the same count,
-        total, min and max as one :meth:`record` call per value."""
-        if not values:
+    def record_runs(self, name: str, runs: Sequence[Tuple[int, int]]) -> None:
+        """Add runs of integer values to a named accumulator: the same
+        count, total, min and max as one :meth:`record` call per copy
+        (:meth:`Accumulator.add_runs`)."""
+        if not runs:
             return
         acc = self.accs.get(name)
         if acc is None:
             acc = self.accs[name] = Accumulator()
-        acc.add_many(values)
+        acc.add_runs(runs)
 
     def get_count(self, name: str) -> int:
         """Current value of a counter (0 if unused)."""

@@ -206,15 +206,14 @@ def test_direct_call_to_the_tree_function_is_still_reported():
 
 
 def test_shipped_reduce_calls_are_not_collectives():
-    """The SDMA drain loop and the tracer's ``add_many`` fold with
-    ``functools.reduce``; neither reaches ``mpi.collectives.reduce``."""
+    """The SDMA drain loop folds each run of descriptor costs with
+    ``functools.reduce``; that call does not reach
+    ``mpi.collectives.reduce``."""
     from repro.analysis.vet_effects import Program
     program = Program.build()
     collective = _entry(program, "collectives.py::reduce")
-    for caller in ("SdmaEngine._run", "Accumulator.add_many"):
-        qual = _entry(program, caller)
-        assert all(collective not in rc.targets
-                   for rc in program.edges[qual]), caller
+    qual = _entry(program, "SdmaEngine._run")
+    assert all(collective not in rc.targets for rc in program.edges[qual])
     assert not program.effects[_entry(program, "SdmaEngine._run")].offloads
 
 

@@ -9,7 +9,7 @@ from repro.hw import Extent, FrameAllocator, PageTable
 from repro.units import LARGE_PAGE_SIZE, PAGE_SIZE
 
 from .reference import (PerExtentFrameAllocator, ScalarFrameAllocator,
-                        per_entry_unmap_range)
+                        per_entry_unmap_range, table_state)
 
 
 @st.composite
@@ -91,8 +91,8 @@ def test_scattered_alloc_conserves_frames(n, contig_prob, seed):
 
 
 #: the contiguity probabilities the reference comparison covers: never,
-#: Linux's default, even odds, and nearly always contiguous
-CONTIG_PROBS = (0.0, 0.02, 0.5, 0.95)
+#: Linux's default, even odds, nearly always and always contiguous
+CONTIG_PROBS = (0.0, 0.02, 0.5, 0.95, 1.0)
 
 
 @st.composite
@@ -188,7 +188,7 @@ def free_request(draw):
 
 def _allocator(cls, base, total, mask):
     fa = cls(total, base_frame=base)
-    free, frame = [], 0
+    fa._starts, fa._ends, frame = [], [], 0
     while frame < total:
         if not mask[frame]:
             frame += 1
@@ -196,9 +196,9 @@ def _allocator(cls, base, total, mask):
         end = frame
         while end < total and mask[end]:
             end += 1
-        free.append([base + frame, base + end])
+        fa._starts.append(base + frame)
+        fa._ends.append(base + end)
         frame = end
-    fa._free = free
     fa.allocated_frames = total - sum(mask)
     return fa
 
@@ -273,6 +273,47 @@ def test_unmap_range_matches_per_entry_path(case):
         except ReproError as exc:
             outcomes.append(("err", str(exc)))
     assert outcomes[0] == outcomes[1]
-    assert sliced._vaddrs == reference._vaddrs
-    assert [(m.vaddr, m.paddr, m.page_size) for m in sliced._maps] \
-        == [(m.vaddr, m.paddr, m.page_size) for m in reference._maps]
+    assert table_state(sliced) == table_state(reference)
+
+
+@st.composite
+def fragmented_sweep(draw):
+    """A free/used mask made of runs (many one-frame holes, some long
+    intervals) and scattered allocations on it; ``fill`` leaves
+    ``arg`` frames free, so the sweep runs out of intervals and takes
+    the rest from its holes."""
+    mask = []
+    for free, length in draw(st.lists(
+            st.tuples(st.booleans(),
+                      st.one_of(st.just(1), st.integers(1, 60))),
+            min_size=1, max_size=40)):
+        mask += [free] * length
+    ops = draw(st.lists(
+        st.tuples(st.sampled_from(["scatter", "fill"]), st.integers(0, 40),
+                  st.sampled_from(CONTIG_PROBS)),
+        min_size=1, max_size=5))
+    return mask, ops
+
+
+@given(case=fragmented_sweep(), seed=st.integers(0, 2**31))
+@settings(max_examples=150, deadline=None)
+def test_scattered_sweep_matches_per_frame_reference_on_fragments(case,
+                                                                  seed):
+    """The numpy sweep against the per-frame loop, starting from free
+    lists of many intervals (one-frame holes among them), at every
+    contiguity probability, up to filling memory: the same extents, free
+    list, ``allocated_frames`` and generator state after every call."""
+    mask, ops = case
+    sides = [(_allocator(cls, 0, len(mask), mask), np.random.default_rng(seed))
+             for cls in (FrameAllocator, ScalarFrameAllocator)]
+    for op, arg, prob in ops:
+        outs = []
+        for fa, rng in sides:
+            n = arg if op == "scatter" else fa.free_frames - arg
+            try:
+                got = list(fa.alloc_scattered(n, rng, contig_prob=prob))
+            except (OutOfMemory, ReproError) as exc:
+                got = repr(exc)
+            outs.append((got, fa.free_intervals(), fa.allocated_frames,
+                         rng.bit_generator.state))
+        assert outs[0] == outs[1]

@@ -8,7 +8,7 @@ from repro.errors import PageFault, ReproError
 from repro.hw import Extent, PageTable
 from repro.units import LARGE_PAGE_SIZE, PAGE_SIZE
 
-from .reference import per_page_map_extents
+from .reference import PerPageTable, per_page_map_extents, table_state
 
 
 def test_translate_basic():
@@ -260,10 +260,6 @@ _ENTRY = st.one_of(st.tuples(st.just(PAGE_SIZE), st.integers(0, 12287)),
                    st.tuples(st.just(LARGE_PAGE_SIZE), st.integers(0, 23)))
 
 
-def _state(pt):
-    return list(pt._vaddrs), list(pt._maps)
-
-
 @given(existing=st.lists(_ENTRY, max_size=4),
        extents=st.lists(_EXTENT, max_size=4),
        page=st.integers(0, 3071),
@@ -293,7 +289,7 @@ def test_map_extents_matches_per_page_map_page(existing, extents, page,
     elif align == "odd":
         vaddr += 0x100
     new, ref = tables
-    before = _state(new)
+    before = table_state(new)
     outcomes = []
     for pt, fn in ((new, PageTable.map_extents), (ref, per_page_map_extents)):
         try:
@@ -303,6 +299,63 @@ def test_map_extents_matches_per_page_map_page(existing, extents, page,
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
     if isinstance(outcomes[0], str):
-        assert _state(new) == before
+        assert table_state(new) == before
     else:
-        assert _state(new) == _state(ref)
+        assert table_state(new) == table_state(ref)
+
+
+#: one page-table operation: its name and four small integers it reads
+_OP = st.tuples(
+    st.sampled_from(["map_page", "map_page", "map_extents", "map_extents",
+                     "unmap_range", "lookup", "pages", "phys_spans",
+                     "is_pinned"]),
+    st.integers(0, 1023), st.integers(0, 40), st.integers(0, 3),
+    st.booleans())
+
+
+def _apply(pt, entries, op, a, b, c, flag):
+    """Run one scripted operation on ``pt``; the value or the error.
+    Three in four unmaps and queries start inside one of ``entries``
+    (the table's entries before the step), the rest anywhere."""
+    if op not in ("map_page", "map_extents") and entries and a % 4:
+        vaddr, _pa, size, _pinned = entries[a % len(entries)]
+        va = vaddr + (a * 0x1234 if c == 3 else a * PAGE_SIZE) % size
+    else:
+        va = a * PAGE_SIZE + (0x800 if c == 3 else 0)
+    try:
+        if op == "map_page":
+            size = LARGE_PAGE_SIZE if c == 0 else PAGE_SIZE
+            return pt.map_page(va - va % size, (8192 + b) * size, size, flag)
+        if op == "map_extents":
+            exts = [Extent(4096 + b * 512 + i * 600, 1 + (b + i) % 520)
+                    for i in range(c + 1)]
+            return pt.map_extents(va, exts, pinned=flag,
+                                  use_large_pages=c % 2 == 0)
+        if op == "unmap_range":
+            return [(e.start, e.count)
+                    for e in pt.unmap_range(va, b * 64 * PAGE_SIZE)]
+        if op == "lookup":
+            m = pt.lookup(va)
+            return (m.vaddr, m.paddr, m.page_size, m.pinned, pt.translate(va))
+        length = b * 1100 * (1 + c) - (PAGE_SIZE if c == 2 else 0)
+        return getattr(pt, op)(va, length)
+    except PageFault as fault:
+        return ("fault", fault.addr)
+    except ReproError as exc:
+        return ("error", str(exc))
+
+
+@given(script=st.lists(_OP, min_size=1, max_size=40))
+@settings(max_examples=150, deadline=None)
+def test_column_table_matches_per_page_reference(script):
+    """Random scripts of 4KB and 2MB ``map_page`` calls, ``map_extents``
+    with large pages on and off (at unaligned addresses too),
+    ``unmap_range`` (whole and partial), ``lookup``/``translate``,
+    ``pages``, ``phys_spans`` and ``is_pinned``: every value,
+    ``PageFault`` address, overlap, alignment and partial-unmap error,
+    and the table after each step, equal the per-page reference's."""
+    table, ref = PageTable("prop"), PerPageTable("prop")
+    for op in script:
+        entries = table_state(table)
+        assert _apply(table, entries, *op) == _apply(ref, entries, *op), op
+        assert table_state(table) == ref.state()

@@ -21,11 +21,13 @@ from collections import deque
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import PLANES, planes
 from repro.faults import FaultInjector, FaultPlan
-from repro.hw import (Fabric, HFIDevice, Packet, SdmaDescriptor,
-                      SdmaRequestGroup)
+from repro.hw import (DescriptorChain, Fabric, HFIDevice, Packet,
+                      SdmaDescriptor, SdmaRequestGroup)
 from repro.hw.hfi import SdmaEngine
 from repro.obs import SpanCollector
 from repro.obs.spans import track_of
@@ -119,18 +121,35 @@ def desc_cost(params, nbytes):
     return params.sdma_desc_overhead + nbytes / params.link_bandwidth
 
 
-def run_workload(engine_cls, injector=None, halt_in_port_wait=False):
-    """Two submitters share one 8-slot engine; returns the completions
-    ``[(time, label)]``, the number of DES steps taken, the sender's
-    tracer and the parameters.
+def default_chain(g, count):
+    """Group ``g``'s chain of ``count`` descriptors with varying sizes."""
+    return DescriptorChain.of(
+        SdmaDescriptor(0x100000 * g + i * 4096, 1024 * (1 + (i * 7 + g) % 10))
+        for i in range(count))
 
-    With ``injector`` (installed on the sending device) halts are logged
-    in ``injector.halts`` and restarted after a fixed delay.
-    ``halt_in_port_wait`` holds the egress port over the first
-    burst and halts the engine while the burst waits for it."""
+
+def run_chain(g, runs):
+    """Group ``g``'s chain of ``(size, count)`` runs."""
+    n = sum(count for _size, count in runs)
+    return DescriptorChain(list(runs), [0x100000 * g + i * 4096
+                                        for i in range(n)])
+
+
+def run_workload(engine_cls, injector=None, halt_in_port_wait=False,
+                 groups=None, ring=RING):
+    """Two submitters share one engine (8 slots unless ``ring`` says
+    otherwise); returns the completions ``[(time, label)]``, the number
+    of DES steps taken, the sender's tracer and the parameters.
+
+    ``groups`` maps each submitter to its groups' run lists (``GROUPS``'
+    varying-size chains when ``None``).  With ``injector`` (installed on
+    the sending device) halts are logged in ``injector.halts`` and
+    restarted after a fixed delay.  ``halt_in_port_wait`` holds the
+    egress port over the first burst and halts the engine while the
+    burst waits for it."""
     sim = Simulator()
     params = default_params()
-    nic = replace(params.nic, sdma_ring_size=RING, sdma_engines=1)
+    nic = replace(params.nic, sdma_ring_size=ring, sdma_engines=1)
     fabric = Fabric(sim, nic)
     tx = HFIDevice(sim, nic, node_id=0)
     rx = HFIDevice(sim, nic, node_id=1)
@@ -165,15 +184,15 @@ def run_workload(engine_cls, injector=None, halt_in_port_wait=False):
         sim.process(halter())
 
     def submitter(name):
-        for g, count in enumerate(GROUPS[name]):
-            descs = [SdmaDescriptor(0x100000 * g + i * 4096,
-                                    1024 * (1 + (i * 7 + g) % 10))
-                     for i in range(count)]
+        chains = ([default_chain(g, count)
+                   for g, count in enumerate(GROUPS[name])]
+                  if groups is None else
+                  [run_chain(g, runs) for g, runs in enumerate(groups[name])])
+        for g, descs in enumerate(chains):
             group = SdmaRequestGroup(
                 descriptors=descs,
                 packet=Packet(kind="eager", src_node=0, dst_node=1,
-                              dst_ctxt=ctxt.ctxt_id,
-                              nbytes=sum(d.nbytes for d in descs)),
+                              dst_ctxt=ctxt.ctxt_id, nbytes=descs.nbytes),
                 on_complete=lambda grp, label=f"{name}{g}":
                     completions.append((sim.now, label)))
             yield from engine.submit(group)
@@ -243,13 +262,14 @@ def test_one_span_per_descriptor_with_its_own_end():
 FAULT_PLAN = FaultPlan(sdma_desc_error=0.04, sdma_engine_halt=0.03)
 
 
-def faulted(engine_cls, injector_cls, seed, halt_in_port_wait=False):
+def faulted(engine_cls, injector_cls, seed, halt_in_port_wait=False,
+            groups=None, ring=RING):
     """One faulted run; returns its outputs, halt log, and the next 64
     decisions per SDMA point at rate 0.5 (which pins how many uniforms
     each point's stream has consumed)."""
     inj = injector_cls(FAULT_PLAN, RngFactory(seed).spawn("faults"))
     completions, steps, tracer, _ = run_workload(
-        engine_cls, inj, halt_in_port_wait)
+        engine_cls, inj, halt_in_port_wait, groups, ring)
     inj.tracer = tracer
     inj.plan = FaultPlan(sdma_desc_error=0.5, sdma_engine_halt=0.5)
     tail = [inj.fires(p) for p in ("sdma.desc_error", "sdma.engine_halt")
@@ -301,3 +321,52 @@ def test_traced_partial_drains_match_reference(seed):
     assert got[4], "no halt: the run never stopped a burst part-way"
     assert len(spans) == sum(sum(g) for g in GROUPS.values())
     assert all(end is not None for _, end in spans)
+
+
+#: one group: runs of a few descriptor sizes (a 4 KB page, a partial
+#: page, the 10 KB hardware maximum), long enough to wrap the 8-slot ring
+_RUNS = st.lists(st.tuples(st.sampled_from([1024, 4096, 6144, 10240]),
+                           st.integers(1, 40)), min_size=1, max_size=4)
+_GROUPS = st.fixed_dictionaries({
+    name: st.lists(_RUNS, min_size=1, max_size=3) for name in ("a", "b")})
+
+
+@given(groups=_GROUPS, seed=st.integers(1, 2**16),
+       ring=st.sampled_from([RING, 512]),
+       mode=st.sampled_from(["plain", "faulted", "traced",
+                             "traced-faulted"]))
+@settings(max_examples=40, deadline=None)
+def test_run_length_chains_match_per_descriptor_reference(groups, seed,
+                                                          ring, mode):
+    """Chains given as runs, drained whole (a 512-slot ring) or split by
+    ring-full waits (the 8-slot ring), cut part-way by faults, and
+    traced: the same completions and their times, steps, counters and
+    ``hfi.sdma_desc_bytes`` count, total, min and max (bit for bit) as
+    the per-descriptor engine, and when traced the same descriptor spans
+    with the same end times."""
+    def run(engine_cls, injector_cls):
+        collector = SpanCollector() if mode.startswith("traced") else None
+        with planes(trace=collector):
+            if mode.endswith("faulted"):
+                out = faulted(engine_cls, injector_cls, seed,
+                              groups=groups, ring=ring)
+            else:
+                completions, steps, tracer, _ = run_workload(
+                    engine_cls, groups=groups, ring=ring)
+                out = (completions, steps, dict(tracer.counters), tracer.accs)
+        spans = [] if collector is None else [
+            (s.args["nbytes"], s.end) for s in collector.spans
+            if s.name == "sdma.desc"]
+        return out, spans
+
+    got, spans = run(SdmaEngine, FaultInjector)
+    want, ref_spans = run(PerDescriptorEngine, ScalarInjector)
+    assert got == want
+    assert spans == ref_spans
+    n_descs = sum(count for runs in groups.values() for chain in runs
+                  for _size, count in chain)
+    acc = got[3]["hfi.sdma_desc_bytes"]
+    assert acc.count == n_descs
+    assert acc.total == sum(size * count for runs in groups.values()
+                            for chain in runs for size, count in chain)
+    assert len(got[0]) == sum(len(runs) for runs in groups.values())

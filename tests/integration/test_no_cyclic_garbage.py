@@ -7,6 +7,11 @@ use, not kept until CPython's cyclic collector finds it.  Each test
 builds its machine, keeps it alive (the machine's own object graph is
 not per-message work), runs traffic with ``gc.DEBUG_SAVEALL`` set and
 requires the collector to find no garbage.
+
+A dropped machine is the exception: its own object graph has cycles and
+only the collector frees it.  What it leaves is bounded instead, so the
+rendezvous path keeps its per-page state in columns rather than in
+objects the collector has to walk.
 """
 
 import gc
@@ -15,15 +20,22 @@ from collections import Counter
 import pytest
 
 from repro.apps.imb import PingPong
-from repro.config import ALL_CONFIGS, planes
+from repro.config import ALL_CONFIGS, OSConfig, planes
 from repro.errors import BadSyscall
 from repro.experiments import build_machine, chaos, storage
 from repro.faults import FaultPlan
 from repro.guard import GuardPolicy
-from repro.units import KiB
+from repro.units import KiB, MiB
 
 #: one eager (PIO) and one rendezvous (TID + SDMA) message size
 PP_SIZES = (4 * KiB, 256 * KiB)
+#: the rendezvous ping-pong sizes of Figure 4's regime
+RNDV_SIZES = (256 * KiB, 1 * MiB, 4 * MiB)
+#: objects a dropped 2-node Linux machine may leave for the collector
+#: after the rendezvous ping-pong (839 measured; 8946 when its page
+#: tables held one ``Mapping`` per page and its free lists one two-item
+#: list per hole)
+DROPPED_LINUX_BOUND = 1500
 
 
 def cyclic_garbage(run) -> list:
@@ -128,3 +140,25 @@ def test_write_train_leaves_no_cyclic_garbage(config):
 
         assert cyclic_garbage(run) == []
     assert trains[0].tally(0, n_writes)[:2] == (n_writes, 0)
+
+
+def test_dropped_linux_machine_leaves_bounded_cyclic_garbage():
+    """A 2-node Linux machine that ran the rendezvous ping-pong (256 KiB
+    to 4 MiB, 5 repetitions and a warm-up: two scattered 8 MiB buffers)
+    leaves at most ``DROPPED_LINUX_BOUND`` objects for the collector
+    when dropped: its page tables and frame free lists are columns of
+    integers, which the collector does not track."""
+    gc.collect()
+    machine = build_machine(2, OSConfig.LINUX)
+    PingPong(machine, repetitions=5, warmup=1).run(RNDV_SIZES)
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        del machine
+        gc.collect()
+        left = Counter(type(o).__name__ for o in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert sum(left.values()) <= DROPPED_LINUX_BOUND, left.most_common(5)
+    assert "Mapping" not in left

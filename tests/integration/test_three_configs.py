@@ -2,12 +2,15 @@
 configurations, verifying both behaviour (data delivery, protocol
 invariants) and the mechanisms behind the paper's results."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import ALL_CONFIGS, OSConfig
 from repro.errors import BadSyscall, DriverError
 from repro.experiments import build_machine
 from repro.linux.hfi1 import ioctls as ioc
+from repro.params import default_params
 from repro.psm import Endpoint, TagMatcher
 from repro.units import KiB, MiB, PAGE_SIZE
 
@@ -225,6 +228,28 @@ def test_tid_update_rejects_non_positive_length(cfg, offset, length):
     machine.sim.run()
     assert isinstance(proc.exception, DriverError)
     assert "length" in str(proc.exception)
+    assert machine.nodes[0].node.hfi.tids_in_use == 0
+
+
+@pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: c.value)
+def test_tid_update_with_no_entry_span_is_a_driver_error(cfg):
+    """With ``tid_max_span`` 0 no span fits an RcvArray entry: every
+    TID_UPDATE path refuses the registration with a DriverError and
+    programs nothing (the fast path's span split used to loop forever)."""
+    params = default_params()
+    params = params.with_overrides(nic=replace(params.nic, tid_max_span=0))
+    machine = build_machine(1, cfg, params=params)
+    task = machine.spawn_rank(0, 0, 0)
+
+    def body():
+        fd = yield from task.syscall("open", "/dev/hfi1_0")
+        buf = yield from task.syscall("mmap", 16 * KiB)
+        yield from task.syscall("ioctl", fd, ioc.HFI1_IOCTL_TID_UPDATE,
+                                {"vaddr": buf, "length": 8 * KiB})
+
+    proc = machine.sim.process(body())
+    machine.sim.run()
+    assert isinstance(proc.exception, DriverError)
     assert machine.nodes[0].node.hfi.tids_in_use == 0
 
 

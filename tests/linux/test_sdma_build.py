@@ -63,11 +63,32 @@ def test_desc_count_ratio_for_4mb():
     assert len(pico) < 0.45 * len(linux)
 
 
+def _pairs(chain):
+    """A chain's spans as ``(paddr, nbytes)`` pairs."""
+    return [(d.paddr, d.nbytes) for d in chain]
+
+
 def test_split_spans_for_tids():
     spans = [(0, 5 * KiB), (0x100000, 3 * KiB)]
     out = split_spans_for_tids(spans, 2 * KiB)
-    assert out == [(0, 2 * KiB), (2 * KiB, 2 * KiB), (4 * KiB, 1 * KiB),
-                   (0x100000, 2 * KiB), (0x100000 + 2 * KiB, 1 * KiB)]
+    assert _pairs(out) == [(0, 2 * KiB), (2 * KiB, 2 * KiB),
+                           (4 * KiB, 1 * KiB), (0x100000, 2 * KiB),
+                           (0x100000 + 2 * KiB, 1 * KiB)]
+
+
+@pytest.mark.parametrize("max_span", [0, -4 * KiB])
+def test_split_spans_for_tids_refuses_a_non_positive_max_span(max_span):
+    """A cut of no bytes never ends: refused before any span is cut."""
+    with pytest.raises(DriverError, match=f"bad max TID span {max_span}"):
+        split_spans_for_tids([(0, 4 * KiB)], max_span)
+
+
+@pytest.mark.parametrize("spans", [[(0, 0)], [(0, 4 * KiB), (0x9000, -1)]],
+                         ids=["empty", "negative"])
+def test_split_spans_for_tids_refuses_a_non_positive_span(spans):
+    """A span of no bytes is refused, not dropped."""
+    with pytest.raises(DriverError, match="bad span length"):
+        split_spans_for_tids(spans, 2 * KiB)
 
 
 def test_bad_inputs_rejected():
@@ -144,7 +165,7 @@ def test_bulk_build_matches_per_page_loop(offset, length):
     assert list(build_descs_from_pages(pages, offset, length,
                                        10 * KiB)) == want
     gup = pages[:npages]  # get_user_pages() returns exactly the range
-    assert page_spans(gup, offset, length) == \
+    assert _pairs(page_spans(gup, offset, length)) == \
         _per_page_tid_spans(gup, offset, length)
 
 
@@ -156,7 +177,7 @@ def test_bulk_build_matches_per_page_loop_anywhere(offset, length):
     pages = [(i * 37 % 101) * PAGE_SIZE for i in range(npages)]
     assert list(build_descs_from_pages(pages, offset, length)) == \
         _per_page_descs(pages, offset, length)
-    assert page_spans(pages, offset, length) == \
+    assert _pairs(page_spans(pages, offset, length)) == \
         _per_page_tid_spans(pages, offset, length)
 
 
